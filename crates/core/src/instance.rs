@@ -50,6 +50,13 @@ pub enum InstanceError {
     UnknownChain(u16),
     /// A packet without an IPv4 payload was handed to the scanner.
     NoPayload,
+    /// A scan input longer than [`ScanEngine::MAX_UNIT_BYTES`]: match
+    /// positions are 16-bit on the wire (§6.5), so a longer unit's
+    /// positions could not be reported. Nothing was scanned.
+    OversizedPayload {
+        /// The rejected input's length.
+        len: usize,
+    },
     /// A data packet reached the instance without a policy-chain tag
     /// (the TSA failed to tag it, §4.1).
     Untagged,
@@ -116,6 +123,11 @@ impl std::fmt::Display for InstanceError {
             ),
             InstanceError::UnknownChain(id) => write!(f, "unknown policy chain {id}"),
             InstanceError::NoPayload => write!(f, "packet has no scannable payload"),
+            InstanceError::OversizedPayload { len } => write!(
+                f,
+                "scan input of {len} bytes exceeds the {} positions a report can address",
+                ScanEngine::MAX_UNIT_BYTES
+            ),
             InstanceError::Untagged => write!(f, "packet carries no policy-chain tag"),
             InstanceError::BadCompressedPayload(e) => {
                 write!(f, "compressed payload: {e}")
@@ -181,10 +193,21 @@ struct MbRules {
     parallel: Vec<usize>,
 }
 
+/// One chain member resolved at build time: everything the per-packet
+/// member loop reads, so a scan finds members by position and never looks
+/// anything up by id.
+#[derive(Debug, Clone)]
+struct ChainMember {
+    id: MiddleboxId,
+    profile: MiddleboxProfile,
+    rules: Arc<MbRules>,
+}
+
 /// Active-chain metadata resolved at build time.
 #[derive(Debug, Clone)]
 struct ChainInfo {
-    members: Vec<MiddleboxId>,
+    /// Only middleboxes with pattern sets matter to the scan.
+    members: Vec<ChainMember>,
     bitmap: u64,
     any_stateful: bool,
     /// Any member is fail-closed: this chain's traffic must never have
@@ -279,9 +302,7 @@ fn merge_outputs(outs: Vec<ScanOutput>) -> MergedOutputs {
 #[derive(Debug)]
 pub struct ScanEngine {
     ac: CombinedAc,
-    profiles: HashMap<MiddleboxId, MiddleboxProfile>,
     chains: HashMap<u16, ChainInfo>,
-    rules: HashMap<MiddleboxId, MbRules>,
     max_flows: usize,
     /// Idle ticks before a shard's flow arena ages a flow out (`None`
     /// disables aging; see [`crate::arena::FlowArena`]).
@@ -624,6 +645,13 @@ impl ShardState {
 }
 
 impl ScanEngine {
+    /// The longest input one scan takes: match positions are 16-bit in
+    /// reports (§6.5), so a unit holds at most this many. The public
+    /// scan entry points reject longer inputs
+    /// ([`InstanceError::OversizedPayload`]); decoded L7 units and raw
+    /// fallback buffers, which can outgrow it, are scanned in pieces.
+    pub const MAX_UNIT_BYTES: usize = 1 << 16;
+
     /// Compiles a configuration into an engine (§5.1's initialization),
     /// at generation 0.
     pub fn new(config: InstanceConfig) -> Result<ScanEngine, InstanceError> {
@@ -643,7 +671,7 @@ impl ScanEngine {
         }
 
         let mut builder = CombinedAcBuilder::new();
-        let mut rules: HashMap<MiddleboxId, MbRules> = HashMap::new();
+        let mut rules: HashMap<MiddleboxId, Arc<MbRules>> = HashMap::new();
 
         // Compile-time tenant quotas (DESIGN.md §16): pattern counts and
         // the automaton-state budget — approximated as total pattern
@@ -692,7 +720,7 @@ impl ScanEngine {
                 return Err(InstanceError::DuplicateMiddlebox(*mb));
             }
             let compiled = compile_rules(*mb, specs, &mut builder)?;
-            rules.insert(*mb, compiled);
+            rules.insert(*mb, Arc::new(compiled));
             // Middleboxes may register patterns without an explicit
             // profile; default to stateless read-write.
             profiles
@@ -724,18 +752,19 @@ impl ScanEngine {
                     }
                     Some(_) => {}
                 }
-                // Only middleboxes with pattern sets matter to the scan.
-                if rules.contains_key(m) {
-                    members.push(*m);
+                if let Some(mb_rules) = rules.get(m) {
+                    members.push(ChainMember {
+                        id: *m,
+                        profile: *profile,
+                        rules: Arc::clone(mb_rules),
+                    });
                 }
             }
-            let bitmap = dpi_ac::bitmap_of(&members);
-            let any_stateful = members
+            let bitmap = members
                 .iter()
-                .any(|m| profiles.get(m).map(|p| p.stateful).unwrap_or(false));
-            let any_fail_closed = members
-                .iter()
-                .any(|m| profiles.get(m).map(|p| p.fail_closed).unwrap_or(false));
+                .fold(0, |bits, m| bits | dpi_ac::bitmap_bit(m.id));
+            let any_stateful = members.iter().any(|m| m.profile.stateful);
+            let any_fail_closed = members.iter().any(|m| m.profile.fail_closed);
             chains.insert(
                 c.chain_id,
                 ChainInfo {
@@ -757,9 +786,7 @@ impl ScanEngine {
 
         Ok(ScanEngine {
             ac: builder.build_kernel(config.kernel),
-            profiles,
             chains,
-            rules,
             max_flows: config
                 .max_flows
                 .unwrap_or(InstanceConfig::DEFAULT_MAX_FLOWS),
@@ -901,6 +928,7 @@ impl ScanEngine {
             .chains
             .get(&chain_id)
             .ok_or(InstanceError::UnknownChain(chain_id))?;
+        check_unit_len(payload)?;
 
         // Quarantined flows (RejectFlow conflict policy) are never
         // scanned: their byte stream is known-ambiguous, so any scan
@@ -982,6 +1010,10 @@ impl ScanEngine {
         payload: &[u8],
         l7: Option<crate::l7::L7Context>,
     ) -> (ScanOutput, u32, (u64, u64)) {
+        assert!(
+            payload.len() <= Self::MAX_UNIT_BYTES,
+            "every caller bounds its unit: positions below are 16-bit"
+        );
         let resumed = start_state != self.ac.start() || offset > 0;
 
         // Per-tenant scan-byte budget (DESIGN.md §16): when the owning
@@ -1023,17 +1055,12 @@ impl ScanEngine {
         // hungriest active middlebox needs (§5.2).
         let scan_len = self.required_scan_len(chain, offset, payload.len());
 
-        // Per-member raw hits: (pattern id, end pos, pattern len).
-        let mut hits: Vec<Vec<(u16, u16, u16)>> = vec![Vec::new(); chain.members.len()];
-        // Per-member set of (regex rule idx, anchor idx) seen.
-        let mut anchors_seen: Vec<std::collections::HashSet<(usize, usize)>> =
-            vec![std::collections::HashSet::new(); chain.members.len()];
-        let member_index: HashMap<MiddleboxId, usize> = chain
-            .members
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (*m, i))
-            .collect();
+        // Raw hits: (member position, pattern id, end pos, pattern len).
+        // Both lists stay unallocated until the first accept: most
+        // packets match nothing.
+        let mut hits: Vec<(usize, u16, u16, u16)> = Vec::new();
+        // Anchors seen: (member position, regex rule idx, anchor idx).
+        let mut anchors_seen: Vec<(usize, usize, usize)> = Vec::new();
 
         // The scan loop runs on the engine's configured kernel; the
         // bitmap fast path lives in the accept callback, depth sampling
@@ -1042,7 +1069,6 @@ impl ScanEngine {
         let mut depth_samples = DepthSamples::default();
         let state = {
             let ac = &self.ac;
-            let rules = &self.rules;
             let hits = &mut hits;
             let anchors_seen = &mut anchors_seen;
             ac.scan_sampled(
@@ -1056,20 +1082,20 @@ impl ScanEngine {
                         return;
                     }
                     for e in ac.entries(st) {
-                        let Some(&mi) = member_index.get(&e.middlebox) else {
+                        let Some(mi) = chain.members.iter().position(|m| m.id == e.middlebox)
+                        else {
                             continue;
                         };
-                        let mb_rules = &rules[&e.middlebox];
+                        let mb_rules = &chain.members[mi].rules;
                         let pid = e.pattern.0;
                         if pid >= mb_rules.rule_count {
                             // A synthetic anchor pattern.
                             if let Some(owners) = mb_rules.anchor_owner.get(&pid) {
-                                for &(ri, ai) in owners {
-                                    anchors_seen[mi].insert((ri, ai));
-                                }
+                                anchors_seen.extend(owners.iter().map(|&(ri, ai)| (mi, ri, ai)));
                             }
                         } else {
-                            hits[mi].push((pid, i as u16, e.len));
+                            // `i < MAX_UNIT_BYTES`, asserted above.
+                            hits.push((mi, pid, i as u16, e.len));
                         }
                     }
                 },
@@ -1077,12 +1103,15 @@ impl ScanEngine {
         };
         let deep = depth_samples.deep;
         let samples = depth_samples.total;
+        // One anchor string can be seen many times; each counts once.
+        anchors_seen.sort_unstable();
+        anchors_seen.dedup();
 
         // Post-filtering (§5.2) and regex resolution (§5.3) per member.
         let mut reports = Vec::new();
         let mut total_matches = 0u64;
         for (mi, member) in chain.members.iter().enumerate() {
-            let profile = self.profiles[member];
+            let profile = member.profile;
             // Decoded L7 units honour per-middlebox protocol
             // subscriptions; raw scans (including the Unknown fallback)
             // never filter — fail-open, DESIGN.md §14.
@@ -1093,7 +1122,7 @@ impl ScanEngine {
             }
             let stop = profile.stopping_condition;
             let mut list: Vec<(u16, u16)> = Vec::new();
-            for &(pid, pos, len) in &hits[mi] {
+            for &(_, pid, pos, len) in hits.iter().filter(|h| h.0 == mi) {
                 let cnt = u64::from(pos) + 1;
                 if profile.stateful {
                     // Stateful: the stopping condition counts flow bytes.
@@ -1120,14 +1149,16 @@ impl ScanEngine {
             }
 
             // §5.3: run each regex whose anchors were all seen.
-            let mb_rules = &self.rules[member];
-            for (ri, rr) in mb_rules.regex_rules.iter().enumerate() {
+            for (ri, rr) in member.rules.regex_rules.iter().enumerate() {
                 let on_parallel_path = rr.anchor_count == 0;
                 let triggered = if on_parallel_path {
                     shard.telemetry.parallel_regex_evaluations += 1;
                     true
                 } else {
-                    let seen = anchors_seen[mi].iter().filter(|(r, _)| *r == ri).count();
+                    let seen = anchors_seen
+                        .iter()
+                        .filter(|&&(m, r, _)| m == mi && r == ri)
+                        .count();
                     seen == rr.anchor_count
                 };
                 if !triggered {
@@ -1139,7 +1170,7 @@ impl ScanEngine {
                 let found = if rr.use_lazy_dfa {
                     shard
                         .dfa_cache
-                        .entry((*member, ri))
+                        .entry((member.id, ri))
                         .or_insert_with(|| rr.regex.to_lazy_dfa())
                         .find_end(&payload[..scan_len])
                 } else {
@@ -1171,7 +1202,7 @@ impl ScanEngine {
                     .map(|r| u64::from(r.occurrences()))
                     .sum::<u64>();
                 reports.push(MiddleboxReport {
-                    middlebox_id: member.0,
+                    middlebox_id: member.id.0,
                     records,
                 });
             }
@@ -1235,7 +1266,7 @@ impl ScanEngine {
     ) -> Result<Option<ResultPacket>, InstanceError> {
         let chain_id = packet.chain_tag().ok_or(InstanceError::Untagged)?;
         let flow = packet.flow_key();
-        let payload: Vec<u8> = packet.payload().ok_or(InstanceError::NoPayload)?.to_vec();
+        let payload = packet.payload().ok_or(InstanceError::NoPayload)?;
 
         // An engine armed with an L7 policy reconstructs TCP sessions on
         // the packet path too: the identify → decode → scan layer needs
@@ -1243,7 +1274,7 @@ impl ScanEngine {
         // traffic and unarmed engines keep the per-packet scan.
         if self.l7.is_some() {
             if let (Some(key), Some(seq)) = (flow, packet.tcp_seq()) {
-                let outs = self.scan_tcp_segment(shard, chain_id, key, seq, &payload)?;
+                let outs = self.scan_tcp_segment(shard, chain_id, key, seq, payload)?;
                 let merged = merge_outputs(outs);
                 if merged.quarantined || merged.blocked {
                     // Fail-closed mark; nothing was scanned, so there
@@ -1265,7 +1296,7 @@ impl ScanEngine {
             }
         }
 
-        let out = self.scan_payload(shard, chain_id, flow, &payload)?;
+        let out = self.scan_payload(shard, chain_id, flow, payload)?;
         if out.quarantined {
             // Fail-closed verdict for a quarantined flow: the packet is
             // marked (an IPS drops it, an IDS alerts) but no match
@@ -1297,6 +1328,8 @@ impl ScanEngine {
         seq: u32,
         payload: &[u8],
     ) -> Result<Vec<ScanOutput>, InstanceError> {
+        check_unit_len(payload)?;
+
         // A flow already quarantined never reaches a reassembler: it
         // will never be scanned again, so buffering its bytes would be
         // pure attacker-controlled memory — and a reassembler freshly
@@ -1479,12 +1512,12 @@ impl ScanEngine {
 
             for u in &ingest.units {
                 shard.telemetry.l7_decoded_bytes += u.bytes.len() as u64;
-                outputs.push(self.scan_l7_unit(shard, chain, flow, &mut session, u));
+                self.scan_l7_unit(shard, chain, flow, &mut session, u, &mut outputs);
             }
             // Raw fallback (Unknown flows, decode-failure fail-open):
             // byte-identical to the pre-L7 path, including flow state.
-            for raw in &ingest.raw {
-                outputs.push(self.scan_payload(shard, chain_id, Some(flow), raw)?);
+            for piece in ingest.raw.iter().flat_map(|raw| unit_pieces(raw)) {
+                outputs.push(self.scan_payload(shard, chain_id, Some(flow), piece)?);
             }
             if ingest.blocked {
                 // Fail-closed marker: no bytes were scanned, the caller
@@ -1511,10 +1544,13 @@ impl ScanEngine {
         Ok(outputs)
     }
 
-    /// Scans one decoded L7 unit. Units with a stream slot resume the
-    /// slot's automaton state/offset (generation-checked like the flow
-    /// table) so patterns spanning decoded-unit boundaries still match;
-    /// slotless units (header blocks, SNI) scan fresh from the root.
+    /// Scans one decoded L7 unit into `outputs`. Units with a stream slot
+    /// resume the slot's automaton state/offset (generation-checked like
+    /// the flow table) so patterns spanning decoded-unit boundaries still
+    /// match; slotless units (header blocks, SNI) scan fresh from the
+    /// root. A unit longer than [`ScanEngine::MAX_UNIT_BYTES`] is scanned
+    /// in pieces, one output each, the automaton carried from piece to
+    /// piece as it is between the units of one slot.
     fn scan_l7_unit(
         &self,
         shard: &mut ShardState,
@@ -1522,23 +1558,28 @@ impl ScanEngine {
         flow: FlowKey,
         session: &mut crate::l7::L7Session,
         u: &crate::l7::DecodedUnit,
-    ) -> ScanOutput {
-        let (start_state, offset) = match u.slot {
+        outputs: &mut Vec<ScanOutput>,
+    ) {
+        let (mut state, mut offset) = match u.slot {
             Some(s) if chain.any_stateful && !u.reset => session.streams[s]
                 .filter(|&(_, _, g)| g == self.generation)
                 .map(|(st, off, _)| (st, off))
                 .unwrap_or((self.ac.start(), 0)),
             _ => (self.ac.start(), 0),
         };
-        let (out, state, (deep, samples)) =
-            self.scan_unit(shard, chain, start_state, offset, &u.bytes, Some(u.ctx));
+        for piece in unit_pieces(&u.bytes) {
+            let (out, end_state, (deep, samples)) =
+                self.scan_unit(shard, chain, state, offset, piece, Some(u.ctx));
+            state = end_state;
+            offset += piece.len() as u64;
+            shard.record_flow_stress(flow, deep, samples);
+            outputs.push(out);
+        }
         if let Some(s) = u.slot {
             if chain.any_stateful {
-                session.streams[s] = Some((state, offset + u.bytes.len() as u64, self.generation));
+                session.streams[s] = Some((state, offset, self.generation));
             }
         }
-        shard.record_flow_stress(flow, deep, samples);
-        out
     }
 
     /// Scans a DEFLATE-compressed payload: inflates **once** and scans the
@@ -1580,7 +1621,7 @@ impl ScanEngine {
     fn required_scan_len(&self, chain: &ChainInfo, offset: u64, payload_len: usize) -> usize {
         let mut needed = 0u64;
         for m in &chain.members {
-            let p = &self.profiles[m];
+            let p = &m.profile;
             match p.stopping_condition {
                 None => return payload_len,
                 Some(s) => {
@@ -1730,7 +1771,7 @@ impl DpiInstance {
     pub fn inspect_inband(&mut self, packet: &mut Packet) -> Result<bool, InstanceError> {
         let chain_id = packet.chain_tag().ok_or(InstanceError::Untagged)?;
         let flow = packet.flow_key();
-        let payload: Vec<u8> = packet.payload().ok_or(InstanceError::NoPayload)?.to_vec();
+        let payload = packet.payload().ok_or(InstanceError::NoPayload)?;
 
         // Same L7 session-reconstruction routing as
         // [`ScanEngine::inspect_unnumbered`].
@@ -1738,7 +1779,7 @@ impl DpiInstance {
             if let (Some(key), Some(seq)) = (flow, packet.tcp_seq()) {
                 let outs =
                     self.engine
-                        .scan_tcp_segment(&mut self.shard, chain_id, key, seq, &payload)?;
+                        .scan_tcp_segment(&mut self.shard, chain_id, key, seq, payload)?;
                 let merged = merge_outputs(outs);
                 if merged.quarantined || merged.blocked {
                     packet.mark_matches();
@@ -1756,7 +1797,7 @@ impl DpiInstance {
 
         let out = self
             .engine
-            .scan_payload(&mut self.shard, chain_id, flow, &payload)?;
+            .scan_payload(&mut self.shard, chain_id, flow, payload)?;
         if !out.has_matches() {
             return Ok(false);
         }
@@ -1846,6 +1887,21 @@ impl DpiInstance {
         self.engine
             .scan_payload_gzip(&mut self.shard, chain_id, flow, gz, max_inflated)
     }
+}
+
+/// The length check of every public scan entry point.
+fn check_unit_len(input: &[u8]) -> Result<(), InstanceError> {
+    if input.len() > ScanEngine::MAX_UNIT_BYTES {
+        return Err(InstanceError::OversizedPayload { len: input.len() });
+    }
+    Ok(())
+}
+
+/// Cuts `bytes` into pieces of at most [`ScanEngine::MAX_UNIT_BYTES`].
+/// An empty input is one empty piece: it is still one scan.
+fn unit_pieces(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let (first, rest) = bytes.split_at(bytes.len().min(ScanEngine::MAX_UNIT_BYTES));
+    std::iter::once(first).chain(rest.chunks(ScanEngine::MAX_UNIT_BYTES))
 }
 
 /// Compiles one middlebox's rule list into the shared automaton builder.

@@ -3,7 +3,7 @@
 
 use dpi_core::report::expand_records;
 use dpi_core::{
-    DpiInstance, InstanceConfig, InstanceError, MiddleboxId, MiddleboxProfile, RuleSpec,
+    DpiInstance, InstanceConfig, InstanceError, MiddleboxId, MiddleboxProfile, RuleSpec, ScanEngine,
 };
 use dpi_packet::ipv4::IpProtocol;
 use dpi_packet::report::MatchRecord;
@@ -447,5 +447,127 @@ fn heavy_traffic_raises_deep_ratio() {
     assert!(
         attack_ratio > benign_ratio + 0.3,
         "attack {attack_ratio:.3} vs benign {benign_ratio:.3}: signal too weak"
+    );
+}
+
+// Match positions are 16-bit in reports (§6.5): a scan unit holds at most
+// `ScanEngine::MAX_UNIT_BYTES` of them. The parent of this change stored
+// `i as u16` and reported a match ending at byte 69,007 at position 3,471.
+
+/// `len` filler bytes with `pattern` ending at index `end` (inclusive).
+fn filler_with(len: usize, pattern: &[u8], end: usize) -> Vec<u8> {
+    let mut bytes = vec![b'.'; len];
+    bytes[end + 1 - pattern.len()..=end].copy_from_slice(pattern);
+    bytes
+}
+
+#[test]
+fn the_longest_scan_input_reports_its_last_position_exactly() {
+    let max = ScanEngine::MAX_UNIT_BYTES;
+    assert_eq!(max, 65_536);
+    let mut dpi = two_middlebox_instance();
+    let payload = filler_with(max, b"ATTACK", max - 1);
+    let out = dpi.scan_payload(1, Some(flow(70)), &payload).unwrap();
+    assert_eq!(positions_for(&out, IDS), vec![(0, 65_535)]);
+    assert_eq!(positions_for(&out, AV), vec![(0, 65_535)]);
+    // The same length is accepted as one TCP segment.
+    let outs = dpi.scan_tcp_segment(1, flow(71), 0, &payload).unwrap();
+    assert_eq!(outs.len(), 1);
+    assert_eq!(positions_for(&outs[0], IDS), vec![(0, 65_535)]);
+}
+
+#[test]
+fn a_scan_input_one_byte_too_long_is_rejected_by_every_entry_point() {
+    let len = ScanEngine::MAX_UNIT_BYTES + 1;
+    let mut dpi = two_middlebox_instance();
+    // A match that would have wrapped to position 0.
+    let payload = filler_with(len, b"ATTACK", len - 1);
+    let rejected = InstanceError::OversizedPayload { len };
+    let scanned_before = dpi.telemetry().packets;
+
+    assert_eq!(
+        dpi.scan_payload(1, Some(flow(72)), &payload).unwrap_err(),
+        rejected
+    );
+    assert_eq!(
+        dpi.scan_tcp_segment(1, flow(73), 0, &payload).unwrap_err(),
+        rejected
+    );
+    let deflated = dpi_core::decompress::deflate_stored(&payload);
+    assert_eq!(
+        dpi.scan_payload_deflated(1, None, &deflated, 1 << 20)
+            .unwrap_err(),
+        rejected
+    );
+    let gz = dpi_core::decompress::gzip(&payload);
+    assert_eq!(
+        dpi.scan_payload_gzip(1, None, &gz, 1 << 20).unwrap_err(),
+        rejected
+    );
+    let mut pkt = Packet::tcp(MacAddr::local(1), MacAddr::local(2), flow(74), 0, payload);
+    pkt.push_chain_tag(1).unwrap();
+    assert_eq!(dpi.inspect(&mut pkt).unwrap_err(), rejected);
+    assert!(!pkt.has_match_mark());
+
+    assert_eq!(
+        dpi.telemetry().packets,
+        scanned_before,
+        "nothing was scanned"
+    );
+    assert_eq!(dpi.tracked_flows(), 0, "and no flow state was created");
+}
+
+#[test]
+fn an_oversized_decoded_l7_unit_is_scanned_in_addressable_pieces() {
+    use dpi_core::{L7Policy, L7Protocol, ProtocolPolicy};
+    let max = ScanEngine::MAX_UNIT_BYTES;
+    // A gzip body inflates to one 100,000 B unit once the HTTP size limit
+    // allows it. One pattern sits wholly in the second piece, one
+    // straddles the cut; the IDS is stateful and sees both.
+    let mut body = filler_with(100_000, b"ATTACK", 69_999);
+    body[max - 4..max + 7].copy_from_slice(b"LONGPATTERN");
+    let gz = dpi_core::decompress::gzip(&body);
+    let mut stream = format!(
+        "POST /upload HTTP/1.1\r\nHost: a\r\nContent-Encoding: gzip\r\nContent-Length: {}\r\n\r\n",
+        gz.len()
+    )
+    .into_bytes();
+    stream.extend_from_slice(&gz);
+
+    let policy = L7Policy::default().with(L7Protocol::Http1, ProtocolPolicy::intercept(1 << 20));
+    let cfg = InstanceConfig::new()
+        .with_middlebox(
+            MiddleboxProfile::stateful(IDS),
+            vec![
+                RuleSpec::exact(b"ATTACK".to_vec()),
+                RuleSpec::exact(b"LONGPATTERN".to_vec()),
+            ],
+        )
+        .with_chain(1, vec![IDS])
+        .with_l7_policy(policy);
+    let mut dpi = DpiInstance::new(cfg).unwrap();
+    let mut outs = Vec::new();
+    for (i, seg) in stream.chunks(1400).enumerate() {
+        outs.extend(
+            dpi.scan_tcp_segment(1, flow(75), (i * 1400) as u32, seg)
+                .unwrap(),
+        );
+    }
+    let body_outs: Vec<_> = outs
+        .iter()
+        .filter(|o| o.l7.is_some_and(|c| c.field == dpi_core::L7Field::Body))
+        .collect();
+    assert_eq!(body_outs.len(), 2, "one output per piece");
+    assert_eq!(
+        (body_outs[0].scanned, body_outs[1].scanned),
+        (max, 100_000 - max)
+    );
+    assert_eq!(body_outs[1].flow_offset, max as u64);
+    assert!(positions_for(body_outs[0], IDS).is_empty());
+    // Piece-relative positions: LONGPATTERN ends at body index 65,542,
+    // ATTACK at 69,999.
+    assert_eq!(
+        positions_for(body_outs[1], IDS),
+        vec![(0, (69_999 - max) as u16), (1, 6)]
     );
 }

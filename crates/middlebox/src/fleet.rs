@@ -160,7 +160,12 @@ impl FleetDpiNode {
 }
 
 impl Node for FleetDpiNode {
-    fn on_packet(&mut self, mut packet: Packet, port: PortId) -> Vec<(PortId, Packet)> {
+    fn on_packet_into(
+        &mut self,
+        mut packet: Packet,
+        port: PortId,
+        out: &mut Vec<(PortId, Packet)>,
+    ) {
         if let Some(chaos) = &self.chaos {
             // Data packets advance the deterministic per-instance packet
             // clock; pass-through results only consult it — so a fault
@@ -173,7 +178,7 @@ impl Node for FleetDpiNode {
             };
             if !alive {
                 self.stats.lock().swallowed += 1;
-                return Vec::new();
+                return;
             }
         }
 
@@ -200,20 +205,23 @@ impl Node for FleetDpiNode {
                             packets: 1,
                             bytes: bytes as u64,
                         });
-                        return vec![(port, packet)];
+                        out.push((port, packet));
+                        return;
                     }
                 }
             }
         }
 
-        let mut emitted = self.inner.on_packet(packet, port);
+        // What the inner node emits for this packet is `out[first..]`.
+        let first = out.len();
+        self.inner.on_packet_into(packet, port, out);
         if ce_pending {
             // CE is applied *after* the scan: the 2-bit ECN field cannot
             // hold both marks and congestion is the more urgent signal —
             // the match still travels in the result packet (see DESIGN
             // §11).
             if let Some(gauge) = &self.gauge {
-                for (_, pkt) in emitted.iter_mut() {
+                for (_, pkt) in out[first..].iter_mut() {
                     if matches!(pkt.body, PacketBody::Ipv4 { .. }) {
                         pkt.mark_congestion();
                         gauge.note_ce_mark();
@@ -223,13 +231,12 @@ impl Node for FleetDpiNode {
             }
         }
         let Some(chaos) = self.chaos.clone() else {
-            return emitted;
+            return;
         };
 
         // Result packets get the retried (and possibly faulty) delivery
         // path; data packets pass through untouched (fail-open).
-        let mut out = Vec::new();
-        for (p, pkt) in emitted {
+        for (p, pkt) in out.split_off(first) {
             if !matches!(pkt.body, PacketBody::Result(_)) {
                 out.push((p, pkt));
                 continue;
@@ -272,7 +279,6 @@ impl Node for FleetDpiNode {
                 });
             }
         }
-        out
     }
 
     fn label(&self) -> String {

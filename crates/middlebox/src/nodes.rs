@@ -11,7 +11,7 @@
 //! [`dpi_sdn::Switch::table`].
 
 use crate::engine::ServiceMiddlebox;
-use crate::reorder::ReorderBuffer;
+use crate::reorder::{PairedPacket, ReorderBuffer};
 use dpi_core::DpiInstance;
 use dpi_packet::packet::PacketBody;
 use dpi_packet::{MacAddr, Packet};
@@ -40,7 +40,7 @@ pub struct DpiServiceNode {
     delivery: ResultsDelivery,
     mac: MacAddr,
     /// Packets dropped because they were untagged or on unknown chains.
-    errors: Arc<Mutex<u64>>,
+    errors: u64,
 }
 
 impl DpiServiceNode {
@@ -56,7 +56,7 @@ impl DpiServiceNode {
                 dpi: Arc::clone(&dpi),
                 delivery,
                 mac,
-                errors: Arc::new(Mutex::new(0)),
+                errors: 0,
             },
             dpi,
         )
@@ -64,65 +64,61 @@ impl DpiServiceNode {
 
     /// Scan errors so far (untagged packets, unknown chains).
     pub fn error_count(&self) -> u64 {
-        *self.errors.lock()
+        self.errors
+    }
+
+    /// The dedicated result packet that follows `data` (§4.2 option 3).
+    fn result_packet(&self, data: &Packet, result: dpi_packet::report::ResultPacket) -> Packet {
+        let mut rp = Packet::result(self.mac, data.eth.dst, result);
+        if let Some(tag) = data.chain_tag() {
+            // The result packet follows the same chain rules.
+            let _ = rp.push_chain_tag(tag);
+        }
+        rp
     }
 }
 
 impl Node for DpiServiceNode {
-    fn on_packet(&mut self, mut packet: Packet, port: PortId) -> Vec<(PortId, Packet)> {
+    fn on_packet_into(
+        &mut self,
+        mut packet: Packet,
+        port: PortId,
+        out: &mut Vec<(PortId, Packet)>,
+    ) {
         if !matches!(packet.body, PacketBody::Ipv4 { .. }) {
             // Result packets from upstream instances etc. pass through.
-            return vec![(port, packet)];
+            out.push((port, packet));
+            return;
         }
-        let chain_tag = packet.chain_tag();
-        match self.delivery {
-            ResultsDelivery::DedicatedPacket => match self.dpi.lock().inspect(&mut packet) {
-                Ok(Some(result)) => {
-                    let mut rp = Packet::result(self.mac, packet.eth.dst, result);
-                    if let Some(tag) = chain_tag {
-                        // The result packet follows the same chain rules.
-                        let _ = rp.push_chain_tag(tag);
-                    }
-                    vec![(port, packet), (port, rp)]
-                }
-                Ok(None) => vec![(port, packet)],
-                Err(_) => {
-                    *self.errors.lock() += 1;
-                    Vec::new()
-                }
-            },
-            ResultsDelivery::InBand => match self.dpi.lock().inspect_inband(&mut packet) {
-                Ok(_) => vec![(port, packet)],
-                Err(_) => {
-                    *self.errors.lock() += 1;
-                    Vec::new()
-                }
-            },
-            ResultsDelivery::MplsTags => match self.dpi.lock().inspect(&mut packet) {
-                Ok(Some(result)) => {
-                    match dpi_packet::mpls_results::encode_matches(&result.reports) {
-                        Some(labels) => {
-                            packet.mpls.extend(labels);
-                            vec![(port, packet)]
-                        }
-                        None => {
-                            // Too many matches for tags: fall back to the
-                            // dedicated result packet.
-                            let mut rp = Packet::result(self.mac, packet.eth.dst, result);
-                            if let Some(tag) = chain_tag {
-                                let _ = rp.push_chain_tag(tag);
-                            }
-                            vec![(port, packet), (port, rp)]
-                        }
-                    }
-                }
-                Ok(None) => vec![(port, packet)],
-                Err(_) => {
-                    *self.errors.lock() += 1;
-                    Vec::new()
-                }
-            },
+        let inspected = match self.delivery {
+            ResultsDelivery::InBand => self.dpi.lock().inspect_inband(&mut packet).map(|_| None),
+            ResultsDelivery::DedicatedPacket | ResultsDelivery::MplsTags => {
+                self.dpi.lock().inspect(&mut packet)
+            }
+        };
+        let result = match inspected {
+            Ok(result) => result,
+            Err(_) => {
+                self.errors += 1;
+                return;
+            }
+        };
+        let Some(result) = result else {
+            out.push((port, packet));
+            return;
+        };
+        if self.delivery == ResultsDelivery::MplsTags {
+            if let Some(labels) = dpi_packet::mpls_results::encode_matches(&result.reports) {
+                packet.mpls.extend(labels);
+                out.push((port, packet));
+                return;
+            }
+            // Too many matches for tags: fall back to the dedicated
+            // result packet.
         }
+        let rp = self.result_packet(&packet, result);
+        out.push((port, packet));
+        out.push((port, rp));
     }
 
     fn label(&self) -> String {
@@ -134,7 +130,13 @@ impl Node for DpiServiceNode {
 /// pairing buffer).
 pub struct MiddleboxNode {
     mb: Arc<Mutex<ServiceMiddlebox>>,
+    /// The middlebox's registered id, read once: reports are selected by
+    /// it on every packet.
+    mb_id: u16,
     buffer: ReorderBuffer,
+    /// What the pairing buffer released for the packet in hand; drained
+    /// before `on_packet_into` returns, kept for its allocation.
+    paired: Vec<PairedPacket>,
     /// Whether this is the last results-consuming element on its chains —
     /// the one that strips the in-band header before the packet leaves
     /// the service chain (§4.2).
@@ -168,11 +170,14 @@ impl MiddleboxNode {
         last_on_chain: bool,
         capacity: usize,
     ) -> (MiddleboxNode, Arc<Mutex<ServiceMiddlebox>>) {
+        let mb_id = mb.id().0;
         let mb = Arc::new(Mutex::new(mb));
         (
             MiddleboxNode {
                 mb: Arc::clone(&mb),
+                mb_id,
                 buffer: ReorderBuffer::new(capacity),
+                paired: Vec::new(),
                 last_on_chain,
                 flow_generations: std::collections::HashMap::new(),
                 stale_generation_drops: 0,
@@ -208,73 +213,70 @@ impl MiddleboxNode {
 }
 
 impl Node for MiddleboxNode {
-    fn on_packet(&mut self, packet: Packet, port: PortId) -> Vec<(PortId, Packet)> {
+    fn on_packet_into(
+        &mut self,
+        mut packet: Packet,
+        port: PortId,
+        out: &mut Vec<(PortId, Packet)>,
+    ) {
+        let mb_id = self.mb_id;
+
         // MPLS-tag delivery: result labels ride on the data packet.
         let has_result_labels = packet
             .mpls
             .iter()
             .any(|l| l.tc == dpi_packet::mpls_results::RESULT_TC);
         if has_result_labels {
-            let mut packet = packet;
-            let mb_id = self.mb.lock().id().0;
             let decoded = dpi_packet::mpls_results::decode_matches(&packet.mpls);
-            let my_report = decoded.into_iter().find(|r| r.middlebox_id == mb_id);
-            let verdict = self.mb.lock().process(my_report.as_ref());
-            if !verdict.forwards() {
-                return Vec::new();
+            let my_report = decoded.iter().find(|r| r.middlebox_id == mb_id);
+            if !self.mb.lock().process(my_report).forwards() {
+                return;
             }
             if self.last_on_chain {
                 dpi_packet::mpls_results::strip_result_labels(&mut packet.mpls);
             }
-            return vec![(port, packet)];
+            out.push((port, packet));
+            return;
         }
 
         // In-band delivery: results ride on the data packet.
-        if packet.dpi_results.is_some() {
-            let mut packet = packet;
-            let mb_id = self.mb.lock().id().0;
-            let header = packet.dpi_results.as_ref().expect("checked above");
-            let my_report = header
-                .reports
-                .iter()
-                .find(|r| r.middlebox_id == mb_id)
-                .cloned();
-            let verdict = self.mb.lock().process(my_report.as_ref());
-            if !verdict.forwards() {
-                return Vec::new();
+        if let Some(header) = &packet.dpi_results {
+            let my_report = header.reports.iter().find(|r| r.middlebox_id == mb_id);
+            if !self.mb.lock().process(my_report).forwards() {
+                return;
             }
             if self.last_on_chain {
                 packet.detach_results();
             }
-            return vec![(port, packet)];
+            out.push((port, packet));
+            return;
         }
 
         // Dedicated-packet delivery: pair via the buffer.
         let chain_tag = packet.chain_tag();
-        let mut out = Vec::new();
-        for paired in self.buffer.push(packet) {
-            let mb_id = self.mb.lock().id().0;
-            let results = self.admit_result(paired.results);
-            let my_report = results.as_ref().and_then(|r| r.report_for(mb_id)).cloned();
-            let verdict = self.mb.lock().process(my_report.as_ref());
-            if !verdict.forwards() {
+        let mut paired = std::mem::take(&mut self.paired);
+        self.buffer.push(packet, &mut paired);
+        for PairedPacket { packet, results } in paired.drain(..) {
+            let results = self.admit_result(results);
+            let my_report = results.as_ref().and_then(|r| r.report_for(mb_id));
+            if !self.mb.lock().process(my_report).forwards() {
                 continue; // blocked: neither data nor results go on
             }
-            let data_tag = paired.packet.chain_tag().or(chain_tag);
-            let src_mac = paired.packet.eth.src;
-            let dst_mac = paired.packet.eth.dst;
-            out.push((port, paired.packet));
-            if let Some(results) = results {
-                // Re-emit the result packet so downstream middleboxes can
-                // read their own sections.
-                let mut rp = Packet::result(src_mac, dst_mac, results);
-                if let Some(tag) = data_tag {
+            // Re-emit the result packet behind the data so downstream
+            // middleboxes can read their own sections.
+            let rp = results.map(|results| {
+                let mut rp = Packet::result(packet.eth.src, packet.eth.dst, results);
+                if let Some(tag) = packet.chain_tag().or(chain_tag) {
                     let _ = rp.push_chain_tag(tag);
                 }
+                rp
+            });
+            out.push((port, packet));
+            if let Some(rp) = rp {
                 out.push((port, rp));
             }
         }
-        out
+        self.paired = paired;
     }
 
     fn label(&self) -> String {
@@ -303,16 +305,17 @@ impl SelfScanNode {
 }
 
 impl Node for SelfScanNode {
-    fn on_packet(&mut self, packet: Packet, port: PortId) -> Vec<(PortId, Packet)> {
-        let (flow, payload) = match (&packet.flow_key(), packet.payload()) {
-            (Some(f), Some(p)) => (Some(*f), p.to_vec()),
-            _ => return vec![(port, packet)],
+    fn on_packet_into(&mut self, packet: Packet, port: PortId, out: &mut Vec<(PortId, Packet)>) {
+        let forwards = match packet.payload() {
+            Some(payload) => self
+                .mb
+                .lock()
+                .process(packet.flow_key(), payload)
+                .forwards(),
+            None => true,
         };
-        let verdict = self.mb.lock().process(flow, &payload);
-        if verdict.forwards() {
-            vec![(port, packet)]
-        } else {
-            Vec::new()
+        if forwards {
+            out.push((port, packet));
         }
     }
 

@@ -56,24 +56,28 @@ impl ReorderBuffer {
         self.buffered == 0
     }
 
-    /// Feeds a packet (data or result); returns everything that became
-    /// deliverable.
-    pub fn push(&mut self, packet: Packet) -> Vec<PairedPacket> {
+    /// Feeds a packet (data or result), appending everything that became
+    /// deliverable to `out`.
+    pub fn push(&mut self, packet: Packet, out: &mut Vec<PairedPacket>) {
         use dpi_packet::packet::PacketBody;
-        match &packet.body {
-            PacketBody::Result(r) => {
-                let flow = r.flow;
-                let result = r.clone();
+        let unpaired = |packet| PairedPacket {
+            packet,
+            results: None,
+        };
+        match packet.body {
+            PacketBody::Result(result) => {
+                let flow = result.flow;
                 if let Some(q) = self.waiting_data.get_mut(&flow) {
                     if let Some(data) = q.pop_front() {
                         self.buffered -= 1;
                         if q.is_empty() {
                             self.waiting_data.remove(&flow);
                         }
-                        return vec![PairedPacket {
+                        out.push(PairedPacket {
                             packet: data,
                             results: Some(result),
-                        }];
+                        });
+                        return;
                     }
                 }
                 self.waiting_results
@@ -81,16 +85,14 @@ impl ReorderBuffer {
                     .or_default()
                     .push_back(result);
                 self.buffered += 1;
-                self.enforce_capacity()
+                self.enforce_capacity(out);
             }
             PacketBody::Ipv4 { .. } => {
                 if !packet.has_match_mark() {
                     // Unmarked: no results will ever come (§4.2: "a packet
                     // with no matches is always forwarded as is").
-                    return vec![PairedPacket {
-                        packet,
-                        results: None,
-                    }];
+                    out.push(unpaired(packet));
+                    return;
                 }
                 let flow = packet.flow_key().expect("ipv4 body has a flow");
                 if let Some(q) = self.waiting_results.get_mut(&flow) {
@@ -99,27 +101,24 @@ impl ReorderBuffer {
                         if q.is_empty() {
                             self.waiting_results.remove(&flow);
                         }
-                        return vec![PairedPacket {
+                        out.push(PairedPacket {
                             packet,
                             results: Some(result),
-                        }];
+                        });
+                        return;
                     }
                 }
                 self.waiting_data.entry(flow).or_default().push_back(packet);
                 self.buffered += 1;
-                self.enforce_capacity()
+                self.enforce_capacity(out);
             }
-            PacketBody::Raw(_) => vec![PairedPacket {
-                packet,
-                results: None,
-            }],
+            PacketBody::Raw(_) => out.push(unpaired(packet)),
         }
     }
 
-    /// Flushes oldest waiting data unpaired when over capacity. Orphaned
-    /// results are simply dropped.
-    fn enforce_capacity(&mut self) -> Vec<PairedPacket> {
-        let mut out = Vec::new();
+    /// Flushes oldest waiting data unpaired into `out` when over capacity.
+    /// Orphaned results are simply dropped.
+    fn enforce_capacity(&mut self, out: &mut Vec<PairedPacket>) {
         while self.buffered > self.capacity {
             // Prefer dropping orphan results; then release data unpaired.
             if let Some(flow) = self.waiting_results.keys().next().copied() {
@@ -147,7 +146,6 @@ impl ReorderBuffer {
                 break;
             }
         }
-        out
     }
 }
 
@@ -158,6 +156,13 @@ mod tests {
     use dpi_packet::packet::flow;
     use dpi_packet::report::MiddleboxReport;
     use dpi_packet::MacAddr;
+
+    /// `ReorderBuffer::push` into a fresh buffer.
+    fn push(buf: &mut ReorderBuffer, packet: Packet) -> Vec<PairedPacket> {
+        let mut out = Vec::new();
+        buf.push(packet, &mut out);
+        out
+    }
 
     fn fk(port: u16) -> FlowKey {
         flow([1, 1, 1, 1], port, [2, 2, 2, 2], 80, IpProtocol::Tcp)
@@ -194,7 +199,7 @@ mod tests {
     #[test]
     fn unmarked_data_passes_straight_through() {
         let mut buf = ReorderBuffer::new(16);
-        let out = buf.push(data(1, false));
+        let out = push(&mut buf, data(1, false));
         assert_eq!(out.len(), 1);
         assert!(out[0].results.is_none());
         assert!(buf.is_empty());
@@ -203,9 +208,9 @@ mod tests {
     #[test]
     fn data_then_result_pairs() {
         let mut buf = ReorderBuffer::new(16);
-        assert!(buf.push(data(1, true)).is_empty());
+        assert!(push(&mut buf, data(1, true)).is_empty());
         assert_eq!(buf.len(), 1);
-        let out = buf.push(result(1, 42));
+        let out = push(&mut buf, result(1, 42));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].results.as_ref().unwrap().packet_id, 42);
         assert!(buf.is_empty());
@@ -214,8 +219,8 @@ mod tests {
     #[test]
     fn result_then_data_pairs() {
         let mut buf = ReorderBuffer::new(16);
-        assert!(buf.push(result(1, 7)).is_empty());
-        let out = buf.push(data(1, true));
+        assert!(push(&mut buf, result(1, 7)).is_empty());
+        let out = push(&mut buf, data(1, true));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].results.as_ref().unwrap().packet_id, 7);
     }
@@ -223,16 +228,16 @@ mod tests {
     #[test]
     fn pairing_is_per_flow_fifo() {
         let mut buf = ReorderBuffer::new(16);
-        buf.push(data(1, true));
-        buf.push(data(1, true));
-        buf.push(data(2, true));
+        push(&mut buf, data(1, true));
+        push(&mut buf, data(1, true));
+        push(&mut buf, data(2, true));
         // Flow 2's result pairs with flow 2's data, not flow 1's.
-        let out = buf.push(result(2, 100));
+        let out = push(&mut buf, result(2, 100));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].packet.flow_key().unwrap(), fk(2));
         // Flow 1 results pair in order.
-        let a = buf.push(result(1, 1));
-        let b = buf.push(result(1, 2));
+        let a = push(&mut buf, result(1, 1));
+        let b = push(&mut buf, result(1, 2));
         assert_eq!(a[0].results.as_ref().unwrap().packet_id, 1);
         assert_eq!(b[0].results.as_ref().unwrap().packet_id, 2);
         assert!(buf.is_empty());
@@ -241,9 +246,9 @@ mod tests {
     #[test]
     fn capacity_flushes_fail_open() {
         let mut buf = ReorderBuffer::new(2);
-        buf.push(data(1, true));
-        buf.push(data(2, true));
-        let out = buf.push(data(3, true));
+        push(&mut buf, data(1, true));
+        push(&mut buf, data(2, true));
+        let out = push(&mut buf, data(3, true));
         // One of the waiting packets is released unpaired.
         assert_eq!(out.len(), 1);
         assert!(out[0].results.is_none());

@@ -3,6 +3,7 @@
 use dpi_packet::ethernet::EtherType;
 use dpi_packet::ipv4::Ecn;
 use dpi_packet::packet::PacketBody;
+use dpi_packet::vlan::VlanTag;
 use dpi_packet::Packet;
 use serde::{Deserialize, Serialize};
 
@@ -229,26 +230,48 @@ impl FlowTable {
         self.rules.iter().find(|r| r.m.matches(packet, in_port))
     }
 
-    /// Applies a rule's actions, returning `(out_port, packet)` emissions.
-    pub fn apply(rule: &FlowRule, mut packet: Packet) -> Vec<(Port, Packet)> {
-        let mut out = Vec::new();
+    /// Applies a rule's actions, appending `(out_port, packet)` emissions
+    /// to `out`. Each `Output` sees the packet as the actions before it
+    /// left it; a `Drop` or a `PushTag` with an invalid vid anywhere in
+    /// the list suppresses every output of the rule. The packet is moved
+    /// into the last `Output`; only earlier ones (multicast) clone it.
+    pub fn apply(rule: &FlowRule, mut packet: Packet, out: &mut Vec<(Port, Packet)>) {
+        // An invalid vid is a rule-authoring bug; drop rather than emit a
+        // malformed packet. Decided up front, so nothing emitted has to
+        // be taken back.
+        let suppressed = rule.actions.iter().any(|a| match a {
+            Action::Drop => true,
+            Action::PushTag(vid) => VlanTag::for_chain(*vid).is_err(),
+            Action::Output(_) | Action::PopTag => false,
+        });
+        if suppressed {
+            return;
+        }
+        let mut outputs_left = rule
+            .actions
+            .iter()
+            .filter(|a| matches!(a, Action::Output(_)))
+            .count();
         for a in &rule.actions {
             match a {
-                Action::Output(p) => out.push((*p, packet.clone())),
-                Action::PushTag(vid) => {
-                    // An invalid vid is a rule-authoring bug; drop rather
-                    // than emit a malformed packet.
-                    if packet.push_chain_tag(*vid).is_err() {
-                        return Vec::new();
+                Action::Output(p) => {
+                    outputs_left -= 1;
+                    if outputs_left == 0 {
+                        // Nothing after the last output is observable.
+                        out.push((*p, packet));
+                        return;
                     }
+                    out.push((*p, packet.clone()));
                 }
+                Action::PushTag(vid) => packet
+                    .push_chain_tag(*vid)
+                    .expect("every vid in the list was validated above"),
                 Action::PopTag => {
                     packet.pop_chain_tag();
                 }
-                Action::Drop => return Vec::new(),
+                Action::Drop => unreachable!("a list with a Drop was suppressed above"),
             }
         }
-        out
     }
 }
 
@@ -267,6 +290,12 @@ mod tests {
             0,
             b"hello".to_vec(),
         )
+    }
+
+    fn apply(rule: &FlowRule, packet: Packet) -> Vec<(Port, Packet)> {
+        let mut out = Vec::new();
+        FlowTable::apply(rule, packet, &mut out);
+        out
     }
 
     #[test]
@@ -350,7 +379,7 @@ mod tests {
             m: FlowMatch::any(),
             actions: vec![Action::PushTag(9), Action::Output(4)],
         };
-        let out = FlowTable::apply(&rule, pkt());
+        let out = apply(&rule, pkt());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, 4);
         assert_eq!(out[0].1.chain_tag(), Some(9));
@@ -363,7 +392,7 @@ mod tests {
             m: FlowMatch::any(),
             actions: vec![Action::Output(1), Action::Output(2)],
         };
-        assert_eq!(FlowTable::apply(&rule, pkt()).len(), 2);
+        assert_eq!(apply(&rule, pkt()).len(), 2);
     }
 
     #[test]
@@ -373,7 +402,52 @@ mod tests {
             m: FlowMatch::any(),
             actions: vec![Action::Output(1), Action::Drop],
         };
-        assert!(FlowTable::apply(&rule, pkt()).is_empty());
+        assert!(apply(&rule, pkt()).is_empty());
+    }
+
+    #[test]
+    fn outputs_see_the_packet_as_earlier_actions_left_it() {
+        let rule = |actions: Vec<Action>| FlowRule {
+            priority: 0,
+            m: FlowMatch::any(),
+            actions,
+        };
+        // Each case: the action list, then the `(port, chain tag)` of
+        // every emission in order.
+        type Emitted = Vec<(Port, Option<u16>)>;
+        let cases: Vec<(Vec<Action>, Emitted)> = vec![
+            (
+                vec![Action::Output(1), Action::PushTag(7), Action::Output(2)],
+                vec![(1, None), (2, Some(7))],
+            ),
+            (
+                vec![Action::PushTag(7), Action::Output(1), Action::PopTag],
+                vec![(1, Some(7))],
+            ),
+            (
+                vec![
+                    Action::PushTag(7),
+                    Action::Output(1),
+                    Action::PopTag,
+                    Action::Output(2),
+                ],
+                vec![(1, Some(7)), (2, None)],
+            ),
+            (
+                vec![Action::Output(1), Action::Output(2), Action::Drop],
+                vec![],
+            ),
+            (vec![Action::Output(1), Action::PushTag(0xfff)], vec![]),
+            (vec![Action::PushTag(0xfff), Action::Output(1)], vec![]),
+            (vec![Action::PushTag(7), Action::PopTag], vec![]),
+        ];
+        for (actions, want) in cases {
+            let got: Emitted = apply(&rule(actions.clone()), pkt())
+                .iter()
+                .map(|(port, p)| (*port, p.chain_tag()))
+                .collect();
+            assert_eq!(got, want, "{actions:?}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::flowtable::Port;
 use dpi_packet::Packet;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Node identifier within a [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -13,10 +13,28 @@ pub type PortId = Port;
 
 /// Anything attached to the network: a switch, a host, a DPI service
 /// instance, a middlebox.
+///
+/// A packet is handed over by value and leaves as zero or more
+/// `(out_port, packet)` emissions. Implement **one** of the two handlers
+/// (each is provided in terms of the other, so a node implementing
+/// neither recurses until the stack overflows on its first packet):
+/// [`Node::on_packet_into`] appends to the buffer [`Network::run`] reuses
+/// for every delivery and is what every node of this workspace
+/// implements; [`Node::on_packet`] returns a fresh `Vec` per packet.
 pub trait Node {
     /// Handles a packet arriving on `port`; returns `(out_port, packet)`
     /// emissions.
-    fn on_packet(&mut self, packet: Packet, port: PortId) -> Vec<(PortId, Packet)>;
+    fn on_packet(&mut self, packet: Packet, port: PortId) -> Vec<(PortId, Packet)> {
+        let mut out = Vec::new();
+        self.on_packet_into(packet, port, &mut out);
+        out
+    }
+
+    /// Handles a packet arriving on `port`, appending its emissions to
+    /// `out` (whatever `out` already holds is not this node's to touch).
+    fn on_packet_into(&mut self, packet: Packet, port: PortId, out: &mut Vec<(PortId, Packet)>) {
+        out.extend(self.on_packet(packet, port));
+    }
 
     /// Human-readable label for diagnostics.
     fn label(&self) -> String {
@@ -51,9 +69,8 @@ impl SinkHost {
 }
 
 impl Node for SinkHost {
-    fn on_packet(&mut self, packet: Packet, _port: PortId) -> Vec<(PortId, Packet)> {
+    fn on_packet_into(&mut self, packet: Packet, _port: PortId, _out: &mut Vec<(PortId, Packet)>) {
         self.received.lock().push(packet);
-        Vec::new()
     }
 
     fn label(&self) -> String {
@@ -61,7 +78,7 @@ impl Node for SinkHost {
     }
 }
 
-/// The network: nodes plus a link map `(node, port) → (node, port)`.
+/// The network: nodes plus a link table `(node, port) → (node, port)`.
 ///
 /// Delivery is breadth-first FIFO: [`Network::inject`] queues a packet at
 /// a node's port, [`Network::run`] drains the queue to quiescence. There
@@ -69,8 +86,14 @@ impl Node for SinkHost {
 /// Mininet veth pairs.
 pub struct Network {
     nodes: Vec<Box<dyn Node>>,
-    links: HashMap<(NodeId, PortId), (NodeId, PortId)>,
+    /// `links[node][port]` is the far end of that port's link. Dense:
+    /// ports are small per-node integers, and `run` reads this once per
+    /// emission.
+    links: Vec<Vec<Option<(NodeId, PortId)>>>,
     queue: VecDeque<(NodeId, PortId, Packet)>,
+    /// The buffer every node emits into; drained after each delivery, so
+    /// its allocation is reused for the network's lifetime.
+    emissions: Vec<(PortId, Packet)>,
     /// Packets that left through an unconnected port (usually a bug in
     /// the rule set; kept for inspection).
     pub dropped_at_edge: Vec<(NodeId, PortId, Packet)>,
@@ -86,8 +109,9 @@ impl Network {
     pub fn new(max_hops: usize) -> Network {
         Network {
             nodes: Vec::new(),
-            links: HashMap::new(),
+            links: Vec::new(),
             queue: VecDeque::new(),
+            emissions: Vec::new(),
             dropped_at_edge: Vec::new(),
             dropped: 0,
             max_hops,
@@ -102,8 +126,20 @@ impl Network {
 
     /// Connects two node ports bidirectionally.
     pub fn link(&mut self, a: NodeId, ap: PortId, b: NodeId, bp: PortId) {
-        self.links.insert((a, ap), (b, bp));
-        self.links.insert((b, bp), (a, ap));
+        self.set_link(a, ap, (b, bp));
+        self.set_link(b, bp, (a, ap));
+    }
+
+    fn set_link(&mut self, node: NodeId, port: PortId, far_end: (NodeId, PortId)) {
+        let (node, port) = (node.0 as usize, usize::from(port));
+        if self.links.len() <= node {
+            self.links.resize_with(node + 1, Vec::new);
+        }
+        let ports = &mut self.links[node];
+        if ports.len() <= port {
+            ports.resize(port + 1, None);
+        }
+        ports[port] = Some(far_end);
     }
 
     /// Queues a packet for delivery *to* `node` on `port` (as if it
@@ -139,11 +175,15 @@ impl Network {
                 break;
             }
             deliveries += 1;
-            let emissions = self.nodes[node.0 as usize].on_packet(packet, port);
-            for (out_port, pkt) in emissions {
-                match self.links.get(&(node, out_port)) {
-                    Some(&(dst, dst_port)) => self.queue.push_back((dst, dst_port, pkt)),
-                    None => self.dropped_at_edge.push((node, out_port, pkt)),
+            self.nodes[node.0 as usize].on_packet_into(packet, port, &mut self.emissions);
+            let ports = self
+                .links
+                .get(node.0 as usize)
+                .map_or(&[][..], Vec::as_slice);
+            for (out_port, pkt) in self.emissions.drain(..) {
+                match ports.get(usize::from(out_port)) {
+                    Some(&Some((dst, dst_port))) => self.queue.push_back((dst, dst_port, pkt)),
+                    _ => self.dropped_at_edge.push((node, out_port, pkt)),
                 }
             }
         }
@@ -179,7 +219,10 @@ impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
             .field("nodes", &self.nodes.len())
-            .field("links", &(self.links.len() / 2))
+            .field(
+                "links",
+                &(self.links.iter().flatten().flatten().count() / 2),
+            )
             .field("queued", &self.queue.len())
             .field("dropped_at_edge", &self.dropped_at_edge.len())
             .finish()
@@ -222,6 +265,38 @@ mod tests {
         let n = net.run();
         assert_eq!(n, 2);
         assert!(net.dropped_at_edge.is_empty());
+        assert_eq!(sink.count(), 1);
+    }
+
+    /// Implements only the `Vec`-returning handler, like nodes written
+    /// before `on_packet_into` existed; emits on two ports.
+    struct Fork;
+    impl Node for Fork {
+        fn on_packet(&mut self, packet: Packet, _port: PortId) -> Vec<(PortId, Packet)> {
+            vec![(1, packet.clone()), (2, packet)]
+        }
+    }
+
+    #[test]
+    fn either_handler_reaches_the_other() {
+        // `run` calls `on_packet_into`; a `Vec`-returning node is reached
+        // through the provided method and both emissions are linked up.
+        let mut net = Network::new(100);
+        let fork = net.add_node(Box::new(Fork));
+        let (left, right) = (SinkHost::new(), SinkHost::new());
+        let left_id = net.add_node(Box::new(left.clone()));
+        let right_id = net.add_node(Box::new(right.clone()));
+        net.link(fork, 1, left_id, 0);
+        net.link(fork, 2, right_id, 0);
+        net.inject(fork, 0, pkt());
+        assert_eq!(net.run(), 3);
+        assert_eq!((left.count(), right.count()), (1, 1));
+        assert!(net.dropped_at_edge.is_empty());
+
+        // And the other way round: a buffer-style node answers the
+        // `Vec`-returning call.
+        let mut sink = SinkHost::new();
+        assert!(sink.on_packet(pkt(), 0).is_empty());
         assert_eq!(sink.count(), 1);
     }
 

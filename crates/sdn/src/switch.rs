@@ -4,6 +4,7 @@ use crate::flowtable::{FlowRule, FlowTable};
 use crate::network::{Node, PortId};
 use dpi_packet::Packet;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// An OpenFlow-style switch. Its table handle can be shared with a
@@ -14,7 +15,7 @@ pub struct Switch {
     name: String,
     table: Arc<Mutex<FlowTable>>,
     /// Table-miss packets dropped (no matching rule), for diagnostics.
-    misses: Arc<Mutex<u64>>,
+    misses: Arc<AtomicU64>,
 }
 
 impl Switch {
@@ -23,7 +24,7 @@ impl Switch {
         Switch {
             name: name.to_string(),
             table: Arc::new(Mutex::new(FlowTable::new())),
-            misses: Arc::new(Mutex::new(0)),
+            misses: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -39,19 +40,18 @@ impl Switch {
 
     /// Packets dropped on table miss so far.
     pub fn miss_count(&self) -> u64 {
-        *self.misses.lock()
+        // A statistic: it publishes no other data.
+        self.misses.load(Ordering::Relaxed)
     }
 }
 
 impl Node for Switch {
-    fn on_packet(&mut self, packet: Packet, port: PortId) -> Vec<(PortId, Packet)> {
+    fn on_packet_into(&mut self, packet: Packet, port: PortId, out: &mut Vec<(PortId, Packet)>) {
         let table = self.table.lock();
         match table.lookup(&packet, port) {
-            Some(rule) => FlowTable::apply(rule, packet),
+            Some(rule) => FlowTable::apply(rule, packet, out),
             None => {
-                drop(table);
-                *self.misses.lock() += 1;
-                Vec::new()
+                self.misses.fetch_add(1, Ordering::Relaxed);
             }
         }
     }

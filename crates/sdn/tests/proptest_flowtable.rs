@@ -39,6 +39,53 @@ fn arbitrary_rules() -> impl Strategy<Value = Vec<FlowRule>> {
     )
 }
 
+/// `FlowTable::apply` into a fresh buffer.
+fn apply(rule: &FlowRule, packet: Packet) -> Vec<(u16, Packet)> {
+    let mut out = Vec::new();
+    FlowTable::apply(rule, packet, &mut out);
+    out
+}
+
+/// The reference `apply` is checked against: one clone per `Output`, and
+/// the first `Drop` or failing `PushTag` discards everything.
+fn apply_cloning_every_output(rule: &FlowRule, mut packet: Packet) -> Vec<(u16, Packet)> {
+    let mut out = Vec::new();
+    for a in &rule.actions {
+        match a {
+            Action::Output(p) => out.push((*p, packet.clone())),
+            Action::PushTag(vid) => {
+                if packet.push_chain_tag(*vid).is_err() {
+                    return Vec::new();
+                }
+            }
+            Action::PopTag => {
+                packet.pop_chain_tag();
+            }
+            Action::Drop => return Vec::new(),
+        }
+    }
+    out
+}
+
+/// Action lists mixing outputs, valid and invalid tag pushes, pops and
+/// (rarely, or nothing would ever be emitted) drops.
+fn arbitrary_actions() -> impl Strategy<Value = Vec<Action>> {
+    prop::collection::vec(
+        prop_oneof![
+            (0u16..4).prop_map(Action::Output),
+            (0u16..4).prop_map(Action::Output),
+            (0u16..4).prop_map(Action::Output),
+            (1u16..0xfff).prop_map(Action::PushTag),
+            (1u16..0xfff).prop_map(Action::PushTag),
+            (0xfffu16..0x1004).prop_map(Action::PushTag),
+            Just(Action::PopTag),
+            Just(Action::PopTag),
+            Just(Action::Drop),
+        ],
+        0..7,
+    )
+}
+
 fn packet(tag: Option<u16>, dst_port: u16) -> Packet {
     let f = flow(
         [10, 0, 0, 1],
@@ -107,7 +154,7 @@ proptest! {
             actions: vec![Action::Output(3)],
         };
         let pkt = packet(tag, dst_port);
-        let out = FlowTable::apply(&rule, pkt.clone());
+        let out = apply(&rule, pkt.clone());
         prop_assert_eq!(out.len(), 1);
         prop_assert_eq!(&out[0].1, &pkt);
     }
@@ -125,9 +172,25 @@ proptest! {
             actions: vec![Action::PopTag, Action::Output(0)],
         };
         let pkt = packet(None, 2000);
-        let tagged = FlowTable::apply(&push, pkt.clone()).remove(0).1;
+        let tagged = apply(&push, pkt.clone()).remove(0).1;
         prop_assert_eq!(tagged.chain_tag(), Some(tag));
-        let restored = FlowTable::apply(&pop, tagged).remove(0).1;
+        let restored = apply(&pop, tagged).remove(0).1;
         prop_assert_eq!(restored, pkt);
+    }
+
+    #[test]
+    fn apply_equals_the_clone_per_output_reference(
+        actions in arbitrary_actions(),
+        tag in prop::option::of(0u16..8),
+    ) {
+        let rule = FlowRule { priority: 1, m: FlowMatch::any(), actions };
+        let pkt = packet(tag, 2000);
+        // A buffer that already holds an emission: `apply` appends and
+        // never touches what another rule left there.
+        let earlier = (9, packet(None, 1000));
+        let mut out = vec![earlier.clone()];
+        FlowTable::apply(&rule, pkt.clone(), &mut out);
+        prop_assert_eq!(&out[0], &earlier);
+        prop_assert_eq!(&out[1..], &apply_cloning_every_output(&rule, pkt)[..]);
     }
 }

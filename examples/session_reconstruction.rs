@@ -79,7 +79,7 @@ fn main() {
     // …inflates once, scans once, reports to the IDS.
     let f = flow([10, 0, 0, 1], 40000, [10, 0, 0, 2], 80, IpProtocol::Tcp);
     let out = dpi
-        .scan_payload_deflated(1, Some(f), &stream, 1 << 20)
+        .scan_payload_deflated(1, Some(f), &stream, 1 << 16)
         .expect("well-formed stream");
     let hits: Vec<(u16, u16)> = out
         .reports
