@@ -13,7 +13,7 @@
 //! Set `DPI_BENCH_QUICK=1` for a CI-sized run.
 
 use dpi_bench::{host_cores, pipeline_batch, pipeline_config, print_row};
-use dpi_core::overload::{OverloadPolicy, ShedMode};
+use dpi_core::overload::OverloadPolicy;
 use dpi_core::pipeline::ShardedScanner;
 use dpi_traffic::patterns::snort_like;
 use dpi_traffic::trace::TraceConfig;
@@ -49,7 +49,7 @@ fn main() {
     }
     .generate(&pats);
 
-    let policy = OverloadPolicy::queue_only(QUEUE_HIGH, QUEUE_LOW).with_shed(ShedMode::FailOpen);
+    let policy = OverloadPolicy::queue_only(QUEUE_HIGH, QUEUE_LOW);
     println!(
         "overload bench: {npat} patterns, {WORKERS} workers, watermarks \
          {QUEUE_HIGH}/{QUEUE_LOW}, {} host cores{}",

@@ -19,7 +19,7 @@
 
 use dpi_ac::MiddleboxId;
 use dpi_bench::{host_cores, print_row};
-use dpi_core::overload::{OverloadPolicy, ShedMode};
+use dpi_core::overload::OverloadPolicy;
 use dpi_core::pipeline::ShardedScanner;
 use dpi_core::{InstanceConfig, MiddleboxProfile, RuleSpec, TenantId, TenantQuota};
 use dpi_packet::ipv4::IpProtocol;
@@ -89,7 +89,7 @@ fn one_pass_pps(scanner: &mut ShardedScanner, batch: &[Packet]) -> f64 {
 /// overloaded single worker; returns
 /// `(rounds, heavy_shed, victim_shed, first_shed_round)`.
 fn fairness_convergence(patterns: &[Vec<u8>], rounds: usize) -> (usize, u64, u64, Option<usize>) {
-    let policy = OverloadPolicy::queue_only(1, 0).with_shed(ShedMode::FailOpen);
+    let policy = OverloadPolicy::queue_only(1, 0);
     let mut scanner =
         ShardedScanner::from_config(config(patterns, 4), 1).expect("valid tenant config");
     scanner = scanner.with_overload_policy(policy);

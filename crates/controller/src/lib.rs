@@ -47,7 +47,7 @@ pub use balancer::{BalancePolicy, LoadBalancer, RebalancePlan};
 pub use controller::{ControllerError, DpiController, InstanceId, InstanceStatus, TransferRecord};
 pub use deploy::DeploymentPlan;
 pub use health::{HealthEvent, HealthMonitor, HealthPolicy, InstanceHealth};
-pub use managed::{ManagedInstance, ManagedShardedInstance};
+pub use managed::ManagedInstance;
 pub use proto::{ControllerMessage, ControllerReply};
 pub use registry::GlobalPatternSet;
 pub use stress::{Mca2Action, StressMonitor, StressPolicy};

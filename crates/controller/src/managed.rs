@@ -2,26 +2,74 @@
 //!
 //! §4.1's pattern add/remove messages change the global pattern set at
 //! runtime; deployed instances must follow. A [`ManagedInstance`] pairs a
-//! live [`DpiInstance`] with the controller version it was built from and
-//! rebuilds itself when the configuration moves — the operational loop
-//! between "the DPI controller maintains a global pattern set" and the
-//! per-instance automatons built from it.
+//! live data plane — a sequential [`DpiInstance`] or the parallel
+//! [`ShardedScanner`] of [`dpi_core::pipeline`] — with the controller
+//! version it was built from and hot-swaps it when the configuration
+//! moves: the operational loop between "the DPI controller maintains a
+//! global pattern set" and the per-instance automatons built from it.
 
 use crate::controller::{ControllerError, DpiController, InstanceId};
 use dpi_core::{DpiInstance, ScanEngine, ShardedScanner, Telemetry};
 use std::sync::Arc;
 
+mod plane {
+    use super::*;
+
+    /// What a managed instance needs of the data plane it follows the
+    /// controller with. Sealed: exactly the two planes below.
+    pub trait DataPlane {
+        /// The rule generation currently serving.
+        fn generation(&self) -> u32;
+        /// Hot-swaps onto `engine`, a later generation.
+        fn swap(&mut self, engine: Arc<ScanEngine>) -> Result<(), ControllerError>;
+        /// Telemetry snapshot (merged across shards).
+        fn telemetry(&self) -> Telemetry;
+    }
+
+    impl DataPlane for DpiInstance {
+        fn generation(&self) -> u32 {
+            self.engine().generation()
+        }
+        fn swap(&mut self, engine: Arc<ScanEngine>) -> Result<(), ControllerError> {
+            self.swap_engine(engine);
+            Ok(())
+        }
+        fn telemetry(&self) -> Telemetry {
+            DpiInstance::telemetry(self)
+        }
+    }
+
+    impl DataPlane for ShardedScanner {
+        fn generation(&self) -> u32 {
+            ShardedScanner::generation(self)
+        }
+        fn swap(&mut self, engine: Arc<ScanEngine>) -> Result<(), ControllerError> {
+            self.swap_engine(engine)
+                .map(drop)
+                .map_err(|e| ControllerError::InconsistentConfig(e.to_string()))
+        }
+        fn telemetry(&self) -> Telemetry {
+            ShardedScanner::telemetry(self)
+        }
+    }
+}
+use plane::DataPlane;
+
 /// A deployed instance that tracks controller configuration changes.
+/// `D` is the data plane: [`DpiInstance`] from
+/// [`DpiController::spawn_managed`], [`ShardedScanner`] from
+/// [`DpiController::spawn_managed_sharded`] (its worker count is fixed at
+/// deployment and survives configuration-driven swaps).
 #[derive(Debug)]
-pub struct ManagedInstance {
+pub struct ManagedInstance<D = DpiInstance> {
     id: InstanceId,
     chains: Vec<u16>,
     built_at_version: u64,
-    /// The live engine. Callers scan through this handle.
-    pub instance: DpiInstance,
+    /// The live data plane. Callers scan through this handle.
+    pub instance: D,
 }
 
-impl ManagedInstance {
+impl<D: DataPlane> ManagedInstance<D> {
     /// The controller-side identifier.
     pub fn id(&self) -> InstanceId {
         self.id
@@ -39,8 +87,9 @@ impl ManagedInstance {
 
     /// Follows the controller onto its current configuration by
     /// compiling the next rule generation off the hot path and
-    /// hot-swapping it in ([`DpiInstance::swap_engine`]). Returns whether
-    /// a swap happened.
+    /// hot-swapping it in ([`DpiInstance::swap_engine`]; across all
+    /// shards at the batch boundary for [`ShardedScanner::swap_engine`]).
+    /// Returns whether a swap happened.
     ///
     /// Unlike a rebuild, the swap preserves telemetry, reassembly buffers
     /// and the flow table. Stored flow state is generation-tagged:
@@ -53,15 +102,12 @@ impl ManagedInstance {
             return Ok(false);
         }
         let cfg = controller.instance_config(&self.chains)?;
-        let next = self.instance.engine().generation() + 1;
+        let next = self.instance.generation() + 1;
+        // Configuration came from the controller's own state; a build
+        // failure means the stored rules are inconsistent.
         let engine = ScanEngine::with_generation(cfg, next)
-            .map(Arc::new)
-            .map_err(|e| {
-                // Configuration came from the controller's own state; a build
-                // failure means the stored rules are inconsistent.
-                ControllerError::InconsistentConfig(e.to_string())
-            })?;
-        self.instance.swap_engine(engine);
+            .map_err(|e| ControllerError::InconsistentConfig(e.to_string()))?;
+        self.instance.swap(Arc::new(engine))?;
         self.built_at_version = v;
         Ok(true)
     }
@@ -73,85 +119,35 @@ impl ManagedInstance {
     }
 }
 
-/// A deployed *sharded* instance: the parallel data plane of
-/// [`dpi_core::pipeline`] under the same controller-following contract
-/// as [`ManagedInstance`]. The worker count is fixed at deployment and
-/// survives configuration-driven rebuilds.
-#[derive(Debug)]
-pub struct ManagedShardedInstance {
-    id: InstanceId,
-    chains: Vec<u16>,
-    built_at_version: u64,
-    /// The live parallel scanner. Callers feed batches through this
-    /// handle.
-    pub scanner: ShardedScanner,
-}
-
-impl ManagedShardedInstance {
-    /// The controller-side identifier.
-    pub fn id(&self) -> InstanceId {
-        self.id
-    }
-
-    /// The chains this instance serves.
-    pub fn chains(&self) -> &[u16] {
-        &self.chains
-    }
-
-    /// Controller version of the current automaton.
-    pub fn version(&self) -> u64 {
-        self.built_at_version
-    }
-
+impl ManagedInstance<ShardedScanner> {
     /// Number of worker shards.
     pub fn workers(&self) -> usize {
-        self.scanner.workers()
-    }
-
-    /// Follows the controller onto its current configuration by
-    /// compiling the next rule generation off the hot path and
-    /// hot-swapping it across all shards at the batch boundary
-    /// ([`ShardedScanner::swap_engine`]). Returns whether a swap
-    /// happened. Worker count, shard flow tables and telemetry survive;
-    /// mid-flow scans re-anchor as in [`ManagedInstance::refresh`].
-    pub fn refresh(&mut self, controller: &DpiController) -> Result<bool, ControllerError> {
-        let v = controller.version();
-        if v == self.built_at_version {
-            return Ok(false);
-        }
-        let cfg = controller.instance_config(&self.chains)?;
-        let next = self.scanner.generation() + 1;
-        let engine = ScanEngine::with_generation(cfg, next)
-            .map(Arc::new)
-            .map_err(|e| ControllerError::InconsistentConfig(e.to_string()))?;
-        self.scanner
-            .swap_engine(engine)
-            .map_err(|e| ControllerError::InconsistentConfig(e.to_string()))?;
-        self.built_at_version = v;
-        Ok(true)
-    }
-
-    /// Reports merged telemetry to the controller, returning the delta
-    /// the stress monitor consumes.
-    pub fn report(&self, controller: &DpiController) -> Result<Telemetry, ControllerError> {
-        controller.report_telemetry(self.id, self.scanner.telemetry())
+        self.instance.workers()
     }
 }
 
 impl DpiController {
-    /// Deploys a managed instance serving `chains`, built from the
-    /// current configuration.
-    pub fn spawn_managed(&self, chains: Vec<u16>) -> Result<ManagedInstance, ControllerError> {
-        let cfg = self.instance_config(&chains)?;
-        let instance = DpiInstance::new(cfg)
+    /// Builds a data plane from the current configuration for `chains`
+    /// and deploys it as a managed instance.
+    fn manage<D>(
+        &self,
+        chains: Vec<u16>,
+        build: impl FnOnce(dpi_core::InstanceConfig) -> Result<D, dpi_core::InstanceError>,
+    ) -> Result<ManagedInstance<D>, ControllerError> {
+        let instance = build(self.instance_config(&chains)?)
             .map_err(|e| ControllerError::InconsistentConfig(e.to_string()))?;
-        let id = self.deploy_instance(chains.clone());
         Ok(ManagedInstance {
-            id,
+            id: self.deploy_instance(chains.clone()),
             chains,
             built_at_version: self.version(),
             instance,
         })
+    }
+
+    /// Deploys a managed instance serving `chains`, built from the
+    /// current configuration.
+    pub fn spawn_managed(&self, chains: Vec<u16>) -> Result<ManagedInstance, ControllerError> {
+        self.manage(chains, DpiInstance::new)
     }
 
     /// Deploys a managed sharded instance with `workers` parallel scan
@@ -160,17 +156,8 @@ impl DpiController {
         &self,
         chains: Vec<u16>,
         workers: usize,
-    ) -> Result<ManagedShardedInstance, ControllerError> {
-        let cfg = self.instance_config(&chains)?;
-        let scanner = ShardedScanner::from_config(cfg, workers)
-            .map_err(|e| ControllerError::InconsistentConfig(e.to_string()))?;
-        let id = self.deploy_instance(chains.clone());
-        Ok(ManagedShardedInstance {
-            id,
-            chains,
-            built_at_version: self.version(),
-            scanner,
-        })
+    ) -> Result<ManagedInstance<ShardedScanner>, ControllerError> {
+        self.manage(chains, |cfg| ShardedScanner::from_config(cfg, workers))
     }
 }
 
@@ -256,7 +243,7 @@ mod tests {
                 p
             })
             .collect();
-        let results = m.scanner.inspect_batch(&mut batch);
+        let results = m.instance.inspect_batch(&mut batch);
         assert_eq!(results.len(), 8);
         assert_eq!(m.report(&c).unwrap().packets, 8);
 
@@ -285,11 +272,11 @@ mod tests {
         assert_eq!(m.instance.telemetry().packets, packets_before);
 
         let mut s = c.spawn_managed_sharded(vec![chain], 2).unwrap();
-        assert_eq!(s.scanner.generation(), 0);
+        assert_eq!(s.instance.generation(), 0);
         c.add_pattern(MiddleboxId(1), 2, &RuleSpec::exact(b"third-sig".to_vec()))
             .unwrap();
         assert!(s.refresh(&c).unwrap());
-        assert_eq!(s.scanner.generation(), 1);
+        assert_eq!(s.instance.generation(), 1);
         assert_eq!(s.workers(), 2);
     }
 

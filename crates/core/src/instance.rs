@@ -261,10 +261,27 @@ impl ScanOutput {
     pub fn has_matches(&self) -> bool {
         !self.reports.is_empty()
     }
+
+    /// An output for a unit at `flow_offset` of which nothing was
+    /// scanned: no reports, every flag clear. Callers set the flag that
+    /// says why.
+    fn unscanned(flow_offset: u64) -> ScanOutput {
+        ScanOutput {
+            reports: Vec::new(),
+            flow_offset,
+            resumed: false,
+            scanned: 0,
+            quarantined: false,
+            shadow: false,
+            l7: None,
+            blocked: false,
+        }
+    }
 }
 
-/// One TCP segment's [`ScanOutput`]s (one per reassembled run / decoded
-/// L7 unit) folded down to what a single result packet can carry.
+/// One packet's [`ScanOutput`]s (one per reassembled run / decoded L7
+/// unit; exactly one on the raw path) folded down to what a single
+/// result packet can carry.
 struct MergedOutputs {
     /// Every report, in scan order.
     reports: Vec<MiddleboxReport>,
@@ -278,7 +295,7 @@ struct MergedOutputs {
     blocked: bool,
 }
 
-fn merge_outputs(outs: Vec<ScanOutput>) -> MergedOutputs {
+fn merge_outputs(outs: impl IntoIterator<Item = ScanOutput>) -> MergedOutputs {
     let mut m = MergedOutputs {
         reports: Vec::new(),
         flow_offset: 0,
@@ -288,12 +305,27 @@ fn merge_outputs(outs: Vec<ScanOutput>) -> MergedOutputs {
     for o in outs {
         m.quarantined |= o.quarantined;
         m.blocked |= o.blocked;
-        if m.reports.is_empty() && !o.reports.is_empty() {
-            m.flow_offset = o.flow_offset;
+        if m.reports.is_empty() {
+            // The first reporting output's list is taken over whole: the
+            // raw path's single output costs no copy.
+            if !o.reports.is_empty() {
+                m.flow_offset = o.flow_offset;
+            }
+            m.reports = o.reports;
+        } else {
+            m.reports.extend(o.reports);
         }
-        m.reports.extend(o.reports);
     }
     m
+}
+
+/// What inspecting one packet decided, before it is put in a delivery
+/// form (a dedicated [`ResultPacket`] or an in-band [`DpiResultsHeader`]).
+struct Verdict {
+    chain_id: u16,
+    flow: FlowKey,
+    flow_offset: u64,
+    reports: Vec<MiddleboxReport>,
 }
 
 /// The immutable, shareable half of a DPI instance: compiled automaton,
@@ -937,14 +969,8 @@ impl ScanEngine {
         if let Some(key) = flow {
             if shard.arena.is_quarantined(&key) {
                 return Ok(ScanOutput {
-                    reports: Vec::new(),
-                    flow_offset: 0,
-                    resumed: false,
-                    scanned: 0,
                     quarantined: true,
-                    shadow: false,
-                    l7: None,
-                    blocked: false,
+                    ..ScanOutput::unscanned(0)
                 });
             }
         }
@@ -1034,14 +1060,9 @@ impl ScanEngine {
             }
             return (
                 ScanOutput {
-                    reports: Vec::new(),
-                    flow_offset: offset,
                     resumed,
-                    scanned: 0,
-                    quarantined: false,
-                    shadow: false,
                     l7,
-                    blocked: false,
+                    ..ScanOutput::unscanned(offset)
                 },
                 start_state,
                 (0, 0),
@@ -1241,17 +1262,63 @@ impl ScanEngine {
         (
             ScanOutput {
                 reports,
-                flow_offset: offset,
                 resumed,
                 scanned: scan_len,
-                quarantined: false,
-                shadow: false,
                 l7,
-                blocked: false,
+                ..ScanOutput::unscanned(offset)
             },
             state,
             (deep, samples),
         )
+    }
+
+    /// The one per-packet decision both delivery forms share: scans
+    /// `packet` against `shard` and ECN-marks it (§6.1) when it matched
+    /// or when its flow is closed. Returns the verdict to deliver, or
+    /// `None` when there is nothing to report.
+    #[inline]
+    fn inspect_verdict(
+        &self,
+        shard: &mut ShardState,
+        packet: &mut Packet,
+    ) -> Result<Option<Verdict>, InstanceError> {
+        let chain_id = packet.chain_tag().ok_or(InstanceError::Untagged)?;
+        let flow = packet.flow_key();
+        let payload = packet.payload().ok_or(InstanceError::NoPayload)?;
+
+        // An engine armed with an L7 policy reconstructs TCP sessions on
+        // the packet path too: the identify → decode → scan layer needs
+        // the byte stream, not isolated payloads (DESIGN.md §14). UDP
+        // traffic and unarmed engines keep the per-packet scan.
+        let stream = if self.l7.is_some() {
+            flow.zip(packet.tcp_seq())
+        } else {
+            None
+        };
+        let merged = match stream {
+            Some((key, seq)) => {
+                merge_outputs(self.scan_tcp_segment(shard, chain_id, key, seq, payload)?)
+            }
+            None => merge_outputs([self.scan_payload(shard, chain_id, flow, payload)?]),
+        };
+        // A quarantined or blocked flow is closed: the packet carries
+        // the fail-closed mark (an IPS drops it, an IDS alerts) but no
+        // reports are fabricated — nothing was scanned, and the
+        // quarantine or block was itself reported via trace/telemetry
+        // when it fired.
+        let closed = merged.quarantined || merged.blocked;
+        if closed || !merged.reports.is_empty() {
+            packet.mark_matches();
+        }
+        if closed || merged.reports.is_empty() {
+            return Ok(None);
+        }
+        Ok(Some(Verdict {
+            chain_id,
+            flow: flow.expect("ipv4 payload implies flow key"),
+            flow_offset: merged.flow_offset,
+            reports: merged.reports,
+        }))
     }
 
     /// Scans a packet against `shard`, marks it via ECN when matches
@@ -1264,57 +1331,12 @@ impl ScanEngine {
         shard: &mut ShardState,
         packet: &mut Packet,
     ) -> Result<Option<ResultPacket>, InstanceError> {
-        let chain_id = packet.chain_tag().ok_or(InstanceError::Untagged)?;
-        let flow = packet.flow_key();
-        let payload = packet.payload().ok_or(InstanceError::NoPayload)?;
-
-        // An engine armed with an L7 policy reconstructs TCP sessions on
-        // the packet path too: the identify → decode → scan layer needs
-        // the byte stream, not isolated payloads (DESIGN.md §14). UDP
-        // traffic and unarmed engines keep the per-packet scan.
-        if self.l7.is_some() {
-            if let (Some(key), Some(seq)) = (flow, packet.tcp_seq()) {
-                let outs = self.scan_tcp_segment(shard, chain_id, key, seq, payload)?;
-                let merged = merge_outputs(outs);
-                if merged.quarantined || merged.blocked {
-                    // Fail-closed mark; nothing was scanned, so there
-                    // are no reports to fabricate.
-                    packet.mark_matches();
-                    return Ok(None);
-                }
-                if merged.reports.is_empty() {
-                    return Ok(None);
-                }
-                packet.mark_matches();
-                return Ok(Some(ResultPacket {
-                    packet_id: 0,
-                    generation: self.generation_for_chain(chain_id),
-                    flow: key,
-                    flow_offset: merged.flow_offset,
-                    reports: merged.reports,
-                }));
-            }
-        }
-
-        let out = self.scan_payload(shard, chain_id, flow, payload)?;
-        if out.quarantined {
-            // Fail-closed verdict for a quarantined flow: the packet is
-            // marked (an IPS drops it, an IDS alerts) but no match
-            // reports are fabricated — the quarantine itself was already
-            // reported via trace/telemetry when the conflict fired.
-            packet.mark_matches();
-            return Ok(None);
-        }
-        if !out.has_matches() {
-            return Ok(None);
-        }
-        packet.mark_matches();
-        Ok(Some(ResultPacket {
+        Ok(self.inspect_verdict(shard, packet)?.map(|v| ResultPacket {
             packet_id: 0,
-            generation: self.generation_for_chain(chain_id),
-            flow: flow.expect("ipv4 payload implies flow key"),
-            flow_offset: out.flow_offset,
-            reports: out.reports,
+            generation: self.generation_for_chain(v.chain_id),
+            flow: v.flow,
+            flow_offset: v.flow_offset,
+            reports: v.reports,
         }))
     }
 
@@ -1341,14 +1363,8 @@ impl ScanEngine {
                 .map(|r| r.delivered())
                 .unwrap_or(0);
             return Ok(vec![ScanOutput {
-                reports: Vec::new(),
-                flow_offset: delivered,
-                resumed: false,
-                scanned: 0,
                 quarantined: true,
-                shadow: false,
-                l7: None,
-                blocked: false,
+                ..ScanOutput::unscanned(delivered)
             }]);
         }
 
@@ -1405,14 +1421,8 @@ impl ScanEngine {
             }
             shard.drain_flow_events();
             return Ok(vec![ScanOutput {
-                reports: Vec::new(),
-                flow_offset: delivered,
-                resumed: false,
-                scanned: 0,
                 quarantined: true,
-                shadow: false,
-                l7: None,
-                blocked: false,
+                ..ScanOutput::unscanned(delivered)
             }]);
         }
 
@@ -1523,18 +1533,13 @@ impl ScanEngine {
                 // Fail-closed marker: no bytes were scanned, the caller
                 // turns `blocked` into a verdict mark (like quarantine).
                 outputs.push(ScanOutput {
-                    reports: Vec::new(),
-                    flow_offset: 0,
-                    resumed: false,
-                    scanned: 0,
-                    quarantined: false,
-                    shadow: false,
                     l7: Some(crate::l7::L7Context {
                         protocol: session.protocol(),
                         direction: session.direction(),
                         field: crate::l7::L7Field::Raw,
                     }),
                     blocked: true,
+                    ..ScanOutput::unscanned(0)
                 });
             }
         }
@@ -1769,41 +1774,11 @@ impl DpiInstance {
     /// Scans a packet and attaches the results as an in-band NSH-like
     /// header (§4.2 option 1). Returns whether any matches were attached.
     pub fn inspect_inband(&mut self, packet: &mut Packet) -> Result<bool, InstanceError> {
-        let chain_id = packet.chain_tag().ok_or(InstanceError::Untagged)?;
-        let flow = packet.flow_key();
-        let payload = packet.payload().ok_or(InstanceError::NoPayload)?;
-
-        // Same L7 session-reconstruction routing as
-        // [`ScanEngine::inspect_unnumbered`].
-        if self.engine.l7_policy().is_some() {
-            if let (Some(key), Some(seq)) = (flow, packet.tcp_seq()) {
-                let outs =
-                    self.engine
-                        .scan_tcp_segment(&mut self.shard, chain_id, key, seq, payload)?;
-                let merged = merge_outputs(outs);
-                if merged.quarantined || merged.blocked {
-                    packet.mark_matches();
-                    return Ok(false);
-                }
-                if merged.reports.is_empty() {
-                    return Ok(false);
-                }
-                packet.mark_matches();
-                let n_members = self.engine.chain_member_count(chain_id).unwrap_or(0) as u8;
-                packet.attach_results(DpiResultsHeader::new(chain_id, n_members, merged.reports));
-                return Ok(true);
-            }
-        }
-
-        let out = self
-            .engine
-            .scan_payload(&mut self.shard, chain_id, flow, payload)?;
-        if !out.has_matches() {
+        let Some(v) = self.engine.inspect_verdict(&mut self.shard, packet)? else {
             return Ok(false);
-        }
-        packet.mark_matches();
-        let n_members = self.engine.chain_member_count(chain_id).unwrap_or(0) as u8;
-        packet.attach_results(DpiResultsHeader::new(chain_id, n_members, out.reports));
+        };
+        let n_members = self.engine.chain_member_count(v.chain_id).unwrap_or(0) as u8;
+        packet.attach_results(DpiResultsHeader::new(v.chain_id, n_members, v.reports));
         Ok(true)
     }
 

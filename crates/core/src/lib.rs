@@ -67,7 +67,7 @@ pub use l7::{
 };
 pub use metrics::{MetricKind, MetricsText};
 pub use overload::{
-    InstanceLoadGauge, LoadWindow, OverloadDetector, OverloadPolicy, OverloadTransition, ShedMode,
+    InstanceLoadGauge, LoadWindow, OverloadDetector, OverloadPolicy, OverloadTransition,
     TenantFairness,
 };
 pub use pipeline::ShardedScanner;

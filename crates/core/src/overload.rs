@@ -11,10 +11,10 @@
 //!
 //! * CE-marks forwarded packets ([`dpi_packet::ipv4::Ecn::Ce`], the ECN
 //!   congestion codepoint — distinct from the `Ect0` match mark), and
-//! * under [`ShedMode::FailOpen`] skips scanning for chains whose
-//!   middleboxes are all fail-open — the packets still flow, they just
-//!   produce no results. Chains with a fail-closed member
-//!   ([`crate::MiddleboxProfile::fail_closed`]) are **never** shed: their
+//! * skips scanning for chains whose middleboxes are all fail-open — the
+//!   packets still flow, they just produce no results. Chains with a
+//!   fail-closed member ([`crate::MiddleboxProfile::fail_closed`]) are
+//!   **never** shed: their
 //!   verdict traffic is scanned no matter the pressure, the same
 //!   fail-open-data / fail-closed-verdicts split result delivery uses.
 //!
@@ -24,17 +24,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// What an overloaded shard does to traffic it cannot afford to scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShedMode {
-    /// Only CE-mark forwarded packets; every packet is still scanned.
-    /// The signal travels, the work does not shrink.
-    MarkOnly,
-    /// CE-mark *and* skip scanning for fail-open chains. Fail-closed
-    /// chains are always scanned regardless of mode.
-    FailOpen,
-}
 
 /// Watermark configuration for one overload detector.
 ///
@@ -66,8 +55,6 @@ pub struct OverloadPolicy {
     /// watermarks) overload clears.
     #[serde(default)]
     pub memory_low_bytes: u64,
-    /// What to do while overloaded.
-    pub shed: ShedMode,
 }
 
 impl Default for OverloadPolicy {
@@ -81,7 +68,6 @@ impl Default for OverloadPolicy {
             ewma_shift: 3,
             memory_high_bytes: 0,
             memory_low_bytes: 0,
-            shed: ShedMode::FailOpen,
         }
     }
 }
@@ -99,12 +85,6 @@ impl OverloadPolicy {
             latency_low_us: u64::MAX,
             ..OverloadPolicy::default()
         }
-    }
-
-    /// Sets the shed mode.
-    pub fn with_shed(mut self, shed: ShedMode) -> OverloadPolicy {
-        self.shed = shed;
-        self
     }
 
     /// Arms the flow-state memory watermarks: overload enters when a

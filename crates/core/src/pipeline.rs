@@ -23,14 +23,13 @@
 use crate::chaos::{ChaosEngine, ShardFault, ShardFaultSpec};
 use crate::config::{InstanceConfig, TenantId};
 use crate::instance::{InstanceError, ScanEngine, ShardState};
-use crate::overload::{OverloadDetector, OverloadPolicy, OverloadTransition, ShedMode};
+use crate::overload::{OverloadDetector, OverloadPolicy, OverloadTransition};
 use crate::telemetry::{merge_tenant_counters, ShardTelemetry, Telemetry, TenantCounters};
 use crate::trace::{TraceKind, TraceSource, Tracer};
 use crate::update::{EngineSlot, UpdateError, UpdateStats};
 use crossbeam::channel;
 use dpi_packet::report::ResultPacket;
 use dpi_packet::Packet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,25 +38,185 @@ use std::time::{Duration, Instant};
 /// default [`OverloadPolicy`] watermarks are fractions of this bound.
 pub const SHARD_QUEUE_CAPACITY: usize = 256;
 
-/// What a surviving worker hands back to the supervisor at the batch
-/// boundary. A panicked worker hands back nothing — its join result is
-/// `Err` and the supervisor reconstructs the damage from the feeder's
-/// routing counts and the shard's completion counter.
-struct WorkerReport {
-    /// Ingress-queue high-water mark this batch.
-    peak: usize,
+/// Everything the scanner keeps per shard. The supervisor owns the slot
+/// across restarts: condemning a shard replaces `state` only, so the
+/// counters and the detector's hysteresis survive.
+#[derive(Debug)]
+struct ShardSlot {
+    state: ShardState,
+    /// Overload detector (queue-depth + scan-latency EWMA watermarks with
+    /// hysteresis). `None` — the default — disables overload control
+    /// entirely: no CE marks, no sheds, byte-identical output to a
+    /// scanner built before this subsystem existed.
+    detector: Option<OverloadDetector>,
+    /// High-water mark of the ingress queue, across batches.
+    queue_peak: usize,
+    /// Ingress-queue peak of the *most recent* batch. Benches read this
+    /// to build a queue-depth distribution.
+    last_batch_peak: usize,
+    /// Packets whose inspection errored (untagged, no payload, unknown
+    /// chain); errored packets produce no result.
+    errors: u64,
+    /// Supervisor restarts (panic or watchdog).
+    restarts: u64,
+    /// Watchdog deadline violations.
+    watchdog_trips: u64,
+    /// Packets routed but never scanned (worker died first).
+    lost_scans: u64,
+    /// Lifetime packet ordinal (drives shard-fault triggers).
+    seen: u64,
+}
+
+/// What one shard's worker did with one batch: everything the supervisor
+/// reads at the batch boundary.
+#[derive(Default)]
+struct Tally {
+    /// Results with their batch index (numbered centrally afterwards).
+    results: Vec<(usize, ResultPacket)>,
+    /// Packets handed to the worker.
+    received: u64,
+    /// Packets actually handled (scanned, shed or counted as an error).
+    processed: u64,
     /// Packets whose inspection errored.
     errors: u64,
-    /// Packets pulled off the ingress queue.
-    received: u64,
-    /// Packets actually handled (scanned or counted as an error).
-    processed: u64,
+    /// Ingress-queue high-water mark this batch.
+    peak: usize,
     /// Whether the watchdog deadline was blown; set after the slow
     /// packet completes, at which point the worker drains its queue
     /// without scanning and waits to be condemned.
     tripped: bool,
+    /// The worker panicked (set by the driver that caught it).
+    panicked: bool,
     /// Injected stalls that fired: `(shard-local ordinal, millis)`.
     stalls: Vec<(u64, u64)>,
+    /// Scans shed under overload, packets and payload bytes.
+    shed: (u64, u64),
+    /// The same per tenant: `(tenant, packets, bytes)`.
+    tenant_shed: Vec<(TenantId, u64, u64)>,
+    /// Packets CE-marked under overload.
+    ce_marked: u64,
+}
+
+/// One shard's worker for one batch: the per-packet body
+/// ([`BatchWorker::process`]) over the shard's slot. Both drivers in
+/// [`ShardedScanner::inspect_batch`] keep the workers outside the code
+/// that can unwind and only lend them to it, so `tally` survives a
+/// worker panic and one supervision pass serves every outcome.
+struct BatchWorker<'a> {
+    engine: &'a ScanEngine,
+    shard: usize,
+    slot: &'a mut ShardSlot,
+    watchdog: Option<Duration>,
+    faults: &'a [ShardFaultSpec],
+    tally: Tally,
+}
+
+impl BatchWorker<'_> {
+    /// The per-packet body: fault trigger, shed decision, scan, CE mark,
+    /// detector observation, watchdog. `depth` reads the backlog behind
+    /// `pkt` on the shard's ingress queue.
+    #[inline]
+    fn process(&mut self, idx: usize, pkt: &mut Packet, depth: impl Fn() -> usize) {
+        let ordinal = self.slot.seen + self.tally.received;
+        self.tally.received += 1;
+        if self.tally.tripped {
+            // Condemned by the watchdog: drain without scanning so a
+            // feeder never blocks on a wedged queue. These are lost
+            // scans.
+            return;
+        }
+        // The clock is only consumed by the watchdog and the overload
+        // detector; with neither armed, skip both per-packet reads.
+        let started = (self.watchdog.is_some() || self.slot.detector.is_some()).then(Instant::now);
+        for f in self.faults {
+            if f.shard == self.shard && f.at_packet == ordinal {
+                match f.fault {
+                    ShardFault::Stall(ms) => {
+                        std::thread::sleep(Duration::from_millis(ms));
+                        self.tally.stalls.push((ordinal, ms));
+                    }
+                    ShardFault::Panic => {
+                        panic!("chaos: injected worker panic at shard packet {ordinal}")
+                    }
+                }
+            }
+        }
+        if !self.shed(pkt) {
+            match self.engine.inspect_unnumbered(&mut self.slot.state, pkt) {
+                Ok(Some(result)) => self.tally.results.push((idx, result)),
+                Ok(None) => {}
+                Err(_) => self.tally.errors += 1,
+            }
+        }
+        if let Some(d) = self.slot.detector.as_mut() {
+            if d.is_overloaded() {
+                // CE takes precedence over the Ect0 match mark:
+                // congestion is the more urgent in-band signal, and the
+                // match itself still travels in the result packet.
+                pkt.mark_congestion();
+                d.note_ce_mark();
+                self.tally.ce_marked += 1;
+            }
+            let depth = depth();
+            let elapsed = started.expect("clock armed with detector").elapsed();
+            let transition = d.observe_with_memory(
+                depth,
+                elapsed.as_micros() as u64,
+                self.slot.state.flow_bytes(),
+            );
+            if let (Some(t), Some(w)) = (transition, self.slot.state.trace_writer_mut()) {
+                let (depth, ewma_us) = (depth as u64, d.ewma_us());
+                w.record(match t {
+                    OverloadTransition::Entered => TraceKind::OverloadEntered { depth, ewma_us },
+                    OverloadTransition::Cleared => TraceKind::OverloadCleared { depth, ewma_us },
+                });
+            }
+        }
+        self.tally.processed += 1;
+        if let Some(deadline) = self.watchdog {
+            if started.expect("clock armed with watchdog").elapsed() > deadline {
+                self.tally.tripped = true;
+            }
+        }
+    }
+
+    /// The overload shed decision, before the scan: while past the high
+    /// watermark, fail-open chains skip scanning entirely (the packet
+    /// flows CE-marked); chains with a fail-closed member — and untagged
+    /// packets, whose error path must stay visible — are always scanned.
+    fn shed(&mut self, pkt: &Packet) -> bool {
+        let Some(d) = self.slot.detector.as_mut() else {
+            return false;
+        };
+        let tag = pkt.chain_tag();
+        let tenant = tag.and_then(|t| self.engine.chain_tenant(t));
+        if let Some(t) = tenant {
+            self.slot.state.note_tenant_arrival(t);
+        }
+        // Weighted fairness (DESIGN.md §16): a tenant below its fair
+        // arrival share is never shed — a neighbour's burst sheds the
+        // neighbour's own fail-open traffic first.
+        let shed = d.is_overloaded()
+            && tag.is_some_and(|t| !self.engine.chain_fail_closed(t))
+            && tenant.is_none_or(|t| self.slot.state.tenant_at_or_over_fair_share(t));
+        if shed {
+            let bytes = pkt.payload().map(<[u8]>::len).unwrap_or(0);
+            d.note_shed(bytes);
+            self.tally.shed.0 += 1;
+            self.tally.shed.1 += bytes as u64;
+            if let Some(t) = tenant {
+                self.slot.state.note_tenant_shed(t, bytes as u64);
+                match self.tally.tenant_shed.iter_mut().find(|e| e.0 == t) {
+                    Some(e) => {
+                        e.1 += 1;
+                        e.2 += bytes as u64;
+                    }
+                    None => self.tally.tenant_shed.push((t, 1, bytes as u64)),
+                }
+            }
+        }
+        shed
+    }
 }
 
 /// A parallel DPI scanner: one shared [`ScanEngine`], N private worker
@@ -89,20 +248,7 @@ struct WorkerReport {
 #[derive(Debug)]
 pub struct ShardedScanner {
     engine: Arc<ScanEngine>,
-    shards: Vec<ShardState>,
-    /// Per-shard high-water mark of the ingress queue, across batches.
-    queue_peaks: Vec<usize>,
-    /// Per-shard count of packets whose inspection errored (untagged,
-    /// no payload, unknown chain); errored packets produce no result.
-    errors: Vec<u64>,
-    /// Per-shard supervisor restarts (panic or watchdog).
-    restarts: Vec<u64>,
-    /// Per-shard watchdog deadline violations.
-    watchdog_trips: Vec<u64>,
-    /// Per-shard packets routed but never scanned (worker died first).
-    lost_scans: Vec<u64>,
-    /// Per-shard lifetime packet ordinals (drives shard-fault triggers).
-    shard_seen: Vec<u64>,
+    slots: Vec<ShardSlot>,
     /// Telemetry inherited from restarted shard incarnations, so a
     /// restart never makes the merged counters go backwards.
     retired: Telemetry,
@@ -127,17 +273,6 @@ pub struct ShardedScanner {
     /// recorded directly; per-packet samples go through each shard's
     /// private writer and are absorbed at the batch boundary.
     tracer: Option<Arc<Tracer>>,
-    /// Per-shard overload detectors (queue-depth + scan-latency EWMA
-    /// watermarks with hysteresis). `None` — the default — disables
-    /// overload control entirely: no CE marks, no sheds, byte-identical
-    /// output to a scanner built before this subsystem existed. Owned by
-    /// the supervisor so counters and hysteresis state survive shard
-    /// restarts.
-    detectors: Option<Vec<OverloadDetector>>,
-    /// Per-shard ingress-queue peak of the *most recent* batch (the
-    /// across-batches maximum lives in `queue_peaks`). Benches read this
-    /// to build a queue-depth distribution.
-    last_batch_peaks: Vec<usize>,
     packet_counter: u32,
 }
 
@@ -145,21 +280,26 @@ impl ShardedScanner {
     /// A scanner with `workers` shards over an existing engine (clamped
     /// to at least one worker).
     pub fn new(engine: Arc<ScanEngine>, workers: usize) -> ShardedScanner {
-        let n = workers.max(1);
-        let shards = (0..n).map(|_| ShardState::new(&engine)).collect();
+        let slots = (0..workers.max(1))
+            .map(|_| ShardSlot {
+                state: ShardState::new(&engine),
+                detector: None,
+                queue_peak: 0,
+                last_batch_peak: 0,
+                errors: 0,
+                restarts: 0,
+                watchdog_trips: 0,
+                lost_scans: 0,
+                seen: 0,
+            })
+            .collect();
         let update_stats = UpdateStats {
             generation: engine.generation(),
             ..UpdateStats::default()
         };
         ShardedScanner {
             engine,
-            shards,
-            queue_peaks: vec![0; n],
-            errors: vec![0; n],
-            restarts: vec![0; n],
-            watchdog_trips: vec![0; n],
-            lost_scans: vec![0; n],
-            shard_seen: vec![0; n],
+            slots,
             retired: Telemetry::default(),
             retired_tenants: Vec::new(),
             watchdog: None,
@@ -168,17 +308,14 @@ impl ShardedScanner {
             slot: None,
             update_stats,
             tracer: None,
-            detectors: None,
-            last_batch_peaks: vec![0; n],
             packet_counter: 0,
         }
     }
 
     /// Arms per-shard overload control: queue-depth and scan-latency
     /// watermarks with hysteresis. While a shard is overloaded its
-    /// forwarded packets are CE-marked and — under
-    /// [`ShedMode::FailOpen`] — scans of fail-open chains are skipped.
-    /// Chains with a fail-closed member are always scanned.
+    /// forwarded packets are CE-marked and scans of fail-open chains are
+    /// skipped. Chains with a fail-closed member are always scanned.
     pub fn with_overload_policy(mut self, policy: OverloadPolicy) -> ShardedScanner {
         self.set_overload_policy(Some(policy));
         self
@@ -187,32 +324,26 @@ impl ShardedScanner {
     /// Setter form of [`ShardedScanner::with_overload_policy`]; `None`
     /// disables overload control.
     pub fn set_overload_policy(&mut self, policy: Option<OverloadPolicy>) {
-        self.detectors = policy.map(|p| {
-            (0..self.shards.len())
-                .map(|_| OverloadDetector::new(p))
-                .collect()
-        });
+        for slot in &mut self.slots {
+            slot.detector = policy.map(OverloadDetector::new);
+        }
+    }
+
+    fn detectors(&self) -> impl Iterator<Item = &OverloadDetector> {
+        self.slots.iter().filter_map(|s| s.detector.as_ref())
     }
 
     /// The configured overload policy, if any.
     pub fn overload_policy(&self) -> Option<OverloadPolicy> {
-        self.detectors
-            .as_ref()
-            .and_then(|d| d.first())
-            .map(|d| *d.policy())
+        self.detectors().next().map(|d| *d.policy())
     }
 
     /// Per-shard `(overloaded, load_score)` pairs; empty when overload
     /// control is disabled.
     pub fn overload_state(&self) -> Vec<(bool, f64)> {
-        self.detectors
-            .as_ref()
-            .map(|ds| {
-                ds.iter()
-                    .map(|d| (d.is_overloaded(), d.load_score()))
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.detectors()
+            .map(|d| (d.is_overloaded(), d.load_score()))
+            .collect()
     }
 
     /// Attaches a structured-event tracer: batch boundaries, supervision
@@ -220,8 +351,9 @@ impl ShardedScanner {
     /// recorded, and each shard gets a private lock-free writer for
     /// sampled per-packet events, absorbed at every batch boundary.
     pub fn attach_tracer(&mut self, tracer: Arc<Tracer>) {
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            shard.attach_trace_writer(tracer.writer(TraceSource::Shard(s as u32)));
+        for (s, slot) in self.slots.iter_mut().enumerate() {
+            slot.state
+                .attach_trace_writer(tracer.writer(TraceSource::Shard(s as u32)));
         }
         self.tracer = Some(tracer);
     }
@@ -281,7 +413,7 @@ impl ShardedScanner {
 
     /// Number of worker shards.
     pub fn workers(&self) -> usize {
-        self.shards.len()
+        self.slots.len()
     }
 
     /// The shared engine handle.
@@ -366,9 +498,9 @@ impl ShardedScanner {
         // rule lists and must not survive it; generation-tagged flow
         // state re-anchors lazily and needs no sweep. Tenant fairness
         // and quota buckets re-seed from the incoming engine's config.
-        for shard in &mut self.shards {
-            shard.on_generation_swap();
-            shard.refresh_tenant_state(&engine);
+        for slot in &mut self.slots {
+            slot.state.on_generation_swap();
+            slot.state.refresh_tenant_state(&engine);
         }
         self.engine = engine;
         let pause = started.elapsed();
@@ -409,7 +541,7 @@ impl ShardedScanner {
 
     /// The shard a flow is pinned to.
     pub fn shard_of(&self, flow: &dpi_packet::FlowKey) -> usize {
-        (flow.stable_hash() % self.shards.len() as u64) as usize
+        (flow.stable_hash() % self.slots.len() as u64) as usize
     }
 
     /// Scans a batch of packets in parallel, preserving per-flow order.
@@ -428,341 +560,69 @@ impl ShardedScanner {
         self.trace(TraceKind::BatchStart {
             packets: packets.len() as u64,
         });
-        let n = self.shards.len();
-        let engine = &self.engine;
-        let watchdog = self.watchdog;
-        // Scheduled faults, bucketed per shard as (ordinal, fault).
-        let mut shard_faults: Vec<Vec<(u64, ShardFault)>> = vec![Vec::new(); n];
-        for f in &self.faults {
-            if f.shard < n {
-                shard_faults[f.shard].push((f.at_packet, f.fault));
-            }
-        }
-        // Packets routed / failed-to-route per shard (feeder side) and
-        // packets completed per shard (worker side, panic-proof because
-        // the counter lives out here, not in the worker).
-        let mut routed = vec![0u64; n];
-        let mut send_lost = vec![0u64; n];
-        let completed: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-
-        // Batch boundary = tenant quota window: every shard's scan-byte
-        // buckets refill to capacity (deterministic, replayable windows;
-        // DESIGN.md §16).
-        for shard in &mut self.shards {
-            shard.refill_tenant_window();
-        }
-
-        // Snapshot detector counters so the supervisor can aggregate this
-        // batch's shed/CE activity into trace events afterwards.
-        let pre_overload: Vec<(u64, u64, u64)> = self
-            .detectors
-            .as_ref()
-            .map(|ds| {
-                ds.iter()
-                    .map(|d| (d.shed_packets, d.shed_bytes, d.ce_marked))
-                    .collect()
+        let n = self.slots.len();
+        let engine = &*self.engine;
+        let (watchdog, faults) = (self.watchdog, self.faults.as_slice());
+        let mut workers: Vec<BatchWorker> = self
+            .slots
+            .iter_mut()
+            .enumerate()
+            .map(|(shard, slot)| {
+                // Batch boundary = tenant quota window: every shard's
+                // scan-byte buckets refill to capacity (deterministic,
+                // replayable windows; DESIGN.md §16).
+                slot.state.refill_tenant_window();
+                BatchWorker {
+                    engine,
+                    shard,
+                    slot,
+                    watchdog,
+                    faults,
+                    tally: Tally::default(),
+                }
             })
-            .unwrap_or_default();
-        // Per-shard, per-tenant shed snapshot for batch-aggregated
-        // `TenantShed` trace events.
-        let pre_tenant_shed: Vec<Vec<(TenantId, u64, u64)>> = if self.detectors.is_some() {
-            self.shards
-                .iter()
-                .map(|sh| {
-                    sh.tenant_counters()
-                        .iter()
-                        .map(|&(t, c)| (t, c.shed_packets, c.shed_bytes))
-                        .collect()
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut dets: Vec<Option<&mut OverloadDetector>> = match &mut self.detectors {
-            Some(v) => v.iter_mut().map(Some).collect(),
-            None => (0..n).map(|_| None).collect(),
-        };
+            .collect();
+        // Packets destined for each shard, whether or not its worker
+        // lived to take them.
+        let mut assigned = vec![0u64; n];
 
-        let (mut numbered, reports) = if n == 1 {
-            // ---- Single-worker fast path: no threads, no channels. ----
-            // With one shard, the feeder/worker split is pure overhead —
-            // every packet crosses two crossbeam channels and a thread
-            // spawn just to land back where it started. Inline the worker
-            // body on the calling thread, preserving the threaded path's
-            // semantics exactly: fault injection, shed policy, watchdog
-            // condemnation (drain without scanning), panic containment
-            // and the loss accounting the supervision pass expects.
-            let shard = &mut self.shards[0];
-            let faults = std::mem::take(&mut shard_faults[0]);
-            let base = self.shard_seen[0];
-            let mut det = dets.drain(..).next().flatten();
-            let engine = &**engine;
+        if let [worker] = workers.as_mut_slice() {
+            // One shard: a feeder/worker split would send every packet
+            // across a channel and a thread spawn just to land back where
+            // it started, so the calling thread runs the body itself. One
+            // unwind guard around the whole batch, not one per packet: a
+            // per-packet `catch_unwind` walls the scan call off from the
+            // optimizer, and a panic costs the shard the rest of the
+            // batch either way.
             let total = packets.len();
-            let mut results: Vec<(usize, ResultPacket)> = Vec::new();
-            let mut report = WorkerReport {
-                peak: 0,
-                errors: 0,
-                received: 0,
-                processed: 0,
-                tripped: false,
-                stalls: Vec::new(),
-            };
-            // The clock is only consumed by the watchdog and the overload
-            // detector; with neither armed, skip both per-packet reads.
-            let needs_clock = watchdog.is_some() || det.is_some();
-            // One unwind guard around the whole batch, not one closure per
-            // packet: a per-packet catch_unwind walls the scan call off
-            // from the optimizer, and the threaded accounting it emulates
-            // (a panic kills the shard for the rest of the batch) is
-            // per-batch anyway.
+            assigned[0] = total as u64;
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 for (idx, pkt) in packets.iter_mut().enumerate() {
-                    let ordinal = base + report.received;
-                    report.received += 1;
-                    if report.tripped {
-                        // Condemned by the watchdog: drain without
-                        // scanning, exactly like the threaded worker.
-                        // Lost scans.
-                        continue;
-                    }
                     // What the bounded ingress queue would hold behind
                     // this packet had a feeder been distributing the
                     // batch.
-                    let depth = (total - 1 - idx).min(SHARD_QUEUE_CAPACITY);
-                    report.peak = report.peak.max(depth);
-                    let started = needs_clock.then(Instant::now);
-                    for &(at, fault) in &faults {
-                        if at == ordinal {
-                            match fault {
-                                ShardFault::Stall(ms) => {
-                                    std::thread::sleep(Duration::from_millis(ms));
-                                    report.stalls.push((ordinal, ms));
-                                }
-                                ShardFault::Panic => {
-                                    panic!("chaos: injected worker panic at shard packet {ordinal}")
-                                }
-                            }
-                        }
-                    }
-                    let mut shed = false;
-                    if let Some(d) = det.as_deref_mut() {
-                        let tenant = pkt.chain_tag().and_then(|t| engine.chain_tenant(t));
-                        if let Some(t) = tenant {
-                            shard.note_tenant_arrival(t);
-                        }
-                        if d.is_overloaded() && matches!(d.policy().shed, ShedMode::FailOpen) {
-                            let fail_closed = pkt
-                                .chain_tag()
-                                .map(|t| engine.chain_fail_closed(t))
-                                .unwrap_or(true);
-                            // Weighted fairness (DESIGN.md §16): a
-                            // tenant below its fair arrival share is
-                            // never shed — a neighbour's burst sheds the
-                            // neighbour's own fail-open traffic first.
-                            let over_share = tenant
-                                .map(|t| shard.tenant_at_or_over_fair_share(t))
-                                .unwrap_or(true);
-                            if !fail_closed && over_share {
-                                shed = true;
-                                let bytes = pkt.payload().map(<[u8]>::len).unwrap_or(0);
-                                d.note_shed(bytes);
-                                if let Some(t) = tenant {
-                                    shard.note_tenant_shed(t, bytes as u64);
-                                }
-                            }
-                        }
-                    }
-                    if !shed {
-                        match engine.inspect_unnumbered(shard, pkt) {
-                            Ok(Some(result)) => results.push((idx, result)),
-                            Ok(None) => {}
-                            Err(_) => report.errors += 1,
-                        }
-                    }
-                    if let Some(d) = det.as_deref_mut() {
-                        if d.is_overloaded() {
-                            pkt.mark_congestion();
-                            d.note_ce_mark();
-                        }
-                        let elapsed = started.expect("clock armed with detector").elapsed();
-                        let transition = d.observe_with_memory(
-                            depth,
-                            elapsed.as_micros() as u64,
-                            shard.flow_bytes(),
-                        );
-                        if let Some(t) = transition {
-                            if let Some(w) = shard.trace_writer_mut() {
-                                let (depth, ewma) = (depth as u64, d.ewma_us());
-                                w.record(match t {
-                                    OverloadTransition::Entered => TraceKind::OverloadEntered {
-                                        depth,
-                                        ewma_us: ewma,
-                                    },
-                                    OverloadTransition::Cleared => TraceKind::OverloadCleared {
-                                        depth,
-                                        ewma_us: ewma,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                    report.processed += 1;
-                    if let Some(deadline) = watchdog {
-                        if started.expect("clock armed with watchdog").elapsed() > deadline {
-                            report.tripped = true;
-                        }
-                    }
+                    worker.process(idx, pkt, || (total - 1 - idx).min(SHARD_QUEUE_CAPACITY));
                 }
+                worker.tally.peak = total.saturating_sub(1).min(SHARD_QUEUE_CAPACITY);
             }));
-            routed[0] = report.received;
-            completed[0].store(report.processed, Ordering::Relaxed);
-            let reports = if outcome.is_err() {
-                // A threaded worker's panic kills its receiver; every
-                // packet the feeder had routed or would still route is
-                // lost. Mirror that accounting, then let the shared
-                // supervision pass condemn and restart the shard.
-                send_lost[0] += (total as u64).saturating_sub(report.received);
-                vec![None]
-            } else {
-                vec![Some(report)]
-            };
-            (results, reports)
+            worker.tally.panicked = outcome.is_err();
         } else {
-            std::thread::scope(|scope| {
-                let (result_tx, result_rx) = channel::unbounded::<(usize, ResultPacket)>();
+            let panicked: Vec<bool> = std::thread::scope(|scope| {
                 let mut feeds = Vec::with_capacity(n);
-                let mut handles = Vec::with_capacity(n);
-                for ((s, shard), mut det) in self.shards.iter_mut().enumerate().zip(dets.drain(..))
-                {
-                    let (tx, rx) = channel::bounded::<(usize, &mut Packet)>(SHARD_QUEUE_CAPACITY);
-                    let result_tx = result_tx.clone();
-                    let engine = &**engine;
-                    let faults = std::mem::take(&mut shard_faults[s]);
-                    let base = self.shard_seen[s];
-                    let completed = &completed[s];
-                    feeds.push(tx);
-                    handles.push(scope.spawn(move || {
-                    let mut report = WorkerReport {
-                        peak: 0,
-                        errors: 0,
-                        received: 0,
-                        processed: 0,
-                        tripped: false,
-                        stalls: Vec::new(),
-                    };
-                    for (idx, pkt) in rx.iter() {
-                        let ordinal = base + report.received;
-                        report.received += 1;
-                        if report.tripped {
-                            // Condemned by the watchdog: drain without
-                            // scanning so the feeder never blocks on a
-                            // wedged queue. These are lost scans.
-                            continue;
-                        }
-                        let started = Instant::now();
-                        for &(at, fault) in &faults {
-                            if at == ordinal {
-                                match fault {
-                                    ShardFault::Stall(ms) => {
-                                        std::thread::sleep(Duration::from_millis(ms));
-                                        report.stalls.push((ordinal, ms));
-                                    }
-                                    ShardFault::Panic => {
-                                        panic!("chaos: injected worker panic at shard packet {ordinal}")
-                                    }
-                                }
+                let handles: Vec<_> = workers
+                    .iter_mut()
+                    .map(|worker| {
+                        let (tx, rx) =
+                            channel::bounded::<(usize, &mut Packet)>(SHARD_QUEUE_CAPACITY);
+                        feeds.push(tx);
+                        scope.spawn(move || {
+                            for (idx, pkt) in rx.iter() {
+                                worker.process(idx, pkt, || rx.len());
                             }
-                        }
-                        // Overload shed decision, before the scan: while
-                        // past the high watermark, fail-open chains skip
-                        // scanning entirely (the packet flows CE-marked);
-                        // chains with a fail-closed member — and untagged
-                        // packets, whose error path must stay visible —
-                        // are always scanned.
-                        let mut shed = false;
-                        if let Some(d) = det.as_deref_mut() {
-                            let tenant = pkt.chain_tag().and_then(|t| engine.chain_tenant(t));
-                            if let Some(t) = tenant {
-                                shard.note_tenant_arrival(t);
-                            }
-                            if d.is_overloaded() && matches!(d.policy().shed, ShedMode::FailOpen) {
-                                let fail_closed = pkt
-                                    .chain_tag()
-                                    .map(|t| engine.chain_fail_closed(t))
-                                    .unwrap_or(true);
-                                // Weighted fairness (DESIGN.md §16): a
-                                // tenant below its fair arrival share is
-                                // never shed — a neighbour's burst sheds
-                                // the neighbour's own fail-open traffic
-                                // first.
-                                let over_share = tenant
-                                    .map(|t| shard.tenant_at_or_over_fair_share(t))
-                                    .unwrap_or(true);
-                                if !fail_closed && over_share {
-                                    shed = true;
-                                    let bytes = pkt.payload().map(<[u8]>::len).unwrap_or(0);
-                                    d.note_shed(bytes);
-                                    if let Some(t) = tenant {
-                                        shard.note_tenant_shed(t, bytes as u64);
-                                    }
-                                }
-                            }
-                        }
-                        if !shed {
-                            match engine.inspect_unnumbered(shard, pkt) {
-                                Ok(Some(result)) => {
-                                    // The collector outlives every worker,
-                                    // so the send cannot fail.
-                                    let _ = result_tx.send((idx, result));
-                                }
-                                Ok(None) => {}
-                                Err(_) => report.errors += 1,
-                            }
-                        }
-                        if let Some(d) = det.as_deref_mut() {
-                            if d.is_overloaded() {
-                                // CE takes precedence over the Ect0 match
-                                // mark: congestion is the more urgent
-                                // in-band signal, and the match itself
-                                // still travels in the result packet.
-                                pkt.mark_congestion();
-                                d.note_ce_mark();
-                            }
-                            let transition = d.observe_with_memory(
-                                rx.len(),
-                                started.elapsed().as_micros() as u64,
-                                shard.flow_bytes(),
-                            );
-                            if let Some(t) = transition {
-                                if let Some(w) = shard.trace_writer_mut() {
-                                    let (depth, ewma) = (rx.len() as u64, d.ewma_us());
-                                    w.record(match t {
-                                        OverloadTransition::Entered => TraceKind::OverloadEntered {
-                                            depth,
-                                            ewma_us: ewma,
-                                        },
-                                        OverloadTransition::Cleared => TraceKind::OverloadCleared {
-                                            depth,
-                                            ewma_us: ewma,
-                                        },
-                                    });
-                                }
-                            }
-                        }
-                        report.processed += 1;
-                        completed.fetch_add(1, Ordering::Relaxed);
-                        if let Some(deadline) = watchdog {
-                            if started.elapsed() > deadline {
-                                report.tripped = true;
-                            }
-                        }
-                    }
-                    report.peak = rx.peak_len();
-                    report
-                }));
-                }
-                drop(result_tx);
-
+                            worker.tally.peak = rx.peak_len();
+                        })
+                    })
+                    .collect();
                 for (idx, pkt) in packets.iter_mut().enumerate() {
                     let shard = match pkt.flow_key() {
                         Some(flow) => (flow.stable_hash() % n as u64) as usize,
@@ -770,124 +630,109 @@ impl ShardedScanner {
                         // them deterministically.
                         None => idx % n,
                     };
-                    // A send fails only when the worker panicked and dropped
-                    // its receiver; the batch continues — that packet simply
-                    // goes unscanned (fail-open) and is counted lost.
-                    match feeds[shard].send((idx, pkt)) {
-                        Ok(()) => routed[shard] += 1,
-                        Err(_) => send_lost[shard] += 1,
-                    }
+                    assigned[shard] += 1;
+                    // A send fails only when the worker panicked and
+                    // dropped its receiver; the batch continues — that
+                    // packet simply goes unscanned (fail-open) and the
+                    // supervision pass counts it lost.
+                    let _ = feeds[shard].send((idx, pkt));
                 }
                 drop(feeds);
-
-                let collected: Vec<(usize, ResultPacket)> = result_rx.iter().collect();
                 // A panicked worker yields Err here — captured, not
                 // propagated: the supervisor restarts the shard below.
-                let reports: Vec<Option<WorkerReport>> =
-                    handles.into_iter().map(|h| h.join().ok()).collect();
-                (collected, reports)
-            })
-        };
+                handles.into_iter().map(|h| h.join().is_err()).collect()
+            });
+            for (worker, panicked) in workers.iter_mut().zip(panicked) {
+                worker.tally.panicked = panicked;
+            }
+        }
+        let mut tallies: Vec<Tally> = workers.into_iter().map(|w| w.tally).collect();
 
         // Supervision pass, in shard order so fault-log entries are
         // deterministic across runs of the same seed.
-        for s in 0..n {
-            self.last_batch_peaks[s] = reports[s].as_ref().map(|r| r.peak).unwrap_or(0);
-            match &reports[s] {
-                Some(report) => {
-                    self.queue_peaks[s] = self.queue_peaks[s].max(report.peak);
-                    self.errors[s] += report.errors;
-                    self.shard_seen[s] += report.received;
-                    for &(ordinal, ms) in &report.stalls {
-                        self.note(format!("shard {s} stalled {ms}ms at packet {ordinal}"));
-                        self.trace_shard(
-                            s,
-                            TraceKind::ShardStalled {
-                                ordinal,
-                                millis: ms,
-                            },
-                        );
-                    }
-                    if report.tripped {
-                        let lost = report.received - report.processed;
-                        self.watchdog_trips[s] += 1;
-                        self.lost_scans[s] += lost;
-                        self.note(format!(
-                            "shard {s} blew its watchdog deadline; {lost} scans lost"
-                        ));
-                        self.trace_shard(s, TraceKind::WatchdogTripped { lost_scans: lost });
-                        self.restart_shard(s);
-                    }
-                }
-                None => {
-                    // Panic: everything routed past the completion point
-                    // was lost, plus anything the feeder could not hand
-                    // over once the receiver died.
-                    let done = completed[s].load(Ordering::Relaxed);
-                    let lost = routed[s] + send_lost[s] - done;
-                    self.lost_scans[s] += lost;
-                    self.shard_seen[s] += routed[s];
-                    self.note(format!("shard {s} worker panicked; {lost} scans lost"));
-                    self.trace_shard(s, TraceKind::WorkerPanicked { lost_scans: lost });
-                    self.restart_shard(s);
-                }
+        for (s, t) in tallies.iter().enumerate() {
+            let slot = &mut self.slots[s];
+            slot.last_batch_peak = t.peak;
+            slot.queue_peak = slot.queue_peak.max(t.peak);
+            slot.errors += t.errors;
+            slot.seen += t.received;
+            // Everything assigned past the last handled packet went
+            // unscanned: a condemned worker's drained queue, or what a
+            // dead worker never took.
+            let lost = assigned[s] - t.processed;
+            if t.panicked || t.tripped {
+                slot.lost_scans += lost;
+            }
+            if t.tripped {
+                slot.watchdog_trips += 1;
+            }
+            for &(ordinal, ms) in &t.stalls {
+                self.note(format!("shard {s} stalled {ms}ms at packet {ordinal}"));
+                self.trace_shard(
+                    s,
+                    TraceKind::ShardStalled {
+                        ordinal,
+                        millis: ms,
+                    },
+                );
+            }
+            if t.panicked {
+                self.note(format!("shard {s} worker panicked; {lost} scans lost"));
+                self.trace_shard(s, TraceKind::WorkerPanicked { lost_scans: lost });
+                self.restart_shard(s);
+            } else if t.tripped {
+                self.note(format!(
+                    "shard {s} blew its watchdog deadline; {lost} scans lost"
+                ));
+                self.trace_shard(s, TraceKind::WatchdogTripped { lost_scans: lost });
+                self.restart_shard(s);
             }
         }
 
-        // Per-shard overload aggregates for the batch: what the shed
-        // policy actually did, as trace events (transitions were recorded
-        // by the workers themselves, through their shard writers).
-        if let Some(ds) = &self.detectors {
-            for (s, d) in ds.iter().enumerate() {
-                let (p0, b0, c0) = pre_overload.get(s).copied().unwrap_or((0, 0, 0));
-                let (shed_p, shed_b, ce) =
-                    (d.shed_packets - p0, d.shed_bytes - b0, d.ce_marked - c0);
-                if shed_p > 0 {
-                    self.trace_shard(
-                        s,
-                        TraceKind::OverloadShed {
-                            packets: shed_p,
-                            bytes: shed_b,
-                        },
-                    );
-                }
-                if ce > 0 {
-                    self.trace_shard(s, TraceKind::OverloadCeMarked { packets: ce });
-                }
+        // What the shed policy did this batch, as trace events
+        // (transitions were recorded by the workers themselves, through
+        // their shard writers).
+        for (s, t) in tallies.iter().enumerate() {
+            let (packets, bytes) = t.shed;
+            if packets > 0 {
+                self.trace_shard(s, TraceKind::OverloadShed { packets, bytes });
             }
-            // Per-tenant shed attribution for the batch (restarted
-            // shards reset their counters; the `>` guards skip them —
-            // their activity was already folded into `retired_tenants`).
-            for s in 0..n {
-                let mut deltas: Vec<(u16, u64, u64)> = Vec::new();
-                for &(t, c) in self.shards[s].tenant_counters() {
-                    let (p0, b0) = pre_tenant_shed
-                        .get(s)
-                        .and_then(|pre| pre.iter().find(|&&(pt, _, _)| pt == t))
-                        .map(|&(_, p, b)| (p, b))
-                        .unwrap_or((0, 0));
-                    if c.shed_packets > p0 {
-                        deltas.push((t.0, c.shed_packets - p0, c.shed_bytes.saturating_sub(b0)));
-                    }
-                }
-                for (tenant, packets, bytes) in deltas {
-                    self.trace_shard(
-                        s,
-                        TraceKind::TenantShed {
-                            tenant,
-                            packets,
-                            bytes,
-                        },
-                    );
-                }
+            if t.ce_marked > 0 {
+                self.trace_shard(
+                    s,
+                    TraceKind::OverloadCeMarked {
+                        packets: t.ce_marked,
+                    },
+                );
             }
         }
+        for (s, t) in tallies.iter_mut().enumerate() {
+            t.tenant_shed.sort_unstable_by_key(|&(tenant, _, _)| tenant);
+            for &(tenant, packets, bytes) in &t.tenant_shed {
+                self.trace_shard(
+                    s,
+                    TraceKind::TenantShed {
+                        tenant: tenant.0,
+                        packets,
+                        bytes,
+                    },
+                );
+            }
+        }
+
+        // Batch order, then sequential ids — identical to a sequential
+        // instance numbering matches as it encounters them.
+        let mut numbered = std::mem::take(&mut tallies[0].results);
+        for t in &mut tallies[1..] {
+            numbered.append(&mut t.results);
+        }
+        numbered.sort_unstable_by_key(|(idx, _)| *idx);
 
         // Batch boundary: fold each shard's locally buffered events into
         // the global ring, then close the batch span.
         if let Some(tracer) = self.tracer.clone() {
-            for shard in &mut self.shards {
-                if let Some(w) = shard.trace_writer_mut() {
+            for slot in &mut self.slots {
+                if let Some(w) = slot.state.trace_writer_mut() {
                     tracer.absorb(w);
                 }
             }
@@ -900,9 +745,6 @@ impl ShardedScanner {
             );
         }
 
-        // Batch order, then sequential ids — identical to a sequential
-        // instance numbering matches as it encounters them.
-        numbered.sort_unstable_by_key(|(idx, _)| *idx);
         numbered
             .into_iter()
             .map(|(_, mut result)| {
@@ -920,26 +762,24 @@ impl ShardedScanner {
     /// stateless-deletion rule a fresh flow can only *miss* matches that
     /// straddled the restart, never fabricate one.
     fn restart_shard(&mut self, s: usize) {
-        self.retired.merge(&self.shards[s].telemetry());
-        merge_tenant_counters(&mut self.retired_tenants, self.shards[s].tenant_counters());
-        // The condemned incarnation's buffered trace events survive the
-        // restart: absorb them before the shard (and its writer) is
-        // dropped, then give the fresh incarnation a new writer.
-        if let Some(tracer) = self.tracer.clone() {
-            if let Some(mut w) = self.shards[s].take_trace_writer() {
-                tracer.absorb(&mut w);
-            }
-        }
-        self.shards[s] = ShardState::new(&self.engine);
+        let mut state = ShardState::new(&self.engine);
         if let Some(tracer) = &self.tracer {
-            self.shards[s].attach_trace_writer(tracer.writer(TraceSource::Shard(s as u32)));
+            state.attach_trace_writer(tracer.writer(TraceSource::Shard(s as u32)));
         }
-        self.restarts[s] += 1;
+        let mut condemned = std::mem::replace(&mut self.slots[s].state, state);
+        self.retired.merge(&condemned.telemetry());
+        merge_tenant_counters(&mut self.retired_tenants, condemned.tenant_counters());
+        // The condemned incarnation's buffered trace events survive the
+        // restart: absorb them before its writer is dropped.
+        if let (Some(tracer), Some(mut w)) = (&self.tracer, condemned.take_trace_writer()) {
+            tracer.absorb(&mut w);
+        }
+        self.slots[s].restarts += 1;
         self.note(format!("shard {s} restarted; flow table rebuilt"));
         self.trace_shard(
             s,
             TraceKind::ShardRestarted {
-                restarts: self.restarts[s],
+                restarts: self.slots[s].restarts,
             },
         );
     }
@@ -963,8 +803,8 @@ impl ShardedScanner {
     /// from shard incarnations retired by the supervisor.
     pub fn telemetry(&self) -> Telemetry {
         let mut total = self.retired;
-        for shard in &self.shards {
-            total.merge(&shard.telemetry());
+        for slot in &self.slots {
+            total.merge(&slot.state.telemetry());
         }
         total
     }
@@ -974,8 +814,8 @@ impl ShardedScanner {
     /// (DESIGN.md §16).
     pub fn tenant_telemetry(&self) -> Vec<(TenantId, TenantCounters)> {
         let mut total = self.retired_tenants.clone();
-        for shard in &self.shards {
-            merge_tenant_counters(&mut total, shard.tenant_counters());
+        for slot in &self.slots {
+            merge_tenant_counters(&mut total, slot.state.tenant_counters());
         }
         total
     }
@@ -985,22 +825,22 @@ impl ShardedScanner {
     /// / lost-scan counts. The scan counters cover the shard's current
     /// incarnation; the supervisor counters survive restarts.
     pub fn shard_telemetry(&self) -> Vec<ShardTelemetry> {
-        self.shards
+        self.slots
             .iter()
             .enumerate()
-            .map(|(i, shard)| {
-                let t = shard.telemetry();
-                let det = self.detectors.as_ref().and_then(|d| d.get(i));
+            .map(|(i, slot)| {
+                let t = slot.state.telemetry();
+                let det = slot.detector.as_ref();
                 ShardTelemetry {
                     shard: i as u32,
                     packets: t.packets,
                     bytes: t.bytes,
                     matches: t.matches,
-                    peak_queue_depth: self.queue_peaks[i] as u64,
-                    errors: self.errors[i],
-                    restarts: self.restarts[i],
-                    watchdog_trips: self.watchdog_trips[i],
-                    lost_scans: self.lost_scans[i],
+                    peak_queue_depth: slot.queue_peak as u64,
+                    errors: slot.errors,
+                    restarts: slot.restarts,
+                    watchdog_trips: slot.watchdog_trips,
+                    lost_scans: slot.lost_scans,
                     shed_packets: det.map(|d| d.shed_packets).unwrap_or(0),
                     shed_bytes: det.map(|d| d.shed_bytes).unwrap_or(0),
                     ce_marked: det.map(|d| d.ce_marked).unwrap_or(0),
@@ -1014,39 +854,33 @@ impl ShardedScanner {
     /// Each shard's ingress-queue peak during the most recent batch (the
     /// lifetime peak is in [`ShardedScanner::shard_telemetry`]). Benches
     /// sample this per batch to build queue-depth distributions.
-    pub fn last_batch_peaks(&self) -> &[usize] {
-        &self.last_batch_peaks
+    pub fn last_batch_peaks(&self) -> Vec<usize> {
+        self.slots.iter().map(|s| s.last_batch_peak).collect()
     }
 
     /// Total scans shed by the overload policy across shards.
     pub fn total_shed(&self) -> u64 {
-        self.detectors
-            .as_ref()
-            .map(|ds| ds.iter().map(|d| d.shed_packets).sum())
-            .unwrap_or(0)
+        self.detectors().map(|d| d.shed_packets).sum()
     }
 
     /// Total packets CE-marked under overload across shards.
     pub fn total_ce_marked(&self) -> u64 {
-        self.detectors
-            .as_ref()
-            .map(|ds| ds.iter().map(|d| d.ce_marked).sum())
-            .unwrap_or(0)
+        self.detectors().map(|d| d.ce_marked).sum()
     }
 
     /// Total supervisor restarts across shards.
     pub fn total_restarts(&self) -> u64 {
-        self.restarts.iter().sum()
+        self.slots.iter().map(|s| s.restarts).sum()
     }
 
     /// Total packets lost to worker deaths across shards.
     pub fn total_lost_scans(&self) -> u64 {
-        self.lost_scans.iter().sum()
+        self.slots.iter().map(|s| s.lost_scans).sum()
     }
 
     /// Flows tracked across all shards.
     pub fn tracked_flows(&self) -> usize {
-        self.shards.iter().map(|s| s.tracked_flows()).sum()
+        self.slots.iter().map(|s| s.state.tracked_flows()).sum()
     }
 }
 
@@ -1142,92 +976,88 @@ mod tests {
         assert_eq!(errors, 2);
     }
 
+    /// `n` packets of one flow (so one shard takes them all at any worker
+    /// count), `step` sequence numbers apart.
+    fn one_flow_batch(
+        f: dpi_packet::FlowKey,
+        first_seq: u32,
+        step: u32,
+        n: u32,
+        payload: &[u8],
+    ) -> Vec<Packet> {
+        (0..n)
+            .map(|i| {
+                let mut p = Packet::tcp(
+                    MacAddr::local(1),
+                    MacAddr::local(2),
+                    f,
+                    first_seq + i * step,
+                    payload.to_vec(),
+                );
+                p.push_chain_tag(3).unwrap();
+                p
+            })
+            .collect()
+    }
+
+    // The three supervision tests below run at workers 1 and 2 — the
+    // calling-thread driver and the scoped-thread driver over the one
+    // worker body — and expect the same counts from both.
+
     #[test]
     fn injected_panic_is_captured_and_shard_restarts() {
-        let mut scanner = ShardedScanner::from_config(config(), 2).unwrap();
-        let f = flow([10, 0, 0, 9], 777, [10, 0, 0, 2], 80, IpProtocol::Tcp);
-        let shard = scanner.shard_of(&f);
-        // The shard's 3rd packet panics the worker.
-        scanner.inject_shard_faults(&[ShardFaultSpec {
-            shard,
-            at_packet: 2,
-            fault: ShardFault::Panic,
-        }]);
-        let mut batch: Vec<Packet> = (0..8)
-            .map(|i| {
-                let mut p = Packet::tcp(
-                    MacAddr::local(1),
-                    MacAddr::local(2),
-                    f,
-                    i * 8,
-                    b"carries a virus today".to_vec(),
-                );
-                p.push_chain_tag(3).unwrap();
-                p
-            })
-            .collect();
-        let results = scanner.inspect_batch(&mut batch);
-        // The two packets before the panic were scanned and delivered.
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].packet_id, 1);
-        let t = &scanner.shard_telemetry()[shard];
-        assert_eq!(t.restarts, 1);
-        assert_eq!(t.lost_scans, 6);
-        assert_eq!(scanner.total_lost_scans(), 6);
-        // The restarted shard scans the next batch normally.
-        let mut more: Vec<Packet> = (0..4)
-            .map(|i| {
-                let mut p = Packet::tcp(
-                    MacAddr::local(1),
-                    MacAddr::local(2),
-                    f,
-                    100 + i * 8,
-                    b"carries a virus today".to_vec(),
-                );
-                p.push_chain_tag(3).unwrap();
-                p
-            })
-            .collect();
-        let results = scanner.inspect_batch(&mut more);
-        assert_eq!(results.len(), 4);
-        // Merged telemetry kept the pre-restart packets via the retired
-        // accumulator: 2 scanned before the panic + 4 after.
-        assert_eq!(scanner.telemetry().packets, 6);
+        for workers in [1, 2] {
+            let mut scanner = ShardedScanner::from_config(config(), workers).unwrap();
+            let f = flow([10, 0, 0, 9], 777, [10, 0, 0, 2], 80, IpProtocol::Tcp);
+            let shard = scanner.shard_of(&f);
+            // The shard's 3rd packet panics the worker.
+            scanner.inject_shard_faults(&[ShardFaultSpec {
+                shard,
+                at_packet: 2,
+                fault: ShardFault::Panic,
+            }]);
+            let mut batch = one_flow_batch(f, 0, 8, 8, b"carries a virus today");
+            let results = scanner.inspect_batch(&mut batch);
+            // The two packets before the panic were scanned and delivered.
+            assert_eq!(results.len(), 2, "workers={workers}");
+            assert_eq!(results[0].packet_id, 1);
+            let t = &scanner.shard_telemetry()[shard];
+            assert_eq!(t.restarts, 1, "workers={workers}");
+            assert_eq!(t.lost_scans, 6, "workers={workers}");
+            assert_eq!(scanner.total_lost_scans(), 6);
+            // The restarted shard scans the next batch normally.
+            let mut more = one_flow_batch(f, 100, 8, 4, b"carries a virus today");
+            let results = scanner.inspect_batch(&mut more);
+            assert_eq!(results.len(), 4, "workers={workers}");
+            // Merged telemetry kept the pre-restart packets via the retired
+            // accumulator: 2 scanned before the panic + 4 after.
+            assert_eq!(scanner.telemetry().packets, 6, "workers={workers}");
+        }
     }
 
     #[test]
     fn watchdog_condemns_a_stalled_shard() {
-        let mut scanner = ShardedScanner::from_config(config(), 2)
-            .unwrap()
-            .with_watchdog(std::time::Duration::from_millis(10));
-        let f = flow([10, 0, 0, 9], 777, [10, 0, 0, 2], 80, IpProtocol::Tcp);
-        let shard = scanner.shard_of(&f);
-        scanner.inject_shard_faults(&[ShardFaultSpec {
-            shard,
-            at_packet: 1,
-            fault: ShardFault::Stall(50),
-        }]);
-        let mut batch: Vec<Packet> = (0..6)
-            .map(|i| {
-                let mut p = Packet::tcp(
-                    MacAddr::local(1),
-                    MacAddr::local(2),
-                    f,
-                    i * 4,
-                    b"attack".to_vec(),
-                );
-                p.push_chain_tag(3).unwrap();
-                p
-            })
-            .collect();
-        let results = scanner.inspect_batch(&mut batch);
-        // Packets 0 and 1 were scanned (the stalled one completes, then
-        // the watchdog fires); 2..6 were drained unscanned.
-        assert_eq!(results.len(), 2);
-        let t = &scanner.shard_telemetry()[shard];
-        assert_eq!(t.watchdog_trips, 1);
-        assert_eq!(t.restarts, 1);
-        assert_eq!(t.lost_scans, 4);
+        for workers in [1, 2] {
+            let mut scanner = ShardedScanner::from_config(config(), workers)
+                .unwrap()
+                .with_watchdog(std::time::Duration::from_millis(10));
+            let f = flow([10, 0, 0, 9], 777, [10, 0, 0, 2], 80, IpProtocol::Tcp);
+            let shard = scanner.shard_of(&f);
+            scanner.inject_shard_faults(&[ShardFaultSpec {
+                shard,
+                at_packet: 1,
+                fault: ShardFault::Stall(50),
+            }]);
+            let mut batch = one_flow_batch(f, 0, 4, 6, b"attack");
+            let results = scanner.inspect_batch(&mut batch);
+            // Packets 0 and 1 were scanned (the stalled one completes, then
+            // the watchdog fires); 2..6 were drained unscanned.
+            assert_eq!(results.len(), 2, "workers={workers}");
+            let t = &scanner.shard_telemetry()[shard];
+            assert_eq!(t.watchdog_trips, 1, "workers={workers}");
+            assert_eq!(t.restarts, 1, "workers={workers}");
+            assert_eq!(t.lost_scans, 4, "workers={workers}");
+        }
     }
 
     #[test]
@@ -1392,55 +1222,67 @@ mod tests {
 
     #[test]
     fn overload_sheds_fail_open_scans_and_ce_marks() {
-        use crate::overload::{OverloadPolicy, ShedMode};
+        use crate::overload::OverloadPolicy;
         use crate::trace::{TraceKind, Tracer};
 
-        // queue_high = 1: the worker enters overload as soon as it sees
-        // one queued packet behind the one in hand. A single worker with
-        // a pre-filled queue observes depth 7 after its first packet.
-        let mut scanner = ShardedScanner::from_config(config(), 1)
-            .unwrap()
-            .with_overload_policy(OverloadPolicy::queue_only(1, 0).with_shed(ShedMode::FailOpen));
-        let tracer = Arc::new(Tracer::new());
-        scanner.attach_tracer(Arc::clone(&tracer));
+        for workers in [1, 2] {
+            // queue_high = 1: the worker enters overload as soon as it sees
+            // one queued packet behind the one in hand.
+            let mut scanner = ShardedScanner::from_config(config(), workers)
+                .unwrap()
+                .with_overload_policy(OverloadPolicy::queue_only(1, 0));
+            let tracer = Arc::new(Tracer::new());
+            scanner.attach_tracer(Arc::clone(&tracer));
+            let f = flow([10, 0, 0, 9], 777, [10, 0, 0, 2], 80, IpProtocol::Tcp);
+            let shard = scanner.shard_of(&f);
+            // Hold the worker on its first packet while the feeder queues
+            // the other seven behind it (they fit the queue, so the feeder
+            // never waits): the depth it then observes is 7, which is what
+            // the calling-thread driver reports by construction.
+            scanner.inject_shard_faults(&[ShardFaultSpec {
+                shard,
+                at_packet: 0,
+                fault: ShardFault::Stall(100),
+            }]);
 
-        let mut batch: Vec<Packet> = (0..8).map(|i| tagged_packet(100 + i, b"attack")).collect();
-        let results = scanner.inspect_batch(&mut batch);
-        // Only the first packet was scanned; the rest were shed while
-        // overloaded (the chain is fail-open).
-        assert_eq!(results.len(), 1);
-        assert_eq!(scanner.total_shed(), 7);
-        // Shed packets still flow — CE-marked, unscanned.
-        assert!(!batch[0].has_ce_mark(), "first packet preceded overload");
-        for p in &batch[1..] {
-            assert!(p.has_ce_mark(), "shed packets carry the congestion mark");
+            let mut batch = one_flow_batch(f, 0, 8, 8, b"attack");
+            let results = scanner.inspect_batch(&mut batch);
+            // Only the first packet was scanned; the rest were shed while
+            // overloaded (the chain is fail-open).
+            assert_eq!(results.len(), 1, "workers={workers}");
+            assert_eq!(scanner.total_shed(), 7, "workers={workers}");
+            // Shed packets still flow — CE-marked, unscanned.
+            assert!(!batch[0].has_ce_mark(), "first packet preceded overload");
+            for p in &batch[1..] {
+                assert!(p.has_ce_mark(), "shed packets carry the congestion mark");
+            }
+            let t = &scanner.shard_telemetry()[shard];
+            assert_eq!(t.shed_packets, 7, "workers={workers}");
+            assert_eq!(t.shed_bytes, 7 * b"attack".len() as u64);
+            assert_eq!(t.ce_marked, 7, "workers={workers}");
+            // The episode is visible in the trace: entry transition plus the
+            // per-batch shed/CE aggregates.
+            let events = tracer.drain();
+            assert!(events
+                .iter()
+                .any(|e| matches!(e.kind, TraceKind::OverloadEntered { .. })));
+            assert!(events
+                .iter()
+                .any(|e| matches!(e.kind, TraceKind::OverloadShed { packets: 7, .. })));
+            assert!(events
+                .iter()
+                .any(|e| matches!(e.kind, TraceKind::OverloadCeMarked { packets: 7 })));
+            // The queue drained to zero at the end, so the detector cleared.
+            assert!(scanner.overload_state().iter().all(|(over, _)| !over));
+            assert!(events
+                .iter()
+                .any(|e| matches!(e.kind, TraceKind::OverloadCleared { .. })));
         }
-        let t = &scanner.shard_telemetry()[0];
-        assert_eq!(t.shed_packets, 7);
-        assert_eq!(t.shed_bytes, 7 * b"attack".len() as u64);
-        assert_eq!(t.ce_marked, 7);
-        // The episode is visible in the trace: entry transition plus the
-        // per-batch shed/CE aggregates.
-        let events = tracer.drain();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.kind, TraceKind::OverloadEntered { .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.kind, TraceKind::OverloadShed { packets: 7, .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.kind, TraceKind::OverloadCeMarked { packets: 7 })));
-        // The queue drained to zero at the end, so the detector cleared.
-        assert!(scanner.overload_state().iter().all(|(over, _)| !over));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.kind, TraceKind::OverloadCleared { .. })));
     }
 
     #[test]
     fn fail_closed_chains_are_never_shed() {
-        use crate::overload::{OverloadPolicy, ShedMode};
+        use crate::overload::OverloadPolicy;
 
         let cfg = InstanceConfig::new()
             .with_middlebox(
@@ -1450,7 +1292,7 @@ mod tests {
             .with_chain(3, vec![MiddleboxId(1)]);
         let mut scanner = ShardedScanner::from_config(cfg, 1)
             .unwrap()
-            .with_overload_policy(OverloadPolicy::queue_only(1, 0).with_shed(ShedMode::FailOpen));
+            .with_overload_policy(OverloadPolicy::queue_only(1, 0));
         let mut batch: Vec<Packet> = (0..8).map(|i| tagged_packet(100 + i, b"attack")).collect();
         let results = scanner.inspect_batch(&mut batch);
         // Every packet was scanned despite sustained overload: the chain
@@ -1460,20 +1302,6 @@ mod tests {
         assert_eq!(scanner.total_shed(), 0);
         assert!(scanner.total_ce_marked() >= 7);
         assert!(batch[1..].iter().all(Packet::has_ce_mark));
-    }
-
-    #[test]
-    fn mark_only_mode_ce_marks_without_shedding() {
-        use crate::overload::{OverloadPolicy, ShedMode};
-
-        let mut scanner = ShardedScanner::from_config(config(), 1)
-            .unwrap()
-            .with_overload_policy(OverloadPolicy::queue_only(1, 0).with_shed(ShedMode::MarkOnly));
-        let mut batch: Vec<Packet> = (0..6).map(|i| tagged_packet(100 + i, b"attack")).collect();
-        let results = scanner.inspect_batch(&mut batch);
-        assert_eq!(results.len(), 6);
-        assert_eq!(scanner.total_shed(), 0);
-        assert_eq!(scanner.total_ce_marked(), 5);
     }
 
     #[test]

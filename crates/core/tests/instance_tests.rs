@@ -571,3 +571,121 @@ fn an_oversized_decoded_l7_unit_is_scanned_in_addressable_pieces() {
         vec![(0, (69_999 - max) as u16), (1, 6)]
     );
 }
+
+/// `inspect` and `inspect_inband` are two delivery forms of one decision:
+/// on every route through the engine they leave the same mark on the
+/// packet and carry the same reports.
+#[test]
+fn both_inspect_entry_points_reach_the_same_verdict() {
+    use dpi_core::{ConflictPolicy, L7Action, L7Policy, L7Protocol, ProtocolPolicy};
+
+    fn ids_config() -> InstanceConfig {
+        InstanceConfig::new()
+            .with_middlebox(
+                MiddleboxProfile::stateful(IDS),
+                vec![RuleSpec::exact(b"ATTACK".to_vec())],
+            )
+            .with_chain(1, vec![IDS])
+    }
+    fn http(action: L7Action) -> L7Policy {
+        L7Policy::default().with(
+            L7Protocol::Http1,
+            ProtocolPolicy::intercept(1 << 16).with_action(action),
+        )
+    }
+    fn nothing(_: &mut DpiInstance) {}
+    /// A divergent retransmission quarantines `flow(90)` under RejectFlow.
+    fn quarantine(dpi: &mut DpiInstance) {
+        dpi.open_tcp_flow(flow(90), 1000);
+        dpi.scan_tcp_segment(1, flow(90), 1000, b"0123456789abcdef")
+            .unwrap();
+        dpi.scan_tcp_segment(1, flow(90), 1000, b"fedcba9876543210")
+            .unwrap();
+        assert!(dpi.flow_quarantined(&flow(90)));
+    }
+
+    struct Case {
+        name: &'static str,
+        config: InstanceConfig,
+        setup: fn(&mut DpiInstance),
+        seq: u32,
+        payload: &'static [u8],
+        marked: bool,
+        reports: usize,
+    }
+    let request: &[u8] = b"GET /ATTACK HTTP/1.1\r\nHost: a\r\n\r\n";
+    let cases = [
+        Case {
+            name: "raw match",
+            config: ids_config(),
+            setup: nothing,
+            seq: 0,
+            payload: b"an ATTACK in transit",
+            marked: true,
+            reports: 1,
+        },
+        Case {
+            name: "raw clean",
+            config: ids_config(),
+            setup: nothing,
+            seq: 0,
+            payload: b"nothing to see",
+            marked: false,
+            reports: 0,
+        },
+        Case {
+            name: "raw quarantined",
+            config: ids_config().with_conflict_policy(ConflictPolicy::RejectFlow),
+            setup: quarantine,
+            seq: 2000,
+            payload: b"an ATTACK in transit",
+            marked: true,
+            reports: 0,
+        },
+        Case {
+            name: "L7 match",
+            config: ids_config().with_l7_policy(http(L7Action::Intercept)),
+            setup: nothing,
+            seq: 0,
+            payload: request,
+            marked: true,
+            reports: 1,
+        },
+        Case {
+            name: "L7 Block",
+            config: ids_config().with_l7_policy(http(L7Action::Block)),
+            setup: nothing,
+            seq: 0,
+            payload: request,
+            marked: true,
+            reports: 0,
+        },
+    ];
+
+    for case in cases {
+        let verdict = |inband: bool| {
+            let mut dpi = DpiInstance::new(case.config.clone()).unwrap();
+            (case.setup)(&mut dpi);
+            let mut pkt = Packet::tcp(
+                MacAddr::local(1),
+                MacAddr::local(2),
+                flow(90),
+                case.seq,
+                case.payload.to_vec(),
+            );
+            pkt.push_chain_tag(1).unwrap();
+            let reports = if inband {
+                let attached = dpi.inspect_inband(&mut pkt).unwrap();
+                assert_eq!(attached, pkt.dpi_results.is_some(), "{}", case.name);
+                pkt.dpi_results.take().map(|h| h.reports)
+            } else {
+                dpi.inspect(&mut pkt).unwrap().map(|r| r.reports)
+            };
+            (pkt.has_match_mark(), reports.unwrap_or_default())
+        };
+        let (dedicated, inband) = (verdict(false), verdict(true));
+        assert_eq!(dedicated, inband, "{}", case.name);
+        assert_eq!(dedicated.0, case.marked, "{}: mark", case.name);
+        assert_eq!(dedicated.1.len(), case.reports, "{}: reports", case.name);
+    }
+}

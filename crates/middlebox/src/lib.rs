@@ -27,14 +27,13 @@
 //!   anti-virus, L7 firewall, traffic shaper, L7 load balancer, DLP and
 //!   network analytics.
 //! * [`nodes`] — [`dpi_sdn::Node`] adapters so DPI instances and
-//!   middleboxes plug into the simulated network.
-//! * [`fleet`] — the fault-tolerant variant of the DPI node:
-//!   chaos-driven instance death and retried result-packet delivery
-//!   (fail-open for data, fail-closed for verdicts).
+//!   middleboxes plug into the simulated network; the DPI node takes
+//!   chaos-driven instance death, retried result-packet delivery
+//!   (fail-open for data, fail-closed for verdicts) and instance-level
+//!   overload control as optional attachments.
 
 pub mod boxes;
 pub mod engine;
-pub mod fleet;
 pub mod logic;
 pub mod nodes;
 pub mod reorder;
@@ -44,7 +43,6 @@ pub use boxes::{
     traffic_shaper, waf,
 };
 pub use engine::{MiddleboxStats, SelfScanMiddlebox, ServiceMiddlebox};
-pub use fleet::{FleetDpiNode, FleetDpiStats};
 pub use logic::{Condition, MbAction, MbRule, RuleLogic, Verdict};
-pub use nodes::{DpiServiceNode, MiddleboxNode, ResultsDelivery, SelfScanNode};
+pub use nodes::{DpiServiceNode, FleetDpiStats, MiddleboxNode, ResultsDelivery, SelfScanNode};
 pub use reorder::ReorderBuffer;

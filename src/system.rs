@@ -42,7 +42,7 @@ use dpi_core::{
 };
 use dpi_middlebox::boxes::MiddleboxTemplate;
 use dpi_middlebox::{
-    FleetDpiNode, FleetDpiStats, MiddleboxNode, ResultsDelivery, ServiceMiddlebox,
+    DpiServiceNode, FleetDpiStats, MiddleboxNode, ResultsDelivery, ServiceMiddlebox,
 };
 use dpi_packet::report::ResultPacket;
 use dpi_packet::{FlowKey, MacAddr, Packet};
@@ -384,24 +384,21 @@ impl SystemBuilder {
         for i in 0..self.dpi_instances {
             let port = 2 + i as Port;
             let instance = DpiInstance::from_engine(engine.clone());
-            let (mut node, handle, stats) = FleetDpiNode::new(
-                instance,
-                self.delivery,
-                MacAddr::local(100 + i as u32),
-                i,
-                chaos.clone(),
-                self.retry,
-            );
+            let (mut node, handle) =
+                DpiServiceNode::new(instance, self.delivery, MacAddr::local(100 + i as u32), i);
+            if let Some(c) = &chaos {
+                node.attach_chaos(Arc::clone(c), self.retry);
+            }
             node.attach_tracer(Arc::clone(&tracer));
             let gauge = Arc::new(InstanceLoadGauge::default());
             if self.overload.is_some() {
                 node.attach_load_gauge(Arc::clone(&gauge), fail_closed_chains.clone());
             }
             load_gauges.push(gauge);
+            fleet_stats.push(node.stats());
             let id = net.add_node(Box::new(node));
             net.link(sw, port, id, 0);
             dpi_handles.push(handle);
-            fleet_stats.push(stats);
             dpi_ports.push(port);
             instance_ids.push(controller.deploy_instance(chain_ids.clone()));
         }

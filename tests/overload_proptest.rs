@@ -7,7 +7,7 @@
 //! before a single scan may be skipped.
 
 use dpi_service::ac::MiddleboxId;
-use dpi_service::core::overload::{OverloadPolicy, ShedMode};
+use dpi_service::core::overload::OverloadPolicy;
 use dpi_service::middlebox::antivirus;
 use dpi_service::packet::ipv4::IpProtocol;
 use dpi_service::packet::packet::flow;
@@ -88,7 +88,7 @@ proptest! {
     fn overload_below_watermark_is_byte_identical(pkts in trace()) {
         // Default watermarks: queue_high = 192, far above any queue a
         // ≤32-packet trace (in batches of ≤8) can build.
-        let policy = OverloadPolicy::default().with_shed(ShedMode::FailOpen);
+        let policy = OverloadPolicy::default();
         for workers in [1usize, 2, 8] {
             let mut plain = build(workers, None);
             let mut armed = build(workers, Some(policy));
@@ -123,7 +123,7 @@ proptest! {
     /// produces exactly the matches the unarmed system produces.
     #[test]
     fn no_shed_without_overload(pkts in trace(), seed_port in 2000u16..2100) {
-        let policy = OverloadPolicy::default().with_shed(ShedMode::FailOpen);
+        let policy = OverloadPolicy::default();
         let mut armed = build(2, Some(policy));
         let mut total = 0u64;
         for (k, p) in pkts.iter().enumerate() {

@@ -19,7 +19,7 @@
 
 use dpi_service::ac::MiddleboxId;
 use dpi_service::core::chaos::FaultPlan;
-use dpi_service::core::overload::{OverloadPolicy, ShedMode};
+use dpi_service::core::overload::OverloadPolicy;
 use dpi_service::core::TenantId;
 use dpi_service::middlebox::antivirus;
 use dpi_service::packet::ipv4::IpProtocol;
@@ -63,7 +63,7 @@ fn build(workers: usize, burst: bool) -> SystemHandle {
         .with_chain(&[MB_ATTACKER])
         .with_chain(&[MB_VICTIM])
         .with_dpi_workers(workers)
-        .with_overload_policy(OverloadPolicy::queue_only(1, 0).with_shed(ShedMode::FailOpen));
+        .with_overload_policy(OverloadPolicy::queue_only(1, 0));
     if burst {
         // Amplify the first 3 of every 8 attacker source packets 4×.
         b = b.with_chaos(FaultPlan::new(seed()).burst_traffic(BURST_FACTOR, 8, 3));

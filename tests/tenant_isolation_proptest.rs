@@ -18,7 +18,7 @@
 //!    only its own packets.
 
 use dpi_service::ac::MiddleboxId;
-use dpi_service::core::overload::{OverloadPolicy, ShedMode};
+use dpi_service::core::overload::OverloadPolicy;
 use dpi_service::core::TenantId;
 use dpi_service::middlebox::antivirus;
 use dpi_service::packet::ipv4::IpProtocol;
@@ -224,7 +224,7 @@ proptest! {
     /// one of B's packets may be shed or go unscanned.
     #[test]
     fn overloaded_tenant_sheds_only_itself(b_flows in 1u16..4, rounds in 2u32..5) {
-        let policy = OverloadPolicy::queue_only(1, 0).with_shed(ShedMode::FailOpen);
+        let policy = OverloadPolicy::queue_only(1, 0);
         for workers in WORKERS {
             let mut sys = build_shared(workers, Some(policy));
             // For every B flow pick an A flow on the same shard, so each
