@@ -6,12 +6,10 @@
 //! the pattern and what the identifier of the pattern is within the
 //! middlebox pattern set."
 
-use crate::combined::CombinedAc;
-use crate::compact::CompactAc;
+use crate::combined::{CombinedAc, Driver};
 use crate::full::FullAc;
 use crate::kernel::KernelKind;
 use crate::prefiltered::PrefilteredAc;
-use crate::sparse::SparseAc;
 use crate::trie::{Trie, TrieError};
 use crate::{MiddleboxId, PatternId};
 use serde::{Deserialize, Serialize};
@@ -208,58 +206,44 @@ impl CombinedAcBuilder {
         self.transfer_bytes
     }
 
-    /// Builds the full-table DFA (consumes a clone of the trie so the
-    /// builder can keep accepting incremental updates and rebuild — the
-    /// controller's pattern add/remove path rebuilds affected instances).
+    /// Flattens a clone of the trie (so the builder can keep accepting
+    /// incremental updates and rebuild — the controller's pattern
+    /// add/remove path rebuilds affected instances).
+    fn table(&self, wide: bool) -> FullAc {
+        let mut trie = self.trie.clone();
+        let order = trie.build_failure_links();
+        FullAc::from_trie(&trie, &order, wide)
+    }
+
+    /// Builds the full-table DFA with the paper's 4-byte cells whatever
+    /// the state count — the reference the property tests compare
+    /// against and the representation Table 2's Space column reports.
     pub fn build_full(&self) -> FullAc {
-        let mut trie = self.trie.clone();
-        let order = trie.build_failure_links();
-        FullAc::from_trie(&trie, &order)
+        self.table(true)
     }
 
-    /// Builds the sparse (goto + failure) automaton.
-    pub fn build_sparse(&self) -> SparseAc {
-        let mut trie = self.trie.clone();
-        let order = trie.build_failure_links();
-        SparseAc::from_trie(&trie, &order)
-    }
-
-    /// Builds the compact `u16` full-table DFA, or `None` when the
-    /// automaton has too many states for 16-bit ids.
-    pub fn build_compact(&self) -> Option<CompactAc> {
-        CompactAc::from_full(&self.build_full())
-    }
-
-    /// Builds a full-table DFA in the narrowest transition width that
-    /// fits: the `u16` [`CompactAc`] below 2¹⁶ states (half the table
-    /// bytes — the representation the data plane should prefer for cache
-    /// residency), the `u32` [`FullAc`] otherwise.
+    /// Builds the full-table DFA the data plane runs by default: `u16`
+    /// cells below 2¹⁶ states (half the table bytes, for cache
+    /// residency), `u32` cells otherwise, under the unrolled scan loop.
     pub fn build_auto(&self) -> CombinedAc {
-        CombinedAc::select(self.build_full())
+        self.build_kernel(KernelKind::Auto)
     }
 
-    /// Builds the automaton behind the requested scan kernel.
-    ///
-    /// Requests degrade gracefully rather than fail: `compact` falls
-    /// back to `full` when the state count exceeds 16-bit ids, and
+    /// Builds the automaton behind the requested scan kernel. The table
+    /// is the same for every kind, at the width the state count allows;
     /// `prefiltered` always compiles (its literal-filter stage switches
     /// itself off when the pattern set yields no selective byte pairs,
-    /// leaving the stride-DFA scan). `auto` keeps the pre-kernel
-    /// behavior of [`CombinedAcBuilder::build_auto`].
+    /// leaving the unrolled scan).
     pub fn build_kernel(&self, kind: KernelKind) -> CombinedAc {
-        match kind {
-            KernelKind::Auto => self.build_auto(),
-            KernelKind::Naive => CombinedAc::Naive(self.build_full()),
-            KernelKind::Full => CombinedAc::Full(self.build_full()),
-            KernelKind::Compact => match self.build_compact() {
-                Some(compact) => CombinedAc::Compact(compact),
-                None => CombinedAc::Full(self.build_full()),
-            },
+        let table = self.table(false);
+        let driver = match kind {
+            KernelKind::Naive => Driver::Naive,
+            KernelKind::Auto => Driver::Unrolled,
             KernelKind::Prefiltered => {
-                let patterns = self.trie.pattern_bytes();
-                CombinedAc::Prefiltered(PrefilteredAc::build(self.build_full(), &patterns))
+                Driver::Prefiltered(PrefilteredAc::build(&table, &self.trie.pattern_bytes()))
             }
-        }
+        };
+        CombinedAc::new(table, driver)
     }
 }
 

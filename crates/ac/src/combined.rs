@@ -1,189 +1,159 @@
-//! Representation-selected combined automaton.
+//! The combined automaton as the data plane holds it: the one full
+//! table plus the driver that walks it.
 //!
 //! [`CombinedAc`] is what [`crate::CombinedAcBuilder::build_auto`] and
-//! [`crate::CombinedAcBuilder::build_kernel`] return: one of the
-//! concrete scan kernels — naive reference loop, `u32` full table,
-//! compact `u16` table, or the SWAR-prefiltered scanner — behind a
-//! single enum. Callers scan through the common [`Automaton`] /
-//! [`ScanKernel`] interfaces either way; the enum dispatch is one
-//! predictable branch per call, and the hot scan loop is monomorphized
-//! per arm so the per-byte path is branch-free.
+//! [`crate::CombinedAcBuilder::build_kernel`] return. The table — §5.1's
+//! metadata and the transition cells at their natural width — is the
+//! same for every [`KernelKind`]; the kind only chooses how a payload is
+//! walked over it: the naive reference loop, the unrolled loop, or the
+//! SWAR-prefiltered scanner. Callers scan through the common
+//! [`Automaton`] / [`ScanKernel`] interfaces either way; driver and cell
+//! width are each one predictable branch per call, outside the per-byte
+//! loop.
 
-use crate::compact::CompactAc;
 use crate::full::FullAc;
-use crate::kernel::{self, DepthSamples, KernelKind, ScanKernel};
-use crate::prefiltered::PrefilteredAc;
+use crate::kernel::{DepthGrid, DepthSamples, KernelKind, ScanKernel};
+use crate::prefiltered::{PrefilterStats, PrefilteredAc};
 use crate::{Automaton, MatchEntry, StateId};
 
-/// A combined automaton behind whichever scan kernel was selected.
+/// How a [`CombinedAc`] walks its table.
 #[derive(Debug, Clone)]
-pub enum CombinedAc {
-    /// The `u32` full table scanned with the reference per-byte loop —
-    /// the ablation baseline, never auto-selected.
-    Naive(FullAc),
-    /// `u32` transition entries — needed for ≥ 2¹⁶ states.
-    Full(FullAc),
-    /// `u16` transition entries — half the table bytes, preferred when
-    /// the state count allows (cache residency, §6's space discussion).
-    Compact(CompactAc),
-    /// SWAR literal prefilter + 2-byte-stride root DFA over the `u32`
-    /// full table; skips match-free lanes on literal-sparse traffic.
+pub(crate) enum Driver {
+    /// The reference per-byte loop — the ablation and verification
+    /// baseline.
+    Naive,
+    /// The 4-byte-unrolled loop — the default.
+    Unrolled,
+    /// SWAR literal prefilter + 2-byte-stride root DFA; skips match-free
+    /// lanes on literal-sparse traffic.
     Prefiltered(PrefilteredAc),
 }
 
+/// A combined automaton behind whichever scan kernel was selected.
+#[derive(Debug, Clone)]
+pub struct CombinedAc {
+    table: FullAc,
+    driver: Driver,
+}
+
 impl CombinedAc {
-    /// Picks the narrowest representation that can hold `full`.
-    pub fn select(full: FullAc) -> CombinedAc {
-        match CompactAc::from_full(&full) {
-            Some(compact) => CombinedAc::Compact(compact),
-            None => CombinedAc::Full(full),
-        }
+    pub(crate) fn new(table: FullAc, driver: Driver) -> CombinedAc {
+        CombinedAc { table, driver }
     }
 
-    /// Short name of the active representation (telemetry/benches).
-    pub fn repr_name(&self) -> &'static str {
-        match self {
-            CombinedAc::Naive(_) => "naive-u32",
-            CombinedAc::Full(_) => "full-u32",
-            CombinedAc::Compact(_) => "compact-u16",
-            CombinedAc::Prefiltered(_) => "prefiltered-u32",
-        }
-    }
-
-    /// The concrete kernel this automaton runs (never
-    /// [`KernelKind::Auto`] — selection has already happened).
-    pub fn kernel_kind(&self) -> KernelKind {
-        match self {
-            CombinedAc::Naive(_) => KernelKind::Naive,
-            CombinedAc::Full(_) => KernelKind::Full,
-            CombinedAc::Compact(_) => KernelKind::Compact,
-            CombinedAc::Prefiltered(_) => KernelKind::Prefiltered,
-        }
-    }
-
-    /// The prefiltered kernel, when that is what's running — benches use
-    /// this to pull skip-fraction stats out of a scan.
+    /// The prefiltered driver, when that is what's running.
     pub fn as_prefiltered(&self) -> Option<&PrefilteredAc> {
-        match self {
-            CombinedAc::Prefiltered(ac) => Some(ac),
+        match &self.driver {
+            Driver::Prefiltered(pre) => Some(pre),
             _ => None,
         }
     }
 
     /// Depth (label length) of a state — used by stress telemetry.
     pub fn state_depth(&self, state: StateId) -> u16 {
-        match self {
-            CombinedAc::Naive(ac) | CombinedAc::Full(ac) => ac.state_depth(state),
-            CombinedAc::Compact(ac) => ac.state_depth(state),
-            CombinedAc::Prefiltered(ac) => ac.state_depth(state),
-        }
+        self.table.state_depth(state)
     }
 
     /// Maximum depth over all states (longest pattern).
     pub fn max_depth(&self) -> u16 {
-        match self {
-            CombinedAc::Naive(ac) | CombinedAc::Full(ac) => ac.max_depth(),
-            CombinedAc::Compact(ac) => ac.max_depth(),
-            CombinedAc::Prefiltered(ac) => ac.max_depth(),
+        self.table.max_depth()
+    }
+
+    /// [`Automaton::scan`] plus the prefiltered driver's effectiveness
+    /// counters — the kernel benchmark's probe. The other drivers leave
+    /// `stats` untouched.
+    pub fn scan_with_stats<F: FnMut(usize, StateId)>(
+        &self,
+        state: StateId,
+        data: &[u8],
+        stats: &mut PrefilterStats,
+        on_accept: F,
+    ) -> StateId {
+        let mut samples = DepthSamples::default();
+        self.walk(
+            state,
+            data,
+            usize::MAX,
+            u16::MAX,
+            &mut samples,
+            stats,
+            on_accept,
+        )
+    }
+
+    /// Every scan entry point: the one place the driver is chosen.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn walk(
+        &self,
+        state: StateId,
+        data: &[u8],
+        sample_every: usize,
+        deep_depth: u16,
+        samples: &mut DepthSamples,
+        stats: &mut PrefilterStats,
+        on_accept: impl FnMut(usize, StateId),
+    ) -> StateId {
+        let table = &self.table;
+        let grid = DepthGrid::new(&table.depth, sample_every, deep_depth, samples);
+        match &self.driver {
+            Driver::Naive => table.scan_naive(state, data, grid, on_accept),
+            Driver::Unrolled => table.scan_unrolled(state, data, grid, on_accept),
+            Driver::Prefiltered(pre) => pre.scan(table, state, data, grid, stats, on_accept),
         }
     }
 }
 
 impl Automaton for CombinedAc {
     fn start(&self) -> StateId {
-        match self {
-            CombinedAc::Naive(ac) | CombinedAc::Full(ac) => ac.start(),
-            CombinedAc::Compact(ac) => ac.start(),
-            CombinedAc::Prefiltered(ac) => ac.start(),
-        }
+        self.table.start()
     }
 
     #[inline(always)]
     fn step(&self, state: StateId, byte: u8) -> StateId {
-        match self {
-            CombinedAc::Naive(ac) | CombinedAc::Full(ac) => ac.step(state, byte),
-            CombinedAc::Compact(ac) => ac.step(state, byte),
-            CombinedAc::Prefiltered(ac) => ac.step(state, byte),
-        }
+        self.table.step(state, byte)
     }
 
     #[inline(always)]
     fn is_accepting(&self, state: StateId) -> bool {
-        match self {
-            CombinedAc::Naive(ac) | CombinedAc::Full(ac) => ac.is_accepting(state),
-            CombinedAc::Compact(ac) => ac.is_accepting(state),
-            CombinedAc::Prefiltered(ac) => ac.is_accepting(state),
-        }
+        self.table.is_accepting(state)
     }
 
     fn bitmap(&self, state: StateId) -> u64 {
-        match self {
-            CombinedAc::Naive(ac) | CombinedAc::Full(ac) => ac.bitmap(state),
-            CombinedAc::Compact(ac) => ac.bitmap(state),
-            CombinedAc::Prefiltered(ac) => ac.bitmap(state),
-        }
+        self.table.bitmap(state)
     }
 
     fn entries(&self, state: StateId) -> &[MatchEntry] {
-        match self {
-            CombinedAc::Naive(ac) | CombinedAc::Full(ac) => ac.entries(state),
-            CombinedAc::Compact(ac) => ac.entries(state),
-            CombinedAc::Prefiltered(ac) => ac.entries(state),
-        }
+        self.table.entries(state)
     }
 
     fn state_count(&self) -> usize {
-        match self {
-            CombinedAc::Naive(ac) | CombinedAc::Full(ac) => ac.state_count(),
-            CombinedAc::Compact(ac) => ac.state_count(),
-            CombinedAc::Prefiltered(ac) => ac.state_count(),
-        }
+        self.table.state_count()
     }
 
     fn accepting_count(&self) -> usize {
-        match self {
-            CombinedAc::Naive(ac) | CombinedAc::Full(ac) => ac.accepting_count(),
-            CombinedAc::Compact(ac) => ac.accepting_count(),
-            CombinedAc::Prefiltered(ac) => ac.accepting_count(),
-        }
+        self.table.accepting_count()
     }
 
     fn memory_bytes(&self) -> usize {
-        match self {
-            CombinedAc::Naive(ac) | CombinedAc::Full(ac) => ac.memory_bytes(),
-            CombinedAc::Compact(ac) => ac.memory_bytes(),
-            CombinedAc::Prefiltered(ac) => ac.memory_bytes(),
-        }
+        self.table.memory_bytes() + self.as_prefiltered().map_or(0, PrefilteredAc::memory_bytes)
     }
 
-    fn scan<F: FnMut(usize, StateId)>(
-        &self,
-        state: StateId,
-        data: &[u8],
-        mut on_match: F,
-    ) -> StateId {
-        match self {
-            CombinedAc::Naive(ac) => {
-                // The deliberately plain per-byte loop.
-                let mut s = state;
-                for (i, &b) in data.iter().enumerate() {
-                    s = ac.step(s, b);
-                    if ac.is_accepting(s) {
-                        on_match(i, s);
-                    }
-                }
-                s
-            }
-            CombinedAc::Full(ac) => ac.scan(state, data, on_match),
-            CombinedAc::Compact(ac) => ac.scan(state, data, on_match),
-            CombinedAc::Prefiltered(ac) => ac.scan(state, data, on_match),
-        }
+    fn scan<F: FnMut(usize, StateId)>(&self, state: StateId, data: &[u8], on_match: F) -> StateId {
+        self.scan_with_stats(state, data, &mut PrefilterStats::default(), on_match)
     }
 }
 
 impl ScanKernel for CombinedAc {
+    /// `"naive"` and `"prefiltered"` name their driver; the default
+    /// driver answers with the cell width the state count selected,
+    /// `"compact"` or `"full"`.
     fn kernel_name(&self) -> &'static str {
-        self.kernel_kind().name()
+        match self.driver {
+            Driver::Naive => KernelKind::Naive.name(),
+            Driver::Unrolled => self.table.kernel_name(),
+            Driver::Prefiltered(_) => KernelKind::Prefiltered.name(),
+        }
     }
 
     fn scan_sampled(
@@ -195,27 +165,16 @@ impl ScanKernel for CombinedAc {
         samples: &mut DepthSamples,
         on_accept: &mut dyn FnMut(usize, StateId),
     ) -> StateId {
-        match self {
-            CombinedAc::Naive(ac) => kernel::naive_scan_sampled(
-                ac,
-                |s| ac.state_depth(s),
-                state,
-                data,
-                sample_every,
-                deep_depth,
-                samples,
-                on_accept,
-            ),
-            CombinedAc::Full(ac) => {
-                ac.scan_sampled(state, data, sample_every, deep_depth, samples, on_accept)
-            }
-            CombinedAc::Compact(ac) => {
-                ac.scan_sampled(state, data, sample_every, deep_depth, samples, on_accept)
-            }
-            CombinedAc::Prefiltered(ac) => {
-                ac.scan_sampled(state, data, sample_every, deep_depth, samples, on_accept)
-            }
-        }
+        let mut stats = PrefilterStats::default();
+        self.walk(
+            state,
+            data,
+            sample_every,
+            deep_depth,
+            samples,
+            &mut stats,
+            on_accept,
+        )
     }
 }
 
@@ -231,9 +190,7 @@ mod tests {
         b.add_set(PatternSet::from_strs(MiddleboxId(0), &["attack", "virus"]))
             .unwrap();
         let ac = b.build_auto();
-        assert!(matches!(ac, CombinedAc::Compact(_)));
-        assert_eq!(ac.repr_name(), "compact-u16");
-        assert_eq!(ac.kernel_kind(), KernelKind::Compact);
+        assert_eq!(ac.kernel_name(), "compact");
         assert_eq!(ac.find_all(b"an attack!").len(), 1);
     }
 
@@ -267,8 +224,13 @@ mod tests {
         let want = reference.find_all(data);
         for kind in KernelKind::ALL {
             let ac = b.build_kernel(kind);
-            assert_eq!(ac.kernel_kind(), kind, "{kind} selected");
-            assert_eq!(ac.kernel_name(), kind.name());
+            // `auto` answers with the cell width it resolved to.
+            let name = if kind == KernelKind::Auto {
+                "compact"
+            } else {
+                kind.name()
+            };
+            assert_eq!(ac.kernel_name(), name);
             assert_eq!(ac.find_all(data), want, "kernel {kind}");
             // The sampled path reports the same stream too.
             let mut hits = Vec::new();
@@ -295,5 +257,87 @@ mod tests {
 
     fn want_end(ac: &FullAc, data: &[u8]) -> StateId {
         ac.scan(ac.start(), data, |_, _| {})
+    }
+
+    fn paper_builder() -> CombinedAcBuilder {
+        let mut b = CombinedAcBuilder::new();
+        b.add_set(PatternSet::from_strs(
+            MiddleboxId(0),
+            &["E", "BE", "BD", "BCD", "BCAA", "CDBCAB"],
+        ))
+        .unwrap();
+        b.add_set(PatternSet::from_strs(
+            MiddleboxId(1),
+            &["EDAE", "BE", "CDBA", "CBD"],
+        ))
+        .unwrap();
+        b
+    }
+
+    #[test]
+    fn matches_full_on_paper_example() {
+        let b = paper_builder();
+        let full = b.build_full();
+        let compact = b.build_auto();
+        for input in [
+            &b"BE"[..],
+            b"CDBCAB",
+            b"EDAE",
+            b"no match here",
+            b"BCD CBD BCAA",
+        ] {
+            assert_eq!(compact.find_all(input), full.find_all(input));
+        }
+        assert_eq!(compact.state_count(), full.state_count());
+        assert_eq!(compact.accepting_count(), full.accepting_count());
+        assert_eq!(compact.start(), full.start());
+        assert_eq!(compact.max_depth(), full.max_depth());
+    }
+
+    #[test]
+    fn halves_transition_table_memory() {
+        let b = paper_builder();
+        let full = b.build_full();
+        let compact = b.build_auto();
+        // The transition table dominates; the aux tables are the same, so
+        // the compact form must land at or below 55% of the full form.
+        assert!(
+            compact.memory_bytes() * 100 <= full.memory_bytes() * 55,
+            "compact {} vs full {}",
+            compact.memory_bytes(),
+            full.memory_bytes()
+        );
+    }
+
+    #[test]
+    fn resumable_scan_matches_full() {
+        let b = paper_builder();
+        let full = b.build_full();
+        let compact = b.build_auto();
+        let data = b"CDB CAB BCAA EDAE";
+        let (a, b_) = data.split_at(7);
+        let mut hits_full = Vec::new();
+        let mut hits_compact = Vec::new();
+        let sf = full.scan(full.start(), a, |p, s| hits_full.push((p, s)));
+        full.scan(sf, b_, |p, s| hits_full.push((p + a.len(), s)));
+        let sc = compact.scan(compact.start(), a, |p, s| hits_compact.push((p, s)));
+        compact.scan(sc, b_, |p, s| hits_compact.push((p + a.len(), s)));
+        assert_eq!(hits_full, hits_compact);
+    }
+
+    #[test]
+    fn every_kind_runs_on_the_natural_width_table() {
+        let b = paper_builder();
+        let auto = b.build_auto().memory_bytes();
+        assert_eq!(b.build_kernel(KernelKind::Naive).memory_bytes(), auto);
+        // The prefiltered driver adds its 256×256 `u32` root-pair table,
+        // `mid_accept` and the filter — not a second, wider table.
+        let pre = b.build_kernel(KernelKind::Prefiltered);
+        let driver = pre.as_prefiltered().unwrap();
+        assert!(driver.is_filtered());
+        assert_eq!(pre.memory_bytes(), auto + driver.memory_bytes());
+        let root_pair_and_mid = 256 * 256 * 4 + 32;
+        let filter = driver.memory_bytes() - root_pair_and_mid;
+        assert!(0 < filter && filter < 16 * 1024, "filter {filter} B");
     }
 }

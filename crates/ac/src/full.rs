@@ -6,36 +6,164 @@
 //! the state ID is less than a predefined constant whose value is the
 //! number of accepting states", §5.1) and the match table is a
 //! direct-access array indexed by the accepting state id.
+//!
+//! The row cells are `u16` when every state id fits (below 2¹⁶ states)
+//! and `u32` otherwise. The table is the dominant allocation (512 B or
+//! 1 KiB per state) and the scan is bound by its dependent load, so the
+//! narrow cells are worth their cache residency whenever they are
+//! possible (§6's space discussion); nothing else about the automaton
+//! depends on the width.
 
-use crate::kernel::{DepthSamples, ScanKernel};
+use crate::kernel::{DepthGrid, DepthSamples, ScanKernel};
 use crate::trie::Trie;
 use crate::{Automaton, MatchEntry, StateId};
+
+/// The transition table, `state * 256 + byte -> next state` in the
+/// renumbered id space, at its cell width.
+#[derive(Debug, Clone)]
+pub(crate) enum Cells {
+    /// Every state id fits 16 bits: half the table bytes.
+    Narrow(Vec<u16>),
+    /// The paper's 4-byte cells — needed from 2¹⁶ states up.
+    Wide(Vec<u32>),
+}
+
+/// Evaluates `$body` with `$t` bound to the table slice, once per cell
+/// width, so the code under it is monomorphized for `u16` and `u32`.
+macro_rules! with_cells {
+    ($cells:expr, $t:ident => $body:expr) => {
+        match $cells {
+            $crate::full::Cells::Narrow($t) => $body,
+            $crate::full::Cells::Wide($t) => $body,
+        }
+    };
+}
+pub(crate) use with_cells;
 
 /// The flattened full-table automaton.
 #[derive(Debug, Clone)]
 pub struct FullAc {
-    /// `state * 256 + byte -> next state`, in the renumbered id space.
-    pub(crate) transitions: Vec<u32>,
+    pub(crate) cells: Cells,
     /// Number of accepting states; accepting ids are `0..f`.
     pub(crate) f: u32,
     /// Root state id (after renumbering).
     pub(crate) root: u32,
     /// Per-accepting-state middlebox bitmap, indexed by state id.
-    pub(crate) bitmaps: Vec<u64>,
+    bitmaps: Vec<u64>,
     /// Direct-access match table: `offsets[i]..offsets[i+1]` indexes
     /// `entries` for accepting state `i` (§5.1's `match` array, flattened).
-    pub(crate) offsets: Vec<u32>,
+    offsets: Vec<u32>,
     /// All match entries, grouped by accepting state, each group sorted.
-    pub(crate) entries: Vec<MatchEntry>,
+    entries: Vec<MatchEntry>,
     /// Depth (label length) per state — exported for the MCA²-style stress
     /// telemetry: complexity attacks drive scans unusually deep (§4.3.1).
     pub(crate) depth: Vec<u16>,
 }
 
+/// Builds the transition table in the renumbered id space, in one pass,
+/// at cell type `C`. Rows are filled in BFS order, so a node's failure
+/// row is already final when it is copied and the node's own goto
+/// transitions then overwrite their columns.
+fn flatten<C>(trie: &Trie, bfs_order: &[u32], remap: &[u32]) -> Vec<C>
+where
+    C: Copy + TryFrom<u32>,
+    C::Error: std::fmt::Debug,
+{
+    let cell = |state: u32| C::try_from(state).expect("the chosen cell width holds every id");
+    // Missing root transitions self-loop; every other row is a copy of
+    // its failure row before anything reads it.
+    let mut table = vec![cell(remap[0]); trie.len() * 256];
+    for &u in bfs_order {
+        let node = trie.node(u);
+        let row = remap[u as usize] as usize * 256;
+        if node.depth != 0 {
+            // `fail(u) != u` for non-root nodes, so the rows are disjoint.
+            let fail = remap[node.fail as usize] as usize * 256;
+            table.copy_within(fail..fail + 256, row);
+        }
+        for (&b, &c) in &node.children {
+            table[row + usize::from(b)] = cell(remap[c as usize]);
+        }
+    }
+    table
+}
+
+/// The crate's one unrolled table-stepping loop, shared by every cell
+/// width, sampled or not (`sample` is a no-op closure when not), and by
+/// the prefiltered driver's DFA-only and bailed-out paths. Four bytes per
+/// iteration: the per-byte work is a single dependent load plus the
+/// `s < f` accepting compare (§5.1), so unrolling amortizes loop control
+/// and exposes the address computation of later bytes while the current
+/// load is in flight. The load itself bounds the loop, which is why one
+/// factor serves both widths. Each byte steps, then samples, then
+/// reports. Walks `data[from..]` (`from <= data.len()`); positions handed
+/// to the closures index `data`.
+#[inline(always)]
+pub(crate) fn step_unrolled<C: Copy + Into<StateId>>(
+    t: &[C],
+    f: StateId,
+    state: StateId,
+    data: &[u8],
+    from: usize,
+    mut sample: impl FnMut(usize, StateId),
+    mut on_accept: impl FnMut(usize, StateId),
+) -> StateId {
+    let mut s = state;
+    // A macro, not a closure: the body is expanded five times, and a
+    // closure this size is not reliably inlined that often.
+    macro_rules! step {
+        ($i:expr) => {
+            s = t[(s as usize) * 256 + usize::from(data[$i])].into();
+            sample($i, s);
+            if s < f {
+                on_accept($i, s);
+            }
+        };
+    }
+    let mut i = from;
+    let n4 = from + ((data.len() - from) & !3);
+    while i < n4 {
+        step!(i);
+        step!(i + 1);
+        step!(i + 2);
+        step!(i + 3);
+        i += 4;
+    }
+    while i < data.len() {
+        step!(i);
+        i += 1;
+    }
+    s
+}
+
+/// The deliberately plain reference loop of the `naive` driver: per-byte
+/// step, sample, accept check, nothing else. The baseline every
+/// optimization is measured and verified against.
+fn step_naive<C: Copy + Into<StateId>>(
+    t: &[C],
+    f: StateId,
+    state: StateId,
+    data: &[u8],
+    mut sample: impl FnMut(usize, StateId),
+    mut on_accept: impl FnMut(usize, StateId),
+) -> StateId {
+    let mut s = state;
+    for (i, &b) in data.iter().enumerate() {
+        s = t[(s as usize) * 256 + usize::from(b)].into();
+        sample(i, s);
+        if s < f {
+            on_accept(i, s);
+        }
+    }
+    s
+}
+
 impl FullAc {
     /// Flattens a trie (whose failure links must already be built — the
-    /// [`crate::CombinedAcBuilder`] handles the full pipeline).
-    pub(crate) fn from_trie(trie: &Trie, bfs_order: &[u32]) -> FullAc {
+    /// [`crate::CombinedAcBuilder`] handles the full pipeline) directly
+    /// at its cell width: `u16` below 2¹⁶ states unless `wide` asks for
+    /// the paper's `u32` cells regardless, `u32` from there up.
+    pub(crate) fn from_trie(trie: &Trie, bfs_order: &[u32], wide: bool) -> FullAc {
         let n = trie.len();
 
         // 1. Renumber: accepting nodes first.
@@ -57,40 +185,14 @@ impl FullAc {
             }
         }
 
-        // 2. Full transition table in *old* numbering, computed in BFS
-        //    order so each node's failure target row already exists.
-        let mut old_table = vec![0u32; n * 256];
-        for &u in bfs_order {
-            let u = u as usize;
-            let (fail, depth_is_zero) = {
-                let node = trie.node(u as u32);
-                (node.fail as usize, node.depth == 0)
-            };
-            // Start from the failure row (the root's row is all-zero
-            // initially, which is correct: missing root transitions
-            // self-loop). `fail(u) != u` for non-root nodes and the failure
-            // target's row was completed earlier in BFS order.
-            if !depth_is_zero {
-                debug_assert_ne!(fail, u);
-                // The rows are disjoint (`fail != u`), so the failure row
-                // copies in place without a temporary allocation.
-                old_table.copy_within(fail * 256..fail * 256 + 256, u * 256);
-            }
-            for (&b, &c) in &trie.node(u as u32).children {
-                old_table[u * 256 + usize::from(b)] = c;
-            }
-        }
+        // 2. The transition table.
+        let cells = if wide || n > usize::from(u16::MAX) {
+            Cells::Wide(flatten(trie, bfs_order, &remap))
+        } else {
+            Cells::Narrow(flatten(trie, bfs_order, &remap))
+        };
 
-        // 3. Permute rows into the new numbering and rewrite targets.
-        let mut transitions = vec![0u32; n * 256];
-        for old in 0..n {
-            let new = remap[old] as usize;
-            for b in 0..256 {
-                transitions[new * 256 + b] = remap[old_table[old * 256 + b] as usize];
-            }
-        }
-
-        // 4. Match table, bitmaps and depths in the new numbering.
+        // 3. Match table, bitmaps and depths in the new numbering.
         let mut per_state: Vec<&[MatchEntry]> = vec![&[]; f as usize];
         let mut depth = vec![0u16; n];
         for (old, node) in trie.nodes().iter().enumerate() {
@@ -113,7 +215,7 @@ impl FullAc {
         }
 
         FullAc {
-            transitions,
+            cells,
             f,
             root: remap[0],
             bitmaps,
@@ -132,6 +234,34 @@ impl FullAc {
     pub fn max_depth(&self) -> u16 {
         self.depth.iter().copied().max().unwrap_or(0)
     }
+
+    /// [`ScanKernel::scan_sampled`] on the unrolled loop, generic over
+    /// the callback so a caller holding a closure is not forced through
+    /// `dyn`.
+    pub(crate) fn scan_unrolled(
+        &self,
+        state: StateId,
+        data: &[u8],
+        mut grid: DepthGrid<'_>,
+        on_accept: impl FnMut(usize, StateId),
+    ) -> StateId {
+        with_cells!(&self.cells, t => {
+            step_unrolled(t, self.f, state, data, 0, |i, s| grid.visit(i, s), on_accept)
+        })
+    }
+
+    /// [`ScanKernel::scan_sampled`] on the plain reference loop.
+    pub(crate) fn scan_naive(
+        &self,
+        state: StateId,
+        data: &[u8],
+        mut grid: DepthGrid<'_>,
+        on_accept: impl FnMut(usize, StateId),
+    ) -> StateId {
+        with_cells!(&self.cells, t => {
+            step_naive(t, self.f, state, data, |i, s| grid.visit(i, s), on_accept)
+        })
+    }
 }
 
 impl Automaton for FullAc {
@@ -141,7 +271,11 @@ impl Automaton for FullAc {
 
     #[inline(always)]
     fn step(&self, state: StateId, byte: u8) -> StateId {
-        self.transitions[(state as usize) * 256 + usize::from(byte)]
+        let i = (state as usize) * 256 + usize::from(byte);
+        match &self.cells {
+            Cells::Narrow(t) => t[i].into(),
+            Cells::Wide(t) => t[i],
+        }
     }
 
     #[inline(always)]
@@ -168,7 +302,7 @@ impl Automaton for FullAc {
     }
 
     fn state_count(&self) -> usize {
-        self.transitions.len() / 256
+        self.depth.len()
     }
 
     fn accepting_count(&self) -> usize {
@@ -176,61 +310,25 @@ impl Automaton for FullAc {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.transitions.len() * std::mem::size_of::<u32>()
+        with_cells!(&self.cells, t => std::mem::size_of_val(&t[..]))
             + self.bitmaps.len() * std::mem::size_of::<u64>()
             + self.offsets.len() * std::mem::size_of::<u32>()
             + self.entries.len() * std::mem::size_of::<MatchEntry>()
             + self.depth.len() * std::mem::size_of::<u16>()
     }
 
-    fn scan<F: FnMut(usize, StateId)>(
-        &self,
-        state: StateId,
-        data: &[u8],
-        mut on_match: F,
-    ) -> StateId {
-        // Unrolled 4 bytes per iteration: the per-byte work is a single
-        // dependent load plus the `s < f` accepting compare (§5.1), so
-        // unrolling amortizes loop control and exposes the address
-        // computation of later bytes while the current load is in flight.
-        let t = &self.transitions[..];
-        let f = self.f;
-        let mut s = state;
-        let mut i = 0;
-        let n4 = data.len() & !3;
-        while i < n4 {
-            s = t[(s as usize) * 256 + usize::from(data[i])];
-            if s < f {
-                on_match(i, s);
-            }
-            s = t[(s as usize) * 256 + usize::from(data[i + 1])];
-            if s < f {
-                on_match(i + 1, s);
-            }
-            s = t[(s as usize) * 256 + usize::from(data[i + 2])];
-            if s < f {
-                on_match(i + 2, s);
-            }
-            s = t[(s as usize) * 256 + usize::from(data[i + 3])];
-            if s < f {
-                on_match(i + 3, s);
-            }
-            i += 4;
-        }
-        while i < data.len() {
-            s = t[(s as usize) * 256 + usize::from(data[i])];
-            if s < f {
-                on_match(i, s);
-            }
-            i += 1;
-        }
-        s
+    fn scan<F: FnMut(usize, StateId)>(&self, state: StateId, data: &[u8], on_match: F) -> StateId {
+        with_cells!(&self.cells, t => step_unrolled(t, self.f, state, data, 0, |_, _| {}, on_match))
     }
 }
 
 impl ScanKernel for FullAc {
+    /// The cell width's historical kernel name.
     fn kernel_name(&self) -> &'static str {
-        "full"
+        match self.cells {
+            Cells::Narrow(_) => "compact",
+            Cells::Wide(_) => "full",
+        }
     }
 
     fn scan_sampled(
@@ -242,43 +340,8 @@ impl ScanKernel for FullAc {
         samples: &mut DepthSamples,
         on_accept: &mut dyn FnMut(usize, StateId),
     ) -> StateId {
-        // The same 4-byte unroll as `scan`, with the telemetry depth
-        // sample folded into each step (grid positions are 1 in
-        // `sample_every`, so the extra compare rarely takes its branch).
-        let t = &self.transitions[..];
-        let f = self.f;
-        let depth = &self.depth[..];
-        let mut s = state;
-        let mut next_sample = 0usize;
-        macro_rules! step_byte {
-            ($i:expr) => {
-                s = t[(s as usize) * 256 + usize::from(data[$i])];
-                if $i == next_sample {
-                    samples.total += 1;
-                    if depth[s as usize] >= deep_depth {
-                        samples.deep += 1;
-                    }
-                    next_sample = next_sample.saturating_add(sample_every);
-                }
-                if s < f {
-                    on_accept($i, s);
-                }
-            };
-        }
-        let mut i = 0;
-        let n4 = data.len() & !3;
-        while i < n4 {
-            step_byte!(i);
-            step_byte!(i + 1);
-            step_byte!(i + 2);
-            step_byte!(i + 3);
-            i += 4;
-        }
-        while i < data.len() {
-            step_byte!(i);
-            i += 1;
-        }
-        s
+        let grid = DepthGrid::new(&self.depth, sample_every, deep_depth, samples);
+        self.scan_unrolled(state, data, grid, on_accept)
     }
 }
 

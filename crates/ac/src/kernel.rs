@@ -1,14 +1,15 @@
 //! The pluggable byte-scanning hot path.
 //!
-//! Every automaton representation exposes the same [`ScanKernel`]
+//! Every driver of the one full table exposes the same [`ScanKernel`]
 //! interface: a resumable scan that reports accepting states and collects
 //! the depth samples the MCA²-style stress telemetry needs
-//! (DESIGN.md §12). Which kernel a deployment runs is a single
+//! (DESIGN.md §12). Which driver a deployment runs is a single
 //! [`KernelKind`] flag in its instance configuration, so ablations —
-//! naive vs. unrolled vs. compact vs. prefiltered — stay one flag apart
-//! while producing byte-identical match streams and final states.
+//! naive vs. unrolled vs. prefiltered — stay one flag apart while
+//! producing byte-identical match streams and final states. The table's
+//! cell width is not a choice: it follows from the state count.
 
-use crate::{Automaton, StateId};
+use crate::StateId;
 use serde::{Deserialize, Serialize};
 
 /// Which scan kernel an instance runs. Serialized inside
@@ -18,40 +19,28 @@ use serde::{Deserialize, Serialize};
 #[serde(rename_all = "snake_case")]
 pub enum KernelKind {
     /// Reference kernel: one dependent table load per byte, no unrolling.
-    /// The baseline every optimization is measured against.
+    /// The baseline every optimization is measured and verified against.
     Naive,
-    /// The `u32` full-table DFA with the 4-byte-unrolled scan loop.
-    Full,
-    /// The `u16` half-width table (cache residency) with a wider unroll
-    /// to claw back the narrow-load throughput gap. Falls back to `full`
-    /// when the automaton has too many states for 16-bit ids.
-    Compact,
     /// Two-stage scanner: a SWAR literal prefilter skips lanes that
     /// cannot contain any match, and a 2-byte-stride root DFA covers the
-    /// residue windows the filter flags. Falls back to `full` scanning
+    /// residue windows the filter flags. Falls back to the unrolled loop
     /// when the pattern set yields no selective byte pairs.
     Prefiltered,
-    /// Pick automatically: `compact` when the state count fits 16-bit
-    /// ids, `full` otherwise — the pre-kernel default behavior.
+    /// The 4-byte-unrolled table scan. Its [`ScanKernel::kernel_name`]
+    /// is the cell width the state count selected: `"compact"` (`u16`,
+    /// below 2¹⁶ states) or `"full"` (`u32`).
     #[default]
     Auto,
 }
 
 impl KernelKind {
-    /// Every concrete (non-auto) kernel, in ablation-sweep order.
-    pub const ALL: [KernelKind; 4] = [
-        KernelKind::Naive,
-        KernelKind::Full,
-        KernelKind::Compact,
-        KernelKind::Prefiltered,
-    ];
+    /// Every kernel, in ablation-sweep order.
+    pub const ALL: [KernelKind; 3] = [KernelKind::Naive, KernelKind::Auto, KernelKind::Prefiltered];
 
     /// The flag's wire/CLI spelling.
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Naive => "naive",
-            KernelKind::Full => "full",
-            KernelKind::Compact => "compact",
             KernelKind::Prefiltered => "prefiltered",
             KernelKind::Auto => "auto",
         }
@@ -61,8 +50,6 @@ impl KernelKind {
     pub fn parse(s: &str) -> Option<KernelKind> {
         match s {
             "naive" => Some(KernelKind::Naive),
-            "full" => Some(KernelKind::Full),
-            "compact" => Some(KernelKind::Compact),
             "prefiltered" => Some(KernelKind::Prefiltered),
             "auto" => Some(KernelKind::Auto),
             _ => None,
@@ -91,9 +78,9 @@ pub struct DepthSamples {
 
 /// A resumable scanning hot path over one compiled automaton.
 ///
-/// `scan_sampled` is [`Automaton::scan`] plus the telemetry the scan
-/// engine needs inline: it invokes `on_accept(end_index, state)` for
-/// every accepting state reached and samples scan depth on the
+/// `scan_sampled` is [`crate::Automaton::scan`] plus the telemetry the
+/// scan engine needs inline: it invokes `on_accept(end_index, state)`
+/// for every accepting state reached and samples scan depth on the
 /// `sample_every` grid (position `i` is sampled when `i % sample_every
 /// == 0`, matching the engine's historical loop). The returned final
 /// state is exact — stateful cross-packet scans store it — and the match
@@ -114,36 +101,58 @@ pub trait ScanKernel {
     ) -> StateId;
 }
 
-/// The naive reference loop: per-byte step + accept check + sample, no
-/// unrolling, shared by the `naive` kernel over any automaton with a
-/// depth table.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn naive_scan_sampled<A: Automaton>(
-    ac: &A,
-    depth_of: impl Fn(StateId) -> u16,
-    state: StateId,
-    data: &[u8],
-    sample_every: usize,
+/// The sampling grid of one scan, filling a [`DepthSamples`]: position
+/// `i` is sampled when it is the next multiple of `every`.
+pub(crate) struct DepthGrid<'a> {
+    next: usize,
+    every: usize,
     deep_depth: u16,
-    samples: &mut DepthSamples,
-    on_accept: &mut dyn FnMut(usize, StateId),
-) -> StateId {
-    let mut s = state;
-    let mut next_sample = 0usize;
-    for (i, &b) in data.iter().enumerate() {
-        s = ac.step(s, b);
-        if i == next_sample {
-            samples.total += 1;
-            if depth_of(s) >= deep_depth {
-                samples.deep += 1;
-            }
-            next_sample = next_sample.saturating_add(sample_every);
-        }
-        if ac.is_accepting(s) {
-            on_accept(i, s);
+    depth: &'a [u16],
+    samples: &'a mut DepthSamples,
+}
+
+impl<'a> DepthGrid<'a> {
+    /// A grid over a table's per-state `depth`, starting at position 0.
+    pub(crate) fn new(
+        depth: &'a [u16],
+        every: usize,
+        deep_depth: u16,
+        samples: &'a mut DepthSamples,
+    ) -> DepthGrid<'a> {
+        DepthGrid {
+            next: 0,
+            every,
+            deep_depth,
+            depth,
+            samples,
         }
     }
-    s
+
+    /// Whether `i` is the next grid position.
+    #[inline(always)]
+    pub(crate) fn is_due(&self, i: usize) -> bool {
+        i == self.next
+    }
+
+    /// Records `state`, reached by the byte at `i`, if `i` is on the grid.
+    #[inline(always)]
+    pub(crate) fn visit(&mut self, i: usize, state: StateId) {
+        if i == self.next {
+            self.samples.total += 1;
+            if self.depth[state as usize] >= self.deep_depth {
+                self.samples.deep += 1;
+            }
+            self.next = self.next.saturating_add(self.every);
+        }
+    }
+
+    /// Samples every grid position before `target` as shallow.
+    pub(crate) fn skip_to(&mut self, target: usize) {
+        while self.next < target {
+            self.samples.total += 1;
+            self.next = self.next.saturating_add(self.every);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -152,10 +161,13 @@ mod tests {
 
     #[test]
     fn kind_roundtrips_through_names() {
-        for k in KernelKind::ALL.iter().chain([KernelKind::Auto].iter()) {
-            assert_eq!(KernelKind::parse(k.name()), Some(*k));
+        for k in KernelKind::ALL {
+            assert_eq!(KernelKind::parse(k.name()), Some(k));
         }
-        assert_eq!(KernelKind::parse("vectorized"), None);
+        // Cell widths are derived, not selected.
+        for gone in ["vectorized", "full", "compact"] {
+            assert_eq!(KernelKind::parse(gone), None);
+        }
         assert_eq!(KernelKind::default(), KernelKind::Auto);
     }
 
@@ -163,7 +175,10 @@ mod tests {
     fn kind_serializes_as_snake_case_string() {
         let j = serde_json::to_string(&KernelKind::Prefiltered).unwrap();
         assert_eq!(j, "\"prefiltered\"");
-        let back: KernelKind = serde_json::from_str("\"compact\"").unwrap();
-        assert_eq!(back, KernelKind::Compact);
+        let back: KernelKind = serde_json::from_str("\"naive\"").unwrap();
+        assert_eq!(back, KernelKind::Naive);
+        for gone in ["\"full\"", "\"compact\""] {
+            assert!(serde_json::from_str::<KernelKind>(gone).is_err());
+        }
     }
 }

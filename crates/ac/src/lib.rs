@@ -27,36 +27,29 @@
 //!    of another pattern j (e.g., ABCDEF), we should add all the pairs
 //!    corresponding to pattern i also to the j-th entry").
 //!
-//! Two automaton representations are provided:
-//!
-//! * [`FullAc`] — the full-table DFA: fastest, O(1) per byte,
-//!   large (1 KiB per state).
-//! * [`SparseAc`] — goto map + failure links: compact but
-//!   may follow several failure links per byte. This is the space/time
-//!   tradeoff the MCA² design exploits for heavy traffic (§4.3.1, paper ref.\[9\]).
-//!
-//! Both implement [`Automaton`] and produce identical match streams; the
-//! property tests in this crate verify that against a naive reference
-//! matcher.
+//! There is one automaton representation, [`FullAc`]: the full-table
+//! DFA, O(1) per byte, built once with `u16` transition cells when the
+//! state ids fit (512 B per state) and the paper's `u32` cells otherwise
+//! (1 KiB per state). [`CombinedAc`] pairs that table with one of three
+//! scan drivers ([`KernelKind`]): the naive reference loop, the unrolled
+//! loop, or the SWAR-prefiltered scanner. All produce identical match
+//! streams; the property tests in this crate verify that against each
+//! other and against a naive reference matcher ([`naive::NaiveMatcher`]).
 
 pub mod builder;
 pub mod combined;
-pub mod compact;
 pub mod full;
 pub mod kernel;
 pub mod naive;
 mod prefilter;
 pub mod prefiltered;
-pub mod sparse;
 pub mod trie;
 
 pub use builder::{CombinedAcBuilder, PatternSet, PatternSetDelta};
 pub use combined::CombinedAc;
-pub use compact::CompactAc;
 pub use full::FullAc;
 pub use kernel::{DepthSamples, KernelKind, ScanKernel};
 pub use prefiltered::{PrefilterStats, PrefilteredAc};
-pub use sparse::SparseAc;
 
 use serde::{Deserialize, Serialize};
 
@@ -101,7 +94,7 @@ pub fn bitmap_of(ids: &[MiddleboxId]) -> u64 {
 /// `0..accepting_count()`.
 pub type StateId = u32;
 
-/// Common interface over the two automaton representations.
+/// The automaton interface shared by [`FullAc`] and [`CombinedAc`].
 ///
 /// A scan runs `state = step(state, byte)` per input byte; after each step
 /// the caller checks [`Automaton::is_accepting`] (for [`FullAc`] this is

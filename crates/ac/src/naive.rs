@@ -1,7 +1,7 @@
 //! A deliberately simple reference matcher.
 //!
 //! Quadratic, obviously-correct multi-pattern search used by this crate's
-//! property tests to validate both automaton representations, and by the
+//! property tests to validate the automaton at both cell widths, and by the
 //! benchmark harness as a "no Aho-Corasick at all" baseline.
 
 use crate::builder::PatternSet;

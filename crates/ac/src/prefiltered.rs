@@ -11,7 +11,7 @@
 //! two bytes per step through a precomputed 256×256 root-pair table
 //! whenever the scan sits at the root.
 //!
-//! # Why the result is byte-identical to `FullAc`
+//! # Why the result is byte-identical to a plain [`FullAc`] scan
 //!
 //! The scan tracks whether its state is *synced* — provably equal to the
 //! state a full scan would have. It starts synced (the caller's entry
@@ -37,15 +37,15 @@
 //! On pair-dense payloads (the complexity-attack traces of §4.3.1)
 //! skipping stops paying; the kernel notices confirmed-candidate density
 //! and degrades to plain DFA stepping for the rest of the call, keeping
-//! the adversarial floor close to the `full` kernel.
+//! the adversarial floor close to the unrolled kernel.
 
-use crate::full::FullAc;
-use crate::kernel::{DepthSamples, ScanKernel};
+use crate::full::{step_unrolled, with_cells, FullAc};
+use crate::kernel::DepthGrid;
 use crate::prefilter::{PairFilter, LANE};
-use crate::{Automaton, MatchEntry, StateId};
+use crate::{Automaton, StateId};
 
 /// Per-scan prefilter effectiveness counters, reported by
-/// [`PrefilteredAc::scan_with_stats`] for the kernel benchmarks.
+/// [`crate::CombinedAc::scan_with_stats`] for the kernel benchmarks.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PrefilterStats {
     /// Payload bytes the DFA never touched.
@@ -85,12 +85,12 @@ impl PrefilterStats {
     }
 }
 
-/// A [`FullAc`] wrapped with the SWAR pair prefilter and the stride-2
-/// root table. Built by
+/// The prefiltered driver: the SWAR pair prefilter and the stride-2 root
+/// table compiled over one [`FullAc`], at whatever cell width that table
+/// has. [`crate::CombinedAc`] owns the pair; built by
 /// [`crate::CombinedAcBuilder::build_kernel`].
 #[derive(Debug, Clone)]
 pub struct PrefilteredAc {
-    inner: FullAc,
     filter: Option<PairFilter>,
     /// `root_pair[b1 << 8 | b2]` = the state two steps from the root —
     /// one 256 KiB table that lets root-resident scanning consume byte
@@ -112,16 +112,16 @@ impl PrefilteredAc {
     /// guessing from candidate counts: once `BAIL_WARMUP` bytes are
     /// behind it, if fewer than 1/`BAIL_SKIP_DEN` of them were skipped,
     /// window replay and re-sync churn are eating the filter's winnings
-    /// and the scan degrades to the unrolled full-table loop. Re-checked
+    /// and the scan degrades to the unrolled table loop. Re-checked
     /// every `BAIL_WARMUP` bytes so a pair-dense tail also trips it.
     const BAIL_WARMUP: usize = 384;
     const BAIL_SKIP_DEN: u64 = 4;
 
-    /// Builds the two-stage scanner. `patterns` are the automaton's raw
-    /// literals (anchor-extraction output included); when no selective
-    /// pair cover exists the kernel keeps the DFA-only path and
-    /// [`PrefilteredAc::is_filtered`] reports `false`.
-    pub fn build(inner: FullAc, patterns: &[Vec<u8>]) -> PrefilteredAc {
+    /// Builds the two-stage scanner over `inner`. `patterns` are the
+    /// automaton's raw literals (anchor-extraction output included); when
+    /// no selective pair cover exists the kernel keeps the DFA-only path
+    /// and [`PrefilteredAc::is_filtered`] reports `false`.
+    pub(crate) fn build(inner: &FullAc, patterns: &[Vec<u8>]) -> PrefilteredAc {
         let filter = PairFilter::build(patterns);
         let root = inner.start();
         let mut root_pair = vec![0u32; 256 * 256];
@@ -138,7 +138,6 @@ impl PrefilteredAc {
         let max_depth = usize::from(inner.max_depth()).max(1);
         let min_len = (2 * max_depth).max(2 * LANE);
         PrefilteredAc {
-            inner,
             filter,
             root_pair,
             mid_accept,
@@ -152,58 +151,41 @@ impl PrefilteredAc {
         self.filter.is_some()
     }
 
-    /// The wrapped full-table automaton.
-    pub fn inner(&self) -> &FullAc {
-        &self.inner
+    /// Bytes this driver adds to its table: the root-pair table,
+    /// `mid_accept` and the filter.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.root_pair[..])
+            + std::mem::size_of_val(&self.mid_accept)
+            + self.filter.as_ref().map_or(0, PairFilter::memory_bytes)
     }
 
-    /// Depth (label length) of a state — used by stress telemetry.
-    pub fn state_depth(&self, state: StateId) -> u16 {
-        self.inner.state_depth(state)
-    }
-
-    /// Maximum depth over all states (longest pattern).
-    pub fn max_depth(&self) -> u16 {
-        self.inner.max_depth()
-    }
-
-    /// [`ScanKernel::scan_sampled`] plus effectiveness counters — the
-    /// kernel benchmark's probe.
-    pub fn scan_with_stats<F: FnMut(usize, StateId)>(
+    /// Scans `data` over `table` — the one this driver was built over.
+    pub(crate) fn scan(
         &self,
+        table: &FullAc,
         state: StateId,
         data: &[u8],
+        grid: DepthGrid<'_>,
         stats: &mut PrefilterStats,
-        on_accept: F,
+        on_accept: impl FnMut(usize, StateId),
     ) -> StateId {
-        let mut samples = DepthSamples::default();
-        self.scan_impl(
-            state,
-            data,
-            usize::MAX,
-            u16::MAX,
-            &mut samples,
-            stats,
-            on_accept,
-        )
+        with_cells!(&table.cells, t => {
+            self.scan_cells(t, table.f, table.root, state, data, grid, stats, on_accept)
+        })
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn scan_impl<F: FnMut(usize, StateId)>(
+    fn scan_cells<C: Copy + Into<StateId>>(
         &self,
+        t: &[C],
+        f: StateId,
+        root: StateId,
         state: StateId,
         data: &[u8],
-        sample_every: usize,
-        deep_depth: u16,
-        samples: &mut DepthSamples,
+        mut grid: DepthGrid<'_>,
         stats: &mut PrefilterStats,
-        mut on_accept: F,
+        mut on_accept: impl FnMut(usize, StateId),
     ) -> StateId {
-        let full = &self.inner;
-        let t = &full.transitions[..];
-        let f = full.f;
-        let root = full.root;
-        let depth = &full.depth[..];
         let n = data.len();
         let l = self.max_depth;
 
@@ -214,22 +196,14 @@ impl PrefilteredAc {
         stats.filtered |= filter.is_some();
         if filter.is_none() {
             // No filter compiled (or the payload is too short for it to
-            // pay): this scan is exactly a full-table scan, so run the
-            // unrolled `full` kernel rather than a slower strided loop.
+            // pay): this scan is exactly a table scan, so run the
+            // unrolled loop rather than a slower strided one.
             stats.dfa_bytes += n as u64;
-            return self.inner.scan_sampled(
-                state,
-                data,
-                sample_every,
-                deep_depth,
-                samples,
-                &mut on_accept,
-            );
+            return step_unrolled(t, f, state, data, 0, |i, s| grid.visit(i, s), on_accept);
         }
 
         let mut s = state;
         let mut pos = 0usize;
-        let mut next_sample = 0usize;
         let mut synced = true;
         let mut run_start = 0usize;
         let mut fixup_floor = 0usize;
@@ -240,16 +214,6 @@ impl PrefilteredAc {
         let mut matches = 0u64;
         let mut window_mark = 0u64;
         let mut in_window = false;
-
-        macro_rules! sample {
-            ($st:expr) => {
-                samples.total += 1;
-                if depth[$st as usize] >= deep_depth {
-                    samples.deep += 1;
-                }
-                next_sample = next_sample.saturating_add(sample_every);
-            };
-        }
 
         while pos < n {
             if synced && s == root && pos >= no_skip_before && n - pos >= LANE {
@@ -308,12 +272,9 @@ impl PrefilteredAc {
                         pos.saturating_sub(pf.max_offset).max(skip_entry)
                     }
                 };
-                while next_sample < target {
-                    // Skipped positions sample as shallow: a live prefix
-                    // there is at most one pair-window deep.
-                    samples.total += 1;
-                    next_sample = next_sample.saturating_add(sample_every);
-                }
+                // Skipped positions sample as shallow: a live prefix
+                // there is at most one pair-window deep.
+                grid.skip_to(target);
                 stats.skipped_bytes += (target - skip_entry) as u64;
                 skipped_local += (target - skip_entry) as u64;
                 if target > skip_entry {
@@ -338,7 +299,7 @@ impl PrefilteredAc {
             }
 
             // ---- Stage two: DFA over the residue window / tail. ----
-            if s == root && pos + 1 < n && pos != next_sample {
+            if s == root && pos + 1 < n && !grid.is_due(pos) {
                 let b1 = usize::from(data[pos]);
                 if self.mid_accept[b1 / 64] >> (b1 % 64) & 1 == 0 {
                     // Root-resident: consume two bytes through the pair
@@ -348,9 +309,7 @@ impl PrefilteredAc {
                     s = self.root_pair[b1 << 8 | b2];
                     stats.dfa_bytes += 2;
                     pos += 2;
-                    if pos - 1 == next_sample {
-                        sample!(s);
-                    }
+                    grid.visit(pos - 1, s);
                     if s < f {
                         matches += 1;
                         on_accept(pos - 1, s);
@@ -361,11 +320,9 @@ impl PrefilteredAc {
                     continue;
                 }
             }
-            s = t[(s as usize) * 256 + usize::from(data[pos])];
+            s = t[(s as usize) * 256 + usize::from(data[pos])].into();
             stats.dfa_bytes += 1;
-            if pos == next_sample {
-                sample!(s);
-            }
+            grid.visit(pos, s);
             if s < f {
                 matches += 1;
                 on_accept(pos, s);
@@ -376,35 +333,22 @@ impl PrefilteredAc {
             }
         }
 
-        // Degraded remainder after a bail-out: plain full-table stepping,
-        // unrolled like the `full` kernel so the adversarial floor stays
-        // at its throughput.
+        // Degraded remainder after a bail-out: the unrolled table loop,
+        // so the adversarial floor stays at its throughput.
         if pos < n {
             stats.dfa_bytes += (n - pos) as u64;
-            let mut i = pos;
-            macro_rules! step_byte {
-                ($idx:expr) => {
-                    s = t[(s as usize) * 256 + usize::from(data[$idx])];
-                    if $idx == next_sample {
-                        sample!(s);
-                    }
-                    if s < f {
-                        matches += 1;
-                        on_accept($idx, s);
-                    }
-                };
-            }
-            while i + 4 <= n {
-                step_byte!(i);
-                step_byte!(i + 1);
-                step_byte!(i + 2);
-                step_byte!(i + 3);
-                i += 4;
-            }
-            while i < n {
-                step_byte!(i);
-                i += 1;
-            }
+            s = step_unrolled(
+                t,
+                f,
+                s,
+                data,
+                pos,
+                |i, st| grid.visit(i, st),
+                |i, st| {
+                    matches += 1;
+                    on_accept(i, st);
+                },
+            );
             pos = n;
             if !synced && (pos >= resync_at || pos - run_start >= l) {
                 synced = true;
@@ -423,7 +367,7 @@ impl PrefilteredAc {
             let start = fixup_floor.max(n.saturating_sub(l));
             let mut fs = root;
             for &b in &data[start..] {
-                fs = t[(fs as usize) * 256 + usize::from(b)];
+                fs = t[(fs as usize) * 256 + usize::from(b)].into();
             }
             s = fs;
         }
@@ -431,99 +375,21 @@ impl PrefilteredAc {
     }
 }
 
-impl Automaton for PrefilteredAc {
-    fn start(&self) -> StateId {
-        self.inner.start()
-    }
-
-    #[inline(always)]
-    fn step(&self, state: StateId, byte: u8) -> StateId {
-        self.inner.step(state, byte)
-    }
-
-    #[inline(always)]
-    fn is_accepting(&self, state: StateId) -> bool {
-        self.inner.is_accepting(state)
-    }
-
-    fn bitmap(&self, state: StateId) -> u64 {
-        self.inner.bitmap(state)
-    }
-
-    fn entries(&self, state: StateId) -> &[MatchEntry] {
-        self.inner.entries(state)
-    }
-
-    fn state_count(&self) -> usize {
-        self.inner.state_count()
-    }
-
-    fn accepting_count(&self) -> usize {
-        self.inner.accepting_count()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.inner.memory_bytes()
-            + self.root_pair.len() * std::mem::size_of::<u32>()
-            + std::mem::size_of_val(&self.mid_accept)
-            + self.filter.as_ref().map(|f| f.memory_bytes()).unwrap_or(0)
-    }
-
-    fn scan<F: FnMut(usize, StateId)>(&self, state: StateId, data: &[u8], on_match: F) -> StateId {
-        let mut samples = DepthSamples::default();
-        let mut stats = PrefilterStats::default();
-        self.scan_impl(
-            state,
-            data,
-            usize::MAX,
-            u16::MAX,
-            &mut samples,
-            &mut stats,
-            on_match,
-        )
-    }
-}
-
-impl ScanKernel for PrefilteredAc {
-    fn kernel_name(&self) -> &'static str {
-        "prefiltered"
-    }
-
-    fn scan_sampled(
-        &self,
-        state: StateId,
-        data: &[u8],
-        sample_every: usize,
-        deep_depth: u16,
-        samples: &mut DepthSamples,
-        on_accept: &mut dyn FnMut(usize, StateId),
-    ) -> StateId {
-        let mut stats = PrefilterStats::default();
-        self.scan_impl(
-            state,
-            data,
-            sample_every,
-            deep_depth,
-            samples,
-            &mut stats,
-            on_accept,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{CombinedAcBuilder, PatternSet};
-    use crate::MiddleboxId;
+    use crate::{CombinedAc, KernelKind, MatchEntry, MiddleboxId};
 
-    fn build(patterns: &[&str]) -> (FullAc, PrefilteredAc) {
+    fn build(patterns: &[&str]) -> (FullAc, CombinedAc) {
         let mut b = CombinedAcBuilder::new();
         b.add_set(PatternSet::from_strs(MiddleboxId(0), patterns))
             .unwrap();
-        let full = b.build_full();
-        let pats: Vec<Vec<u8>> = patterns.iter().map(|p| p.as_bytes().to_vec()).collect();
-        (b.build_full(), PrefilteredAc::build(full, &pats))
+        (b.build_full(), b.build_kernel(KernelKind::Prefiltered))
+    }
+
+    fn is_filtered(pre: &CombinedAc) -> bool {
+        pre.as_prefiltered().unwrap().is_filtered()
     }
 
     fn match_stream(ac: &impl Automaton, data: &[u8]) -> (Vec<(usize, Vec<MatchEntry>)>, StateId) {
@@ -537,7 +403,7 @@ mod tests {
     #[test]
     fn selective_set_compiles_a_filter() {
         let (_, pre) = build(&["evil|sig", "bad~marker"]);
-        assert!(pre.is_filtered());
+        assert!(is_filtered(&pre));
     }
 
     #[test]
@@ -653,7 +519,7 @@ mod tests {
             "eeee", "tttt", "aaaa", "oooo", "iiii", "nnnn", "ssss", "rrrr", "hhhh",
         ];
         let (full, pre) = build(&pats);
-        assert!(!pre.is_filtered());
+        assert!(!is_filtered(&pre));
         let data = b"the nation heats itssss streeeength and rests on cost ".repeat(8);
         assert_eq!(match_stream(&pre, &data), match_stream(&full, &data));
     }

@@ -1,6 +1,7 @@
 //! Edge-case regression suite for the combined Aho-Corasick automata.
 
-use dpi_ac::{Automaton, CombinedAcBuilder, MiddleboxId, PatternSet};
+use dpi_ac::naive::NaiveMatcher;
+use dpi_ac::{Automaton, CombinedAcBuilder, KernelKind, MiddleboxId, PatternSet, ScanKernel};
 
 fn build(sets: &[(u16, &[&[u8]])]) -> dpi_ac::FullAc {
     let mut b = CombinedAcBuilder::new();
@@ -103,32 +104,56 @@ fn all_256_single_byte_patterns() {
     assert_eq!(ac.find_all(b"anything").len(), 8);
 }
 
-#[test]
-fn sparse_agrees_on_edge_cases_too() {
-    let mut b = CombinedAcBuilder::new();
-    b.add_set(PatternSet::new(
+/// `patterns` three-byte patterns `EE hi lo`: the trie is the root, the
+/// `EE` node, one node per distinct `hi` and one per pattern, so a set
+/// can be sized to land exactly on either side of the `u16` limit.
+fn boundary_set(patterns: usize) -> (CombinedAcBuilder, NaiveMatcher) {
+    let set = PatternSet::new(
         MiddleboxId(0),
-        vec![
-            vec![0x00, 0x00],
-            b"aabaa".to_vec(),
-            b"d".to_vec(),
-            b"abcd".to_vec(),
-        ],
-    ))
-    .unwrap();
-    let full = b.build_full();
-    let sparse = b.build_sparse();
-    for hay in [
-        &[0u8, 0, 0, 0][..],
-        b"aabaabaa",
-        b"abcd",
-        b"",
-        &[0xff; 32][..],
+        (0..patterns)
+            .map(|i| vec![0xEE, (i >> 8) as u8, i as u8])
+            .collect(),
+    );
+    let mut naive = NaiveMatcher::new();
+    naive.add_set(&set);
+    let mut b = CombinedAcBuilder::new();
+    b.add_set(set).unwrap();
+    (b, naive)
+}
+
+#[test]
+fn cell_width_follows_the_state_count_across_the_u16_limit() {
+    // 1 + 1 + 255 + 65,278 = 65,535 states: the last count that gets
+    // `u16` cells. Pattern 65,278 is `EE FE FE`.
+    const FITS: usize = 65_278;
+    let mut payload = b"plain filler without the marker byte ".repeat(12);
+    for planted in [
+        [0xEE, 0x00, 0x00],
+        [0xEE, 0xFE, 0xFD],
+        [0xEE, 0xFE, 0xFE],
+        [0xEE, 0xFF, 0xFF],
     ] {
-        let mut a = full.find_all(hay);
-        let mut s = sparse.find_all(hay);
-        a.sort();
-        s.sort();
-        assert_eq!(a, s, "hay {hay:?}");
+        payload.extend_from_slice(&planted);
+        payload.extend_from_slice(b" and more filler ");
+    }
+    for (patterns, states, width, hits) in
+        [(FITS, 65_535, "compact", 2), (FITS + 1, 65_536, "full", 3)]
+    {
+        let (b, naive) = boundary_set(patterns);
+        let want = naive.find_all(&payload);
+        assert_eq!(want.len(), hits);
+        // Every driver runs on the table at that width.
+        for kind in KernelKind::ALL {
+            let ac = b.build_kernel(kind);
+            assert_eq!(ac.state_count(), states);
+            // 512 B of table per state, or 1 KiB.
+            assert_eq!(ac.memory_bytes() > states * 1024, width == "full");
+            if kind == KernelKind::Auto {
+                assert_eq!(ac.kernel_name(), width);
+            }
+            let mut got = ac.find_all(&payload);
+            got.sort();
+            assert_eq!(got, want, "{kind} on {width} cells");
+        }
     }
 }

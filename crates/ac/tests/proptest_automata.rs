@@ -1,9 +1,9 @@
-//! Property tests: both automaton representations must agree with the
-//! naive reference matcher on arbitrary pattern sets and inputs, and the
-//! §5.1 structural invariants must hold for every build.
+//! Property tests: the automaton must agree with the naive reference
+//! matcher on arbitrary pattern sets and inputs at both cell widths, and
+//! the §5.1 structural invariants must hold for every build.
 
 use dpi_ac::naive::NaiveMatcher;
-use dpi_ac::{bitmap_bit, Automaton, CombinedAcBuilder, MiddleboxId, PatternSet};
+use dpi_ac::{bitmap_bit, Automaton, CombinedAcBuilder, MiddleboxId, PatternSet, ScanKernel};
 use proptest::prelude::*;
 
 /// Strategy: up to 3 middleboxes, each with up to 6 patterns over a small
@@ -52,18 +52,6 @@ proptest! {
         got.sort();
         got.dedup();
         prop_assert_eq!(got, naive.find_all(&data));
-    }
-
-    #[test]
-    fn sparse_matches_full(sets in pattern_sets(), data in input()) {
-        let builder = build(&sets);
-        let full = builder.build_full();
-        let sparse = builder.build_sparse();
-        let mut a = full.find_all(&data);
-        let mut b = sparse.find_all(&data);
-        a.sort();
-        b.sort();
-        prop_assert_eq!(a, b);
     }
 
     #[test]
@@ -158,7 +146,8 @@ proptest! {
         // solely on state count.
         let builder = build(&sets);
         let full = builder.build_full();
-        let compact = builder.build_compact().expect("tiny automata always fit u16");
+        let compact = builder.build_auto();
+        prop_assert_eq!(compact.kernel_name(), "compact");
 
         let mut full_events = Vec::new();
         let fs = full.scan(full.start(), &data, |pos, st| full_events.push((pos, st)));
@@ -188,7 +177,7 @@ proptest! {
         let builder = build(&sets);
         let full = builder.build_full();
         let auto = builder.build_auto();
-        prop_assert_eq!(auto.repr_name(), "compact-u16");
+        prop_assert_eq!(auto.kernel_name(), "compact");
         prop_assert!(auto.memory_bytes() * 100 <= full.memory_bytes() * 55);
         prop_assert_eq!(auto.state_count(), full.state_count());
         prop_assert_eq!(auto.accepting_count(), full.accepting_count());

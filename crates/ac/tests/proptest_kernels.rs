@@ -1,9 +1,10 @@
 //! Kernel-equivalence properties (DESIGN.md §12): every [`ScanKernel`]
-//! — naive, full, compact, prefiltered — must produce the exact same
-//! match stream and resume state as the full-table reference on
-//! arbitrary pattern sets and payloads, including payloads that straddle
-//! the prefilter's 16-byte SWAR lanes, both stride parities of the
-//! 2-byte root DFA, and scans chopped at arbitrary chunk boundaries.
+//! — naive, unrolled (`auto`), prefiltered, each over the natural-width
+//! table — must produce the exact same match stream and resume state as
+//! the wide full-table reference on arbitrary pattern sets and payloads,
+//! including payloads that straddle the prefilter's 16-byte SWAR lanes,
+//! both stride parities of the 2-byte root DFA, and scans chopped at
+//! arbitrary chunk boundaries.
 //!
 //! Depth-sample contract: the `total` sample count is grid-exact for
 //! every kernel. `deep` is exact for the byte-at-a-time kernels; the
@@ -80,7 +81,7 @@ fn run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The headline invariant: all four kernels report the same accepting
+    /// The headline invariant: all three kernels report the same accepting
     /// states at the same positions and return the same resume state.
     #[test]
     fn every_kernel_matches_the_full_reference(

@@ -1,7 +1,5 @@
 //! Criterion ablations for the design choices DESIGN.md calls out:
 //!
-//! * full-table vs sparse automaton representation (the MCA² space/time
-//!   tradeoff);
 //! * the accepting-state bitmap fast path vs always reading the match
 //!   table (§5.1);
 //! * dedicated result packets vs the in-band NSH-like header (§4.2);
@@ -14,52 +12,6 @@ use dpi_packet::nsh::DpiResultsHeader;
 use dpi_packet::report::{MatchRecord, MiddleboxReport, ResultPacket};
 use dpi_traffic::patterns::{snort_like, snort_like_regexes};
 use dpi_traffic::trace::TraceConfig;
-
-fn bench_full_vs_sparse(c: &mut Criterion) {
-    let pats = snort_like(2000, 42);
-    let mut builder = CombinedAcBuilder::new();
-    builder
-        .add_set(PatternSet::new(MiddleboxId(0), pats.clone()))
-        .expect("valid");
-    let full = builder.build_full();
-    let sparse = builder.build_sparse();
-    let trace = TraceConfig {
-        packets: 100,
-        match_density: 0.02,
-        prefix_density: 3.0,
-        seed: 5,
-        ..TraceConfig::default()
-    }
-    .generate(&pats);
-    let bytes: usize = trace.iter().map(|p| p.len()).sum();
-
-    let mut g = c.benchmark_group("representation");
-    g.throughput(Throughput::Bytes(bytes as u64));
-    g.sample_size(15);
-    g.bench_function("full_table", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for p in &trace {
-                full.scan(full.start(), p, |_, st| {
-                    acc = acc.wrapping_add(u64::from(st))
-                });
-            }
-            acc
-        })
-    });
-    g.bench_function("sparse", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for p in &trace {
-                sparse.scan(sparse.start(), p, |_, st| {
-                    acc = acc.wrapping_add(u64::from(st))
-                });
-            }
-            acc
-        })
-    });
-    g.finish();
-}
 
 fn bench_bitmap_fast_path(c: &mut Criterion) {
     // Ten middleboxes registered; only one is active on the packet's
@@ -261,7 +213,6 @@ fn bench_anchor_prefilter(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_full_vs_sparse,
     bench_bitmap_fast_path,
     bench_result_encodings,
     bench_anchor_prefilter

@@ -1,6 +1,8 @@
 //! Kernel ablation sweep (DESIGN.md §12): single-threaded scan
-//! throughput of every [`ScanKernel`] — naive, full, compact,
-//! prefiltered — plus the SWAR prefilter's effectiveness counters (skip
+//! throughput of every [`ScanKernel`] — the naive, unrolled (`auto`) and
+//! prefiltered drivers over the natural-width table, against the
+//! unrolled loop over the paper's `u32` table — plus the SWAR
+//! prefilter's effectiveness counters (skip
 //! fraction, false-positive residue) and an adversarial pattern-prefix
 //! stream that forces the prefiltered kernel onto its bail-out path.
 //! Writes `BENCH_kernels.json` (consumed by the CI bench job as an
@@ -47,7 +49,7 @@ const ANCHOR_WINDOW: usize = 15;
 /// Best Mbit/s of `runs` passes of the kernel over the trace — best-of-N
 /// because on a shared host any slower pass measures a neighbor's noise,
 /// not the kernel.
-fn kernel_mbps(ac: &CombinedAc, trace: &[Vec<u8>], runs: usize) -> f64 {
+fn kernel_mbps<A: Automaton + ScanKernel>(ac: &A, trace: &[Vec<u8>], runs: usize) -> f64 {
     let bytes: usize = trace.iter().map(|p| p.len()).sum();
     (0..runs.max(1))
         .map(|_| {
@@ -111,10 +113,9 @@ fn adversarial_trace(pats: &[Vec<u8>], packets: usize, payload_len: usize) -> Ve
 
 /// Aggregates [`PrefilterStats`] for one automaton over a whole trace.
 fn prefilter_stats(ac: &CombinedAc, trace: &[Vec<u8>]) -> PrefilterStats {
-    let pf = ac.as_prefiltered().expect("prefiltered kernel requested");
     let mut stats = PrefilterStats::default();
     for p in trace {
-        pf.scan_with_stats(pf.start(), p, &mut stats, |_, _| {});
+        ac.scan_with_stats(ac.start(), p, &mut stats, |_, _| {});
     }
     stats
 }
@@ -149,41 +150,34 @@ fn main() {
         if quick { ", quick mode" } else { "" }
     );
     print_row(&[
+        "kind".into(),
         "kernel".into(),
-        "repr".into(),
         "Mbit/s".into(),
         "vs full".into(),
     ]);
 
-    let full_mbps = kernel_mbps(
-        &builder.build_kernel(KernelKind::Full),
-        &anchored_trace,
-        runs,
-    );
+    // The yardstick: the unrolled loop over the paper's `u32` cells.
+    let full = builder.build_full();
+    let full_mbps = kernel_mbps(&full, &anchored_trace, runs);
     let mut kernel_json = Vec::new();
-    for kind in KernelKind::ALL {
-        let ac = builder.build_kernel(kind);
-        let mbps = if kind == KernelKind::Full {
-            full_mbps
-        } else {
-            kernel_mbps(&ac, &anchored_trace, runs)
-        };
+    let mut row = |kind: &str, kernel: &str, mbps: f64, memory_bytes: usize| {
         let ratio = mbps / full_mbps;
         print_row(&[
-            kind.name().into(),
-            ac.repr_name().into(),
+            kind.into(),
+            kernel.into(),
             format!("{mbps:.0}"),
             format!("{ratio:.2}x"),
         ]);
         kernel_json.push(format!(
-            "{{\"kernel\": \"{}\", \"repr\": \"{}\", \"mbps\": {:.0}, \
-             \"vs_full\": {:.3}, \"memory_bytes\": {}}}",
-            kind.name(),
-            ac.repr_name(),
-            mbps,
-            ratio,
-            ac.memory_bytes()
+            "{{\"kind\": \"{kind}\", \"kernel\": \"{kernel}\", \"mbps\": {mbps:.0}, \
+             \"vs_full\": {ratio:.3}, \"memory_bytes\": {memory_bytes}}}"
         ));
+    };
+    row("-", full.kernel_name(), full_mbps, full.memory_bytes());
+    for kind in KernelKind::ALL {
+        let ac = builder.build_kernel(kind);
+        let mbps = kernel_mbps(&ac, &anchored_trace, runs);
+        row(kind.name(), ac.kernel_name(), mbps, ac.memory_bytes());
     }
 
     // Prefilter effectiveness over the anchored trace: how much payload
@@ -204,11 +198,7 @@ fn main() {
     // fallback must hold the line against plain full-table scanning.
     let broad_builder = build(&broad_pats);
     let broad_trace = trace_for(&broad_pats, npkt);
-    let broad_full = kernel_mbps(
-        &broad_builder.build_kernel(KernelKind::Full),
-        &broad_trace,
-        runs,
-    );
+    let broad_full = kernel_mbps(&broad_builder.build_full(), &broad_trace, runs);
     let broad_prefiltered = broad_builder.build_kernel(KernelKind::Prefiltered);
     let broad_pre = kernel_mbps(&broad_prefiltered, &broad_trace, runs);
     let broad_stats = prefilter_stats(&broad_prefiltered, &broad_trace);
@@ -223,7 +213,7 @@ fn main() {
     // density past the bail-out threshold; the kernel must degrade to
     // plain full-table scanning, not below 0.9x of it.
     let adv = adversarial_trace(&anchored_pats, npkt.min(512), 2048);
-    let adv_full = kernel_mbps(&builder.build_kernel(KernelKind::Full), &adv, runs);
+    let adv_full = kernel_mbps(&full, &adv, runs);
     let adv_pre = kernel_mbps(&prefiltered, &adv, runs);
     let adv_ratio = adv_pre / adv_full;
     let adv_stats = prefilter_stats(&prefiltered, &adv);

@@ -1,6 +1,6 @@
 //! Data-plane throughput: sequential `DpiInstance` vs `ShardedScanner`
 //! at 1/2/4/8 workers over the same multi-flow tagged trace, plus the
-//! FullAc vs CompactAc footprint/throughput comparison. Writes
+//! `u32` vs natural-width table footprint/throughput comparison. Writes
 //! `BENCH_pipeline.json` (consumed by the CI bench job as an artifact).
 //! Each `sharded[]` entry also records `peak_queue_depths`: shard i's
 //! ingress-queue high-water mark across the passes at that worker count
@@ -10,7 +10,7 @@
 //! something when `host_cores` ≥ the worker count — the JSON records the
 //! core count so readers can tell scaling from time-slicing.
 
-use dpi_ac::{Automaton, CombinedAcBuilder, MiddleboxId, PatternSet};
+use dpi_ac::{Automaton, CombinedAcBuilder, MiddleboxId, PatternSet, ScanKernel};
 use dpi_bench::{host_cores, pipeline_batch, pipeline_config, print_row, throughput_mbps};
 use dpi_core::pipeline::ShardedScanner;
 use dpi_core::DpiInstance;
@@ -106,50 +106,40 @@ fn main() {
         sharded.push((workers, pps, speedup, peaks));
     }
 
-    // Automaton representations over the same rule set.
+    // The table at the paper's `u32` cells and at the width the state
+    // count selects, over the same rule set.
     let mut builder = CombinedAcBuilder::new();
     builder
         .add_set(PatternSet::new(MiddleboxId(0), pats.clone()))
         .expect("generated patterns are valid");
     let full = builder.build_full();
-    let compact = builder.build_compact();
-    let auto_repr = builder.build_auto().repr_name();
+    let auto = builder.build_auto();
     let full_mbps = throughput_mbps(&full, &payloads, runs);
+    let auto_mbps = throughput_mbps(&auto, &payloads, runs);
+    let pct = auto.memory_bytes() as f64 * 100.0 / full.memory_bytes() as f64;
     println!(
-        "automaton: {} states, auto-selected {auto_repr}",
-        full.state_count()
+        "automaton: {} states, auto-selected {}",
+        full.state_count(),
+        auto.kernel_name()
     );
     print_row(&[
-        "repr".into(),
+        "cells".into(),
         "bytes".into(),
         "Mbit/s".into(),
         String::new(),
     ]);
     print_row(&[
-        "full-u32".into(),
+        full.kernel_name().into(),
         format!("{}", full.memory_bytes()),
         format!("{full_mbps:.0}"),
         String::new(),
     ]);
-    let compact_json = match &compact {
-        Some(c) => {
-            let mbps = throughput_mbps(c, &payloads, runs);
-            let pct = c.memory_bytes() as f64 * 100.0 / full.memory_bytes() as f64;
-            print_row(&[
-                "compact-u16".into(),
-                format!("{}", c.memory_bytes()),
-                format!("{mbps:.0}"),
-                format!("{pct:.1}% of full"),
-            ]);
-            format!(
-                "{{\"bytes\": {}, \"mbps\": {:.0}, \"pct_of_full\": {:.1}}}",
-                c.memory_bytes(),
-                mbps,
-                pct
-            )
-        }
-        None => "null".into(),
-    };
+    print_row(&[
+        format!("auto ({})", auto.kernel_name()),
+        format!("{}", auto.memory_bytes()),
+        format!("{auto_mbps:.0}"),
+        format!("{pct:.1}% of full"),
+    ]);
 
     // Per entry: `peak_queue_depths[i]` is shard i's ingress-queue
     // high-water mark over every pass at that worker count.
@@ -167,8 +157,9 @@ fn main() {
     let json = format!(
         "{{\n  \"host_cores\": {},\n  \"quick\": {},\n  \"patterns\": {},\n  \
          \"packets\": {},\n  \"bytes\": {},\n  \"sequential_pps\": {:.0},\n  \
-         \"sharded\": [{}],\n  \"automaton\": {{\"states\": {}, \"auto_repr\": \
-         \"{}\", \"full\": {{\"bytes\": {}, \"mbps\": {:.0}}}, \"compact\": {}}}\n}}\n",
+         \"sharded\": [{}],\n  \"automaton\": {{\"states\": {}, \"full\": \
+         {{\"bytes\": {}, \"mbps\": {:.0}}}, \"auto\": {{\"kernel\": \"{}\", \
+         \"bytes\": {}, \"mbps\": {:.0}, \"pct_of_full\": {:.1}}}}}\n}}\n",
         host_cores(),
         quick,
         npat,
@@ -177,10 +168,12 @@ fn main() {
         seq_pps,
         sharded_json.join(", "),
         full.state_count(),
-        auto_repr,
         full.memory_bytes(),
         full_mbps,
-        compact_json,
+        auto.kernel_name(),
+        auto.memory_bytes(),
+        auto_mbps,
+        pct,
     );
     std::fs::write("BENCH_pipeline.json", &json).expect("writable working directory");
     println!("wrote BENCH_pipeline.json");

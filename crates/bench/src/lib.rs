@@ -19,7 +19,7 @@
 //! * `exp_mca2` — §4.3.1: goodput under complexity attack, with and
 //!   without MCA² mitigation.
 //! * `bench_pipeline` — sequential vs sharded data-plane packets/sec and
-//!   FullAc vs CompactAc footprint; writes `BENCH_pipeline.json`.
+//!   `u32` vs natural-width table footprint; writes `BENCH_pipeline.json`.
 //! * `bench_update` — live rule-update cost: off-hot-path compile time,
 //!   drain-barrier swap pause and per-update transfer bytes; writes
 //!   `BENCH_update.json`.

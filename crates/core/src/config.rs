@@ -269,9 +269,9 @@ pub struct InstanceConfig {
     /// Maximum tracked flows before the flow table evicts (stateful scans
     /// only). Defaults to [`InstanceConfig::DEFAULT_MAX_FLOWS`].
     pub max_flows: Option<usize>,
-    /// Which scan kernel the instance's engine runs its byte-scanning hot
-    /// path on. [`KernelKind::Auto`] (the default) keeps the historical
-    /// width-based selection.
+    /// Which driver the instance's engine walks its automaton with.
+    /// [`KernelKind::Auto`] (the default) is the unrolled table scan; the
+    /// table's cell width is never a choice, it follows the state count.
     pub kernel: KernelKind,
     /// How the shared reassembler resolves byte-level conflicts between
     /// overlapping TCP segment copies. [`ConflictPolicy::FirstWins`] (the

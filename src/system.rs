@@ -169,9 +169,9 @@ impl SystemBuilder {
     }
 
     /// Selects the byte-scanning kernel every engine in the system runs
-    /// (default [`KernelKind::Auto`], the historical width-based
-    /// selection). The choice is stamped into the instance configuration,
-    /// so engines rebuilt by live rule updates keep it.
+    /// (default [`KernelKind::Auto`], the unrolled table scan). The
+    /// choice is stamped into the instance configuration, so engines
+    /// rebuilt by live rule updates keep it.
     pub fn with_scan_kernel(mut self, kernel: KernelKind) -> SystemBuilder {
         self.kernel = kernel;
         self

@@ -2,7 +2,7 @@
 //! [`KernelKind`], running a random trace through the sharded pipeline —
 //! at 1 worker (the inline no-channel fast path), 2 and 8 workers — must
 //! deliver exactly the verdicts of a fault-free sequential scan on the
-//! full-table reference kernel. The kernel flag may change throughput,
+//! naive reference kernel. The kernel flag may change throughput,
 //! never results (DESIGN.md §12).
 
 use dpi_service::ac::{KernelKind, MiddleboxId};
@@ -116,8 +116,8 @@ proptest! {
         pkts in trace(),
         workers in prop::sample::select(vec![1usize, 2, 8]),
     ) {
-        // Fault-free sequential reference on the full-table kernel.
-        let mut seq = DpiInstance::new(config(KernelKind::Full)).unwrap();
+        // Fault-free sequential reference on the naive kernel.
+        let mut seq = DpiInstance::new(config(KernelKind::Naive)).unwrap();
         let mut reference = Vec::new();
         for p in &batch(&pkts) {
             let mut c = p.clone();
