@@ -6,10 +6,9 @@
 //! the pattern and what the identifier of the pattern is within the
 //! middlebox pattern set."
 
-use crate::combined::{CombinedAc, Driver};
+use crate::combined::CombinedAc;
 use crate::full::FullAc;
 use crate::kernel::KernelKind;
-use crate::prefiltered::PrefilteredAc;
 use crate::trie::{Trie, TrieError};
 use crate::{MiddleboxId, PatternId};
 use serde::{Deserialize, Serialize};
@@ -230,20 +229,9 @@ impl CombinedAcBuilder {
     }
 
     /// Builds the automaton behind the requested scan kernel. The table
-    /// is the same for every kind, at the width the state count allows;
-    /// `prefiltered` always compiles (its literal-filter stage switches
-    /// itself off when the pattern set yields no selective byte pairs,
-    /// leaving the unrolled scan).
+    /// is the same for both kinds, at the width the state count allows.
     pub fn build_kernel(&self, kind: KernelKind) -> CombinedAc {
-        let table = self.table(false);
-        let driver = match kind {
-            KernelKind::Naive => Driver::Naive,
-            KernelKind::Auto => Driver::Unrolled,
-            KernelKind::Prefiltered => {
-                Driver::Prefiltered(PrefilteredAc::build(&table, &self.trie.pattern_bytes()))
-            }
-        };
-        CombinedAc::new(table, driver)
+        CombinedAc::new(self.table(false), kind)
     }
 }
 

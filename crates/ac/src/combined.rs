@@ -1,52 +1,30 @@
 //! The combined automaton as the data plane holds it: the one full
-//! table plus the driver that walks it.
+//! table plus the loop that walks it.
 //!
 //! [`CombinedAc`] is what [`crate::CombinedAcBuilder::build_auto`] and
 //! [`crate::CombinedAcBuilder::build_kernel`] return. The table — §5.1's
 //! metadata and the transition cells at their natural width — is the
-//! same for every [`KernelKind`]; the kind only chooses how a payload is
-//! walked over it: the naive reference loop, the unrolled loop, or the
-//! SWAR-prefiltered scanner. Callers scan through the common
-//! [`Automaton`] / [`ScanKernel`] interfaces either way; driver and cell
+//! same for both [`KernelKind`]s; the kind only chooses how a payload is
+//! walked over it: the unrolled loop, or the plain reference loop the
+//! verdict checks compare it against. Callers scan through the common
+//! [`Automaton`] / [`ScanKernel`] interfaces either way; loop and cell
 //! width are each one predictable branch per call, outside the per-byte
 //! loop.
 
 use crate::full::FullAc;
-use crate::kernel::{DepthGrid, DepthSamples, KernelKind, ScanKernel};
-use crate::prefiltered::{PrefilterStats, PrefilteredAc};
+use crate::kernel::{DepthSamples, KernelKind, ScanKernel};
 use crate::{Automaton, MatchEntry, StateId};
-
-/// How a [`CombinedAc`] walks its table.
-#[derive(Debug, Clone)]
-pub(crate) enum Driver {
-    /// The reference per-byte loop — the ablation and verification
-    /// baseline.
-    Naive,
-    /// The 4-byte-unrolled loop — the default.
-    Unrolled,
-    /// SWAR literal prefilter + 2-byte-stride root DFA; skips match-free
-    /// lanes on literal-sparse traffic.
-    Prefiltered(PrefilteredAc),
-}
 
 /// A combined automaton behind whichever scan kernel was selected.
 #[derive(Debug, Clone)]
 pub struct CombinedAc {
     table: FullAc,
-    driver: Driver,
+    kind: KernelKind,
 }
 
 impl CombinedAc {
-    pub(crate) fn new(table: FullAc, driver: Driver) -> CombinedAc {
-        CombinedAc { table, driver }
-    }
-
-    /// The prefiltered driver, when that is what's running.
-    pub fn as_prefiltered(&self) -> Option<&PrefilteredAc> {
-        match &self.driver {
-            Driver::Prefiltered(pre) => Some(pre),
-            _ => None,
-        }
+    pub(crate) fn new(table: FullAc, kind: KernelKind) -> CombinedAc {
+        CombinedAc { table, kind }
     }
 
     /// Depth (label length) of a state — used by stress telemetry.
@@ -59,30 +37,7 @@ impl CombinedAc {
         self.table.max_depth()
     }
 
-    /// [`Automaton::scan`] plus the prefiltered driver's effectiveness
-    /// counters — the kernel benchmark's probe. The other drivers leave
-    /// `stats` untouched.
-    pub fn scan_with_stats<F: FnMut(usize, StateId)>(
-        &self,
-        state: StateId,
-        data: &[u8],
-        stats: &mut PrefilterStats,
-        on_accept: F,
-    ) -> StateId {
-        let mut samples = DepthSamples::default();
-        self.walk(
-            state,
-            data,
-            usize::MAX,
-            u16::MAX,
-            &mut samples,
-            stats,
-            on_accept,
-        )
-    }
-
-    /// Every scan entry point: the one place the driver is chosen.
-    #[allow(clippy::too_many_arguments)]
+    /// Every scan entry point: the one place the loop is chosen.
     #[inline]
     fn walk(
         &self,
@@ -91,15 +46,12 @@ impl CombinedAc {
         sample_every: usize,
         deep_depth: u16,
         samples: &mut DepthSamples,
-        stats: &mut PrefilterStats,
         on_accept: impl FnMut(usize, StateId),
     ) -> StateId {
-        let table = &self.table;
-        let grid = DepthGrid::new(&table.depth, sample_every, deep_depth, samples);
-        match &self.driver {
-            Driver::Naive => table.scan_naive(state, data, grid, on_accept),
-            Driver::Unrolled => table.scan_unrolled(state, data, grid, on_accept),
-            Driver::Prefiltered(pre) => pre.scan(table, state, data, grid, stats, on_accept),
+        let grid = self.table.grid(sample_every, deep_depth, samples);
+        match self.kind {
+            KernelKind::Naive => self.table.scan_naive(state, data, grid, on_accept),
+            KernelKind::Auto => self.table.scan_unrolled(state, data, grid, on_accept),
         }
     }
 }
@@ -136,23 +88,22 @@ impl Automaton for CombinedAc {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.table.memory_bytes() + self.as_prefiltered().map_or(0, PrefilteredAc::memory_bytes)
+        self.table.memory_bytes()
     }
 
     fn scan<F: FnMut(usize, StateId)>(&self, state: StateId, data: &[u8], on_match: F) -> StateId {
-        self.scan_with_stats(state, data, &mut PrefilterStats::default(), on_match)
+        let mut samples = DepthSamples::default();
+        self.walk(state, data, usize::MAX, u16::MAX, &mut samples, on_match)
     }
 }
 
 impl ScanKernel for CombinedAc {
-    /// `"naive"` and `"prefiltered"` name their driver; the default
-    /// driver answers with the cell width the state count selected,
-    /// `"compact"` or `"full"`.
+    /// `"naive"` names the reference loop; the default loop answers with
+    /// the cell width the state count selected, `"compact"` or `"full"`.
     fn kernel_name(&self) -> &'static str {
-        match self.driver {
-            Driver::Naive => KernelKind::Naive.name(),
-            Driver::Unrolled => self.table.kernel_name(),
-            Driver::Prefiltered(_) => KernelKind::Prefiltered.name(),
+        match self.kind {
+            KernelKind::Naive => KernelKind::Naive.name(),
+            KernelKind::Auto => self.table.kernel_name(),
         }
     }
 
@@ -165,16 +116,7 @@ impl ScanKernel for CombinedAc {
         samples: &mut DepthSamples,
         on_accept: &mut dyn FnMut(usize, StateId),
     ) -> StateId {
-        let mut stats = PrefilterStats::default();
-        self.walk(
-            state,
-            data,
-            sample_every,
-            deep_depth,
-            samples,
-            &mut stats,
-            on_accept,
-        )
+        self.walk(state, data, sample_every, deep_depth, samples, on_accept)
     }
 }
 
@@ -328,16 +270,9 @@ mod tests {
     #[test]
     fn every_kind_runs_on_the_natural_width_table() {
         let b = paper_builder();
-        let auto = b.build_auto().memory_bytes();
-        assert_eq!(b.build_kernel(KernelKind::Naive).memory_bytes(), auto);
-        // The prefiltered driver adds its 256×256 `u32` root-pair table,
-        // `mid_accept` and the filter — not a second, wider table.
-        let pre = b.build_kernel(KernelKind::Prefiltered);
-        let driver = pre.as_prefiltered().unwrap();
-        assert!(driver.is_filtered());
-        assert_eq!(pre.memory_bytes(), auto + driver.memory_bytes());
-        let root_pair_and_mid = 256 * 256 * 4 + 32;
-        let filter = driver.memory_bytes() - root_pair_and_mid;
-        assert!(0 < filter && filter < 16 * 1024, "filter {filter} B");
+        assert_eq!(
+            b.build_kernel(KernelKind::Naive).memory_bytes(),
+            b.build_auto().memory_bytes()
+        );
     }
 }

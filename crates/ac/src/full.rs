@@ -21,7 +21,7 @@ use crate::{Automaton, MatchEntry, StateId};
 /// The transition table, `state * 256 + byte -> next state` in the
 /// renumbered id space, at its cell width.
 #[derive(Debug, Clone)]
-pub(crate) enum Cells {
+enum Cells {
     /// Every state id fits 16 bits: half the table bytes.
     Narrow(Vec<u16>),
     /// The paper's 4-byte cells — needed from 2¹⁶ states up.
@@ -33,21 +33,20 @@ pub(crate) enum Cells {
 macro_rules! with_cells {
     ($cells:expr, $t:ident => $body:expr) => {
         match $cells {
-            $crate::full::Cells::Narrow($t) => $body,
-            $crate::full::Cells::Wide($t) => $body,
+            Cells::Narrow($t) => $body,
+            Cells::Wide($t) => $body,
         }
     };
 }
-pub(crate) use with_cells;
 
 /// The flattened full-table automaton.
 #[derive(Debug, Clone)]
 pub struct FullAc {
-    pub(crate) cells: Cells,
+    cells: Cells,
     /// Number of accepting states; accepting ids are `0..f`.
-    pub(crate) f: u32,
+    f: u32,
     /// Root state id (after renumbering).
-    pub(crate) root: u32,
+    root: u32,
     /// Per-accepting-state middlebox bitmap, indexed by state id.
     bitmaps: Vec<u64>,
     /// Direct-access match table: `offsets[i]..offsets[i+1]` indexes
@@ -57,7 +56,7 @@ pub struct FullAc {
     entries: Vec<MatchEntry>,
     /// Depth (label length) per state — exported for the MCA²-style stress
     /// telemetry: complexity attacks drive scans unusually deep (§4.3.1).
-    pub(crate) depth: Vec<u16>,
+    depth: Vec<u16>,
 }
 
 /// Builds the transition table in the renumbered id space, in one pass,
@@ -89,22 +88,19 @@ where
 }
 
 /// The crate's one unrolled table-stepping loop, shared by every cell
-/// width, sampled or not (`sample` is a no-op closure when not), and by
-/// the prefiltered driver's DFA-only and bailed-out paths. Four bytes per
-/// iteration: the per-byte work is a single dependent load plus the
-/// `s < f` accepting compare (§5.1), so unrolling amortizes loop control
-/// and exposes the address computation of later bytes while the current
-/// load is in flight. The load itself bounds the loop, which is why one
-/// factor serves both widths. Each byte steps, then samples, then
-/// reports. Walks `data[from..]` (`from <= data.len()`); positions handed
-/// to the closures index `data`.
+/// width, sampled or not (`sample` is a no-op closure when not). Four
+/// bytes per iteration: the per-byte work is a single dependent load plus
+/// the `s < f` accepting compare (§5.1), so unrolling amortizes loop
+/// control and exposes the address computation of later bytes while the
+/// current load is in flight. The load itself bounds the loop, which is
+/// why one factor serves both widths. Each byte steps, then samples, then
+/// reports.
 #[inline(always)]
-pub(crate) fn step_unrolled<C: Copy + Into<StateId>>(
+fn step_unrolled<C: Copy + Into<StateId>>(
     t: &[C],
     f: StateId,
     state: StateId,
     data: &[u8],
-    from: usize,
     mut sample: impl FnMut(usize, StateId),
     mut on_accept: impl FnMut(usize, StateId),
 ) -> StateId {
@@ -120,8 +116,8 @@ pub(crate) fn step_unrolled<C: Copy + Into<StateId>>(
             }
         };
     }
-    let mut i = from;
-    let n4 = from + ((data.len() - from) & !3);
+    let mut i = 0;
+    let n4 = data.len() & !3;
     while i < n4 {
         step!(i);
         step!(i + 1);
@@ -235,6 +231,16 @@ impl FullAc {
         self.depth.iter().copied().max().unwrap_or(0)
     }
 
+    /// The sampling grid of one scan over this table's state depths.
+    pub(crate) fn grid<'a>(
+        &'a self,
+        sample_every: usize,
+        deep_depth: u16,
+        samples: &'a mut DepthSamples,
+    ) -> DepthGrid<'a> {
+        DepthGrid::new(&self.depth, sample_every, deep_depth, samples)
+    }
+
     /// [`ScanKernel::scan_sampled`] on the unrolled loop, generic over
     /// the callback so a caller holding a closure is not forced through
     /// `dyn`.
@@ -246,7 +252,7 @@ impl FullAc {
         on_accept: impl FnMut(usize, StateId),
     ) -> StateId {
         with_cells!(&self.cells, t => {
-            step_unrolled(t, self.f, state, data, 0, |i, s| grid.visit(i, s), on_accept)
+            step_unrolled(t, self.f, state, data, |i, s| grid.visit(i, s), on_accept)
         })
     }
 
@@ -318,7 +324,7 @@ impl Automaton for FullAc {
     }
 
     fn scan<F: FnMut(usize, StateId)>(&self, state: StateId, data: &[u8], on_match: F) -> StateId {
-        with_cells!(&self.cells, t => step_unrolled(t, self.f, state, data, 0, |_, _| {}, on_match))
+        with_cells!(&self.cells, t => step_unrolled(t, self.f, state, data, |_, _| {}, on_match))
     }
 }
 
@@ -340,7 +346,7 @@ impl ScanKernel for FullAc {
         samples: &mut DepthSamples,
         on_accept: &mut dyn FnMut(usize, StateId),
     ) -> StateId {
-        let grid = DepthGrid::new(&self.depth, sample_every, deep_depth, samples);
+        let grid = self.grid(sample_every, deep_depth, samples);
         self.scan_unrolled(state, data, grid, on_accept)
     }
 }

@@ -1,13 +1,13 @@
-//! The pluggable byte-scanning hot path.
+//! The byte-scanning hot path.
 //!
-//! Every driver of the one full table exposes the same [`ScanKernel`]
+//! Both loops over the one full table expose the same [`ScanKernel`]
 //! interface: a resumable scan that reports accepting states and collects
 //! the depth samples the MCA²-style stress telemetry needs
-//! (DESIGN.md §12). Which driver a deployment runs is a single
-//! [`KernelKind`] flag in its instance configuration, so ablations —
-//! naive vs. unrolled vs. prefiltered — stay one flag apart while
-//! producing byte-identical match streams and final states. The table's
-//! cell width is not a choice: it follows from the state count.
+//! (DESIGN.md §12). A deployment runs the unrolled loop; [`KernelKind`]
+//! exists so the benchmark's verdict check and the equivalence suites can
+//! build the plain reference loop over the same table and demand
+//! byte-identical match streams and final states. The table's cell width
+//! is not a choice: it follows from the state count.
 
 use crate::StateId;
 use serde::{Deserialize, Serialize};
@@ -21,11 +21,6 @@ pub enum KernelKind {
     /// Reference kernel: one dependent table load per byte, no unrolling.
     /// The baseline every optimization is measured and verified against.
     Naive,
-    /// Two-stage scanner: a SWAR literal prefilter skips lanes that
-    /// cannot contain any match, and a 2-byte-stride root DFA covers the
-    /// residue windows the filter flags. Falls back to the unrolled loop
-    /// when the pattern set yields no selective byte pairs.
-    Prefiltered,
     /// The 4-byte-unrolled table scan. Its [`ScanKernel::kernel_name`]
     /// is the cell width the state count selected: `"compact"` (`u16`,
     /// below 2¹⁶ states) or `"full"` (`u32`).
@@ -34,25 +29,14 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
-    /// Every kernel, in ablation-sweep order.
-    pub const ALL: [KernelKind; 3] = [KernelKind::Naive, KernelKind::Auto, KernelKind::Prefiltered];
+    /// Both kernels: the reference, then the default.
+    pub const ALL: [KernelKind; 2] = [KernelKind::Naive, KernelKind::Auto];
 
-    /// The flag's wire/CLI spelling.
+    /// The flag's wire spelling.
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Naive => "naive",
-            KernelKind::Prefiltered => "prefiltered",
             KernelKind::Auto => "auto",
-        }
-    }
-
-    /// Parses the CLI/config spelling.
-    pub fn parse(s: &str) -> Option<KernelKind> {
-        match s {
-            "naive" => Some(KernelKind::Naive),
-            "prefiltered" => Some(KernelKind::Prefiltered),
-            "auto" => Some(KernelKind::Auto),
-            _ => None,
         }
     }
 }
@@ -66,8 +50,8 @@ impl std::fmt::Display for KernelKind {
 /// Depth-sample accumulator a kernel fills during one scan: 1 in
 /// `sample_every` byte positions contributes to `total`, and to `deep`
 /// when the automaton state after that byte sits at or past the caller's
-/// deep-depth threshold. Positions a prefilter proved match-free sample
-/// as shallow — the state there is within a pair-offset of the root.
+/// deep-depth threshold. Exact for every kernel: each one visits every
+/// byte.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DepthSamples {
     /// Sampled positions.
@@ -128,12 +112,6 @@ impl<'a> DepthGrid<'a> {
         }
     }
 
-    /// Whether `i` is the next grid position.
-    #[inline(always)]
-    pub(crate) fn is_due(&self, i: usize) -> bool {
-        i == self.next
-    }
-
     /// Records `state`, reached by the byte at `i`, if `i` is on the grid.
     #[inline(always)]
     pub(crate) fn visit(&mut self, i: usize, state: StateId) {
@@ -145,14 +123,6 @@ impl<'a> DepthGrid<'a> {
             self.next = self.next.saturating_add(self.every);
         }
     }
-
-    /// Samples every grid position before `target` as shallow.
-    pub(crate) fn skip_to(&mut self, target: usize) {
-        while self.next < target {
-            self.samples.total += 1;
-            self.next = self.next.saturating_add(self.every);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -160,24 +130,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_roundtrips_through_names() {
+    fn kind_serializes_as_snake_case_string() {
         for k in KernelKind::ALL {
-            assert_eq!(KernelKind::parse(k.name()), Some(k));
-        }
-        // Cell widths are derived, not selected.
-        for gone in ["vectorized", "full", "compact"] {
-            assert_eq!(KernelKind::parse(gone), None);
+            let j = serde_json::to_string(&k).unwrap();
+            assert_eq!(j, format!("\"{}\"", k.name()));
+            assert_eq!(serde_json::from_str::<KernelKind>(&j).unwrap(), k);
         }
         assert_eq!(KernelKind::default(), KernelKind::Auto);
-    }
-
-    #[test]
-    fn kind_serializes_as_snake_case_string() {
-        let j = serde_json::to_string(&KernelKind::Prefiltered).unwrap();
-        assert_eq!(j, "\"prefiltered\"");
-        let back: KernelKind = serde_json::from_str("\"naive\"").unwrap();
-        assert_eq!(back, KernelKind::Naive);
-        for gone in ["\"full\"", "\"compact\""] {
+        // Spellings older peers may still send are rejected, not defaulted.
+        for gone in ["\"full\"", "\"compact\"", "\"prefiltered\""] {
             assert!(serde_json::from_str::<KernelKind>(gone).is_err());
         }
     }

@@ -30,26 +30,24 @@
 //! There is one automaton representation, [`FullAc`]: the full-table
 //! DFA, O(1) per byte, built once with `u16` transition cells when the
 //! state ids fit (512 B per state) and the paper's `u32` cells otherwise
-//! (1 KiB per state). [`CombinedAc`] pairs that table with one of three
-//! scan drivers ([`KernelKind`]): the naive reference loop, the unrolled
-//! loop, or the SWAR-prefiltered scanner. All produce identical match
-//! streams; the property tests in this crate verify that against each
-//! other and against a naive reference matcher ([`naive::NaiveMatcher`]).
+//! (1 KiB per state). [`CombinedAc`] pairs that table with one of two
+//! scan loops ([`KernelKind`]): the unrolled loop the data plane runs, or
+//! the naive reference loop it is verified against. Both produce
+//! identical match streams; the property tests in this crate verify that
+//! against each other and against a naive reference matcher
+//! ([`naive::NaiveMatcher`]).
 
 pub mod builder;
 pub mod combined;
 pub mod full;
 pub mod kernel;
 pub mod naive;
-mod prefilter;
-pub mod prefiltered;
 pub mod trie;
 
 pub use builder::{CombinedAcBuilder, PatternSet, PatternSetDelta};
 pub use combined::CombinedAc;
 pub use full::FullAc;
 pub use kernel::{DepthSamples, KernelKind, ScanKernel};
-pub use prefiltered::{PrefilterStats, PrefilteredAc};
 
 use serde::{Deserialize, Serialize};
 

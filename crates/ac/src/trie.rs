@@ -154,30 +154,6 @@ impl Trie {
         Ok(())
     }
 
-    /// The distinct patterns stored in this trie, recovered by walking
-    /// root-to-leaf labels of nodes with direct outputs. Only valid
-    /// before [`Trie::build_failure_links`] runs (suffix propagation
-    /// copies outputs onto non-end nodes); the builder keeps its trie
-    /// pristine and clones before linking, so this is exactly the
-    /// deduplicated union of every registered pattern — what the
-    /// prefilter compiler consumes.
-    pub fn pattern_bytes(&self) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        let mut stack: Vec<(u32, Vec<u8>)> = vec![(0, Vec::new())];
-        while let Some((id, label)) = stack.pop() {
-            let node = &self.nodes[id as usize];
-            if !node.outputs.is_empty() {
-                out.push(label.clone());
-            }
-            for (&b, &child) in node.children.iter() {
-                let mut next = label.clone();
-                next.push(b);
-                stack.push((child, next));
-            }
-        }
-        out
-    }
-
     /// Phase two of the construction: breadth-first failure links. After
     /// this, `fail(s)` points to the state whose label is the longest
     /// proper suffix of `L(s)` present in the trie, and each node's output

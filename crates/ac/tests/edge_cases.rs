@@ -142,7 +142,7 @@ fn cell_width_follows_the_state_count_across_the_u16_limit() {
         let (b, naive) = boundary_set(patterns);
         let want = naive.find_all(&payload);
         assert_eq!(want.len(), hits);
-        // Every driver runs on the table at that width.
+        // Every kernel runs on the table at that width.
         for kind in KernelKind::ALL {
             let ac = b.build_kernel(kind);
             assert_eq!(ac.state_count(), states);

@@ -916,10 +916,9 @@ impl ScanEngine {
         &self.ac
     }
 
-    /// The scan kernel this engine's automaton runs — "naive",
-    /// "prefiltered", or for the default kernel the cell width it
-    /// resolved to, "compact" or "full" — stamped into metrics and swap
-    /// traces.
+    /// The scan kernel this engine's automaton runs — "naive", or for
+    /// the default kernel the cell width it resolved to, "compact" or
+    /// "full" — stamped into metrics and swap traces.
     pub fn kernel_name(&self) -> &'static str {
         self.ac.kernel_name()
     }

@@ -191,7 +191,7 @@ pub enum TraceKind {
         to_generation: u32,
         /// The drain-barrier pause.
         pause_us: u64,
-        /// Scan kernel of the adopted engine ("compact", "prefiltered", …).
+        /// Scan kernel of the adopted engine ("compact", "full", "naive").
         kernel: &'static str,
     },
     /// A stale-generation swap offer was refused.

@@ -303,6 +303,33 @@ mod tests {
     }
 
     #[test]
+    fn artifact_naming_an_unknown_kernel_is_malformed_not_defaulted() {
+        // What a peer still speaking an older `KernelKind` ships: intact
+        // in transit, so only deserialization can refuse it.
+        let payload = serde_json::to_string(&config(&[b"sig-b"]))
+            .unwrap()
+            .replace("\"kernel\":\"auto\"", "\"kernel\":\"prefiltered\"");
+        assert!(payload.contains("\"kernel\":\"prefiltered\""));
+        let art = UpdateArtifact {
+            generation: 3,
+            checksum: checksum(3, payload.as_bytes()),
+            payload,
+        };
+        assert!(matches!(
+            art.validate().unwrap_err(),
+            UpdateError::Malformed(_)
+        ));
+        // Nothing compiles, so the receiver keeps serving what it has.
+        let slot = EngineSlot::new(
+            UpdateArtifact::build(2, &config(&[b"sig-a"]))
+                .compile()
+                .unwrap(),
+        );
+        assert!(art.compile().and_then(|e| slot.publish(e)).is_err());
+        assert_eq!(slot.generation(), 2);
+    }
+
+    #[test]
     fn slot_publish_is_monotonic_but_rollback_is_not() {
         let g0 = UpdateArtifact::build(0, &config(&[b"a"]))
             .compile()

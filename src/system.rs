@@ -24,7 +24,7 @@
 //! [`FaultPlan`]: instance kills, shard stalls/panics and result-packet
 //! loss all replay identically from one seed.
 
-use dpi_ac::{KernelKind, MiddleboxId};
+use dpi_ac::MiddleboxId;
 use dpi_controller::{
     BalancePolicy, DpiController, HealthEvent, HealthPolicy, InstanceId, LoadBalancer,
     PreparedUpdate, UpdateOrchestrator, UpdateTarget,
@@ -123,7 +123,6 @@ pub struct SystemBuilder {
     retry: RetryPolicy,
     overload: Option<OverloadPolicy>,
     balance: Option<BalancePolicy>,
-    kernel: KernelKind,
     conflict_policy: ConflictPolicy,
     l7: Option<dpi_core::L7Policy>,
     tenant_quotas: Vec<(TenantId, TenantQuota)>,
@@ -150,7 +149,6 @@ impl SystemBuilder {
             retry: RetryPolicy::default(),
             overload: None,
             balance: None,
-            kernel: KernelKind::Auto,
             conflict_policy: ConflictPolicy::FirstWins,
             l7: None,
             tenant_quotas: Vec::new(),
@@ -168,20 +166,11 @@ impl SystemBuilder {
         self
     }
 
-    /// Selects the byte-scanning kernel every engine in the system runs
-    /// (default [`KernelKind::Auto`], the unrolled table scan). The
-    /// choice is stamped into the instance configuration, so engines
-    /// rebuilt by live rule updates keep it.
-    pub fn with_scan_kernel(mut self, kernel: KernelKind) -> SystemBuilder {
-        self.kernel = kernel;
-        self
-    }
-
     /// Selects how every reassembler in the system resolves byte-level
     /// conflicts between overlapping TCP segment copies (default
     /// [`ConflictPolicy::FirstWins`], the historical Snort-style rule).
-    /// Like the kernel choice, the policy is stamped into the instance
-    /// configuration, so engines rebuilt by live rule updates keep it.
+    /// The policy is stamped into the instance configuration, so engines
+    /// rebuilt by live rule updates keep it.
     pub fn with_conflict_policy(mut self, policy: ConflictPolicy) -> SystemBuilder {
         self.conflict_policy = policy;
         self
@@ -191,7 +180,7 @@ impl SystemBuilder {
     /// DESIGN.md §14) on every engine's TCP path with the given
     /// per-protocol policy. Off by default: without it the engines scan
     /// reassembled bytes raw, exactly as before the L7 layer existed.
-    /// Like the kernel choice, the policy is stamped into the instance
+    /// Like the conflict policy, it is stamped into the instance
     /// configuration, so engines rebuilt by live rule updates keep it.
     pub fn with_l7_policy(mut self, policy: dpi_core::L7Policy) -> SystemBuilder {
         self.l7 = Some(policy);
@@ -311,7 +300,6 @@ impl SystemBuilder {
         // pipeline.
         let mut cfg = controller
             .instance_config(&chain_ids)?
-            .with_kernel(self.kernel)
             .with_conflict_policy(self.conflict_policy);
         cfg.l7 = self.l7;
         let mut orchestrator = UpdateOrchestrator::new(&cfg);
@@ -462,7 +450,6 @@ impl SystemBuilder {
             load_windows,
             overload: self.overload,
             balancer: self.balance.map(LoadBalancer::new),
-            kernel: self.kernel,
             conflict_policy: self.conflict_policy,
             l7: self.l7,
         })
@@ -587,8 +574,6 @@ pub struct SystemHandle {
     overload: Option<OverloadPolicy>,
     /// Telemetry-driven flow rebalancer, when armed.
     balancer: Option<LoadBalancer>,
-    /// Scan kernel stamped into every engine build (including updates).
-    kernel: KernelKind,
     /// Reassembly conflict policy stamped into every engine build
     /// (including updates).
     conflict_policy: ConflictPolicy,
@@ -1375,7 +1360,6 @@ impl SystemHandle {
         let mut cfg = self
             .controller
             .instance_config(&self.chain_ids)?
-            .with_kernel(self.kernel)
             .with_conflict_policy(self.conflict_policy);
         cfg.l7 = self.l7;
         Ok(cfg)

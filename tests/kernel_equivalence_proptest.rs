@@ -18,9 +18,8 @@ use std::sync::Arc;
 const IDS_ID: MiddleboxId = MiddleboxId(1);
 const IPS_ID: MiddleboxId = MiddleboxId(2);
 
-/// Signatures chosen to exercise each kernel's moving parts: a long
-/// anchored literal (SWAR pair filter), a rare-byte short one, and a
-/// two-byte pattern (wildcard pair rows, stride mid-byte accepts).
+/// A long literal, a rare-byte short one, and a two-byte pattern that
+/// overlaps itself.
 fn signatures() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     (
         vec![b"evil|sig".to_vec(), b"qz%".to_vec()],
