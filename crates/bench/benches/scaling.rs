@@ -1,11 +1,10 @@
-//! Criterion bench: sharded pipeline throughput vs worker count — the
+//! Criterion bench: `inspect_batch` throughput vs worker count — the
 //! perf trajectory for the parallel data plane. On hosts with fewer
 //! cores than workers the curve flattens to time-slicing; read it next
 //! to `dpi_bench::host_cores()`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dpi_bench::{pipeline_batch, pipeline_config};
-use dpi_core::pipeline::ShardedScanner;
+use dpi_bench::{pipeline_batch, pipeline_config, sharded_instance};
 use dpi_traffic::patterns::snort_like;
 use dpi_traffic::trace::TraceConfig;
 
@@ -27,8 +26,7 @@ fn bench_scaling(c: &mut Criterion) {
     g.sample_size(10);
     for workers in [1usize, 2, 4, 8] {
         g.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
-            let mut scanner =
-                ShardedScanner::from_config(pipeline_config(&pats), w).expect("valid config");
+            let mut scanner = sharded_instance(pipeline_config(&pats), w);
             b.iter(|| {
                 let mut pkts = batch.clone();
                 scanner.inspect_batch(&mut pkts).len()

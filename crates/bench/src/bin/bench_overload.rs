@@ -12,9 +12,8 @@
 //!
 //! Set `DPI_BENCH_QUICK=1` for a CI-sized run.
 
-use dpi_bench::{host_cores, pipeline_batch, pipeline_config, print_row};
+use dpi_bench::{host_cores, pipeline_batch, pipeline_config, print_row, sharded_instance};
 use dpi_core::overload::OverloadPolicy;
-use dpi_core::pipeline::ShardedScanner;
 use dpi_traffic::patterns::snort_like;
 use dpi_traffic::trace::TraceConfig;
 use std::time::Instant;
@@ -67,9 +66,8 @@ fn main() {
     let mut points = Vec::new();
     for &size in &batch_sizes {
         let batch = pipeline_batch(&payloads[..size], 64, 99);
-        let mut scanner = ShardedScanner::from_config(pipeline_config(&pats), WORKERS)
-            .expect("valid config")
-            .with_overload_policy(policy);
+        let mut scanner =
+            sharded_instance(pipeline_config(&pats), WORKERS).with_overload_policy(policy);
         let mut peaks: Vec<u64> = Vec::new();
         let mut pps_samples: Vec<f64> = Vec::new();
         let mut offered = 0u64;

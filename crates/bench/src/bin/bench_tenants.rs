@@ -20,8 +20,7 @@
 use dpi_ac::MiddleboxId;
 use dpi_bench::{host_cores, print_row};
 use dpi_core::overload::OverloadPolicy;
-use dpi_core::pipeline::ShardedScanner;
-use dpi_core::{InstanceConfig, MiddleboxProfile, RuleSpec, TenantId, TenantQuota};
+use dpi_core::{DpiInstance, InstanceConfig, MiddleboxProfile, RuleSpec, TenantId, TenantQuota};
 use dpi_packet::ipv4::IpProtocol;
 use dpi_packet::packet::flow;
 use dpi_packet::{MacAddr, Packet};
@@ -78,7 +77,7 @@ fn workload(tenants: usize, total_packets: usize, payload_len: usize) -> Vec<Pac
 }
 
 /// One timed pass of `batch` through `scanner`, in packets/sec.
-fn one_pass_pps(scanner: &mut ShardedScanner, batch: &[Packet]) -> f64 {
+fn one_pass_pps(scanner: &mut DpiInstance, batch: &[Packet]) -> f64 {
     let mut pkts = batch.to_vec();
     let t0 = Instant::now();
     scanner.inspect_batch(&mut pkts);
@@ -90,9 +89,9 @@ fn one_pass_pps(scanner: &mut ShardedScanner, batch: &[Packet]) -> f64 {
 /// `(rounds, heavy_shed, victim_shed, first_shed_round)`.
 fn fairness_convergence(patterns: &[Vec<u8>], rounds: usize) -> (usize, u64, u64, Option<usize>) {
     let policy = OverloadPolicy::queue_only(1, 0);
-    let mut scanner =
-        ShardedScanner::from_config(config(patterns, 4), 1).expect("valid tenant config");
-    scanner = scanner.with_overload_policy(policy);
+    let mut scanner = DpiInstance::new(config(patterns, 4))
+        .expect("valid tenant config")
+        .with_overload_policy(policy);
     let mut seq = 0u32;
     let mut first_shed_round = None;
     for round in 0..rounds {
@@ -172,12 +171,11 @@ fn main() {
     // per-packet tenancy bookkeeping, not thread scheduling. Keep
     // best-of-rounds per configuration: anything slower than a
     // configuration's fastest pass measures a neighbor's noise.
-    let mut configs: Vec<(usize, Vec<Packet>, ShardedScanner)> = std::iter::once(0usize)
+    let mut configs: Vec<(usize, Vec<Packet>, DpiInstance)> = std::iter::once(0usize)
         .chain(sweep.iter().copied())
         .map(|n| {
             let batch = workload(n, npkt, payload_len);
-            let scanner =
-                ShardedScanner::from_config(config(&pats, n), 1).expect("valid tenant config");
+            let scanner = DpiInstance::new(config(&pats, n)).expect("valid tenant config");
             (n, batch, scanner)
         })
         .collect();

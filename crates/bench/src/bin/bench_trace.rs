@@ -1,4 +1,4 @@
-//! Tracing overhead: the same `ShardedScanner` batch workload with the
+//! Tracing overhead: the same `inspect_batch` workload with the
 //! structured-event tracer detached vs attached. The tracer's hot-path
 //! budget (DESIGN.md §10) is one branch per packet plus a 1-in-64
 //! sampled ring write, so the attached run must stay within a few
@@ -9,8 +9,7 @@
 //! time-slice the shards, which adds noise but affects both
 //! configurations equally — the JSON records `host_cores` anyway.
 
-use dpi_bench::{host_cores, pipeline_batch, pipeline_config, print_row};
-use dpi_core::pipeline::ShardedScanner;
+use dpi_bench::{host_cores, pipeline_batch, pipeline_config, print_row, sharded_instance};
 use dpi_core::trace::Tracer;
 use dpi_packet::Packet;
 use dpi_traffic::patterns::snort_like;
@@ -62,17 +61,17 @@ fn main() {
     print_row(&["config".into(), "pkts/s".into(), "overhead".into()]);
 
     // Warm-up pass so neither configuration pays first-touch costs.
-    let mut warm = ShardedScanner::from_config(pipeline_config(&pats), workers).unwrap();
+    let mut warm = sharded_instance(pipeline_config(&pats), workers);
     let mut pkts = batch.to_vec();
     warm.inspect_batch(&mut pkts);
 
-    let mut untraced = ShardedScanner::from_config(pipeline_config(&pats), workers).unwrap();
+    let mut untraced = sharded_instance(pipeline_config(&pats), workers);
     let untraced_pps = median_pps(&batch, runs, |pkts| {
         untraced.inspect_batch(pkts);
     });
     print_row(&["untraced".into(), format!("{untraced_pps:.0}"), "-".into()]);
 
-    let mut traced = ShardedScanner::from_config(pipeline_config(&pats), workers).unwrap();
+    let mut traced = sharded_instance(pipeline_config(&pats), workers);
     let tracer = Arc::new(Tracer::new());
     traced.attach_tracer(Arc::clone(&tracer));
     let traced_pps = median_pps(&batch, runs, |pkts| {

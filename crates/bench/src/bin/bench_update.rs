@@ -8,7 +8,7 @@
 //! * *compile* — building the next generation's automaton, off the hot
 //!   path (the packet path never waits on this), and
 //! * *swap pause* — the drain-barrier engine exchange
-//!   ([`ShardedScanner::swap_engine`]), the only moment the data plane
+//!   (`DpiInstance::swap_engine`), the only moment the data plane
 //!   is not scanning.
 //!
 //! Per-update transfer bytes come from the orchestrator's prepared
@@ -16,9 +16,8 @@
 //! Writes `BENCH_update.json`. Set `DPI_BENCH_QUICK=1` for a CI-sized
 //! run.
 
-use dpi_bench::{host_cores, pipeline_batch, pipeline_config, print_row};
+use dpi_bench::{host_cores, pipeline_batch, pipeline_config, print_row, sharded_instance};
 use dpi_controller::UpdateOrchestrator;
-use dpi_core::pipeline::ShardedScanner;
 use dpi_traffic::patterns::snort_like;
 use dpi_traffic::trace::TraceConfig;
 use std::time::Instant;
@@ -45,7 +44,7 @@ fn main() {
 
     let baseline = pipeline_config(&base_pats);
     let mut orchestrator = UpdateOrchestrator::new(&baseline);
-    let mut scanner = ShardedScanner::from_config(baseline, workers).expect("valid config");
+    let mut scanner = sharded_instance(baseline, workers);
 
     println!(
         "update bench: {base} base patterns, {workers} workers, {} host cores{}",
@@ -78,7 +77,6 @@ fn main() {
 
         // The only data-plane pause: the drain-barrier engine exchange.
         let pause = scanner.swap_engine(engine).expect("monotonic generation");
-        scanner.note_update_transfer(prepared.transfer_bytes);
         let pause_us = pause.as_secs_f64() * 1e6;
 
         // The new generation serves immediately.

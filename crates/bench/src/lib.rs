@@ -18,8 +18,6 @@
 //! * `exp_patternset_size` — §4.1's pattern-set transfer-size argument.
 //! * `exp_mca2` — §4.3.1: goodput under complexity attack, with and
 //!   without MCA² mitigation.
-//! * `bench_pipeline` — sequential vs sharded data-plane packets/sec and
-//!   `u32` vs natural-width table footprint; writes `BENCH_pipeline.json`.
 //! * `bench_update` — live rule-update cost: off-hot-path compile time,
 //!   drain-barrier swap pause and per-update transfer bytes; writes
 //!   `BENCH_update.json`.
@@ -165,6 +163,12 @@ pub fn pipeline_config(patterns: &[Vec<u8>]) -> dpi_core::InstanceConfig {
                 .collect(),
         )
         .with_chain(PIPELINE_CHAIN, vec![MiddleboxId(1)])
+}
+
+/// A `workers`-shard instance compiled from `config`.
+pub fn sharded_instance(config: dpi_core::InstanceConfig, workers: usize) -> dpi_core::DpiInstance {
+    let engine = dpi_core::ScanEngine::new(config).expect("valid config");
+    dpi_core::DpiInstance::with_workers(std::sync::Arc::new(engine), workers)
 }
 
 /// Turns trace payloads into chain-tagged TCP packets spread round-robin

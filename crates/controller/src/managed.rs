@@ -2,74 +2,28 @@
 //!
 //! §4.1's pattern add/remove messages change the global pattern set at
 //! runtime; deployed instances must follow. A [`ManagedInstance`] pairs a
-//! live data plane — a sequential [`DpiInstance`] or the parallel
-//! [`ShardedScanner`] of [`dpi_core::pipeline`] — with the controller
-//! version it was built from and hot-swaps it when the configuration
-//! moves: the operational loop between "the DPI controller maintains a
-//! global pattern set" and the per-instance automatons built from it.
+//! live [`DpiInstance`] with the controller version it was built from and
+//! hot-swaps it when the configuration moves: the operational loop
+//! between "the DPI controller maintains a global pattern set" and the
+//! per-instance automatons built from it.
 
 use crate::controller::{ControllerError, DpiController, InstanceId};
-use dpi_core::{DpiInstance, ScanEngine, ShardedScanner, Telemetry};
+use dpi_core::{DpiInstance, ScanEngine, Telemetry};
 use std::sync::Arc;
 
-mod plane {
-    use super::*;
-
-    /// What a managed instance needs of the data plane it follows the
-    /// controller with. Sealed: exactly the two planes below.
-    pub trait DataPlane {
-        /// The rule generation currently serving.
-        fn generation(&self) -> u32;
-        /// Hot-swaps onto `engine`, a later generation.
-        fn swap(&mut self, engine: Arc<ScanEngine>) -> Result<(), ControllerError>;
-        /// Telemetry snapshot (merged across shards).
-        fn telemetry(&self) -> Telemetry;
-    }
-
-    impl DataPlane for DpiInstance {
-        fn generation(&self) -> u32 {
-            self.engine().generation()
-        }
-        fn swap(&mut self, engine: Arc<ScanEngine>) -> Result<(), ControllerError> {
-            self.swap_engine(engine);
-            Ok(())
-        }
-        fn telemetry(&self) -> Telemetry {
-            DpiInstance::telemetry(self)
-        }
-    }
-
-    impl DataPlane for ShardedScanner {
-        fn generation(&self) -> u32 {
-            ShardedScanner::generation(self)
-        }
-        fn swap(&mut self, engine: Arc<ScanEngine>) -> Result<(), ControllerError> {
-            self.swap_engine(engine)
-                .map(drop)
-                .map_err(|e| ControllerError::InconsistentConfig(e.to_string()))
-        }
-        fn telemetry(&self) -> Telemetry {
-            ShardedScanner::telemetry(self)
-        }
-    }
-}
-use plane::DataPlane;
-
-/// A deployed instance that tracks controller configuration changes.
-/// `D` is the data plane: [`DpiInstance`] from
-/// [`DpiController::spawn_managed`], [`ShardedScanner`] from
-/// [`DpiController::spawn_managed_sharded`] (its worker count is fixed at
-/// deployment and survives configuration-driven swaps).
+/// A deployed instance that tracks controller configuration changes. Its
+/// worker count is fixed at deployment and survives configuration-driven
+/// swaps.
 #[derive(Debug)]
-pub struct ManagedInstance<D = DpiInstance> {
+pub struct ManagedInstance {
     id: InstanceId,
     chains: Vec<u16>,
     built_at_version: u64,
     /// The live data plane. Callers scan through this handle.
-    pub instance: D,
+    pub instance: DpiInstance,
 }
 
-impl<D: DataPlane> ManagedInstance<D> {
+impl ManagedInstance {
     /// The controller-side identifier.
     pub fn id(&self) -> InstanceId {
         self.id
@@ -85,11 +39,15 @@ impl<D: DataPlane> ManagedInstance<D> {
         self.built_at_version
     }
 
+    /// Number of worker shards.
+    pub fn workers(&self) -> usize {
+        self.instance.workers()
+    }
+
     /// Follows the controller onto its current configuration by
     /// compiling the next rule generation off the hot path and
-    /// hot-swapping it in ([`DpiInstance::swap_engine`]; across all
-    /// shards at the batch boundary for [`ShardedScanner::swap_engine`]).
-    /// Returns whether a swap happened.
+    /// hot-swapping it in ([`DpiInstance::swap_engine`], across all
+    /// shards). Returns whether a swap happened.
     ///
     /// Unlike a rebuild, the swap preserves telemetry, reassembly buffers
     /// and the flow table. Stored flow state is generation-tagged:
@@ -107,7 +65,9 @@ impl<D: DataPlane> ManagedInstance<D> {
         // failure means the stored rules are inconsistent.
         let engine = ScanEngine::with_generation(cfg, next)
             .map_err(|e| ControllerError::InconsistentConfig(e.to_string()))?;
-        self.instance.swap(Arc::new(engine))?;
+        self.instance
+            .swap_engine(Arc::new(engine))
+            .map_err(|e| ControllerError::InconsistentConfig(e.to_string()))?;
         self.built_at_version = v;
         Ok(true)
     }
@@ -119,45 +79,28 @@ impl<D: DataPlane> ManagedInstance<D> {
     }
 }
 
-impl ManagedInstance<ShardedScanner> {
-    /// Number of worker shards.
-    pub fn workers(&self) -> usize {
-        self.instance.workers()
-    }
-}
-
 impl DpiController {
-    /// Builds a data plane from the current configuration for `chains`
-    /// and deploys it as a managed instance.
-    fn manage<D>(
+    /// Deploys a managed instance serving `chains`, built from the
+    /// current configuration.
+    pub fn spawn_managed(&self, chains: Vec<u16>) -> Result<ManagedInstance, ControllerError> {
+        self.spawn_managed_sharded(chains, 1)
+    }
+
+    /// Deploys a managed instance with `workers` parallel scan shards
+    /// serving `chains`.
+    pub fn spawn_managed_sharded(
         &self,
         chains: Vec<u16>,
-        build: impl FnOnce(dpi_core::InstanceConfig) -> Result<D, dpi_core::InstanceError>,
-    ) -> Result<ManagedInstance<D>, ControllerError> {
-        let instance = build(self.instance_config(&chains)?)
+        workers: usize,
+    ) -> Result<ManagedInstance, ControllerError> {
+        let engine = ScanEngine::new(self.instance_config(&chains)?)
             .map_err(|e| ControllerError::InconsistentConfig(e.to_string()))?;
         Ok(ManagedInstance {
             id: self.deploy_instance(chains.clone()),
             chains,
             built_at_version: self.version(),
-            instance,
+            instance: DpiInstance::with_workers(Arc::new(engine), workers),
         })
-    }
-
-    /// Deploys a managed instance serving `chains`, built from the
-    /// current configuration.
-    pub fn spawn_managed(&self, chains: Vec<u16>) -> Result<ManagedInstance, ControllerError> {
-        self.manage(chains, DpiInstance::new)
-    }
-
-    /// Deploys a managed sharded instance with `workers` parallel scan
-    /// shards serving `chains`.
-    pub fn spawn_managed_sharded(
-        &self,
-        chains: Vec<u16>,
-        workers: usize,
-    ) -> Result<ManagedInstance<ShardedScanner>, ControllerError> {
-        self.manage(chains, |cfg| ShardedScanner::from_config(cfg, workers))
     }
 }
 

@@ -15,7 +15,7 @@
 //! * **kill-instance-at-packet-K** — a DPI instance stops responding
 //!   (packets blackholed, heartbeats cease) after its K-th packet;
 //! * **stall-shard / panic-shard** — one worker shard of a
-//!   [`crate::pipeline::ShardedScanner`] sleeps past its watchdog
+//!   [`crate::pipeline::DpiInstance`] sleeps past its watchdog
 //!   deadline, or panics mid-batch;
 //! * **drop / duplicate result packets** — each dedicated result packet
 //!   is independently lost (or duplicated) with probability p, the
@@ -391,7 +391,7 @@ impl ChaosEngine {
         Some(seed)
     }
 
-    /// The shard faults to hand a [`crate::pipeline::ShardedScanner`].
+    /// The shard faults to hand a [`crate::pipeline::DpiInstance`].
     pub fn shard_faults(&self) -> Vec<ShardFaultSpec> {
         self.plan.shard_faults.clone()
     }

@@ -1,7 +1,7 @@
-//! The DPI service instance (§5).
+//! The scan (§5).
 //!
-//! The scan machinery is split into two halves so the sharded parallel
-//! pipeline ([`crate::pipeline`]) can share one compiled engine across
+//! The scan machinery is split into two halves so the data plane
+//! ([`crate::pipeline::DpiInstance`]) can share one compiled engine across
 //! worker threads without any locking on the per-packet path:
 //!
 //! * [`ScanEngine`] — everything *immutable* after construction: the
@@ -14,9 +14,6 @@
 //!   one bounded lookup, DESIGN.md §15), telemetry and the per-shard
 //!   lazy-DFA caches for anchor-less regex rules. Each worker owns
 //!   exactly one, privately.
-//!
-//! [`DpiInstance`] is the sequential composition of the two (one engine,
-//! one shard) and keeps the public API the rest of the system uses.
 
 use crate::arena::FlowArena;
 use crate::config::{InstanceConfig, MiddleboxProfile, NumberedRule, TenantId, TenantQuota};
@@ -29,7 +26,6 @@ use dpi_ac::trie::TrieError;
 use dpi_ac::{
     Automaton, CombinedAc, CombinedAcBuilder, DepthSamples, MiddleboxId, PatternId, ScanKernel,
 };
-use dpi_packet::nsh::DpiResultsHeader;
 use dpi_packet::report::{MiddleboxReport, ResultPacket};
 use dpi_packet::{FlowKey, Packet};
 use dpi_regex::{Regex, RegexError};
@@ -320,12 +316,13 @@ fn merge_outputs(outs: impl IntoIterator<Item = ScanOutput>) -> MergedOutputs {
 }
 
 /// What inspecting one packet decided, before it is put in a delivery
-/// form (a dedicated [`ResultPacket`] or an in-band [`DpiResultsHeader`]).
-struct Verdict {
-    chain_id: u16,
+/// form (a dedicated [`ResultPacket`] or an in-band
+/// [`dpi_packet::nsh::DpiResultsHeader`]).
+pub(crate) struct Verdict {
+    pub(crate) chain_id: u16,
     flow: FlowKey,
     flow_offset: u64,
-    reports: Vec<MiddleboxReport>,
+    pub(crate) reports: Vec<MiddleboxReport>,
 }
 
 /// The immutable, shareable half of a DPI instance: compiled automaton,
@@ -372,8 +369,8 @@ const _: () = {
 
 /// The mutable, per-worker half of a DPI instance: flow table, TCP
 /// reassembly, stress samples, telemetry and lazy-DFA caches. Every
-/// worker of a [`crate::pipeline::ShardedScanner`] owns one privately, so
-/// the per-packet path takes no locks.
+/// shard of a [`crate::pipeline::DpiInstance`] owns one privately, so the
+/// per-packet path takes no locks.
 #[derive(Debug)]
 pub struct ShardState {
     /// Every per-flow mutable thing — scan state, TCP reassembly, stress
@@ -479,9 +476,9 @@ impl ShardState {
     }
 
     /// Opens a new scan-byte quota window: every tenant's token bucket
-    /// refills to capacity. The sharded pipeline calls this at each
-    /// batch boundary; sequential [`DpiInstance`] callers open windows
-    /// explicitly (bytes/sec ≈ bytes/window at the caller's cadence).
+    /// refills to capacity. `inspect_batch` calls this at each batch
+    /// boundary; per-call users of an instance open windows explicitly
+    /// (bytes/sec ≈ bytes/window at the caller's cadence).
     pub fn refill_tenant_window(&mut self) {
         for (_, cap, tokens) in &mut self.tenant_buckets {
             *tokens = *cap;
@@ -923,13 +920,6 @@ impl ScanEngine {
         self.ac.kernel_name()
     }
 
-    /// The policy chains this engine serves.
-    pub fn chain_ids(&self) -> Vec<u16> {
-        let mut v: Vec<u16> = self.chains.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Members of one chain (`None` for unknown chains).
     pub(crate) fn chain_member_count(&self, chain_id: u16) -> Option<usize> {
         self.chains.get(&chain_id).map(|c| c.members.len())
@@ -1278,7 +1268,7 @@ impl ScanEngine {
     /// or when its flow is closed. Returns the verdict to deliver, or
     /// `None` when there is nothing to report.
     #[inline]
-    fn inspect_verdict(
+    pub(crate) fn inspect_verdict(
         &self,
         shard: &mut ShardState,
         packet: &mut Packet,
@@ -1324,9 +1314,9 @@ impl ScanEngine {
 
     /// Scans a packet against `shard`, marks it via ECN when matches
     /// exist (§6.1), and returns the result packet *without* a packet id
-    /// (`packet_id` is 0): id assignment is the caller's job, so the
-    /// sharded pipeline can number results in arrival order and stay
-    /// byte-identical to a sequential instance.
+    /// (`packet_id` is 0): id assignment is the caller's job, so an
+    /// instance can number results in arrival order and stay
+    /// byte-identical at every worker count.
     pub fn inspect_unnumbered(
         &self,
         shard: &mut ShardState,
@@ -1641,227 +1631,6 @@ impl ScanEngine {
             }
         }
         payload_len.min(needed as usize)
-    }
-}
-
-/// The virtual DPI service instance: one [`ScanEngine`] paired with one
-/// [`ShardState`], scanned sequentially. For the parallel data plane see
-/// [`crate::pipeline::ShardedScanner`], which shares the same engine
-/// across worker shards.
-#[derive(Debug)]
-pub struct DpiInstance {
-    engine: Arc<ScanEngine>,
-    shard: ShardState,
-    packet_counter: u32,
-}
-
-impl DpiInstance {
-    /// Builds an instance from a configuration (§5.1's initialization).
-    pub fn new(config: InstanceConfig) -> Result<DpiInstance, InstanceError> {
-        Ok(DpiInstance::from_engine(Arc::new(ScanEngine::new(config)?)))
-    }
-
-    /// Builds an instance around an existing engine, sharing its
-    /// compiled automaton (no rebuild).
-    pub fn from_engine(engine: Arc<ScanEngine>) -> DpiInstance {
-        let shard = ShardState::new(&engine);
-        DpiInstance {
-            engine,
-            shard,
-            packet_counter: 0,
-        }
-    }
-
-    /// The shared engine handle (pass to a
-    /// [`crate::pipeline::ShardedScanner`] to parallelize without
-    /// recompiling).
-    pub fn engine(&self) -> &Arc<ScanEngine> {
-        &self.engine
-    }
-
-    /// The combined automaton (size/stat introspection for experiments).
-    pub fn automaton(&self) -> &CombinedAc {
-        self.engine.automaton()
-    }
-
-    /// Telemetry snapshot.
-    pub fn telemetry(&self) -> Telemetry {
-        self.shard.telemetry()
-    }
-
-    /// Per-tenant counter attribution, sorted by tenant (DESIGN.md §16).
-    pub fn tenant_counters(&self) -> &[(TenantId, TenantCounters)] {
-        self.shard.tenant_counters()
-    }
-
-    /// Opens a new per-tenant scan-byte quota window (refills every
-    /// bucket). Sequential callers define the window cadence; the
-    /// sharded pipeline does this per batch automatically.
-    pub fn refill_tenant_window(&mut self) {
-        self.shard.refill_tenant_window();
-    }
-
-    /// The policy chains this instance serves.
-    pub fn chain_ids(&self) -> Vec<u16> {
-        self.engine.chain_ids()
-    }
-
-    /// Exports a flow's **full** scan state for migration to another
-    /// instance (§4.3.1), forgetting it locally. Returns `None` for
-    /// untracked flows.
-    pub fn export_flow(&mut self, key: &FlowKey) -> Option<FlowState> {
-        self.shard.export_flow(key)
-    }
-
-    /// Imports a migrated flow's scan state as exported. The generation
-    /// tag travels with the record: if it does not match this instance's
-    /// serving generation the flow simply re-anchors on next access
-    /// (miss-only) — it is **not** re-tagged, which would feed a foreign
-    /// automaton's state id to this engine. A quarantine verdict
-    /// likewise survives the move.
-    pub fn import_flow(&mut self, key: FlowKey, fs: FlowState) {
-        self.shard.import_flow(key, fs);
-    }
-
-    /// Hot-swaps this instance onto a new rule generation. The swap is a
-    /// pointer exchange plus a lazy-DFA cache drop — compilation already
-    /// happened off the hot path ([`crate::update::UpdateArtifact`]).
-    /// Flow table, reassembly buffers and telemetry survive; mid-flow
-    /// scans re-anchor on the new automaton (miss-only, DESIGN.md §9).
-    pub fn swap_engine(&mut self, engine: Arc<ScanEngine>) {
-        self.shard.on_generation_swap();
-        self.shard.refresh_tenant_state(&engine);
-        self.engine = engine;
-    }
-
-    /// Number of flows currently tracked.
-    pub fn tracked_flows(&self) -> usize {
-        self.shard.tracked_flows()
-    }
-
-    /// Estimated bytes of per-flow state held (see
-    /// [`ShardState::flow_bytes`]).
-    pub fn flow_bytes(&self) -> u64 {
-        self.shard.flow_bytes()
-    }
-
-    /// Scans a raw payload for `chain_id` (§5.2's algorithm). `flow` must
-    /// be given when the chain has stateful members and the caller wants
-    /// cross-packet state.
-    pub fn scan_payload(
-        &mut self,
-        chain_id: u16,
-        flow: Option<FlowKey>,
-        payload: &[u8],
-    ) -> Result<ScanOutput, InstanceError> {
-        self.engine
-            .scan_payload(&mut self.shard, chain_id, flow, payload)
-    }
-
-    /// Scans a packet using its chain tag, marks it via ECN when matches
-    /// exist (§6.1), and returns the dedicated result packet to send right
-    /// after it (§4.2 option 3, the prototype's method).
-    pub fn inspect(&mut self, packet: &mut Packet) -> Result<Option<ResultPacket>, InstanceError> {
-        match self.engine.inspect_unnumbered(&mut self.shard, packet)? {
-            None => Ok(None),
-            Some(mut result) => {
-                self.packet_counter = self.packet_counter.wrapping_add(1);
-                result.packet_id = self.packet_counter;
-                Ok(Some(result))
-            }
-        }
-    }
-
-    /// Scans a packet and attaches the results as an in-band NSH-like
-    /// header (§4.2 option 1). Returns whether any matches were attached.
-    pub fn inspect_inband(&mut self, packet: &mut Packet) -> Result<bool, InstanceError> {
-        let Some(v) = self.engine.inspect_verdict(&mut self.shard, packet)? else {
-            return Ok(false);
-        };
-        let n_members = self.engine.chain_member_count(v.chain_id).unwrap_or(0) as u8;
-        packet.attach_results(DpiResultsHeader::new(v.chain_id, n_members, v.reports));
-        Ok(true)
-    }
-
-    /// Declares a new TCP stream with its initial sequence number (what a
-    /// SYN carries). Without this, [`DpiInstance::scan_tcp_segment`]
-    /// initializes from the first segment seen — correct only when that
-    /// segment is the true stream start; under reordering of the opening
-    /// packets, declare the ISN explicitly.
-    pub fn open_tcp_flow(&mut self, flow: FlowKey, initial_seq: u32) {
-        self.shard.open_tcp_flow(flow, initial_seq);
-    }
-
-    /// Feeds one TCP segment through per-flow stream reassembly, then
-    /// scans every in-order byte run that becomes available. Out-of-order
-    /// segments return an empty vector and are scanned when the gap
-    /// fills; stateful middleboxes therefore see a *correct, in-order*
-    /// byte stream even under reordering — session reconstruction as a
-    /// service, done once instead of once per middlebox.
-    pub fn scan_tcp_segment(
-        &mut self,
-        chain_id: u16,
-        flow: FlowKey,
-        seq: u32,
-        payload: &[u8],
-    ) -> Result<Vec<ScanOutput>, InstanceError> {
-        self.engine
-            .scan_tcp_segment(&mut self.shard, chain_id, flow, seq, payload)
-    }
-
-    /// Whether a flow is quarantined (reassembly conflict under
-    /// [`crate::reassembly::ConflictPolicy::RejectFlow`]).
-    pub fn flow_quarantined(&self, flow: &FlowKey) -> bool {
-        self.shard.flow_quarantined(flow)
-    }
-
-    /// Tears down a flow's reassembly state (RST/FIN/timeout).
-    pub fn close_tcp_flow(&mut self, flow: &FlowKey) {
-        self.shard.close_tcp_flow(flow);
-    }
-
-    /// Per-flow deep-state ratios observed since the last
-    /// [`DpiInstance::reset_flow_stress`] — the input to
-    /// [`dpi_ac`]-independent heavy-flow selection (§4.3.1). Flows with
-    /// fewer than two samples are omitted (no signal).
-    pub fn flow_deep_ratios(&self) -> Vec<(FlowKey, f64)> {
-        self.shard.flow_deep_ratios()
-    }
-
-    /// Clears the per-flow stress window (after the controller consumed
-    /// it).
-    pub fn reset_flow_stress(&mut self) {
-        self.shard.reset_flow_stress();
-    }
-
-    /// Scans a DEFLATE-compressed payload: inflates **once** and scans the
-    /// decompressed bytes for every active middlebox (§1: "the effect of
-    /// decompression … may be reduced significantly, as these heavy
-    /// processes are executed only once for each packet"). `max_inflated`
-    /// bounds the decompressed size — the zip-bomb guard a shared service
-    /// needs even more than a single middlebox does.
-    pub fn scan_payload_deflated(
-        &mut self,
-        chain_id: u16,
-        flow: Option<FlowKey>,
-        compressed: &[u8],
-        max_inflated: usize,
-    ) -> Result<ScanOutput, InstanceError> {
-        self.engine
-            .scan_payload_deflated(&mut self.shard, chain_id, flow, compressed, max_inflated)
-    }
-
-    /// Like [`DpiInstance::scan_payload_deflated`] for gzip-framed bodies
-    /// (HTTP `Content-Encoding: gzip`), with CRC/length verification.
-    pub fn scan_payload_gzip(
-        &mut self,
-        chain_id: u16,
-        flow: Option<FlowKey>,
-        gz: &[u8],
-        max_inflated: usize,
-    ) -> Result<ScanOutput, InstanceError> {
-        self.engine
-            .scan_payload_gzip(&mut self.shard, chain_id, flow, gz, max_inflated)
     }
 }
 

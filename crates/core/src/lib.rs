@@ -29,10 +29,10 @@
 //!   repeated-character match runs;
 //! * telemetry (packets, bytes, matches, and a deep-state ratio) — the
 //!   signals the MCA²-style stress monitor consumes (§4.3.1);
-//! * a sharded parallel data plane ([`pipeline::ShardedScanner`]): one
-//!   shared, immutable [`instance::ScanEngine`] behind an `Arc`, N worker
-//!   threads each owning a private flow-table shard, packets routed by a
-//!   stable flow hash so per-flow order and cross-packet state are
+//! * flow-affine sharding ([`pipeline`]): the instance is one shared,
+//!   immutable [`instance::ScanEngine`] behind an `Arc` and N private
+//!   flow-table shards (N = 1 is the sequential instance), packets routed
+//!   by a stable flow hash so per-flow order and cross-packet state are
 //!   preserved with zero locks on the per-packet path.
 
 pub mod arena;
@@ -61,7 +61,7 @@ pub use decompress::{
     InflateError,
 };
 pub use flowstate::{FlowState, FlowTable};
-pub use instance::{DpiInstance, InstanceError, ScanEngine, ScanOutput, ShardState};
+pub use instance::{InstanceError, ScanEngine, ScanOutput, ShardState};
 pub use l7::{
     L7Action, L7Context, L7Direction, L7Field, L7Policy, L7Protocol, ProtocolMask, ProtocolPolicy,
 };
@@ -70,14 +70,14 @@ pub use overload::{
     InstanceLoadGauge, LoadWindow, OverloadDetector, OverloadPolicy, OverloadTransition,
     TenantFairness,
 };
-pub use pipeline::ShardedScanner;
+pub use pipeline::DpiInstance;
 pub use reassembly::{ConflictPolicy, StreamReassembler};
 pub use report::compress_matches;
 pub use rules::{RuleKind, RuleSpec};
 pub use telemetry::{ShardTelemetry, Telemetry, TenantCounters};
 pub use timerwheel::TimerWheel;
 pub use trace::{to_jsonl, TraceEvent, TraceKind, TraceSource, TraceWriter, Tracer};
-pub use update::{EngineSlot, GenerationId, UpdateArtifact, UpdateError, UpdateStats};
+pub use update::{GenerationId, UpdateArtifact, UpdateError, UpdateStats};
 
 // Re-export the identifier types shared across the system.
 pub use dpi_ac::{MiddleboxId, PatternId};

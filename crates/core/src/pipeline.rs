@@ -1,35 +1,41 @@
-//! The sharded parallel data plane.
+//! The data plane: the DPI service instance.
 //!
-//! §4.2 requires the service to preserve per-flow scan state across
-//! packet boundaries, which makes naive packet-level parallelism wrong:
-//! two packets of one flow scanned concurrently would race on the flow's
-//! DFA state. [`ShardedScanner`] parallelizes the way hardware DPI
-//! appliances do — by *flow*: each packet is routed to the worker that
-//! owns its flow's shard (a stable hash of the 5-tuple), so every flow's
-//! packets are scanned by one worker, in arrival order.
+//! [`DpiInstance`] is the object the controller deploys, updates and
+//! scales out (§4.1, §4.3): one shared immutable [`ScanEngine`] and N
+//! private [`ShardState`]s. "Sequential" is N = 1, not a second type.
 //!
-//! Per-packet work takes **no locks**: each worker owns a private
-//! [`ShardState`] (flow table, stress samples, telemetry, lazy-DFA
-//! caches) and shares only the immutable [`ScanEngine`] behind an `Arc`.
-//! The crossbeam channels at the batch boundary are the only
+//! §4.2 requires per-flow scan state to survive packet boundaries, which
+//! makes naive packet-level parallelism wrong: two packets of one flow
+//! scanned concurrently would race on the flow's DFA state. The instance
+//! parallelizes the way hardware DPI appliances do — by *flow*: `route`
+//! pins each flow to one shard (a stable hash of the 5-tuple), so a
+//! flow's packets always meet the same state, in arrival order.
+//!
+//! Two kinds of entry point share that routing. *Per-call* ones
+//! ([`DpiInstance::inspect`], [`DpiInstance::scan_payload`], flow
+//! export/import, …) run on the caller's thread, unsupervised.
+//! [`DpiInstance::inspect_batch`] runs every shard's share of a batch
+//! under supervision (panic capture, watchdog, restart, overload
+//! control) — on the calling thread with one shard, on a scoped worker
+//! thread per shard otherwise. Per-packet work takes **no locks**; the
+//! crossbeam channels at the batch boundary are the only
 //! synchronization, and their high-water mark is exported as queue-depth
-//! telemetry.
-//!
-//! Output is *byte-identical* to a sequential [`crate::DpiInstance`] fed
-//! the same packets in the same order: per-flow ordering is preserved by
-//! the FIFO shard queues, and result packet ids are assigned centrally
-//! in batch order after the workers finish.
+//! telemetry. Output is *byte-identical* at every worker count and
+//! through either kind of entry point: shard queues are FIFO per flow,
+//! and result packet ids come from one counter in arrival order.
 
 use crate::chaos::{ChaosEngine, ShardFault, ShardFaultSpec};
 use crate::config::{InstanceConfig, TenantId};
-use crate::instance::{InstanceError, ScanEngine, ShardState};
+use crate::flowstate::FlowState;
+use crate::instance::{InstanceError, ScanEngine, ScanOutput, ShardState};
 use crate::overload::{OverloadDetector, OverloadPolicy, OverloadTransition};
 use crate::telemetry::{merge_tenant_counters, ShardTelemetry, Telemetry, TenantCounters};
 use crate::trace::{TraceKind, TraceSource, Tracer};
-use crate::update::{EngineSlot, UpdateError, UpdateStats};
+use crate::update::{UpdateError, UpdateStats};
 use crossbeam::channel;
+use dpi_packet::nsh::DpiResultsHeader;
 use dpi_packet::report::ResultPacket;
-use dpi_packet::Packet;
+use dpi_packet::{FlowKey, Packet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,7 +44,7 @@ use std::time::{Duration, Instant};
 /// default [`OverloadPolicy`] watermarks are fractions of this bound.
 pub const SHARD_QUEUE_CAPACITY: usize = 256;
 
-/// Everything the scanner keeps per shard. The supervisor owns the slot
+/// Everything the instance keeps per shard. The supervisor owns the slot
 /// across restarts: condemning a shard replaces `state` only, so the
 /// counters and the detector's hysteresis survive.
 #[derive(Debug)]
@@ -46,8 +52,8 @@ struct ShardSlot {
     state: ShardState,
     /// Overload detector (queue-depth + scan-latency EWMA watermarks with
     /// hysteresis). `None` — the default — disables overload control
-    /// entirely: no CE marks, no sheds, byte-identical output to a
-    /// scanner built before this subsystem existed.
+    /// entirely: no CE marks, no sheds, byte-identical output to an
+    /// instance built before this subsystem existed.
     detector: Option<OverloadDetector>,
     /// High-water mark of the ingress queue, across batches.
     queue_peak: usize,
@@ -99,7 +105,7 @@ struct Tally {
 
 /// One shard's worker for one batch: the per-packet body
 /// ([`BatchWorker::process`]) over the shard's slot. Both drivers in
-/// [`ShardedScanner::inspect_batch`] keep the workers outside the code
+/// [`DpiInstance::inspect_batch`] keep the workers outside the code
 /// that can unwind and only lend them to it, so `tally` survives a
 /// worker panic and one supervision pass serves every outcome.
 struct BatchWorker<'a> {
@@ -219,16 +225,28 @@ impl BatchWorker<'_> {
     }
 }
 
-/// A parallel DPI scanner: one shared [`ScanEngine`], N private worker
-/// shards, flow-affine packet routing.
+/// The shard among `shards` that owns a flow's state — the one place a
+/// flow hash is taken. One shard owns everything: `flow` is then neither
+/// hashed nor even evaluated. `None` is a flow-less packet or scan.
+#[inline]
+fn route(shards: usize, flow: impl FnOnce() -> Option<FlowKey>) -> Option<usize> {
+    if shards == 1 {
+        Some(0)
+    } else {
+        flow().map(|f| (f.stable_hash() % shards as u64) as usize)
+    }
+}
+
+/// The DPI service instance: one shared [`ScanEngine`], N private worker
+/// shards, flow-affine routing (see the [module docs](self)).
 ///
 /// ```
-/// use dpi_core::pipeline::ShardedScanner;
-/// use dpi_core::{InstanceConfig, MiddleboxProfile, RuleSpec};
+/// use dpi_core::{DpiInstance, InstanceConfig, MiddleboxProfile, RuleSpec, ScanEngine};
 /// use dpi_core::MiddleboxId;
 /// use dpi_packet::packet::flow;
 /// use dpi_packet::ipv4::IpProtocol;
 /// use dpi_packet::{MacAddr, Packet};
+/// use std::sync::Arc;
 ///
 /// let cfg = InstanceConfig::new()
 ///     .with_middlebox(
@@ -236,17 +254,18 @@ impl BatchWorker<'_> {
 ///         vec![RuleSpec::exact(b"evil".to_vec())],
 ///     )
 ///     .with_chain(7, vec![MiddleboxId(1)]);
-/// let mut scanner = ShardedScanner::from_config(cfg, 4).unwrap();
+/// let engine = Arc::new(ScanEngine::new(cfg).unwrap());
+/// let mut dpi = DpiInstance::with_workers(engine, 4);
 /// let f = flow([10, 0, 0, 1], 1000, [10, 0, 0, 2], 80, IpProtocol::Tcp);
 /// let mut pkt = Packet::tcp(MacAddr::local(1), MacAddr::local(2), f, 0, b"an evil payload".to_vec());
 /// pkt.push_chain_tag(7).unwrap();
 /// let mut batch = vec![pkt];
-/// let results = scanner.inspect_batch(&mut batch);
+/// let results = dpi.inspect_batch(&mut batch);
 /// assert_eq!(results.len(), 1);
 /// assert_eq!(results[0].packet_id, 1);
 /// ```
 #[derive(Debug)]
-pub struct ShardedScanner {
+pub struct DpiInstance {
     engine: Arc<ScanEngine>,
     slots: Vec<ShardSlot>,
     /// Telemetry inherited from restarted shard incarnations, so a
@@ -263,23 +282,32 @@ pub struct ShardedScanner {
     faults: Vec<ShardFaultSpec>,
     /// Chaos engine to receive deterministic fault-log entries.
     chaos: Option<Arc<ChaosEngine>>,
-    /// Optional shared generation slot: polled at every batch boundary,
-    /// so a controller can publish a new generation without holding a
-    /// reference to the scanner itself.
-    slot: Option<Arc<EngineSlot>>,
     /// Hot-swap telemetry (swaps applied, rejections, last pause).
     update_stats: UpdateStats,
     /// Optional structured-event tracer. Batch/supervision events are
     /// recorded directly; per-packet samples go through each shard's
     /// private writer and are absorbed at the batch boundary.
     tracer: Option<Arc<Tracer>>,
+    /// Numbers results in arrival order, across every entry point.
     packet_counter: u32,
 }
 
-impl ShardedScanner {
-    /// A scanner with `workers` shards over an existing engine (clamped
-    /// to at least one worker).
-    pub fn new(engine: Arc<ScanEngine>, workers: usize) -> ShardedScanner {
+impl DpiInstance {
+    /// Compiles `config` (§5.1's initialization) into a one-shard
+    /// instance.
+    pub fn new(config: InstanceConfig) -> Result<DpiInstance, InstanceError> {
+        Ok(DpiInstance::from_engine(Arc::new(ScanEngine::new(config)?)))
+    }
+
+    /// A one-shard instance around an existing engine, sharing its
+    /// compiled automaton (no rebuild).
+    pub fn from_engine(engine: Arc<ScanEngine>) -> DpiInstance {
+        DpiInstance::with_workers(engine, 1)
+    }
+
+    /// An instance with `workers` shards over an existing engine (clamped
+    /// to at least one).
+    pub fn with_workers(engine: Arc<ScanEngine>, workers: usize) -> DpiInstance {
         let slots = (0..workers.max(1))
             .map(|_| ShardSlot {
                 state: ShardState::new(&engine),
@@ -293,11 +321,7 @@ impl ShardedScanner {
                 seen: 0,
             })
             .collect();
-        let update_stats = UpdateStats {
-            generation: engine.generation(),
-            ..UpdateStats::default()
-        };
-        ShardedScanner {
+        DpiInstance {
             engine,
             slots,
             retired: Telemetry::default(),
@@ -305,8 +329,7 @@ impl ShardedScanner {
             watchdog: None,
             faults: Vec::new(),
             chaos: None,
-            slot: None,
-            update_stats,
+            update_stats: UpdateStats::default(),
             tracer: None,
             packet_counter: 0,
         }
@@ -316,12 +339,13 @@ impl ShardedScanner {
     /// watermarks with hysteresis. While a shard is overloaded its
     /// forwarded packets are CE-marked and scans of fail-open chains are
     /// skipped. Chains with a fail-closed member are always scanned.
-    pub fn with_overload_policy(mut self, policy: OverloadPolicy) -> ShardedScanner {
+    /// Overload control acts in [`DpiInstance::inspect_batch`] only.
+    pub fn with_overload_policy(mut self, policy: OverloadPolicy) -> DpiInstance {
         self.set_overload_policy(Some(policy));
         self
     }
 
-    /// Setter form of [`ShardedScanner::with_overload_policy`]; `None`
+    /// Setter form of [`DpiInstance::with_overload_policy`]; `None`
     /// disables overload control.
     pub fn set_overload_policy(&mut self, policy: Option<OverloadPolicy>) {
         for slot in &mut self.slots {
@@ -331,11 +355,6 @@ impl ShardedScanner {
 
     fn detectors(&self) -> impl Iterator<Item = &OverloadDetector> {
         self.slots.iter().filter_map(|s| s.detector.as_ref())
-    }
-
-    /// The configured overload policy, if any.
-    pub fn overload_policy(&self) -> Option<OverloadPolicy> {
-        self.detectors().next().map(|d| *d.policy())
     }
 
     /// Per-shard `(overloaded, load_score)` pairs; empty when overload
@@ -358,34 +377,24 @@ impl ShardedScanner {
         self.tracer = Some(tracer);
     }
 
-    /// The attached tracer, if any.
-    pub fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.tracer.as_ref()
-    }
-
     fn trace(&self, kind: TraceKind) {
         if let Some(t) = &self.tracer {
             t.record(TraceSource::Scanner, kind);
         }
     }
 
-    /// Arms the per-packet watchdog: any single scan taking longer than
+    /// Arms the batch watchdog: any single scan taking longer than
     /// `deadline` marks the worker as stalled, and the supervisor
     /// condemns it at the batch boundary — remaining packets on its
     /// queue are counted as lost scans and the shard restarts with a
     /// fresh flow table.
-    pub fn with_watchdog(mut self, deadline: Duration) -> ShardedScanner {
+    pub fn with_watchdog(mut self, deadline: Duration) -> DpiInstance {
         self.watchdog = Some(deadline);
         self
     }
 
-    /// Setter form of [`ShardedScanner::with_watchdog`].
-    pub fn set_watchdog(&mut self, deadline: Option<Duration>) {
-        self.watchdog = deadline;
-    }
-
     /// Schedules chaos faults against worker shards. Ordinals count each
-    /// shard's received packets over the scanner's lifetime.
+    /// shard's batch-received packets over the instance's lifetime.
     pub fn inject_shard_faults(&mut self, faults: &[ShardFaultSpec]) {
         self.faults.extend_from_slice(faults);
     }
@@ -400,23 +409,13 @@ impl ShardedScanner {
         self.chaos = Some(chaos);
     }
 
-    /// Compiles `config` and builds a scanner with `workers` shards.
-    pub fn from_config(
-        config: InstanceConfig,
-        workers: usize,
-    ) -> Result<ShardedScanner, InstanceError> {
-        Ok(ShardedScanner::new(
-            Arc::new(ScanEngine::new(config)?),
-            workers,
-        ))
-    }
-
     /// Number of worker shards.
     pub fn workers(&self) -> usize {
         self.slots.len()
     }
 
-    /// The shared engine handle.
+    /// The shared engine handle (pass it to another instance to scan
+    /// the same rule set without recompiling).
     pub fn engine(&self) -> &Arc<ScanEngine> {
         &self.engine
     }
@@ -427,33 +426,22 @@ impl ShardedScanner {
     }
 
     /// Hot-swap telemetry: swaps applied, artifacts rejected, the last
-    /// swap's pause and transfer bytes.
+    /// swap's pause.
     pub fn update_stats(&self) -> UpdateStats {
         self.update_stats
     }
 
-    /// Records the transfer size of the update that produced the current
-    /// generation (the controller knows it; the scanner only reports it).
-    pub fn note_update_transfer(&mut self, bytes: u64) {
-        self.update_stats.last_transfer_bytes = bytes;
-    }
-
-    /// Attaches a shared generation slot. Before each batch the scanner
-    /// adopts whatever generation the slot publishes — newer (a rollout
-    /// reaching this instance) or older (an explicit rollback) — so a
-    /// controller can drive updates without a direct scanner reference.
-    pub fn attach_slot(&mut self, slot: Arc<EngineSlot>) {
-        self.slot = Some(slot);
-    }
-
-    /// Hot-swaps the scanner onto a new rule generation. Callable only
-    /// between batches (`&mut self`, and `inspect_batch` joins every
+    /// Hot-swaps the instance onto a new rule generation. Callable only
+    /// between calls (`&mut self`, and `inspect_batch` joins every
     /// worker before returning), so the swap can never interleave with an
     /// in-flight scan: that join is the drain barrier, and the returned
     /// pause — shard cache sweep plus pointer exchange, *not*
-    /// compilation — is the entire packet-path cost of the update.
-    /// Refuses to move backward; rollbacks go through
-    /// [`ShardedScanner::rollback_engine`].
+    /// compilation ([`crate::update::UpdateArtifact`]) — is the entire
+    /// packet-path cost of the update. Flow tables, reassembly buffers
+    /// and telemetry survive; mid-flow scans re-anchor on the new
+    /// automaton (miss-only, DESIGN.md §9). Refuses to move backward or
+    /// sideways (`offered <= current`), counting and tracing the refusal;
+    /// rollbacks go through [`DpiInstance::rollback_engine`].
     pub fn swap_engine(&mut self, engine: Arc<ScanEngine>) -> Result<Duration, UpdateError> {
         let current = self.engine.generation();
         let offered = engine.generation();
@@ -504,12 +492,11 @@ impl ShardedScanner {
         }
         self.engine = engine;
         let pause = started.elapsed();
-        self.update_stats.generation = self.engine.generation();
         self.update_stats.swaps += 1;
         self.update_stats.last_swap_pause = pause;
         self.trace(TraceKind::EngineSwapped {
             from_generation,
-            to_generation: self.update_stats.generation,
+            to_generation: self.engine.generation(),
             pause_us: pause.as_micros() as u64,
             kernel: self.engine.kernel_name(),
         });
@@ -523,25 +510,144 @@ impl ShardedScanner {
         pause
     }
 
-    /// Adopts a generation published to the attached slot, if it differs
-    /// from the one serving. Called at the batch boundary (the drain
-    /// barrier), never mid-batch.
-    fn poll_slot(&mut self) {
-        let Some(slot) = &self.slot else {
-            return;
-        };
-        let published = slot.load();
-        let current = self.engine.generation();
-        if published.generation() > current {
-            let _ = self.swap_engine(published);
-        } else if published.generation() < current {
-            self.rollback_engine(published);
-        }
+    /// The shard a flow is pinned to.
+    pub fn shard_of(&self, flow: &FlowKey) -> usize {
+        route(self.slots.len(), || Some(*flow)).unwrap_or(0)
     }
 
-    /// The shard a flow is pinned to.
-    pub fn shard_of(&self, flow: &dpi_packet::FlowKey) -> usize {
-        (flow.stable_hash() % self.slots.len() as u64) as usize
+    /// What a per-call entry point runs against: the engine and the
+    /// state of the flow's shard — shard 0 for a flow-less (hence
+    /// stateless or failing) scan.
+    #[inline]
+    fn shard(&mut self, flow: impl FnOnce() -> Option<FlowKey>) -> (&ScanEngine, &mut ShardState) {
+        let s = route(self.slots.len(), flow).unwrap_or(0);
+        (&self.engine, &mut self.slots[s].state)
+    }
+
+    /// Scans a raw payload for `chain_id` (§5.2's algorithm). `flow` must
+    /// be given when the chain has stateful members and the caller wants
+    /// cross-packet state.
+    pub fn scan_payload(
+        &mut self,
+        chain_id: u16,
+        flow: Option<FlowKey>,
+        payload: &[u8],
+    ) -> Result<ScanOutput, InstanceError> {
+        let (engine, state) = self.shard(|| flow);
+        engine.scan_payload(state, chain_id, flow, payload)
+    }
+
+    /// Scans a DEFLATE-compressed payload: inflates **once** and scans the
+    /// decompressed bytes for every active middlebox (§1: "the effect of
+    /// decompression … may be reduced significantly, as these heavy
+    /// processes are executed only once for each packet"). `max_inflated`
+    /// bounds the decompressed size — the zip-bomb guard a shared service
+    /// needs even more than a single middlebox does.
+    pub fn scan_payload_deflated(
+        &mut self,
+        chain_id: u16,
+        flow: Option<FlowKey>,
+        compressed: &[u8],
+        max_inflated: usize,
+    ) -> Result<ScanOutput, InstanceError> {
+        let (engine, state) = self.shard(|| flow);
+        engine.scan_payload_deflated(state, chain_id, flow, compressed, max_inflated)
+    }
+
+    /// Like [`DpiInstance::scan_payload_deflated`] for gzip-framed bodies
+    /// (HTTP `Content-Encoding: gzip`), with CRC/length verification.
+    pub fn scan_payload_gzip(
+        &mut self,
+        chain_id: u16,
+        flow: Option<FlowKey>,
+        gz: &[u8],
+        max_inflated: usize,
+    ) -> Result<ScanOutput, InstanceError> {
+        let (engine, state) = self.shard(|| flow);
+        engine.scan_payload_gzip(state, chain_id, flow, gz, max_inflated)
+    }
+
+    /// Scans a packet using its chain tag, marks it via ECN when matches
+    /// exist (§6.1), and returns the dedicated result packet to send right
+    /// after it (§4.2 option 3, the prototype's method).
+    pub fn inspect(&mut self, packet: &mut Packet) -> Result<Option<ResultPacket>, InstanceError> {
+        let (engine, state) = self.shard(|| packet.flow_key());
+        let result = engine.inspect_unnumbered(state, packet)?;
+        Ok(result.map(|result| self.number(result)))
+    }
+
+    /// Stamps `result` with the next packet id.
+    fn number(&mut self, mut result: ResultPacket) -> ResultPacket {
+        self.packet_counter = self.packet_counter.wrapping_add(1);
+        result.packet_id = self.packet_counter;
+        result
+    }
+
+    /// Scans a packet and attaches the results as an in-band NSH-like
+    /// header (§4.2 option 1). Returns whether any matches were attached.
+    pub fn inspect_inband(&mut self, packet: &mut Packet) -> Result<bool, InstanceError> {
+        let (engine, state) = self.shard(|| packet.flow_key());
+        let Some(v) = engine.inspect_verdict(state, packet)? else {
+            return Ok(false);
+        };
+        let n_members = engine.chain_member_count(v.chain_id).unwrap_or(0) as u8;
+        packet.attach_results(DpiResultsHeader::new(v.chain_id, n_members, v.reports));
+        Ok(true)
+    }
+
+    /// Declares a new TCP stream with its initial sequence number (what a
+    /// SYN carries). Without this, [`DpiInstance::scan_tcp_segment`]
+    /// initializes from the first segment seen — correct only when that
+    /// segment is the true stream start; under reordering of the opening
+    /// packets, declare the ISN explicitly.
+    pub fn open_tcp_flow(&mut self, flow: FlowKey, initial_seq: u32) {
+        self.shard(|| Some(flow)).1.open_tcp_flow(flow, initial_seq);
+    }
+
+    /// Feeds one TCP segment through per-flow stream reassembly, then
+    /// scans every in-order byte run that becomes available. Out-of-order
+    /// segments return an empty vector and are scanned when the gap
+    /// fills; stateful middleboxes therefore see a *correct, in-order*
+    /// byte stream even under reordering — session reconstruction as a
+    /// service, done once instead of once per middlebox.
+    pub fn scan_tcp_segment(
+        &mut self,
+        chain_id: u16,
+        flow: FlowKey,
+        seq: u32,
+        payload: &[u8],
+    ) -> Result<Vec<ScanOutput>, InstanceError> {
+        let (engine, state) = self.shard(|| Some(flow));
+        engine.scan_tcp_segment(state, chain_id, flow, seq, payload)
+    }
+
+    /// Whether a flow is quarantined (reassembly conflict under
+    /// [`crate::reassembly::ConflictPolicy::RejectFlow`]).
+    pub fn flow_quarantined(&self, flow: &FlowKey) -> bool {
+        self.slots[self.shard_of(flow)].state.flow_quarantined(flow)
+    }
+
+    /// Tears down a flow's reassembly state (RST/FIN/timeout).
+    pub fn close_tcp_flow(&mut self, flow: &FlowKey) {
+        self.shard(|| Some(*flow)).1.close_tcp_flow(flow);
+    }
+
+    /// Exports a flow's **full** scan state for migration to another
+    /// instance (§4.3.1), forgetting it locally. Returns `None` for
+    /// untracked flows.
+    pub fn export_flow(&mut self, key: &FlowKey) -> Option<FlowState> {
+        self.shard(|| Some(*key)).1.export_flow(key)
+    }
+
+    /// Imports a migrated flow's scan state as exported, onto the shard
+    /// that owns the flow here (worker counts need not agree across the
+    /// move). The generation tag travels with the record: if it does not
+    /// match this instance's serving generation the flow simply
+    /// re-anchors on next access (miss-only) — it is **not** re-tagged,
+    /// which would feed a foreign automaton's state id to this engine. A
+    /// quarantine verdict likewise survives the move.
+    pub fn import_flow(&mut self, key: FlowKey, fs: FlowState) {
+        self.shard(|| Some(key)).1.import_flow(key, fs);
     }
 
     /// Scans a batch of packets in parallel, preserving per-flow order.
@@ -551,11 +657,10 @@ impl ShardedScanner {
     /// the feeder is still distributing the rest of the batch. Matched
     /// packets are ECN-marked in place; their [`ResultPacket`]s are
     /// returned in batch order with sequential packet ids — exactly the
-    /// stream a sequential [`crate::DpiInstance`] would produce.
+    /// stream [`DpiInstance::inspect`] would produce packet by packet.
     /// Packets that fail inspection (no tag, no payload, unknown chain)
     /// are counted per shard and yield no result.
     pub fn inspect_batch(&mut self, packets: &mut [Packet]) -> Vec<ResultPacket> {
-        self.poll_slot();
         let batch_started = Instant::now();
         self.trace(TraceKind::BatchStart {
             packets: packets.len() as u64,
@@ -624,12 +729,9 @@ impl ShardedScanner {
                     })
                     .collect();
                 for (idx, pkt) in packets.iter_mut().enumerate() {
-                    let shard = match pkt.flow_key() {
-                        Some(flow) => (flow.stable_hash() % n as u64) as usize,
-                        // Flow-less packets fail inspection anyway; spread
-                        // them deterministically.
-                        None => idx % n,
-                    };
+                    // Flow-less packets fail inspection anyway; spread
+                    // them deterministically.
+                    let shard = route(n, || pkt.flow_key()).unwrap_or(idx % n);
                     assigned[shard] += 1;
                     // A send fails only when the worker panicked and
                     // dropped its receiver; the batch continues — that
@@ -720,8 +822,8 @@ impl ShardedScanner {
             }
         }
 
-        // Batch order, then sequential ids — identical to a sequential
-        // instance numbering matches as it encounters them.
+        // Batch order, then sequential ids — identical to `inspect`
+        // numbering matches as it encounters them.
         let mut numbered = std::mem::take(&mut tallies[0].results);
         for t in &mut tallies[1..] {
             numbered.append(&mut t.results);
@@ -747,11 +849,7 @@ impl ShardedScanner {
 
         numbered
             .into_iter()
-            .map(|(_, mut result)| {
-                self.packet_counter = self.packet_counter.wrapping_add(1);
-                result.packet_id = self.packet_counter;
-                result
-            })
+            .map(|(_, result)| self.number(result))
             .collect()
     }
 
@@ -852,7 +950,7 @@ impl ShardedScanner {
     }
 
     /// Each shard's ingress-queue peak during the most recent batch (the
-    /// lifetime peak is in [`ShardedScanner::shard_telemetry`]). Benches
+    /// lifetime peak is in [`DpiInstance::shard_telemetry`]). Benches
     /// sample this per batch to build queue-depth distributions.
     pub fn last_batch_peaks(&self) -> Vec<usize> {
         self.slots.iter().map(|s| s.last_batch_peak).collect()
@@ -882,6 +980,43 @@ impl ShardedScanner {
     pub fn tracked_flows(&self) -> usize {
         self.slots.iter().map(|s| s.state.tracked_flows()).sum()
     }
+
+    /// Estimated bytes of per-flow state held across all shards (see
+    /// [`ShardState::flow_bytes`]).
+    pub fn flow_bytes(&self) -> u64 {
+        self.slots.iter().map(|s| s.state.flow_bytes()).sum()
+    }
+
+    /// Per-flow deep-state ratios observed since the last
+    /// [`DpiInstance::reset_flow_stress`] — the input to heavy-flow
+    /// selection (§4.3.1). Flows with fewer than two samples are omitted
+    /// (no signal); the rest are sorted hottest first.
+    pub fn flow_deep_ratios(&self) -> Vec<(FlowKey, f64)> {
+        let mut all: Vec<(FlowKey, f64)> = self
+            .slots
+            .iter()
+            .flat_map(|s| s.state.flow_deep_ratios())
+            .collect();
+        all.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("ratios are finite"));
+        all
+    }
+
+    /// Clears the per-flow stress window (after the controller consumed
+    /// it).
+    pub fn reset_flow_stress(&mut self) {
+        for slot in &mut self.slots {
+            slot.state.reset_flow_stress();
+        }
+    }
+
+    /// Opens a new per-tenant scan-byte quota window (refills every
+    /// bucket on every shard). [`DpiInstance::inspect_batch`] does this
+    /// per batch; per-call users define the window cadence themselves.
+    pub fn refill_tenant_window(&mut self) {
+        for slot in &mut self.slots {
+            slot.state.refill_tenant_window();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -906,6 +1041,10 @@ mod tests {
             .with_chain(3, vec![MiddleboxId(1)])
     }
 
+    fn sharded(config: InstanceConfig, workers: usize) -> DpiInstance {
+        DpiInstance::with_workers(Arc::new(ScanEngine::new(config).unwrap()), workers)
+    }
+
     fn tagged_packet(port: u16, payload: &[u8]) -> Packet {
         let f = flow([10, 0, 0, 1], port, [10, 0, 0, 2], 80, IpProtocol::Tcp);
         let mut p = Packet::tcp(MacAddr::local(1), MacAddr::local(2), f, 0, payload.to_vec());
@@ -915,7 +1054,7 @@ mod tests {
 
     #[test]
     fn batch_results_are_in_batch_order_with_sequential_ids() {
-        let mut scanner = ShardedScanner::from_config(config(), 4).unwrap();
+        let mut scanner = sharded(config(), 4);
         let mut batch: Vec<Packet> = (0..32)
             .map(|i| {
                 let payload = if i % 2 == 0 {
@@ -943,7 +1082,7 @@ mod tests {
 
     #[test]
     fn per_shard_telemetry_sums_to_merged() {
-        let mut scanner = ShardedScanner::from_config(config(), 3).unwrap();
+        let mut scanner = sharded(config(), 3);
         let mut batch: Vec<Packet> = (0..24)
             .map(|i| tagged_packet(2000 + i, b"one virus payload"))
             .collect();
@@ -962,7 +1101,7 @@ mod tests {
 
     #[test]
     fn flowless_and_untagged_packets_count_as_errors() {
-        let mut scanner = ShardedScanner::from_config(config(), 2).unwrap();
+        let mut scanner = sharded(config(), 2);
         // A tag for a chain this engine does not serve.
         let mut p = tagged_packet(1, b"attack");
         p.pop_chain_tag();
@@ -1007,7 +1146,7 @@ mod tests {
     #[test]
     fn injected_panic_is_captured_and_shard_restarts() {
         for workers in [1, 2] {
-            let mut scanner = ShardedScanner::from_config(config(), workers).unwrap();
+            let mut scanner = sharded(config(), workers);
             let f = flow([10, 0, 0, 9], 777, [10, 0, 0, 2], 80, IpProtocol::Tcp);
             let shard = scanner.shard_of(&f);
             // The shard's 3rd packet panics the worker.
@@ -1038,9 +1177,8 @@ mod tests {
     #[test]
     fn watchdog_condemns_a_stalled_shard() {
         for workers in [1, 2] {
-            let mut scanner = ShardedScanner::from_config(config(), workers)
-                .unwrap()
-                .with_watchdog(std::time::Duration::from_millis(10));
+            let mut scanner =
+                sharded(config(), workers).with_watchdog(std::time::Duration::from_millis(10));
             let f = flow([10, 0, 0, 9], 777, [10, 0, 0, 2], 80, IpProtocol::Tcp);
             let shard = scanner.shard_of(&f);
             scanner.inject_shard_faults(&[ShardFaultSpec {
@@ -1064,7 +1202,7 @@ mod tests {
     fn chaos_fault_log_records_supervision_deterministically() {
         let run = || {
             let chaos = crate::chaos::FaultPlan::new(11).panic_shard(0, 1).start();
-            let mut scanner = ShardedScanner::from_config(config(), 1).unwrap();
+            let mut scanner = sharded(config(), 1);
             scanner.attach_chaos(chaos.clone());
             let mut batch: Vec<Packet> = (0..5).map(|i| tagged_packet(100 + i, b"clean")).collect();
             scanner.inspect_batch(&mut batch);
@@ -1078,7 +1216,7 @@ mod tests {
 
     #[test]
     fn hot_swap_changes_the_rule_set_at_the_batch_boundary() {
-        let mut scanner = ShardedScanner::from_config(config(), 2).unwrap();
+        let mut scanner = sharded(config(), 2);
         let mut batch = vec![tagged_packet(1, b"an attack and a worm")];
         let results = scanner.inspect_batch(&mut batch);
         assert_eq!(results.len(), 1);
@@ -1091,7 +1229,7 @@ mod tests {
                 vec![RuleSpec::exact(b"worm".to_vec())],
             )
             .with_chain(3, vec![MiddleboxId(1)]);
-        let engine = Arc::new(crate::instance::ScanEngine::with_generation(next, 1).unwrap());
+        let engine = Arc::new(ScanEngine::with_generation(next, 1).unwrap());
         let pause = scanner.swap_engine(engine).unwrap();
         assert_eq!(scanner.generation(), 1);
         assert!(pause < Duration::from_millis(100));
@@ -1111,45 +1249,24 @@ mod tests {
 
     #[test]
     fn stale_generation_swap_is_rejected() {
-        let mut scanner = ShardedScanner::from_config(config(), 1).unwrap();
-        let same_gen = Arc::new(crate::instance::ScanEngine::new(config()).unwrap());
-        assert!(matches!(
-            scanner.swap_engine(same_gen),
-            Err(UpdateError::StaleGeneration {
-                current: 0,
-                offered: 0
-            })
-        ));
-        assert_eq!(scanner.update_stats().rejected, 1);
-        assert_eq!(scanner.generation(), 0);
-    }
-
-    #[test]
-    fn attached_slot_is_adopted_at_the_next_batch() {
-        let mut scanner = ShardedScanner::from_config(config(), 2).unwrap();
-        let slot = Arc::new(EngineSlot::new(scanner.engine().clone()));
-        scanner.attach_slot(slot.clone());
-
-        let next = InstanceConfig::new()
-            .with_middlebox(
-                MiddleboxProfile::stateless(MiddleboxId(1)),
-                vec![RuleSpec::exact(b"worm".to_vec())],
-            )
-            .with_chain(3, vec![MiddleboxId(1)]);
-        let engine = Arc::new(crate::instance::ScanEngine::with_generation(next, 1).unwrap());
-        slot.publish(engine).unwrap();
-        // The scanner adopts the published generation at the batch
-        // boundary, with no direct swap call.
-        let mut batch = vec![tagged_packet(4, b"a worm arrives")];
-        let results = scanner.inspect_batch(&mut batch);
-        assert_eq!(scanner.generation(), 1);
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].generation, 1);
+        let one_shard = DpiInstance::from_engine(Arc::new(ScanEngine::new(config()).unwrap()));
+        for mut dpi in [one_shard, sharded(config(), 1), sharded(config(), 4)] {
+            let same_gen = Arc::new(ScanEngine::new(config()).unwrap());
+            assert!(matches!(
+                dpi.swap_engine(same_gen),
+                Err(UpdateError::StaleGeneration {
+                    current: 0,
+                    offered: 0
+                })
+            ));
+            assert_eq!(dpi.update_stats().rejected, 1);
+            assert_eq!(dpi.generation(), 0);
+        }
     }
 
     #[test]
     fn flows_stay_pinned_to_one_shard() {
-        let mut scanner = ShardedScanner::from_config(config(), 4).unwrap();
+        let mut scanner = sharded(config(), 4);
         let f = flow([10, 0, 0, 9], 777, [10, 0, 0, 2], 80, IpProtocol::Tcp);
         let shard = scanner.shard_of(&f);
         let mut batch: Vec<Packet> = (0..10)
@@ -1179,7 +1296,7 @@ mod tests {
     fn tracer_sees_batch_lifecycle_and_shard_samples() {
         use crate::trace::{TraceKind, TraceSource, Tracer};
 
-        let mut scanner = ShardedScanner::from_config(config(), 2).unwrap();
+        let mut scanner = sharded(config(), 2);
         let tracer = Arc::new(Tracer::new());
         scanner.attach_tracer(Arc::clone(&tracer));
 
@@ -1228,9 +1345,8 @@ mod tests {
         for workers in [1, 2] {
             // queue_high = 1: the worker enters overload as soon as it sees
             // one queued packet behind the one in hand.
-            let mut scanner = ShardedScanner::from_config(config(), workers)
-                .unwrap()
-                .with_overload_policy(OverloadPolicy::queue_only(1, 0));
+            let mut scanner =
+                sharded(config(), workers).with_overload_policy(OverloadPolicy::queue_only(1, 0));
             let tracer = Arc::new(Tracer::new());
             scanner.attach_tracer(Arc::clone(&tracer));
             let f = flow([10, 0, 0, 9], 777, [10, 0, 0, 2], 80, IpProtocol::Tcp);
@@ -1290,9 +1406,7 @@ mod tests {
                 vec![RuleSpec::exact(b"attack".to_vec())],
             )
             .with_chain(3, vec![MiddleboxId(1)]);
-        let mut scanner = ShardedScanner::from_config(cfg, 1)
-            .unwrap()
-            .with_overload_policy(OverloadPolicy::queue_only(1, 0));
+        let mut scanner = sharded(cfg, 1).with_overload_policy(OverloadPolicy::queue_only(1, 0));
         let mut batch: Vec<Packet> = (0..8).map(|i| tagged_packet(100 + i, b"attack")).collect();
         let results = scanner.inspect_batch(&mut batch);
         // Every packet was scanned despite sustained overload: the chain
@@ -1313,10 +1427,8 @@ mod tests {
                 .map(|i| tagged_packet(3000 + i, b"an attack payload"))
                 .collect()
         };
-        let mut plain = ShardedScanner::from_config(config(), 2).unwrap();
-        let mut armed = ShardedScanner::from_config(config(), 2)
-            .unwrap()
-            .with_overload_policy(OverloadPolicy::default());
+        let mut plain = sharded(config(), 2);
+        let mut armed = sharded(config(), 2).with_overload_policy(OverloadPolicy::default());
         let (mut a, mut b) = (make_batch(), make_batch());
         let ra = plain.inspect_batch(&mut a);
         let rb = armed.inspect_batch(&mut b);
@@ -1332,7 +1444,7 @@ mod tests {
 
     #[test]
     fn last_batch_peaks_track_the_most_recent_batch() {
-        let mut scanner = ShardedScanner::from_config(config(), 1).unwrap();
+        let mut scanner = sharded(config(), 1);
         let mut big: Vec<Packet> = (0..12).map(|i| tagged_packet(100 + i, b"x")).collect();
         scanner.inspect_batch(&mut big);
         let peak_big = scanner.last_batch_peaks()[0];
@@ -1353,7 +1465,7 @@ mod tests {
     fn tracer_records_supervision_and_restart() {
         use crate::trace::{TraceKind, Tracer};
 
-        let mut scanner = ShardedScanner::from_config(config(), 1).unwrap();
+        let mut scanner = sharded(config(), 1);
         let tracer = Arc::new(Tracer::new());
         scanner.attach_tracer(Arc::clone(&tracer));
         scanner.inject_shard_faults(&[ShardFaultSpec {

@@ -193,8 +193,8 @@ impl Telemetry {
     }
 }
 
-/// Per-shard counters exported by the sharded pipeline
-/// ([`crate::pipeline::ShardedScanner`]): one worker's share of the
+/// Per-shard counters exported by an instance
+/// ([`crate::pipeline::DpiInstance`]): one worker's share of the
 /// traffic plus the ingress-queue pressure it saw. The controller can
 /// read shard skew from these (a hot shard means an elephant flow —
 /// flow-affine sharding cannot split a single flow).

@@ -16,12 +16,11 @@
 //!   artifact corrupted in transit (the chaos `corrupt-rule-update`
 //!   fault) fails [`UpdateArtifact::validate`] and is **rejected**; the
 //!   instance keeps serving its current generation.
-//! * [`EngineSlot`] — the atomic publication point. A builder thread
-//!   compiles the next generation and [`EngineSlot::publish`]es it;
-//!   readers [`EngineSlot::load`] an `Arc` clone whenever they are at a
-//!   safe point (for the sharded pipeline, the batch boundary — its
-//!   drain barrier). Readers never block on compilation; old generations
-//!   are reclaimed by the last `Arc` drop once in-flight batches drain.
+//! * [`crate::pipeline::DpiInstance::swap_engine`] — the adoption point.
+//!   The artifact is compiled off the packet path and the finished
+//!   engine handed over between calls (`&mut self` is the drain
+//!   barrier); an instance refuses any `offered <= current` generation,
+//!   and old generations are reclaimed by the last `Arc` drop.
 //! * [`UpdateStats`] — per-engine swap telemetry: swaps applied,
 //!   rejections, and the observed swap pause (the paper's Fig. 11
 //!   companion metric, recorded by `bench_update`).
@@ -35,7 +34,7 @@
 
 use crate::config::InstanceConfig;
 use crate::instance::{InstanceError, ScanEngine};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A rule generation: monotonically increasing per deployment, starting
@@ -170,8 +169,8 @@ impl UpdateArtifact {
 
     /// Validates, then compiles the artifact into a [`ScanEngine`] at its
     /// generation — the off-hot-path build step. The caller swaps the
-    /// returned engine in via an [`EngineSlot`] or
-    /// `ShardedScanner::swap_engine`.
+    /// returned engine in via
+    /// [`crate::pipeline::DpiInstance::swap_engine`].
     pub fn compile(&self) -> Result<Arc<ScanEngine>, UpdateError> {
         let config = self.validate()?;
         ScanEngine::with_generation(config, self.generation)
@@ -180,67 +179,9 @@ impl UpdateArtifact {
     }
 }
 
-/// The atomic generation slot a running data plane reads its engine
-/// from. Writers publish a fully-compiled engine; readers clone an `Arc`
-/// at their next safe point. Neither side ever waits on compilation.
-#[derive(Debug)]
-pub struct EngineSlot {
-    engine: RwLock<Arc<ScanEngine>>,
-}
-
-impl EngineSlot {
-    /// A slot currently serving `engine`.
-    pub fn new(engine: Arc<ScanEngine>) -> EngineSlot {
-        EngineSlot {
-            engine: RwLock::new(engine),
-        }
-    }
-
-    /// The engine currently published (an `Arc` clone; the generation it
-    /// belongs to stays alive while the caller holds it).
-    pub fn load(&self) -> Arc<ScanEngine> {
-        self.engine
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    /// Generation currently published.
-    pub fn generation(&self) -> GenerationId {
-        self.load().generation()
-    }
-
-    /// Publishes `engine` as the next generation. Refuses to move the
-    /// slot backward: a stale publication (older or equal generation,
-    /// e.g. a delayed duplicate `BeginUpdate`) is rejected so a rollback
-    /// race cannot resurrect a withdrawn rule set.
-    pub fn publish(&self, engine: Arc<ScanEngine>) -> Result<GenerationId, UpdateError> {
-        let mut g = self.engine.write().unwrap_or_else(|e| e.into_inner());
-        let current = g.generation();
-        let offered = engine.generation();
-        if offered <= current {
-            return Err(UpdateError::StaleGeneration { current, offered });
-        }
-        *g = engine;
-        Ok(offered)
-    }
-
-    /// Forces the slot back to `engine` regardless of generation order —
-    /// the rollback path (the orchestrator re-publishes the last good
-    /// generation after a failed rollout).
-    pub fn rollback(&self, engine: Arc<ScanEngine>) -> GenerationId {
-        let mut g = self.engine.write().unwrap_or_else(|e| e.into_inner());
-        let generation = engine.generation();
-        *g = engine;
-        generation
-    }
-}
-
 /// Per-data-plane swap telemetry.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateStats {
-    /// Generation currently serving.
-    pub generation: GenerationId,
     /// Hot swaps applied since start.
     pub swaps: u64,
     /// Update artifacts rejected (checksum, malformed, stale).
@@ -248,8 +189,6 @@ pub struct UpdateStats {
     /// Pause of the most recent swap — the drain-barrier cost, *not*
     /// compilation (which happens off the hot path).
     pub last_swap_pause: Duration,
-    /// Transfer bytes of the most recent applied update.
-    pub last_transfer_bytes: u64,
 }
 
 #[cfg(test)]
@@ -320,59 +259,6 @@ mod tests {
             UpdateError::Malformed(_)
         ));
         // Nothing compiles, so the receiver keeps serving what it has.
-        let slot = EngineSlot::new(
-            UpdateArtifact::build(2, &config(&[b"sig-a"]))
-                .compile()
-                .unwrap(),
-        );
-        assert!(art.compile().and_then(|e| slot.publish(e)).is_err());
-        assert_eq!(slot.generation(), 2);
-    }
-
-    #[test]
-    fn slot_publish_is_monotonic_but_rollback_is_not() {
-        let g0 = UpdateArtifact::build(0, &config(&[b"a"]))
-            .compile()
-            .unwrap();
-        let g1 = UpdateArtifact::build(1, &config(&[b"b"]))
-            .compile()
-            .unwrap();
-        let slot = EngineSlot::new(g0.clone());
-        assert_eq!(slot.generation(), 0);
-        assert_eq!(slot.publish(g1.clone()).unwrap(), 1);
-        assert_eq!(slot.generation(), 1);
-        // A delayed duplicate of the old generation cannot regress it…
-        assert!(matches!(
-            slot.publish(g0.clone()).unwrap_err(),
-            UpdateError::StaleGeneration {
-                current: 1,
-                offered: 0
-            }
-        ));
-        // …but an explicit rollback can.
-        assert_eq!(slot.rollback(g0), 0);
-        assert_eq!(slot.generation(), 0);
-    }
-
-    #[test]
-    fn old_generation_is_reclaimed_when_the_last_reader_drops() {
-        let g0 = UpdateArtifact::build(0, &config(&[b"a"]))
-            .compile()
-            .unwrap();
-        let slot = EngineSlot::new(g0.clone());
-        let in_flight = slot.load(); // a batch holding the old snapshot
-        assert_eq!(Arc::strong_count(&g0), 3); // g0 + slot + in_flight
-        let g1 = UpdateArtifact::build(1, &config(&[b"b"]))
-            .compile()
-            .unwrap();
-        slot.publish(g1).unwrap();
-        // The swap drops the slot's ref, but the old generation survives
-        // while a batch still scans against it.
-        assert_eq!(Arc::strong_count(&g0), 2); // g0 + in_flight
-        drop(in_flight);
-        // Last in-flight batch drained: only the test's own handle keeps
-        // the old generation alive now.
-        assert_eq!(Arc::strong_count(&g0), 1);
-        assert_eq!(slot.generation(), 1);
+        assert!(art.compile().is_err());
     }
 }

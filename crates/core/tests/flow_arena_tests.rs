@@ -5,7 +5,6 @@
 //! over random operation sequences, and by a sharded-pipeline property
 //! test over random segment traces at worker counts {1, 2, 8}.
 
-use dpi_core::pipeline::ShardedScanner;
 use dpi_core::{
     DpiInstance, FlowArena, FlowState, FlowTable, InstanceConfig, L7Policy, MiddleboxId,
     MiddleboxProfile, RuleSpec,
@@ -310,6 +309,7 @@ proptest! {
     ) {
         let trace = random_trace(seed, nflows, mss);
         let mut instance = DpiInstance::new(pipeline_config()).unwrap();
+        let engine = instance.engine().clone();
         let mut expected_packets = trace.clone();
         let mut expected_results = Vec::new();
         for p in &mut expected_packets {
@@ -320,7 +320,7 @@ proptest! {
         prop_assert!(!expected_results.is_empty(), "trace must produce matches");
 
         for workers in [1usize, 2, 8] {
-            let mut scanner = ShardedScanner::from_config(pipeline_config(), workers).unwrap();
+            let mut scanner = DpiInstance::with_workers(engine.clone(), workers);
             let mut packets = trace.clone();
             let results = scanner.inspect_batch(&mut packets);
             prop_assert_eq!(&results, &expected_results, "worker count {} diverged", workers);

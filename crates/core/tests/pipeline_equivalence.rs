@@ -1,13 +1,13 @@
-//! The sharded pipeline must be *observably identical* to a sequential
-//! instance: same result packets, same ids, same order, same ECN marks —
-//! at any worker count. This is the §4.2 correctness contract that lets
-//! an operator scale the data plane without middleboxes noticing.
+//! An instance must be *observably identical* at every worker count and
+//! through either kind of entry point: same result packets, same ids,
+//! same order, same ECN marks. This is the §4.2 correctness contract that
+//! lets an operator scale the data plane without middleboxes noticing.
 
-use dpi_core::pipeline::ShardedScanner;
-use dpi_core::{DpiInstance, InstanceConfig, MiddleboxId, MiddleboxProfile, RuleSpec};
+use dpi_core::{DpiInstance, InstanceConfig, MiddleboxId, MiddleboxProfile, RuleSpec, ScanEngine};
 use dpi_packet::report::ResultPacket;
 use dpi_packet::Packet;
 use dpi_traffic::flows::{flow_pool, packetize};
+use std::sync::Arc;
 
 const CHAIN: u16 = 7;
 const MSS: usize = 32;
@@ -67,15 +67,22 @@ fn interleaved_trace() -> Vec<Packet> {
     out
 }
 
+fn instance(workers: usize) -> DpiInstance {
+    DpiInstance::with_workers(Arc::new(ScanEngine::new(config()).unwrap()), workers)
+}
+
+/// Feeds `packets` one by one through the per-call entry point.
+fn inspect_each(instance: &mut DpiInstance, packets: &mut [Packet]) -> Vec<ResultPacket> {
+    packets
+        .iter_mut()
+        .filter_map(|p| instance.inspect(p).unwrap())
+        .collect()
+}
+
+/// The reference: workers = 1, every packet through `inspect`.
 fn sequential_reference(trace: &[Packet]) -> (Vec<Packet>, Vec<ResultPacket>) {
-    let mut instance = DpiInstance::new(config()).unwrap();
     let mut packets = trace.to_vec();
-    let mut results = Vec::new();
-    for p in &mut packets {
-        if let Some(r) = instance.inspect(p).unwrap() {
-            results.push(r);
-        }
-    }
+    let results = inspect_each(&mut instance(1), &mut packets);
     (packets, results)
 }
 
@@ -89,7 +96,7 @@ fn sharded_output_is_byte_identical_to_sequential() {
     );
 
     for workers in [1usize, 2, 8] {
-        let mut scanner = ShardedScanner::from_config(config(), workers).unwrap();
+        let mut scanner = instance(workers);
         let mut packets = trace.to_vec();
         // Split the trace into two batches: packet ids and per-flow scan
         // state must carry across batch boundaries exactly like the
@@ -113,6 +120,50 @@ fn sharded_output_is_byte_identical_to_sequential() {
 }
 
 #[test]
+fn batch_and_per_call_entry_points_share_flow_state_and_ids() {
+    // The interleaved trace, then one "helloworld" per flow cut in two:
+    // every "hello" half goes through `inspect_batch` with the trace,
+    // every "world" half packet by packet through `inspect` — the
+    // stateful match is found only if `inspect` resumes, on the same
+    // shard, the state `inspect_batch` stored.
+    let mut trace = interleaved_trace();
+    let flows: Vec<_> = trace[..12].iter().map(|p| p.flow_key().unwrap()).collect();
+    for half in [&b"zz hello"[..], b"world zz"] {
+        for &flow in &flows {
+            let mut p = packetize(flow, half, MSS, 1 << 20).remove(0);
+            p.push_chain_tag(CHAIN).unwrap();
+            trace.push(p);
+        }
+    }
+    let cut = trace.len() - flows.len();
+    let (expected_packets, expected_results) = sequential_reference(&trace);
+
+    for workers in [1usize, 2, 8] {
+        let mut dpi = instance(workers);
+        let mut packets = trace.to_vec();
+        let (first, second) = packets.split_at_mut(cut);
+        let mut results = dpi.inspect_batch(first);
+        let handed_over = inspect_each(&mut dpi, second);
+        assert_eq!(
+            handed_over.len(),
+            flows.len(),
+            "{workers} workers: every flow's match straddles the hand-over"
+        );
+        results.extend(handed_over);
+
+        assert_eq!(
+            results, expected_results,
+            "{workers}-worker mixed-entry result stream (ids included) diverged"
+        );
+        assert_eq!(
+            packets, expected_packets,
+            "{workers}-worker mixed-entry packet mutations diverged"
+        );
+        assert_eq!(dpi.telemetry().packets, trace.len() as u64);
+    }
+}
+
+#[test]
 fn worker_counts_agree_with_each_other_on_flow_state() {
     // After the whole trace, per-flow stored state must make a resumed
     // scan behave the same regardless of sharding: feed a continuation
@@ -125,19 +176,10 @@ fn worker_counts_agree_with_each_other_on_flow_state() {
         p.push_chain_tag(CHAIN).unwrap();
     }
 
-    let (_, mut expected_tail) = {
-        let mut instance = DpiInstance::new(config()).unwrap();
-        let mut packets = trace.to_vec();
-        for p in &mut packets {
-            instance.inspect(p).unwrap();
-        }
-        let mut tail_results = Vec::new();
-        for p in &mut tail.to_vec() {
-            if let Some(r) = instance.inspect(p).unwrap() {
-                tail_results.push(r);
-            }
-        }
-        ((), tail_results)
+    let mut expected_tail = {
+        let mut reference = instance(1);
+        inspect_each(&mut reference, &mut trace.to_vec());
+        inspect_each(&mut reference, &mut tail.to_vec())
     };
     // Ids depend on how many packets matched before; compare contents.
     for r in &mut expected_tail {
@@ -145,7 +187,7 @@ fn worker_counts_agree_with_each_other_on_flow_state() {
     }
 
     for workers in [2usize, 8] {
-        let mut scanner = ShardedScanner::from_config(config(), workers).unwrap();
+        let mut scanner = instance(workers);
         let mut packets = trace.to_vec();
         scanner.inspect_batch(&mut packets);
         let mut tail_packets = tail.to_vec();

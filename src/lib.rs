@@ -38,6 +38,6 @@ pub use dpi_traffic as traffic;
 pub mod system;
 
 pub use dpi_core::{to_jsonl, MetricKind, MetricsText};
-pub use dpi_core::{ScanEngine, ShardedScanner};
+pub use dpi_core::{DpiInstance, ScanEngine};
 pub use dpi_core::{TraceEvent, TraceKind, TraceSource, TraceWriter, Tracer};
 pub use system::{SystemBuilder, SystemHandle, UpdateOutcome};

@@ -33,7 +33,6 @@ use dpi_core::chaos::{ChaosEngine, FaultPlan, RetryPolicy};
 use dpi_core::instance::ScanEngine;
 use dpi_core::metrics::{MetricKind, MetricsText};
 use dpi_core::overload::{InstanceLoadGauge, LoadWindow, OverloadPolicy};
-use dpi_core::pipeline::ShardedScanner;
 use dpi_core::rules::RuleKind;
 use dpi_core::telemetry::{merge_tenant_counters, ShardTelemetry, TenantCounters};
 use dpi_core::trace::{to_jsonl, TraceEvent, TraceKind, TraceSource, Tracer};
@@ -50,9 +49,10 @@ use dpi_sdn::flowtable::Port;
 use dpi_sdn::{Network, NodeId, Switch, TrafficSteeringApp};
 use dpi_traffic::evasive_flow;
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // `parking_lot` is pulled transitively; re-exported types below keep the
 // facade's public API self-contained.
@@ -304,10 +304,8 @@ impl SystemBuilder {
         cfg.l7 = self.l7;
         let mut orchestrator = UpdateOrchestrator::new(&cfg);
         let engine = Arc::new(ScanEngine::new(cfg)?);
-        let mut scanner = ShardedScanner::new(engine.clone(), self.dpi_workers);
-        if let Some(policy) = self.overload {
-            scanner.set_overload_policy(Some(policy));
-        }
+        let mut scanner = DpiInstance::with_workers(engine.clone(), self.dpi_workers);
+        scanner.set_overload_policy(self.overload);
 
         // Chains any of whose members demand verdicts: never shed under
         // overload (the gauge-armed fleet nodes consult this set).
@@ -473,14 +471,38 @@ pub struct UpdateOutcome {
     pub failure: Option<String>,
 }
 
+/// The engines one roll-out has compiled, by `(generation, checksum)`.
+type BuiltEngines = RefCell<Vec<((GenerationId, u64), Arc<ScanEngine>)>>;
+
+/// The engine `artifact` compiles to. Every call validates (checksum +
+/// parse), so a corrupted artifact is refused before anything is built
+/// or reused; each artifact is compiled once and its table shared.
+fn engine_for(
+    built: &BuiltEngines,
+    artifact: &UpdateArtifact,
+) -> Result<Arc<ScanEngine>, UpdateError> {
+    let config = artifact.validate()?;
+    let key = (artifact.generation, artifact.checksum);
+    let mut built = built.borrow_mut();
+    if let Some((_, engine)) = built.iter().find(|(k, _)| *k == key) {
+        return Ok(Arc::clone(engine));
+    }
+    let engine = ScanEngine::with_generation(config, artifact.generation)
+        .map(Arc::new)
+        .map_err(|e| UpdateError::Build(e.to_string()))?;
+    built.push((key, Arc::clone(&engine)));
+    Ok(engine)
+}
+
 /// Adapter: one in-network fleet instance as a staged-rollout target.
-struct FleetTarget {
+struct FleetTarget<'a> {
     id: InstanceId,
     instance: Arc<Mutex<DpiInstance>>,
+    built: &'a BuiltEngines,
     pause: Duration,
 }
 
-impl UpdateTarget for FleetTarget {
+impl UpdateTarget for FleetTarget<'_> {
     fn instance_id(&self) -> InstanceId {
         self.id
     }
@@ -488,26 +510,16 @@ impl UpdateTarget for FleetTarget {
     fn begin_update(&mut self, artifact: &UpdateArtifact) -> Result<GenerationId, UpdateError> {
         // Validation and compilation happen here, outside the instance
         // lock — the packet path never waits on them.
-        let engine = artifact.compile()?;
-        let mut g = self.instance.lock();
-        let current = g.engine().generation();
-        if engine.generation() <= current {
-            return Err(UpdateError::StaleGeneration {
-                current,
-                offered: engine.generation(),
-            });
-        }
-        let t = Instant::now();
-        g.swap_engine(engine);
-        self.pause = self.pause.max(t.elapsed());
+        let engine = engine_for(self.built, artifact)?;
+        let pause = self.instance.lock().swap_engine(engine)?;
+        self.pause = self.pause.max(pause);
         Ok(artifact.generation)
     }
 
     fn rollback(&mut self, artifact: &UpdateArtifact) -> Result<GenerationId, UpdateError> {
-        let engine = artifact.compile()?;
-        let t = Instant::now();
-        self.instance.lock().swap_engine(engine);
-        self.pause = self.pause.max(t.elapsed());
+        let engine = engine_for(self.built, artifact)?;
+        let pause = self.instance.lock().rollback_engine(engine);
+        self.pause = self.pause.max(pause);
         Ok(artifact.generation)
     }
 }
@@ -547,12 +559,12 @@ pub struct SystemHandle {
     /// never repeated.
     flow_evasive: HashMap<FlowKey, bool>,
     next_instance: usize,
-    /// The batched scan pipeline: shares the in-network instances'
-    /// compiled automaton, fans packets out across
-    /// [`SystemBuilder::with_dpi_workers`] flow-affine shards. Drive it
-    /// with [`SystemHandle::inspect_batch`] for bulk (out-of-network)
+    /// The batched scan pipeline: an instance outside the network that
+    /// shares the in-network instances' compiled automaton and fans
+    /// packets out across [`SystemBuilder::with_dpi_workers`] flow-affine
+    /// shards. Drive it with [`SystemHandle::inspect_batch`] for bulk
     /// inspection.
-    pub scanner: ShardedScanner,
+    pub scanner: DpiInstance,
     /// Per-middlebox engine handles.
     pub middleboxes: HashMap<MiddleboxId, Arc<Mutex<ServiceMiddlebox>>>,
     /// Chain ids in the order chains were added to the builder.
@@ -907,7 +919,7 @@ impl SystemHandle {
     pub fn tenant_telemetry(&self) -> Vec<(TenantId, TenantCounters)> {
         let mut agg: Vec<(TenantId, TenantCounters)> = Vec::new();
         for d in &self.dpi_instances {
-            merge_tenant_counters(&mut agg, d.lock().tenant_counters());
+            merge_tenant_counters(&mut agg, &d.lock().tenant_telemetry());
         }
         merge_tenant_counters(&mut agg, &self.scanner.tenant_telemetry());
         agg
@@ -1377,6 +1389,7 @@ impl SystemHandle {
             }
         }
 
+        let built = BuiltEngines::default();
         let mut targets: Vec<FleetTarget> = self
             .dpi_instances
             .iter()
@@ -1384,6 +1397,7 @@ impl SystemHandle {
             .map(|(instance, id)| FleetTarget {
                 id: *id,
                 instance: Arc::clone(instance),
+                built: &built,
                 pause: Duration::ZERO,
             })
             .collect();
@@ -1410,17 +1424,11 @@ impl SystemHandle {
             .map(|(id, reason)| format!("instance {}: {reason}", id.0));
 
         if report.committed() {
-            // The batch pipeline swaps at its next batch boundary; its
-            // generation is published through the same artifact.
-            let engine = prepared.artifact.compile().map_err(|e| {
-                SystemError::Controller(dpi_controller::ControllerError::InconsistentConfig(
-                    e.to_string(),
-                ))
-            })?;
+            // The batch pipeline follows the fleet onto the same engine.
+            let engine = Arc::clone(self.dpi.lock().engine());
             if let Ok(pause) = self.scanner.swap_engine(engine) {
                 swap_pause = swap_pause.max(pause);
             }
-            self.scanner.note_update_transfer(transfer_bytes);
             for id in &self.instance_ids {
                 let _ = self
                     .controller

@@ -13,7 +13,7 @@ use dpi_service::middlebox::ids;
 use dpi_service::packet::ipv4::IpProtocol;
 use dpi_service::packet::packet::{flow, PacketBody};
 use dpi_service::packet::{MacAddr, Packet};
-use dpi_service::{ShardedScanner, SystemBuilder};
+use dpi_service::SystemBuilder;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -177,7 +177,7 @@ proptest! {
         for &(s, at) in &spec.panics {
             plan = plan.panic_shard(s, at);
         }
-        let mut scanner = ShardedScanner::new(engine, workers);
+        let mut scanner = DpiInstance::with_workers(engine, workers);
         scanner.attach_chaos(plan.start());
         let delivered = scanner.inspect_batch(&mut batch);
 

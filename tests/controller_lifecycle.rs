@@ -130,7 +130,7 @@ fn pattern_transfer_size_is_compact() {
     let transfer = c.pattern_transfer_bytes();
     let chain = c.register_chain(&[MiddleboxId(1)]).unwrap();
     let dpi = DpiInstance::new(c.instance_config(&[chain]).unwrap()).unwrap();
-    let dfa_bytes = dpi_service::ac::Automaton::memory_bytes(dpi.automaton());
+    let dfa_bytes = dpi_service::ac::Automaton::memory_bytes(dpi.engine().automaton());
     assert!(
         transfer * 20 < dfa_bytes,
         "transfer {transfer} B should be far below the DFA's {dfa_bytes} B"

@@ -15,7 +15,6 @@ use dpi_service::packet::packet::flow;
 use dpi_service::packet::report::ResultPacket;
 use dpi_service::packet::{MacAddr, Packet};
 use dpi_service::sdn::Node;
-use dpi_service::ShardedScanner;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -214,8 +213,8 @@ fn stalled_shard_is_condemned_and_delivered_verdicts_match_sequential() {
 
     for workers in WORKER_COUNTS {
         let chaos = FaultPlan::new(21).stall_shard(0, 1, 60).start();
-        let mut scanner =
-            ShardedScanner::new(engine.clone(), workers).with_watchdog(Duration::from_millis(10));
+        let mut scanner = DpiInstance::with_workers(engine.clone(), workers)
+            .with_watchdog(Duration::from_millis(10));
         scanner.attach_chaos(chaos.clone());
 
         let mut copy = packets.clone();
@@ -252,7 +251,7 @@ fn panicked_shard_loses_only_its_own_packets_at_every_worker_count() {
 
     for workers in WORKER_COUNTS {
         let chaos = FaultPlan::new(22).panic_shard(0, 2).start();
-        let mut scanner = ShardedScanner::new(engine.clone(), workers);
+        let mut scanner = DpiInstance::with_workers(engine.clone(), workers);
         scanner.attach_chaos(chaos);
 
         let mut copy = packets.clone();
@@ -277,7 +276,7 @@ fn lost_and_duplicated_results_from_the_pipeline_never_double_fire() {
     // every observable middlebox stat must agree across {1, 2, 8}.
     let mut observed = Vec::new();
     for workers in WORKER_COUNTS {
-        let mut scanner = ShardedScanner::new(engine.clone(), workers);
+        let mut scanner = DpiInstance::with_workers(engine.clone(), workers);
         let mut copy = packets.clone();
         let results = scanner.inspect_batch(&mut copy);
 

@@ -11,7 +11,6 @@ use dpi_service::core::{DpiInstance, InstanceConfig, MiddleboxProfile, RuleSpec}
 use dpi_service::packet::ipv4::IpProtocol;
 use dpi_service::packet::packet::flow;
 use dpi_service::packet::{MacAddr, Packet};
-use dpi_service::ShardedScanner;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -128,7 +127,7 @@ proptest! {
 
         for kind in KernelKind::ALL {
             let engine = Arc::new(ScanEngine::new(config(kind)).unwrap());
-            let mut scanner = ShardedScanner::new(engine, workers);
+            let mut scanner = DpiInstance::with_workers(engine, workers);
             let mut b = batch(&pkts);
             let mut delivered = scanner.inspect_batch(&mut b);
             for d in &mut delivered {

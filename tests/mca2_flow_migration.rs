@@ -4,48 +4,58 @@
 use dpi_service::ac::MiddleboxId;
 use dpi_service::controller::{DpiController, Mca2Action, StressMonitor, StressPolicy};
 use dpi_service::core::report::expand_records;
-use dpi_service::core::{DpiInstance, InstanceConfig, MiddleboxProfile, RuleSpec};
+use dpi_service::core::{DpiInstance, InstanceConfig, MiddleboxProfile, RuleSpec, ScanEngine};
 use dpi_service::packet::ipv4::IpProtocol;
 use dpi_service::packet::packet::flow;
 use dpi_service::traffic::{heavy_payload, patterns, trace::TraceConfig};
+use std::sync::Arc;
 
 const IDS: MiddleboxId = MiddleboxId(1);
 
+fn instance_with_workers(pats: &[Vec<u8>], workers: usize) -> DpiInstance {
+    let cfg = InstanceConfig::new()
+        .with_middlebox(MiddleboxProfile::stateful(IDS), RuleSpec::exact_set(pats))
+        .with_chain(1, vec![IDS]);
+    DpiInstance::with_workers(Arc::new(ScanEngine::new(cfg).unwrap()), workers)
+}
+
 fn instance(pats: &[Vec<u8>]) -> DpiInstance {
-    DpiInstance::new(
-        InstanceConfig::new()
-            .with_middlebox(MiddleboxProfile::stateful(IDS), RuleSpec::exact_set(pats))
-            .with_chain(1, vec![IDS]),
-    )
-    .unwrap()
+    instance_with_workers(pats, 1)
 }
 
 #[test]
 fn migration_preserves_cross_packet_matches() {
     let pats = vec![b"SPLIT-SIGNATURE-XYZ".to_vec()];
-    let mut src = instance(&pats);
-    let mut dst = instance(&pats);
     let f = flow([1, 2, 3, 4], 1111, [5, 6, 7, 8], 80, IpProtocol::Tcp);
 
-    // First half of the signature on the source instance.
-    let out = src.scan_payload(1, Some(f), b"......SPLIT-SIGN").unwrap();
-    assert!(out.reports.is_empty());
+    // Worker counts need not agree across the move: the flow leaves the
+    // shard that owns it at the source and lands on the one that owns it
+    // at the destination.
+    for (src_workers, dst_workers) in [(1, 1), (4, 1), (1, 4)] {
+        let mut src = instance_with_workers(&pats, src_workers);
+        let mut dst = instance_with_workers(&pats, dst_workers);
 
-    // MCA² migrates the flow (the paper: "flow migration might require
-    // some packet buffering at the source instance, until the process is
-    // completed" — the simulator migrates between packets).
-    let exported = src.export_flow(&f).expect("tracked");
-    dst.import_flow(f, exported);
+        // First half of the signature on the source instance.
+        let out = src.scan_payload(1, Some(f), b"......SPLIT-SIGN").unwrap();
+        assert!(out.reports.is_empty());
 
-    // Second half on the destination instance: the match completes with a
-    // correct flow-absolute position.
-    let out = dst.scan_payload(1, Some(f), b"ATURE-XYZ rest").unwrap();
-    assert_eq!(out.reports.len(), 1);
-    let hits = expand_records(&out.reports[0].records);
-    assert_eq!(hits.len(), 1);
-    let flow_pos = out.flow_offset + u64::from(hits[0].1);
-    // The signature is 19 bytes and started at byte 6 of the flow.
-    assert_eq!(flow_pos, 6 + 19 - 1);
+        // MCA² migrates the flow (the paper: "flow migration might
+        // require some packet buffering at the source instance, until the
+        // process is completed" — the simulator migrates between packets).
+        let exported = src.export_flow(&f).expect("tracked");
+        assert_eq!(src.tracked_flows(), 0, "the flow left the source whole");
+        dst.import_flow(f, exported);
+
+        // Second half on the destination instance: the match completes
+        // with a correct flow-absolute position.
+        let out = dst.scan_payload(1, Some(f), b"ATURE-XYZ rest").unwrap();
+        assert_eq!(out.reports.len(), 1, "{src_workers} -> {dst_workers}");
+        let hits = expand_records(&out.reports[0].records);
+        assert_eq!(hits.len(), 1);
+        let flow_pos = out.flow_offset + u64::from(hits[0].1);
+        // The signature is 19 bytes and started at byte 6 of the flow.
+        assert_eq!(flow_pos, 6 + 19 - 1);
+    }
 }
 
 #[test]

@@ -22,6 +22,7 @@ use dpi_service::packet::ipv4::IpProtocol;
 use dpi_service::packet::packet::flow;
 use dpi_service::packet::{FlowKey, MacAddr, Packet};
 use dpi_service::{SystemBuilder, SystemHandle};
+use std::sync::Arc;
 use std::time::Duration;
 
 const IDS_ID: MiddleboxId = MiddleboxId(1);
@@ -218,6 +219,34 @@ fn corrupt_update_is_rejected_and_rolled_back() {
     sys.send(flow_n(3), 0, b"finally added-sig matches");
     assert_eq!(sys.stats_of(IDS_ID).unwrap().matches, 3);
     archive_fault_log(&sys, "corrupt-rule-update");
+}
+
+/// One compiled table per generation: the fleet and the batch pipeline
+/// hold the same `Arc` at build, after a rejected update and after a
+/// committed one — an update compiles once, not once per instance.
+#[test]
+fn fleet_and_pipeline_share_one_engine_across_updates() {
+    let mut sys = build(3, Some(FaultPlan::new(seed()).corrupt_rule_update(0)));
+    let assert_shared = |sys: &SystemHandle, generation: u32| {
+        let serving = sys.scanner.engine();
+        assert_eq!(serving.generation(), generation);
+        for (i, d) in sys.dpi_instances.iter().enumerate() {
+            assert!(
+                Arc::ptr_eq(d.lock().engine(), serving),
+                "instance {i} holds a private copy of generation {generation}"
+            );
+        }
+    };
+    assert_shared(&sys, 0);
+
+    sys.controller
+        .add_pattern(IDS_ID, 7, &RuleSpec::exact(b"added-sig".to_vec()))
+        .unwrap();
+    assert!(!sys.apply_update().unwrap().committed);
+    assert_shared(&sys, 0);
+
+    assert!(sys.apply_update().unwrap().committed);
+    assert_shared(&sys, 2);
 }
 
 /// The CI chaos sweep's rule-update-under-load scenario: traffic streams

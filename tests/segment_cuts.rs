@@ -12,7 +12,6 @@ use dpi_service::core::{DpiInstance, InstanceConfig, MiddleboxId, MiddleboxProfi
 use dpi_service::packet::ipv4::IpProtocol;
 use dpi_service::packet::packet::flow;
 use dpi_service::packet::{FlowKey, MacAddr, Packet};
-use dpi_service::ShardedScanner;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -112,7 +111,7 @@ fn every_cut_point_matches_like_the_unsegmented_stream() {
 
     for workers in [1usize, 2, 8] {
         let engine = Arc::new(ScanEngine::new(config()).unwrap());
-        let mut scanner = ShardedScanner::new(engine, workers);
+        let mut scanner = DpiInstance::with_workers(engine, workers);
         let mut batch: Vec<Packet> = (1..data.len())
             .flat_map(|cut| packets_for_cut(cut, &data))
             .collect();
