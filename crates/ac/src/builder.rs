@@ -223,7 +223,8 @@ impl CombinedAcBuilder {
 
     /// Builds the full-table DFA the data plane runs by default: `u16`
     /// cells below 2¹⁶ states (half the table bytes, for cache
-    /// residency), `u32` cells otherwise, under the unrolled scan loop.
+    /// residency), `u32` cells otherwise, under the lane-interleaved scan
+    /// loop.
     pub fn build_auto(&self) -> CombinedAc {
         self.build_kernel(KernelKind::Auto)
     }

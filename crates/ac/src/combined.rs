@@ -5,11 +5,11 @@
 //! [`crate::CombinedAcBuilder::build_kernel`] return. The table — §5.1's
 //! metadata and the transition cells at their natural width — is the
 //! same for both [`KernelKind`]s; the kind only chooses how a payload is
-//! walked over it: the unrolled loop, or the plain reference loop the
-//! verdict checks compare it against. Callers scan through the common
-//! [`Automaton`] / [`ScanKernel`] interfaces either way; loop and cell
-//! width are each one predictable branch per call, outside the per-byte
-//! loop.
+//! walked over it: the lane-interleaved loop, or the plain reference
+//! loop the verdict checks compare it against. Callers scan through the
+//! common [`Automaton`] / [`ScanKernel`] interfaces either way; loop,
+//! lane count and cell width are each one predictable branch per call,
+//! outside the per-byte loop.
 
 use crate::full::FullAc;
 use crate::kernel::{DepthSamples, KernelKind, ScanKernel};
@@ -51,7 +51,7 @@ impl CombinedAc {
         let grid = self.table.grid(sample_every, deep_depth, samples);
         match self.kind {
             KernelKind::Naive => self.table.scan_naive(state, data, grid, on_accept),
-            KernelKind::Auto => self.table.scan_unrolled(state, data, grid, on_accept),
+            KernelKind::Auto => self.table.scan_lanes(state, data, grid, on_accept),
         }
     }
 }

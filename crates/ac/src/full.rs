@@ -57,6 +57,9 @@ pub struct FullAc {
     /// Depth (label length) per state — exported for the MCA²-style stress
     /// telemetry: complexity attacks drive scans unusually deep (§4.3.1).
     depth: Vec<u16>,
+    /// The deepest state, i.e. the longest pattern: the bytes a scan lane
+    /// started at the root needs before its state is exact.
+    max_depth: u16,
 }
 
 /// Builds the transition table in the renumbered id space, in one pass,
@@ -87,49 +90,34 @@ where
     table
 }
 
-/// The crate's one unrolled table-stepping loop, shared by every cell
-/// width, sampled or not (`sample` is a no-op closure when not). Four
-/// bytes per iteration: the per-byte work is a single dependent load plus
-/// the `s < f` accepting compare (§5.1), so unrolling amortizes loop
-/// control and exposes the address computation of later bytes while the
-/// current load is in flight. The load itself bounds the loop, which is
-/// why one factor serves both widths. Each byte steps, then samples, then
-/// reports.
+/// Most lanes one payload is cut into: the stepping loop keeps every
+/// lane's state in a register, and past four the compiler no longer can.
+const MAX_LANES: usize = 4;
+
+/// How many lanes a payload of `len` bytes is scanned in when every lane
+/// but the first must clear `clear` bytes — its warm-up — before the cut
+/// pays: the most whose warm-ups together stay within a quarter of the
+/// payload (the crossover measured in EXPERIMENTS.md, "Lane-interleaved
+/// scan"). Both inputs are visible per call and neither depends on
+/// content, so hostile bytes cannot raise the cost.
+pub(crate) fn lane_count(len: usize, clear: usize) -> usize {
+    (2..=MAX_LANES)
+        .rev()
+        .find(|&k| ((k - 1) * 4).saturating_mul(clear) <= len)
+        .unwrap_or(1)
+}
+
+/// Tells the optimizer `hit` is seldom true, so the branch it guards is
+/// laid out of line and the registers of the loop around it are kept for
+/// the loop: most payload bytes reach no accepting state (§6.5).
 #[inline(always)]
-fn step_unrolled<C: Copy + Into<StateId>>(
-    t: &[C],
-    f: StateId,
-    state: StateId,
-    data: &[u8],
-    mut sample: impl FnMut(usize, StateId),
-    mut on_accept: impl FnMut(usize, StateId),
-) -> StateId {
-    let mut s = state;
-    // A macro, not a closure: the body is expanded five times, and a
-    // closure this size is not reliably inlined that often.
-    macro_rules! step {
-        ($i:expr) => {
-            s = t[(s as usize) * 256 + usize::from(data[$i])].into();
-            sample($i, s);
-            if s < f {
-                on_accept($i, s);
-            }
-        };
+fn rarely(hit: bool) -> bool {
+    #[cold]
+    fn cold() {}
+    if hit {
+        cold();
     }
-    let mut i = 0;
-    let n4 = data.len() & !3;
-    while i < n4 {
-        step!(i);
-        step!(i + 1);
-        step!(i + 2);
-        step!(i + 3);
-        i += 4;
-    }
-    while i < data.len() {
-        step!(i);
-        i += 1;
-    }
-    s
+    hit
 }
 
 /// The deliberately plain reference loop of the `naive` driver: per-byte
@@ -140,13 +128,13 @@ fn step_naive<C: Copy + Into<StateId>>(
     f: StateId,
     state: StateId,
     data: &[u8],
-    mut sample: impl FnMut(usize, StateId),
+    mut grid: DepthGrid<'_>,
     mut on_accept: impl FnMut(usize, StateId),
 ) -> StateId {
     let mut s = state;
     for (i, &b) in data.iter().enumerate() {
         s = t[(s as usize) * 256 + usize::from(b)].into();
-        sample(i, s);
+        grid.visit(i, [s], 1);
         if s < f {
             on_accept(i, s);
         }
@@ -191,9 +179,11 @@ impl FullAc {
         // 3. Match table, bitmaps and depths in the new numbering.
         let mut per_state: Vec<&[MatchEntry]> = vec![&[]; f as usize];
         let mut depth = vec![0u16; n];
+        let mut max_depth = 0u16;
         for (old, node) in trie.nodes().iter().enumerate() {
             let new = remap[old];
             depth[new as usize] = node.depth;
+            max_depth = max_depth.max(node.depth);
             if !node.outputs.is_empty() {
                 per_state[new as usize] = &node.outputs;
             }
@@ -218,6 +208,7 @@ impl FullAc {
             offsets,
             entries,
             depth,
+            max_depth,
         }
     }
 
@@ -228,7 +219,7 @@ impl FullAc {
 
     /// Maximum depth over all states (longest pattern).
     pub fn max_depth(&self) -> u16 {
-        self.depth.iter().copied().max().unwrap_or(0)
+        self.max_depth
     }
 
     /// The sampling grid of one scan over this table's state depths.
@@ -241,19 +232,114 @@ impl FullAc {
         DepthGrid::new(&self.depth, sample_every, deep_depth, samples)
     }
 
-    /// [`ScanKernel::scan_sampled`] on the unrolled loop, generic over
-    /// the callback so a caller holding a closure is not forced through
-    /// `dyn`.
-    pub(crate) fn scan_unrolled(
+    /// The crate's one production table-stepping loop, shared by every
+    /// cell width and lane count. The per-byte work is a single dependent
+    /// load plus the `s < f` accepting compare (§5.1), and the load bounds
+    /// the loop — so the payload is cut into `K` equal chunks and `K`
+    /// independent chains step through the same table in one loop body,
+    /// their loads in flight together. An Aho-Corasick state is the
+    /// longest suffix of the input that is a pattern prefix, so a lane
+    /// started at the root `max_depth` bytes before its chunk is in the
+    /// exact state when it reaches it; lane 0 starts from the caller's
+    /// `state`. Chunks start on the sampling grid, so one grid test
+    /// serves every lane. Each byte steps, then samples, then reports;
+    /// accepts of later lanes wait in a buffer (unallocated until one
+    /// occurs) so `on_accept` still sees ascending positions. At `K = 1`
+    /// this is the plain resumable scan.
+    #[inline(always)]
+    fn step_lanes<const K: usize, C: Copy + Into<StateId>>(
         &self,
+        t: &[C],
         state: StateId,
         data: &[u8],
         mut grid: DepthGrid<'_>,
+        mut on_accept: impl FnMut(usize, StateId),
+    ) -> StateId {
+        let f = self.f;
+        let step = |s: StateId, b: u8| -> StateId { t[(s as usize) * 256 + usize::from(b)].into() };
+        // With position 0 the only sample, any cut will do and only lane
+        // 0 sees the grid; a lone lane needs no cut at all.
+        let (chunk, on_grid) = match grid.step_within(data.len()) {
+            Some(every) if K > 1 => (data.len() / K / every * every, K),
+            _ => (data.len() / K, 1),
+        };
+        let lanes: [&[u8]; K] = std::array::from_fn(|k| &data[k * chunk..][..chunk]);
+
+        let mut s = [state; K];
+        if K > 1 {
+            let warm_up = usize::from(self.max_depth);
+            // A shorter run-up could miss a match begun before the cut.
+            assert!(
+                warm_up <= chunk,
+                "a lane warms up inside the chunk before it"
+            );
+            s[1..].fill(self.root);
+            for j in chunk - warm_up..chunk {
+                let before = lanes.map(|lane| lane[j]);
+                for k in 1..K {
+                    s[k] = step(s[k], before[k - 1]);
+                }
+            }
+        }
+
+        let mut late: [Vec<(usize, StateId)>; K] = std::array::from_fn(|_| Vec::new());
+        for j in 0..chunk {
+            let bytes = lanes.map(|lane| lane[j]);
+            for k in 0..K {
+                s[k] = step(s[k], bytes[k]);
+            }
+            grid.visit(j, s, on_grid);
+            if rarely(s.iter().any(|&s| s < f)) {
+                if s[0] < f {
+                    on_accept(j, s[0]);
+                }
+                for k in 1..K {
+                    if s[k] < f {
+                        late[k].push((k * chunk + j, s[k]));
+                    }
+                }
+            }
+        }
+        for &(at, s) in late[1..].iter().flatten() {
+            on_accept(at, s);
+        }
+
+        // The last lane runs on alone over what the cut left.
+        let mut s = s[K - 1];
+        for (i, &b) in data[K * chunk..].iter().enumerate() {
+            s = step(s, b);
+            grid.visit(chunk + i, [s], 1);
+            if rarely(s < f) {
+                on_accept(K * chunk + i, s);
+            }
+        }
+        s
+    }
+
+    /// [`ScanKernel::scan_sampled`] on the lane-interleaved loop, generic
+    /// over the callback so a caller holding a closure is not forced
+    /// through `dyn`. The lane count follows from the payload length and
+    /// from what a lane must clear before the cut pays: its warm-up
+    /// (`max_depth` bytes) and one grid step.
+    pub(crate) fn scan_lanes(
+        &self,
+        state: StateId,
+        data: &[u8],
+        grid: DepthGrid<'_>,
         on_accept: impl FnMut(usize, StateId),
     ) -> StateId {
-        with_cells!(&self.cells, t => {
-            step_unrolled(t, self.f, state, data, |i, s| grid.visit(i, s), on_accept)
-        })
+        let clear = usize::from(self.max_depth).max(grid.step_within(data.len()).unwrap_or(1));
+        macro_rules! lanes {
+            ($k:literal) => {
+                with_cells!(&self.cells, t => self.step_lanes::<$k, _>(t, state, data, grid, on_accept))
+            };
+        }
+        match lane_count(data.len(), clear) {
+            1 => lanes!(1),
+            2 => lanes!(2),
+            3 => lanes!(3),
+            _ => lanes!(4),
+        }
     }
 
     /// [`ScanKernel::scan_sampled`] on the plain reference loop.
@@ -261,12 +347,10 @@ impl FullAc {
         &self,
         state: StateId,
         data: &[u8],
-        mut grid: DepthGrid<'_>,
+        grid: DepthGrid<'_>,
         on_accept: impl FnMut(usize, StateId),
     ) -> StateId {
-        with_cells!(&self.cells, t => {
-            step_naive(t, self.f, state, data, |i, s| grid.visit(i, s), on_accept)
-        })
+        with_cells!(&self.cells, t => step_naive(t, self.f, state, data, grid, on_accept))
     }
 }
 
@@ -324,7 +408,13 @@ impl Automaton for FullAc {
     }
 
     fn scan<F: FnMut(usize, StateId)>(&self, state: StateId, data: &[u8], on_match: F) -> StateId {
-        with_cells!(&self.cells, t => step_unrolled(t, self.f, state, data, |_, _| {}, on_match))
+        let mut samples = DepthSamples::default();
+        self.scan_lanes(
+            state,
+            data,
+            self.grid(usize::MAX, u16::MAX, &mut samples),
+            on_match,
+        )
     }
 }
 
@@ -347,7 +437,7 @@ impl ScanKernel for FullAc {
         on_accept: &mut dyn FnMut(usize, StateId),
     ) -> StateId {
         let grid = self.grid(sample_every, deep_depth, samples);
-        self.scan_unrolled(state, data, grid, on_accept)
+        self.scan_lanes(state, data, grid, on_accept)
     }
 }
 
@@ -512,6 +602,59 @@ mod tests {
             s = ac.step(s, b);
         }
         assert_eq!(ac.state_depth(s), 3);
+    }
+
+    /// The lane choice as a pure function of payload length and table
+    /// depth (`scan_lanes` also feeds it the grid step, which only ever
+    /// raises `clear`).
+    #[test]
+    fn lane_count_bounds_the_warm_up_by_a_quarter_of_the_payload() {
+        // The benchmark's Snort-like tables are 32 deep: `chain_small`'s
+        // 64 B units stay on one lane, `chain_mixed`'s 200-1,400 B reach
+        // two to four.
+        assert_eq!(lane_count(64, 32), 1);
+        assert_eq!(lane_count(200, 32), 2);
+        assert_eq!(lane_count(300, 32), 3);
+        assert_eq!(lane_count(1_400, 32), MAX_LANES);
+        // ClamAV-like signatures are 64 deep and fall back to fewer.
+        assert_eq!(lane_count(300, 64), 2);
+        assert_eq!(lane_count(1_400, 64), MAX_LANES);
+
+        let check = |len: usize, depth: usize| {
+            let k = lane_count(len, depth);
+            assert!((1..=MAX_LANES).contains(&k));
+            assert!(
+                (k - 1) * depth * 4 <= len,
+                "{k} lanes warm up over more than a quarter of {len} B at depth {depth}"
+            );
+            k
+        };
+        // Every unit length up to the 65,535-B limit at the depths rule
+        // sets have (ClamAV-like: 64) ...
+        for depth in 1..=128 {
+            let mut before = 1;
+            for len in 0..=65_535 {
+                let k = check(len, depth);
+                assert!(k >= before, "monotone in len at depth {depth}, len {len}");
+                before = k;
+            }
+        }
+        // ... and, at every depth the trie admits, the lengths around
+        // each step of the function.
+        for depth in 1..=usize::from(u16::MAX) {
+            for lanes in 2..=MAX_LANES {
+                let edge = (lanes - 1) * 4 * depth;
+                assert_eq!(check(edge - 1, depth), lanes - 1);
+                assert_eq!(check(edge, depth), lanes);
+            }
+            check(65_535, depth);
+        }
+        // A deeper table never gets more lanes for the same payload.
+        for len in [64, 300, 1_400, 65_535] {
+            for depth in 1..2_048 {
+                assert!(lane_count(len, depth + 1) <= lane_count(len, depth));
+            }
+        }
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! Both loops over the one full table expose the same [`ScanKernel`]
 //! interface: a resumable scan that reports accepting states and collects
 //! the depth samples the MCA²-style stress telemetry needs
-//! (DESIGN.md §12). A deployment runs the unrolled loop; [`KernelKind`]
-//! exists so the benchmark's verdict check and the equivalence suites can
-//! build the plain reference loop over the same table and demand
-//! byte-identical match streams and final states. The table's cell width
-//! is not a choice: it follows from the state count.
+//! (DESIGN.md §12). A deployment runs the lane-interleaved loop, which
+//! cuts a payload into independent chains so their dependent table loads
+//! overlap; [`KernelKind`] exists so the benchmark's verdict check and
+//! the equivalence suites can build the plain reference loop over the
+//! same table and demand byte-identical match streams and final states.
+//! The table's cell width is not a choice: it follows from the state
+//! count; nor is the lane count, which follows from the payload.
 
 use crate::StateId;
 use serde::{Deserialize, Serialize};
@@ -18,12 +20,16 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum KernelKind {
-    /// Reference kernel: one dependent table load per byte, no unrolling.
-    /// The baseline every optimization is measured and verified against.
+    /// Reference kernel: one chain of dependent table loads, a byte at a
+    /// time. The baseline every optimization is measured and verified
+    /// against.
     Naive,
-    /// The 4-byte-unrolled table scan. Its [`ScanKernel::kernel_name`]
-    /// is the cell width the state count selected: `"compact"` (`u16`,
-    /// below 2¹⁶ states) or `"full"` (`u32`).
+    /// The lane-interleaved table scan: the payload is cut into one to
+    /// four chunks — as many as its length and the longest pattern allow
+    /// — that step through the table together. Its
+    /// [`ScanKernel::kernel_name`] is the cell width the state count
+    /// selected: `"compact"` (`u16`, below 2¹⁶ states) or `"full"`
+    /// (`u32`).
     #[default]
     Auto,
 }
@@ -51,7 +57,7 @@ impl std::fmt::Display for KernelKind {
 /// `sample_every` byte positions contributes to `total`, and to `deep`
 /// when the automaton state after that byte sits at or past the caller's
 /// deep-depth threshold. Exact for every kernel: each one visits every
-/// byte.
+/// byte in its exact state.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DepthSamples {
     /// Sampled positions.
@@ -66,9 +72,10 @@ pub struct DepthSamples {
 /// scan engine needs inline: it invokes `on_accept(end_index, state)`
 /// for every accepting state reached and samples scan depth on the
 /// `sample_every` grid (position `i` is sampled when `i % sample_every
-/// == 0`, matching the engine's historical loop). The returned final
-/// state is exact — stateful cross-packet scans store it — and the match
-/// stream is byte-identical across all kernels.
+/// == 0`, matching the engine's historical loop; position 0 is the only
+/// one when `sample_every` is 0). Accepts arrive in ascending position
+/// order. The returned final state is exact — stateful cross-packet scans
+/// store it — and the match stream is byte-identical across all kernels.
 pub trait ScanKernel {
     /// The kernel's flag spelling (telemetry, trace events, benches).
     fn kernel_name(&self) -> &'static str;
@@ -86,7 +93,9 @@ pub trait ScanKernel {
 }
 
 /// The sampling grid of one scan, filling a [`DepthSamples`]: position
-/// `i` is sampled when it is the next multiple of `every`.
+/// `i` is sampled when it is the next multiple of `every`. Position 0 is
+/// always on the grid; an `every` of 0, or one reaching past the payload,
+/// leaves it the only sampled position.
 pub(crate) struct DepthGrid<'a> {
     next: usize,
     every: usize,
@@ -112,13 +121,27 @@ impl<'a> DepthGrid<'a> {
         }
     }
 
-    /// Records `state`, reached by the byte at `i`, if `i` is on the grid.
+    /// The grid step when a second grid position falls inside `len`
+    /// bytes; `None` when position 0 is the only one.
+    pub(crate) fn step_within(&self, len: usize) -> Option<usize> {
+        (1..len).contains(&self.every).then_some(self.every)
+    }
+
+    /// Records the first `on_grid` of `states` if `i` is on the grid. The
+    /// lanes of one scan share a grid: their chunks start on it, so they
+    /// pass the position inside the chunk and the states they reached
+    /// there. `on_grid` is below the lane count only when position 0 is
+    /// the one sample, which belongs to lane 0 alone.
     #[inline(always)]
-    pub(crate) fn visit(&mut self, i: usize, state: StateId) {
+    pub(crate) fn visit<const K: usize>(&mut self, i: usize, states: [StateId; K], on_grid: usize) {
         if i == self.next {
-            self.samples.total += 1;
-            if self.depth[state as usize] >= self.deep_depth {
-                self.samples.deep += 1;
+            for (k, &state) in states.iter().enumerate() {
+                if k < on_grid {
+                    self.samples.total += 1;
+                    if self.depth[state as usize] >= self.deep_depth {
+                        self.samples.deep += 1;
+                    }
+                }
             }
             self.next = self.next.saturating_add(self.every);
         }

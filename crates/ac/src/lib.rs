@@ -31,8 +31,9 @@
 //! DFA, O(1) per byte, built once with `u16` transition cells when the
 //! state ids fit (512 B per state) and the paper's `u32` cells otherwise
 //! (1 KiB per state). [`CombinedAc`] pairs that table with one of two
-//! scan loops ([`KernelKind`]): the unrolled loop the data plane runs, or
-//! the naive reference loop it is verified against. Both produce
+//! scan loops ([`KernelKind`]): the lane-interleaved loop the data plane
+//! runs — one payload cut into up to four independent chains whose table
+//! loads overlap — or the naive reference loop it is verified against. Both produce
 //! identical match streams; the property tests in this crate verify that
 //! against each other and against a naive reference matcher
 //! ([`naive::NaiveMatcher`]).

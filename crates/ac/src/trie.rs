@@ -174,14 +174,20 @@ impl Trie {
         }
         order.push(0);
 
+        // One buffer for every node's children: the walk below mutates
+        // `self.nodes`, so it cannot hold the map's iterator, and a fresh
+        // `Vec` per node was a third of this function's time.
+        let mut children: Vec<(u8, u32)> = Vec::new();
         while let Some(u) = queue.pop_front() {
             order.push(u);
-            let children: Vec<(u8, u32)> = self.nodes[u as usize]
-                .children
-                .iter()
-                .map(|(&b, &c)| (b, c))
-                .collect();
-            for (b, v) in children {
+            children.clear();
+            children.extend(
+                self.nodes[u as usize]
+                    .children
+                    .iter()
+                    .map(|(&b, &c)| (b, c)),
+            );
+            for &(b, v) in &children {
                 // Walk failure links of u until a node with a b-child (or
                 // the root) is found.
                 let mut f = self.nodes[u as usize].fail;

@@ -1,7 +1,9 @@
 //! Edge-case regression suite for the combined Aho-Corasick automata.
 
 use dpi_ac::naive::NaiveMatcher;
-use dpi_ac::{Automaton, CombinedAcBuilder, KernelKind, MiddleboxId, PatternSet, ScanKernel};
+use dpi_ac::{
+    Automaton, CombinedAcBuilder, DepthSamples, KernelKind, MiddleboxId, PatternSet, ScanKernel,
+};
 
 fn build(sets: &[(u16, &[&[u8]])]) -> dpi_ac::FullAc {
     let mut b = CombinedAcBuilder::new();
@@ -156,4 +158,60 @@ fn cell_width_follows_the_state_count_across_the_u16_limit() {
             assert_eq!(got, want, "{kind} on {width} cells");
         }
     }
+}
+
+/// The lane cut divides the payload on the depth-sample grid, so the
+/// grids that leave it nothing to divide by are pinned: a step of 0, of
+/// 1, one longer than the payload, and the `usize::MAX` that
+/// [`Automaton::scan`] passes all return the naive loop's stream, state
+/// and samples — on a payload long enough for four lanes, with a match
+/// in each, and on one too short to cut.
+#[test]
+fn degenerate_sample_grids_scan_like_the_naive_loop() {
+    let mut b = CombinedAcBuilder::new();
+    b.add_set(PatternSet::from_strs(
+        MiddleboxId(0),
+        &["needle-in-the-hay", "dle", "zz"],
+    ))
+    .unwrap();
+    let naive = b.build_kernel(KernelKind::Naive);
+    let auto = b.build_auto();
+
+    let mut long = Vec::new();
+    for _ in 0..4 {
+        long.extend_from_slice(&b"hay ".repeat(60));
+        long.extend_from_slice(b"a needle-in-the-hay, zzz");
+    }
+    for data in [&long[..], &long[..40], &long[..1], &[]] {
+        let mut want_hits = Vec::new();
+        let want_end = naive.scan(naive.start(), data, |p, s| want_hits.push((p, s)));
+        for every in [0, 1, data.len(), data.len() + 1, 4 * data.len(), usize::MAX] {
+            let run = |ac: &dyn ScanKernel| {
+                let mut hits = Vec::new();
+                let mut samples = DepthSamples::default();
+                let end =
+                    ac.scan_sampled(auto.start(), data, every, 3, &mut samples, &mut |p, s| {
+                        hits.push((p, s))
+                    });
+                (hits, end, samples)
+            };
+            let want = run(&naive);
+            assert_eq!((&want.0, want.1), (&want_hits, want_end));
+            // Position 0 is on every grid; a step of 0 or one reaching
+            // past the payload samples nothing else.
+            if every != 1 {
+                assert_eq!(want.2.total, u64::from(!data.is_empty()), "grid {every}");
+            }
+            assert_eq!(run(&auto), want, "{} B on grid {every}", data.len());
+        }
+        // `Automaton::scan` on the combined automaton is the same walk.
+        let mut hits = Vec::new();
+        let end = auto.scan(auto.start(), data, |p, s| hits.push((p, s)));
+        assert_eq!((hits, end), (want_hits, want_end), "{} B", data.len());
+    }
+    assert_eq!(
+        auto.find_all(&long).len(),
+        4 * 4,
+        "four matches per stretch"
+    );
 }

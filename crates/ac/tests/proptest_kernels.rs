@@ -1,26 +1,34 @@
-//! Kernel-equivalence properties (DESIGN.md §12): every [`ScanKernel`]
-//! — naive and unrolled (`auto`), each over the natural-width table —
-//! must produce the exact same match stream and resume state as the wide
-//! full-table reference on arbitrary pattern sets and payloads, including
-//! scans chopped at arbitrary chunk boundaries.
+//! Kernel-equivalence properties (DESIGN.md §12): the lane-interleaved
+//! loop (`auto`, over the natural-width table and over the wide one)
+//! must produce the exact match stream, resume state and depth samples
+//! of the naive reference loop on arbitrary pattern sets and payloads —
+//! long enough to be cut into lanes, with patterns long enough that a
+//! lane's warm-up approaches its chunk, from a start state left
+//! mid-pattern by an earlier packet, and with matches lying across every
+//! lane boundary.
 //!
 //! Depth-sample contract: `total` is grid-exact and `deep` is exact for
 //! every kernel.
 
 use dpi_ac::{
-    Automaton, CombinedAcBuilder, DepthSamples, KernelKind, MiddleboxId, PatternSet, ScanKernel,
-    StateId,
+    Automaton, CombinedAc, CombinedAcBuilder, DepthSamples, FullAc, KernelKind, MiddleboxId,
+    PatternSet, ScanKernel, StateId,
 };
 use proptest::prelude::*;
 
+/// The grids a lane cut must respect: every position, the engine's step,
+/// and the position-0-only grid [`Automaton::scan`] passes.
+const GRIDS: [usize; 3] = [1, 16, usize::MAX];
+
 /// A small pattern alphabet, so patterns overlap, nest and share
-/// prefixes; single-byte patterns are included.
+/// prefixes; single-byte patterns are included, and patterns run to 64 B
+/// so `max_depth` approaches a lane's chunk.
 fn pattern_sets() -> impl Strategy<Value = Vec<PatternSet>> {
     prop::collection::vec(
         prop::collection::vec(
             prop::collection::vec(
                 prop::sample::select(vec![b'q', b'z', b'|', b'%', b'a', b'e', b' ']),
-                1..10,
+                1..=64,
             ),
             1..6,
         ),
@@ -34,13 +42,42 @@ fn pattern_sets() -> impl Strategy<Value = Vec<PatternSet>> {
     })
 }
 
-/// Payloads over the pattern alphabet plus quiet filler, long enough to
-/// run the unrolled loop and its remainder many times.
-fn input() -> impl Strategy<Value = Vec<u8>> {
+/// One stretch of a payload: filler over the pattern alphabet plus quiet
+/// bytes, then a pattern (whole, or cut to a proper prefix — a near miss
+/// that drives the scan deep).
+type Piece = (Vec<u8>, prop::sample::Index, prop::sample::Index, bool);
+
+fn pieces() -> impl Strategy<Value = Vec<Piece>> {
     prop::collection::vec(
-        prop::sample::select(vec![b'q', b'z', b'|', b'%', b'a', b'e', b' ', b'x', b't']),
-        0..400,
+        (
+            prop::collection::vec(
+                prop::sample::select(vec![b'q', b'z', b'|', b'%', b'a', b'e', b' ', b'x', b't']),
+                0..300,
+            ),
+            any::<prop::sample::Index>(),
+            any::<prop::sample::Index>(),
+            any::<bool>(),
+        ),
+        0..24,
     )
+}
+
+fn all_patterns(sets: &[PatternSet]) -> Vec<&Vec<u8>> {
+    sets.iter().flat_map(|s| &s.patterns).collect()
+}
+
+/// Payloads to 4,096 B assembled from `pieces` over `sets`' patterns.
+fn payload(sets: &[PatternSet], pieces: &[Piece]) -> Vec<u8> {
+    let patterns = all_patterns(sets);
+    let mut data = Vec::new();
+    for (filler, which, cut, whole) in pieces {
+        data.extend_from_slice(filler);
+        let p = patterns[which.index(patterns.len())];
+        let take = if *whole { p.len() } else { cut.index(p.len()) };
+        data.extend_from_slice(&p[..take]);
+    }
+    data.truncate(4096);
+    data
 }
 
 fn build(sets: &[PatternSet]) -> CombinedAcBuilder {
@@ -72,50 +109,130 @@ fn run(
     (events, end, samples)
 }
 
+/// One rule set under the naive reference loop and under the lane loop
+/// at both cell widths; state ids are the same in all three (one
+/// renumbering).
+struct Kernels {
+    naive: CombinedAc,
+    auto: CombinedAc,
+    wide: FullAc,
+}
+
+impl Kernels {
+    fn of(builder: &CombinedAcBuilder) -> Kernels {
+        Kernels {
+            naive: builder.build_kernel(KernelKind::Naive),
+            auto: builder.build_auto(),
+            wide: builder.build_full(),
+        }
+    }
+
+    /// The state an earlier packet ending in `bytes` left behind.
+    fn state_after(&self, bytes: &[u8]) -> StateId {
+        self.naive.scan(self.naive.start(), bytes, |_, _| {})
+    }
+
+    /// Asserts the lane loop answers `data` exactly as the naive loop
+    /// does, from `from`, on every grid in `grids`; returns the naive
+    /// loop's answer on the last grid.
+    fn assert_lanes_match_naive(
+        &self,
+        from: StateId,
+        data: &[u8],
+        grids: &[usize],
+    ) -> (Vec<(usize, StateId)>, StateId, DepthSamples) {
+        let mut last = Default::default();
+        for &every in grids {
+            let want = run(&self.naive, from, data, every, 4);
+            assert_eq!(
+                run(&self.auto, from, data, every, 4),
+                want,
+                "auto, grid {every}"
+            );
+            assert_eq!(
+                run(&self.wide, from, data, every, 4),
+                want,
+                "wide, grid {every}"
+            );
+            last = want;
+        }
+        last
+    }
+}
+
+/// The 64-B literal (so `max_depth` is 64) and two short patterns, one
+/// of which overlaps itself.
+fn literal_set() -> (Vec<Vec<u8>>, Kernels) {
+    let long: Vec<u8> = (0..64u8).map(|i| b'A' + i % 26).collect();
+    let pats = vec![long, b"q%z".to_vec(), b"zz".to_vec()];
+    let mut b = CombinedAcBuilder::new();
+    b.add_set(PatternSet::new(MiddleboxId(0), pats.clone()))
+        .unwrap();
+    (pats, Kernels::of(&b))
+}
+
+/// Where a payload of `len` bytes can be cut into 2-4 equal chunks that
+/// start on the `every` grid.
+fn lane_boundaries(len: usize, every: usize) -> Vec<usize> {
+    let align = if (1..len).contains(&every) { every } else { 1 };
+    let mut at: Vec<usize> = (2..=4)
+        .flat_map(|lanes| {
+            let chunk = len / lanes / align * align;
+            (1..lanes).map(move |k| k * chunk)
+        })
+        .collect();
+    at.sort_unstable();
+    at.dedup();
+    at
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The headline invariant: both kernels report the same accepting
-    /// states at the same positions, return the same resume state and
-    /// fill the same depth samples.
+    /// The headline invariant: every loop reports the same accepting
+    /// states at the same positions, returns the same resume state and
+    /// fills the same depth samples — from a start state mid-pattern.
     #[test]
-    fn every_kernel_matches_the_full_reference(
+    fn every_kernel_matches_the_naive_reference(
         sets in pattern_sets(),
-        data in input(),
-        sample_every in 1usize..40,
+        pieces in pieces(),
+        start in (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+        sample_every in prop_oneof![prop::sample::select(GRIDS.to_vec()), 1usize..40],
         deep_depth in 1u16..6,
     ) {
-        let builder = build(&sets);
-        let reference = builder.build_full();
-        let (want, want_end, want_samples) =
-            run(&reference, reference.start(), &data, sample_every, deep_depth);
+        let Kernels { naive, auto, wide } = Kernels::of(&build(&sets));
+        let data = payload(&sets, &pieces);
+        let patterns = all_patterns(&sets);
+        let p = patterns[start.0.index(patterns.len())];
+        let from = naive.scan(naive.start(), &p[..start.1.index(p.len())], |_, _| {});
+        let want = run(&naive, from, &data, sample_every, deep_depth);
 
-        for kind in KernelKind::ALL {
-            let ac = builder.build_kernel(kind);
-            let (got, end, samples) = run(&ac, ac.start(), &data, sample_every, deep_depth);
-            prop_assert_eq!(&got, &want, "kernel {} match stream diverged", kind);
-            prop_assert_eq!(end, want_end, "kernel {} resume state diverged", kind);
-            prop_assert_eq!(samples, want_samples, "kernel {} depth samples diverged", kind);
-        }
+        prop_assert_eq!(&run(&auto, from, &data, sample_every, deep_depth), &want, "auto diverged");
+        prop_assert_eq!(&run(&wide, from, &data, sample_every, deep_depth), &want, "wide diverged");
+        // `Automaton::scan` is the same walk without the samples.
+        let mut hits = Vec::new();
+        let end = auto.scan(from, &data, |p, s| hits.push((p, s)));
+        prop_assert_eq!((&hits, end), (&want.0, want.1), "Automaton::scan diverged");
     }
 
     /// Chunked stateful scans (§5.2): cutting the payload at any byte and
     /// resuming from the returned state must replay the identical match
-    /// stream for every kernel — chunk edges land inside unrolled
-    /// groups and inside in-progress matches.
+    /// stream for every kernel — packet edges land inside lanes, inside
+    /// warm-ups and inside in-progress matches.
     #[test]
     fn chunked_scans_resume_exactly(
         sets in pattern_sets(),
-        data in input(),
-        cut in 0usize..400,
+        pieces in pieces(),
+        cut in any::<prop::sample::Index>(),
     ) {
         let builder = build(&sets);
-        let reference = builder.build_full();
-        let cut = cut.min(data.len());
+        let data = payload(&sets, &pieces);
+        let cut = cut.index(data.len() + 1);
         let (a, b) = data.split_at(cut);
 
+        let naive = builder.build_kernel(KernelKind::Naive);
         let mut want = Vec::new();
-        let want_end = reference.scan(reference.start(), &data, |p, s| want.push((p, s)));
+        let want_end = naive.scan(naive.start(), &data, |p, s| want.push((p, s)));
 
         for kind in KernelKind::ALL {
             let ac = builder.build_kernel(kind);
@@ -131,38 +248,106 @@ proptest! {
             prop_assert_eq!(end, want_end);
         }
     }
+}
 
-    /// A planted literal is found at every alignment: sweeping the
-    /// leading pad walks the pattern across every offset of the unrolled
-    /// loop's 4-byte groups and its remainder.
-    #[test]
-    fn planted_patterns_survive_every_alignment(
-        pad in 0usize..48,
-        tail in 0usize..24,
-        which in 0usize..3,
-    ) {
-        let pats: Vec<Vec<u8>> = vec![
-            b"evil|sig".to_vec(),
-            b"q%z".to_vec(),
-            b"zz".to_vec(),
-        ];
-        let mut b = CombinedAcBuilder::new();
-        b.add_set(PatternSet::new(MiddleboxId(0), pats.clone())).unwrap();
+/// A planted literal is found exactly once wherever it lies: the sweep
+/// walks a 64-B pattern (so `max_depth` is 64) and two short ones across
+/// every offset of payloads that are cut into two, three and four lanes,
+/// which puts it at every distance in `-max_depth..=max_depth` from each
+/// lane boundary, on every grid.
+#[test]
+fn planted_patterns_survive_every_offset_and_lane_boundary() {
+    let (pats, kernels) = literal_set();
+    let root = kernels.state_after(b"");
+    for len in [300usize, 531, 1_400] {
+        for pat in &pats {
+            for pad in 0..=len - pat.len() {
+                let mut data = vec![b'.'; len];
+                data[pad..pad + pat.len()].copy_from_slice(pat);
+                let (hits, _, _) = kernels.assert_lanes_match_naive(root, &data, &GRIDS);
+                assert_eq!(
+                    hits.len(),
+                    1,
+                    "one literal, one match (len {len}, pad {pad})"
+                );
+                assert_eq!(hits[0].0, pad + pat.len() - 1);
+            }
+        }
+    }
+}
 
-        let mut data = vec![b'.'; pad];
-        data.extend_from_slice(&pats[which]);
-        data.extend(std::iter::repeat_n(b'.', tail));
-        let end_pos = pad + pats[which].len() - 1;
+/// The longest unit the engine scans (65,535 B): random content once,
+/// then the 64-B literal ending just before, on, just after and a full
+/// `max_depth` to either side of each lane boundary.
+#[test]
+fn a_65535_byte_unit_is_cut_exactly() {
+    let (pats, kernels) = literal_set();
+    let long = &pats[0];
+    const LEN: usize = 65_535;
 
-        for kind in KernelKind::ALL {
-            let ac = b.build_kernel(kind);
-            let (events, _, _) = run(&ac, ac.start(), &data, 16, 4);
-            prop_assert!(
-                events.iter().any(|&(p, _)| p == end_pos),
-                "kernel {} missed the literal planted at pad {}",
-                kind, pad
-            );
-            prop_assert_eq!(events.len(), 1, "kernel {} fabricated a match", kind);
+    // Pseudo-random bytes over an alphabet dense in near misses.
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let noisy: Vec<u8> = (0..LEN)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            b"qz%zAB."[(x % 7) as usize]
+        })
+        .collect();
+    kernels.assert_lanes_match_naive(kernels.state_after(b"ABCDEFGH"), &noisy, &GRIDS);
+
+    let root = kernels.state_after(b"");
+    let mut data = vec![b'.'; LEN];
+    for every in GRIDS {
+        for boundary in lane_boundaries(LEN, every) {
+            // The literal's last byte sits `off` past the boundary.
+            for off in [-64isize, -63, -1, 0, 1, 31, 62, 63, 64] {
+                let end = boundary.checked_add_signed(off).unwrap();
+                data[end - 63..=end].copy_from_slice(long);
+                let (hits, state, _) = run(&kernels.auto, root, &data, every, 4);
+                assert_eq!(hits.len(), 1, "grid {every}, boundary {boundary}");
+                assert_eq!(hits[0].0, end, "grid {every}, boundary {boundary}");
+                assert_eq!(state, root, "filler ends at the root");
+                data[end - 63..=end].fill(b'.');
+            }
+        }
+    }
+}
+
+/// A self-overlapping run of `z` lying across a lane boundary: `zz` ends
+/// at every byte of the run but the first, and `zzzz…` (64 B, so the
+/// warm-up is 64) only once the run is long enough — on whichever side
+/// of the cut that falls.
+#[test]
+fn overlapping_runs_straddle_every_lane_boundary() {
+    let mut b = CombinedAcBuilder::new();
+    b.add_set(PatternSet::new(
+        MiddleboxId(0),
+        vec![b"zz".to_vec(), vec![b'z'; 64]],
+    ))
+    .unwrap();
+    let kernels = Kernels::of(&b);
+    let mid_run = kernels.state_after(b"zzz");
+    for len in [300usize, 1_400] {
+        for every in GRIDS {
+            for boundary in lane_boundaries(len, every) {
+                for run_len in [2usize, 63, 64, 65, 130] {
+                    // Slide the run from wholly before the boundary to
+                    // wholly after it.
+                    for lead in (0..=run_len).step_by(1 + run_len / 17) {
+                        let Some(from) = boundary.checked_sub(lead) else {
+                            continue;
+                        };
+                        if from + run_len > len {
+                            continue;
+                        }
+                        let mut data = vec![b'.'; len];
+                        data[from..from + run_len].fill(b'z');
+                        kernels.assert_lanes_match_naive(mid_run, &data, &[every]);
+                    }
+                }
+            }
         }
     }
 }

@@ -270,8 +270,9 @@ pub struct InstanceConfig {
     /// only). Defaults to [`InstanceConfig::DEFAULT_MAX_FLOWS`].
     pub max_flows: Option<usize>,
     /// Which driver the instance's engine walks its automaton with.
-    /// [`KernelKind::Auto`] (the default) is the unrolled table scan; the
-    /// table's cell width is never a choice, it follows the state count.
+    /// [`KernelKind::Auto`] (the default) is the lane-interleaved table
+    /// scan; the table's cell width and the lane count are never a
+    /// choice, they follow the state count and the payload.
     pub kernel: KernelKind,
     /// How the shared reassembler resolves byte-level conflicts between
     /// overlapping TCP segment copies. [`ConflictPolicy::FirstWins`] (the

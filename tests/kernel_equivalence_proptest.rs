@@ -47,37 +47,49 @@ fn config(kernel: KernelKind) -> InstanceConfig {
         .with_kernel(kernel)
 }
 
-/// One packet: flow selector, planted signature (if any), filler style.
+/// One packet: flow selector, planted signature (if any) and where,
+/// filler style, length.
 #[derive(Debug, Clone)]
 struct TracePkt {
     flow_port: u16,
     plant: u8,
     filler: u8,
-    pad: u8,
+    len: u16,
+    at: u16,
 }
 
+/// Up to 1,400 B of one filler byte — long enough for the scan to be cut
+/// into lanes, and a run of `z` matches `zz` in every one of them — with
+/// the signature spliced in anywhere, lane boundaries included.
 fn payload(p: &TracePkt) -> Vec<u8> {
-    let mut v = vec![b'a' + p.filler % 26; p.pad as usize % 40];
-    match p.plant % 4 {
-        0 => v.extend_from_slice(b"evil|sig"),
-        1 => v.extend_from_slice(b"qz%"),
-        2 => v.extend_from_slice(b"zz"),
-        _ => {}
-    }
-    v.extend(std::iter::repeat_n(b'.', p.pad as usize % 7));
+    let mut v = vec![b'a' + p.filler % 26; p.len as usize % 1401];
+    let at = p.at as usize % (v.len() + 1);
+    let planted: &[u8] = match p.plant % 4 {
+        0 => b"evil|sig",
+        1 => b"qz%",
+        2 => b"zz",
+        _ => b"",
+    };
+    v.splice(at..at, planted.iter().copied());
     v
 }
 
 fn trace() -> impl Strategy<Value = Vec<TracePkt>> {
     proptest::collection::vec(
-        (1000u16..1008, any::<u8>(), any::<u8>(), any::<u8>()).prop_map(
-            |(flow_port, plant, filler, pad)| TracePkt {
+        (
+            1000u16..1008,
+            any::<u8>(),
+            any::<u8>(),
+            any::<u16>(),
+            any::<u16>(),
+        )
+            .prop_map(|(flow_port, plant, filler, len, at)| TracePkt {
                 flow_port,
                 plant,
                 filler,
-                pad,
-            },
-        ),
+                len,
+                at,
+            }),
         1..40,
     )
 }
