@@ -1,50 +1,47 @@
-//! The unified, bounded per-flow state arena (DESIGN.md §15).
+//! The bounded per-flow state arena — the instance's one flow store
+//! (DESIGN.md §15).
 //!
 //! The paper's §4.3 pitch is that a DPI instance keeps only tiny
 //! per-flow state — "the current DFA state and an offset within the
-//! packet" — which is what makes consolidation and migration cheap. The
-//! instance as grown actually kept per-flow state in *four* independent
-//! maps (scan state, reassemblers, stress counters, L7 sessions), of
-//! which only the flow table was bounded; flow churn grew the rest
-//! without limit. [`FlowArena`] unifies all four behind one `FlowKey`
-//! lookup into a slab of [`FlowEntry`] records with:
+//! packet" — which is what makes consolidation and migration cheap, and
+//! §5.2 keeps it in "a data structure of active flows". [`FlowArena`] is
+//! that structure: one `FlowKey` lookup into a slab of records holding
+//! everything the instance knows about a flow (scan state, verdict,
+//! reassembler, stress samples, L7 session), with
 //!
-//! * **one bounded entry count** — a single capacity covers every kind
-//!   of per-flow state, enforced by O(1) single-entry LRU eviction
-//!   (replacing the old sort-half eviction that allocated and sorted on
-//!   the hot path);
-//! * **quarantine-preferring eviction** — fail-closed verdicts are
-//!   skipped by the eviction walk, so churn cannot flush them (each
-//!   forced drop is counted and surfaced, never silent);
+//! * **one clock** — a logical tick per keyed touching call, which on
+//!   the packet path is one per scanned packet or segment
+//!   ([`FlowArena::open`]); no wall-clock reads, so the same trace
+//!   evicts and ages the same flows at the same points on every run;
+//! * **two lists over the same `prev`/`next` links** — live flows in
+//!   LRU order, which is also `last_used` order, so the idle flows are
+//!   a suffix of it and a tick ages them off the tail in O(1) when
+//!   nothing is due; quarantine verdicts on a list of their own, so
+//!   neither aging nor eviction ever walks past (or takes) one;
+//! * **one bounded entry count** — creating an entry at capacity evicts
+//!   the LRU tail; only when nothing but verdicts is resident does the
+//!   oldest verdict go, counted ([`ArenaEvents::quarantined_evicted`]);
 //! * **per-flow byte accounting** — each entry caches its heap
 //!   footprint (reassembly buffers, L7 decode buffers) and the arena
 //!   keeps the running total, which the overload detector reads as a
-//!   memory-pressure watermark and an optional byte budget enforces
-//!   directly;
-//! * **timer-wheel aging** — a hierarchical [`TimerWheel`] over the
-//!   same logical clock the LRU uses expires idle flows (reassembly
-//!   buffers included) deterministically, with no wall-clock reads.
+//!   memory-pressure watermark and an optional byte budget enforces by
+//!   evicting cold live flows — never the one being serviced, never a
+//!   verdict.
 //!
 //! Losing an entry is always safe for correctness of the data path: the
-//! next packet scans from the automaton root as if the flow were new
-//! (the same argument as flow-table eviction). The one exception is a
-//! quarantine verdict, which is why eviction prefers everything else
-//! and aging skips quarantined entries entirely — they hold no buffers,
-//! so keeping them costs one slab slot, not memory.
+//! next packet scans from the automaton root as if the flow were new.
+//! The one exception is a quarantine verdict, which is why verdicts do
+//! not age and leave only by teardown or forced eviction — they hold no
+//! buffers, so keeping them costs one slab slot, not memory.
 
-use crate::flowstate::FlowState;
 use crate::l7::L7Session;
 use crate::reassembly::StreamReassembler;
-use crate::timerwheel::TimerWheel;
+use dpi_ac::StateId;
 use dpi_packet::FlowKey;
 use std::collections::HashMap;
 
-/// Slab index niche for "no entry" in the intrusive LRU links.
+/// Slab index niche for "no entry" in the intrusive list links.
 const NIL: u32 = u32::MAX;
-
-/// How many quarantined entries the eviction walk skips before giving
-/// up and dropping the oldest verdict anyway (the bound must hold).
-const EVICTION_WALK: usize = 64;
 
 /// Estimated fixed cost of one tracked flow: the slab slot itself plus
 /// the index map's key + index + bucket share. An estimate for the
@@ -74,16 +71,35 @@ impl ArenaEvents {
     }
 }
 
+/// The scan state of one flow as it leaves the arena — what a lookup
+/// returns and what flow migration (§4.3.1) carries between instances.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowState {
+    /// DFA state at the end of the last scanned packet.
+    pub state: StateId,
+    /// Bytes of the flow scanned so far (`offset` in §5.2).
+    pub offset: u64,
+    /// Rule generation whose automaton `state` belongs to. A state id is
+    /// only meaningful inside the automaton that produced it, so after a
+    /// hot swap the mid-flow state of older generations must not be fed
+    /// to the new automaton (DESIGN.md §9).
+    pub generation: u32,
+    /// Set when a reassembly conflict quarantined the flow under
+    /// `ConflictPolicy::RejectFlow` (DESIGN.md §13): its packets are no
+    /// longer scanned and carry a fail-closed verdict mark instead.
+    pub quarantined: bool,
+}
+
 /// Everything the instance knows about one flow, in one slab slot.
 #[derive(Debug)]
 struct FlowEntry {
     key: FlowKey,
     /// Scan state `(dfa_state, stream_offset, generation)` — the §4.3
     /// record. `None` for flows tracked only for reassembly/stress/L7.
-    scan: Option<(u32, u64, u32)>,
-    /// Sticky fail-closed verdict (DESIGN.md §13). Survives scan-state
-    /// overwrites, generation re-anchoring, eviction preference and
-    /// aging; cleared only by explicit teardown or forced eviction.
+    scan: Option<(StateId, u64, u32)>,
+    /// Sticky fail-closed verdict (DESIGN.md §13), and which list the
+    /// entry is linked on. Survives scan-state overwrites and generation
+    /// re-anchoring; cleared only by teardown or forced eviction.
     quarantined: bool,
     /// TCP reassembly state, boxed: most flows in a million-flow table
     /// are idle and must not pay the reassembler's inline size.
@@ -93,24 +109,76 @@ struct FlowEntry {
     stress: (u64, u64),
     /// L7 decode session (DESIGN.md §14), boxed like the reassembler.
     l7: Option<Box<L7Session>>,
-    /// Logical tick of the last touch (LRU + aging).
+    /// Logical tick of the last touch (list order + aging).
     last_used: u64,
     /// Cached byte estimate for this entry (base + component heaps).
     bytes: u64,
-    /// Intrusive LRU list: `prev` is toward most-recent, `next` toward
+    /// Intrusive list links: `prev` is toward most-recent, `next` toward
     /// least-recent. O(1) touch, O(1) evict, zero allocation.
     prev: u32,
     next: u32,
 }
 
-/// One slab slot. `stamp` increments on every free, so a stale timer
-/// (lazy cancellation) can tell that its slot was reused.
+impl FlowEntry {
+    /// The entry's record as lookups and migration see it: a quarantined
+    /// flow without scan state reads as the zero record with the verdict
+    /// set, so the verdict always travels.
+    fn record(&self) -> Option<FlowState> {
+        let (state, offset, generation) = match (self.scan, self.quarantined) {
+            (Some(scan), _) => scan,
+            (None, true) => (0, 0, 0),
+            (None, false) => return None,
+        };
+        Some(FlowState {
+            state,
+            offset,
+            generation,
+            quarantined: self.quarantined,
+        })
+    }
+
+    /// The `(state, offset)` written under `generation`. Scan state of
+    /// any other generation is dropped: a state id means nothing in
+    /// another automaton, so the flow re-anchors at the root (miss-only,
+    /// DESIGN.md §9).
+    fn scan_at(&mut self, generation: u32) -> Option<(StateId, u64)> {
+        match self.scan {
+            Some((state, offset, g)) if g == generation => Some((state, offset)),
+            _ => {
+                self.scan = None;
+                None
+            }
+        }
+    }
+
+    /// Holds nothing — no scan state, no verdict, no buffers, no stress.
+    fn is_hollow(&self) -> bool {
+        self.scan.is_none()
+            && !self.quarantined
+            && self.reassembler.is_none()
+            && self.l7.is_none()
+            && self.stress == (0, 0)
+    }
+}
+
 #[derive(Debug)]
 struct Slot {
     entry: Option<FlowEntry>,
-    stamp: u32,
     next_free: u32,
 }
+
+/// Ends of one intrusive list: `head` most recently touched, `tail`
+/// least.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: List = List {
+    head: NIL,
+    tail: NIL,
+};
 
 /// The arena. See the module docs.
 #[derive(Debug)]
@@ -118,13 +186,14 @@ pub struct FlowArena {
     index: HashMap<FlowKey, u32>,
     slots: Vec<Slot>,
     free_head: u32,
-    /// Most-recently-used entry.
-    lru_head: u32,
-    /// Least-recently-used entry (eviction candidate).
-    lru_tail: u32,
+    /// Live (non-quarantined) flows in LRU order: the tail is both the
+    /// eviction candidate and the next flow to age.
+    lru: List,
+    /// Quarantine verdicts, most recently touched first.
+    verdicts: List,
     capacity: usize,
-    /// Logical clock: one tick per arena access, shared by LRU order
-    /// and the timer wheel (deterministic, no wall time).
+    /// Logical clock: one tick per keyed touching call (deterministic,
+    /// no wall time).
     clock: u64,
     /// Idle ticks before an entry is aged out; `None` disables aging.
     idle_timeout: Option<u64>,
@@ -132,9 +201,6 @@ pub struct FlowArena {
     /// watermark integration still reads `total_bytes`).
     max_bytes: Option<u64>,
     total_bytes: u64,
-    wheel: TimerWheel,
-    /// Reusable expiry scratch (keeps `tick` allocation-free).
-    expired: Vec<u64>,
     events: ArenaEvents,
 }
 
@@ -145,8 +211,9 @@ impl FlowArena {
         FlowArena::with_limits(capacity, None, None)
     }
 
-    /// An arena with optional idle aging (in logical ticks — one tick
-    /// per arena access) and an optional total-byte budget.
+    /// An arena with optional idle aging (in logical ticks — one per
+    /// keyed touching call, so one per scanned packet or segment) and an
+    /// optional total-byte budget.
     pub fn with_limits(
         capacity: usize,
         idle_timeout: Option<u64>,
@@ -156,15 +223,13 @@ impl FlowArena {
             index: HashMap::new(),
             slots: Vec::new(),
             free_head: NIL,
-            lru_head: NIL,
-            lru_tail: NIL,
+            lru: EMPTY,
+            verdicts: EMPTY,
             capacity: capacity.max(1),
             clock: 0,
             idle_timeout: idle_timeout.filter(|&t| t > 0),
             max_bytes: max_bytes.filter(|&b| b > 0),
             total_bytes: 0,
-            wheel: TimerWheel::new(),
-            expired: Vec::new(),
             events: ArenaEvents::default(),
         }
     }
@@ -179,20 +244,10 @@ impl FlowArena {
         self.index.is_empty()
     }
 
-    /// The entry bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Estimated bytes of all per-flow state currently held — what the
     /// overload detector's memory watermark reads.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
-    }
-
-    /// The configured idle timeout, if aging is enabled.
-    pub fn idle_timeout(&self) -> Option<u64> {
-        self.idle_timeout
     }
 
     /// Counters accumulated since the last drain (see [`ArenaEvents`]).
@@ -200,76 +255,49 @@ impl FlowArena {
         std::mem::take(&mut self.events)
     }
 
-    /// All tracked flow keys (diagnostics, migration candidate listing).
-    pub fn keys(&self) -> impl Iterator<Item = &FlowKey> {
-        self.index.keys()
+    /// Finds or creates `key`'s entry and touches it — the packet path's
+    /// one keyed call. One clock tick; creation at capacity evicts one
+    /// entry. The returned handle borrows the arena, so the slot cannot
+    /// move or be evicted while a scan holds it; dropping it re-syncs
+    /// the byte accounting, enforces the byte budget and releases the
+    /// entry if nothing was stored in it.
+    pub fn open(&mut self, key: FlowKey) -> OpenFlow<'_> {
+        let idx = self.ensure(key);
+        OpenFlow { arena: self, idx }
     }
 
-    // ---- scan state (FlowTable semantics) ---------------------------
-
-    /// Looks up (and touches) a flow's scan state. Mirrors
-    /// [`crate::flowstate::FlowTable::get`]: a quarantined flow without
-    /// scan state reads as the zero record with the verdict set.
-    pub fn get_scan(&mut self, key: &FlowKey) -> Option<FlowState> {
-        let idx = self.lookup_touch(key)?;
-        let e = self.slots[idx as usize].entry.as_ref().expect("indexed");
-        match (e.scan, e.quarantined) {
-            (Some((state, offset, generation)), q) => {
-                Some(FlowState::assemble(state, offset, generation, q))
-            }
-            (None, true) => Some(FlowState::assemble(0, 0, 0, true)),
-            (None, false) => None,
-        }
-    }
-
-    /// Looks up a flow's scan state, but only if it was written under
-    /// `generation`; a mismatch drops the stale scan state (the flow
-    /// re-anchors at the new automaton's root, miss-only) while leaving
-    /// the entry's other components — unlike the standalone flow table,
-    /// the entry may also hold live reassembly/L7 state, and a
-    /// quarantine verdict must never ride out on a generation swap.
+    /// Looks up (and touches) a flow's scan state, but only if it was
+    /// written under `generation`; a mismatch drops the stale scan state
+    /// (the flow re-anchors at the new automaton's root, miss-only)
+    /// while leaving the entry's other components — it may also hold
+    /// live reassembly/L7 state, and a quarantine verdict must never
+    /// ride out on a generation swap. Never creates an entry.
     pub fn get_scan_if_generation(&mut self, key: &FlowKey, generation: u32) -> Option<FlowState> {
-        let idx = self.lookup_touch(key)?;
-        let e = self.slots[idx as usize].entry.as_mut().expect("indexed");
-        match e.scan {
-            Some((state, offset, g)) if g == generation => {
-                Some(FlowState::assemble(state, offset, g, e.quarantined))
-            }
-            Some(_) => {
-                e.scan = None;
-                self.remove_if_hollow(idx);
-                None
-            }
-            None => None,
+        self.tick();
+        let idx = *self.index.get(key)?;
+        self.touch(idx);
+        let e = self.entry_mut(idx);
+        let found = e.scan_at(generation).map(|(state, offset)| FlowState {
+            state,
+            offset,
+            generation,
+            quarantined: e.quarantined,
+        });
+        if found.is_none() && e.is_hollow() {
+            self.remove_idx(idx);
         }
+        found
     }
 
     /// Stores a flow's scan state tagged with the generation of the
     /// automaton that produced it. Quarantine is sticky across writes.
-    pub fn put_scan_gen(&mut self, key: FlowKey, state: u32, offset: u64, generation: u32) {
+    pub fn put_scan_gen(&mut self, key: FlowKey, state: StateId, offset: u64, generation: u32) {
         let idx = self.ensure(key);
-        let e = self.slots[idx as usize].entry.as_mut().expect("ensured");
-        e.scan = Some((state, offset, generation));
+        self.entry_mut(idx).scan = Some((state, offset, generation));
     }
 
-    /// Marks a flow quarantined (reassembly conflict under
-    /// `ConflictPolicy::RejectFlow`), creating the entry if absent. The
-    /// flow's reassembly and L7 state is torn down with it: a
-    /// quarantined flow is never scanned again, so keeping (or later
-    /// re-creating) buffers for it would only store attacker-controlled
-    /// bytes. This also keeps the "quarantined entries are tiny"
-    /// invariant the eviction preference relies on.
-    pub fn quarantine(&mut self, key: FlowKey) {
-        let idx = self.ensure(key);
-        let e = self.slots[idx as usize].entry.as_mut().expect("ensured");
-        e.quarantined = true;
-        e.reassembler = None;
-        e.l7 = None;
-        self.refresh_idx(idx);
-    }
-
-    /// Whether a flow is quarantined. Non-mutating (no LRU touch, no
-    /// clock tick) — this sits on the per-packet hot path.
+    /// Whether a flow is quarantined. Non-mutating (no touch, no clock
+    /// tick).
     pub fn is_quarantined(&self, key: &FlowKey) -> bool {
         self.peek(key).is_some_and(|e| e.quarantined)
     }
@@ -279,25 +307,16 @@ impl FlowArena {
     /// goes with it; returns the scan-state record if one existed.
     pub fn remove(&mut self, key: &FlowKey) -> Option<FlowState> {
         let idx = *self.index.get(key)?;
-        let e = self.slots[idx as usize].entry.as_ref().expect("indexed");
-        let out = e
-            .scan
-            .map(|(s, o, g)| FlowState::assemble(s, o, g, e.quarantined))
-            .or(e.quarantined.then(|| FlowState::assemble(0, 0, 0, true)));
+        let out = self.entry(idx).record();
         self.remove_idx(idx);
         out
     }
 
-    /// Exports a flow's full scan-state record without touching LRU
+    /// Exports a flow's full scan-state record without touching list
     /// order — the migration path (§4.3). Quarantined flows export the
     /// verdict even when they hold no scan state.
     pub fn export_scan(&self, key: &FlowKey) -> Option<FlowState> {
-        let e = self.peek(key)?;
-        match (e.scan, e.quarantined) {
-            (Some((s, o, g)), q) => Some(FlowState::assemble(s, o, g, q)),
-            (None, true) => Some(FlowState::assemble(0, 0, 0, true)),
-            (None, false) => None,
-        }
+        self.peek(key)?.record()
     }
 
     /// Imports a migrated flow's record as exported — generation tag
@@ -305,16 +324,10 @@ impl FlowArena {
     /// locally is sticky; import never clears it).
     pub fn import_scan(&mut self, key: FlowKey, fs: FlowState) {
         let idx = self.ensure(key);
-        let e = self.slots[idx as usize].entry.as_mut().expect("ensured");
-        e.scan = Some((fs.state, fs.offset, fs.generation));
-        e.quarantined |= fs.quarantined;
-    }
-
-    // ---- reassembly -------------------------------------------------
-
-    /// The flow's reassembler, if it has one. Non-mutating.
-    pub fn reassembler(&self, key: &FlowKey) -> Option<&StreamReassembler> {
-        self.peek(key)?.reassembler.as_deref()
+        self.entry_mut(idx).scan = Some((fs.state, fs.offset, fs.generation));
+        if fs.quarantined {
+            self.set_verdict(idx);
+        }
     }
 
     /// Whether `flow` currently holds TCP reassembly state.
@@ -322,65 +335,13 @@ impl FlowArena {
         self.peek(key).is_some_and(|e| e.reassembler.is_some())
     }
 
-    /// The flow's reassembler, created with `init` if absent (touches
-    /// the flow). The caller must call [`FlowArena::refresh_bytes`]
-    /// after mutating the returned reassembler so the arena's byte
-    /// accounting tracks it.
-    pub fn reassembler_or_insert_with(
-        &mut self,
-        key: FlowKey,
-        init: impl FnOnce() -> StreamReassembler,
-    ) -> &mut StreamReassembler {
-        let idx = self.ensure(key);
-        let e = self.slots[idx as usize].entry.as_mut().expect("ensured");
-        e.reassembler.get_or_insert_with(|| Box::new(init()))
-    }
-
-    /// Installs (replacing any previous) reassembly state for a flow —
-    /// the explicit stream-open path.
-    pub fn set_reassembler(&mut self, key: FlowKey, r: StreamReassembler) {
-        let idx = self.ensure(key);
-        let e = self.slots[idx as usize].entry.as_mut().expect("ensured");
-        e.reassembler = Some(Box::new(r));
-        self.refresh_idx(idx);
-    }
-
-    /// Drops a flow's reassembly state, keeping the rest of the entry.
-    pub fn drop_reassembler(&mut self, key: &FlowKey) {
-        if let Some(&idx) = self.index.get(key) {
-            let e = self.slots[idx as usize].entry.as_mut().expect("indexed");
-            if e.reassembler.take().is_some() {
-                self.refresh_idx(idx);
-                self.remove_if_hollow(idx);
-            }
-        }
-    }
-
-    /// Re-estimates a flow's byte footprint after its reassembler or L7
-    /// session was mutated in place, then enforces the byte budget.
-    pub fn refresh_bytes(&mut self, key: &FlowKey) {
-        if let Some(&idx) = self.index.get(key) {
-            self.refresh_idx(idx);
-            self.enforce_bytes();
-        }
-    }
-
-    // ---- stress samples ---------------------------------------------
-
-    /// Adds one scan's depth samples to a flow's stress window (the
-    /// MCA² heavy-flow signal).
-    pub fn record_stress(&mut self, key: FlowKey, deep: u64, samples: u64) {
-        let idx = self.ensure(key);
-        let e = self.slots[idx as usize].entry.as_mut().expect("ensured");
-        e.stress.0 += deep;
-        e.stress.1 += samples;
-    }
-
     /// Per-flow deep-state ratios; flows with fewer than two samples
     /// are omitted (no signal), sorted hottest first.
     pub fn stress_ratios(&self) -> Vec<(FlowKey, f64)> {
         let mut v: Vec<(FlowKey, f64)> = self
-            .entries()
+            .index
+            .values()
+            .map(|&idx| self.entry(idx))
             .filter(|e| e.stress.1 >= 2)
             .map(|e| (e.key, e.stress.0 as f64 / e.stress.1 as f64))
             .collect();
@@ -395,48 +356,13 @@ impl FlowArena {
             .index
             .values()
             .copied()
-            .filter(|&idx| {
-                let e = self.slots[idx as usize].entry.as_ref().expect("indexed");
-                e.stress != (0, 0)
-            })
+            .filter(|&idx| self.entry(idx).stress != (0, 0))
             .collect();
         for idx in stressed {
-            let e = self.slots[idx as usize].entry.as_mut().expect("indexed");
+            let e = self.entry_mut(idx);
             e.stress = (0, 0);
-            self.remove_if_hollow(idx);
-        }
-    }
-
-    // ---- L7 sessions ------------------------------------------------
-
-    /// Takes a flow's L7 session out of the arena (the scan loop owns
-    /// it while decoding, then puts it back), touching the flow.
-    pub fn take_l7(&mut self, key: &FlowKey) -> Option<L7Session> {
-        let idx = self.lookup_touch(key)?;
-        let e = self.slots[idx as usize].entry.as_mut().expect("indexed");
-        let s = e.l7.take().map(|b| *b);
-        if s.is_some() {
-            self.refresh_idx(idx);
-        }
-        s
-    }
-
-    /// Stores a flow's L7 session (back), touching the flow.
-    pub fn put_l7(&mut self, key: FlowKey, session: L7Session) {
-        let idx = self.ensure(key);
-        let e = self.slots[idx as usize].entry.as_mut().expect("ensured");
-        e.l7 = Some(Box::new(session));
-        self.refresh_idx(idx);
-        self.enforce_bytes();
-    }
-
-    /// Drops a flow's L7 session, keeping the rest of the entry.
-    pub fn drop_l7(&mut self, key: &FlowKey) {
-        if let Some(&idx) = self.index.get(key) {
-            let e = self.slots[idx as usize].entry.as_mut().expect("indexed");
-            if e.l7.take().is_some() {
-                self.refresh_idx(idx);
-                self.remove_if_hollow(idx);
+            if e.is_hollow() {
+                self.remove_idx(idx);
             }
         }
     }
@@ -448,77 +374,39 @@ impl FlowArena {
 
     // ---- internals --------------------------------------------------
 
-    fn entries(&self) -> impl Iterator<Item = &FlowEntry> {
-        self.index
-            .values()
-            .map(|&idx| self.slots[idx as usize].entry.as_ref().expect("indexed"))
+    fn entry(&self, idx: u32) -> &FlowEntry {
+        self.slots[idx as usize]
+            .entry
+            .as_ref()
+            .expect("indexed and linked slots are live")
+    }
+
+    fn entry_mut(&mut self, idx: u32) -> &mut FlowEntry {
+        self.slots[idx as usize]
+            .entry
+            .as_mut()
+            .expect("indexed and linked slots are live")
     }
 
     fn peek(&self, key: &FlowKey) -> Option<&FlowEntry> {
-        let idx = *self.index.get(key)?;
-        self.slots[idx as usize].entry.as_ref()
+        self.index.get(key).map(|&idx| self.entry(idx))
     }
 
-    /// Advances the logical clock by one tick and runs any timers that
-    /// came due. O(1) amortized; allocation-free in steady state.
+    /// Advances the logical clock by one tick and ages out every flow
+    /// whose idle horizon it reached. The LRU list is in `last_used`
+    /// order, so those are exactly a suffix of it: O(1) when nothing is
+    /// due, allocation-free always. Verdicts are not on this list and
+    /// do not age: letting idleness flush one would re-open the
+    /// fail-open hole eviction preference closed.
     fn tick(&mut self) {
         self.clock += 1;
-        if self.wheel.is_empty() {
-            // Aging disabled (or nothing scheduled): just track time.
-            let clock = self.clock;
-            self.wheel.advance(clock, |_, _| {});
+        let Some(timeout) = self.idle_timeout else {
             return;
-        }
-        let mut expired = std::mem::take(&mut self.expired);
-        expired.clear();
-        let clock = self.clock;
-        self.wheel
-            .advance(clock, |payload, _| expired.push(payload));
-        for payload in expired.drain(..) {
-            self.on_timer(payload);
-        }
-        self.expired = expired;
-    }
-
-    fn on_timer(&mut self, payload: u64) {
-        let idx = (payload & 0xFFFF_FFFF) as u32;
-        let stamp = (payload >> 32) as u32;
-        let timeout = match self.idle_timeout {
-            Some(t) => t,
-            None => return,
         };
-        let slot = match self.slots.get(idx as usize) {
-            Some(s) if s.stamp == stamp => s,
-            _ => return, // slot freed (and possibly reused) — stale timer
-        };
-        let e = match slot.entry.as_ref() {
-            Some(e) => e,
-            None => return,
-        };
-        if e.quarantined {
-            // Verdicts don't age: letting a timer flush one would
-            // re-open the fail-open hole eviction preference closed.
-            // The entry holds no buffers, so it costs a slot, not
-            // memory; it leaves by teardown or forced eviction.
-            return;
-        }
-        let due = e.last_used + timeout;
-        if due <= self.wheel.now() {
+        while self.lru.tail != NIL && self.entry(self.lru.tail).last_used + timeout <= self.clock {
             self.events.flows_aged += 1;
-            self.remove_idx(idx);
-        } else {
-            // Touched since scheduled: re-arm for its new idle horizon.
-            self.wheel.schedule(due, payload);
+            self.remove_idx(self.lru.tail);
         }
-    }
-
-    /// Looks up an existing entry and touches it (clock tick + LRU
-    /// move). Returns its slab index.
-    fn lookup_touch(&mut self, key: &FlowKey) -> Option<u32> {
-        self.tick();
-        let idx = *self.index.get(key)?;
-        self.touch_idx(idx);
-        Some(idx)
     }
 
     /// Finds or creates the entry for `key`, touching it either way and
@@ -526,13 +414,12 @@ impl FlowArena {
     fn ensure(&mut self, key: FlowKey) -> u32 {
         self.tick();
         if let Some(&idx) = self.index.get(&key) {
-            self.touch_idx(idx);
+            self.touch(idx);
             return idx;
         }
         if self.index.len() >= self.capacity {
             self.evict_one();
         }
-        let idx = self.alloc();
         let entry = FlowEntry {
             key,
             scan: None,
@@ -546,161 +433,211 @@ impl FlowArena {
             next: NIL,
         };
         self.total_bytes += entry.bytes;
-        self.slots[idx as usize].entry = Some(entry);
+        let idx = if self.free_head != NIL {
+            let idx = self.free_head;
+            let slot = &mut self.slots[idx as usize];
+            self.free_head = std::mem::replace(&mut slot.next_free, NIL);
+            slot.entry = Some(entry);
+            idx
+        } else {
+            self.slots.push(Slot {
+                entry: Some(entry),
+                next_free: NIL,
+            });
+            (self.slots.len() - 1) as u32
+        };
         self.index.insert(key, idx);
-        self.lru_push_front(idx);
-        if let Some(timeout) = self.idle_timeout {
-            let stamp = self.slots[idx as usize].stamp;
-            self.wheel
-                .schedule(self.clock + timeout, timer_payload(idx, stamp));
-        }
+        self.push_front(idx);
         idx
     }
 
-    fn alloc(&mut self) -> u32 {
-        if self.free_head != NIL {
-            let idx = self.free_head;
-            self.free_head = self.slots[idx as usize].next_free;
-            self.slots[idx as usize].next_free = NIL;
-            idx
+    fn touch(&mut self, idx: u32) {
+        let clock = self.clock;
+        let e = self.entry_mut(idx);
+        e.last_used = clock;
+        if e.prev == NIL {
+            return; // already its list's head
+        }
+        self.unlink(idx);
+        self.push_front(idx);
+    }
+
+    fn list_mut(&mut self, verdicts: bool) -> &mut List {
+        if verdicts {
+            &mut self.verdicts
         } else {
-            let idx = self.slots.len() as u32;
-            self.slots.push(Slot {
-                entry: None,
-                stamp: 0,
-                next_free: NIL,
-            });
-            idx
+            &mut self.lru
         }
     }
 
-    fn touch_idx(&mut self, idx: u32) {
-        let e = self.slots[idx as usize].entry.as_mut().expect("touch live");
-        e.last_used = self.clock;
-        if self.lru_head == idx {
-            return;
+    /// Links `idx` at the head of the list its verdict bit names.
+    fn push_front(&mut self, idx: u32) {
+        let verdict = self.entry(idx).quarantined;
+        let list = self.list_mut(verdict);
+        let old_head = std::mem::replace(&mut list.head, idx);
+        if old_head == NIL {
+            list.tail = idx;
+        } else {
+            self.entry_mut(old_head).prev = idx;
         }
-        self.lru_unlink(idx);
-        self.lru_push_front(idx);
+        let e = self.entry_mut(idx);
+        e.prev = NIL;
+        e.next = old_head;
     }
 
-    fn lru_push_front(&mut self, idx: u32) {
-        let old_head = self.lru_head;
-        {
-            let e = self.slots[idx as usize].entry.as_mut().expect("live");
-            e.prev = NIL;
-            e.next = old_head;
-        }
-        if old_head != NIL {
-            self.slots[old_head as usize]
-                .entry
-                .as_mut()
-                .expect("live head")
-                .prev = idx;
-        }
-        self.lru_head = idx;
-        if self.lru_tail == NIL {
-            self.lru_tail = idx;
-        }
-    }
-
-    fn lru_unlink(&mut self, idx: u32) {
-        let (prev, next) = {
-            let e = self.slots[idx as usize].entry.as_ref().expect("live");
-            (e.prev, e.next)
-        };
+    /// Unlinks `idx` from the list its verdict bit names.
+    fn unlink(&mut self, idx: u32) {
+        let e = self.entry(idx);
+        let (prev, next, verdict) = (e.prev, e.next, e.quarantined);
         if prev != NIL {
-            self.slots[prev as usize].entry.as_mut().expect("live").next = next;
+            self.entry_mut(prev).next = next;
         } else {
-            self.lru_head = next;
+            self.list_mut(verdict).head = next;
         }
         if next != NIL {
-            self.slots[next as usize].entry.as_mut().expect("live").prev = prev;
+            self.entry_mut(next).prev = prev;
         } else {
-            self.lru_tail = prev;
+            self.list_mut(verdict).tail = prev;
         }
     }
 
-    /// Evicts one entry to make room: the least-recently-used
-    /// *non-quarantined* entry within [`EVICTION_WALK`] steps of the
-    /// tail, else the tail itself (counted as a dropped verdict).
+    /// Sets the sticky verdict, moving the entry from the LRU list to
+    /// the verdict list — out of reach of aging and ordinary eviction.
+    fn set_verdict(&mut self, idx: u32) {
+        if self.entry(idx).quarantined {
+            return;
+        }
+        self.unlink(idx);
+        self.entry_mut(idx).quarantined = true;
+        self.push_front(idx);
+    }
+
+    /// Evicts one entry to make room (the arena is at capacity, so one
+    /// exists): the least-recently-used live flow, else — the arena is
+    /// nothing but verdicts and the bound must hold — the oldest
+    /// verdict, counted, because a forgotten fail-closed verdict must
+    /// never be silent.
     fn evict_one(&mut self) {
-        let mut cursor = self.lru_tail;
-        let mut steps = 0usize;
-        while cursor != NIL && steps < EVICTION_WALK {
-            let e = self.slots[cursor as usize].entry.as_ref().expect("live");
-            if !e.quarantined {
-                self.events.flows_evicted += 1;
-                self.remove_idx(cursor);
-                return;
-            }
-            cursor = e.prev;
-            steps += 1;
-        }
-        // Everything near the tail is a quarantine verdict; the bound
-        // still holds, so the oldest verdict goes — counted, because a
-        // forgotten fail-closed verdict must never be silent.
-        let tail = self.lru_tail;
-        if tail != NIL {
-            self.events.flows_evicted += 1;
+        let victim = if self.lru.tail != NIL {
+            self.lru.tail
+        } else {
             self.events.quarantined_evicted += 1;
-            self.remove_idx(tail);
-        }
+            self.verdicts.tail
+        };
+        self.events.flows_evicted += 1;
+        self.remove_idx(victim);
     }
 
     fn remove_idx(&mut self, idx: u32) {
-        self.lru_unlink(idx);
+        self.unlink(idx);
         let slot = &mut self.slots[idx as usize];
         let entry = slot.entry.take().expect("remove live");
-        slot.stamp = slot.stamp.wrapping_add(1);
         slot.next_free = self.free_head;
         self.free_head = idx;
         self.total_bytes -= entry.bytes;
         self.index.remove(&entry.key);
     }
 
-    /// Releases an entry that no longer holds anything — no scan state,
-    /// no verdict, no buffers, no stress — so stale bookkeeping doesn't
-    /// occupy slots until aged out.
-    fn remove_if_hollow(&mut self, idx: u32) {
-        let e = self.slots[idx as usize].entry.as_ref().expect("live");
-        if e.scan.is_none()
-            && !e.quarantined
-            && e.reassembler.is_none()
-            && e.l7.is_none()
-            && e.stress == (0, 0)
-        {
-            self.remove_idx(idx);
-        }
-    }
-
-    fn refresh_idx(&mut self, idx: u32) {
-        let e = self.slots[idx as usize].entry.as_mut().expect("live");
+    /// Closes an opened entry: re-estimates its byte footprint (its
+    /// reassembler or L7 session may have been mutated in place),
+    /// releases it if it holds nothing, then enforces the byte budget.
+    fn settle(&mut self, idx: u32) {
+        let e = self.entry_mut(idx);
         let new = entry_base_bytes()
             + e.reassembler.as_ref().map_or(0, |r| r.heap_bytes())
             + e.l7.as_ref().map_or(0, |s| s.heap_bytes());
-        self.total_bytes = self.total_bytes - e.bytes + new;
-        e.bytes = new;
+        let old = std::mem::replace(&mut e.bytes, new);
+        let hollow = e.is_hollow();
+        self.total_bytes = self.total_bytes - old + new;
+        if hollow {
+            self.remove_idx(idx);
+        }
+        self.enforce_bytes();
     }
 
-    /// Enforces the optional byte budget by evicting cold entries
+    /// Enforces the optional byte budget by evicting cold live flows
     /// (fail-open under memory pressure, like every other bound here).
-    /// The most-recent entry is never evicted: the flow being serviced
-    /// right now must not yank its own state out from under the caller.
+    /// The LRU head is never evicted — it is the flow being serviced,
+    /// whose state must not be yanked out from under its own scan — and
+    /// neither is a verdict, which holds no buffers to reclaim.
     fn enforce_bytes(&mut self) {
         let Some(budget) = self.max_bytes else { return };
-        while self.total_bytes > budget && self.index.len() > 1 {
-            let before = self.index.len();
-            self.evict_one();
-            if self.index.len() == before {
-                break; // nothing evictable
-            }
+        while self.total_bytes > budget && self.lru.tail != self.lru.head {
+            self.events.flows_evicted += 1;
+            self.remove_idx(self.lru.tail);
         }
     }
 }
 
-fn timer_payload(idx: u32, stamp: u32) -> u64 {
-    (u64::from(stamp) << 32) | u64::from(idx)
+/// One flow's entry, opened by [`FlowArena::open`] and held for as long
+/// as a packet or segment is being serviced. Everything the scan path
+/// reads or writes per flow goes through it, so a scan probes the index
+/// once.
+#[derive(Debug)]
+pub struct OpenFlow<'a> {
+    arena: &'a mut FlowArena,
+    idx: u32,
+}
+
+impl OpenFlow<'_> {
+    fn entry(&mut self) -> &mut FlowEntry {
+        self.arena.entry_mut(self.idx)
+    }
+
+    /// Whether the flow carries the sticky fail-closed verdict.
+    pub fn quarantined(&self) -> bool {
+        self.arena.entry(self.idx).quarantined
+    }
+
+    /// Marks the flow quarantined (reassembly conflict under
+    /// `ConflictPolicy::RejectFlow`) and tears down its reassembly and
+    /// L7 state: a quarantined flow is never scanned again, so keeping
+    /// buffers for it would only store attacker-controlled bytes — and
+    /// verdict entries staying tiny is what lets them outlive churn.
+    pub fn quarantine(&mut self) {
+        self.arena.set_verdict(self.idx);
+        let e = self.entry();
+        e.reassembler = None;
+        e.l7 = None;
+    }
+
+    /// The flow's `(state, offset)` if it was written under
+    /// `generation`; scan state of any other generation is dropped, so
+    /// the flow re-anchors at the new automaton's root.
+    pub fn scan_state(&mut self, generation: u32) -> Option<(StateId, u64)> {
+        self.entry().scan_at(generation)
+    }
+
+    /// Stores the flow's scan state tagged with its automaton's
+    /// generation. Quarantine is sticky across writes.
+    pub fn set_scan_state(&mut self, state: StateId, offset: u64, generation: u32) {
+        self.entry().scan = Some((state, offset, generation));
+    }
+
+    /// Adds one scan's depth samples to the flow's stress window (the
+    /// MCA² heavy-flow signal).
+    pub fn add_stress(&mut self, deep: u64, samples: u64) {
+        let e = self.entry();
+        e.stress.0 += deep;
+        e.stress.1 += samples;
+    }
+
+    /// The flow's TCP reassembly state, to read, mutate in place,
+    /// install or drop.
+    pub fn reassembler(&mut self) -> &mut Option<Box<StreamReassembler>> {
+        &mut self.entry().reassembler
+    }
+
+    /// The flow's L7 decode session, likewise.
+    pub fn l7(&mut self) -> &mut Option<Box<L7Session>> {
+        &mut self.entry().l7
+    }
+}
+
+impl Drop for OpenFlow<'_> {
+    fn drop(&mut self) {
+        self.arena.settle(self.idx);
+    }
 }
 
 #[cfg(test)]
@@ -719,12 +656,21 @@ mod tests {
         }
     }
 
+    /// The opened flow's reassembler, created at sequence 0 if absent.
+    fn reassembler_of<'a>(
+        flow: &'a mut OpenFlow<'_>,
+        capacity: usize,
+    ) -> &'a mut StreamReassembler {
+        flow.reassembler()
+            .get_or_insert_with(|| Box::new(StreamReassembler::new(0, capacity)))
+    }
+
     #[test]
-    fn scan_state_round_trip_matches_flow_table_semantics() {
+    fn scan_state_round_trip() {
         let mut a = FlowArena::new(16);
-        assert!(a.get_scan(&key(1)).is_none());
+        assert!(a.export_scan(&key(1)).is_none());
         a.put_scan_gen(key(1), 42, 1000, 3);
-        let fs = a.get_scan(&key(1)).unwrap();
+        let fs = a.export_scan(&key(1)).unwrap();
         assert_eq!((fs.state, fs.offset, fs.generation), (42, 1000, 3));
         assert_eq!(
             a.get_scan_if_generation(&key(1), 3).map(|f| f.state),
@@ -732,7 +678,7 @@ mod tests {
         );
         // Generation mismatch drops the scan state, flow reads fresh.
         assert!(a.get_scan_if_generation(&key(1), 4).is_none());
-        assert!(a.get_scan(&key(1)).is_none());
+        assert!(a.export_scan(&key(1)).is_none());
     }
 
     #[test]
@@ -744,7 +690,7 @@ mod tests {
         assert_eq!(a.len(), 8);
         // Most recent flows survive.
         for i in 92..100 {
-            assert!(a.get_scan(&key(i)).is_some(), "flow {i} evicted");
+            assert!(a.export_scan(&key(i)).is_some(), "flow {i} evicted");
         }
         assert_eq!(a.take_events().flows_evicted, 92);
     }
@@ -752,7 +698,7 @@ mod tests {
     #[test]
     fn eviction_prefers_non_quarantined() {
         let mut a = FlowArena::new(8);
-        a.quarantine(key(0));
+        a.open(key(0)).quarantine();
         for i in 1..100 {
             a.put_scan_gen(key(i), i, 0, 0);
         }
@@ -765,7 +711,7 @@ mod tests {
     fn quarantine_dominated_arena_stays_bounded_and_counts() {
         let mut a = FlowArena::new(4);
         for i in 0..10 {
-            a.quarantine(key(i));
+            a.open(key(i)).quarantine();
         }
         assert_eq!(a.len(), 4);
         assert_eq!(a.take_events().quarantined_evicted, 6);
@@ -774,11 +720,81 @@ mod tests {
     }
 
     #[test]
+    fn churn_never_reaches_a_verdict_while_anything_else_is_resident() {
+        // Regression: the eviction walk used to give up after 64
+        // quarantined entries at the LRU tail and drop the oldest
+        // verdict anyway, with a thousand forgettable flows resident.
+        let capacity = 1024;
+        let mut a = FlowArena::new(capacity);
+        for i in 0..200 {
+            a.open(key(i)).quarantine();
+        }
+        for i in 0..3 * capacity as u32 {
+            a.put_scan_gen(key(1_000 + i), i, 0, 0);
+        }
+        assert_eq!(a.len(), capacity);
+        for i in 0..200 {
+            assert!(a.is_quarantined(&key(i)), "churn flushed verdict {i}");
+        }
+        let ev = a.take_events();
+        assert_eq!(ev.quarantined_evicted, 0);
+        assert_eq!(
+            ev.flows_evicted,
+            3 * capacity as u64 - (capacity as u64 - 200)
+        );
+    }
+
+    #[test]
+    fn byte_budget_never_takes_the_open_flow_or_a_verdict() {
+        // Regression: with only verdicts colder than the flow being
+        // serviced, the budget used to evict that very flow.
+        let budget = 4 * 1024;
+        let mut a = FlowArena::with_limits(1024, None, Some(budget));
+        for i in 0..3 {
+            a.open(key(i)).quarantine();
+        }
+        reassembler_of(&mut a.open(key(9)), 1 << 20).push(5_000, &[0xCC; 8 * 1024]);
+        assert!(a.has_reassembler(&key(9)), "the open flow lost its state");
+        let entry = entry_base_bytes() + 8 * 1024 + 64;
+        assert!(a.total_bytes() > budget, "the backlog is over budget");
+        assert!(a.total_bytes() <= budget + entry);
+        for i in 0..3 {
+            assert!(a.is_quarantined(&key(i)));
+        }
+        assert_eq!(a.take_events(), ArenaEvents::default());
+        // A colder live flow is what the budget takes instead.
+        a.put_scan_gen(key(10), 1, 0, 0);
+        reassembler_of(&mut a.open(key(9)), 1 << 20).push(20_000, &[0xCC; 64]);
+        assert!(a.has_reassembler(&key(9)));
+        assert!(a.export_scan(&key(10)).is_none(), "the cold flow stayed");
+        assert_eq!(a.take_events().flows_evicted, 1);
+    }
+
+    #[test]
+    fn importing_a_verdict_moves_a_live_entry_out_of_reach() {
+        let mut a = FlowArena::with_limits(4, Some(8), None);
+        a.put_scan_gen(key(1), 7, 64, 2);
+        let verdict = FlowState {
+            state: 9,
+            offset: 128,
+            generation: 3,
+            quarantined: true,
+        };
+        a.import_scan(key(1), verdict);
+        // Neither churn past capacity nor idleness past the timeout
+        // takes it now.
+        for i in 0..40 {
+            a.put_scan_gen(key(100 + i), i, 0, 0);
+        }
+        assert_eq!(a.export_scan(&key(1)), Some(verdict));
+        assert_eq!(a.take_events().quarantined_evicted, 0);
+    }
+
+    #[test]
     fn quarantine_is_sticky_and_drops_buffers() {
         let mut a = FlowArena::new(8);
-        a.reassembler_or_insert_with(key(1), || StreamReassembler::new(0, 1 << 16));
-        a.refresh_bytes(&key(1));
-        a.quarantine(key(1));
+        reassembler_of(&mut a.open(key(1)), 1 << 16);
+        a.open(key(1)).quarantine();
         assert!(a.is_quarantined(&key(1)));
         assert!(!a.has_reassembler(&key(1)));
         // Scan-state writes don't clear it.
@@ -793,7 +809,7 @@ mod tests {
     fn migration_preserves_generation_and_quarantine() {
         let mut src = FlowArena::new(8);
         src.put_scan_gen(key(1), 7, 512, 5);
-        src.quarantine(key(1));
+        src.open(key(1)).quarantine();
         let fs = src.export_scan(&key(1)).unwrap();
         assert_eq!(
             (fs.state, fs.offset, fs.generation, fs.quarantined),
@@ -814,9 +830,12 @@ mod tests {
         a.put_scan_gen(key(2), 2, 0, 0);
         // Keep flow 2 warm past flow 1's idle horizon; every op ticks.
         for _ in 0..200 {
-            assert!(a.get_scan(&key(2)).is_some());
+            assert!(a.get_scan_if_generation(&key(2), 0).is_some());
         }
-        assert!(a.get_scan(&key(1)).is_none(), "idle flow survived aging");
+        assert!(
+            a.get_scan_if_generation(&key(1), 0).is_none(),
+            "idle flow survived aging"
+        );
         assert_eq!(a.len(), 1);
         assert_eq!(a.take_events().flows_aged, 1);
     }
@@ -824,10 +843,8 @@ mod tests {
     #[test]
     fn aging_tears_down_reassembly_buffers() {
         let mut a = FlowArena::with_limits(1024, Some(50), None);
-        let r = a.reassembler_or_insert_with(key(1), || StreamReassembler::new(0, 1 << 16));
         // Out-of-order segment: held in the buffer, counted in bytes.
-        r.push(1000, &[0xAA; 512]);
-        a.refresh_bytes(&key(1));
+        reassembler_of(&mut a.open(key(1)), 1 << 16).push(1000, &[0xAA; 512]);
         assert!(a.total_bytes() > entry_base_bytes());
         // Unrelated churn advances the clock past the idle horizon.
         for i in 0..100 {
@@ -843,7 +860,7 @@ mod tests {
     #[test]
     fn quarantined_flows_do_not_age() {
         let mut a = FlowArena::with_limits(1024, Some(10), None);
-        a.quarantine(key(1));
+        a.open(key(1)).quarantine();
         for i in 0..100 {
             a.put_scan_gen(key(2 + i), i, 0, 0);
         }
@@ -863,10 +880,8 @@ mod tests {
         let mut a = FlowArena::with_limits(1024, None, Some(budget));
         let mut max_entry = 0u64;
         for i in 0..8 {
-            let r = a.reassembler_or_insert_with(key(i), || StreamReassembler::new(0, 1 << 20));
             // Out-of-order segment: held buffered, counted in bytes.
-            r.push(5_000, &[0xBB; 8 * 1024]);
-            a.refresh_bytes(&key(i));
+            reassembler_of(&mut a.open(key(i)), 1 << 20).push(5_000, &[0xBB; 8 * 1024]);
             max_entry = max_entry.max(entry_base_bytes() + 8 * 1024 + 64);
         }
         assert!(
@@ -883,8 +898,8 @@ mod tests {
     #[test]
     fn stress_and_l7_round_trip() {
         let mut a = FlowArena::new(16);
-        a.record_stress(key(1), 3, 4);
-        a.record_stress(key(1), 1, 4);
+        a.open(key(1)).add_stress(3, 4);
+        a.open(key(1)).add_stress(1, 4);
         let ratios = a.stress_ratios();
         assert_eq!(ratios.len(), 1);
         assert!((ratios[0].1 - 0.5).abs() < 1e-9);
@@ -894,19 +909,19 @@ mod tests {
         assert_eq!(a.len(), 0);
 
         let s = L7Session::default();
-        a.put_l7(key(2), s);
-        assert!(a.take_l7(&key(2)).is_some());
-        assert!(a.take_l7(&key(2)).is_none());
+        *a.open(key(2)).l7() = Some(Box::new(s));
+        assert!(a.open(key(2)).l7().take().is_some());
+        assert!(a.open(key(2)).l7().take().is_none());
     }
 
     #[test]
     fn total_bytes_returns_to_baseline_after_teardown() {
         let mut a = FlowArena::new(1024);
         for i in 0..100 {
-            let r = a.reassembler_or_insert_with(key(i), || StreamReassembler::new(0, 1 << 16));
-            r.push(1000, &[0x55; 256]);
-            a.refresh_bytes(&key(i));
-            a.record_stress(key(i), 1, 2);
+            let mut flow = a.open(key(i));
+            reassembler_of(&mut flow, 1 << 16).push(1000, &[0x55; 256]);
+            flow.add_stress(1, 2);
+            drop(flow);
             a.put_scan_gen(key(i), i, 64, 0);
         }
         assert!(a.total_bytes() > 0);

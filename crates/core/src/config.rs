@@ -282,10 +282,12 @@ pub struct InstanceConfig {
     /// the engine exactly as before the L7 layer existed: every
     /// reassembled byte run is scanned raw, no protocol identification.
     pub l7: Option<crate::l7::L7Policy>,
-    /// Idle-flow aging horizon in logical ticks (one tick per flow-state
-    /// access): a flow untouched for this many ticks is torn down —
-    /// reassembly buffers and L7 session included — by the flow arena's
-    /// timer wheel (DESIGN.md §15). `None` — the default — disables
+    /// Idle-flow aging horizon, counted in *scanned packets/segments on
+    /// the flow's shard* (each `scan_payload` / `scan_tcp_segment` call
+    /// with a flow key is one tick of that shard's flow arena): a flow
+    /// that none of the shard's last N scans touched is torn down —
+    /// reassembly buffers and L7 session included (DESIGN.md §15).
+    /// Quarantine verdicts do not age. `None` — the default — disables
     /// aging; flows then leave only by teardown or capacity eviction.
     #[serde(default)]
     pub flow_idle_timeout: Option<u64>,
@@ -362,8 +364,9 @@ impl InstanceConfig {
         self
     }
 
-    /// Ages out flows idle for `ticks` logical flow-state accesses
-    /// (DESIGN.md §15). Zero disables aging, like the default.
+    /// Ages out a flow once `ticks` scanned packets/segments on its
+    /// shard have gone by without touching it (DESIGN.md §15). Zero
+    /// disables aging, like the default.
     pub fn with_flow_idle_timeout(mut self, ticks: u64) -> InstanceConfig {
         self.flow_idle_timeout = (ticks > 0).then_some(ticks);
         self

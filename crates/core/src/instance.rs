@@ -9,15 +9,16 @@
 //!   [`dpi_ac::CombinedAc`]), middlebox profiles, chain metadata and
 //!   compiled regex rules. It is `Send + Sync` and is shared between
 //!   workers behind an `Arc`.
-//! * [`ShardState`] — everything *mutable* per packet: the unified flow
-//!   arena (scan state, TCP reassembly, stress samples, L7 sessions —
-//!   one bounded lookup, DESIGN.md §15), telemetry and the per-shard
+//! * [`ShardState`] — everything *mutable* per packet, in two halves: the
+//!   flow arena (scan state, TCP reassembly, stress samples, L7 sessions
+//!   — one bounded store, DESIGN.md §15), of which a scan opens exactly
+//!   one entry and holds it; and everything else a scan writes —
+//!   telemetry, the trace writer, tenant buckets and the per-shard
 //!   lazy-DFA caches for anchor-less regex rules. Each worker owns
 //!   exactly one, privately.
 
-use crate::arena::FlowArena;
+use crate::arena::{FlowArena, FlowState, OpenFlow};
 use crate::config::{InstanceConfig, MiddleboxProfile, NumberedRule, TenantId, TenantQuota};
-use crate::flowstate::FlowState;
 use crate::overload::TenantFairness;
 use crate::report::compress_matches;
 use crate::rules::RuleKind;
@@ -333,8 +334,9 @@ pub struct ScanEngine {
     ac: CombinedAc,
     chains: HashMap<u16, ChainInfo>,
     max_flows: usize,
-    /// Idle ticks before a shard's flow arena ages a flow out (`None`
-    /// disables aging; see [`crate::arena::FlowArena`]).
+    /// Scanned packets/segments on a shard before its flow arena ages an
+    /// untouched flow out (`None` disables aging; see
+    /// [`crate::arena::FlowArena`]).
     flow_idle_timeout: Option<u64>,
     /// Per-shard flow-state byte budget (`None` disables budget
     /// eviction).
@@ -367,18 +369,24 @@ const _: () = {
     assert_send_sync::<ScanEngine>();
 };
 
-/// The mutable, per-worker half of a DPI instance: flow table, TCP
-/// reassembly, stress samples, telemetry and lazy-DFA caches. Every
-/// shard of a [`crate::pipeline::DpiInstance`] owns one privately, so the
-/// per-packet path takes no locks.
+/// The mutable, per-worker half of a DPI instance. Every shard of a
+/// [`crate::pipeline::DpiInstance`] owns one privately, so the per-packet
+/// path takes no locks.
 #[derive(Debug)]
 pub struct ShardState {
     /// Every per-flow mutable thing — scan state, TCP reassembly, stress
-    /// samples, L7 sessions — unified under one [`FlowArena`] lookup
-    /// with a single entry bound, per-flow byte accounting and
-    /// timer-wheel idle aging (DESIGN.md §15). One bound instead of four
-    /// independently-growing maps.
+    /// samples, L7 sessions — in one [`FlowArena`] with a single entry
+    /// bound, per-flow byte accounting and idle aging (DESIGN.md §15).
     arena: FlowArena,
+    /// Everything else: split off so a scan can hold its flow's open
+    /// arena entry and still write these.
+    scan: ShardScan,
+}
+
+/// The non-flow half of a [`ShardState`]: what a scan writes besides its
+/// own flow's entry.
+#[derive(Debug)]
+struct ShardScan {
     telemetry: Telemetry,
     /// Per-shard lazy DFAs for anchor-less regex rules, keyed by
     /// (middlebox, rule index) and built on first use. The cache only
@@ -415,17 +423,19 @@ impl ShardState {
                 engine.flow_idle_timeout,
                 engine.max_flow_bytes,
             ),
-            telemetry: Telemetry::default(),
-            dfa_cache: HashMap::new(),
-            trace: None,
-            conflict_policy: engine.conflict_policy,
-            tenant_fairness: TenantFairness::new(&engine.tenant_weights()),
-            tenant_buckets: engine
-                .tenants
-                .iter()
-                .filter_map(|&(t, q)| q.scan_bytes_per_window.map(|cap| (t, cap, cap)))
-                .collect(),
-            tenant_counters: Vec::new(),
+            scan: ShardScan {
+                telemetry: Telemetry::default(),
+                dfa_cache: HashMap::new(),
+                trace: None,
+                conflict_policy: engine.conflict_policy,
+                tenant_fairness: TenantFairness::new(&engine.tenant_weights()),
+                tenant_buckets: engine
+                    .tenants
+                    .iter()
+                    .filter_map(|&(t, q)| q.scan_bytes_per_window.map(|cap| (t, cap, cap)))
+                    .collect(),
+                tenant_counters: Vec::new(),
+            },
         }
     }
 
@@ -433,46 +443,30 @@ impl ShardState {
     /// sampled [`crate::trace::TraceKind::PacketSample`] events and
     /// reassembly evictions into it.
     pub fn attach_trace_writer(&mut self, writer: crate::trace::TraceWriter) {
-        self.trace = Some(writer);
+        self.scan.trace = Some(writer);
     }
 
     /// The attached trace writer, if any (the pipeline absorbs it into
     /// the global tracer at batch boundaries).
     pub fn trace_writer_mut(&mut self) -> Option<&mut crate::trace::TraceWriter> {
-        self.trace.as_mut()
+        self.scan.trace.as_mut()
     }
 
     /// Detaches and returns the trace writer (e.g. before a shard is
     /// torn down, so its buffered events survive the restart).
     pub fn take_trace_writer(&mut self) -> Option<crate::trace::TraceWriter> {
-        self.trace.take()
+        self.scan.trace.take()
     }
 
     /// Telemetry snapshot of this shard.
     pub fn telemetry(&self) -> Telemetry {
-        self.telemetry
+        self.scan.telemetry
     }
 
     /// Per-tenant counter attribution for this shard, sorted by tenant.
     /// Tenants appear once they have any activity.
     pub fn tenant_counters(&self) -> &[(TenantId, TenantCounters)] {
-        &self.tenant_counters
-    }
-
-    /// The counter row for `tenant`, created on first touch.
-    pub(crate) fn tenant_counter_mut(&mut self, tenant: TenantId) -> &mut TenantCounters {
-        let i = match self
-            .tenant_counters
-            .binary_search_by_key(&tenant, |&(t, _)| t)
-        {
-            Ok(i) => i,
-            Err(i) => {
-                self.tenant_counters
-                    .insert(i, (tenant, TenantCounters::default()));
-                i
-            }
-        };
-        &mut self.tenant_counters[i].1
+        &self.scan.tenant_counters
     }
 
     /// Opens a new scan-byte quota window: every tenant's token bucket
@@ -480,47 +474,25 @@ impl ShardState {
     /// boundary; per-call users of an instance open windows explicitly
     /// (bytes/sec ≈ bytes/window at the caller's cadence).
     pub fn refill_tenant_window(&mut self) {
-        for (_, cap, tokens) in &mut self.tenant_buckets {
+        for (_, cap, tokens) in &mut self.scan.tenant_buckets {
             *tokens = *cap;
-        }
-    }
-
-    /// Deducts `bytes` from `tenant`'s scan-byte bucket. `true` when
-    /// the scan may proceed: no bucket configured, or enough tokens
-    /// remained (they are consumed). `false` leaves the bucket
-    /// untouched — the scan is skipped whole, never truncated.
-    fn consume_tenant_budget(&mut self, tenant: TenantId, bytes: u64) -> bool {
-        match self
-            .tenant_buckets
-            .binary_search_by_key(&tenant, |&(t, _, _)| t)
-        {
-            Err(_) => true,
-            Ok(i) => {
-                let tokens = &mut self.tenant_buckets[i].2;
-                if *tokens >= bytes {
-                    *tokens -= bytes;
-                    true
-                } else {
-                    false
-                }
-            }
         }
     }
 
     /// Records one packet arrival for `tenant` in the fairness tracker.
     pub fn note_tenant_arrival(&mut self, tenant: TenantId) {
-        self.tenant_fairness.note_arrival(tenant);
+        self.scan.tenant_fairness.note_arrival(tenant);
     }
 
     /// Whether `tenant` is at or over its weighted fair share — the
     /// precondition for shedding its fail-open traffic (DESIGN.md §16).
     pub fn tenant_at_or_over_fair_share(&self, tenant: TenantId) -> bool {
-        self.tenant_fairness.at_or_over_fair_share(tenant)
+        self.scan.tenant_fairness.at_or_over_fair_share(tenant)
     }
 
     /// Attributes one shed fail-open scan to `tenant`.
     pub fn note_tenant_shed(&mut self, tenant: TenantId, bytes: u64) {
-        let c = self.tenant_counter_mut(tenant);
+        let c = self.scan.tenant_counter_mut(tenant);
         c.shed_packets += 1;
         c.shed_bytes += bytes;
     }
@@ -541,9 +513,9 @@ impl ShardState {
     /// forgets the flow locally — reassembly buffers, stress samples and
     /// L7 sessions included (the flow leaves this instance entirely).
     /// Returns `None` for untracked flows. The record keeps its
-    /// generation tag and quarantine verdict — see
-    /// [`crate::flowstate::FlowTable::export`] for why dropping either
-    /// is a bug.
+    /// generation tag and quarantine verdict: without the tag the target
+    /// would discard the state after any rule update, and without the
+    /// verdict migration would launder a fail-closed flow open.
     pub fn export_flow(&mut self, key: &FlowKey) -> Option<FlowState> {
         let exported = self.arena.export_scan(key);
         if exported.is_some() {
@@ -569,7 +541,7 @@ impl ShardState {
     /// is generation-tagged and lazily re-anchored on next access.
     /// Reassembly buffers carry raw bytes, which are generation-free.
     pub fn on_generation_swap(&mut self) {
-        self.dfa_cache.clear();
+        self.scan.dfa_cache.clear();
     }
 
     /// Re-seeds fairness weights and quota buckets from a newly adopted
@@ -577,8 +549,8 @@ impl ShardState {
     /// are telemetry and survive). Called alongside
     /// [`ShardState::on_generation_swap`] at engine adoption.
     pub fn refresh_tenant_state(&mut self, engine: &ScanEngine) {
-        self.tenant_fairness = TenantFairness::new(&engine.tenant_weights());
-        self.tenant_buckets = engine
+        self.scan.tenant_fairness = TenantFairness::new(&engine.tenant_weights());
+        self.scan.tenant_buckets = engine
             .tenants
             .iter()
             .filter_map(|&(t, q)| q.scan_bytes_per_window.map(|cap| (t, cap, cap)))
@@ -587,14 +559,12 @@ impl ShardState {
 
     /// Declares a new TCP stream with its initial sequence number.
     pub fn open_tcp_flow(&mut self, flow: FlowKey, initial_seq: u32) {
-        self.arena.set_reassembler(
-            flow,
-            crate::reassembly::StreamReassembler::with_policy(
+        *self.arena.open(flow).reassembler() =
+            Some(Box::new(crate::reassembly::StreamReassembler::with_policy(
                 initial_seq,
                 1 << 20,
-                self.conflict_policy,
-            ),
-        );
+                self.scan.conflict_policy,
+            )));
         self.drain_flow_events();
     }
 
@@ -639,13 +609,6 @@ impl ShardState {
         self.arena.reset_stress();
     }
 
-    /// Adds one scan's depth samples to a flow's stress window (the MCA²
-    /// heavy-flow signal). Bounded by the arena's entry capacity — the
-    /// old standalone map needed its own coarse reset under pressure.
-    fn record_flow_stress(&mut self, key: FlowKey, deep: u64, samples: u64) {
-        self.arena.record_stress(key, deep, samples);
-    }
-
     /// Folds the arena's pending lifecycle events (capacity/byte
     /// evictions, forced quarantine drops, idle aging) into telemetry
     /// and the trace, so nothing the arena does is silent. Called at the
@@ -655,10 +618,11 @@ impl ShardState {
         if ev.is_empty() {
             return;
         }
-        self.telemetry.flows_evicted += ev.flows_evicted;
-        self.telemetry.quarantined_flow_evictions += ev.quarantined_evicted;
-        self.telemetry.flows_aged += ev.flows_aged;
-        if let Some(w) = self.trace.as_mut() {
+        let scan = &mut self.scan;
+        scan.telemetry.flows_evicted += ev.flows_evicted;
+        scan.telemetry.quarantined_flow_evictions += ev.quarantined_evicted;
+        scan.telemetry.flows_aged += ev.flows_aged;
+        if let Some(w) = scan.trace.as_mut() {
             if ev.quarantined_evicted > 0 {
                 w.record(crate::trace::TraceKind::QuarantinedFlowEvicted {
                     flows: ev.quarantined_evicted,
@@ -668,6 +632,46 @@ impl ShardState {
                 w.record(crate::trace::TraceKind::FlowsAged {
                     flows: ev.flows_aged,
                 });
+            }
+        }
+    }
+}
+
+impl ShardScan {
+    /// The counter row for `tenant`, created on first touch.
+    fn tenant_counter_mut(&mut self, tenant: TenantId) -> &mut TenantCounters {
+        let i = match self
+            .tenant_counters
+            .binary_search_by_key(&tenant, |&(t, _)| t)
+        {
+            Ok(i) => i,
+            Err(i) => {
+                self.tenant_counters
+                    .insert(i, (tenant, TenantCounters::default()));
+                i
+            }
+        };
+        &mut self.tenant_counters[i].1
+    }
+
+    /// Deducts `bytes` from `tenant`'s scan-byte bucket. `true` when
+    /// the scan may proceed: no bucket configured, or enough tokens
+    /// remained (they are consumed). `false` leaves the bucket
+    /// untouched — the scan is skipped whole, never truncated.
+    fn consume_tenant_budget(&mut self, tenant: TenantId, bytes: u64) -> bool {
+        match self
+            .tenant_buckets
+            .binary_search_by_key(&tenant, |&(t, _, _)| t)
+        {
+            Err(_) => true,
+            Ok(i) => {
+                let tokens = &mut self.tenant_buckets[i].2;
+                if *tokens >= bytes {
+                    *tokens -= bytes;
+                    true
+                } else {
+                    false
+                }
             }
         }
     }
@@ -939,7 +943,8 @@ impl ScanEngine {
 
     /// Scans a raw payload for `chain_id` (§5.2's algorithm) against
     /// `shard`'s flow state. `flow` must be given when the chain has
-    /// stateful members and the caller wants cross-packet state.
+    /// stateful members and the caller wants cross-packet state; its
+    /// arena entry is opened once and held for the whole call.
     pub fn scan_payload(
         &self,
         shard: &mut ShardState,
@@ -953,66 +958,72 @@ impl ScanEngine {
             .ok_or(InstanceError::UnknownChain(chain_id))?;
         check_unit_len(payload)?;
 
+        let mut entry = flow.map(|key| shard.arena.open(key));
         // Quarantined flows (RejectFlow conflict policy) are never
         // scanned: their byte stream is known-ambiguous, so any scan
         // would be a guess. The caller turns `quarantined` into the
-        // fail-closed verdict mark. One non-mutating map probe.
-        if let Some(key) = flow {
-            if shard.arena.is_quarantined(&key) {
-                return Ok(ScanOutput {
-                    quarantined: true,
-                    ..ScanOutput::unscanned(0)
-                });
+        // fail-closed verdict mark.
+        let out = if entry.as_ref().is_some_and(|e| e.quarantined()) {
+            ScanOutput {
+                quarantined: true,
+                ..ScanOutput::unscanned(0)
             }
-        }
+        } else {
+            self.scan_stream_unit(&mut shard.scan, chain, entry.as_mut(), payload)
+        };
+        drop(entry);
+        shard.drain_flow_events();
+        Ok(out)
+    }
 
+    /// The one routine under every adapter: scans `bytes` as the next
+    /// unit of a flow's raw byte stream — a packet payload, a
+    /// reassembled run, a raw-fallback piece — resuming from and
+    /// writing back to the flow's open entry. `None` scans statelessly
+    /// from the root (no flow key, shadow scans).
+    fn scan_stream_unit(
+        &self,
+        scan: &mut ShardScan,
+        chain: &ChainInfo,
+        mut flow: Option<&mut OpenFlow<'_>>,
+        bytes: &[u8],
+    ) -> ScanOutput {
         // Restore per-flow DFA state for stateful chains — but only state
         // written by *this* engine's generation: after a hot swap, a state
         // id from the old automaton is meaningless in the new one, so the
         // flow deterministically re-anchors at the root (miss-only,
         // DESIGN.md §9).
-        let (start_state, offset) = match (chain.any_stateful, flow) {
-            (true, Some(key)) => shard
-                .arena
-                .get_scan_if_generation(&key, self.generation)
-                .map(|fs| (fs.state, fs.offset))
-                .unwrap_or((self.ac.start(), 0)),
-            _ => (self.ac.start(), 0),
+        let resume = match flow.as_mut() {
+            Some(f) if chain.any_stateful => f.scan_state(self.generation),
+            _ => None,
         };
+        let (start_state, offset) = resume.unwrap_or((self.ac.start(), 0));
 
         let (out, state, (deep, samples)) =
-            self.scan_unit(shard, chain, start_state, offset, payload, None);
+            self.scan_unit(scan, chain, start_state, offset, bytes, None);
 
-        // Persist flow state for stateful chains. The stored offset covers
-        // the whole payload even if the scan stopped early: every stateful
-        // middlebox's stopping condition was already exceeded, so later
-        // matches would be filtered anyway.
-        if chain.any_stateful {
-            if let Some(key) = flow {
-                shard.arena.put_scan_gen(
-                    key,
-                    state,
-                    offset + payload.len() as u64,
-                    self.generation,
-                );
+        if let Some(f) = flow {
+            // Persist flow state for stateful chains. The stored offset
+            // covers the whole unit even if the scan stopped early: every
+            // stateful middlebox's stopping condition was already
+            // exceeded, so later matches would be filtered anyway.
+            if chain.any_stateful {
+                f.set_scan_state(state, offset + bytes.len() as u64, self.generation);
             }
+            // The per-flow stress samples that MCA² heavy-flow selection
+            // reads.
+            f.add_stress(deep, samples);
         }
-
-        // The per-flow stress samples that MCA² heavy-flow selection
-        // reads.
-        if let Some(key) = flow {
-            shard.record_flow_stress(key, deep, samples);
-        }
-        shard.drain_flow_events();
-
-        Ok(out)
+        out
     }
 
     /// Scans one byte unit — a raw payload or a decoded L7 unit — from
     /// an explicit automaton state and stream offset: the §5.2 scan loop,
     /// per-member post-filtering and §5.3 regex resolution, shared by
-    /// the raw and L7 paths. Returns the output, the end automaton state
-    /// and the (deep, total) depth samples for stress accounting.
+    /// the raw and L7 paths. Touches no flow state: the caller holds the
+    /// flow's open arena entry and writes back what this returns — the
+    /// output, the end automaton state and the (deep, total) depth
+    /// samples for stress accounting.
     ///
     /// With an `l7` context, per-middlebox protocol subscriptions filter
     /// the member loop and matches also count into the per-protocol L7
@@ -1020,7 +1031,7 @@ impl ScanEngine {
     /// pre-L7 engine.
     fn scan_unit(
         &self,
-        shard: &mut ShardState,
+        scan: &mut ShardScan,
         chain: &ChainInfo,
         start_state: u32,
         offset: u64,
@@ -1039,11 +1050,10 @@ impl ScanEngine {
         // is counted and traced, and the automaton state is untouched.
         // Fail-closed chains are exempt: their verdicts are sacred, so
         // their scans always run and are charged against the bucket.
-        if !chain.any_fail_closed
-            && !shard.consume_tenant_budget(chain.tenant, payload.len() as u64)
+        if !chain.any_fail_closed && !scan.consume_tenant_budget(chain.tenant, payload.len() as u64)
         {
-            shard.tenant_counter_mut(chain.tenant).quota_rejections += 1;
-            if let Some(w) = shard.trace.as_mut() {
+            scan.tenant_counter_mut(chain.tenant).quota_rejections += 1;
+            if let Some(w) = scan.trace.as_mut() {
                 w.record(crate::trace::TraceKind::TenantQuotaRejected {
                     tenant: chain.tenant.0,
                     bytes: payload.len() as u64,
@@ -1060,7 +1070,7 @@ impl ScanEngine {
             );
         }
         if chain.any_fail_closed {
-            shard.consume_tenant_budget(chain.tenant, payload.len() as u64);
+            scan.consume_tenant_budget(chain.tenant, payload.len() as u64);
         }
 
         // The most conservative stopping condition: scan as deep as the
@@ -1164,7 +1174,7 @@ impl ScanEngine {
             for (ri, rr) in member.rules.regex_rules.iter().enumerate() {
                 let on_parallel_path = rr.anchor_count == 0;
                 let triggered = if on_parallel_path {
-                    shard.telemetry.parallel_regex_evaluations += 1;
+                    scan.telemetry.parallel_regex_evaluations += 1;
                     true
                 } else {
                     let seen = anchors_seen
@@ -1177,11 +1187,10 @@ impl ScanEngine {
                     continue;
                 }
                 if !on_parallel_path {
-                    shard.telemetry.regex_invocations += 1;
+                    scan.telemetry.regex_invocations += 1;
                 }
                 let found = if rr.use_lazy_dfa {
-                    shard
-                        .dfa_cache
+                    scan.dfa_cache
                         .entry((member.id, ri))
                         .or_insert_with(|| rr.regex.to_lazy_dfa())
                         .find_end(&payload[..scan_len])
@@ -1222,8 +1231,8 @@ impl ScanEngine {
 
         // Sampled trace event (1 in PACKET_SAMPLE_EVERY packets): on the
         // non-sampled packets tracing costs one branch.
-        if let Some(w) = shard.trace.as_mut() {
-            if shard
+        if let Some(w) = scan.trace.as_mut() {
+            if scan
                 .telemetry
                 .packets
                 .is_multiple_of(crate::trace::PACKET_SAMPLE_EVERY)
@@ -1234,18 +1243,18 @@ impl ScanEngine {
                 });
             }
         }
-        shard.telemetry.packets += 1;
-        shard.telemetry.bytes += scan_len as u64;
-        shard.telemetry.matches += total_matches;
+        scan.telemetry.packets += 1;
+        scan.telemetry.bytes += scan_len as u64;
+        scan.telemetry.matches += total_matches;
         if !reports.is_empty() {
-            shard.telemetry.packets_with_matches += 1;
+            scan.telemetry.packets_with_matches += 1;
         }
-        shard.telemetry.deep_samples += deep;
-        shard.telemetry.depth_samples += samples;
+        scan.telemetry.deep_samples += deep;
+        scan.telemetry.depth_samples += samples;
         if let Some(ctx) = l7 {
-            shard.telemetry.l7_matches[ctx.protocol.index()] += total_matches;
+            scan.telemetry.l7_matches[ctx.protocol.index()] += total_matches;
         }
-        let tc = shard.tenant_counter_mut(chain.tenant);
+        let tc = scan.tenant_counter_mut(chain.tenant);
         tc.packets += 1;
         tc.bytes += scan_len as u64;
         tc.matches += total_matches;
@@ -1332,7 +1341,10 @@ impl ScanEngine {
     }
 
     /// Feeds one TCP segment through `shard`'s per-flow reassembly, then
-    /// scans every in-order byte run that becomes available.
+    /// scans every in-order byte run that becomes available. The flow's
+    /// arena entry is opened once and held for the whole segment: the
+    /// verdict check, the reassembler push, every run / L7 unit / raw
+    /// piece scanned and the session all go through it.
     pub fn scan_tcp_segment(
         &self,
         shard: &mut ShardState,
@@ -1341,30 +1353,51 @@ impl ScanEngine {
         seq: u32,
         payload: &[u8],
     ) -> Result<Vec<ScanOutput>, InstanceError> {
+        let chain = self
+            .chains
+            .get(&chain_id)
+            .ok_or(InstanceError::UnknownChain(chain_id))?;
         check_unit_len(payload)?;
 
+        // The arena's single entry bound and byte budget cover the
+        // reassembler and the L7 session too — no separate per-map
+        // pressure valve; closing the entry re-syncs its byte footprint
+        // and lets the budget act.
+        let mut entry = shard.arena.open(flow);
+        let outputs = self.scan_segment(&mut shard.scan, chain, &mut entry, seq, payload);
+        drop(entry);
+        shard.drain_flow_events();
+        outputs
+    }
+
+    /// [`ScanEngine::scan_tcp_segment`] on the flow's open entry.
+    fn scan_segment(
+        &self,
+        scan: &mut ShardScan,
+        chain: &ChainInfo,
+        entry: &mut OpenFlow<'_>,
+        seq: u32,
+        payload: &[u8],
+    ) -> Result<Vec<ScanOutput>, InstanceError> {
         // A flow already quarantined never reaches a reassembler: it
         // will never be scanned again, so buffering its bytes would be
         // pure attacker-controlled memory — and a reassembler freshly
         // re-created after eviction must not resurrect the flow.
-        if shard.arena.is_quarantined(&flow) {
-            let delivered = shard
-                .arena
-                .reassembler(&flow)
-                .map(|r| r.delivered())
-                .unwrap_or(0);
+        if entry.quarantined() {
+            let delivered = entry.reassembler().as_ref().map_or(0, |r| r.delivered());
             return Ok(vec![ScanOutput {
                 quarantined: true,
                 ..ScanOutput::unscanned(delivered)
             }]);
         }
 
-        // The arena's single entry bound covers the reassembler too —
-        // no separate per-map pressure valve. LRU-preferring eviction
-        // replaces the old drop-an-arbitrary-stream behaviour.
-        let policy = shard.conflict_policy;
-        let r = shard.arena.reassembler_or_insert_with(flow, || {
-            crate::reassembly::StreamReassembler::with_policy(seq, 1 << 20, policy)
+        let policy = scan.conflict_policy;
+        let r = entry.reassembler().get_or_insert_with(|| {
+            Box::new(crate::reassembly::StreamReassembler::with_policy(
+                seq,
+                1 << 20,
+                policy,
+            ))
         });
         let evicted_before = r.evicted_bytes();
         let conflicts_before = r.conflicts();
@@ -1379,113 +1412,103 @@ impl ScanEngine {
         // Losing copies of any conflicts, for the stateless shadow scans
         // below (empty under RejectFlow).
         let alt_payloads = r.take_conflict_payloads();
-        // The push may have grown (or shrunk) the buffered byte count;
-        // re-sync the arena's byte accounting and let the budget act.
-        shard.arena.refresh_bytes(&flow);
 
         if evicted > 0 {
-            if let Some(w) = shard.trace.as_mut() {
+            if let Some(w) = scan.trace.as_mut() {
                 w.record(crate::trace::TraceKind::ReassemblyEvicted { bytes: evicted });
             }
         }
         if conflicts > 0 {
-            shard.telemetry.reassembly_conflicts += conflicts;
-            if let Some(w) = shard.trace.as_mut() {
+            scan.telemetry.reassembly_conflicts += conflicts;
+            if let Some(w) = scan.trace.as_mut() {
                 w.record(crate::trace::TraceKind::ReassemblyConflict {
                     bytes: conflict_bytes,
                 });
             }
         }
         if newly_quarantined {
-            // RejectFlow fired: record the verdict in the flow table (it
-            // survives reassembler eviction) and report it. From here on
-            // every packet of this flow gets the fail-closed mark, and
-            // the reassembler is torn down — the flow is never scanned
-            // again, so keeping (or later re-creating) buffers for it
-            // would only store attacker-controlled bytes.
-            // `FlowArena::quarantine` sets the sticky verdict and drops
-            // the reassembler and L7 session in one step.
-            shard.arena.quarantine(flow);
-            shard.telemetry.flows_quarantined += 1;
-            if let Some(w) = shard.trace.as_mut() {
+            // RejectFlow fired: record the verdict on the entry (it
+            // outlives the reassembler, which is torn down with the L7
+            // session right here) and report it. From here on every
+            // packet of this flow gets the fail-closed mark and nothing
+            // of it is scanned or buffered again.
+            entry.quarantine();
+            scan.telemetry.flows_quarantined += 1;
+            if let Some(w) = scan.trace.as_mut() {
                 w.record(crate::trace::TraceKind::FlowQuarantined { bytes: delivered });
             }
-            shard.drain_flow_events();
             return Ok(vec![ScanOutput {
                 quarantined: true,
                 ..ScanOutput::unscanned(delivered)
             }]);
         }
 
-        let mut outputs: Vec<ScanOutput> = if self.l7.is_some() {
+        let mut outputs = Vec::new();
+        if let Some(policy) = &self.l7 {
             // The L7 layer sits between reassembly and the scan: the
             // in-order runs feed the flow's decode session and the
             // decoded units (plus raw-fallback buffers) are scanned.
-            self.scan_l7_runs(shard, chain_id, flow, &runs)?
+            self.scan_l7_runs(scan, chain, entry, policy, &runs, &mut outputs);
         } else {
-            runs.iter()
-                .map(|run| self.scan_payload(shard, chain_id, Some(flow), run))
-                .collect::<Result<_, _>>()?
-        };
+            for run in &runs {
+                check_unit_len(run)?;
+                outputs.push(self.scan_stream_unit(scan, chain, Some(entry), run));
+            }
+        }
         // Shadow-scan the losing copy of each conflict, statelessly: a
         // pattern hidden entirely inside the discarded interpretation
         // still produces a match, so a first-wins/last-wins resolution
         // can never silently swallow it (the no-silent-miss guarantee,
         // DESIGN.md §13).
         for alt in alt_payloads {
-            let mut out = self.scan_payload(shard, chain_id, None, &alt)?;
+            check_unit_len(&alt)?;
+            let mut out = self.scan_stream_unit(scan, chain, None, &alt);
             out.shadow = true;
             outputs.push(out);
         }
-        shard.drain_flow_events();
         Ok(outputs)
     }
 
     /// Feeds the in-order byte runs of one flow through its L7 decode
-    /// session (DESIGN.md §14) and scans what comes out: decoded units
-    /// with protocol context, raw-fallback buffers through the legacy
-    /// path, and a fail-closed marker output when policy said `Block`.
+    /// session (DESIGN.md §14) and scans what comes out into `outputs`:
+    /// decoded units with protocol context, raw-fallback buffers through
+    /// the raw stream path, and a fail-closed marker output when policy
+    /// said `Block`.
     fn scan_l7_runs(
         &self,
-        shard: &mut ShardState,
-        chain_id: u16,
-        flow: FlowKey,
+        scan: &mut ShardScan,
+        chain: &ChainInfo,
+        entry: &mut OpenFlow<'_>,
+        policy: &crate::l7::L7Policy,
         runs: &[Vec<u8>],
-    ) -> Result<Vec<ScanOutput>, InstanceError> {
-        let policy = self.l7.unwrap_or_default();
-        let chain = self
-            .chains
-            .get(&chain_id)
-            .ok_or(InstanceError::UnknownChain(chain_id))?;
+        outputs: &mut Vec<ScanOutput>,
+    ) {
+        // The session's box leaves the entry while it is driven (a
+        // pointer move), so the scans below can write the entry's scan
+        // state and stress beside it.
+        let mut session = entry.l7().take().unwrap_or_default();
 
-        // Take the session out of the arena so the engine can scan
-        // (which borrows `shard` mutably) while driving it. The arena's
-        // entry bound and byte budget cover the session's buffers — no
-        // separate per-map pressure valve.
-        let mut session = shard.arena.take_l7(&flow).unwrap_or_default();
-
-        let mut outputs = Vec::new();
         for run in runs {
             if run.is_empty() {
                 continue;
             }
-            let ingest = session.accept(run, &policy);
+            let ingest = session.accept(run, policy);
 
             for &p in &ingest.identified {
-                shard.telemetry.l7_flows_identified[p.index()] += 1;
-                if let Some(w) = shard.trace.as_mut() {
+                scan.telemetry.l7_flows_identified[p.index()] += 1;
+                if let Some(w) = scan.trace.as_mut() {
                     w.record(crate::trace::TraceKind::L7Identified { protocol: p });
                 }
             }
             if let Some(action) = ingest.action {
                 match action {
                     crate::l7::L7Action::Intercept => {}
-                    crate::l7::L7Action::Block => shard.telemetry.l7_blocked_flows += 1,
-                    crate::l7::L7Action::Bypass => shard.telemetry.l7_bypassed_flows += 1,
-                    crate::l7::L7Action::Detour => shard.telemetry.l7_detoured_flows += 1,
+                    crate::l7::L7Action::Block => scan.telemetry.l7_blocked_flows += 1,
+                    crate::l7::L7Action::Bypass => scan.telemetry.l7_bypassed_flows += 1,
+                    crate::l7::L7Action::Detour => scan.telemetry.l7_detoured_flows += 1,
                 }
                 if action != crate::l7::L7Action::Intercept {
-                    if let Some(w) = shard.trace.as_mut() {
+                    if let Some(w) = scan.trace.as_mut() {
                         w.record(crate::trace::TraceKind::L7ActionApplied {
                             protocol: session.protocol(),
                             action,
@@ -1494,16 +1517,16 @@ impl ScanEngine {
                 }
             }
             if ingest.errors > 0 {
-                shard.telemetry.l7_decode_errors += ingest.errors;
-                if let Some(w) = shard.trace.as_mut() {
+                scan.telemetry.l7_decode_errors += ingest.errors;
+                if let Some(w) = scan.trace.as_mut() {
                     w.record(crate::trace::TraceKind::L7DecodeError {
                         protocol: session.protocol(),
                     });
                 }
             }
             for &kept in &ingest.truncations {
-                shard.telemetry.l7_truncations += 1;
-                if let Some(w) = shard.trace.as_mut() {
+                scan.telemetry.l7_truncations += 1;
+                if let Some(w) = scan.trace.as_mut() {
                     w.record(crate::trace::TraceKind::L7Truncated {
                         protocol: session.protocol(),
                         bytes: kept,
@@ -1512,13 +1535,13 @@ impl ScanEngine {
             }
 
             for u in &ingest.units {
-                shard.telemetry.l7_decoded_bytes += u.bytes.len() as u64;
-                self.scan_l7_unit(shard, chain, flow, &mut session, u, &mut outputs);
+                scan.telemetry.l7_decoded_bytes += u.bytes.len() as u64;
+                self.scan_l7_unit(scan, chain, entry, &mut session, u, outputs);
             }
             // Raw fallback (Unknown flows, decode-failure fail-open):
             // byte-identical to the pre-L7 path, including flow state.
             for piece in ingest.raw.iter().flat_map(|raw| unit_pieces(raw)) {
-                outputs.push(self.scan_payload(shard, chain_id, Some(flow), piece)?);
+                outputs.push(self.scan_stream_unit(scan, chain, Some(entry), piece));
             }
             if ingest.blocked {
                 // Fail-closed marker: no bytes were scanned, the caller
@@ -1535,23 +1558,22 @@ impl ScanEngine {
             }
         }
 
-        shard.arena.put_l7(flow, session);
-        shard.drain_flow_events();
-        Ok(outputs)
+        *entry.l7() = Some(session);
     }
 
     /// Scans one decoded L7 unit into `outputs`. Units with a stream slot
     /// resume the slot's automaton state/offset (generation-checked like
-    /// the flow table) so patterns spanning decoded-unit boundaries still
-    /// match; slotless units (header blocks, SNI) scan fresh from the
-    /// root. A unit longer than [`ScanEngine::MAX_UNIT_BYTES`] is scanned
-    /// in pieces, one output each, the automaton carried from piece to
-    /// piece as it is between the units of one slot.
+    /// the flow's own scan state) so patterns spanning decoded-unit
+    /// boundaries still match; slotless units (header blocks, SNI) scan
+    /// fresh from the root. A unit longer than
+    /// [`ScanEngine::MAX_UNIT_BYTES`] is scanned in pieces, one output
+    /// each, the automaton carried from piece to piece as it is between
+    /// the units of one slot.
     fn scan_l7_unit(
         &self,
-        shard: &mut ShardState,
+        scan: &mut ShardScan,
         chain: &ChainInfo,
-        flow: FlowKey,
+        entry: &mut OpenFlow<'_>,
         session: &mut crate::l7::L7Session,
         u: &crate::l7::DecodedUnit,
         outputs: &mut Vec<ScanOutput>,
@@ -1565,10 +1587,10 @@ impl ScanEngine {
         };
         for piece in unit_pieces(&u.bytes) {
             let (out, end_state, (deep, samples)) =
-                self.scan_unit(shard, chain, state, offset, piece, Some(u.ctx));
+                self.scan_unit(scan, chain, state, offset, piece, Some(u.ctx));
             state = end_state;
             offset += piece.len() as u64;
-            shard.record_flow_stress(flow, deep, samples);
+            entry.add_stress(deep, samples);
             outputs.push(out);
         }
         if let Some(s) = u.slot {
@@ -1592,8 +1614,8 @@ impl ScanEngine {
     ) -> Result<ScanOutput, InstanceError> {
         let inflated = crate::decompress::inflate(compressed, max_inflated)
             .map_err(InstanceError::BadCompressedPayload)?;
-        shard.telemetry.decompressions += 1;
-        shard.telemetry.decompressed_bytes += inflated.len() as u64;
+        shard.scan.telemetry.decompressions += 1;
+        shard.scan.telemetry.decompressed_bytes += inflated.len() as u64;
         self.scan_payload(shard, chain_id, flow, &inflated)
     }
 
@@ -1609,8 +1631,8 @@ impl ScanEngine {
     ) -> Result<ScanOutput, InstanceError> {
         let inflated =
             crate::decompress::gunzip(gz, max_inflated).map_err(InstanceError::BadGzipPayload)?;
-        shard.telemetry.decompressions += 1;
-        shard.telemetry.decompressed_bytes += inflated.len() as u64;
+        shard.scan.telemetry.decompressions += 1;
+        shard.scan.telemetry.decompressed_bytes += inflated.len() as u64;
         self.scan_payload(shard, chain_id, flow, &inflated)
     }
 

@@ -31,7 +31,7 @@
 //!   signals the MCA²-style stress monitor consumes (§4.3.1);
 //! * flow-affine sharding ([`pipeline`]): the instance is one shared,
 //!   immutable [`instance::ScanEngine`] behind an `Arc` and N private
-//!   flow-table shards (N = 1 is the sequential instance), packets routed
+//!   flow-arena shards (N = 1 is the sequential instance), packets routed
 //!   by a stable flow hash so per-flow order and cross-packet state are
 //!   preserved with zero locks on the per-packet path.
 
@@ -39,7 +39,6 @@ pub mod arena;
 pub mod chaos;
 pub mod config;
 pub mod decompress;
-pub mod flowstate;
 pub mod instance;
 pub mod l7;
 pub mod metrics;
@@ -49,18 +48,16 @@ pub mod reassembly;
 pub mod report;
 pub mod rules;
 pub mod telemetry;
-pub mod timerwheel;
 pub mod trace;
 pub mod update;
 
-pub use arena::{ArenaEvents, FlowArena};
+pub use arena::{ArenaEvents, FlowArena, FlowState, OpenFlow};
 pub use chaos::{ChaosEngine, FaultPlan, RetryOutcome, RetryPolicy, ShardFault, ShardFaultSpec};
 pub use config::{ChainSpec, InstanceConfig, MiddleboxProfile, TenantId, TenantQuota};
 pub use decompress::{
     deflate_fixed, deflate_stored, gunzip, gunzip_capped, gzip, inflate, inflate_capped, GzipError,
     InflateError,
 };
-pub use flowstate::{FlowState, FlowTable};
 pub use instance::{InstanceError, ScanEngine, ScanOutput, ShardState};
 pub use l7::{
     L7Action, L7Context, L7Direction, L7Field, L7Policy, L7Protocol, ProtocolMask, ProtocolPolicy,
@@ -75,7 +72,6 @@ pub use reassembly::{ConflictPolicy, StreamReassembler};
 pub use report::compress_matches;
 pub use rules::{RuleKind, RuleSpec};
 pub use telemetry::{ShardTelemetry, Telemetry, TenantCounters};
-pub use timerwheel::TimerWheel;
 pub use trace::{to_jsonl, TraceEvent, TraceKind, TraceSource, TraceWriter, Tracer};
 pub use update::{GenerationId, UpdateArtifact, UpdateError, UpdateStats};
 

@@ -24,9 +24,9 @@
 //! through either kind of entry point: shard queues are FIFO per flow,
 //! and result packet ids come from one counter in arrival order.
 
+use crate::arena::FlowState;
 use crate::chaos::{ChaosEngine, ShardFault, ShardFaultSpec};
 use crate::config::{InstanceConfig, TenantId};
-use crate::flowstate::FlowState;
 use crate::instance::{InstanceError, ScanEngine, ScanOutput, ShardState};
 use crate::overload::{OverloadDetector, OverloadPolicy, OverloadTransition};
 use crate::telemetry::{merge_tenant_counters, ShardTelemetry, Telemetry, TenantCounters};

@@ -73,7 +73,7 @@ pub struct Telemetry {
     /// quarantine verdict — each one is a verdict the engine could no
     /// longer honour, so it is counted, never silent.
     pub quarantined_flow_evictions: u64,
-    /// Flows aged out by the idle-timeout timer wheel.
+    /// Flows aged out by the flow arena's idle timeout.
     pub flows_aged: u64,
 }
 

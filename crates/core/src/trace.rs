@@ -125,7 +125,7 @@ pub enum TraceKind {
         /// Quarantined flows dropped.
         flows: u64,
     },
-    /// The idle-timeout timer wheel aged out flows and released their
+    /// The flow arena's idle timeout aged out flows and released their
     /// state (batch-aggregated per shard).
     FlowsAged {
         /// Flows released.

@@ -26,7 +26,7 @@
 //!   companion metric, recorded by `bench_update`).
 //!
 //! Cross-packet flow state is tagged with the generation that wrote it
-//! (see [`crate::flowstate::FlowTable`]); a flow whose state predates the
+//! (see [`crate::arena::FlowArena`]); a flow whose state predates the
 //! running generation deterministically re-anchors at the new automaton's
 //! root. Re-anchoring can only *miss* a match straddling the swap — never
 //! fabricate one — by the same stateless-deletion argument as failover

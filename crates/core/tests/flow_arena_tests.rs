@@ -1,13 +1,14 @@
-//! The unified flow arena from the outside (DESIGN.md §15): teardown
-//! must leak nothing, migration must move the *whole* flow, and the
-//! arena's scan-state face must be behaviourally identical to the
-//! standalone [`FlowTable`] it replaced — checked by a property test
-//! over random operation sequences, and by a sharded-pipeline property
-//! test over random segment traces at worker counts {1, 2, 8}.
+//! The flow arena from the outside (DESIGN.md §15): teardown must leak
+//! nothing, migration must move the *whole* flow, a scan opens its flow
+//! once (one clock tick per scanned packet or segment), and the arena
+//! must behave like a naive model of its own contract — checked by a
+//! property test over random operation sequences with eviction and
+//! aging, and by a sharded-pipeline property test over random segment
+//! traces at worker counts {1, 2, 8}.
 
 use dpi_core::{
-    DpiInstance, FlowArena, FlowState, FlowTable, InstanceConfig, L7Policy, MiddleboxId,
-    MiddleboxProfile, RuleSpec,
+    ArenaEvents, ConflictPolicy, DpiInstance, FlowArena, FlowState, InstanceConfig, L7Policy,
+    MiddleboxId, MiddleboxProfile, RuleSpec, ScanEngine, TraceKind, Tracer,
 };
 use dpi_packet::ipv4::IpProtocol;
 use dpi_packet::{FlowKey, Packet};
@@ -15,6 +16,7 @@ use dpi_traffic::flows::{flow_pool, packetize};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 const IDS: MiddleboxId = MiddleboxId(1);
 const CHAIN: u16 = 1;
@@ -33,16 +35,17 @@ fn fk(port: u16) -> FlowKey {
 /// grows *every* per-flow component an arena entry can hold: scan
 /// state, a reassembler, stress samples and an L7 decode session.
 fn instance_with_l7() -> DpiInstance {
-    DpiInstance::new(
-        InstanceConfig::new()
-            .with_middlebox(
-                MiddleboxProfile::stateful(IDS),
-                vec![RuleSpec::exact(b"ATTACK".to_vec())],
-            )
-            .with_chain(CHAIN, vec![IDS])
-            .with_l7_policy(L7Policy::default()),
-    )
-    .unwrap()
+    DpiInstance::new(l7_config()).unwrap()
+}
+
+fn l7_config() -> InstanceConfig {
+    InstanceConfig::new()
+        .with_middlebox(
+            MiddleboxProfile::stateful(IDS),
+            vec![RuleSpec::exact(b"ATTACK".to_vec())],
+        )
+        .with_chain(CHAIN, vec![IDS])
+        .with_l7_policy(L7Policy::default())
 }
 
 #[test]
@@ -117,12 +120,244 @@ fn migration_export_removes_the_whole_entry() {
     );
 }
 
-// ---- arena ≡ FlowTable equivalence -----------------------------------
+// ---- one open per scan: the clock, the budget, the seams ---------------
 
-/// One scan-state operation, generated over a small key space (8 keys,
-/// capacity 16) so neither structure ever evicts — eviction policies
-/// intentionally differ (the arena drops one LRU entry, the standalone
-/// table drops the older half) and are covered by their own unit tests.
+/// A stateful IDS on `CHAIN`, no L7.
+fn stateful_config() -> InstanceConfig {
+    InstanceConfig::new()
+        .with_middlebox(
+            MiddleboxProfile::stateful(IDS),
+            vec![RuleSpec::exact(b"ATTACK".to_vec())],
+        )
+        .with_chain(CHAIN, vec![IDS])
+}
+
+fn instance_at(config: InstanceConfig, workers: usize) -> DpiInstance {
+    DpiInstance::with_workers(Arc::new(ScanEngine::new(config).unwrap()), workers)
+}
+
+/// Two flows pinned to one shard: a tick is per shard.
+fn two_flows_on_one_shard(dpi: &DpiInstance) -> (FlowKey, FlowKey) {
+    let a = fk(1);
+    let b = (2..)
+        .map(fk)
+        .find(|b| dpi.shard_of(b) == dpi.shard_of(&a))
+        .unwrap();
+    (a, b)
+}
+
+fn flows_aged_events(tracer: &Tracer) -> Vec<u64> {
+    tracer
+        .snapshot()
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceKind::FlowsAged { flows } => Some(flows),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn idle_timeout_counts_scanned_packets_one_tick_per_scan() {
+    for workers in [1, 2] {
+        let mut dpi = instance_at(stateful_config().with_flow_idle_timeout(10), workers);
+        let tracer = Arc::new(Tracer::new());
+        dpi.attach_tracer(tracer.clone());
+        let (a, b) = two_flows_on_one_shard(&dpi);
+
+        dpi.scan_payload(CHAIN, Some(a), b"first and last").unwrap();
+        for _ in 0..9 {
+            dpi.scan_payload(CHAIN, Some(b), b"keeps coming").unwrap();
+        }
+        assert_eq!(dpi.tracked_flows(), 2, "aged early at {workers} workers");
+        assert_eq!(dpi.telemetry().flows_aged, 0);
+        dpi.scan_payload(CHAIN, Some(b), b"the tenth").unwrap();
+        assert_eq!(dpi.tracked_flows(), 1, "not aged at {workers} workers");
+        assert_eq!(dpi.telemetry().flows_aged, 1);
+        dpi.inspect_batch(&mut []); // batch boundary: shard traces fold in
+        assert_eq!(flows_aged_events(&tracer), [1]);
+    }
+}
+
+#[test]
+fn idle_timeout_ticks_once_per_segment_not_per_run() {
+    for workers in [1, 2] {
+        let mut dpi = instance_at(stateful_config().with_flow_idle_timeout(10), workers);
+        let (a, b) = two_flows_on_one_shard(&dpi);
+
+        dpi.scan_tcp_segment(CHAIN, a, 0, b"first and last")
+            .unwrap();
+        // Declaring the stream opens its entry: a tick like any segment.
+        dpi.open_tcp_flow(b, 0);
+        // Out of order, then the gap filler: one segment, two runs.
+        let held = dpi.scan_tcp_segment(CHAIN, b, 8, b"89abcdef").unwrap();
+        assert!(held.is_empty());
+        let filled = dpi.scan_tcp_segment(CHAIN, b, 0, b"01234567").unwrap();
+        assert_eq!(filled.len(), 2);
+        for i in 0..6u32 {
+            dpi.scan_tcp_segment(CHAIN, b, 16 + i, b"x").unwrap();
+        }
+        assert_eq!(dpi.tracked_flows(), 2, "aged early at {workers} workers");
+        dpi.scan_tcp_segment(CHAIN, b, 22, b"x").unwrap();
+        assert_eq!(dpi.tracked_flows(), 1, "not aged at {workers} workers");
+        assert_eq!(dpi.telemetry().flows_aged, 1);
+    }
+}
+
+#[test]
+fn flow_byte_budget_reaches_the_arena() {
+    let mut dpi = instance_at(stateful_config().with_max_flow_bytes(4 * 1024), 2);
+    let (a, b) = two_flows_on_one_shard(&dpi);
+    // Two out-of-order backlogs of 3 KiB: together over budget, so the
+    // colder flow goes and the one being serviced keeps its bytes.
+    dpi.scan_tcp_segment(CHAIN, a, 10_000, &[0xAA; 3 * 1024])
+        .unwrap();
+    assert_eq!(dpi.telemetry().flows_evicted, 0);
+    dpi.scan_tcp_segment(CHAIN, b, 10_000, &[0xBB; 3 * 1024])
+        .unwrap();
+    assert_eq!(dpi.telemetry().flows_evicted, 1);
+    assert_eq!(dpi.tracked_flows(), 1);
+    assert!(
+        dpi.flow_bytes() > 3 * 1024,
+        "the open flow lost its backlog"
+    );
+    assert!(dpi.export_flow(&a).is_none(), "the colder flow stayed");
+}
+
+#[test]
+fn generation_swap_between_packets_reanchors_state_but_keeps_the_verdict() {
+    let config = stateful_config().with_conflict_policy(ConflictPolicy::RejectFlow);
+    let swap = |dpi: &mut DpiInstance| {
+        let next = ScanEngine::with_generation(config.clone(), 1).unwrap();
+        dpi.swap_engine(Arc::new(next)).unwrap();
+    };
+
+    // Control: without a swap the pattern spans the two packets.
+    let mut dpi = DpiInstance::new(config.clone()).unwrap();
+    dpi.scan_payload(CHAIN, Some(fk(1)), b"..ATT").unwrap();
+    let out = dpi.scan_payload(CHAIN, Some(fk(1)), b"ACK..").unwrap();
+    assert!(out.resumed && out.has_matches());
+
+    let mut dpi = DpiInstance::new(config.clone()).unwrap();
+    dpi.scan_payload(CHAIN, Some(fk(1)), b"..ATT").unwrap();
+    // A conflicting retransmission quarantines flow 2 under generation 0.
+    dpi.scan_tcp_segment(CHAIN, fk(2), 0, b"0123456789abcdef")
+        .unwrap();
+    dpi.scan_tcp_segment(CHAIN, fk(2), 0, b"0123456789ATTACK")
+        .unwrap();
+    assert!(dpi.flow_quarantined(&fk(2)));
+    swap(&mut dpi);
+
+    // Generation-0 state is not fed to generation 1's automaton: the
+    // flow re-anchors at the root (miss-only) and is stored afresh.
+    let out = dpi.scan_payload(CHAIN, Some(fk(1)), b"ACK..").unwrap();
+    assert!(!out.resumed && !out.has_matches());
+    assert_eq!(out.flow_offset, 0);
+    let fs = dpi.export_flow(&fk(1)).unwrap();
+    assert_eq!((fs.offset, fs.generation), (5, 1));
+    // The verdict rides through the swap on both entry points.
+    assert!(
+        dpi.scan_payload(CHAIN, Some(fk(2)), b"ATTACK")
+            .unwrap()
+            .quarantined
+    );
+    let outs = dpi.scan_tcp_segment(CHAIN, fk(2), 16, b"ATTACK").unwrap();
+    assert!(outs.iter().all(|o| o.quarantined && !o.has_matches()));
+    assert!(dpi.flow_quarantined(&fk(2)));
+}
+
+#[test]
+fn generation_swap_reanchors_l7_stream_slots_too() {
+    let head = b"POST /upload HTTP/1.1\r\nHost: a\r\nContent-Length: 24\r\n\r\n";
+    let (first, second) = (b"......ATT", b"ACK......ATTACK");
+    let run = |swap: bool| {
+        let mut dpi = instance_with_l7();
+        let f = fk(1);
+        let mut seq = 0u32;
+        let mut outs = Vec::new();
+        for (i, seg) in [&head[..], first, second].into_iter().enumerate() {
+            if swap && i == 2 {
+                let next = ScanEngine::with_generation(l7_config(), 1).unwrap();
+                dpi.swap_engine(Arc::new(next)).unwrap();
+            }
+            outs.extend(dpi.scan_tcp_segment(CHAIN, f, seq, seg).unwrap());
+            seq += seg.len() as u32;
+        }
+        let matches: usize = outs
+            .iter()
+            .filter(|o| o.l7.is_some())
+            .flat_map(|o| o.reports.iter())
+            .map(|r| r.records.len())
+            .sum();
+        matches
+    };
+    // The body slot resumes across segments: both occurrences match …
+    assert_eq!(run(false), 2);
+    // … and re-anchors at the root across a swap: only the occurrence
+    // that lies wholly in the new generation's bytes does.
+    assert_eq!(run(true), 1);
+}
+
+#[test]
+fn stateless_chain_with_a_flow_key_stores_stress_but_no_scan_state() {
+    let mut dpi = DpiInstance::new(
+        InstanceConfig::new()
+            .with_middlebox(
+                MiddleboxProfile::stateless(IDS),
+                vec![RuleSpec::exact(b"ATTACK".to_vec())],
+            )
+            .with_chain(CHAIN, vec![IDS]),
+    )
+    .unwrap();
+    let payload = [b'a'; 256];
+    dpi.scan_payload(CHAIN, Some(fk(1)), &payload).unwrap();
+    let out = dpi.scan_payload(CHAIN, Some(fk(1)), &payload).unwrap();
+    assert!(!out.resumed);
+    assert_eq!(dpi.tracked_flows(), 1);
+    assert_eq!(dpi.flow_deep_ratios().len(), 1, "stress samples recorded");
+    // Stress was all the entry held: consuming the window releases it.
+    dpi.reset_flow_stress();
+    assert_eq!(dpi.tracked_flows(), 0);
+    assert!(
+        dpi.export_flow(&fk(1)).is_none(),
+        "no scan state was stored"
+    );
+}
+
+#[test]
+fn migrated_verdict_lands_out_of_reach_of_churn_and_aging() {
+    let config = stateful_config()
+        .with_conflict_policy(ConflictPolicy::RejectFlow)
+        .with_flow_idle_timeout(8);
+    let mut src = DpiInstance::new(config.clone()).unwrap();
+    src.scan_payload(CHAIN, Some(fk(1)), b"..ATT").unwrap();
+    src.scan_tcp_segment(CHAIN, fk(1), 0, b"0123456789abcdef")
+        .unwrap();
+    src.scan_tcp_segment(CHAIN, fk(1), 0, b"0123456789ATTACK")
+        .unwrap();
+    let exported = src.export_flow(&fk(1)).unwrap();
+    assert!(exported.quarantined);
+    assert_eq!(src.tracked_flows(), 0);
+
+    // The target already tracks the flow as an ordinary live entry.
+    let mut dst = DpiInstance::new(config).unwrap();
+    dst.scan_payload(CHAIN, Some(fk(1)), b"seen here too")
+        .unwrap();
+    dst.import_flow(fk(1), exported);
+    for i in 0..32 {
+        dst.scan_payload(CHAIN, Some(fk(100 + i)), b"churn")
+            .unwrap();
+    }
+    assert!(dst.flow_quarantined(&fk(1)), "idleness flushed the verdict");
+    assert_eq!(dst.export_flow(&fk(1)), Some(exported));
+}
+
+// ---- arena ≡ naive model ----------------------------------------------
+
+/// One arena operation over a key space of 8. Capacity is drawn from
+/// 1..=10, so most cases run below the key space and evict, and half run
+/// with an idle timeout, so eviction order, verdict preference and aging
+/// are all inside the differential check.
 #[derive(Debug, Clone)]
 enum Op {
     Put {
@@ -173,70 +408,169 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn obs(fs: Option<FlowState>) -> Option<(u32, u64, u32, bool)> {
-    // `last_used` is an internal LRU stamp with no cross-structure
-    // meaning; compare the observable fields only.
+/// What a lookup, an export or a removal shows of one flow.
+type Observed = Option<(u32, u64, u32, bool)>;
+
+fn obs(fs: Option<FlowState>) -> Observed {
     fs.map(|f| (f.state, f.offset, f.generation, f.quarantined))
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Rec {
+    key: u16,
+    scan: Option<(u32, u64, u32)>,
+    quarantined: bool,
+    last_used: u64,
+}
+
+impl Rec {
+    /// A verdict without scan state reads as the zero record.
+    fn observed(&self) -> Observed {
+        let scan = self.scan.or(self.quarantined.then_some((0, 0, 0)));
+        scan.map(|(s, o, g)| (s, o, g, self.quarantined))
+    }
+}
+
+/// The arena's contract restated naively: a most-recent-first `Vec` of
+/// records with a sticky verdict bit, every rule a linear walk.
+struct Model {
+    flows: Vec<Rec>,
+    capacity: usize,
+    timeout: Option<u64>,
+    clock: u64,
+    events: ArenaEvents,
+}
+
+impl Model {
+    fn peek(&self, k: u16) -> Option<&Rec> {
+        self.flows.iter().find(|r| r.key == k)
+    }
+
+    /// One tick: every forgettable flow idle for `timeout` ticks goes.
+    fn tick(&mut self) {
+        self.clock += 1;
+        if let Some(t) = self.timeout {
+            let (before, clock) = (self.flows.len(), self.clock);
+            self.flows
+                .retain(|r| r.quarantined || r.last_used + t > clock);
+            self.events.flows_aged += (before - self.flows.len()) as u64;
+        }
+    }
+
+    /// Ticks, then moves `k`'s record to the front — created first if
+    /// `create`, evicting the oldest forgettable flow at capacity, or the
+    /// oldest verdict (counted) when there is nothing else.
+    fn touch(&mut self, k: u16, create: bool) -> Option<&mut Rec> {
+        self.tick();
+        let mut rec = match self.flows.iter().position(|r| r.key == k) {
+            Some(i) => self.flows.remove(i),
+            None if !create => return None,
+            None => {
+                if self.flows.len() >= self.capacity {
+                    let victim = self.flows.iter().rposition(|r| !r.quarantined);
+                    if victim.is_none() {
+                        self.events.quarantined_evicted += 1;
+                    }
+                    self.flows.remove(victim.unwrap_or(self.flows.len() - 1));
+                    self.events.flows_evicted += 1;
+                }
+                Rec {
+                    key: k,
+                    scan: None,
+                    quarantined: false,
+                    last_used: 0,
+                }
+            }
+        };
+        rec.last_used = self.clock;
+        self.flows.insert(0, rec);
+        self.flows.first_mut()
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Under its scan-state API the arena is drop-in for [`FlowTable`]:
-    /// every operation returns the same observable result on both. The
-    /// one scoped divergence: `get_if_generation` on a *quarantined*
-    /// flow (the table drops the whole entry on a generation mismatch,
-    /// the arena keeps the verdict). The scan engine checks quarantine
-    /// before ever consulting scan state, so the proptest applies the
-    /// same discipline — and asserts the quarantine check itself agrees.
+    /// Every operation returns the same observable result on the arena
+    /// and on the naive model, both drop the same flows for the same
+    /// reason at the same op (the event counters agree after each), and
+    /// they converge on the same population.
     #[test]
-    fn arena_scan_state_matches_flowtable(ops in prop::collection::vec(op_strategy(), 1..64)) {
-        let mut arena = FlowArena::new(16);
-        let mut table = FlowTable::new(16);
+    fn arena_scan_state_matches_naive_model(
+        ops in prop::collection::vec(op_strategy(), 1..64),
+        capacity in 1usize..=10,
+        timeout in prop::option::of(2u64..24),
+    ) {
+        let mut arena = FlowArena::with_limits(capacity, timeout, None);
+        let mut model = Model {
+            flows: Vec::new(),
+            capacity,
+            timeout,
+            clock: 0,
+            events: ArenaEvents::default(),
+        };
         for op in ops {
             match op {
                 Op::Put { k, state, offset, generation } => {
                     arena.put_scan_gen(fk(k), state, offset, generation);
-                    table.put_gen(fk(k), state, offset, generation);
+                    model.touch(k, true).unwrap().scan = Some((state, offset, generation));
                 }
                 Op::Get { k } => {
-                    prop_assert_eq!(obs(arena.get_scan(&fk(k))), obs(table.get(&fk(k))));
+                    let expected = model.peek(k).and_then(Rec::observed);
+                    prop_assert_eq!(obs(arena.export_scan(&fk(k))), expected);
                 }
                 Op::GetIfGen { k, generation } => {
-                    let q = arena.is_quarantined(&fk(k));
-                    prop_assert_eq!(q, table.is_quarantined(&fk(k)));
-                    if !q {
-                        prop_assert_eq!(
-                            obs(arena.get_scan_if_generation(&fk(k), generation)),
-                            obs(table.get_if_generation(&fk(k), generation))
-                        );
-                    }
+                    // A stale generation drops the scan state, never the
+                    // verdict; an entry left holding nothing is released.
+                    let expected = match model.touch(k, false) {
+                        Some(r) if r.scan.is_some_and(|(_, _, g)| g == generation) => r.observed(),
+                        Some(r) => {
+                            r.scan = None;
+                            if !r.quarantined {
+                                model.flows.remove(0);
+                            }
+                            None
+                        }
+                        None => None,
+                    };
+                    prop_assert_eq!(obs(arena.get_scan_if_generation(&fk(k), generation)), expected);
                 }
                 Op::Quarantine { k } => {
-                    arena.quarantine(fk(k));
-                    table.quarantine(fk(k));
+                    arena.open(fk(k)).quarantine();
+                    model.touch(k, true).unwrap().quarantined = true;
                 }
                 Op::IsQuarantined { k } => {
-                    prop_assert_eq!(arena.is_quarantined(&fk(k)), table.is_quarantined(&fk(k)));
+                    let expected = model.peek(k).is_some_and(|r| r.quarantined);
+                    prop_assert_eq!(arena.is_quarantined(&fk(k)), expected);
                 }
                 Op::Remove { k } => {
-                    prop_assert_eq!(obs(arena.remove(&fk(k))), obs(table.remove(&fk(k))));
+                    let expected = model
+                        .flows
+                        .iter()
+                        .position(|r| r.key == k)
+                        .and_then(|i| model.flows.remove(i).observed());
+                    prop_assert_eq!(obs(arena.remove(&fk(k))), expected);
                 }
                 Op::Migrate { src, dst } => {
-                    let a = arena.export_scan(&fk(src));
-                    let t = table.export(&fk(src));
-                    prop_assert_eq!(obs(a), obs(t));
-                    if let (Some(a), Some(t)) = (a, t) {
-                        arena.import_scan(fk(dst), a);
-                        table.import(fk(dst), t);
+                    let exported = arena.export_scan(&fk(src));
+                    let expected = model.peek(src).and_then(Rec::observed);
+                    prop_assert_eq!(obs(exported), expected);
+                    if let (Some(fs), Some((s, o, g, q))) = (exported, expected) {
+                        arena.import_scan(fk(dst), fs);
+                        let r = model.touch(dst, true).unwrap();
+                        r.scan = Some((s, o, g));
+                        r.quarantined |= q;
                     }
                 }
             }
+            prop_assert_eq!(arena.take_events(), std::mem::take(&mut model.events));
+            prop_assert!(arena.len() <= capacity);
         }
         // Converged end state: same population, same record per key.
-        prop_assert_eq!(arena.len(), table.len());
+        prop_assert_eq!(arena.len(), model.flows.len());
         for k in 0..8 {
-            prop_assert_eq!(obs(arena.export_scan(&fk(k))), obs(table.export(&fk(k))));
+            let expected = model.peek(k).and_then(Rec::observed);
+            prop_assert_eq!(obs(arena.export_scan(&fk(k))), expected);
         }
     }
 }

@@ -54,7 +54,7 @@ fn million_flow_soak_holds_a_flat_byte_ceiling() {
     // a spot check across the resident window.
     for i in (FLOWS - 16)..FLOWS {
         assert!(
-            arena.get_scan(&key(i)).is_some(),
+            arena.export_scan(&key(i)).is_some(),
             "recent flow {i} resident"
         );
     }
