@@ -12,7 +12,10 @@
 //!
 //! Set `DPI_BENCH_QUICK=1` for a CI-sized run.
 
-use dpi_bench::{host_cores, pipeline_batch, pipeline_config, print_row, sharded_instance};
+use dpi_bench::{
+    host_cores, json_array, json_object, pipeline_batch, pipeline_config, print_row,
+    sharded_instance, write_bench_json,
+};
 use dpi_core::overload::OverloadPolicy;
 use dpi_traffic::patterns::snort_like;
 use dpi_traffic::trace::TraceConfig;
@@ -91,22 +94,29 @@ fn main() {
             format!("{:.1}%", shed_fraction * 100.0),
             format!("{:.1}%", ce_fraction * 100.0),
         ]);
-        points.push(format!(
-            "{{\"batch_size\": {size}, \"sustained_pps\": {sustained:.0}, \
-             \"p99_queue_depth\": {p99}, \"shed_fraction\": {shed_fraction:.4}, \
-             \"ce_fraction\": {ce_fraction:.4}}}"
-        ));
+        points.push(json_object(&[
+            ("batch_size", size.to_string()),
+            ("sustained_pps", format!("{sustained:.0}")),
+            ("p99_queue_depth", p99.to_string()),
+            ("shed_fraction", format!("{shed_fraction:.4}")),
+            ("ce_fraction", format!("{ce_fraction:.4}")),
+        ]));
     }
 
-    let json = format!(
-        "{{\n  \"host_cores\": {},\n  \"quick\": {},\n  \"workers\": {WORKERS},\n  \
-         \"patterns\": {npat},\n  \"runs_per_point\": {runs},\n  \
-         \"policy\": {{\"queue_high\": {QUEUE_HIGH}, \"queue_low\": {QUEUE_LOW}, \
-         \"shed\": \"fail_open\"}},\n  \"points\": [{}]\n}}\n",
-        host_cores(),
+    let policy = json_object(&[
+        ("queue_high", QUEUE_HIGH.to_string()),
+        ("queue_low", QUEUE_LOW.to_string()),
+        ("shed", "\"fail_open\"".into()),
+    ]);
+    write_bench_json(
+        "overload",
         quick,
-        points.join(", "),
+        &[
+            ("workers", WORKERS.to_string()),
+            ("patterns", npat.to_string()),
+            ("runs_per_point", runs.to_string()),
+            ("policy", policy),
+            ("points", json_array(&points)),
+        ],
     );
-    std::fs::write("BENCH_overload.json", &json).expect("writable working directory");
-    println!("wrote BENCH_overload.json");
 }

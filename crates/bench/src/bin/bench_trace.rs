@@ -9,7 +9,9 @@
 //! time-slice the shards, which adds noise but affects both
 //! configurations equally — the JSON records `host_cores` anyway.
 
-use dpi_bench::{host_cores, pipeline_batch, pipeline_config, print_row, sharded_instance};
+use dpi_bench::{
+    host_cores, pipeline_batch, pipeline_config, print_row, sharded_instance, write_bench_json,
+};
 use dpi_core::trace::Tracer;
 use dpi_packet::Packet;
 use dpi_traffic::patterns::snort_like;
@@ -73,7 +75,7 @@ fn main() {
 
     let mut traced = sharded_instance(pipeline_config(&pats), workers);
     let tracer = Arc::new(Tracer::new());
-    traced.attach_tracer(Arc::clone(&tracer));
+    traced.attach_tracer(Arc::clone(&tracer), None);
     let traced_pps = median_pps(&batch, runs, |pkts| {
         traced.inspect_batch(pkts);
     });
@@ -91,24 +93,19 @@ fn main() {
          {events_dropped} overwritten (ring cap is bounded by design)"
     );
 
-    let json = format!(
-        "{{\n  \"host_cores\": {},\n  \"quick\": {},\n  \"patterns\": {},\n  \
-         \"packets\": {},\n  \"bytes\": {},\n  \"workers\": {},\n  \
-         \"untraced_pps\": {:.0},\n  \"traced_pps\": {:.0},\n  \
-         \"overhead_pct\": {:.2},\n  \"events_buffered\": {},\n  \
-         \"events_dropped\": {}\n}}\n",
-        host_cores(),
+    write_bench_json(
+        "trace",
         quick,
-        npat,
-        npkt,
-        bytes,
-        workers,
-        untraced_pps,
-        traced_pps,
-        overhead_pct,
-        events_buffered,
-        events_dropped,
+        &[
+            ("patterns", npat.to_string()),
+            ("packets", npkt.to_string()),
+            ("bytes", bytes.to_string()),
+            ("workers", workers.to_string()),
+            ("untraced_pps", format!("{untraced_pps:.0}")),
+            ("traced_pps", format!("{traced_pps:.0}")),
+            ("overhead_pct", format!("{overhead_pct:.2}")),
+            ("events_buffered", events_buffered.to_string()),
+            ("events_dropped", events_dropped.to_string()),
+        ],
     );
-    std::fs::write("BENCH_trace.json", &json).expect("writable working directory");
-    println!("wrote BENCH_trace.json");
 }

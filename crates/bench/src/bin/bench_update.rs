@@ -16,7 +16,10 @@
 //! Writes `BENCH_update.json`. Set `DPI_BENCH_QUICK=1` for a CI-sized
 //! run.
 
-use dpi_bench::{host_cores, pipeline_batch, pipeline_config, print_row, sharded_instance};
+use dpi_bench::{
+    host_cores, json_array, json_object, pipeline_batch, pipeline_config, print_row,
+    sharded_instance, write_bench_json,
+};
 use dpi_controller::UpdateOrchestrator;
 use dpi_traffic::patterns::snort_like;
 use dpi_traffic::trace::TraceConfig;
@@ -90,24 +93,23 @@ fn main() {
             format!("{compile_ms:.1}"),
             format!("{pause_us:.0}"),
         ]);
-        rows.push(format!(
-            "{{\"added_patterns\": {added}, \"generation\": {}, \
-             \"transfer_bytes\": {}, \"compile_ms\": {compile_ms:.2}, \
-             \"swap_pause_us\": {pause_us:.1}}}",
-            prepared.generation, prepared.transfer_bytes,
-        ));
+        rows.push(json_object(&[
+            ("added_patterns", added.to_string()),
+            ("generation", prepared.generation.to_string()),
+            ("transfer_bytes", prepared.transfer_bytes.to_string()),
+            ("compile_ms", format!("{compile_ms:.2}")),
+            ("swap_pause_us", format!("{pause_us:.1}")),
+        ]));
     }
 
-    let json = format!(
-        "{{\n  \"host_cores\": {},\n  \"quick\": {},\n  \"base_patterns\": {},\n  \
-         \"workers\": {},\n  \"packets_per_batch\": {},\n  \"updates\": [{}]\n}}\n",
-        host_cores(),
+    write_bench_json(
+        "update",
         quick,
-        base,
-        workers,
-        npkt,
-        rows.join(", "),
+        &[
+            ("base_patterns", base.to_string()),
+            ("workers", workers.to_string()),
+            ("packets_per_batch", npkt.to_string()),
+            ("updates", json_array(&rows)),
+        ],
     );
-    std::fs::write("BENCH_update.json", &json).expect("writable working directory");
-    println!("wrote BENCH_update.json");
 }

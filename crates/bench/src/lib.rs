@@ -19,8 +19,14 @@
 //! * `exp_mca2` — §4.3.1: goodput under complexity attack, with and
 //!   without MCA² mitigation.
 //! * `bench_update` — live rule-update cost: off-hot-path compile time,
-//!   drain-barrier swap pause and per-update transfer bytes; writes
-//!   `BENCH_update.json`.
+//!   drain-barrier swap pause and per-update transfer bytes.
+//! * `bench_overload` — shed fraction and p99 queue depth against offered
+//!   load.
+//! * `bench_trace` — traced against untraced scan path.
+//!
+//! The three `bench_*` bins report what the end-to-end benchmark
+//! (`e2ebench/`) has no row for, each as a `BENCH_<name>.json` written
+//! through [`write_bench_json`].
 
 use dpi_ac::{Automaton, CombinedAcBuilder, MiddleboxId, PatternSet};
 use dpi_packet::{MacAddr, Packet};
@@ -107,6 +113,40 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// A JSON object from `fields`, whose values are JSON already (a number
+/// as it should print, [`json_array`], a nested object).
+pub fn json_object(fields: &[(&str, String)]) -> String {
+    let fields: Vec<String> = fields
+        .iter()
+        .map(|(key, value)| format!("\"{key}\": {value}"))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
+/// A JSON array of values that are JSON already.
+pub fn json_array(items: &[String]) -> String {
+    format!("[{}]", items.join(", "))
+}
+
+/// Writes `BENCH_<name>.json` into the working directory: the host
+/// header every bench report opens with (`host_cores`, `quick`), then
+/// `fields`, one per line.
+pub fn write_bench_json(name: &str, quick: bool, fields: &[(&str, String)]) {
+    let header = [
+        ("host_cores", host_cores().to_string()),
+        ("quick", quick.to_string()),
+    ];
+    let lines: Vec<String> = header
+        .iter()
+        .chain(fields)
+        .map(|(key, value)| format!("  \"{key}\": {value}"))
+        .collect();
+    let path = format!("BENCH_{name}.json");
+    std::fs::write(&path, format!("{{\n{}\n}}\n", lines.join(",\n")))
+        .expect("writable working directory");
+    println!("wrote {path}");
 }
 
 /// Pretty row printer: fixed-width columns for the experiment tables.

@@ -264,11 +264,6 @@ impl UpdateOrchestrator {
         &self.tenant_stamps
     }
 
-    /// The artifact of a prepared or committed generation.
-    pub fn artifact_of(&self, generation: GenerationId) -> Option<&UpdateArtifact> {
-        self.artifacts.get(&generation)
-    }
-
     /// The generation a committed controller version maps to, if any.
     pub fn generation_of_version(&self, version: u64) -> Option<GenerationId> {
         self.version_map

@@ -57,10 +57,6 @@ pub enum InstanceError {
     /// A data packet reached the instance without a policy-chain tag
     /// (the TSA failed to tag it, §4.1).
     Untagged,
-    /// A compressed payload failed to decompress.
-    BadCompressedPayload(crate::decompress::InflateError),
-    /// A gzip payload failed framing or integrity checks.
-    BadGzipPayload(crate::decompress::GzipError),
     /// A registered regex failed to compile.
     BadRegex {
         /// The middlebox that registered it.
@@ -126,10 +122,6 @@ impl std::fmt::Display for InstanceError {
                 ScanEngine::MAX_UNIT_BYTES
             ),
             InstanceError::Untagged => write!(f, "packet carries no policy-chain tag"),
-            InstanceError::BadCompressedPayload(e) => {
-                write!(f, "compressed payload: {e}")
-            }
-            InstanceError::BadGzipPayload(e) => write!(f, "gzip payload: {e}"),
             InstanceError::BadRegex {
                 middlebox,
                 rule,
@@ -836,11 +828,6 @@ impl ScanEngine {
     /// The reassembly conflict policy this engine's shards run.
     pub fn conflict_policy(&self) -> crate::reassembly::ConflictPolicy {
         self.conflict_policy
-    }
-
-    /// The L7 inspection policy, if one is configured (DESIGN.md §14).
-    pub fn l7_policy(&self) -> Option<&crate::l7::L7Policy> {
-        self.l7.as_ref()
     }
 
     /// The rule generation this engine was compiled from.
@@ -1598,42 +1585,6 @@ impl ScanEngine {
                 session.streams[s] = Some((state, offset, self.generation));
             }
         }
-    }
-
-    /// Scans a DEFLATE-compressed payload: inflates **once** and scans the
-    /// decompressed bytes for every active middlebox (§1). `max_inflated`
-    /// bounds the decompressed size — the zip-bomb guard a shared service
-    /// needs even more than a single middlebox does.
-    pub fn scan_payload_deflated(
-        &self,
-        shard: &mut ShardState,
-        chain_id: u16,
-        flow: Option<FlowKey>,
-        compressed: &[u8],
-        max_inflated: usize,
-    ) -> Result<ScanOutput, InstanceError> {
-        let inflated = crate::decompress::inflate(compressed, max_inflated)
-            .map_err(InstanceError::BadCompressedPayload)?;
-        shard.scan.telemetry.decompressions += 1;
-        shard.scan.telemetry.decompressed_bytes += inflated.len() as u64;
-        self.scan_payload(shard, chain_id, flow, &inflated)
-    }
-
-    /// Like [`ScanEngine::scan_payload_deflated`] for gzip-framed bodies
-    /// (HTTP `Content-Encoding: gzip`), with CRC/length verification.
-    pub fn scan_payload_gzip(
-        &self,
-        shard: &mut ShardState,
-        chain_id: u16,
-        flow: Option<FlowKey>,
-        gz: &[u8],
-        max_inflated: usize,
-    ) -> Result<ScanOutput, InstanceError> {
-        let inflated =
-            crate::decompress::gunzip(gz, max_inflated).map_err(InstanceError::BadGzipPayload)?;
-        shard.scan.telemetry.decompressions += 1;
-        shard.scan.telemetry.decompressed_bytes += inflated.len() as u64;
-        self.scan_payload(shard, chain_id, flow, &inflated)
     }
 
     fn required_scan_len(&self, chain: &ChainInfo, offset: u64, payload_len: usize) -> usize {

@@ -63,10 +63,7 @@ pub use l7::{
     L7Action, L7Context, L7Direction, L7Field, L7Policy, L7Protocol, ProtocolMask, ProtocolPolicy,
 };
 pub use metrics::{MetricKind, MetricsText};
-pub use overload::{
-    InstanceLoadGauge, LoadWindow, OverloadDetector, OverloadPolicy, OverloadTransition,
-    TenantFairness,
-};
+pub use overload::{OverloadDetector, OverloadPolicy, OverloadTransition, TenantFairness};
 pub use pipeline::DpiInstance;
 pub use reassembly::{ConflictPolicy, StreamReassembler};
 pub use report::compress_matches;

@@ -6,8 +6,11 @@
 //! signals. This module closes the data-plane half of that loop: instead
 //! of letting an overloaded shard grow its queue until the watchdog
 //! condemns it, each shard watches its own pressure — ingress-queue depth
-//! plus a scan-latency EWMA — through an [`OverloadDetector`] with
-//! high/low watermarks and hysteresis. While overloaded the pipeline
+//! (arrivals per window for per-call traffic, which has no queue), a
+//! scan-latency EWMA and flow-state bytes — through an
+//! [`OverloadDetector`] with high/low watermarks and hysteresis: the one
+//! state machine behind every entry point of an instance (DESIGN.md
+//! §11). While overloaded the instance
 //!
 //! * CE-marks forwarded packets ([`dpi_packet::ipv4::Ecn::Ce`], the ECN
 //!   congestion codepoint — distinct from the `Ect0` match mark), and
@@ -19,11 +22,10 @@
 //!   fail-open-data / fail-closed-verdicts split result delivery uses.
 //!
 //! The control-plane half (the controller's `LoadBalancer` re-steering
-//! whole flows hot→cold) consumes the per-instance view exported here as
-//! [`InstanceLoadGauge`].
+//! whole flows hot→cold) reads each instance's arrivals — scanned plus
+//! shed — off the same detectors.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Watermark configuration for one overload detector.
 ///
@@ -110,8 +112,9 @@ pub enum OverloadTransition {
 /// Per-shard overload state machine: latency EWMA + queue watermarks with
 /// hysteresis, plus lifetime counters for everything the shed policy did.
 ///
-/// Owned by the pipeline's supervisor (it survives shard restarts) and
-/// lent to the worker for the duration of a batch.
+/// Owned by the shard's slot in the instance (it survives shard
+/// restarts). A batch worker feeds it the backlog behind every packet; a
+/// window close feeds it the arrivals of the per-call window just ended.
 ///
 /// ```
 /// use dpi_core::overload::{OverloadDetector, OverloadPolicy, OverloadTransition};
@@ -258,9 +261,9 @@ impl OverloadDetector {
     }
 
     /// Records one shed scan (the packet flowed unscanned).
-    pub fn note_shed(&mut self, bytes: usize) {
+    pub fn note_shed(&mut self, bytes: u64) {
         self.shed_packets += 1;
-        self.shed_bytes += bytes as u64;
+        self.shed_bytes += bytes;
     }
 
     /// Records one CE-marked packet.
@@ -360,136 +363,6 @@ impl TenantFairness {
     /// Total arrivals observed.
     pub fn total_packets(&self) -> u64 {
         self.total_packets
-    }
-}
-
-/// Shared per-instance load view: the data-plane node increments it per
-/// packet, the control plane closes windows each heartbeat round and sets
-/// the overload verdict, and the node consults that verdict to CE-mark
-/// and shed. All atomics — the node and the controller never share a
-/// lock.
-#[derive(Debug, Default)]
-pub struct InstanceLoadGauge {
-    /// Data packets seen since the window was last closed.
-    window_packets: AtomicU64,
-    /// Control-plane verdict: the instance is overloaded.
-    overloaded: AtomicBool,
-    /// Load score ×1000 (atomics carry no floats).
-    load_score_milli: AtomicU64,
-    /// Lifetime shed packets.
-    shed_packets: AtomicU64,
-    /// Lifetime shed payload bytes.
-    shed_bytes: AtomicU64,
-    /// Lifetime CE-marked packets.
-    ce_marked: AtomicU64,
-}
-
-impl InstanceLoadGauge {
-    /// A zeroed gauge.
-    pub fn new() -> InstanceLoadGauge {
-        InstanceLoadGauge::default()
-    }
-
-    /// Data-plane: one data packet arrived at the instance.
-    pub fn note_packet(&self) {
-        self.window_packets.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Control-plane: closes the current window, returning the packets
-    /// it saw and zeroing it for the next round.
-    pub fn take_window(&self) -> u64 {
-        self.window_packets.swap(0, Ordering::Relaxed)
-    }
-
-    /// Control-plane: sets the overload verdict the data plane acts on.
-    pub fn set_overloaded(&self, overloaded: bool) {
-        self.overloaded.store(overloaded, Ordering::Relaxed);
-    }
-
-    /// Whether the control plane currently considers the instance
-    /// overloaded.
-    pub fn is_overloaded(&self) -> bool {
-        self.overloaded.load(Ordering::Relaxed)
-    }
-
-    /// Control-plane: publishes the instance's load score.
-    pub fn set_load_score(&self, score: f64) {
-        let milli = (score.max(0.0) * 1000.0).min(u64::MAX as f64) as u64;
-        self.load_score_milli.store(milli, Ordering::Relaxed);
-    }
-
-    /// The last published load score.
-    pub fn load_score(&self) -> f64 {
-        self.load_score_milli.load(Ordering::Relaxed) as f64 / 1000.0
-    }
-
-    /// Data-plane: one scan was shed at this instance.
-    pub fn note_shed(&self, bytes: usize) {
-        self.shed_packets.fetch_add(1, Ordering::Relaxed);
-        self.shed_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Data-plane: one packet was CE-marked at this instance.
-    pub fn note_ce_mark(&self) {
-        self.ce_marked.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Lifetime shed packets.
-    pub fn shed_packets(&self) -> u64 {
-        self.shed_packets.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime shed payload bytes.
-    pub fn shed_bytes(&self) -> u64 {
-        self.shed_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime CE-marked packets.
-    pub fn ce_marked(&self) -> u64 {
-        self.ce_marked.load(Ordering::Relaxed)
-    }
-}
-
-/// Control-plane hysteresis over per-round packet windows: the
-/// instance-level analogue of [`OverloadDetector`], driven by
-/// [`InstanceLoadGauge::take_window`] once per heartbeat round.
-#[derive(Debug, Clone)]
-pub struct LoadWindow {
-    /// Window packet count at or above which the instance is overloaded.
-    pub high: u64,
-    /// Window packet count at or below which overload clears.
-    pub low: u64,
-    overloaded: bool,
-}
-
-impl LoadWindow {
-    /// A window watermark pair in the not-overloaded state.
-    pub fn new(high: u64, low: u64) -> LoadWindow {
-        assert!(low <= high, "low watermark above high");
-        LoadWindow {
-            high,
-            low,
-            overloaded: false,
-        }
-    }
-
-    /// Feeds one closed window; returns the transition, if any.
-    pub fn observe(&mut self, window: u64) -> Option<OverloadTransition> {
-        if !self.overloaded {
-            if window >= self.high {
-                self.overloaded = true;
-                return Some(OverloadTransition::Entered);
-            }
-        } else if window <= self.low {
-            self.overloaded = false;
-            return Some(OverloadTransition::Cleared);
-        }
-        None
-    }
-
-    /// Whether the last observation left the instance overloaded.
-    pub fn is_overloaded(&self) -> bool {
-        self.overloaded
     }
 }
 
@@ -620,37 +493,6 @@ mod tests {
         assert_eq!(det.shed_packets, 2);
         assert_eq!(det.shed_bytes, 150);
         assert_eq!(det.ce_marked, 1);
-    }
-
-    #[test]
-    fn gauge_windows_reset_on_take() {
-        let g = InstanceLoadGauge::new();
-        for _ in 0..5 {
-            g.note_packet();
-        }
-        assert_eq!(g.take_window(), 5);
-        assert_eq!(g.take_window(), 0);
-        g.note_shed(64);
-        g.note_ce_mark();
-        assert_eq!(g.shed_packets(), 1);
-        assert_eq!(g.shed_bytes(), 64);
-        assert_eq!(g.ce_marked(), 1);
-        g.set_load_score(1.25);
-        assert!((g.load_score() - 1.25).abs() < 1e-9);
-        assert!(!g.is_overloaded());
-        g.set_overloaded(true);
-        assert!(g.is_overloaded());
-    }
-
-    #[test]
-    fn load_window_hysteresis() {
-        let mut w = LoadWindow::new(100, 20);
-        assert_eq!(w.observe(99), None);
-        assert_eq!(w.observe(100), Some(OverloadTransition::Entered));
-        assert_eq!(w.observe(50), None);
-        assert!(w.is_overloaded());
-        assert_eq!(w.observe(20), Some(OverloadTransition::Cleared));
-        assert!(!w.is_overloaded());
     }
 
     #[test]

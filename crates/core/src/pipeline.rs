@@ -15,10 +15,15 @@
 //! ([`DpiInstance::inspect`], [`DpiInstance::scan_payload`], flow
 //! export/import, …) run on the caller's thread, unsupervised.
 //! [`DpiInstance::inspect_batch`] runs every shard's share of a batch
-//! under supervision (panic capture, watchdog, restart, overload
-//! control) — on the calling thread with one shard, on a scoped worker
-//! thread per shard otherwise. Per-packet work takes **no locks**; the
-//! crossbeam channels at the batch boundary are the only
+//! under supervision (panic capture, watchdog, restart) — on the calling
+//! thread with one shard, on a scoped worker thread per shard otherwise.
+//! Overload control is one controller behind both (DESIGN.md §11): every
+//! packet, per call or in a batch, passes the same shed decision and CE
+//! mark on its shard's slot; what differs is when the shard's detector is
+//! stepped — per packet with the backlog behind it in a batch, once per
+//! closed window with the window's arrivals for per-call traffic
+//! ([`DpiInstance::refill_tenant_window`]). Per-packet work takes **no
+//! locks**; the crossbeam channels at the batch boundary are the only
 //! synchronization, and their high-water mark is exported as queue-depth
 //! telemetry. Output is *byte-identical* at every worker count and
 //! through either kind of entry point: shard queues are FIFO per flow,
@@ -55,6 +60,10 @@ struct ShardSlot {
     /// entirely: no CE marks, no sheds, byte-identical output to an
     /// instance built before this subsystem existed.
     detector: Option<OverloadDetector>,
+    /// What the armed detector's shed policy did since the window was
+    /// last closed (a batch boundary, or
+    /// [`DpiInstance::refill_tenant_window`]).
+    window: Window,
     /// High-water mark of the ingress queue, across batches.
     queue_peak: usize,
     /// Ingress-queue peak of the *most recent* batch. Benches read this
@@ -71,6 +80,132 @@ struct ShardSlot {
     lost_scans: u64,
     /// Lifetime packet ordinal (drives shard-fault triggers).
     seen: u64,
+}
+
+/// One shard's open overload window.
+#[derive(Debug, Default)]
+struct Window {
+    /// Packets that reached the shed decision.
+    arrivals: u64,
+    /// Scans shed, packets and payload bytes.
+    shed: (u64, u64),
+    /// The same per tenant: `(tenant, packets, bytes)`.
+    tenant_shed: Vec<(TenantId, u64, u64)>,
+    /// Packets CE-marked.
+    ce_marked: u64,
+}
+
+impl ShardSlot {
+    /// The per-packet body of every entry point, per call or in a batch:
+    /// the shed decision, `scan` unless it shed, the CE mark.
+    #[inline]
+    fn inspect<T>(
+        &mut self,
+        engine: &ScanEngine,
+        pkt: &mut Packet,
+        scan: impl FnOnce(&ScanEngine, &mut ShardState, &mut Packet) -> Result<Option<T>, InstanceError>,
+    ) -> Result<Option<T>, InstanceError> {
+        let out = if self.shed(engine, pkt) {
+            Ok(None)
+        } else {
+            scan(engine, &mut self.state, pkt)
+        };
+        if let Some(d) = self.detector.as_mut().filter(|d| d.is_overloaded()) {
+            // After the scan, so CE takes precedence over the Ect0 match
+            // mark: the 2-bit field cannot hold both, congestion is the
+            // more urgent in-band signal, and the match itself still
+            // travels in the result packet.
+            pkt.mark_congestion();
+            d.note_ce_mark();
+            self.window.ce_marked += 1;
+        }
+        out
+    }
+
+    /// The overload shed decision, before the scan: while past the high
+    /// watermark, fail-open chains skip scanning entirely (the packet
+    /// flows CE-marked); chains with a fail-closed member — and untagged
+    /// packets, whose error path must stay visible — are always scanned.
+    fn shed(&mut self, engine: &ScanEngine, pkt: &Packet) -> bool {
+        let Some(d) = self.detector.as_mut() else {
+            return false;
+        };
+        self.window.arrivals += 1;
+        let tag = pkt.chain_tag();
+        let tenant = tag.and_then(|t| engine.chain_tenant(t));
+        if let Some(t) = tenant {
+            self.state.note_tenant_arrival(t);
+        }
+        // Weighted fairness (DESIGN.md §16): a tenant below its fair
+        // arrival share is never shed — a neighbour's burst sheds the
+        // neighbour's own fail-open traffic first.
+        let shed = d.is_overloaded()
+            && tag.is_some_and(|t| !engine.chain_fail_closed(t))
+            && tenant.is_none_or(|t| self.state.tenant_at_or_over_fair_share(t));
+        if shed {
+            let bytes = pkt.payload().map(<[u8]>::len).unwrap_or(0) as u64;
+            d.note_shed(bytes);
+            self.window.shed.0 += 1;
+            self.window.shed.1 += bytes;
+            if let Some(t) = tenant {
+                self.state.note_tenant_shed(t, bytes);
+                match self.window.tenant_shed.iter_mut().find(|e| e.0 == t) {
+                    Some(e) => {
+                        e.1 += 1;
+                        e.2 += bytes;
+                    }
+                    None => self.window.tenant_shed.push((t, 1, bytes)),
+                }
+            }
+        }
+        shed
+    }
+
+    /// Feeds the detector one observation — the backlog behind a batch
+    /// packet and its scan time, or a closed window's arrivals — with the
+    /// shard's flow-state bytes, and traces a transition through the
+    /// shard's writer.
+    fn observe(&mut self, depth: usize, latency_us: u64) -> Option<OverloadTransition> {
+        let d = self.detector.as_mut()?;
+        let t = d.observe_with_memory(depth, latency_us, self.state.flow_bytes())?;
+        let (depth, ewma_us) = (depth as u64, d.ewma_us());
+        if let Some(w) = self.state.trace_writer_mut() {
+            w.record(match t {
+                OverloadTransition::Entered => TraceKind::OverloadEntered { depth, ewma_us },
+                OverloadTransition::Cleared => TraceKind::OverloadCleared { depth, ewma_us },
+            });
+        }
+        Some(t)
+    }
+
+    /// Closes the open window: what the shed policy did in it goes to
+    /// the shard's trace writer as one aggregate per kind, and its
+    /// arrivals are returned.
+    fn close_window(&mut self) -> u64 {
+        let mut window = std::mem::take(&mut self.window);
+        if let Some(w) = self.state.trace_writer_mut() {
+            let (packets, bytes) = window.shed;
+            if packets > 0 {
+                w.record(TraceKind::OverloadShed { packets, bytes });
+            }
+            if window.ce_marked > 0 {
+                w.record(TraceKind::OverloadCeMarked {
+                    packets: window.ce_marked,
+                });
+            }
+            window
+                .tenant_shed
+                .sort_unstable_by_key(|&(tenant, _, _)| tenant);
+            for &(tenant, packets, bytes) in &window.tenant_shed {
+                w.record(TraceKind::TenantShed {
+                    tenant: tenant.0,
+                    packets,
+                    bytes,
+                });
+            }
+        }
+        window.arrivals
+    }
 }
 
 /// What one shard's worker did with one batch: everything the supervisor
@@ -95,12 +230,6 @@ struct Tally {
     panicked: bool,
     /// Injected stalls that fired: `(shard-local ordinal, millis)`.
     stalls: Vec<(u64, u64)>,
-    /// Scans shed under overload, packets and payload bytes.
-    shed: (u64, u64),
-    /// The same per tenant: `(tenant, packets, bytes)`.
-    tenant_shed: Vec<(TenantId, u64, u64)>,
-    /// Packets CE-marked under overload.
-    ce_marked: u64,
 }
 
 /// One shard's worker for one batch: the per-packet body
@@ -118,9 +247,9 @@ struct BatchWorker<'a> {
 }
 
 impl BatchWorker<'_> {
-    /// The per-packet body: fault trigger, shed decision, scan, CE mark,
-    /// detector observation, watchdog. `depth` reads the backlog behind
-    /// `pkt` on the shard's ingress queue.
+    /// The batch per-packet body: fault trigger, the slot's
+    /// shed / scan / CE mark, detector observation, watchdog. `depth`
+    /// reads the backlog behind `pkt` on the shard's ingress queue.
     #[inline]
     fn process(&mut self, idx: usize, pkt: &mut Packet, depth: impl Fn() -> usize) {
         let ordinal = self.slot.seen + self.tally.received;
@@ -147,36 +276,17 @@ impl BatchWorker<'_> {
                 }
             }
         }
-        if !self.shed(pkt) {
-            match self.engine.inspect_unnumbered(&mut self.slot.state, pkt) {
-                Ok(Some(result)) => self.tally.results.push((idx, result)),
-                Ok(None) => {}
-                Err(_) => self.tally.errors += 1,
-            }
+        match self
+            .slot
+            .inspect(self.engine, pkt, ScanEngine::inspect_unnumbered)
+        {
+            Ok(Some(result)) => self.tally.results.push((idx, result)),
+            Ok(None) => {}
+            Err(_) => self.tally.errors += 1,
         }
-        if let Some(d) = self.slot.detector.as_mut() {
-            if d.is_overloaded() {
-                // CE takes precedence over the Ect0 match mark:
-                // congestion is the more urgent in-band signal, and the
-                // match itself still travels in the result packet.
-                pkt.mark_congestion();
-                d.note_ce_mark();
-                self.tally.ce_marked += 1;
-            }
-            let depth = depth();
+        if self.slot.detector.is_some() {
             let elapsed = started.expect("clock armed with detector").elapsed();
-            let transition = d.observe_with_memory(
-                depth,
-                elapsed.as_micros() as u64,
-                self.slot.state.flow_bytes(),
-            );
-            if let (Some(t), Some(w)) = (transition, self.slot.state.trace_writer_mut()) {
-                let (depth, ewma_us) = (depth as u64, d.ewma_us());
-                w.record(match t {
-                    OverloadTransition::Entered => TraceKind::OverloadEntered { depth, ewma_us },
-                    OverloadTransition::Cleared => TraceKind::OverloadCleared { depth, ewma_us },
-                });
-            }
+            self.slot.observe(depth(), elapsed.as_micros() as u64);
         }
         self.tally.processed += 1;
         if let Some(deadline) = self.watchdog {
@@ -184,44 +294,6 @@ impl BatchWorker<'_> {
                 self.tally.tripped = true;
             }
         }
-    }
-
-    /// The overload shed decision, before the scan: while past the high
-    /// watermark, fail-open chains skip scanning entirely (the packet
-    /// flows CE-marked); chains with a fail-closed member — and untagged
-    /// packets, whose error path must stay visible — are always scanned.
-    fn shed(&mut self, pkt: &Packet) -> bool {
-        let Some(d) = self.slot.detector.as_mut() else {
-            return false;
-        };
-        let tag = pkt.chain_tag();
-        let tenant = tag.and_then(|t| self.engine.chain_tenant(t));
-        if let Some(t) = tenant {
-            self.slot.state.note_tenant_arrival(t);
-        }
-        // Weighted fairness (DESIGN.md §16): a tenant below its fair
-        // arrival share is never shed — a neighbour's burst sheds the
-        // neighbour's own fail-open traffic first.
-        let shed = d.is_overloaded()
-            && tag.is_some_and(|t| !self.engine.chain_fail_closed(t))
-            && tenant.is_none_or(|t| self.slot.state.tenant_at_or_over_fair_share(t));
-        if shed {
-            let bytes = pkt.payload().map(<[u8]>::len).unwrap_or(0);
-            d.note_shed(bytes);
-            self.tally.shed.0 += 1;
-            self.tally.shed.1 += bytes as u64;
-            if let Some(t) = tenant {
-                self.slot.state.note_tenant_shed(t, bytes as u64);
-                match self.tally.tenant_shed.iter_mut().find(|e| e.0 == t) {
-                    Some(e) => {
-                        e.1 += 1;
-                        e.2 += bytes as u64;
-                    }
-                    None => self.tally.tenant_shed.push((t, 1, bytes as u64)),
-                }
-            }
-        }
-        shed
     }
 }
 
@@ -285,9 +357,13 @@ pub struct DpiInstance {
     /// Hot-swap telemetry (swaps applied, rejections, last pause).
     update_stats: UpdateStats,
     /// Optional structured-event tracer. Batch/supervision events are
-    /// recorded directly; per-packet samples go through each shard's
-    /// private writer and are absorbed at the batch boundary.
+    /// recorded directly; per-packet samples and overload actions go
+    /// through each shard's private writer and are absorbed when a
+    /// window closes.
     tracer: Option<Arc<Tracer>>,
+    /// The fleet member this is, when it is one: its events are then all
+    /// attributed to [`TraceSource::Instance`].
+    fleet_index: Option<u32>,
     /// Numbers results in arrival order, across every entry point.
     packet_counter: u32,
 }
@@ -312,6 +388,7 @@ impl DpiInstance {
             .map(|_| ShardSlot {
                 state: ShardState::new(&engine),
                 detector: None,
+                window: Window::default(),
                 queue_peak: 0,
                 last_batch_peak: 0,
                 errors: 0,
@@ -331,15 +408,20 @@ impl DpiInstance {
             chaos: None,
             update_stats: UpdateStats::default(),
             tracer: None,
+            fleet_index: None,
             packet_counter: 0,
         }
     }
 
-    /// Arms per-shard overload control: queue-depth and scan-latency
-    /// watermarks with hysteresis. While a shard is overloaded its
-    /// forwarded packets are CE-marked and scans of fail-open chains are
-    /// skipped. Chains with a fail-closed member are always scanned.
-    /// Overload control acts in [`DpiInstance::inspect_batch`] only.
+    /// Arms per-shard overload control: queue-depth, scan-latency and
+    /// flow-state-memory watermarks with hysteresis. While a shard is
+    /// overloaded its forwarded packets are CE-marked and scans of
+    /// fail-open chains are skipped — per call and in a batch alike.
+    /// Chains with a fail-closed member are always scanned. In a batch
+    /// the detector sees the queue behind each packet; per-call traffic
+    /// is observed once per window, `queue_high` / `queue_low` then
+    /// reading as arrivals per window
+    /// ([`DpiInstance::refill_tenant_window`]).
     pub fn with_overload_policy(mut self, policy: OverloadPolicy) -> DpiInstance {
         self.set_overload_policy(Some(policy));
         self
@@ -368,18 +450,33 @@ impl DpiInstance {
     /// Attaches a structured-event tracer: batch boundaries, supervision
     /// actions (stalls, trips, panics, restarts) and engine swaps are
     /// recorded, and each shard gets a private lock-free writer for
-    /// sampled per-packet events, absorbed at every batch boundary.
-    pub fn attach_tracer(&mut self, tracer: Arc<Tracer>) {
-        for (s, slot) in self.slots.iter_mut().enumerate() {
-            slot.state
-                .attach_trace_writer(tracer.writer(TraceSource::Shard(s as u32)));
+    /// sampled per-packet events and overload actions, absorbed whenever
+    /// a window closes. `fleet_index` names the fleet member this
+    /// instance is — everything it records is then attributed to
+    /// [`TraceSource::Instance`]; `None` is the batch pipeline, attributed
+    /// to [`TraceSource::Scanner`] and its [`TraceSource::Shard`]s.
+    pub fn attach_tracer(&mut self, tracer: Arc<Tracer>, fleet_index: Option<u32>) {
+        self.fleet_index = fleet_index;
+        for s in 0..self.slots.len() {
+            let writer = tracer.writer(self.source(Some(s)));
+            self.slots[s].state.attach_trace_writer(writer);
         }
         self.tracer = Some(tracer);
     }
 
+    /// Who an event of shard `shard` — of the supervisor for `None` — is
+    /// attributed to.
+    fn source(&self, shard: Option<usize>) -> TraceSource {
+        match (self.fleet_index, shard) {
+            (Some(i), _) => TraceSource::Instance(i),
+            (None, Some(s)) => TraceSource::Shard(s as u32),
+            (None, None) => TraceSource::Scanner,
+        }
+    }
+
     fn trace(&self, kind: TraceKind) {
         if let Some(t) = &self.tracer {
-            t.record(TraceSource::Scanner, kind);
+            t.record(self.source(None), kind);
         }
     }
 
@@ -516,12 +613,20 @@ impl DpiInstance {
     }
 
     /// What a per-call entry point runs against: the engine and the
-    /// state of the flow's shard — shard 0 for a flow-less (hence
+    /// slot of the flow's shard — shard 0 for a flow-less (hence
     /// stateless or failing) scan.
     #[inline]
-    fn shard(&mut self, flow: impl FnOnce() -> Option<FlowKey>) -> (&ScanEngine, &mut ShardState) {
+    fn slot(&mut self, flow: impl FnOnce() -> Option<FlowKey>) -> (&ScanEngine, &mut ShardSlot) {
         let s = route(self.slots.len(), flow).unwrap_or(0);
-        (&self.engine, &mut self.slots[s].state)
+        (&self.engine, &mut self.slots[s])
+    }
+
+    /// [`DpiInstance::slot`] for the entry points that only touch flow
+    /// state.
+    #[inline]
+    fn shard(&mut self, flow: impl FnOnce() -> Option<FlowKey>) -> (&ScanEngine, &mut ShardState) {
+        let (engine, slot) = self.slot(flow);
+        (engine, &mut slot.state)
     }
 
     /// Scans a raw payload for `chain_id` (§5.2's algorithm). `flow` must
@@ -537,42 +642,14 @@ impl DpiInstance {
         engine.scan_payload(state, chain_id, flow, payload)
     }
 
-    /// Scans a DEFLATE-compressed payload: inflates **once** and scans the
-    /// decompressed bytes for every active middlebox (§1: "the effect of
-    /// decompression … may be reduced significantly, as these heavy
-    /// processes are executed only once for each packet"). `max_inflated`
-    /// bounds the decompressed size — the zip-bomb guard a shared service
-    /// needs even more than a single middlebox does.
-    pub fn scan_payload_deflated(
-        &mut self,
-        chain_id: u16,
-        flow: Option<FlowKey>,
-        compressed: &[u8],
-        max_inflated: usize,
-    ) -> Result<ScanOutput, InstanceError> {
-        let (engine, state) = self.shard(|| flow);
-        engine.scan_payload_deflated(state, chain_id, flow, compressed, max_inflated)
-    }
-
-    /// Like [`DpiInstance::scan_payload_deflated`] for gzip-framed bodies
-    /// (HTTP `Content-Encoding: gzip`), with CRC/length verification.
-    pub fn scan_payload_gzip(
-        &mut self,
-        chain_id: u16,
-        flow: Option<FlowKey>,
-        gz: &[u8],
-        max_inflated: usize,
-    ) -> Result<ScanOutput, InstanceError> {
-        let (engine, state) = self.shard(|| flow);
-        engine.scan_payload_gzip(state, chain_id, flow, gz, max_inflated)
-    }
-
     /// Scans a packet using its chain tag, marks it via ECN when matches
     /// exist (§6.1), and returns the dedicated result packet to send right
-    /// after it (§4.2 option 3, the prototype's method).
+    /// after it (§4.2 option 3, the prototype's method). With overload
+    /// control armed the packet passes the shed decision and the CE mark
+    /// first, like a batch packet.
     pub fn inspect(&mut self, packet: &mut Packet) -> Result<Option<ResultPacket>, InstanceError> {
-        let (engine, state) = self.shard(|| packet.flow_key());
-        let result = engine.inspect_unnumbered(state, packet)?;
+        let (engine, slot) = self.slot(|| packet.flow_key());
+        let result = slot.inspect(engine, packet, ScanEngine::inspect_unnumbered)?;
         Ok(result.map(|result| self.number(result)))
     }
 
@@ -586,8 +663,8 @@ impl DpiInstance {
     /// Scans a packet and attaches the results as an in-band NSH-like
     /// header (§4.2 option 1). Returns whether any matches were attached.
     pub fn inspect_inband(&mut self, packet: &mut Packet) -> Result<bool, InstanceError> {
-        let (engine, state) = self.shard(|| packet.flow_key());
-        let Some(v) = engine.inspect_verdict(state, packet)? else {
+        let (engine, slot) = self.slot(|| packet.flow_key());
+        let Some(v) = slot.inspect(engine, packet, ScanEngine::inspect_verdict)? else {
             return Ok(false);
         };
         let n_members = engine.chain_member_count(v.chain_id).unwrap_or(0) as u8;
@@ -791,37 +868,6 @@ impl DpiInstance {
             }
         }
 
-        // What the shed policy did this batch, as trace events
-        // (transitions were recorded by the workers themselves, through
-        // their shard writers).
-        for (s, t) in tallies.iter().enumerate() {
-            let (packets, bytes) = t.shed;
-            if packets > 0 {
-                self.trace_shard(s, TraceKind::OverloadShed { packets, bytes });
-            }
-            if t.ce_marked > 0 {
-                self.trace_shard(
-                    s,
-                    TraceKind::OverloadCeMarked {
-                        packets: t.ce_marked,
-                    },
-                );
-            }
-        }
-        for (s, t) in tallies.iter_mut().enumerate() {
-            t.tenant_shed.sort_unstable_by_key(|&(tenant, _, _)| tenant);
-            for &(tenant, packets, bytes) in &t.tenant_shed {
-                self.trace_shard(
-                    s,
-                    TraceKind::TenantShed {
-                        tenant: tenant.0,
-                        packets,
-                        bytes,
-                    },
-                );
-            }
-        }
-
         // Batch order, then sequential ids — identical to `inspect`
         // numbering matches as it encounters them.
         let mut numbered = std::mem::take(&mut tallies[0].results);
@@ -830,22 +876,18 @@ impl DpiInstance {
         }
         numbered.sort_unstable_by_key(|(idx, _)| *idx);
 
-        // Batch boundary: fold each shard's locally buffered events into
-        // the global ring, then close the batch span.
-        if let Some(tracer) = self.tracer.clone() {
-            for slot in &mut self.slots {
-                if let Some(w) = slot.state.trace_writer_mut() {
-                    tracer.absorb(w);
-                }
-            }
-            tracer.record(
-                TraceSource::Scanner,
-                TraceKind::BatchEnd {
-                    results: numbered.len() as u64,
-                    duration_us: batch_started.elapsed().as_micros() as u64,
-                },
-            );
+        // Batch boundary: every shard's window closes (the workers
+        // stepped the detectors packet by packet) and its locally
+        // buffered events fold into the global ring; then the batch span
+        // closes.
+        for slot in &mut self.slots {
+            slot.close_window();
         }
+        self.absorb_shard_traces();
+        self.trace(TraceKind::BatchEnd {
+            results: numbered.len() as u64,
+            duration_us: batch_started.elapsed().as_micros() as u64,
+        });
 
         numbered
             .into_iter()
@@ -862,7 +904,7 @@ impl DpiInstance {
     fn restart_shard(&mut self, s: usize) {
         let mut state = ShardState::new(&self.engine);
         if let Some(tracer) = &self.tracer {
-            state.attach_trace_writer(tracer.writer(TraceSource::Shard(s as u32)));
+            state.attach_trace_writer(tracer.writer(self.source(Some(s))));
         }
         let mut condemned = std::mem::replace(&mut self.slots[s].state, state);
         self.retired.merge(&condemned.telemetry());
@@ -893,7 +935,18 @@ impl DpiInstance {
     /// batches, so there is no contention to avoid).
     fn trace_shard(&self, s: usize, kind: TraceKind) {
         if let Some(t) = &self.tracer {
-            t.record(TraceSource::Shard(s as u32), kind);
+            t.record(self.source(Some(s)), kind);
+        }
+    }
+
+    /// Folds every shard writer's buffered events into the global ring.
+    fn absorb_shard_traces(&mut self) {
+        if let Some(tracer) = &self.tracer {
+            for slot in &mut self.slots {
+                if let Some(w) = slot.state.trace_writer_mut() {
+                    tracer.absorb(w);
+                }
+            }
         }
     }
 
@@ -1009,13 +1062,28 @@ impl DpiInstance {
         }
     }
 
-    /// Opens a new per-tenant scan-byte quota window (refills every
-    /// bucket on every shard). [`DpiInstance::inspect_batch`] does this
-    /// per batch; per-call users define the window cadence themselves.
-    pub fn refill_tenant_window(&mut self) {
+    /// Closes the window per-call traffic runs in and opens the next —
+    /// [`DpiInstance::inspect_batch`] does both at its own boundaries;
+    /// per-call users define the cadence themselves (a fleet member's is
+    /// the heartbeat round). Every tenant's scan-byte bucket refills, and
+    /// with overload control armed each shard's detector is stepped once
+    /// with the arrivals of the window just closed (no scan latency; flow
+    /// bytes as in a batch), which decides whether the *next* window's
+    /// packets are CE-marked and shed. What the window did is traced
+    /// through the shard writers, which are absorbed here; the
+    /// transitions this close caused are returned with the arrivals that
+    /// caused them.
+    pub fn refill_tenant_window(&mut self) -> Vec<(OverloadTransition, u64)> {
+        let mut transitions = Vec::new();
         for slot in &mut self.slots {
             slot.state.refill_tenant_window();
+            let arrivals = slot.close_window();
+            if let Some(t) = slot.observe(arrivals as usize, 0) {
+                transitions.push((t, arrivals));
+            }
         }
+        self.absorb_shard_traces();
+        transitions
     }
 }
 
@@ -1298,7 +1366,7 @@ mod tests {
 
         let mut scanner = sharded(config(), 2);
         let tracer = Arc::new(Tracer::new());
-        scanner.attach_tracer(Arc::clone(&tracer));
+        scanner.attach_tracer(Arc::clone(&tracer), None);
 
         let mut batch: Vec<Packet> = (0..8)
             .map(|i| tagged_packet(4000 + i, b"one attack payload"))
@@ -1348,7 +1416,7 @@ mod tests {
             let mut scanner =
                 sharded(config(), workers).with_overload_policy(OverloadPolicy::queue_only(1, 0));
             let tracer = Arc::new(Tracer::new());
-            scanner.attach_tracer(Arc::clone(&tracer));
+            scanner.attach_tracer(Arc::clone(&tracer), None);
             let f = flow([10, 0, 0, 9], 777, [10, 0, 0, 2], 80, IpProtocol::Tcp);
             let shard = scanner.shard_of(&f);
             // Hold the worker on its first packet while the feeder queues
@@ -1397,7 +1465,7 @@ mod tests {
     }
 
     #[test]
-    fn fail_closed_chains_are_never_shed() {
+    fn a_fail_closed_chain_is_never_shed() {
         use crate::overload::OverloadPolicy;
 
         let cfg = InstanceConfig::new()
@@ -1467,7 +1535,7 @@ mod tests {
 
         let mut scanner = sharded(config(), 1);
         let tracer = Arc::new(Tracer::new());
-        scanner.attach_tracer(Arc::clone(&tracer));
+        scanner.attach_tracer(Arc::clone(&tracer), None);
         scanner.inject_shard_faults(&[ShardFaultSpec {
             shard: 0,
             at_packet: 1,

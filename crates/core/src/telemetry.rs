@@ -34,11 +34,6 @@ pub struct Telemetry {
     pub deep_samples: u64,
     /// Total depth samples taken.
     pub depth_samples: u64,
-    /// Compressed payloads inflated before scanning (§1's
-    /// decompress-once path).
-    pub decompressions: u64,
-    /// Total decompressed bytes produced.
-    pub decompressed_bytes: u64,
     /// Byte-level reassembly conflicts detected (overlapping TCP segment
     /// copies with different bytes — DESIGN.md §13).
     pub reassembly_conflicts: u64,
@@ -111,8 +106,6 @@ impl Telemetry {
         self.parallel_regex_evaluations += other.parallel_regex_evaluations;
         self.deep_samples += other.deep_samples;
         self.depth_samples += other.depth_samples;
-        self.decompressions += other.decompressions;
-        self.decompressed_bytes += other.decompressed_bytes;
         self.reassembly_conflicts += other.reassembly_conflicts;
         self.flows_quarantined += other.flows_quarantined;
         for (a, b) in self
@@ -158,10 +151,6 @@ impl Telemetry {
                 .saturating_sub(prev.parallel_regex_evaluations),
             deep_samples: self.deep_samples.saturating_sub(prev.deep_samples),
             depth_samples: self.depth_samples.saturating_sub(prev.depth_samples),
-            decompressions: self.decompressions.saturating_sub(prev.decompressions),
-            decompressed_bytes: self
-                .decompressed_bytes
-                .saturating_sub(prev.decompressed_bytes),
             reassembly_conflicts: self
                 .reassembly_conflicts
                 .saturating_sub(prev.reassembly_conflicts),
@@ -349,8 +338,6 @@ mod tests {
             parallel_regex_evaluations: 3,
             deep_samples: 9,
             depth_samples: 900,
-            decompressions: 2,
-            decompressed_bytes: 4_096,
             reassembly_conflicts: 6,
             flows_quarantined: 1,
             l7_flows_identified: [7, 2, 1, 3],
@@ -380,8 +367,6 @@ mod tests {
         assert_eq!(d.parallel_regex_evaluations, 0);
         assert_eq!(d.deep_samples, 0);
         assert_eq!(d.depth_samples, 0);
-        assert_eq!(d.decompressions, 0);
-        assert_eq!(d.decompressed_bytes, 0);
         assert_eq!(d.reassembly_conflicts, 0);
         assert_eq!(d.flows_quarantined, 0);
         assert_eq!(d.l7_flows_identified, [0; 4]);

@@ -63,7 +63,8 @@ pub enum TraceSource {
     Shard(u32),
     /// The DPI controller (health, steering, updates).
     Controller,
-    /// One in-network DPI service instance (result delivery path).
+    /// One in-network DPI service instance: its shards' scan path and
+    /// its node's result delivery.
     Instance(u32),
     /// The chaos engine (fault injections).
     Chaos,
@@ -201,39 +202,40 @@ pub enum TraceKind {
         /// Generation offered.
         offered_generation: u32,
     },
-    /// A shard (or instance) crossed its high watermark and entered
-    /// overload: forwarded packets will be CE-marked and fail-open scans
-    /// may be shed until it clears.
+    /// A shard crossed a high watermark and entered overload: forwarded
+    /// packets will be CE-marked and fail-open scans may be shed until
+    /// it clears.
     OverloadEntered {
-        /// Queue depth (shard) or window packets (instance) at entry.
+        /// Queue depth behind a batch packet, or the arrivals of a closed
+        /// per-call window, at entry.
         depth: u64,
-        /// Scan-latency EWMA in µs at entry (0 on the instance path).
+        /// Scan-latency EWMA in µs at entry (per-call scans feed it 0).
         ewma_us: u64,
     },
-    /// A shard (or instance) fell below both low watermarks and cleared
-    /// overload.
+    /// A shard fell below every low watermark and cleared overload.
     OverloadCleared {
-        /// Queue depth or window packets at the clearing observation.
+        /// Queue depth or window arrivals at the clearing observation.
         depth: u64,
         /// Scan-latency EWMA in µs at the clearing observation.
         ewma_us: u64,
     },
-    /// Scans shed while overloaded (batch-aggregated per shard; the
-    /// packets flowed unscanned and CE-marked, fail-open).
+    /// Scans shed while overloaded (aggregated per shard and closed
+    /// window; the packets flowed unscanned and CE-marked, fail-open).
     OverloadShed {
         /// Packets whose scan was skipped.
         packets: u64,
         /// Payload bytes those packets carried.
         bytes: u64,
     },
-    /// Packets CE-marked under overload (batch-aggregated per shard).
+    /// Packets CE-marked under overload (aggregated per shard and closed
+    /// window).
     OverloadCeMarked {
         /// Packets marked.
         packets: u64,
     },
     /// Fail-open scans shed under overload attributed to one tenant by
-    /// the weighted-fair shed policy (batch-aggregated per shard,
-    /// DESIGN.md §16). Only tenants at or over their fair share ever
+    /// the weighted-fair shed policy (aggregated per shard and closed
+    /// window, DESIGN.md §16). Only tenants at or over their fair share ever
     /// appear here.
     TenantShed {
         /// The tenant whose traffic was shed.

@@ -162,7 +162,7 @@ fn idle_timeout_counts_scanned_packets_one_tick_per_scan() {
     for workers in [1, 2] {
         let mut dpi = instance_at(stateful_config().with_flow_idle_timeout(10), workers);
         let tracer = Arc::new(Tracer::new());
-        dpi.attach_tracer(tracer.clone());
+        dpi.attach_tracer(tracer.clone(), None);
         let (a, b) = two_flows_on_one_shard(&dpi);
 
         dpi.scan_payload(CHAIN, Some(a), b"first and last").unwrap();

@@ -493,17 +493,6 @@ fn a_scan_input_one_byte_too_long_is_rejected_by_every_entry_point() {
         dpi.scan_tcp_segment(1, flow(73), 0, &payload).unwrap_err(),
         rejected
     );
-    let deflated = dpi_core::decompress::deflate_stored(&payload);
-    assert_eq!(
-        dpi.scan_payload_deflated(1, None, &deflated, 1 << 20)
-            .unwrap_err(),
-        rejected
-    );
-    let gz = dpi_core::decompress::gzip(&payload);
-    assert_eq!(
-        dpi.scan_payload_gzip(1, None, &gz, 1 << 20).unwrap_err(),
-        rejected
-    );
     let mut pkt = Packet::tcp(MacAddr::local(1), MacAddr::local(2), flow(74), 0, payload);
     pkt.push_chain_tag(1).unwrap();
     assert_eq!(dpi.inspect(&mut pkt).unwrap_err(), rejected);

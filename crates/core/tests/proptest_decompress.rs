@@ -79,55 +79,10 @@ fn instance_scans_decompressed_content_once() {
     let out = dpi.scan_payload(1, None, &compressed).unwrap();
     assert!(out.reports.is_empty());
 
-    // …but the decompress-once path finds it for BOTH middleboxes with a
-    // single inflation.
-    let out = dpi
-        .scan_payload_deflated(1, None, &compressed, 1 << 16)
-        .unwrap();
+    // …but one inflation in front of the shared scan finds it for BOTH
+    // middleboxes (§1: decompress once).
+    let inflated = inflate(&compressed, 1 << 16).unwrap();
+    let out = dpi.scan_payload(1, None, &inflated).unwrap();
     assert_eq!(out.reports.len(), 2);
-    let t = dpi.telemetry();
-    assert_eq!(t.decompressions, 1);
-    assert_eq!(t.decompressed_bytes, plain.len() as u64);
-}
-
-#[test]
-fn instance_scans_gzip_bodies() {
-    const MB: MiddleboxId = MiddleboxId(1);
-    let cfg = InstanceConfig::new()
-        .with_middlebox(
-            MiddleboxProfile::stateless(MB),
-            vec![RuleSpec::exact(b"gzip-hidden-sig".to_vec())],
-        )
-        .with_chain(1, vec![MB]);
-    let mut dpi = DpiInstance::new(cfg).unwrap();
-    let body = gzip(b"response body with gzip-hidden-sig inside");
-    let out = dpi.scan_payload_gzip(1, None, &body, 1 << 16).unwrap();
-    assert_eq!(out.reports.len(), 1);
-    // Corrupted trailer is rejected, not scanned.
-    let mut bad = body.clone();
-    let n = bad.len();
-    bad[n - 2] ^= 0xff;
-    assert!(matches!(
-        dpi.scan_payload_gzip(1, None, &bad, 1 << 16),
-        Err(dpi_core::InstanceError::BadGzipPayload(_))
-    ));
-}
-
-#[test]
-fn zip_bomb_is_rejected_with_error() {
-    const MB: MiddleboxId = MiddleboxId(1);
-    let cfg = InstanceConfig::new()
-        .with_middlebox(MiddleboxProfile::stateless(MB), vec![])
-        .with_chain(1, vec![MB]);
-    let mut dpi = DpiInstance::new(cfg).unwrap();
-    let bomb = deflate_fixed(&vec![b'B'; 1_000_000]);
-    // ~2.6 bytes per 259-byte run: ≈100× expansion on the wire.
-    assert!(bomb.len() < 32_000, "bomb must be small on the wire");
-    let err = dpi
-        .scan_payload_deflated(1, None, &bomb, 64 * 1024)
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        dpi_core::InstanceError::BadCompressedPayload(InflateError::OutputLimit)
-    ));
+    assert_eq!(out.scanned, plain.len());
 }

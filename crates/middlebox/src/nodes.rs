@@ -14,14 +14,13 @@ use crate::engine::ServiceMiddlebox;
 use crate::reorder::{PairedPacket, ReorderBuffer};
 use dpi_core::chaos::{ChaosEngine, RetryPolicy};
 use dpi_core::trace::{TraceKind, TraceSource, Tracer};
-use dpi_core::{DpiInstance, InstanceLoadGauge};
+use dpi_core::DpiInstance;
 use dpi_packet::packet::PacketBody;
 use dpi_packet::{MacAddr, Packet};
 use dpi_sdn::{Node, PortId};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// How the DPI service delivers match results (§4.2).
@@ -58,9 +57,12 @@ pub struct FleetDpiStats {
 
 /// The DPI service instance as a network node.
 ///
-/// Three optional attachments give it the robustness behaviours a
+/// Two optional attachments give it the robustness behaviours a
 /// multi-instance deployment needs; a node with none attached only scans
-/// and delivers.
+/// and delivers. Overload control is the instance's own
+/// ([`DpiInstance::set_overload_policy`], DESIGN.md §11): a packet the
+/// instance sheds comes back unscanned and CE-marked and is forwarded
+/// like any other.
 ///
 /// * **Chaos-driven failure** ([`DpiServiceNode::attach_chaos`]): every
 ///   data packet advances the instance's deterministic packet clock; once
@@ -79,10 +81,6 @@ pub struct FleetDpiStats {
 ///   downstream see a missing result (and fail open via the reorder
 ///   buffer's timeout), but never a wrong one — **fail-closed** for
 ///   verdicts.
-/// * **Instance-level overload control**
-///   ([`DpiServiceNode::attach_load_gauge`]): while the control plane
-///   reports the instance overloaded, data packets are CE-marked and
-///   scans of fail-open chains are shed.
 pub struct DpiServiceNode {
     dpi: Arc<Mutex<DpiInstance>>,
     delivery: ResultsDelivery,
@@ -98,16 +96,10 @@ pub struct DpiServiceNode {
     /// the fault plan's seed and the instance index.
     rng: StdRng,
     stats: Arc<Mutex<FleetDpiStats>>,
-    /// Optional structured-event tracer; overload actions and delivery
-    /// anomalies (retried, lost, duplicated results) are recorded against
+    /// Optional structured-event tracer; delivery anomalies (retried,
+    /// lost, duplicated results) are recorded against
     /// [`dpi_core::trace::TraceSource::Instance`].
     tracer: Option<Arc<Tracer>>,
-    /// Optional instance-level overload gauge — the data plane increments
-    /// it per packet and obeys its overloaded flag, the control plane
-    /// closes its windows each heartbeat round — with the chains whose
-    /// middleboxes demand verdicts: their packets are never shed under
-    /// overload, only CE-marked.
-    gauge: Option<(Arc<InstanceLoadGauge>, HashSet<u16>)>,
 }
 
 impl DpiServiceNode {
@@ -132,7 +124,6 @@ impl DpiServiceNode {
                 rng: StdRng::seed_from_u64(0),
                 stats: Arc::default(),
                 tracer: None,
-                gauge: None,
             },
             dpi,
         )
@@ -151,10 +142,15 @@ impl DpiServiceNode {
         self.chaos = Some(chaos);
     }
 
-    /// Attaches a structured-event tracer: overload actions and retried,
-    /// lost, and duplicated result deliveries become trace events
-    /// attributed to this instance's index.
+    /// Attaches a structured-event tracer: retried, lost, and duplicated
+    /// result deliveries become trace events attributed to this
+    /// instance's index, and so does everything the instance itself
+    /// records (overload actions, quarantines, L7 identifications, quota
+    /// rejections), folded in whenever its window closes.
     pub fn attach_tracer(&mut self, tracer: Arc<Tracer>) {
+        self.dpi
+            .lock()
+            .attach_tracer(Arc::clone(&tracer), Some(self.instance_index as u32));
         self.tracer = Some(tracer);
     }
 
@@ -162,19 +158,6 @@ impl DpiServiceNode {
         if let Some(t) = &self.tracer {
             t.record(TraceSource::Instance(self.instance_index as u32), kind);
         }
-    }
-
-    /// Attaches an overload gauge plus the set of fail-closed chains.
-    /// While the gauge reports overloaded, data packets are CE-marked
-    /// and — for chains *not* in `fail_closed_chains` — forwarded
-    /// unscanned (shed). Fail-closed and untagged packets are always
-    /// scanned; result packets are never shed.
-    pub fn attach_load_gauge(
-        &mut self,
-        gauge: Arc<InstanceLoadGauge>,
-        fail_closed_chains: HashSet<u16>,
-    ) {
-        self.gauge = Some((gauge, fail_closed_chains));
     }
 
     /// The delivery-path counters (a shared handle).
@@ -207,36 +190,8 @@ impl DpiServiceNode {
     }
 
     /// Scans one data packet and emits it with its results in the
-    /// configured delivery form — or, shed under overload, unscanned.
+    /// configured delivery form.
     fn inspect_into(&mut self, mut packet: Packet, port: PortId, out: &mut Vec<(PortId, Packet)>) {
-        // Instance-level overload control: CE-mark data while overloaded,
-        // shed the scan for fail-open chains. Result packets never come
-        // here — a dropped verdict is a correctness event, not a
-        // congestion response.
-        let mut ce_pending = false;
-        if let Some((gauge, fail_closed_chains)) = &self.gauge {
-            gauge.note_packet();
-            if gauge.is_overloaded() {
-                ce_pending = true;
-                let fail_open = packet
-                    .chain_tag()
-                    .is_some_and(|tag| !fail_closed_chains.contains(&tag));
-                if fail_open {
-                    packet.mark_congestion();
-                    gauge.note_ce_mark();
-                    self.trace(TraceKind::OverloadCeMarked { packets: 1 });
-                    let bytes = packet.payload().map(<[u8]>::len).unwrap_or(0);
-                    gauge.note_shed(bytes);
-                    self.trace(TraceKind::OverloadShed {
-                        packets: 1,
-                        bytes: bytes as u64,
-                    });
-                    out.push((port, packet));
-                    return;
-                }
-            }
-        }
-
         let inspected = match self.delivery {
             ResultsDelivery::InBand => self.dpi.lock().inspect_inband(&mut packet).map(|_| None),
             ResultsDelivery::DedicatedPacket | ResultsDelivery::MplsTags => {
@@ -244,24 +199,15 @@ impl DpiServiceNode {
             }
         };
         let result = match inspected {
-            Ok(result) => result,
+            Ok(Some(result)) => result,
+            Ok(None) => {
+                out.push((port, packet));
+                return;
+            }
             Err(_) => {
                 self.errors += 1;
                 return;
             }
-        };
-        if let (true, Some((gauge, _))) = (ce_pending, &self.gauge) {
-            // CE is applied *after* the scan: the 2-bit ECN field cannot
-            // hold both marks and congestion is the more urgent signal —
-            // the match still travels in the result packet (see DESIGN
-            // §11).
-            packet.mark_congestion();
-            gauge.note_ce_mark();
-            self.trace(TraceKind::OverloadCeMarked { packets: 1 });
-        }
-        let Some(result) = result else {
-            out.push((port, packet));
-            return;
         };
         if self.delivery == ResultsDelivery::MplsTags {
             if let Some(labels) = dpi_packet::mpls_results::encode_matches(&result.reports) {
@@ -572,7 +518,9 @@ mod tests {
     use crate::logic::{MbAction, RuleLogic};
     use dpi_ac::MiddleboxId;
     use dpi_core::chaos::FaultPlan;
-    use dpi_core::{InstanceConfig, MiddleboxProfile, RuleSpec};
+    use dpi_core::{
+        InstanceConfig, MiddleboxProfile, OverloadPolicy, OverloadTransition, RuleSpec,
+    };
     use dpi_packet::ipv4::IpProtocol;
     use dpi_packet::packet::flow;
 
@@ -764,7 +712,7 @@ mod tests {
         assert_eq!(handle.lock().stats().bytes_self_scanned, 17);
     }
 
-    // ---- The chaos, retry and load-gauge attachments ----
+    // ---- The chaos and retry attachments, and the armed instance ----
 
     fn dpi() -> DpiInstance {
         let cfg = InstanceConfig::new()
@@ -879,52 +827,64 @@ mod tests {
         assert_eq!(stats.lock().results_duplicated, 1);
     }
 
-    #[test]
-    fn overloaded_gauge_sheds_fail_open_data_but_not_verdicts() {
-        let (mut node, _h) = DpiServiceNode::new(
-            dpi(),
+    /// A node over `dpi` armed at one arrival per window, and the
+    /// instance handle.
+    fn armed_node(dpi: DpiInstance) -> (DpiServiceNode, Arc<Mutex<DpiInstance>>) {
+        DpiServiceNode::new(
+            dpi.with_overload_policy(OverloadPolicy::queue_only(1, 0)),
             ResultsDelivery::DedicatedPacket,
             MacAddr::local(9),
             0,
-        );
-        let gauge = Arc::new(InstanceLoadGauge::default());
-        // Chain 5 is fail-open (not in the fail-closed set).
-        node.attach_load_gauge(Arc::clone(&gauge), HashSet::new());
+        )
+    }
+
+    #[test]
+    fn overloaded_instance_sheds_fail_open_data_but_not_verdicts() {
+        // Chain 5 is fail-open (no fail-closed member).
+        let (mut node, handle) = armed_node(dpi());
 
         // Not overloaded: scans normally, produces data + result.
         let out = node.on_packet(tagged(b"a needle99 b"), 0);
         assert_eq!(out.len(), 2);
         assert!(!out[0].1.has_ce_mark());
 
-        // Overloaded: the scan is shed — only the CE-marked data packet
-        // comes out, no result even though the payload matches.
-        gauge.set_overloaded(true);
+        // The window closes on one arrival, the high watermark: from here
+        // the scan is shed — only the CE-marked data packet comes out, no
+        // result even though the payload matches.
+        let closed = handle.lock().refill_tenant_window();
+        assert_eq!(closed, [(OverloadTransition::Entered, 1)]);
         let out = node.on_packet(tagged(b"a needle99 b"), 0);
         assert_eq!(out.len(), 1, "shed: data only, no result");
         assert!(out[0].1.has_ce_mark());
-        assert_eq!(gauge.shed_packets(), 1);
-        assert_eq!(gauge.ce_marked(), 1);
-        assert_eq!(gauge.shed_bytes(), b"a needle99 b".len() as u64);
+        let dpi = handle.lock();
+        assert_eq!(dpi.total_shed(), 1);
+        assert_eq!(dpi.total_ce_marked(), 1);
+        assert_eq!(
+            dpi.shard_telemetry()[0].shed_bytes,
+            b"a needle99 b".len() as u64
+        );
     }
 
     #[test]
     fn fail_closed_chain_is_scanned_through_overload() {
-        let (mut node, _h) = DpiServiceNode::new(
-            dpi(),
-            ResultsDelivery::DedicatedPacket,
-            MacAddr::local(9),
-            0,
-        );
-        let gauge = Arc::new(InstanceLoadGauge::default());
-        node.attach_load_gauge(Arc::clone(&gauge), HashSet::from([5u16]));
-        gauge.set_overloaded(true);
+        let cfg = InstanceConfig::new()
+            .with_middlebox(
+                MiddleboxProfile::stateless(MiddleboxId(1)).fail_closed(),
+                vec![RuleSpec::exact(b"needle99".to_vec())],
+            )
+            .with_chain(5, vec![MiddleboxId(1)]);
+        let (mut node, handle) = armed_node(DpiInstance::new(cfg).unwrap());
+        node.on_packet(tagged(b"fills the window"), 0);
+        handle.lock().refill_tenant_window();
+        assert_eq!(handle.lock().overload_state(), [(true, 1.0)]);
+
         let out = node.on_packet(tagged(b"a needle99 b"), 0);
         // Verdict traffic survives overload: data + result, CE mark on
         // the data packet as the congestion signal.
         assert_eq!(out.len(), 2, "fail-closed chain still scanned");
         assert!(out[0].1.has_ce_mark());
-        assert_eq!(gauge.shed_packets(), 0);
-        assert_eq!(gauge.ce_marked(), 1);
+        assert_eq!(handle.lock().total_shed(), 0);
+        assert_eq!(handle.lock().total_ce_marked(), 1);
         // Result packets pass through untouched even while overloaded.
         let result_pkt = out[1].1.clone();
         let out = node.on_packet(result_pkt, 0);

@@ -15,71 +15,50 @@ use crate::ast::Ast;
 /// Minimum anchor length, per the paper.
 pub const MIN_ANCHOR_LEN: usize = 4;
 
-/// Minimum literal length for the scan-kernel prefilter export
-/// ([`prefilter_literals`]). The prefilter keys on adjacent byte *pairs*,
-/// so two mandatory bytes are already useful — far below the §5.3 anchor
-/// floor.
-pub const MIN_PREFILTER_LEN: usize = 2;
-
-/// Extracts the anchors of `ast` (deduplicated, in syntactic order).
+/// Extracts the anchors of `ast`: maximal mandatory single-byte runs of
+/// length ≥ [`MIN_ANCHOR_LEN`], deduplicated, in syntactic order.
 pub fn extract_anchors(ast: &Ast) -> Vec<Vec<u8>> {
-    extract_literal_runs(ast, MIN_ANCHOR_LEN)
-}
-
-/// Extracts the mandatory literal runs of `ast` down to the prefilter
-/// floor of [`MIN_PREFILTER_LEN`] bytes. Same contract as
-/// [`extract_anchors`] — every returned literal appears contiguously in
-/// any matching input — but tuned for seeding the SWAR pair prefilter,
-/// which wants *some* mandatory pair from each expression rather than a
-/// pre-filter-worthy long string.
-pub fn prefilter_literals(ast: &Ast) -> Vec<Vec<u8>> {
-    extract_literal_runs(ast, MIN_PREFILTER_LEN)
-}
-
-/// Shared walk: maximal mandatory single-byte runs of length ≥ `min_len`,
-/// deduplicated, in syntactic order.
-fn extract_literal_runs(ast: &Ast, min_len: usize) -> Vec<Vec<u8>> {
     let mut anchors = Vec::new();
     let mut run = Vec::new();
-    walk(ast, &mut anchors, &mut run, min_len);
-    flush(&mut anchors, &mut run, min_len);
+    walk(ast, &mut anchors, &mut run);
+    flush(&mut anchors, &mut run);
     // Deduplicate while preserving order.
     let mut seen = std::collections::HashSet::new();
     anchors.retain(|a| seen.insert(a.clone()));
     anchors
 }
 
-fn flush(anchors: &mut Vec<Vec<u8>>, run: &mut Vec<u8>, min_len: usize) {
-    if run.len() >= min_len {
+fn flush(anchors: &mut Vec<Vec<u8>>, run: &mut Vec<u8>) {
+    if run.len() >= MIN_ANCHOR_LEN {
         anchors.push(std::mem::take(run));
     } else {
         run.clear();
     }
 }
 
-fn walk(ast: &Ast, anchors: &mut Vec<Vec<u8>>, run: &mut Vec<u8>, min_len: usize) {
+fn walk(ast: &Ast, anchors: &mut Vec<Vec<u8>>, run: &mut Vec<u8>) {
     match ast {
         Ast::Empty | Ast::AnchorStart | Ast::AnchorEnd => {
             // Zero-width: does not interrupt byte contiguity.
         }
         Ast::Class(set) => match set.as_single() {
             Some(b) => run.push(b),
-            None => flush(anchors, run, min_len),
+            None => flush(anchors, run),
         },
         Ast::Concat(items) => {
             for item in items {
-                walk(item, anchors, run, min_len);
+                walk(item, anchors, run);
             }
         }
         Ast::Alt(_) => {
             // No single branch is mandatory; shared-prefix factoring is a
             // possible refinement the paper does not require.
-            flush(anchors, run, min_len);
+            flush(anchors, run);
         }
         Ast::Repeat { node, min, max } => {
             if *min == 0 {
                 // Entirely optional: breaks the run and contributes nothing.
-                flush(anchors, run, min_len);
+                flush(anchors, run);
                 return;
             }
             if let Ast::Class(set) = node.as_ref() {
@@ -90,7 +69,7 @@ fn walk(ast: &Ast, anchors: &mut Vec<Vec<u8>>, run: &mut Vec<u8>, min_len: usize
                     }
                     // … and a variable tail breaks it.
                     if *max != Some(*min) {
-                        flush(anchors, run, min_len);
+                        flush(anchors, run);
                     }
                     return;
                 }
@@ -99,10 +78,10 @@ fn walk(ast: &Ast, anchors: &mut Vec<Vec<u8>>, run: &mut Vec<u8>, min_len: usize
             // are mandatory too, but contiguity with the surroundings is
             // broken on both sides (repetition boundaries are variable
             // unless min == max == 1, which the parser never produces).
-            flush(anchors, run, min_len);
+            flush(anchors, run);
             let mut inner = Vec::new();
-            walk(node, anchors, &mut inner, min_len);
-            flush(anchors, &mut inner, min_len);
+            walk(node, anchors, &mut inner);
+            flush(anchors, &mut inner);
         }
     }
 }
@@ -176,32 +155,6 @@ mod tests {
     #[test]
     fn duplicate_anchors_are_deduped() {
         assert_eq!(anchors(r"evil\d+evil"), vec!["evil"]);
-    }
-
-    fn literals(p: &str) -> Vec<String> {
-        prefilter_literals(&parse(p).unwrap())
-            .into_iter()
-            .map(|a| String::from_utf8(a).unwrap())
-            .collect()
-    }
-
-    #[test]
-    fn prefilter_literals_accept_short_mandatory_runs() {
-        // Runs below the anchor floor but at or above two bytes are
-        // exported for the pair prefilter.
-        assert_eq!(literals(r"ab\d+cd\d+ef"), vec!["ab", "cd", "ef"]);
-        assert_eq!(literals(r"GET\s+HTTP"), vec!["GET", "HTTP"]);
-        // Single mandatory bytes still don't qualify: no pair exists.
-        assert!(literals(r"a\d+b").is_empty());
-    }
-
-    #[test]
-    fn prefilter_literals_keep_the_mandatory_contract() {
-        // Optional and alternated parts must not leak in — a false
-        // "mandatory" literal would let matches slip past the prefilter.
-        assert!(literals(r"attack|malware").is_empty());
-        assert_eq!(literals(r"download(\.php)?load"), vec!["download", "load"]);
-        assert_eq!(literals(r"xy(malicious|ab)zw"), vec!["xy", "zw"]);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod dfa;
 pub mod nfa;
 pub mod parser;
 
-pub use anchor::{extract_anchors, prefilter_literals, MIN_ANCHOR_LEN, MIN_PREFILTER_LEN};
+pub use anchor::{extract_anchors, MIN_ANCHOR_LEN};
 pub use parser::ParseErrorKind;
 
 use serde::{Deserialize, Serialize};
@@ -56,7 +56,6 @@ pub struct Regex {
     pattern: String,
     nfa: nfa::Nfa,
     anchors: Vec<Vec<u8>>,
-    prefilter_literals: Vec<Vec<u8>>,
 }
 
 /// Compilation errors, with the byte offset in the pattern.
@@ -82,12 +81,10 @@ impl Regex {
         let ast = parser::parse(pattern)?;
         let nfa = nfa::Nfa::compile(&ast);
         let anchors = anchor::extract_anchors(&ast);
-        let prefilter_literals = anchor::prefilter_literals(&ast);
         Ok(Regex {
             pattern: pattern.to_string(),
             nfa,
             anchors,
-            prefilter_literals,
         })
     }
 
@@ -113,19 +110,6 @@ impl Regex {
     /// on the parallel regex path (§5.3 last paragraph).
     pub fn anchors(&self) -> &[Vec<u8>] {
         &self.anchors
-    }
-
-    /// Mandatory literal runs down to [`MIN_PREFILTER_LEN`] bytes — the
-    /// export the scan-kernel prefilter seeds its rare-pair selection
-    /// from. A superset of [`Regex::anchors`]: every returned literal
-    /// appears contiguously in any matching input.
-    pub fn prefilter_literals(&self) -> &[Vec<u8>] {
-        &self.prefilter_literals
-    }
-
-    /// Number of NFA states — a size metric for telemetry and tests.
-    pub fn nfa_states(&self) -> usize {
-        self.nfa.len()
     }
 
     /// Builds an owning lazy DFA over a clone of this regex's NFA — the

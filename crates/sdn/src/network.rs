@@ -197,13 +197,6 @@ impl Network {
         self.dropped
     }
 
-    /// Mutable access to a node. Nodes that need out-of-band inspection
-    /// (sinks, switches, DPI instances) expose shared handles instead —
-    /// see [`SinkHost`] and [`crate::Switch::table`].
-    pub fn node_mut(&mut self, id: NodeId) -> &mut dyn Node {
-        self.nodes[id.0 as usize].as_mut()
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()

@@ -79,65 +79,17 @@ impl TrafficSteeringApp {
         })
     }
 
-    /// Installs the rules of one policy chain: traffic entering at
-    /// `ingress` is tagged `chain_id`, visits `via` ports in order, then
-    /// leaves untagged at `egress`.
-    ///
-    /// The first entry of `via` should be the DPI service instance — the
-    /// §4 invariant that the DPI service precedes every middlebox that
-    /// consumes its results.
-    pub fn install_chain(&self, chain_id: u16, ingress: Port, via: &[Port], egress: Port) {
-        let mut t = self.table.lock();
-        // Ingress: tag and go to the first element (or straight to egress
-        // for an empty chain).
-        let first_hop = via.first().copied().unwrap_or(egress);
-        let mut ingress_actions = vec![Action::PushTag(chain_id), Action::Output(first_hop)];
-        if via.is_empty() {
-            ingress_actions = vec![Action::Output(egress)];
-        }
-        t.install(FlowRule {
-            priority: PRIO_CHAIN,
-            m: FlowMatch::any().from_port(ingress).untagged(),
-            actions: ingress_actions,
-        });
-        // Element i → element i+1.
-        for (i, &port) in via.iter().enumerate() {
-            let next = via.get(i + 1).copied();
-            let actions = match next {
-                Some(n) => vec![Action::Output(n)],
-                None => vec![Action::PopTag, Action::Output(egress)],
-            };
-            t.install(FlowRule {
-                priority: PRIO_CHAIN,
-                m: FlowMatch::any().from_port(port).with_tag(chain_id),
-                actions,
-            });
-        }
-        // Result packets must not leak to the destination host: drop any
-        // result body that would leave via the last element's egress rule.
-        if let Some(&last) = via.last() {
-            t.install(FlowRule {
-                priority: PRIO_EGRESS_RESULT_DROP,
-                m: FlowMatch {
-                    in_port: Some(last),
-                    vlan_vid: Some(chain_id),
-                    tagged: Some(true),
-                    body_is_result: Some(true),
-                    ..FlowMatch::default()
-                },
-                actions: vec![Action::Drop],
-            });
-        }
-    }
-
     /// Installs the rules of one policy chain served by a *fleet* of DPI
-    /// instances: traffic entering at `ingress` is tagged `chain_id` and
-    /// sent to `dpi_ports[0]` by default (per-flow
-    /// [`TrafficSteeringApp::steer_flow`] rules override the choice of
-    /// instance), tagged traffic returning from *any* instance port
-    /// proceeds to the first middlebox in `middleboxes` (or straight to
-    /// `egress`), and the middlebox path and result-packet guard match
-    /// [`TrafficSteeringApp::install_chain`].
+    /// instances (a lone instance is a fleet of one): traffic entering at
+    /// `ingress` is tagged `chain_id` and sent to `dpi_ports[0]` by
+    /// default (per-flow [`TrafficSteeringApp::steer_flow`] rules
+    /// override the choice of instance), tagged traffic returning from
+    /// *any* instance port proceeds to the first middlebox in
+    /// `middleboxes` (or straight to `egress`), visits the rest in order
+    /// and leaves untagged at `egress`. The DPI service comes first — the
+    /// §4 invariant that it precedes every middlebox that consumes its
+    /// results — and result packets are dropped where the chain's rules
+    /// point at the egress.
     pub fn install_chain_fleet(
         &self,
         chain_id: u16,
@@ -351,7 +303,7 @@ mod tests {
     #[test]
     fn chain_traverses_elements_and_arrives_untagged() {
         let (mut net, sw, sink, tsa) = star();
-        tsa.install_chain(7, 0, &[2, 3], 1);
+        tsa.install_chain_fleet(7, 0, &[2], &[3], 1);
         net.inject(sw, 0, pkt());
         net.run();
         let received = sink.received();
@@ -361,19 +313,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_chain_goes_straight_to_egress() {
-        let (mut net, sw, _dst, tsa) = star();
-        tsa.install_chain(9, 0, &[], 1);
-        net.inject(sw, 0, pkt());
-        let delivered = net.run();
-        assert!(delivered >= 2);
-        assert!(net.dropped_at_edge.is_empty());
-    }
-
-    #[test]
     fn remove_chain_uninstalls_rules() {
         let (_net, _sw, _dst, tsa) = star();
-        tsa.install_chain(7, 0, &[2, 3], 1);
+        tsa.install_chain_fleet(7, 0, &[2], &[3], 1);
         let n = tsa.rule_count();
         assert!(n >= 3);
         assert_eq!(tsa.remove_chain(7), n);
@@ -383,7 +325,7 @@ mod tests {
     #[test]
     fn diversion_overrides_chain_rules() {
         let (_net, _sw, _dst, tsa) = star();
-        tsa.install_chain(7, 0, &[2, 3], 1);
+        tsa.install_chain_fleet(7, 0, &[2], &[3], 1);
         tsa.divert(7, 2, 3);
         assert!(tsa.rule_count() > 3);
         assert_eq!(tsa.remove_diversions(), 1);
@@ -451,7 +393,7 @@ mod tests {
         let sw = Switch::new("s1");
         ctrl.connect(3, &sw).unwrap();
         let tsa = TrafficSteeringApp::via_controller(&ctrl, 3).unwrap();
-        tsa.install_chain(7, 0, &[2], 1);
+        tsa.install_chain_fleet(7, 0, &[2], &[], 1);
         assert_eq!(ctrl.rule_count(3).unwrap(), tsa.rule_count());
         assert!(TrafficSteeringApp::via_controller(&ctrl, 99).is_err());
     }

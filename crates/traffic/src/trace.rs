@@ -6,7 +6,6 @@
 //! "in both traces we used, more than 90% of the packets have no matches"
 //! (§6.5). Both are explicit parameters here.
 
-use crate::patterns;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -177,24 +176,6 @@ pub fn heavy_payload(patterns: &[Vec<u8>], len: usize, seed: u64) -> Vec<u8> {
     }
     p.truncate(len);
     p
-}
-
-/// A quick default HTTP trace used by examples: `packets` payloads with
-/// the paper's <10% match density against `plant`.
-pub fn default_http_trace(packets: usize, plant: &[Vec<u8>], seed: u64) -> Vec<Vec<u8>> {
-    TraceConfig {
-        packets,
-        seed,
-        ..TraceConfig::default()
-    }
-    .generate(plant)
-}
-
-/// Convenience wrapper giving the standard Snort-like plant set.
-pub fn http_trace_with_snort_plants(packets: usize, seed: u64) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-    let pats = patterns::snort_like(1000, seed);
-    let trace = default_http_trace(packets, &pats, seed.wrapping_add(1));
-    (trace, pats)
 }
 
 #[cfg(test)]

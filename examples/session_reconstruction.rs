@@ -19,7 +19,8 @@
 use dpi_service::ac::MiddleboxId;
 use dpi_service::core::report::expand_records;
 use dpi_service::core::{
-    deflate_fixed, DpiInstance, InstanceConfig, MiddleboxProfile, RuleSpec, StreamReassembler,
+    deflate_fixed, inflate, DpiInstance, InstanceConfig, MiddleboxProfile, RuleSpec,
+    StreamReassembler,
 };
 use dpi_service::packet::ipv4::IpProtocol;
 use dpi_service::packet::packet::flow;
@@ -78,9 +79,10 @@ fn main() {
 
     // …inflates once, scans once, reports to the IDS.
     let f = flow([10, 0, 0, 1], 40000, [10, 0, 0, 2], 80, IpProtocol::Tcp);
+    let inflated = inflate(&stream, 1 << 16).expect("well-formed stream");
     let out = dpi
-        .scan_payload_deflated(1, Some(f), &stream, 1 << 16)
-        .expect("well-formed stream");
+        .scan_payload(1, Some(f), &inflated)
+        .expect("chain 1 is served");
     let hits: Vec<(u16, u16)> = out
         .reports
         .iter()
@@ -92,10 +94,10 @@ fn main() {
         "\nIDS report: rule {} matched at decompressed offset {}",
         hits[0].0, hits[0].1
     );
-    let t = dpi.telemetry();
     println!(
-        "work done once: {} reassembly, {} inflation ({} B), {} scan pass",
-        1, t.decompressions, t.decompressed_bytes, t.packets
+        "work done once: 1 reassembly, 1 inflation ({} B), {} scan pass",
+        inflated.len(),
+        dpi.telemetry().packets
     );
     println!("\nreassemble once, decompress once, scan once ✓");
 }

@@ -32,7 +32,7 @@ use dpi_controller::{
 use dpi_core::chaos::{ChaosEngine, FaultPlan, RetryPolicy};
 use dpi_core::instance::ScanEngine;
 use dpi_core::metrics::{MetricKind, MetricsText};
-use dpi_core::overload::{InstanceLoadGauge, LoadWindow, OverloadPolicy};
+use dpi_core::overload::{OverloadPolicy, OverloadTransition};
 use dpi_core::rules::RuleKind;
 use dpi_core::telemetry::{merge_tenant_counters, ShardTelemetry, TenantCounters};
 use dpi_core::trace::{to_jsonl, TraceEvent, TraceKind, TraceSource, Tracer};
@@ -50,7 +50,7 @@ use dpi_sdn::{Network, NodeId, Switch, TrafficSteeringApp};
 use dpi_traffic::evasive_flow;
 use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -120,7 +120,6 @@ pub struct SystemBuilder {
     dpi_instances: usize,
     chaos: Option<FaultPlan>,
     health_policy: HealthPolicy,
-    retry: RetryPolicy,
     overload: Option<OverloadPolicy>,
     balance: Option<BalancePolicy>,
     conflict_policy: ConflictPolicy,
@@ -146,7 +145,6 @@ impl SystemBuilder {
             dpi_instances: 1,
             chaos: None,
             health_policy: HealthPolicy::default(),
-            retry: RetryPolicy::default(),
             overload: None,
             balance: None,
             conflict_policy: ConflictPolicy::FirstWins,
@@ -218,19 +216,15 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets the result-packet delivery retry policy.
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> SystemBuilder {
-        self.retry = retry;
-        self
-    }
-
-    /// Arms adaptive overload control (DESIGN.md §11). The batch
-    /// pipeline's shards watch queue depth and scan latency against the
-    /// policy's watermarks; the in-network fleet instances get a
-    /// per-heartbeat-window packet gauge with the same `queue_high` /
-    /// `queue_low` values reinterpreted as packets-per-window marks.
-    /// While overloaded, forwarded packets are CE-marked and fail-open
-    /// chains may be shed; fail-closed chains are always scanned.
+    /// Arms adaptive overload control (DESIGN.md §11) on the batch
+    /// pipeline and on every in-network fleet instance: one policy, one
+    /// detector per shard. The pipeline's shards are observed per packet
+    /// — `queue_high` / `queue_low` are queue depths behind a packet;
+    /// the fleet instances, whose `send` traffic has no queue, once per
+    /// heartbeat window — the same two values are then arrivals per
+    /// window. While overloaded, forwarded packets are CE-marked and
+    /// fail-open chains may be shed (a tenant under its fair share
+    /// never); fail-closed chains are always scanned.
     pub fn with_overload_policy(mut self, policy: OverloadPolicy) -> SystemBuilder {
         self.overload = Some(policy);
         self
@@ -307,29 +301,13 @@ impl SystemBuilder {
         let mut scanner = DpiInstance::with_workers(engine.clone(), self.dpi_workers);
         scanner.set_overload_policy(self.overload);
 
-        // Chains any of whose members demand verdicts: never shed under
-        // overload (the gauge-armed fleet nodes consult this set).
-        let fail_closed_chains: HashSet<u16> = self
-            .chains
-            .iter()
-            .zip(&chain_ids)
-            .filter(|(members, _)| {
-                members.iter().any(|m| {
-                    self.templates
-                        .iter()
-                        .any(|t| t.profile.id == *m && t.profile.fail_closed)
-                })
-            })
-            .map(|(_, id)| *id)
-            .collect();
-
         // One tracer for the whole deployment: every layer appends to the
         // same ring so a post-mortem reads one merged, seq-ordered
         // timeline (DESIGN.md §10).
         let tracer = Arc::new(Tracer::new());
         controller.attach_tracer(Arc::clone(&tracer));
         orchestrator.attach_tracer(Arc::clone(&tracer));
-        scanner.attach_tracer(Arc::clone(&tracer));
+        scanner.attach_tracer(Arc::clone(&tracer), None);
 
         let chaos = self.chaos.map(FaultPlan::start);
         if let Some(c) = &chaos {
@@ -366,21 +344,16 @@ impl SystemBuilder {
         let mut fleet_stats = Vec::new();
         let mut dpi_ports = Vec::new();
         let mut instance_ids = Vec::new();
-        let mut load_gauges = Vec::new();
         for i in 0..self.dpi_instances {
             let port = 2 + i as Port;
-            let instance = DpiInstance::from_engine(engine.clone());
+            let mut instance = DpiInstance::from_engine(engine.clone());
+            instance.set_overload_policy(self.overload);
             let (mut node, handle) =
                 DpiServiceNode::new(instance, self.delivery, MacAddr::local(100 + i as u32), i);
             if let Some(c) = &chaos {
-                node.attach_chaos(Arc::clone(c), self.retry);
+                node.attach_chaos(Arc::clone(c), RetryPolicy::default());
             }
             node.attach_tracer(Arc::clone(&tracer));
-            let gauge = Arc::new(InstanceLoadGauge::default());
-            if self.overload.is_some() {
-                node.attach_load_gauge(Arc::clone(&gauge), fail_closed_chains.clone());
-            }
-            load_gauges.push(gauge);
             fleet_stats.push(node.stats());
             let id = net.add_node(Box::new(node));
             net.link(sw, port, id, 0);
@@ -411,17 +384,6 @@ impl SystemBuilder {
             tsa.install_chain_fleet(*chain_id, 0, &dpi_ports, &via, 1);
         }
 
-        // Instance-level overload windows: the same high/low watermarks,
-        // reinterpreted as packets per heartbeat window.
-        let load_windows = self
-            .overload
-            .map(|p| {
-                (0..self.dpi_instances)
-                    .map(|_| LoadWindow::new(p.queue_high as u64, p.queue_low as u64))
-                    .collect()
-            })
-            .unwrap_or_default();
-
         Ok(SystemHandle {
             controller,
             net,
@@ -444,9 +406,6 @@ impl SystemBuilder {
             tsa,
             orchestrator,
             tracer,
-            load_gauges,
-            load_windows,
-            overload: self.overload,
             balancer: self.balance.map(LoadBalancer::new),
             conflict_policy: self.conflict_policy,
             l7: self.l7,
@@ -575,15 +534,6 @@ pub struct SystemHandle {
     orchestrator: UpdateOrchestrator,
     /// Deployment-wide structured-event tracer (DESIGN.md §10).
     tracer: Arc<Tracer>,
-    /// Per-instance overload gauges (always present; armed against the
-    /// fleet nodes only when an overload policy was configured).
-    pub load_gauges: Vec<Arc<InstanceLoadGauge>>,
-    /// Per-instance window hysteresis, driven by
-    /// [`SystemHandle::heartbeat_round`] (empty when overload control is
-    /// off).
-    load_windows: Vec<LoadWindow>,
-    /// The overload policy in force, if any.
-    overload: Option<OverloadPolicy>,
     /// Telemetry-driven flow rebalancer, when armed.
     balancer: Option<LoadBalancer>,
     /// Reassembly conflict policy stamped into every engine build
@@ -705,56 +655,26 @@ impl SystemHandle {
                 self.fail_over(*id);
             }
         }
-        self.close_overload_windows();
-        self.rebalance_round();
-        // A heartbeat window is also the fleet's tenant quota window:
-        // each instance's per-tenant scan-byte buckets refill here (the
-        // batch pipeline refills its own at batch boundaries).
-        for d in &self.dpi_instances {
-            d.lock().refill_tenant_window();
-        }
-        events
-    }
-
-    /// Closes each armed instance's load window against its hysteresis
-    /// thresholds and publishes the overloaded flag + load score back to
-    /// the gauge the data plane consults.
-    fn close_overload_windows(&mut self) {
-        let Some(policy) = self.overload else {
-            return;
-        };
-        for (i, (gauge, window)) in self
-            .load_gauges
-            .iter()
-            .zip(self.load_windows.iter_mut())
-            .enumerate()
-        {
-            let packets = gauge.take_window();
-            if let Some(transition) = window.observe(packets) {
-                gauge.set_overloaded(window.is_overloaded());
-                let kind = match transition {
-                    dpi_core::OverloadTransition::Entered => TraceKind::OverloadEntered {
-                        depth: packets,
-                        ewma_us: 0,
-                    },
-                    dpi_core::OverloadTransition::Cleared => TraceKind::OverloadCleared {
-                        depth: packets,
-                        ewma_us: 0,
-                    },
-                };
-                self.tracer.record(TraceSource::Instance(i as u32), kind);
+        // A heartbeat window is also the fleet's tenant quota window and
+        // its overload window: each instance's scan-byte buckets refill,
+        // its detectors see the window's arrivals, and what it traced
+        // since the last round joins the timeline (the batch pipeline
+        // does all three at its batch boundaries).
+        for (i, d) in self.dpi_instances.iter().enumerate() {
+            for (transition, packets) in d.lock().refill_tenant_window() {
                 if let Some(c) = &self.chaos {
                     c.note(format!(
                         "overload: instance {i} {} at {packets} packets/window",
                         match transition {
-                            dpi_core::OverloadTransition::Entered => "entered overload",
-                            dpi_core::OverloadTransition::Cleared => "cleared overload",
+                            OverloadTransition::Entered => "entered overload",
+                            OverloadTransition::Cleared => "cleared overload",
                         }
                     ));
                 }
             }
-            gauge.set_load_score(packets as f64 / policy.queue_high.max(1) as f64);
         }
+        self.rebalance_round();
+        events
     }
 
     /// One balancer round: feed cumulative per-instance loads, and when a
@@ -775,13 +695,8 @@ impl SystemHandle {
                     != Some(dpi_controller::InstanceHealth::Dead)
             })
             .map(|i| {
-                let scanned = self.dpi_instances[i].lock().telemetry().packets;
-                let shed = self
-                    .load_gauges
-                    .get(i)
-                    .map(|g| g.shed_packets())
-                    .unwrap_or(0);
-                (self.instance_ids[i], scanned + shed)
+                let d = self.dpi_instances[i].lock();
+                (self.instance_ids[i], d.telemetry().packets + d.total_shed())
             })
             .collect();
         let Some(plan) = balancer.observe_round(&loads) else {
@@ -1120,14 +1035,21 @@ impl SystemHandle {
             "Whether the instance is currently past its overload watermark",
             MetricKind::Gauge,
         );
-        for (i, g) in self.load_gauges.iter().enumerate() {
+        for (i, d) in self.dpi_instances.iter().enumerate() {
+            let d = d.lock();
             let i = i.to_string();
             let l = [("instance", i.as_str())];
-            m.sample("dpi_instance_shed_packets_total", &l, g.shed_packets());
-            m.sample("dpi_instance_shed_bytes_total", &l, g.shed_bytes());
-            m.sample("dpi_instance_ce_marked_total", &l, g.ce_marked());
-            m.sample_f64("dpi_instance_load_score", &l, g.load_score());
-            m.sample("dpi_instance_overloaded", &l, u64::from(g.is_overloaded()));
+            let shed_bytes = d.shard_telemetry().iter().map(|s| s.shed_bytes).sum();
+            // The worst shard speaks for the instance (an unarmed one
+            // has none: score 0, not overloaded).
+            let state = d.overload_state();
+            let score = state.iter().map(|s| s.1).fold(0.0, f64::max);
+            let overloaded = state.iter().any(|s| s.0);
+            m.sample("dpi_instance_shed_packets_total", &l, d.total_shed());
+            m.sample("dpi_instance_shed_bytes_total", &l, shed_bytes);
+            m.sample("dpi_instance_ce_marked_total", &l, d.total_ce_marked());
+            m.sample_f64("dpi_instance_load_score", &l, score);
+            m.sample("dpi_instance_overloaded", &l, u64::from(overloaded));
         }
 
         m.family(

@@ -11,6 +11,7 @@ use dpi_service::ac::MiddleboxId;
 use dpi_service::controller::BalancePolicy;
 use dpi_service::core::chaos::FaultPlan;
 use dpi_service::core::overload::OverloadPolicy;
+use dpi_service::core::DpiInstance;
 use dpi_service::middlebox::ids;
 use dpi_service::packet::ipv4::IpProtocol;
 use dpi_service::packet::packet::flow;
@@ -109,13 +110,13 @@ fn skew_converges_and_never_flaps() {
             sys.rebalance_migrations() >= 1,
             "seed {seed}: the balancer must act on a 20x skew"
         );
-        // The hot instance ends the run under its watermark: its gauge
-        // is not overloaded over the last three rounds' windows (the
-        // converged 2-heavy/2-heavy split is 40 packets/window ≤ the
-        // clear mark of 45).
-        for g in &sys.load_gauges {
+        // The hot instance ends the run under its watermark: its
+        // detector is not overloaded over the last three rounds' windows
+        // (the converged 2-heavy/2-heavy split is 40 packets/window ≤
+        // the clear mark of 45).
+        for d in &sys.dpi_instances {
             assert!(
-                !g.is_overloaded(),
+                d.lock().overload_state().iter().all(|(over, _)| !over),
                 "seed {seed}: fleet still overloaded after 10 rounds"
             );
         }
@@ -181,6 +182,11 @@ fn build_burst(seed: u64, fail_closed: bool) -> SystemHandle {
         .expect("fleet builds")
 }
 
+/// One of the fleet instances' overload counters, summed over the fleet.
+fn total(sys: &SystemHandle, counter: fn(&DpiInstance) -> u64) -> u64 {
+    sys.dpi_instances.iter().map(|d| counter(&d.lock())).sum()
+}
+
 fn drive_burst(sys: &mut SystemHandle) {
     // 6 sends per flow per round: with burst phases [10,10,1,1,...] over
     // the source ordinal, the first flow's window sums to 33 copies —
@@ -212,13 +218,13 @@ fn fail_closed_verdicts_survive_bursts_unshed() {
             entered,
             "seed {seed}: burst must push an instance into overload"
         );
-        let ce: u64 = sys.load_gauges.iter().map(|g| g.ce_marked()).sum();
+        let ce: u64 = total(&sys, DpiInstance::total_ce_marked);
         assert!(ce > 0, "seed {seed}: overloaded instances CE-mark traffic");
 
         // ...and not one verdict-bearing packet was shed.
-        for (i, g) in sys.load_gauges.iter().enumerate() {
+        for (i, d) in sys.dpi_instances.iter().enumerate() {
             assert_eq!(
-                g.shed_packets(),
+                d.lock().total_shed(),
                 0,
                 "seed {seed}: instance {i} shed fail-closed traffic"
             );
@@ -239,12 +245,12 @@ fn fail_open_bursts_shed_and_trace_every_event() {
     let mut sys = build_burst(42, false);
     drive_burst(&mut sys);
 
-    let shed: u64 = sys.load_gauges.iter().map(|g| g.shed_packets()).sum();
-    let ce: u64 = sys.load_gauges.iter().map(|g| g.ce_marked()).sum();
+    let shed: u64 = total(&sys, DpiInstance::total_shed);
+    let ce: u64 = total(&sys, DpiInstance::total_ce_marked);
     assert!(shed > 0, "fail-open chain sheds under a 10x burst");
 
     // Acceptance: every shed and CE-mark appears in the trace timeline —
-    // the per-instance trace sums equal the gauge counters.
+    // the per-instance trace sums equal the instances' counters.
     let events = sys.trace_events();
     let traced_shed: u64 = events
         .iter()
