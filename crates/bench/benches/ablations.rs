@@ -2,13 +2,12 @@
 //!
 //! * the accepting-state bitmap fast path vs always reading the match
 //!   table (§5.1);
-//! * dedicated result packets vs the in-band NSH-like header (§4.2);
+//! * the dedicated result packet's encode cost (§4.2 option 3);
 //! * the §5.3 anchor pre-filter vs running every regex on every packet.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dpi_ac::{bitmap_of, Automaton, CombinedAcBuilder, MiddleboxId, PatternSet};
 use dpi_core::{DpiInstance, InstanceConfig, MiddleboxProfile, RuleSpec};
-use dpi_packet::nsh::DpiResultsHeader;
 use dpi_packet::report::{MatchRecord, MiddleboxReport, ResultPacket};
 use dpi_traffic::patterns::{snort_like, snort_like_regexes};
 use dpi_traffic::trace::TraceConfig;
@@ -77,7 +76,7 @@ fn bench_bitmap_fast_path(c: &mut Criterion) {
 }
 
 fn bench_result_encodings(c: &mut Criterion) {
-    // Encode a typical 3-middlebox match report both ways.
+    // Encode a typical 3-middlebox match report.
     let reports = vec![
         MiddleboxReport {
             middlebox_id: 1,
@@ -128,13 +127,6 @@ fn bench_result_encodings(c: &mut Criterion) {
                 reports: reports.clone(),
             }
             .to_bytes()
-        })
-    });
-    g.bench_function("in_band_nsh_header", |b| {
-        b.iter(|| {
-            let mut out = Vec::new();
-            DpiResultsHeader::new(1, 3, reports.clone()).write(&mut out);
-            out
         })
     });
     g.finish();

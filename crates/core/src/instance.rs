@@ -308,16 +308,6 @@ fn merge_outputs(outs: impl IntoIterator<Item = ScanOutput>) -> MergedOutputs {
     m
 }
 
-/// What inspecting one packet decided, before it is put in a delivery
-/// form (a dedicated [`ResultPacket`] or an in-band
-/// [`dpi_packet::nsh::DpiResultsHeader`]).
-pub(crate) struct Verdict {
-    pub(crate) chain_id: u16,
-    flow: FlowKey,
-    flow_offset: u64,
-    pub(crate) reports: Vec<MiddleboxReport>,
-}
-
 /// The immutable, shareable half of a DPI instance: compiled automaton,
 /// profiles, chains and regex rules. Build once, share behind an `Arc`
 /// across any number of worker shards.
@@ -911,11 +901,6 @@ impl ScanEngine {
         self.ac.kernel_name()
     }
 
-    /// Members of one chain (`None` for unknown chains).
-    pub(crate) fn chain_member_count(&self, chain_id: u16) -> Option<usize> {
-        self.chains.get(&chain_id).map(|c| c.members.len())
-    }
-
     /// Whether any member of `chain_id` registered a fail-closed profile
     /// — if so, this chain's traffic must be scanned even under overload
     /// (the shed policy skips it). Unknown chains are conservatively
@@ -1259,16 +1244,18 @@ impl ScanEngine {
         )
     }
 
-    /// The one per-packet decision both delivery forms share: scans
-    /// `packet` against `shard` and ECN-marks it (§6.1) when it matched
-    /// or when its flow is closed. Returns the verdict to deliver, or
-    /// `None` when there is nothing to report.
+    /// Scans a packet against `shard`, ECN-marks it (§6.1) when it
+    /// matched or when its flow is closed, and returns the result packet
+    /// to deliver — `None` when there is nothing to report — *without* a
+    /// packet id (`packet_id` is 0): id assignment is the caller's job, so
+    /// an instance can number results in arrival order and stay
+    /// byte-identical at every worker count.
     #[inline]
-    pub(crate) fn inspect_verdict(
+    pub fn inspect_unnumbered(
         &self,
         shard: &mut ShardState,
         packet: &mut Packet,
-    ) -> Result<Option<Verdict>, InstanceError> {
+    ) -> Result<Option<ResultPacket>, InstanceError> {
         let chain_id = packet.chain_tag().ok_or(InstanceError::Untagged)?;
         let flow = packet.flow_key();
         let payload = packet.payload().ok_or(InstanceError::NoPayload)?;
@@ -1300,30 +1287,12 @@ impl ScanEngine {
         if closed || merged.reports.is_empty() {
             return Ok(None);
         }
-        Ok(Some(Verdict {
-            chain_id,
+        Ok(Some(ResultPacket {
+            packet_id: 0,
+            generation: self.generation_for_chain(chain_id),
             flow: flow.expect("ipv4 payload implies flow key"),
             flow_offset: merged.flow_offset,
             reports: merged.reports,
-        }))
-    }
-
-    /// Scans a packet against `shard`, marks it via ECN when matches
-    /// exist (§6.1), and returns the result packet *without* a packet id
-    /// (`packet_id` is 0): id assignment is the caller's job, so an
-    /// instance can number results in arrival order and stay
-    /// byte-identical at every worker count.
-    pub fn inspect_unnumbered(
-        &self,
-        shard: &mut ShardState,
-        packet: &mut Packet,
-    ) -> Result<Option<ResultPacket>, InstanceError> {
-        Ok(self.inspect_verdict(shard, packet)?.map(|v| ResultPacket {
-            packet_id: 0,
-            generation: self.generation_for_chain(v.chain_id),
-            flow: v.flow,
-            flow_offset: v.flow_offset,
-            reports: v.reports,
         }))
     }
 

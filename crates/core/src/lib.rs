@@ -7,8 +7,8 @@
 //! middlebox (exact strings *and* regular expressions), merged into a
 //! single Aho-Corasick automaton per §5.1. Each packet is scanned **once**;
 //! the instance then produces per-middlebox match lists that travel to the
-//! middleboxes either in a dedicated result packet or in an in-band
-//! NSH-like header (§4.2).
+//! middleboxes in a dedicated result packet sent right behind the
+//! ECN-marked data packet (§4.2 option 3, the prototype's method).
 //!
 //! The instance implements, faithfully to §5.2:
 //!

@@ -38,7 +38,6 @@ use crate::telemetry::{merge_tenant_counters, ShardTelemetry, Telemetry, TenantC
 use crate::trace::{TraceKind, TraceSource, Tracer};
 use crate::update::{UpdateError, UpdateStats};
 use crossbeam::channel;
-use dpi_packet::nsh::DpiResultsHeader;
 use dpi_packet::report::ResultPacket;
 use dpi_packet::{FlowKey, Packet};
 use std::sync::Arc;
@@ -97,18 +96,17 @@ struct Window {
 
 impl ShardSlot {
     /// The per-packet body of every entry point, per call or in a batch:
-    /// the shed decision, `scan` unless it shed, the CE mark.
+    /// the shed decision, the scan unless it shed, the CE mark.
     #[inline]
-    fn inspect<T>(
+    fn inspect(
         &mut self,
         engine: &ScanEngine,
         pkt: &mut Packet,
-        scan: impl FnOnce(&ScanEngine, &mut ShardState, &mut Packet) -> Result<Option<T>, InstanceError>,
-    ) -> Result<Option<T>, InstanceError> {
+    ) -> Result<Option<ResultPacket>, InstanceError> {
         let out = if self.shed(engine, pkt) {
             Ok(None)
         } else {
-            scan(engine, &mut self.state, pkt)
+            engine.inspect_unnumbered(&mut self.state, pkt)
         };
         if let Some(d) = self.detector.as_mut().filter(|d| d.is_overloaded()) {
             // After the scan, so CE takes precedence over the Ect0 match
@@ -276,10 +274,7 @@ impl BatchWorker<'_> {
                 }
             }
         }
-        match self
-            .slot
-            .inspect(self.engine, pkt, ScanEngine::inspect_unnumbered)
-        {
+        match self.slot.inspect(self.engine, pkt) {
             Ok(Some(result)) => self.tally.results.push((idx, result)),
             Ok(None) => {}
             Err(_) => self.tally.errors += 1,
@@ -649,7 +644,7 @@ impl DpiInstance {
     /// first, like a batch packet.
     pub fn inspect(&mut self, packet: &mut Packet) -> Result<Option<ResultPacket>, InstanceError> {
         let (engine, slot) = self.slot(|| packet.flow_key());
-        let result = slot.inspect(engine, packet, ScanEngine::inspect_unnumbered)?;
+        let result = slot.inspect(engine, packet)?;
         Ok(result.map(|result| self.number(result)))
     }
 
@@ -658,18 +653,6 @@ impl DpiInstance {
         self.packet_counter = self.packet_counter.wrapping_add(1);
         result.packet_id = self.packet_counter;
         result
-    }
-
-    /// Scans a packet and attaches the results as an in-band NSH-like
-    /// header (§4.2 option 1). Returns whether any matches were attached.
-    pub fn inspect_inband(&mut self, packet: &mut Packet) -> Result<bool, InstanceError> {
-        let (engine, slot) = self.slot(|| packet.flow_key());
-        let Some(v) = slot.inspect(engine, packet, ScanEngine::inspect_verdict)? else {
-            return Ok(false);
-        };
-        let n_members = engine.chain_member_count(v.chain_id).unwrap_or(0) as u8;
-        packet.attach_results(DpiResultsHeader::new(v.chain_id, n_members, v.reports));
-        Ok(true)
     }
 
     /// Declares a new TCP stream with its initial sequence number (what a

@@ -364,26 +364,6 @@ fn inspect_marks_and_produces_result_packet() {
 }
 
 #[test]
-fn inspect_inband_attaches_results_header() {
-    let mut dpi = two_middlebox_instance();
-    let mut pkt = Packet::tcp(
-        MacAddr::local(1),
-        MacAddr::local(2),
-        flow(60),
-        0,
-        b"VIRUS payload".to_vec(),
-    );
-    pkt.push_chain_tag(2).unwrap();
-    assert!(dpi.inspect_inband(&mut pkt).unwrap());
-    let hdr = pkt.dpi_results.as_ref().unwrap();
-    assert_eq!(hdr.chain_id, 2);
-    assert_eq!(hdr.reports.len(), 1);
-    // The tagged, header-carrying packet still round-trips on the wire.
-    let reparsed = Packet::parse(&pkt.to_bytes()).unwrap();
-    assert_eq!(reparsed.dpi_results, pkt.dpi_results);
-}
-
-#[test]
 fn untagged_packet_is_rejected() {
     let mut dpi = two_middlebox_instance();
     let mut pkt = Packet::tcp(
@@ -561,11 +541,11 @@ fn an_oversized_decoded_l7_unit_is_scanned_in_addressable_pieces() {
     );
 }
 
-/// `inspect` and `inspect_inband` are two delivery forms of one decision:
-/// on every route through the engine they leave the same mark on the
-/// packet and carry the same reports.
+/// On every route through the engine — raw or L7, open, quarantined or
+/// blocked — `inspect` leaves the expected mark on the packet and carries
+/// the expected reports.
 #[test]
-fn both_inspect_entry_points_reach_the_same_verdict() {
+fn inspect_marks_and_reports_on_every_route() {
     use dpi_core::{ConflictPolicy, L7Action, L7Policy, L7Protocol, ProtocolPolicy};
 
     fn ids_config() -> InstanceConfig {
@@ -652,29 +632,23 @@ fn both_inspect_entry_points_reach_the_same_verdict() {
     ];
 
     for case in cases {
-        let verdict = |inband: bool| {
-            let mut dpi = DpiInstance::new(case.config.clone()).unwrap();
-            (case.setup)(&mut dpi);
-            let mut pkt = Packet::tcp(
-                MacAddr::local(1),
-                MacAddr::local(2),
-                flow(90),
-                case.seq,
-                case.payload.to_vec(),
-            );
-            pkt.push_chain_tag(1).unwrap();
-            let reports = if inband {
-                let attached = dpi.inspect_inband(&mut pkt).unwrap();
-                assert_eq!(attached, pkt.dpi_results.is_some(), "{}", case.name);
-                pkt.dpi_results.take().map(|h| h.reports)
-            } else {
-                dpi.inspect(&mut pkt).unwrap().map(|r| r.reports)
-            };
-            (pkt.has_match_mark(), reports.unwrap_or_default())
-        };
-        let (dedicated, inband) = (verdict(false), verdict(true));
-        assert_eq!(dedicated, inband, "{}", case.name);
-        assert_eq!(dedicated.0, case.marked, "{}: mark", case.name);
-        assert_eq!(dedicated.1.len(), case.reports, "{}: reports", case.name);
+        let mut dpi = DpiInstance::new(case.config).unwrap();
+        (case.setup)(&mut dpi);
+        let mut pkt = Packet::tcp(
+            MacAddr::local(1),
+            MacAddr::local(2),
+            flow(90),
+            case.seq,
+            case.payload.to_vec(),
+        );
+        pkt.push_chain_tag(1).unwrap();
+        let reports = dpi.inspect(&mut pkt).unwrap().map(|r| r.reports);
+        assert_eq!(pkt.has_match_mark(), case.marked, "{}: mark", case.name);
+        assert_eq!(
+            reports.unwrap_or_default().len(),
+            case.reports,
+            "{}: reports",
+            case.name
+        );
     }
 }

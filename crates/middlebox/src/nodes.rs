@@ -23,21 +23,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// How the DPI service delivers match results (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResultsDelivery {
-    /// Option 3: a dedicated result packet right after the (ECN-marked)
-    /// data packet — the paper prototype's method.
-    DedicatedPacket,
-    /// Option 1: an in-band NSH-like header on the data packet itself.
-    InBand,
-    /// Option 2: match results as MPLS result labels on the data packet.
-    /// Lossy (no positions) and bounded (≤ 8 distinct matches); packets
-    /// whose reports do not fit fall back to a dedicated result packet —
-    /// the paper's "messy" caveat made concrete.
-    MplsTags,
-}
-
 /// Counters for a DPI node's fault-injected delivery path (shared
 /// handle, like [`crate::MiddleboxStats`]). All zero unless a
 /// [`ChaosEngine`] is attached.
@@ -83,7 +68,6 @@ pub struct FleetDpiStats {
 ///   verdicts.
 pub struct DpiServiceNode {
     dpi: Arc<Mutex<DpiInstance>>,
-    delivery: ResultsDelivery,
     mac: MacAddr,
     /// Packets dropped because they were untagged or on unknown chains.
     errors: u64,
@@ -107,7 +91,6 @@ impl DpiServiceNode {
     /// instance); returns the node and a handle to the instance.
     pub fn new(
         dpi: DpiInstance,
-        delivery: ResultsDelivery,
         mac: MacAddr,
         instance_index: usize,
     ) -> (DpiServiceNode, Arc<Mutex<DpiInstance>>) {
@@ -115,7 +98,6 @@ impl DpiServiceNode {
         (
             DpiServiceNode {
                 dpi: Arc::clone(&dpi),
-                delivery,
                 mac,
                 errors: 0,
                 instance_index,
@@ -189,38 +171,18 @@ impl DpiServiceNode {
         rp
     }
 
-    /// Scans one data packet and emits it with its results in the
-    /// configured delivery form.
+    /// Scans one data packet and emits it, followed by its result packet
+    /// when it matched.
     fn inspect_into(&mut self, mut packet: Packet, port: PortId, out: &mut Vec<(PortId, Packet)>) {
-        let inspected = match self.delivery {
-            ResultsDelivery::InBand => self.dpi.lock().inspect_inband(&mut packet).map(|_| None),
-            ResultsDelivery::DedicatedPacket | ResultsDelivery::MplsTags => {
-                self.dpi.lock().inspect(&mut packet)
-            }
-        };
-        let result = match inspected {
-            Ok(Some(result)) => result,
-            Ok(None) => {
+        let inspected = self.dpi.lock().inspect(&mut packet);
+        match inspected {
+            Ok(result) => {
+                let rp = result.map(|result| self.result_packet(&packet, result));
                 out.push((port, packet));
-                return;
+                out.extend(rp.map(|rp| (port, rp)));
             }
-            Err(_) => {
-                self.errors += 1;
-                return;
-            }
-        };
-        if self.delivery == ResultsDelivery::MplsTags {
-            if let Some(labels) = dpi_packet::mpls_results::encode_matches(&result.reports) {
-                packet.mpls.extend(labels);
-                out.push((port, packet));
-                return;
-            }
-            // Too many matches for tags: fall back to the dedicated
-            // result packet.
+            Err(_) => self.errors += 1,
         }
-        let rp = self.result_packet(&packet, result);
-        out.push((port, packet));
-        out.push((port, rp));
     }
 
     /// Gives the result packets in `out[first..]` the retried (and
@@ -325,10 +287,6 @@ pub struct MiddleboxNode {
     /// What the pairing buffer released for the packet in hand; drained
     /// before `on_packet_into` returns, kept for its allocation.
     paired: Vec<PairedPacket>,
-    /// Whether this is the last results-consuming element on its chains —
-    /// the one that strips the in-band header before the packet leaves
-    /// the service chain (§4.2).
-    last_on_chain: bool,
     /// Highest rule generation seen per flow. During a staged rollout two
     /// DPI instances may briefly serve different generations; once a flow
     /// has consumed results from generation `g`, results stamped `< g`
@@ -342,11 +300,15 @@ pub struct MiddleboxNode {
 
 impl MiddleboxNode {
     /// Wraps a middlebox; returns the node and a stats/engine handle.
+    ///
+    /// `_last_on_chain` is ignored: every node re-emits the result packet
+    /// behind the data, because a middlebox last on one chain may sit in
+    /// the middle of another and its next member there needs the report.
     pub fn new(
         mb: ServiceMiddlebox,
-        last_on_chain: bool,
+        _last_on_chain: bool,
     ) -> (MiddleboxNode, Arc<Mutex<ServiceMiddlebox>>) {
-        MiddleboxNode::with_buffer_capacity(mb, last_on_chain, 4096)
+        MiddleboxNode::with_buffer_capacity(mb, 4096)
     }
 
     /// Like [`MiddleboxNode::new`] with an explicit pairing-buffer bound.
@@ -355,7 +317,6 @@ impl MiddleboxNode {
     /// middlebox fails open rather than stalling the flow.
     pub fn with_buffer_capacity(
         mb: ServiceMiddlebox,
-        last_on_chain: bool,
         capacity: usize,
     ) -> (MiddleboxNode, Arc<Mutex<ServiceMiddlebox>>) {
         let mb_id = mb.id().0;
@@ -366,7 +327,6 @@ impl MiddleboxNode {
                 mb_id,
                 buffer: ReorderBuffer::new(capacity),
                 paired: Vec::new(),
-                last_on_chain,
                 flow_generations: std::collections::HashMap::new(),
                 stale_generation_drops: 0,
             },
@@ -401,46 +361,10 @@ impl MiddleboxNode {
 }
 
 impl Node for MiddleboxNode {
-    fn on_packet_into(
-        &mut self,
-        mut packet: Packet,
-        port: PortId,
-        out: &mut Vec<(PortId, Packet)>,
-    ) {
+    fn on_packet_into(&mut self, packet: Packet, port: PortId, out: &mut Vec<(PortId, Packet)>) {
         let mb_id = self.mb_id;
-
-        // MPLS-tag delivery: result labels ride on the data packet.
-        let has_result_labels = packet
-            .mpls
-            .iter()
-            .any(|l| l.tc == dpi_packet::mpls_results::RESULT_TC);
-        if has_result_labels {
-            let decoded = dpi_packet::mpls_results::decode_matches(&packet.mpls);
-            let my_report = decoded.iter().find(|r| r.middlebox_id == mb_id);
-            if !self.mb.lock().process(my_report).forwards() {
-                return;
-            }
-            if self.last_on_chain {
-                dpi_packet::mpls_results::strip_result_labels(&mut packet.mpls);
-            }
-            out.push((port, packet));
-            return;
-        }
-
-        // In-band delivery: results ride on the data packet.
-        if let Some(header) = &packet.dpi_results {
-            let my_report = header.reports.iter().find(|r| r.middlebox_id == mb_id);
-            if !self.mb.lock().process(my_report).forwards() {
-                return;
-            }
-            if self.last_on_chain {
-                packet.detach_results();
-            }
-            out.push((port, packet));
-            return;
-        }
-
-        // Dedicated-packet delivery: pair via the buffer.
+        // Pair each marked data packet with the result packet behind it;
+        // every result consumed passes the generation check.
         let chain_tag = packet.chain_tag();
         let mut paired = std::mem::take(&mut self.paired);
         self.buffer.push(packet, &mut paired);
@@ -554,8 +478,7 @@ mod tests {
     #[test]
     fn dpi_node_emits_data_then_result() {
         let dpi = dpi_for(&["needle99"], 5, &[1]);
-        let (mut node, _h) =
-            DpiServiceNode::new(dpi, ResultsDelivery::DedicatedPacket, MacAddr::local(9), 0);
+        let (mut node, _h) = DpiServiceNode::new(dpi, MacAddr::local(9), 0);
         let out = node.on_packet(tagged_pkt(b"a needle99 b", 5), 0);
         assert_eq!(out.len(), 2);
         assert!(out[0].1.has_match_mark());
@@ -569,8 +492,7 @@ mod tests {
     #[test]
     fn dpi_node_drops_untagged_and_counts() {
         let dpi = dpi_for(&["x"], 5, &[1]);
-        let (mut node, _h) =
-            DpiServiceNode::new(dpi, ResultsDelivery::DedicatedPacket, MacAddr::local(9), 0);
+        let (mut node, _h) = DpiServiceNode::new(dpi, MacAddr::local(9), 0);
         let mut p = tagged_pkt(b"payload", 5);
         p.pop_chain_tag();
         assert!(node.on_packet(p, 0).is_empty());
@@ -580,8 +502,7 @@ mod tests {
     #[test]
     fn middlebox_node_pairs_and_forwards() {
         let dpi = dpi_for(&["matchme99"], 5, &[1]);
-        let (mut dpi_node, _h) =
-            DpiServiceNode::new(dpi, ResultsDelivery::DedicatedPacket, MacAddr::local(9), 0);
+        let (mut dpi_node, _h) = DpiServiceNode::new(dpi, MacAddr::local(9), 0);
         let mb = ServiceMiddlebox::new(
             MiddleboxId(1),
             "ids",
@@ -605,8 +526,7 @@ mod tests {
     #[test]
     fn blocking_middlebox_consumes_both_packets() {
         let dpi = dpi_for(&["dropit99"], 5, &[1]);
-        let (mut dpi_node, _h) =
-            DpiServiceNode::new(dpi, ResultsDelivery::DedicatedPacket, MacAddr::local(9), 0);
+        let (mut dpi_node, _h) = DpiServiceNode::new(dpi, MacAddr::local(9), 0);
         let mb = ServiceMiddlebox::new(
             MiddleboxId(1),
             "ips",
@@ -675,29 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn inband_mode_strips_header_at_last_middlebox() {
-        let dpi = dpi_for(&["inband99"], 5, &[1]);
-        let (mut dpi_node, _h) =
-            DpiServiceNode::new(dpi, ResultsDelivery::InBand, MacAddr::local(9), 0);
-        let mb = ServiceMiddlebox::new(
-            MiddleboxId(1),
-            "ids",
-            RuleLogic::one_per_pattern(1, MbAction::Alert),
-        );
-        let (mut mb_node, handle) = MiddleboxNode::new(mb, true);
-        let emitted = dpi_node.on_packet(tagged_pkt(b"see inband99 here", 5), 0);
-        assert_eq!(emitted.len(), 1);
-        assert!(emitted[0].1.dpi_results.is_some());
-        let forwarded = mb_node.on_packet(emitted[0].1.clone(), 0);
-        assert_eq!(forwarded.len(), 1);
-        assert!(
-            forwarded[0].1.dpi_results.is_none(),
-            "last middlebox strips the header"
-        );
-        assert_eq!(handle.lock().stats().matches, 1);
-    }
-
-    #[test]
     fn selfscan_node_blocks_inline() {
         let mb = crate::engine::SelfScanMiddlebox::new(
             MiddleboxProfile::stateless(MiddleboxId(7)),
@@ -738,12 +635,7 @@ mod tests {
 
     #[test]
     fn without_chaos_behaves_like_the_plain_node() {
-        let (mut node, _h) = DpiServiceNode::new(
-            dpi(),
-            ResultsDelivery::DedicatedPacket,
-            MacAddr::local(9),
-            0,
-        );
+        let (mut node, _h) = DpiServiceNode::new(dpi(), MacAddr::local(9), 0);
         let stats = node.stats();
         let out = node.on_packet(tagged(b"a needle99 b"), 0);
         assert_eq!(out.len(), 2, "data + result");
@@ -754,12 +646,7 @@ mod tests {
     #[test]
     fn killed_instance_blackholes_traffic() {
         let chaos = FaultPlan::new(1).kill_instance_at_packet(0, 2).start();
-        let (mut node, _h) = DpiServiceNode::new(
-            dpi(),
-            ResultsDelivery::DedicatedPacket,
-            MacAddr::local(9),
-            0,
-        );
+        let (mut node, _h) = DpiServiceNode::new(dpi(), MacAddr::local(9), 0);
         node.attach_chaos(chaos.clone(), RetryPolicy::default());
         let stats = node.stats();
         assert_eq!(node.on_packet(tagged(b"one"), 0).len(), 1);
@@ -781,12 +668,7 @@ mod tests {
         // Drop every attempt: the result must be lost after exactly
         // max_attempts tries, and the data packet still goes through.
         let chaos = FaultPlan::new(3).drop_result_packets(1.0).start();
-        let (mut node, _h) = DpiServiceNode::new(
-            dpi(),
-            ResultsDelivery::DedicatedPacket,
-            MacAddr::local(9),
-            0,
-        );
+        let (mut node, _h) = DpiServiceNode::new(dpi(), MacAddr::local(9), 0);
         node.attach_chaos(
             chaos.clone(),
             RetryPolicy {
@@ -810,12 +692,7 @@ mod tests {
     #[test]
     fn duplicated_results_are_emitted_twice() {
         let chaos = FaultPlan::new(4).duplicate_result_packets(1.0).start();
-        let (mut node, _h) = DpiServiceNode::new(
-            dpi(),
-            ResultsDelivery::DedicatedPacket,
-            MacAddr::local(9),
-            0,
-        );
+        let (mut node, _h) = DpiServiceNode::new(dpi(), MacAddr::local(9), 0);
         node.attach_chaos(chaos, RetryPolicy::default());
         let stats = node.stats();
         let out = node.on_packet(tagged(b"x needle99 y"), 0);
@@ -832,7 +709,6 @@ mod tests {
     fn armed_node(dpi: DpiInstance) -> (DpiServiceNode, Arc<Mutex<DpiInstance>>) {
         DpiServiceNode::new(
             dpi.with_overload_policy(OverloadPolicy::queue_only(1, 0)),
-            ResultsDelivery::DedicatedPacket,
             MacAddr::local(9),
             0,
         )
@@ -899,12 +775,7 @@ mod tests {
         // recorded and deterministic per seed.
         let run = |seed| {
             let chaos = FaultPlan::new(seed).drop_result_packets(0.5).start();
-            let (mut node, _h) = DpiServiceNode::new(
-                dpi(),
-                ResultsDelivery::DedicatedPacket,
-                MacAddr::local(9),
-                0,
-            );
+            let (mut node, _h) = DpiServiceNode::new(dpi(), MacAddr::local(9), 0);
             node.attach_chaos(
                 chaos,
                 RetryPolicy {

@@ -15,11 +15,6 @@ pub enum EtherType {
     /// 802.1Q VLAN tag (`0x8100`) — used by the TSA to encode policy-chain
     /// identifiers (§4.1).
     Vlan,
-    /// MPLS unicast (`0x8847`) — alternative steering/result tags (§4.2).
-    Mpls,
-    /// The NSH-like DPI results header (`0x894f`, the real NSH EtherType) —
-    /// option 1 of §4.2.
-    DpiResults,
     /// Dedicated DPI result packet (`0x88b5`, IEEE local experimental 1) —
     /// option 3 of §4.2 and the prototype's wire format.
     ResultPacket,
@@ -33,8 +28,6 @@ impl EtherType {
         match self {
             EtherType::Ipv4 => 0x0800,
             EtherType::Vlan => 0x8100,
-            EtherType::Mpls => 0x8847,
-            EtherType::DpiResults => 0x894f,
             EtherType::ResultPacket => 0x88b5,
             EtherType::Other(v) => v,
         }
@@ -45,8 +38,6 @@ impl EtherType {
         match v {
             0x0800 => EtherType::Ipv4,
             0x8100 => EtherType::Vlan,
-            0x8847 => EtherType::Mpls,
-            0x894f => EtherType::DpiResults,
             0x88b5 => EtherType::ResultPacket,
             other => EtherType::Other(other),
         }
@@ -60,7 +51,7 @@ pub struct EthernetHeader {
     pub dst: MacAddr,
     /// Source MAC address.
     pub src: MacAddr,
-    /// EtherType of the payload that follows (possibly a VLAN/MPLS tag).
+    /// EtherType of the payload that follows (possibly a VLAN tag).
     pub ethertype: EtherType,
 }
 
@@ -121,12 +112,15 @@ mod tests {
         for et in [
             EtherType::Ipv4,
             EtherType::Vlan,
-            EtherType::Mpls,
-            EtherType::DpiResults,
             EtherType::ResultPacket,
             EtherType::Other(0x1234),
         ] {
             assert_eq!(EtherType::from_u16(et.to_u16()), et);
+        }
+        // MPLS and NSH are not interpreted: §4.2's result packet is the
+        // only result carrier.
+        for v in [0x8847, 0x894f] {
+            assert_eq!(EtherType::from_u16(v), EtherType::Other(v));
         }
     }
 

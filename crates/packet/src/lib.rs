@@ -5,20 +5,18 @@
 //! This crate provides parse/build support for every on-wire format the
 //! system touches:
 //!
-//! * L2: Ethernet II frames ([`ethernet`]), 802.1Q VLAN tags ([`vlan`]) and
-//!   MPLS label stacks ([`mpls`]) — the tags the Traffic Steering
-//!   Application pushes to steer packets through policy chains (§4.1 of the
-//!   paper) and one of the three options for carrying match results (§4.2).
+//! * L2: Ethernet II frames ([`ethernet`]) and 802.1Q VLAN tags ([`vlan`])
+//!   — the tags the Traffic Steering Application pushes to steer packets
+//!   through policy chains (§4.1 of the paper).
 //! * L3: IPv4 ([`ipv4`]) including the ECN field, which the paper's
 //!   prototype uses as the "this packet has matches" marker (§6.1).
 //! * L4: TCP and UDP ([`l4`]) and 5-tuple flow keys ([`flow`]).
-//! * The NSH-like *DPI results header* ([`nsh`]) — option 1 of §4.2: match
-//!   results carried in-band as an additional layer before the payload.
-//! * The *dedicated result packet* format ([`report`]) — option 3 of §4.2
-//!   and the method the paper's prototype actually uses: a separate packet
-//!   carrying the match reports, sent right after the (ECN-marked) data
-//!   packet. Single matches are encoded in 4 bytes and ranges of repeated
-//!   matches in 6 bytes, exactly as analysed in §6.5 / Figure 11.
+//! * The *dedicated result packet* format ([`report`]) — option 3 of §4.2,
+//!   the method the paper's prototype uses and the only result carrier
+//!   here: a separate packet carrying the match reports, sent right after
+//!   the (ECN-marked) data packet. Single matches are encoded in 4 bytes
+//!   and ranges of repeated matches in 6 bytes, exactly as analysed in
+//!   §6.5 / Figure 11.
 //! * A composite [`Packet`] type that owns a full layer
 //!   stack and round-trips to bytes, used by the simulated SDN substrate.
 //!
@@ -32,9 +30,6 @@ pub mod flow;
 pub mod ipv4;
 pub mod l4;
 pub mod mac;
-pub mod mpls;
-pub mod mpls_results;
-pub mod nsh;
 pub mod packet;
 pub mod report;
 pub mod vlan;
@@ -44,8 +39,6 @@ pub use flow::FlowKey;
 pub use ipv4::{Ecn, IpProtocol, Ipv4Header};
 pub use l4::{L4Header, TcpHeader, UdpHeader};
 pub use mac::MacAddr;
-pub use mpls::MplsLabel;
-pub use nsh::DpiResultsHeader;
 pub use packet::Packet;
 pub use report::{MatchRecord, MiddleboxReport, ResultPacket};
 pub use vlan::VlanTag;

@@ -1,8 +1,8 @@
 //! The composite packet used by the simulated network.
 //!
 //! A [`Packet`] owns a full layer stack — Ethernet, optional VLAN tags
-//! (outermost first), an optional MPLS label stack, an optional in-band DPI
-//! results header, and a body — and round-trips losslessly to wire bytes.
+//! (outermost first) and a body — and round-trips losslessly to wire
+//! bytes.
 //! The simulated switches forward `Packet` values; the DPI service and
 //! middleboxes read and rewrite their layers through typed accessors
 //! instead of poking at offsets.
@@ -12,8 +12,6 @@ use crate::flow::FlowKey;
 use crate::ipv4::{Ecn, IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
 use crate::l4::{fill_l4_checksum, L4Header, TcpHeader, UdpHeader};
 use crate::mac::MacAddr;
-use crate::mpls::MplsLabel;
-use crate::nsh::{DpiResultsHeader, NshNextProtocol};
 use crate::report::ResultPacket;
 use crate::vlan::VlanTag;
 use crate::{ParseError, Result};
@@ -47,10 +45,6 @@ pub struct Packet {
     pub eth: EthernetHeader,
     /// 802.1Q tags, outermost first. The TSA pushes/pops these (§4.1).
     pub vlan: Vec<VlanTag>,
-    /// MPLS label stack (alternative tagging option of §4.2).
-    pub mpls: Vec<MplsLabel>,
-    /// In-band DPI results header (NSH-like, §4.2 option 1), if attached.
-    pub dpi_results: Option<DpiResultsHeader>,
     /// The packet body.
     pub body: PacketBody,
 }
@@ -91,8 +85,6 @@ impl Packet {
         Packet {
             eth: EthernetHeader::new(dst_mac, src_mac, EtherType::Ipv4),
             vlan: Vec::new(),
-            mpls: Vec::new(),
-            dpi_results: None,
             body: PacketBody::Ipv4 {
                 header,
                 l4,
@@ -106,8 +98,6 @@ impl Packet {
         Packet {
             eth: EthernetHeader::new(dst_mac, src_mac, EtherType::ResultPacket),
             vlan: Vec::new(),
-            mpls: Vec::new(),
-            dpi_results: None,
             body: PacketBody::Result(result),
         }
     }
@@ -209,31 +199,15 @@ impl Packet {
         )
     }
 
-    /// Attaches an in-band results header (§4.2 option 1).
-    pub fn attach_results(&mut self, results: DpiResultsHeader) {
-        self.dpi_results = Some(results);
-    }
-
-    /// Detaches and returns the in-band results header, restoring the
-    /// original packet (the job of the last middlebox on the chain, §4.2).
-    pub fn detach_results(&mut self) -> Option<DpiResultsHeader> {
-        self.dpi_results.take()
-    }
-
     /// Total length of the packet on the wire.
     pub fn wire_len(&self) -> usize {
-        let mut n =
-            crate::ethernet::ETHERNET_HEADER_LEN + self.vlan.len() * crate::vlan::VLAN_TAG_LEN;
-        if let Some(r) = &self.dpi_results {
-            n += r.wire_size();
-        }
-        n += self.mpls.len() * crate::mpls::MPLS_LABEL_LEN;
-        n += match &self.body {
-            PacketBody::Ipv4 { header, .. } => usize::from(header.total_len),
-            PacketBody::Result(r) => r.wire_size(),
-            PacketBody::Raw(b) => b.len(),
-        };
-        n
+        crate::ethernet::ETHERNET_HEADER_LEN
+            + self.vlan.len() * crate::vlan::VLAN_TAG_LEN
+            + match &self.body {
+                PacketBody::Ipv4 { header, .. } => usize::from(header.total_len),
+                PacketBody::Result(r) => r.wire_size(),
+                PacketBody::Raw(b) => b.len(),
+            }
     }
 
     /// Serializes the packet. EtherType chaining, IPv4 `total_len` and all
@@ -248,17 +222,9 @@ impl Packet {
             PacketBody::Result(_) => EtherType::ResultPacket,
             PacketBody::Raw(_) => self.innermost_declared_type(),
         };
-        let after_tags = if self.dpi_results.is_some() {
-            EtherType::DpiResults
-        } else if !self.mpls.is_empty() {
-            EtherType::Mpls
-        } else {
-            body_type
-        };
-
         let mut eth = self.eth;
         eth.ethertype = if self.vlan.is_empty() {
-            after_tags
+            body_type
         } else {
             EtherType::Vlan
         };
@@ -268,19 +234,9 @@ impl Packet {
             let inner = if i + 1 < self.vlan.len() {
                 EtherType::Vlan
             } else {
-                after_tags
+                body_type
             };
             tag.write(inner, &mut out);
-        }
-
-        if let Some(r) = &self.dpi_results {
-            let mut r = r.clone();
-            r.next_protocol = NshNextProtocol::Ipv4;
-            r.write(&mut out);
-        }
-
-        if !self.mpls.is_empty() {
-            MplsLabel::write_stack(&self.mpls, &mut out);
         }
 
         match &self.body {
@@ -316,7 +272,7 @@ impl Packet {
         match self.eth.ethertype {
             // Tag types are regenerated from the layer stack; a raw body
             // under a tag type has lost its original ethertype.
-            EtherType::Vlan | EtherType::Mpls | EtherType::DpiResults => EtherType::Other(0xffff),
+            EtherType::Vlan => EtherType::Other(0xffff),
             other => other,
         }
     }
@@ -339,22 +295,6 @@ impl Packet {
                     value: vlan.len() as u64,
                 });
             }
-        }
-
-        let mut dpi_results = None;
-        if ethertype == EtherType::DpiResults {
-            let (hdr, used) = DpiResultsHeader::parse(&buf[off..])?;
-            off += used;
-            dpi_results = Some(hdr);
-            ethertype = EtherType::Ipv4;
-        }
-
-        let mut mpls = Vec::new();
-        if ethertype == EtherType::Mpls {
-            let (stack, used) = MplsLabel::parse_stack(&buf[off..])?;
-            off += used;
-            mpls = stack;
-            ethertype = EtherType::Ipv4; // MPLS payload is IPv4 in this system
         }
 
         let body = match ethertype {
@@ -411,13 +351,7 @@ impl Packet {
             PacketBody::Result(_) => EtherType::ResultPacket,
             PacketBody::Raw(_) => ethertype,
         };
-        Ok(Packet {
-            eth,
-            vlan,
-            mpls,
-            dpi_results,
-            body,
-        })
+        Ok(Packet { eth, vlan, body })
     }
 }
 
@@ -441,7 +375,6 @@ pub fn flow(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{MatchRecord, MiddleboxReport};
 
     fn tcp_flow() -> FlowKey {
         flow([10, 0, 0, 1], 40000, [10, 0, 0, 2], 80, IpProtocol::Tcp)
@@ -513,39 +446,22 @@ mod tests {
     }
 
     #[test]
-    fn in_band_results_round_trip() {
-        let mut p = sample_packet();
-        p.push_chain_tag(5).unwrap();
-        p.attach_results(DpiResultsHeader::new(
-            5,
-            2,
-            vec![MiddleboxReport {
-                middlebox_id: 9,
-                records: vec![MatchRecord::Single {
-                    pattern_id: 3,
-                    position: 14,
-                }],
-            }],
-        ));
-        let bytes = p.to_bytes();
-        let mut parsed = Packet::parse(&bytes).unwrap();
-        assert_eq!(parsed, p);
-        let results = parsed.detach_results().unwrap();
-        assert_eq!(results.chain_id, 5);
-        // After detaching, the packet serializes back to a plain tagged frame.
-        let replain = Packet::parse(&parsed.to_bytes()).unwrap();
-        assert!(replain.dpi_results.is_none());
-        assert_eq!(replain.payload(), p.payload());
+    fn packet_stays_within_its_size_budget() {
+        // Moved by value several times per delivery; 104 is Ethernet, the
+        // VLAN tag stack and the body, with no room for another carrier.
+        assert!(std::mem::size_of::<Packet>() <= 104);
     }
 
     #[test]
-    fn mpls_encapsulation_round_trips() {
-        let mut p = sample_packet();
-        p.mpls.push(MplsLabel::new(1001, false).unwrap());
-        p.mpls.push(MplsLabel::new(2002, true).unwrap());
-        let parsed = Packet::parse(&p.to_bytes()).unwrap();
-        assert_eq!(parsed.mpls.len(), 2);
-        assert_eq!(parsed.payload(), p.payload());
+    fn uninterpreted_ethertypes_parse_as_raw() {
+        // MPLS and NSH frames are not result carriers here.
+        for ethertype in [0x8847, 0x894f] {
+            let mut bytes = sample_packet().to_bytes();
+            bytes[12..14].copy_from_slice(&u16::to_be_bytes(ethertype));
+            let parsed = Packet::parse(&bytes).unwrap();
+            assert!(matches!(parsed.body, PacketBody::Raw(_)));
+            assert_eq!(parsed.to_bytes(), bytes);
+        }
     }
 
     #[test]

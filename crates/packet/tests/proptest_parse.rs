@@ -6,7 +6,7 @@
 use dpi_packet::ipv4::IpProtocol;
 use dpi_packet::packet::{flow, PacketBody};
 use dpi_packet::report::{MatchRecord, MiddleboxReport, ResultPacket};
-use dpi_packet::{DpiResultsHeader, MacAddr, Packet};
+use dpi_packet::{MacAddr, Packet};
 use proptest::prelude::*;
 
 fn arbitrary_records() -> impl Strategy<Value = Vec<MatchRecord>> {
@@ -51,11 +51,6 @@ proptest! {
     #[test]
     fn result_packet_parse_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = ResultPacket::parse(&bytes);
-    }
-
-    #[test]
-    fn results_header_parse_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = DpiResultsHeader::parse(&bytes);
     }
 
     #[test]
@@ -108,19 +103,6 @@ proptest! {
         let (parsed, used) = ResultPacket::parse(&bytes).unwrap();
         prop_assert_eq!(used, bytes.len());
         prop_assert_eq!(parsed, rp);
-    }
-
-    #[test]
-    fn results_header_round_trips(reports in arbitrary_reports(), chain in any::<u16>(), idx in any::<u8>()) {
-        let h = DpiResultsHeader::new(chain, idx, reports);
-        // Headers above the u16 length field are rejected at write time by
-        // construction in the instance; here sizes stay small by strategy.
-        prop_assume!(h.wire_size() <= usize::from(u16::MAX));
-        let mut bytes = Vec::new();
-        h.write(&mut bytes);
-        let (parsed, used) = DpiResultsHeader::parse(&bytes).unwrap();
-        prop_assert_eq!(used, bytes.len());
-        prop_assert_eq!(parsed, h);
     }
 
     #[test]

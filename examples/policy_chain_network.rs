@@ -8,8 +8,7 @@
 //!
 //! The DPI service scans each packet once against the union of the
 //! *active* middleboxes' patterns (selected by the chain tag), and each
-//! middlebox applies its own logic to the shared results. The example
-//! also demonstrates the in-band (NSH-like) result delivery of §4.2.
+//! middlebox applies its own logic to the shared results.
 //!
 //! Run with: `cargo run --example policy_chain_network`
 
@@ -45,7 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut system = SystemBuilder::new()
-        .in_band_results() // §4.2 option 1: results ride on the packet
         .with_middlebox(lb)
         .with_middlebox(shaper)
         .with_middlebox(ips_box)

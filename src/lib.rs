@@ -8,13 +8,14 @@
 //! chain runs its own Deep Packet Inspection pass. The paper extracts DPI
 //! into a *network service*: each packet is scanned **once**, against the
 //! combined pattern sets of every middlebox on its chain, and the match
-//! results travel with (or right behind) the packet to the middleboxes.
+//! results travel in a dedicated result packet right behind it to the
+//! middleboxes.
 //!
 //! This workspace implements the whole system:
 //!
 //! | Crate | What it provides |
 //! |---|---|
-//! | [`packet`] | Ethernet/VLAN/MPLS/IPv4/TCP/UDP formats, the ECN match-mark, NSH-like in-band results header, dedicated result packets |
+//! | [`packet`] | Ethernet/VLAN/IPv4/TCP/UDP formats, the ECN match-mark, dedicated result packets |
 //! | [`ac`] | Combined multi-middlebox Aho-Corasick (full-table and sparse), accepting-state renumbering, match tables, bitmaps |
 //! | [`regex`] | A PCRE-subset regex engine (parser → NFA → lazy DFA) and §5.3 anchor extraction |
 //! | [`core`] | The virtual DPI service instance: single-pass scanning, stateful flows, stopping conditions, match reports |

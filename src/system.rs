@@ -40,9 +40,7 @@ use dpi_core::{
     ConflictPolicy, DpiInstance, GenerationId, TenantId, TenantQuota, UpdateArtifact, UpdateError,
 };
 use dpi_middlebox::boxes::MiddleboxTemplate;
-use dpi_middlebox::{
-    DpiServiceNode, FleetDpiStats, MiddleboxNode, ResultsDelivery, ServiceMiddlebox,
-};
+use dpi_middlebox::{DpiServiceNode, FleetDpiStats, MiddleboxNode, ServiceMiddlebox};
 use dpi_packet::report::ResultPacket;
 use dpi_packet::{FlowKey, MacAddr, Packet};
 use dpi_sdn::flowtable::Port;
@@ -115,7 +113,6 @@ impl From<dpi_core::InstanceError> for SystemError {
 pub struct SystemBuilder {
     templates: Vec<MiddleboxTemplate>,
     chains: Vec<Vec<MiddleboxId>>,
-    delivery: ResultsDelivery,
     dpi_workers: usize,
     dpi_instances: usize,
     chaos: Option<FaultPlan>,
@@ -134,13 +131,12 @@ impl Default for SystemBuilder {
 }
 
 impl SystemBuilder {
-    /// An empty system using dedicated result packets (the prototype's
-    /// delivery method).
+    /// An empty system. Match results travel in dedicated result packets
+    /// (§4.2 option 3, the prototype's delivery method).
     pub fn new() -> SystemBuilder {
         SystemBuilder {
             templates: Vec::new(),
             chains: Vec::new(),
-            delivery: ResultsDelivery::DedicatedPacket,
             dpi_workers: 1,
             dpi_instances: 1,
             chaos: None,
@@ -236,19 +232,6 @@ impl SystemBuilder {
     /// flows from the hottest instance to the coldest.
     pub fn with_balance_policy(mut self, policy: BalancePolicy) -> SystemBuilder {
         self.balance = Some(policy);
-        self
-    }
-
-    /// Switches result delivery to the in-band NSH-like header.
-    pub fn in_band_results(mut self) -> SystemBuilder {
-        self.delivery = ResultsDelivery::InBand;
-        self
-    }
-
-    /// Switches result delivery to MPLS result labels (with dedicated
-    /// result packets as overflow fallback).
-    pub fn mpls_results(mut self) -> SystemBuilder {
-        self.delivery = ResultsDelivery::MplsTags;
         self
     }
 
@@ -349,7 +332,7 @@ impl SystemBuilder {
             let mut instance = DpiInstance::from_engine(engine.clone());
             instance.set_overload_policy(self.overload);
             let (mut node, handle) =
-                DpiServiceNode::new(instance, self.delivery, MacAddr::local(100 + i as u32), i);
+                DpiServiceNode::new(instance, MacAddr::local(100 + i as u32), i);
             if let Some(c) = &chaos {
                 node.attach_chaos(Arc::clone(c), RetryPolicy::default());
             }
@@ -366,9 +349,8 @@ impl SystemBuilder {
         let mut mb_port = HashMap::new();
         for (i, t) in self.templates.iter().enumerate() {
             let port = 2 + self.dpi_instances as Port + i as Port;
-            let last_on_any_chain = self.chains.iter().any(|c| c.last() == Some(&t.profile.id));
             let mb = ServiceMiddlebox::new(t.profile.id, &t.name, t.logic.clone());
-            let (node, handle) = MiddleboxNode::new(mb, last_on_any_chain);
+            let (node, handle) = MiddleboxNode::new(mb, false);
             let id = net.add_node(Box::new(node));
             net.link(sw, port, id, 0);
             mb_handles.insert(t.profile.id, handle);

@@ -15,37 +15,18 @@ fn test_flow(port: u16) -> FlowKey {
     flow([10, 0, 0, 1], port, [10, 0, 0, 2], 80, IpProtocol::Tcp)
 }
 
-#[derive(Clone, Copy)]
-enum Delivery {
-    Dedicated,
-    InBand,
-    Mpls,
-}
-
-fn build_with(delivery: Delivery) -> dpi_service::SystemHandle {
-    let mut b = SystemBuilder::new()
+fn build() -> dpi_service::SystemHandle {
+    SystemBuilder::new()
         .with_middlebox(ids(IDS_ID, &[b"sig-alpha".to_vec(), b"sig-beta".to_vec()]))
         .with_middlebox(antivirus(AV_ID, &[b"virus-omega".to_vec()]))
-        .with_chain(&[IDS_ID, AV_ID]);
-    match delivery {
-        Delivery::Dedicated => {}
-        Delivery::InBand => b = b.in_band_results(),
-        Delivery::Mpls => b = b.mpls_results(),
-    }
-    b.build().expect("system builds")
-}
-
-fn build(in_band: bool) -> dpi_service::SystemHandle {
-    build_with(if in_band {
-        Delivery::InBand
-    } else {
-        Delivery::Dedicated
-    })
+        .with_chain(&[IDS_ID, AV_ID])
+        .build()
+        .expect("system builds")
 }
 
 #[test]
 fn clean_traffic_flows_untouched_to_destination() {
-    let mut sys = build(false);
+    let mut sys = build();
     for i in 0..10 {
         sys.send(test_flow(1000), i * 100, b"nothing interesting at all");
     }
@@ -64,7 +45,7 @@ fn clean_traffic_flows_untouched_to_destination() {
 
 #[test]
 fn matches_reach_the_right_middleboxes_and_results_never_leak() {
-    let mut sys = build(false);
+    let mut sys = build();
     sys.send(test_flow(2000), 0, b"carrying sig-alpha here");
     sys.send(test_flow(2000), 100, b"and virus-omega there");
     // IDS alerted once; AV blocked one packet.
@@ -84,46 +65,6 @@ fn matches_reach_the_right_middleboxes_and_results_never_leak() {
 }
 
 #[test]
-fn all_three_delivery_mechanisms_agree() {
-    let payloads: [&[u8]; 5] = [
-        b"clean",
-        b"sig-alpha",
-        b"virus-omega",
-        b"sig-alpha and sig-beta together",
-        b"sig-beta virus-omega double",
-    ];
-    let mut stats = Vec::new();
-    for delivery in [Delivery::Dedicated, Delivery::InBand, Delivery::Mpls] {
-        let mut sys = build_with(delivery);
-        for (i, p) in payloads.iter().enumerate() {
-            sys.send(test_flow(3000), i as u32 * 100, p);
-        }
-        stats.push((
-            sys.stats_of(IDS_ID).unwrap(),
-            sys.stats_of(AV_ID).unwrap(),
-            sys.sink.count(),
-        ));
-    }
-    assert_eq!(stats[0], stats[1], "in-band must match dedicated");
-    assert_eq!(stats[0], stats[2], "mpls tags must match dedicated");
-    // MPLS result labels are stripped before egress.
-    let mut sys = build_with(Delivery::Mpls);
-    sys.send(test_flow(3002), 0, b"sig-alpha rides on labels");
-    let received = sys.sink.received();
-    assert_eq!(received.len(), 1);
-    assert!(
-        received[0].mpls.is_empty(),
-        "result labels must be stripped"
-    );
-    // And the in-band header was stripped before egress.
-    let mut sys = build(true);
-    sys.send(test_flow(3001), 0, b"sig-alpha travels in band");
-    let received = sys.sink.received();
-    assert_eq!(received.len(), 1);
-    assert!(received[0].dpi_results.is_none());
-}
-
-#[test]
 fn ips_blocks_inline_and_stops_the_chain() {
     const IPS_ID: MiddleboxId = MiddleboxId(3);
     let mut sys = SystemBuilder::new()
@@ -137,6 +78,31 @@ fn ips_blocks_inline_and_stops_the_chain() {
     assert_eq!(sys.sink.count(), 1);
     // The AV behind the IPS never saw the blocked packet.
     assert_eq!(sys.stats_of(AV_ID).unwrap().packets, 1);
+}
+
+#[test]
+fn a_middlebox_shared_by_two_chains_passes_results_downstream() {
+    // B is last on chain [A, B] and in the middle of chain [B, C]; `send`
+    // takes the first chain. B must hand C its report and the packet
+    // must leave C, although B ends the other chain.
+    const A: MiddleboxId = MiddleboxId(11);
+    const B: MiddleboxId = MiddleboxId(12);
+    const C: MiddleboxId = MiddleboxId(13);
+    let mut sys = SystemBuilder::new()
+        .with_middlebox(ids(A, &[b"sig-of-a".to_vec()]))
+        .with_middlebox(ids(B, &[b"sig-of-b".to_vec()]))
+        .with_middlebox(ids(C, &[b"sig-of-c".to_vec()]))
+        .with_chain(&[B, C])
+        .with_chain(&[A, B])
+        .build()
+        .expect("system builds");
+    sys.send(test_flow(4500), 0, b"a payload carrying sig-of-c");
+    let c = sys.stats_of(C).unwrap();
+    assert_eq!((c.packets, c.matches, c.rules_fired), (1, 1, 1));
+    assert_eq!(sys.stats_of(B).unwrap().matches, 0);
+    assert_eq!(sys.stats_of(A).unwrap().packets, 0, "not on this chain");
+    assert_eq!(sys.sink.count(), 1);
+    assert_eq!(sys.net.dropped(), 0);
 }
 
 #[test]
@@ -157,7 +123,7 @@ fn shaper_chain_observes_match_positions() {
 fn per_flow_state_survives_the_network_path() {
     // A stateful IDS sees a signature split across two TCP segments that
     // traverse the whole simulated network.
-    let mut sys = build(false);
+    let mut sys = build();
     sys.send(test_flow(6000), 0, b"first half sig-al");
     sys.send(test_flow(6000), 17, b"pha second half");
     let ids_stats = sys.stats_of(IDS_ID).unwrap();

@@ -8,7 +8,7 @@ use dpi_service::core::chaos::FaultPlan;
 use dpi_service::core::instance::ScanEngine;
 use dpi_service::core::{DpiInstance, InstanceConfig, MiddleboxProfile, RuleSpec};
 use dpi_service::middlebox::{
-    DpiServiceNode, MbAction, MiddleboxNode, ResultsDelivery, RuleLogic, ServiceMiddlebox,
+    DpiServiceNode, MbAction, MiddleboxNode, RuleLogic, ServiceMiddlebox,
 };
 use dpi_service::packet::ipv4::IpProtocol;
 use dpi_service::packet::packet::flow;
@@ -41,14 +41,9 @@ fn tagged(payload: &[u8], port: u16) -> Packet {
 
 #[test]
 fn lost_result_packets_fail_open_at_buffer_capacity() {
-    let (mut dpi_node, _h) = DpiServiceNode::new(
-        dpi(),
-        ResultsDelivery::DedicatedPacket,
-        MacAddr::local(9),
-        0,
-    );
+    let (mut dpi_node, _h) = DpiServiceNode::new(dpi(), MacAddr::local(9), 0);
     let mb = ServiceMiddlebox::new(MB, "ids", RuleLogic::one_per_pattern(1, MbAction::Alert));
-    let (mut mb_node, handle) = MiddleboxNode::with_buffer_capacity(mb, true, 2);
+    let (mut mb_node, handle) = MiddleboxNode::with_buffer_capacity(mb, 2);
 
     // Three marked packets whose result packets we "lose" on the way.
     let mut released = Vec::new();
@@ -69,12 +64,7 @@ fn lost_result_packets_fail_open_at_buffer_capacity() {
 
 #[test]
 fn duplicated_result_packets_do_not_double_fire() {
-    let (mut dpi_node, _h) = DpiServiceNode::new(
-        dpi(),
-        ResultsDelivery::DedicatedPacket,
-        MacAddr::local(9),
-        0,
-    );
+    let (mut dpi_node, _h) = DpiServiceNode::new(dpi(), MacAddr::local(9), 0);
     let mb = ServiceMiddlebox::new(MB, "ids", RuleLogic::one_per_pattern(1, MbAction::Alert));
     let (mut mb_node, handle) = MiddleboxNode::new(mb, true);
 
@@ -94,12 +84,7 @@ fn duplicated_result_packets_do_not_double_fire() {
 
 #[test]
 fn unknown_chain_packets_are_dropped_by_the_service_not_crashed_on() {
-    let (mut dpi_node, _h) = DpiServiceNode::new(
-        dpi(),
-        ResultsDelivery::DedicatedPacket,
-        MacAddr::local(9),
-        0,
-    );
+    let (mut dpi_node, _h) = DpiServiceNode::new(dpi(), MacAddr::local(9), 0);
     let mut p = tagged(b"payload", 3000);
     p.pop_chain_tag();
     p.push_chain_tag(999).unwrap(); // a chain this instance does not serve
@@ -110,12 +95,7 @@ fn unknown_chain_packets_are_dropped_by_the_service_not_crashed_on() {
 #[test]
 fn corrupted_result_packet_bytes_do_not_poison_the_middlebox() {
     use dpi_service::packet::packet::PacketBody;
-    let (mut dpi_node, _h) = DpiServiceNode::new(
-        dpi(),
-        ResultsDelivery::DedicatedPacket,
-        MacAddr::local(9),
-        0,
-    );
+    let (mut dpi_node, _h) = DpiServiceNode::new(dpi(), MacAddr::local(9), 0);
     let emitted = dpi_node.on_packet(tagged(b"xx match-me-sig", 4000), 0);
     let result = emitted[1].1.clone();
 
