@@ -73,7 +73,7 @@ fn main() {
         // hot path while the (single-threaded) data plane would keep
         // serving the old generation.
         all_pats.extend(snort_like(added, 1000 + i as u64));
-        let prepared = orchestrator.prepare(i as u64 + 1, &pipeline_config(&all_pats));
+        let prepared = orchestrator.prepare(&pipeline_config(&all_pats));
         let t0 = Instant::now();
         let engine = prepared.artifact.compile().expect("valid artifact");
         let compile_ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -1,10 +1,12 @@
 //! The DPI controller proper.
 
 use crate::health::{HealthEvent, HealthMonitor, HealthPolicy, InstanceHealth};
-use crate::proto::{ControllerMessage, ControllerReply};
+use crate::proto::{profile_of_register, ControllerMessage, ControllerReply};
 use crate::registry::GlobalPatternSet;
 use dpi_ac::MiddleboxId;
-use dpi_core::{ChainSpec, InstanceConfig, MiddleboxProfile, Telemetry, TenantId, TenantQuota};
+use dpi_core::{
+    ChainSpec, GenerationId, InstanceConfig, MiddleboxProfile, Telemetry, TenantId, TenantQuota,
+};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -71,7 +73,7 @@ struct InstanceRecord {
     total: Telemetry,
     dedicated: bool,
     /// The rule generation the instance last acked (0 = initial build).
-    generation: u32,
+    generation: GenerationId,
     /// Set when a pattern mutation touched a middlebox on one of this
     /// instance's chains after its last acked generation — the instance
     /// is serving stale rules until an update rolls out.
@@ -89,7 +91,7 @@ pub struct InstanceStatus {
     /// Whether it is MCA²-dedicated.
     pub dedicated: bool,
     /// The rule generation it last acked.
-    pub generation: u32,
+    pub generation: GenerationId,
     /// Whether its configuration is stale (a pattern affecting its
     /// chains changed since that generation).
     pub pending_update: bool,
@@ -100,8 +102,6 @@ pub struct InstanceStatus {
 /// update, as opposed to the cumulative total).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferRecord {
-    /// Controller version after the mutation.
-    pub version: u64,
     /// Signed change in serialized pattern bytes (negative for removals).
     pub delta_bytes: i64,
     /// Cumulative serialized pattern bytes after the mutation.
@@ -130,9 +130,6 @@ struct Inner {
     next_instance_id: u32,
     /// Heartbeat-driven liveness of deployed instances.
     health: HealthMonitor,
-    /// Monotonic version, bumped on every pattern/registration change so
-    /// deployed instances know when their configuration is stale.
-    version: u64,
     /// Per-mutation transfer-size log ([`TransferRecord`]).
     transfer_log: Vec<TransferRecord>,
     /// Operator-declared per-tenant quotas (DESIGN.md §16), emitted into
@@ -144,13 +141,11 @@ struct Inner {
 }
 
 impl Inner {
-    /// Records a pattern-set mutation: logs the transfer delta against
-    /// the just-bumped version and flags every instance whose chains
-    /// include `mb` as pending an update.
+    /// Records a pattern-set mutation: logs the transfer delta and flags
+    /// every instance whose chains include `mb` as pending an update.
     fn note_pattern_change(&mut self, mb: MiddleboxId, bytes_before: usize) {
         let total = self.patterns.transfer_bytes();
         self.transfer_log.push(TransferRecord {
-            version: self.version,
             delta_bytes: total as i64 - bytes_before as i64,
             total_bytes: total,
         });
@@ -191,64 +186,48 @@ impl DpiController {
 
     /// Handles one typed message.
     pub fn handle(&self, msg: ControllerMessage) -> ControllerReply {
-        let result = match msg {
+        let result = match &msg {
             ControllerMessage::Register {
                 middlebox_id,
                 name,
                 inherit_from,
-                stateful,
-                read_only,
-                stopping_condition,
-            } => self
-                .register(
-                    MiddleboxId(middlebox_id),
-                    &name,
-                    inherit_from.map(MiddleboxId),
-                    MiddleboxProfile {
-                        id: MiddleboxId(middlebox_id),
-                        stateful,
-                        read_only,
-                        stopping_condition,
-                        fail_closed: false,
-                        l7_protocols: None,
-                        tenant: TenantId::DEFAULT,
-                    },
-                )
-                .map(|_| ControllerReply::Registered { middlebox_id }),
+                ..
+            } => {
+                let profile =
+                    profile_of_register(&msg).expect("a Register message carries a profile");
+                self.register(profile.id, name, inherit_from.map(MiddleboxId), profile)
+                    .map(|_| ControllerReply::Registered {
+                        middlebox_id: *middlebox_id,
+                    })
+            }
             ControllerMessage::AddPattern {
                 middlebox_id,
                 rule_id,
                 rule,
             } => self
-                .add_pattern(MiddleboxId(middlebox_id), rule_id, &rule)
+                .add_pattern(MiddleboxId(*middlebox_id), *rule_id, rule)
                 .map(|_| ControllerReply::Ok),
             ControllerMessage::RemovePattern {
                 middlebox_id,
                 rule_id,
             } => self
-                .remove_pattern(MiddleboxId(middlebox_id), rule_id)
+                .remove_pattern(MiddleboxId(*middlebox_id), *rule_id)
                 .map(|_| ControllerReply::Ok),
             ControllerMessage::Deregister { middlebox_id } => self
-                .deregister(MiddleboxId(middlebox_id))
+                .deregister(MiddleboxId(*middlebox_id))
                 .map(|_| ControllerReply::Ok),
             ControllerMessage::AckGeneration {
                 instance_id,
                 generation,
             } => self
-                .mark_instance_current(InstanceId(instance_id), generation)
+                .mark_instance_current(InstanceId(*instance_id), *generation)
                 .map(|_| ControllerReply::Ok),
-            // BeginUpdate/Rollback travel controller → instance; one
-            // arriving *at* the controller is a misrouted message.
-            ControllerMessage::BeginUpdate { instance_id, .. }
-            | ControllerMessage::Rollback { instance_id, .. } => Ok(ControllerReply::Error {
-                reason: format!("message for instance {instance_id} routed to the controller"),
-            }),
             ControllerMessage::Heartbeat {
                 instance_id,
                 seq,
                 load,
             } => self
-                .heartbeat(InstanceId(instance_id), seq, load)
+                .heartbeat(InstanceId(*instance_id), *seq, *load)
                 .map(|_| ControllerReply::Ok),
         };
         match result {
@@ -292,7 +271,6 @@ impl DpiController {
         for (rid, rule) in inherited {
             g.patterns.add(id, rid, &rule);
         }
-        g.version += 1;
         if inherited_any {
             g.note_pattern_change(id, before);
         }
@@ -312,7 +290,6 @@ impl DpiController {
         }
         let before = g.patterns.transfer_bytes();
         g.patterns.add(id, rule_id, rule);
-        g.version += 1;
         g.note_pattern_change(id, before);
         Ok(())
     }
@@ -325,7 +302,6 @@ impl DpiController {
         }
         let before = g.patterns.transfer_bytes();
         g.patterns.remove(id, rule_id);
-        g.version += 1;
         g.note_pattern_change(id, before);
         Ok(())
     }
@@ -338,7 +314,6 @@ impl DpiController {
         }
         let before = g.patterns.transfer_bytes();
         g.patterns.remove_middlebox(id);
-        g.version += 1;
         // Flag affected instances before the chains themselves go away.
         g.note_pattern_change(id, before);
         g.chains.retain(|_, members| !members.contains(&id));
@@ -367,18 +342,12 @@ impl DpiController {
         let id = g.next_chain_id;
         g.chains.insert(id, members.to_vec());
         g.chain_ids.insert(members.to_vec(), id);
-        g.version += 1;
         Ok(id)
     }
 
     /// Members of a chain.
     pub fn chain_members(&self, chain_id: u16) -> Option<Vec<MiddleboxId>> {
         self.inner.lock().chains.get(&chain_id).cloned()
-    }
-
-    /// Current configuration version.
-    pub fn version(&self) -> u64 {
-        self.inner.lock().version
     }
 
     /// The registered name of a middlebox.
@@ -433,16 +402,15 @@ impl DpiController {
 
     /// Declares (or replaces) a tenant's quota and fair-share weight.
     /// Every [`InstanceConfig`] built afterwards carries it; like a
-    /// pattern mutation it bumps the controller version, so deployed
-    /// instances are flagged stale and a prepared update ships the new
-    /// quota (DESIGN.md §16).
+    /// pattern mutation it flags every deployed instance stale until the
+    /// next committed generation, which ships the new quota (DESIGN.md
+    /// §16).
     pub fn set_tenant_quota(&self, tenant: TenantId, quota: TenantQuota) {
         let mut g = self.inner.lock();
         match g.tenant_quotas.binary_search_by_key(&tenant, |(t, _)| *t) {
             Ok(i) => g.tenant_quotas[i].1 = quota,
             Err(i) => g.tenant_quotas.insert(i, (tenant, quota)),
         }
-        g.version += 1;
         for rec in g.instances.values_mut() {
             rec.pending_update = true;
         }
@@ -599,7 +567,7 @@ impl DpiController {
     }
 
     /// The rule generation an instance last acked.
-    pub fn instance_generation(&self, id: InstanceId) -> Option<u32> {
+    pub fn instance_generation(&self, id: InstanceId) -> Option<GenerationId> {
         self.inner.lock().instances.get(&id).map(|r| r.generation)
     }
 
@@ -618,7 +586,7 @@ impl DpiController {
     pub fn mark_instance_current(
         &self,
         id: InstanceId,
-        generation: u32,
+        generation: GenerationId,
     ) -> Result<(), ControllerError> {
         let mut g = self.inner.lock();
         let rec = g
@@ -784,9 +752,7 @@ mod tests {
         c.add_pattern(MiddleboxId(1), 0, &RuleSpec::exact(b"gone-soon".to_vec()))
             .unwrap();
         let chain = c.register_chain(&[MiddleboxId(1)]).unwrap();
-        let v1 = c.version();
         c.remove_pattern(MiddleboxId(1), 0).unwrap();
-        assert!(c.version() > v1);
         let cfg = c.instance_config(&[chain]).unwrap();
         let mut dpi = dpi_core::DpiInstance::new(cfg).unwrap();
         let out = dpi.scan_payload(chain, None, b"gone-soon").unwrap();
@@ -883,11 +849,8 @@ mod tests {
         c.mark_instance_current(on_b, 1).unwrap();
         assert_eq!(c.instance_pending_update(on_b), Some(false));
         assert_eq!(c.instance_generation(on_b), Some(1));
-        // Removal stales it again (satellite: remove_pattern bumps the
-        // version and re-flags).
-        let v = c.version();
+        // Removal stales it again.
         c.remove_pattern(MiddleboxId(2), 0).unwrap();
-        assert!(c.version() > v);
         assert_eq!(c.instance_pending_update(on_b), Some(true));
         assert_eq!(c.instance_pending_update(on_a), Some(false));
         // The ack flows over the JSON channel too.
@@ -901,11 +864,11 @@ mod tests {
         assert!(ControllerReply::from_json(&reply).unwrap().is_ok());
         assert_eq!(c.instance_generation(on_b), Some(2));
         assert_eq!(c.instance_pending_update(on_b), Some(false));
-        // BeginUpdate/Rollback are controller→instance messages; the
-        // controller rejects ones misrouted to itself.
-        let cfg = c.instance_config(&[chain_b]).unwrap();
-        let artifact = dpi_core::UpdateArtifact::build(3, &cfg);
-        let reply = c.handle_json(&crate::proto::begin_update(on_b.0, &artifact).to_json());
+        // The controller parses no controller → instance message; one
+        // sent to it is rejected by the parser.
+        let reply = c.handle_json(
+            r#"{"type":"begin_update","instance_id":1,"generation":3,"payload":"{}","checksum":0}"#,
+        );
         assert!(!ControllerReply::from_json(&reply).unwrap().is_ok());
     }
 
@@ -921,15 +884,19 @@ mod tests {
         c.remove_pattern(MiddleboxId(1), 0).unwrap();
         let log = c.pattern_transfer_deltas();
         assert_eq!(log.len(), 3);
-        // Adds are positive, the removal negative, and each total matches
-        // the cumulative count at that version.
+        // Adds are positive, the removal negative, and each total is the
+        // previous total plus its delta, in mutation order.
         assert!(log[0].delta_bytes > 0);
         assert!(log[1].delta_bytes > 0);
         assert!(log[2].delta_bytes < 0);
         assert_eq!(log[2].delta_bytes, -log[0].delta_bytes);
         assert_eq!(log[2].total_bytes, c.pattern_transfer_bytes());
-        // Versions are strictly increasing across mutations.
-        assert!(log[0].version < log[1].version && log[1].version < log[2].version);
+        for w in log.windows(2) {
+            assert_eq!(
+                w[1].total_bytes as i64,
+                w[0].total_bytes as i64 + w[1].delta_bytes
+            );
+        }
         // Inheritance is logged, but the global store dedups by content,
         // so inheriting an already-stored pattern ships zero new bytes —
         // §4.1's shared-pattern argument.

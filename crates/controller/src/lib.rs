@@ -32,12 +32,15 @@
 //!   bounded whole-flow migrations from the hottest to the coldest
 //!   instance, with anti-flap hysteresis (§4.3's load-balancing
 //!   responsibility).
+//! * **Live rule updates** ([`update`]): a pattern mutation flags the
+//!   affected instances pending; the orchestrator freezes the pattern set
+//!   into the next rule generation and rolls it out canary-first. The rule
+//!   generation is the only version the control plane keeps.
 
 pub mod balancer;
 pub mod controller;
 pub mod deploy;
 pub mod health;
-pub mod managed;
 pub mod proto;
 pub mod registry;
 pub mod stress;
@@ -47,7 +50,6 @@ pub use balancer::{BalancePolicy, LoadBalancer, RebalancePlan};
 pub use controller::{ControllerError, DpiController, InstanceId, InstanceStatus, TransferRecord};
 pub use deploy::DeploymentPlan;
 pub use health::{HealthEvent, HealthMonitor, HealthPolicy, InstanceHealth};
-pub use managed::ManagedInstance;
 pub use proto::{ControllerMessage, ControllerReply};
 pub use registry::GlobalPatternSet;
 pub use stress::{Mca2Action, StressMonitor, StressPolicy};

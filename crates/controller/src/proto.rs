@@ -57,22 +57,6 @@ pub enum ControllerMessage {
         /// The middlebox to remove.
         middlebox_id: u16,
     },
-    /// Controller → instance: install the serialized configuration as
-    /// rule generation `generation`. The payload/checksum pair is a
-    /// [`dpi_core::UpdateArtifact`] on the wire; the instance validates
-    /// the checksum **before** compiling and rejects corrupt updates,
-    /// keeping its current generation (the live-update pipeline,
-    /// DESIGN.md §9).
-    BeginUpdate {
-        /// The instance being updated.
-        instance_id: u32,
-        /// The generation this update installs.
-        generation: u32,
-        /// Serialized [`dpi_core::InstanceConfig`] (JSON).
-        payload: String,
-        /// FNV-1a checksum over generation + payload.
-        checksum: u64,
-    },
     /// Instance → controller: `generation` is compiled, swapped in and
     /// serving. Every result the instance emits from now on is stamped
     /// with it.
@@ -80,15 +64,7 @@ pub enum ControllerMessage {
         /// The acking instance.
         instance_id: u32,
         /// The generation now serving.
-        generation: u32,
-    },
-    /// Controller → instance: abandon any generation newer than
-    /// `generation` and return to it (a staged rollout failed partway).
-    Rollback {
-        /// The instance being rolled back.
-        instance_id: u32,
-        /// The generation to serve again.
-        generation: u32,
+        generation: dpi_core::GenerationId,
     },
     /// A deployed DPI instance's liveness beacon. Instances send one per
     /// heartbeat window; the controller's health monitor walks silent
@@ -151,34 +127,6 @@ impl ControllerReply {
     /// Convenience predicate.
     pub fn is_ok(&self) -> bool {
         !matches!(self, ControllerReply::Error { .. })
-    }
-}
-
-/// Helper: wraps an update artifact as a `BeginUpdate` message for one
-/// instance.
-pub fn begin_update(instance_id: u32, artifact: &dpi_core::UpdateArtifact) -> ControllerMessage {
-    ControllerMessage::BeginUpdate {
-        instance_id,
-        generation: artifact.generation,
-        payload: artifact.payload.clone(),
-        checksum: artifact.checksum,
-    }
-}
-
-/// Helper: the artifact carried by a `BeginUpdate` message.
-pub fn artifact_of_begin_update(msg: &ControllerMessage) -> Option<dpi_core::UpdateArtifact> {
-    match msg {
-        ControllerMessage::BeginUpdate {
-            generation,
-            payload,
-            checksum,
-            ..
-        } => Some(dpi_core::UpdateArtifact {
-            generation: *generation,
-            payload: payload.clone(),
-            checksum: *checksum,
-        }),
-        _ => None,
     }
 }
 
@@ -266,28 +214,14 @@ mod tests {
     }
 
     #[test]
-    fn update_messages_round_trip_and_carry_the_artifact() {
-        let cfg = dpi_core::InstanceConfig::new();
-        let artifact = dpi_core::UpdateArtifact::build(4, &cfg);
-        let m = begin_update(7, &artifact);
+    fn ack_generation_round_trips_as_json() {
+        let m = ControllerMessage::AckGeneration {
+            instance_id: 7,
+            generation: 4,
+        };
         let j = m.to_json();
-        assert!(j.contains("\"type\":\"begin_update\""));
-        let back = ControllerMessage::from_json(&j).unwrap();
-        assert_eq!(back, m);
-        // The artifact survives the JSON hop intact, checksum included.
-        assert_eq!(artifact_of_begin_update(&back).unwrap(), artifact);
-        for m in [
-            ControllerMessage::AckGeneration {
-                instance_id: 7,
-                generation: 4,
-            },
-            ControllerMessage::Rollback {
-                instance_id: 7,
-                generation: 3,
-            },
-        ] {
-            assert_eq!(ControllerMessage::from_json(&m.to_json()).unwrap(), m);
-        }
+        assert!(j.contains("\"type\":\"ack_generation\""));
+        assert_eq!(ControllerMessage::from_json(&j).unwrap(), m);
     }
 
     #[test]

@@ -19,10 +19,9 @@
 //!    [`RolloutOutcome::RolledBack`]. The fleet never serves a mix of
 //!    generations after the orchestrator returns.
 //!
-//! The orchestrator also owns the **version → generation** mapping: each
-//! committed generation records the controller configuration version it
-//! was prepared from, so every match result (stamped with a generation by
-//! the data plane) is attributable to exactly one rule-set version.
+//! The rule generation is the only version the control plane knows: every
+//! match result is stamped with the generation the data plane served it
+//! under, so it is attributable to exactly one committed rule set.
 
 use crate::controller::InstanceId;
 use dpi_core::{GenerationId, InstanceConfig, TenantId, UpdateArtifact, UpdateError};
@@ -51,8 +50,6 @@ pub trait UpdateTarget {
 pub struct PreparedUpdate {
     /// The generation this update installs.
     pub generation: GenerationId,
-    /// The controller configuration version it was prepared from.
-    pub version: u64,
     /// The checksummed wire artifact.
     pub artifact: UpdateArtifact,
     /// Bytes this update ships per instance (paper Fig. 11's unit).
@@ -109,8 +106,6 @@ pub struct UpdateOrchestrator {
     committed: GenerationId,
     /// Artifact history — rollback re-ships the committed generation.
     artifacts: HashMap<GenerationId, UpdateArtifact>,
-    /// Committed (controller version, generation) pairs, in commit order.
-    version_map: Vec<(u64, GenerationId)>,
     /// The committed per-tenant generation stamps (DESIGN.md §16):
     /// tenants absent here stamp results with `committed`. Replaced
     /// wholesale when an update commits — with the empty map for a
@@ -134,7 +129,6 @@ impl UpdateOrchestrator {
             next_generation: 1,
             committed: 0,
             artifacts,
-            version_map: vec![(0, 0)],
             tenant_stamps: Vec::new(),
             tracer: None,
         }
@@ -151,27 +145,10 @@ impl UpdateOrchestrator {
         }
     }
 
-    /// Freezes `config` (the controller's current instance configuration
-    /// at `version`) into the next generation's artifact.
-    pub fn prepare(&mut self, version: u64, config: &InstanceConfig) -> PreparedUpdate {
-        let generation = self.next_generation;
-        self.next_generation += 1;
-        let artifact = UpdateArtifact::build(generation, config);
-        let transfer_bytes = artifact.transfer_bytes() as u64;
-        self.artifacts.insert(generation, artifact.clone());
-        self.trace(dpi_core::trace::TraceKind::UpdatePrepared {
-            generation,
-            version,
-            transfer_bytes,
-        });
-        PreparedUpdate {
-            generation,
-            version,
-            artifact,
-            transfer_bytes,
-            tenant: None,
-            tenant_generations: Vec::new(),
-        }
+    /// Freezes `config` (the controller's current instance configuration)
+    /// into the next generation's artifact.
+    pub fn prepare(&mut self, config: &InstanceConfig) -> PreparedUpdate {
+        self.prepare_scoped(config, None)
     }
 
     /// Freezes `config` into the next generation's artifact, scoped to a
@@ -185,60 +162,57 @@ impl UpdateOrchestrator {
     /// override map.
     pub fn prepare_for_tenant(
         &mut self,
-        version: u64,
         config: &InstanceConfig,
         tenant: TenantId,
     ) -> PreparedUpdate {
+        self.prepare_scoped(config, Some(tenant))
+    }
+
+    fn prepare_scoped(
+        &mut self,
+        config: &InstanceConfig,
+        tenant: Option<TenantId>,
+    ) -> PreparedUpdate {
         let generation = self.next_generation;
         self.next_generation += 1;
-
-        // Pin every known tenant — those named by the configuration and
-        // those with an existing committed stamp — at the generation it
-        // currently stamps results with, then move only the target.
-        let mut overrides: Vec<(TenantId, GenerationId)> = Vec::new();
-        let mut pin = |t: TenantId, stamps: &[(TenantId, GenerationId)], committed| {
-            if overrides.iter().any(|(o, _)| *o == t) {
-                return;
-            }
-            let stamp = stamps
-                .iter()
-                .find(|(s, _)| *s == t)
-                .map(|(_, g)| *g)
-                .unwrap_or(committed);
-            let at = overrides.partition_point(|(o, _)| *o < t);
-            overrides.insert(at, (t, stamp));
-        };
-        for (t, _) in &config.tenants {
-            pin(*t, &self.tenant_stamps, self.committed);
-        }
-        for profile in &config.profiles {
-            pin(profile.tenant, &self.tenant_stamps, self.committed);
-        }
-        for (t, _) in &self.tenant_stamps {
-            pin(*t, &self.tenant_stamps, self.committed);
-        }
-        pin(tenant, &self.tenant_stamps, self.committed);
-        if let Some(slot) = overrides.iter_mut().find(|(t, _)| *t == tenant) {
-            slot.1 = generation;
-        }
-
         let mut cfg = config.clone();
-        cfg.tenant_generations = overrides.clone();
+        if let Some(target) = tenant {
+            // Pin every known tenant — those named by the configuration
+            // and those with a committed stamp — at the generation it
+            // currently stamps results with; move only the target.
+            let known = config
+                .tenants
+                .iter()
+                .map(|(t, _)| *t)
+                .chain(config.profiles.iter().map(|p| p.tenant))
+                .chain(self.tenant_stamps.iter().map(|(t, _)| *t))
+                .chain([target]);
+            let mut overrides: Vec<(TenantId, GenerationId)> = Vec::new();
+            for t in known {
+                if let Err(at) = overrides.binary_search_by_key(&t, |(o, _)| *o) {
+                    let stamp = if t == target {
+                        generation
+                    } else {
+                        self.tenant_committed_stamp(t)
+                    };
+                    overrides.insert(at, (t, stamp));
+                }
+            }
+            cfg.tenant_generations = overrides;
+        }
         let artifact = UpdateArtifact::build(generation, &cfg);
         let transfer_bytes = artifact.transfer_bytes() as u64;
         self.artifacts.insert(generation, artifact.clone());
         self.trace(dpi_core::trace::TraceKind::UpdatePrepared {
             generation,
-            version,
             transfer_bytes,
         });
         PreparedUpdate {
             generation,
-            version,
             artifact,
             transfer_bytes,
-            tenant: Some(tenant),
-            tenant_generations: overrides,
+            tenant,
+            tenant_generations: cfg.tenant_generations,
         }
     }
 
@@ -262,20 +236,6 @@ impl UpdateOrchestrator {
     /// fleet-wide commit).
     pub fn tenant_stamps(&self) -> &[(TenantId, GenerationId)] {
         &self.tenant_stamps
-    }
-
-    /// The generation a committed controller version maps to, if any.
-    pub fn generation_of_version(&self, version: u64) -> Option<GenerationId> {
-        self.version_map
-            .iter()
-            .rev()
-            .find(|(v, _)| *v == version)
-            .map(|(_, g)| *g)
-    }
-
-    /// Committed (version, generation) pairs in commit order.
-    pub fn version_history(&self) -> &[(u64, GenerationId)] {
-        &self.version_map
     }
 
     /// Rolls `prepared` across `targets` in stages: canary (first
@@ -323,8 +283,6 @@ impl UpdateOrchestrator {
         match failure {
             None => {
                 self.committed = prepared.generation;
-                self.version_map
-                    .push((prepared.version, prepared.generation));
                 // A tenant-scoped commit adopts the override map the
                 // artifact shipped; a fleet-wide commit moves every
                 // tenant to the new generation, so the overrides clear.
@@ -436,7 +394,7 @@ mod tests {
     fn staged_rollout_commits_across_the_fleet() {
         let mut orch = UpdateOrchestrator::new(&config_with(&["old"]));
         let (mut a, mut b, mut c) = (MockTarget::new(0), MockTarget::new(1), MockTarget::new(2));
-        let prepared = orch.prepare(7, &config_with(&["old", "new"]));
+        let prepared = orch.prepare(&config_with(&["old", "new"]));
         assert_eq!(prepared.generation, 1);
         assert!(prepared.transfer_bytes > 0);
         let mut verified = 0;
@@ -452,15 +410,13 @@ mod tests {
             assert_eq!(t.generation, 1);
         }
         assert_eq!(orch.committed_generation(), 1);
-        assert_eq!(orch.generation_of_version(7), Some(1));
-        assert_eq!(orch.version_history(), &[(0, 0), (7, 1)]);
     }
 
     #[test]
     fn corrupt_artifact_is_rejected_at_the_canary_and_nothing_changes() {
         let mut orch = UpdateOrchestrator::new(&config_with(&["old"]));
         let (mut a, mut b) = (MockTarget::new(0), MockTarget::new(1));
-        let mut prepared = orch.prepare(3, &config_with(&["old", "evil"]));
+        let mut prepared = orch.prepare(&config_with(&["old", "evil"]));
         prepared.artifact.corrupt();
         let report = orch.rollout(&prepared, &mut [&mut a, &mut b], &mut |_| true);
         assert_eq!(report.outcome, RolloutOutcome::RolledBack);
@@ -472,14 +428,13 @@ mod tests {
         assert_eq!(a.served, vec![0]);
         assert_eq!(b.served, vec![0]);
         assert_eq!(orch.committed_generation(), 0);
-        assert_eq!(orch.generation_of_version(3), None);
     }
 
     #[test]
     fn mid_fleet_failure_rolls_the_canary_back() {
         let mut orch = UpdateOrchestrator::new(&config_with(&["old"]));
         let (mut a, mut b, mut c) = (MockTarget::new(0), MockTarget::new(1), MockTarget::new(2));
-        let prepared = orch.prepare(4, &config_with(&["old", "new"]));
+        let prepared = orch.prepare(&config_with(&["old", "new"]));
         c.fail_on = Some(prepared.generation);
         let report = orch.rollout(&prepared, &mut [&mut a, &mut b, &mut c], &mut |_| true);
         assert_eq!(report.outcome, RolloutOutcome::RolledBack);
@@ -499,7 +454,7 @@ mod tests {
     fn canary_verification_veto_rolls_back_before_the_fleet_is_touched() {
         let mut orch = UpdateOrchestrator::new(&config_with(&["old"]));
         let (mut a, mut b) = (MockTarget::new(0), MockTarget::new(1));
-        let prepared = orch.prepare(5, &config_with(&["regression"]));
+        let prepared = orch.prepare(&config_with(&["regression"]));
         let report = orch.rollout(&prepared, &mut [&mut a, &mut b], &mut |_| false);
         assert_eq!(report.outcome, RolloutOutcome::RolledBack);
         assert_eq!(report.updated, vec![InstanceId(0)]);
@@ -532,7 +487,7 @@ mod tests {
         let mut orch = UpdateOrchestrator::new(&baseline);
         let mut t = MockTarget::new(0);
 
-        let prepared = orch.prepare_for_tenant(9, &two_tenant_config(&["alpha2"]), TenantId(1));
+        let prepared = orch.prepare_for_tenant(&two_tenant_config(&["alpha2"]), TenantId(1));
         assert_eq!(prepared.tenant, Some(TenantId(1)));
         // Tenant 1 moves to the new generation; tenant 2 stays pinned at
         // the committed generation inside the artifact's configuration.
@@ -550,7 +505,7 @@ mod tests {
 
         // A later fleet-wide commit clears the overrides: every tenant
         // stamps with the new fleet generation again.
-        let fleet = orch.prepare(10, &two_tenant_config(&["alpha2"]));
+        let fleet = orch.prepare(&two_tenant_config(&["alpha2"]));
         let report = orch.rollout(&fleet, &mut [&mut t], &mut |_| true);
         assert!(report.committed());
         assert!(orch.tenant_stamps().is_empty());
@@ -566,14 +521,14 @@ mod tests {
 
         // Commit a tenant-1 update first so there is a nontrivial
         // committed override map to preserve.
-        let first = orch.prepare_for_tenant(1, &two_tenant_config(&["x"]), TenantId(1));
+        let first = orch.prepare_for_tenant(&two_tenant_config(&["x"]), TenantId(1));
         assert!(orch
             .rollout(&first, &mut [&mut t], &mut |_| true)
             .committed());
         let stamp_a = orch.tenant_committed_stamp(TenantId(1));
 
         // A second tenant-1 update is vetoed at the canary.
-        let second = orch.prepare_for_tenant(2, &two_tenant_config(&["x", "y"]), TenantId(1));
+        let second = orch.prepare_for_tenant(&two_tenant_config(&["x", "y"]), TenantId(1));
         let report = orch.rollout(&second, &mut [&mut t], &mut |_| false);
         assert_eq!(report.outcome, RolloutOutcome::RolledBack);
         // Stamps are exactly as before the attempt, and the re-shipped
@@ -589,9 +544,9 @@ mod tests {
         let mut orch = UpdateOrchestrator::new(&baseline);
         let mut t = MockTarget::new(0);
 
-        let a = orch.prepare_for_tenant(1, &two_tenant_config(&["x"]), TenantId(1));
+        let a = orch.prepare_for_tenant(&two_tenant_config(&["x"]), TenantId(1));
         assert!(orch.rollout(&a, &mut [&mut t], &mut |_| true).committed());
-        let b = orch.prepare_for_tenant(2, &two_tenant_config(&["x"]), TenantId(2));
+        let b = orch.prepare_for_tenant(&two_tenant_config(&["x"]), TenantId(2));
         // Tenant 1's earlier override is carried into tenant 2's map.
         assert_eq!(
             b.tenant_generations,
@@ -606,14 +561,12 @@ mod tests {
     fn generations_advance_across_successive_updates() {
         let mut orch = UpdateOrchestrator::new(&config_with(&["a"]));
         let mut t = MockTarget::new(0);
-        for (version, pats) in [(1u64, vec!["a", "b"]), (2, vec!["a", "b", "c"])] {
-            let p = orch.prepare(version, &config_with(&pats));
+        for pats in [vec!["a", "b"], vec!["a", "b", "c"]] {
+            let p = orch.prepare(&config_with(&pats));
             let report = orch.rollout(&p, &mut [&mut t], &mut |_| true);
             assert!(report.committed());
         }
         assert_eq!(t.served, vec![0, 1, 2]);
         assert_eq!(orch.committed_generation(), 2);
-        assert_eq!(orch.generation_of_version(1), Some(1));
-        assert_eq!(orch.generation_of_version(2), Some(2));
     }
 }

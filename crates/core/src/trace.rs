@@ -304,8 +304,6 @@ pub enum TraceKind {
     UpdatePrepared {
         /// The generation the artifact installs.
         generation: u32,
-        /// Controller configuration version it was prepared from.
-        version: u64,
         /// Bytes shipped per instance (Fig. 11's unit).
         transfer_bytes: u64,
     },

@@ -58,7 +58,7 @@ pub enum UpdateError {
     /// The configuration deserialized but failed to compile.
     Build(String),
     /// A generation that must move forward tried to move backward (a
-    /// stale `BeginUpdate` arriving after a newer one was applied).
+    /// stale artifact arriving after a newer one was applied).
     StaleGeneration {
         /// Generation currently running.
         current: GenerationId,

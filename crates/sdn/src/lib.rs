@@ -26,13 +26,11 @@
 //! directly while the simulator validates steering, tagging and
 //! result-delivery behaviour.
 
-pub mod controller;
 pub mod flowtable;
 pub mod network;
 pub mod switch;
 pub mod tsa;
 
-pub use controller::{DatapathId, SdnController, SdnError};
 pub use flowtable::{Action, FlowMatch, FlowRule, FlowTable};
 pub use network::{Network, Node, NodeId, PortId};
 pub use switch::Switch;

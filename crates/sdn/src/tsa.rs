@@ -68,17 +68,6 @@ impl TrafficSteeringApp {
         }
     }
 
-    /// A TSA programming through the SDN controller — the layering of
-    /// Figure 5, where the TSA is an application on the controller.
-    pub fn via_controller(
-        ctrl: &crate::controller::SdnController,
-        dpid: crate::controller::DatapathId,
-    ) -> Result<TrafficSteeringApp, crate::controller::SdnError> {
-        Ok(TrafficSteeringApp {
-            table: ctrl.table(dpid)?,
-        })
-    }
-
     /// Installs the rules of one policy chain served by a *fleet* of DPI
     /// instances (a lone instance is a fleet of one): traffic entering at
     /// `ingress` is tagged `chain_id` and sent to `dpi_ports[0]` by
@@ -385,17 +374,6 @@ mod tests {
         net.inject(sw, 2, rp);
         net.run();
         assert!(sink.received().is_empty(), "result packet must be dropped");
-    }
-
-    #[test]
-    fn tsa_via_controller_programs_the_same_table() {
-        let ctrl = crate::controller::SdnController::new();
-        let sw = Switch::new("s1");
-        ctrl.connect(3, &sw).unwrap();
-        let tsa = TrafficSteeringApp::via_controller(&ctrl, 3).unwrap();
-        tsa.install_chain_fleet(7, 0, &[2], &[], 1);
-        assert_eq!(ctrl.rule_count(3).unwrap(), tsa.rule_count());
-        assert!(TrafficSteeringApp::via_controller(&ctrl, 99).is_err());
     }
 
     #[test]

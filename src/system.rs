@@ -894,7 +894,7 @@ impl SystemHandle {
         );
         m.family(
             "dpi_flows_aged_total",
-            "Flows aged out by the idle-timeout timer wheel",
+            "Flows aged out of the flow arena's LRU tail after the idle timeout",
             MetricKind::Counter,
         );
         for (i, t) in self.fleet_telemetry().iter().enumerate() {
@@ -1224,11 +1224,6 @@ impl SystemHandle {
         self.orchestrator.committed_generation()
     }
 
-    /// The generation a committed controller version maps to.
-    pub fn generation_of_version(&self, version: u64) -> Option<GenerationId> {
-        self.orchestrator.generation_of_version(version)
-    }
-
     /// Rolls the controller's *current* configuration out to the running
     /// deployment as a new rule generation — the live-update pipeline
     /// (DESIGN.md §9). Mutate rules first
@@ -1243,9 +1238,8 @@ impl SystemHandle {
     /// back to the previous committed generation; the fleet never serves
     /// a generation mix and never goes down over a bad update.
     pub fn apply_update(&mut self) -> Result<UpdateOutcome, SystemError> {
-        let version = self.controller.version();
         let cfg = self.update_config()?;
-        let prepared = self.orchestrator.prepare(version, &cfg);
+        let prepared = self.orchestrator.prepare(&cfg);
         self.roll_out(prepared)
     }
 
@@ -1258,9 +1252,8 @@ impl SystemHandle {
         &mut self,
         tenant: TenantId,
     ) -> Result<UpdateOutcome, SystemError> {
-        let version = self.controller.version();
         let cfg = self.update_config()?;
-        let prepared = self.orchestrator.prepare_for_tenant(version, &cfg, tenant);
+        let prepared = self.orchestrator.prepare_for_tenant(&cfg, tenant);
         self.roll_out(prepared)
     }
 

@@ -1,11 +1,19 @@
 //! Controller lifecycle tests over the JSON wire protocol (§4.1):
 //! registration, inheritance, pattern add/remove, deployment planning,
-//! and the resulting live behaviour of rebuilt instances.
+//! the fleet following a rule update, and the telemetry → scale-decision
+//! loop (§4.3).
 
 use dpi_service::ac::MiddleboxId;
 use dpi_service::controller::deploy::{plan_grouped, scale_decision, ScaleDecision};
 use dpi_service::controller::{ControllerMessage, ControllerReply, DpiController};
 use dpi_service::core::{DpiInstance, RuleSpec};
+use dpi_service::middlebox::ids;
+use dpi_service::packet::ipv4::IpProtocol;
+use dpi_service::packet::packet::flow;
+use dpi_service::packet::{MacAddr, Packet};
+use dpi_service::traffic::trace::TraceConfig;
+use dpi_service::SystemBuilder;
+use std::collections::HashMap;
 
 fn register_json(c: &DpiController, id: u16, name: &str, stateful: bool) {
     let reply = c.handle_json(
@@ -203,4 +211,144 @@ fn malformed_wire_input_is_rejected_gracefully() {
             "input {bad:?}"
         );
     }
+}
+
+fn signature(id: u16) -> Vec<u8> {
+    format!("signature-of-{id:02}").into_bytes()
+}
+
+/// The three chains both fleet scenarios run over: two similar ones
+/// sharing middleboxes 1 and 2, and one over middlebox 4 alone.
+const CHAINS: [&[MiddleboxId]; 3] = [
+    &[MiddleboxId(1), MiddleboxId(2)],
+    &[MiddleboxId(1), MiddleboxId(2), MiddleboxId(3)],
+    &[MiddleboxId(4)],
+];
+
+#[test]
+fn planned_fleet_serves_all_chains_and_follows_updates() {
+    let mut builder = SystemBuilder::new().with_dpi_instances(2);
+    for id in 1..=4u16 {
+        builder = builder.with_middlebox(ids(MiddleboxId(id), &[signature(id)]));
+    }
+    for members in CHAINS {
+        builder = builder.with_chain(members);
+    }
+    let mut sys = builder.build().unwrap();
+    let chains = sys.chain_ids.clone();
+
+    // Grouping similar chains partitions them: every chain has exactly
+    // one server.
+    let members: HashMap<u16, Vec<MiddleboxId>> = chains
+        .iter()
+        .map(|&id| (id, sys.controller.chain_members(id).unwrap()))
+        .collect();
+    let plan = plan_grouped(&members, 2, 0.4);
+    assert_eq!(plan.groups.len(), 2);
+    for chain in &chains {
+        let servers = plan.groups.iter().filter(|g| g.contains(chain)).count();
+        assert_eq!(servers, 1, "chain {chain} must have exactly one server");
+    }
+
+    // Each chain's traffic is reported to its own first member.
+    let mut batch: Vec<Packet> = chains
+        .iter()
+        .enumerate()
+        .map(|(i, &chain)| {
+            let f = flow(
+                [10, 0, 0, 1],
+                100 + i as u16,
+                [10, 0, 0, 2],
+                80,
+                IpProtocol::Tcp,
+            );
+            let payload = signature(members[&chain][0].0);
+            let mut p = Packet::tcp(MacAddr::local(1), MacAddr::local(2), f, 0, payload);
+            p.push_chain_tag(chain).unwrap();
+            p
+        })
+        .collect();
+    let results = sys.inspect_batch(&mut batch);
+    assert_eq!(results.len(), chains.len());
+    for (r, chain) in results.iter().zip(&chains) {
+        assert_eq!(r.reports.len(), 1);
+        assert_eq!(r.reports[0].middlebox_id, members[chain][0].0);
+    }
+
+    // A controller-side addition rolls out to the whole fleet: the next
+    // two flows land on the two instances, and both match it.
+    let late = flow([10, 0, 0, 3], 1, [10, 0, 0, 2], 80, IpProtocol::Tcp);
+    sys.send(late, 0, b"late-addition");
+    assert_eq!(sys.stats_of(MiddleboxId(1)).unwrap().matches, 0);
+    sys.controller
+        .add_pattern(
+            MiddleboxId(1),
+            1,
+            &RuleSpec::exact(b"late-addition".to_vec()),
+        )
+        .unwrap();
+    let outcome = sys.apply_update().unwrap();
+    assert!(
+        outcome.committed,
+        "update must commit: {:?}",
+        outcome.failure
+    );
+    for port in 2..4 {
+        let f = flow([10, 0, 0, 3], port, [10, 0, 0, 2], 80, IpProtocol::Tcp);
+        sys.send(f, 0, b"late-addition");
+    }
+    assert_eq!(sys.stats_of(MiddleboxId(1)).unwrap().matches, 2);
+    for status in sys.controller.instances() {
+        assert_eq!(status.generation, outcome.generation);
+    }
+}
+
+#[test]
+fn telemetry_loop_drives_scale_decisions() {
+    let c = DpiController::new();
+    for id in 1..=4u16 {
+        register_json(&c, id, &format!("mb-{id}"), false);
+        add_json(&c, id, 0, RuleSpec::exact(signature(id)));
+    }
+    let chains: Vec<u16> = CHAINS
+        .iter()
+        .map(|m| c.register_chain(m).unwrap())
+        .collect();
+    let deploy = |chain: u16| {
+        let id = c.deploy_instance(vec![chain]);
+        let instance = DpiInstance::new(c.instance_config(&[chain]).unwrap()).unwrap();
+        (id, instance)
+    };
+    let (a_id, mut a) = deploy(chains[0]);
+    let (b_id, mut b) = deploy(chains[2]);
+
+    // Uneven load: instance A gets a heavy trace, B a trickle.
+    let heavy = TraceConfig {
+        packets: 400,
+        seed: 31,
+        ..TraceConfig::default()
+    }
+    .generate(&[]);
+    for p in &heavy {
+        a.scan_payload(chains[0], None, p).unwrap();
+    }
+    for p in &heavy[..10] {
+        b.scan_payload(chains[2], None, p).unwrap();
+    }
+
+    let da = c.report_telemetry(a_id, a.telemetry()).unwrap();
+    let db = c.report_telemetry(b_id, b.telemetry()).unwrap();
+    assert!(da.bytes > 10 * db.bytes);
+
+    // Capacity chosen so the fleet is overloaded → scale out.
+    let loads = [da.bytes, db.bytes];
+    assert!(matches!(
+        scale_decision(&loads, da.bytes / 2),
+        ScaleDecision::Out(_)
+    ));
+    // With huge capacity, the underloaded fleet scales in.
+    assert!(matches!(
+        scale_decision(&loads, da.bytes * 10),
+        ScaleDecision::In(_)
+    ));
 }

@@ -16,6 +16,7 @@
 
 use dpi_service::ac::MiddleboxId;
 use dpi_service::core::chaos::FaultPlan;
+use dpi_service::core::trace::TraceKind;
 use dpi_service::core::RuleSpec;
 use dpi_service::middlebox::ids;
 use dpi_service::packet::ipv4::IpProtocol;
@@ -117,14 +118,24 @@ fn hot_swap_is_hitless_and_generation_attributable() {
         "swap pause {:?} is not a pointer exchange",
         outcome.swap_pause
     );
-    assert_eq!(sys.rule_generation(), 1);
-    assert_eq!(sys.generation_of_version(sys.controller.version()), Some(1));
-
-    // Every fleet instance acked the generation; none is pending.
+    // The rule generation is the control plane's one version number:
+    // the outcome, the deployment, every instance's ack and the commit
+    // event all name the same one.
+    let generation = outcome.generation;
+    assert_eq!(sys.rule_generation(), generation);
     for status in sys.controller.instances() {
-        assert_eq!(status.generation, 1);
+        assert_eq!(status.generation, generation);
         assert!(!status.pending_update);
     }
+    let committed = sys
+        .trace_events()
+        .into_iter()
+        .rev()
+        .find_map(|e| match e.kind {
+            TraceKind::UpdateCommitted { generation, .. } => Some(generation),
+            _ => None,
+        });
+    assert_eq!(committed, Some(generation));
 
     // Generation 1 serves: the stable pattern still matches (same flow
     // as before the swap — state re-anchors, no false match, no crash),
@@ -144,7 +155,7 @@ fn hot_swap_is_hitless_and_generation_attributable() {
     let results = sys.inspect_batch(&mut batch);
     assert_eq!(results.len(), 2);
     for r in &results {
-        assert_eq!(r.generation, 1);
+        assert_eq!(r.generation, generation);
         assert_eq!(r.reports.len(), 1);
     }
 }
