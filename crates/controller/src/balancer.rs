@@ -86,10 +86,6 @@ pub struct LoadBalancer {
     last_pair: Option<(InstanceId, InstanceId)>,
     /// Total flows migrated over the balancer's lifetime.
     migrations: u64,
-    /// Migrations attributed to each tenant (DESIGN.md §16): callers that
-    /// know which tenant's flows a plan moved record it here so operators
-    /// can see whose load is churning the steering table.
-    tenant_migrations: BTreeMap<u16, u64>,
     /// Rounds observed.
     rounds: u64,
 }
@@ -104,7 +100,6 @@ impl LoadBalancer {
             flow_cooldown: BTreeMap::new(),
             last_pair: None,
             migrations: 0,
-            tenant_migrations: BTreeMap::new(),
             rounds: 0,
         }
     }
@@ -200,21 +195,6 @@ impl LoadBalancer {
         picked
     }
 
-    /// Attributes `flows` migrated flows to `tenant` — called by the
-    /// steering-table owner after acting on a plan, since only it knows
-    /// which tenant each selected flow key belongs to.
-    pub fn note_tenant_migration(&mut self, tenant: dpi_core::TenantId, flows: u64) {
-        *self.tenant_migrations.entry(tenant.0).or_insert(0) += flows;
-    }
-
-    /// Lifetime migrated-flow counts per tenant, sorted by tenant id.
-    pub fn tenant_migrations(&self) -> Vec<(dpi_core::TenantId, u64)> {
-        self.tenant_migrations
-            .iter()
-            .map(|(&t, &n)| (dpi_core::TenantId(t), n))
-            .collect()
-    }
-
     /// Whether a flow is currently frozen by a recent migration.
     pub fn in_cooldown(&self, flow_key: u64) -> bool {
         self.flow_cooldown.contains_key(&flow_key)
@@ -243,18 +223,6 @@ mod tests {
             migration_budget: 2,
             cooldown_rounds: 2,
         })
-    }
-
-    #[test]
-    fn tenant_migration_attribution_accumulates() {
-        let mut b = balancer();
-        b.note_tenant_migration(dpi_core::TenantId(2), 3);
-        b.note_tenant_migration(dpi_core::TenantId(1), 1);
-        b.note_tenant_migration(dpi_core::TenantId(2), 2);
-        assert_eq!(
-            b.tenant_migrations(),
-            vec![(dpi_core::TenantId(1), 1), (dpi_core::TenantId(2), 5)]
-        );
     }
 
     #[test]

@@ -4,9 +4,7 @@ use crate::health::{HealthEvent, HealthMonitor, HealthPolicy, InstanceHealth};
 use crate::proto::{profile_of_register, ControllerMessage, ControllerReply};
 use crate::registry::GlobalPatternSet;
 use dpi_ac::MiddleboxId;
-use dpi_core::{
-    ChainSpec, GenerationId, InstanceConfig, MiddleboxProfile, Telemetry, TenantId, TenantQuota,
-};
+use dpi_core::{ChainSpec, GenerationId, InstanceConfig, MiddleboxProfile, Telemetry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -132,9 +130,6 @@ struct Inner {
     health: HealthMonitor,
     /// Per-mutation transfer-size log ([`TransferRecord`]).
     transfer_log: Vec<TransferRecord>,
-    /// Operator-declared per-tenant quotas (DESIGN.md §16), emitted into
-    /// every [`InstanceConfig`] this controller builds. Sorted by tenant.
-    tenant_quotas: Vec<(TenantId, TenantQuota)>,
     /// Optional structured-event tracer; health transitions are recorded
     /// as [`dpi_core::trace::TraceSource::Controller`] events.
     tracer: Option<std::sync::Arc<dpi_core::trace::Tracer>>,
@@ -396,34 +391,7 @@ impl DpiController {
                 .collect();
             cfg.pattern_sets.push((m, rules));
         }
-        cfg.tenants = g.tenant_quotas.clone();
         Ok(cfg)
-    }
-
-    /// Declares (or replaces) a tenant's quota and fair-share weight.
-    /// Every [`InstanceConfig`] built afterwards carries it; like a
-    /// pattern mutation it flags every deployed instance stale until the
-    /// next committed generation, which ships the new quota (DESIGN.md
-    /// §16).
-    pub fn set_tenant_quota(&self, tenant: TenantId, quota: TenantQuota) {
-        let mut g = self.inner.lock();
-        match g.tenant_quotas.binary_search_by_key(&tenant, |(t, _)| *t) {
-            Ok(i) => g.tenant_quotas[i].1 = quota,
-            Err(i) => g.tenant_quotas.insert(i, (tenant, quota)),
-        }
-        for rec in g.instances.values_mut() {
-            rec.pending_update = true;
-        }
-    }
-
-    /// The quota a tenant is held to ([`TenantQuota::unlimited`] when
-    /// none was declared).
-    pub fn tenant_quota(&self, tenant: TenantId) -> TenantQuota {
-        let g = self.inner.lock();
-        g.tenant_quotas
-            .binary_search_by_key(&tenant, |(t, _)| *t)
-            .map(|i| g.tenant_quotas[i].1)
-            .unwrap_or_default()
     }
 
     /// Registers a deployed instance serving `chain_ids`. The instance

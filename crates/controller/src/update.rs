@@ -177,14 +177,13 @@ impl UpdateOrchestrator {
         self.next_generation += 1;
         let mut cfg = config.clone();
         if let Some(target) = tenant {
-            // Pin every known tenant — those named by the configuration
-            // and those with a committed stamp — at the generation it
-            // currently stamps results with; move only the target.
+            // Pin every known tenant — profile owners and those with a
+            // committed stamp — at the generation it currently stamps
+            // results with; move only the target.
             let known = config
-                .tenants
+                .profiles
                 .iter()
-                .map(|(t, _)| *t)
-                .chain(config.profiles.iter().map(|p| p.tenant))
+                .map(|p| p.tenant)
                 .chain(self.tenant_stamps.iter().map(|(t, _)| *t))
                 .chain([target]);
             let mut overrides: Vec<(TenantId, GenerationId)> = Vec::new();

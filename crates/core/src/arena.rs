@@ -245,7 +245,7 @@ impl FlowArena {
     }
 
     /// Estimated bytes of all per-flow state currently held — what the
-    /// overload detector's memory watermark reads.
+    /// byte budget bounds.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
     }

@@ -51,80 +51,6 @@ impl std::fmt::Display for TenantId {
     }
 }
 
-/// Resource limits and fair-share weight for one tenant (DESIGN.md §16).
-/// All limits default to unlimited; the weight defaults to 1. Pattern
-/// and automaton-state limits are enforced at compile time (a config
-/// over quota fails to build, so an over-quota update rolls back); the
-/// scan-byte budget is enforced per shard at scan time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TenantQuota {
-    /// Maximum patterns the tenant's middleboxes may register, summed
-    /// across the tenant. `None` = unlimited.
-    #[serde(default)]
-    pub max_patterns: Option<u32>,
-    /// Automaton-state budget: an upper bound on the trie states the
-    /// tenant's patterns may create, soundly approximated at compile
-    /// time as the sum of pattern byte lengths (each byte adds at most
-    /// one trie state). `None` = unlimited.
-    #[serde(default)]
-    pub max_state_bytes: Option<u64>,
-    /// Scan-byte budget per shard per batch window — a token bucket
-    /// refilled at every batch boundary. Fail-open scans past the budget
-    /// are skipped (counted as quota rejections, packets still flow);
-    /// fail-closed chains are exempt and always scanned. `None` =
-    /// unlimited.
-    #[serde(default)]
-    pub scan_bytes_per_window: Option<u64>,
-    /// Weighted-fairness share under overload: a tenant is only shed
-    /// while its arrival share is at or above `weight / total_weight`.
-    #[serde(default)]
-    pub weight: u32,
-}
-
-impl Default for TenantQuota {
-    fn default() -> TenantQuota {
-        TenantQuota {
-            max_patterns: None,
-            max_state_bytes: None,
-            scan_bytes_per_window: None,
-            weight: 1,
-        }
-    }
-}
-
-impl TenantQuota {
-    /// An unlimited quota at weight 1 — the implicit quota of tenants
-    /// never given one.
-    pub fn unlimited() -> TenantQuota {
-        TenantQuota::default()
-    }
-
-    /// Caps the tenant's registered pattern count.
-    pub fn with_max_patterns(mut self, n: u32) -> TenantQuota {
-        self.max_patterns = Some(n);
-        self
-    }
-
-    /// Caps the tenant's automaton-state budget (approximated as total
-    /// pattern bytes).
-    pub fn with_max_state_bytes(mut self, bytes: u64) -> TenantQuota {
-        self.max_state_bytes = Some(bytes);
-        self
-    }
-
-    /// Caps the tenant's scanned bytes per shard per batch window.
-    pub fn with_scan_bytes_per_window(mut self, bytes: u64) -> TenantQuota {
-        self.scan_bytes_per_window = Some(bytes);
-        self
-    }
-
-    /// Sets the tenant's fair-share weight (clamped to at least 1).
-    pub fn with_weight(mut self, weight: u32) -> TenantQuota {
-        self.weight = weight.max(1);
-        self
-    }
-}
-
 /// A rule together with the middlebox-local identifier it is reported
 /// under. Identifiers need not be dense — the controller preserves
 /// whatever rule ids each middlebox reported (§4.1).
@@ -294,16 +220,9 @@ pub struct InstanceConfig {
     /// Total per-shard flow-state byte budget. When the arena's byte
     /// accounting exceeds it, cold flows are evicted (fail-open) until
     /// the total fits again. `None` — the default — disables the budget;
-    /// the entry-count bound and the overload memory watermark still
-    /// apply.
+    /// the entry-count bound still applies.
     #[serde(default)]
     pub max_flow_bytes: Option<u64>,
-    /// Per-tenant quotas and fair-share weights (DESIGN.md §16).
-    /// Tenants absent from the list get [`TenantQuota::unlimited`].
-    /// Empty — the default — means every tenant is unlimited at weight
-    /// 1, which is byte-identical to the untenanted service.
-    #[serde(default)]
-    pub tenants: Vec<(TenantId, TenantQuota)>,
     /// Per-tenant rule-generation overrides for tenant-scoped canary
     /// rollouts (DESIGN.md §16): results on a tenant's chains are
     /// stamped with the tenant's entry here instead of the engine-wide
@@ -377,22 +296,6 @@ impl InstanceConfig {
     pub fn with_max_flow_bytes(mut self, bytes: u64) -> InstanceConfig {
         self.max_flow_bytes = (bytes > 0).then_some(bytes);
         self
-    }
-
-    /// Sets (or replaces) one tenant's quota and fair-share weight.
-    pub fn with_tenant_quota(mut self, tenant: TenantId, quota: TenantQuota) -> InstanceConfig {
-        self.tenants.retain(|(t, _)| *t != tenant);
-        self.tenants.push((tenant, quota));
-        self
-    }
-
-    /// The quota in force for `tenant` (unlimited when never set).
-    pub fn tenant_quota(&self, tenant: TenantId) -> TenantQuota {
-        self.tenants
-            .iter()
-            .find(|(t, _)| *t == tenant)
-            .map(|(_, q)| *q)
-            .unwrap_or_default()
     }
 
     /// Overrides the generation stamped on one tenant's results
@@ -471,46 +374,29 @@ mod tests {
 
     #[test]
     fn tenant_fields_default_and_round_trip() {
-        // Untenanted configs (and old serialized ones) land on tenant 0
-        // with unlimited quotas.
+        // Untenanted configs (and old serialized ones) land on tenant 0.
         let plain = MiddleboxProfile::stateless(MiddleboxId(1));
         assert_eq!(plain.tenant, TenantId::DEFAULT);
         let old_json = r#"{"id":3,"stateful":false,"read_only":false,
             "stopping_condition":null,"fail_closed":false,"l7_protocols":null}"#;
         let back: MiddleboxProfile = serde_json::from_str(old_json).unwrap();
         assert_eq!(back.tenant, TenantId(0));
-        assert!(InstanceConfig::new().tenants.is_empty());
-        assert_eq!(
-            InstanceConfig::new().tenant_quota(TenantId(9)),
-            TenantQuota::unlimited()
-        );
+        assert!(InstanceConfig::new().tenant_generations.is_empty());
 
         let cfg = InstanceConfig::new()
             .with_middlebox(
                 MiddleboxProfile::stateless(MiddleboxId(1)).owned_by(TenantId(2)),
                 vec![RuleSpec::exact(b"x".to_vec())],
             )
-            .with_tenant_quota(
-                TenantId(2),
-                TenantQuota::unlimited()
-                    .with_max_patterns(4)
-                    .with_max_state_bytes(256)
-                    .with_scan_bytes_per_window(1024)
-                    .with_weight(3),
-            )
             .with_tenant_generation(TenantId(2), 7);
         let j = serde_json::to_string(&cfg).unwrap();
         let back: InstanceConfig = serde_json::from_str(&j).unwrap();
         assert_eq!(back, cfg);
         assert_eq!(back.profiles[0].tenant, TenantId(2));
-        let q = back.tenant_quota(TenantId(2));
-        assert_eq!(q.max_patterns, Some(4));
-        assert_eq!(q.weight, 3);
         assert_eq!(back.tenant_generations, vec![(TenantId(2), 7)]);
-        // Replacing a quota does not accumulate duplicates.
-        let cfg = cfg.with_tenant_quota(TenantId(2), TenantQuota::unlimited());
-        assert_eq!(cfg.tenants.len(), 1);
-        assert_eq!(cfg.tenant_quota(TenantId(2)), TenantQuota::unlimited());
+        // Replacing an override does not accumulate duplicates.
+        let cfg = cfg.with_tenant_generation(TenantId(2), 8);
+        assert_eq!(cfg.tenant_generations, vec![(TenantId(2), 8)]);
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //!   flow arena (scan state, TCP reassembly, stress samples, L7 sessions
 //!   — one bounded store, DESIGN.md §15), of which a scan opens exactly
 //!   one entry and holds it; and everything else a scan writes —
-//!   telemetry, the trace writer, tenant buckets and the per-shard
+//!   telemetry, the trace writer, tenant fairness and the per-shard
 //!   lazy-DFA caches for anchor-less regex rules. Each worker owns
 //!   exactly one, privately.
 
 use crate::arena::{FlowArena, FlowState, OpenFlow};
-use crate::config::{InstanceConfig, MiddleboxProfile, NumberedRule, TenantId, TenantQuota};
+use crate::config::{InstanceConfig, MiddleboxProfile, NumberedRule, TenantId};
 use crate::overload::TenantFairness;
 use crate::report::compress_matches;
 use crate::rules::RuleKind;
@@ -81,26 +81,6 @@ pub enum InstanceError {
         /// The offending chain.
         chain_id: u16,
     },
-    /// A tenant registered more patterns than its quota allows.
-    TenantPatternQuotaExceeded {
-        /// The over-quota tenant.
-        tenant: TenantId,
-        /// Patterns the tenant's middleboxes registered.
-        count: u32,
-        /// The configured ceiling.
-        max: u32,
-    },
-    /// A tenant's patterns exceed its automaton-state budget (soundly
-    /// approximated as total pattern bytes — each byte adds at most one
-    /// trie state).
-    TenantStateQuotaExceeded {
-        /// The over-quota tenant.
-        tenant: TenantId,
-        /// Pattern bytes the tenant's middleboxes registered.
-        bytes: u64,
-        /// The configured ceiling.
-        max: u64,
-    },
 }
 
 impl std::fmt::Display for InstanceError {
@@ -137,14 +117,6 @@ impl std::fmt::Display for InstanceError {
             InstanceError::MixedTenantChain { chain_id } => {
                 write!(f, "chain {chain_id} mixes middleboxes of different tenants")
             }
-            InstanceError::TenantPatternQuotaExceeded { tenant, count, max } => write!(
-                f,
-                "tenant {tenant} registered {count} patterns, quota allows {max}"
-            ),
-            InstanceError::TenantStateQuotaExceeded { tenant, bytes, max } => write!(
-                f,
-                "tenant {tenant} needs {bytes} automaton-state bytes, quota allows {max}"
-            ),
         }
     }
 }
@@ -272,11 +244,10 @@ impl ScanOutput {
 /// unit; exactly one on the raw path) folded down to what a single
 /// result packet can carry.
 struct MergedOutputs {
-    /// Every report, in scan order.
+    /// One report per middlebox, in order of first report; each holds
+    /// its records from every output, in scan order.
     reports: Vec<MiddleboxReport>,
-    /// `flow_offset` of the first reporting output. Match records stay
-    /// relative to the stream that produced them (the wire stream for
-    /// raw scans, the decoded stream for L7 units).
+    /// `flow_offset` of the first reporting output.
     flow_offset: u64,
     /// Any output carried the reassembly-quarantine mark.
     quarantined: bool,
@@ -284,6 +255,11 @@ struct MergedOutputs {
     blocked: bool,
 }
 
+/// Merges per middlebox id, since a middlebox reads only the first
+/// report carrying its id ([`ResultPacket::report_for`]). Record
+/// positions stay relative to the unit that produced them (the wire
+/// stream for raw scans, the decoded stream for L7 units); only the
+/// first reporting unit's `flow_offset` travels.
 fn merge_outputs(outs: impl IntoIterator<Item = ScanOutput>) -> MergedOutputs {
     let mut m = MergedOutputs {
         reports: Vec::new(),
@@ -301,8 +277,14 @@ fn merge_outputs(outs: impl IntoIterator<Item = ScanOutput>) -> MergedOutputs {
                 m.flow_offset = o.flow_offset;
             }
             m.reports = o.reports;
-        } else {
-            m.reports.extend(o.reports);
+            continue;
+        }
+        for r in o.reports {
+            let id = r.middlebox_id;
+            match m.reports.iter_mut().find(|e| e.middlebox_id == id) {
+                Some(e) => e.records.extend(r.records),
+                None => m.reports.push(r),
+            }
         }
     }
     m
@@ -334,9 +316,6 @@ pub struct ScanEngine {
     /// L7 inspection policy (DESIGN.md §14). `None` — the default —
     /// scans reassembled byte runs raw, exactly as before the L7 layer.
     l7: Option<crate::l7::L7Policy>,
-    /// Per-tenant quotas and fair-share weights, sorted by tenant
-    /// (DESIGN.md §16). Tenants absent here are unlimited at weight 1.
-    tenants: Vec<(TenantId, TenantQuota)>,
     /// Tenant-scoped generation overrides, sorted by tenant: results on
     /// a tenant's chains are stamped with its entry here instead of the
     /// engine generation — the mechanism behind tenant-scoped canary
@@ -382,15 +361,9 @@ struct ShardScan {
     /// Conflict policy for reassemblers this shard creates (copied from
     /// the engine at construction; see DESIGN.md §13).
     conflict_policy: crate::reassembly::ConflictPolicy,
-    /// Weighted-fair arrival shares across tenants — the shed policy's
+    /// Fair arrival shares across tenants — the shed policy's
     /// tie-breaker under overload (DESIGN.md §16).
     tenant_fairness: TenantFairness,
-    /// Per-tenant scan-byte token buckets `(tenant, capacity, tokens)`,
-    /// sorted by tenant; only tenants with a `scan_bytes_per_window`
-    /// quota appear. Refilled at every batch boundary
-    /// ([`ShardState::refill_tenant_window`]) — windows are batches, not
-    /// wall-clock, so enforcement is deterministic and replayable.
-    tenant_buckets: Vec<(TenantId, u64, u64)>,
     /// Per-tenant telemetry attribution, sorted by tenant.
     tenant_counters: Vec<(TenantId, TenantCounters)>,
 }
@@ -410,12 +383,7 @@ impl ShardState {
                 dfa_cache: HashMap::new(),
                 trace: None,
                 conflict_policy: engine.conflict_policy,
-                tenant_fairness: TenantFairness::new(&engine.tenant_weights()),
-                tenant_buckets: engine
-                    .tenants
-                    .iter()
-                    .filter_map(|&(t, q)| q.scan_bytes_per_window.map(|cap| (t, cap, cap)))
-                    .collect(),
+                tenant_fairness: TenantFairness::new(&engine.tenants()),
                 tenant_counters: Vec::new(),
             },
         }
@@ -451,22 +419,12 @@ impl ShardState {
         &self.scan.tenant_counters
     }
 
-    /// Opens a new scan-byte quota window: every tenant's token bucket
-    /// refills to capacity. `inspect_batch` calls this at each batch
-    /// boundary; per-call users of an instance open windows explicitly
-    /// (bytes/sec ≈ bytes/window at the caller's cadence).
-    pub fn refill_tenant_window(&mut self) {
-        for (_, cap, tokens) in &mut self.scan.tenant_buckets {
-            *tokens = *cap;
-        }
-    }
-
     /// Records one packet arrival for `tenant` in the fairness tracker.
     pub fn note_tenant_arrival(&mut self, tenant: TenantId) {
         self.scan.tenant_fairness.note_arrival(tenant);
     }
 
-    /// Whether `tenant` is at or over its weighted fair share — the
+    /// Whether `tenant` is at or over its fair share — the
     /// precondition for shedding its fail-open traffic (DESIGN.md §16).
     pub fn tenant_at_or_over_fair_share(&self, tenant: TenantId) -> bool {
         self.scan.tenant_fairness.at_or_over_fair_share(tenant)
@@ -485,8 +443,8 @@ impl ShardState {
     }
 
     /// Estimated bytes of per-flow state this shard holds (entries plus
-    /// reassembly/L7 heap allocations) — the memory-pressure signal the
-    /// overload detector's watermarks read.
+    /// reassembly/L7 heap allocations) — what the arena's byte budget
+    /// bounds.
     pub fn flow_bytes(&self) -> u64 {
         self.arena.total_bytes()
     }
@@ -526,17 +484,11 @@ impl ShardState {
         self.scan.dfa_cache.clear();
     }
 
-    /// Re-seeds fairness weights and quota buckets from a newly adopted
-    /// engine's tenant configuration (arrival history restarts; counters
-    /// are telemetry and survive). Called alongside
-    /// [`ShardState::on_generation_swap`] at engine adoption.
+    /// Re-seeds fairness from a newly adopted engine's tenants (arrival
+    /// history restarts; counters are telemetry and survive). Called
+    /// alongside [`ShardState::on_generation_swap`] at engine adoption.
     pub fn refresh_tenant_state(&mut self, engine: &ScanEngine) {
-        self.scan.tenant_fairness = TenantFairness::new(&engine.tenant_weights());
-        self.scan.tenant_buckets = engine
-            .tenants
-            .iter()
-            .filter_map(|&(t, q)| q.scan_bytes_per_window.map(|cap| (t, cap, cap)))
-            .collect();
+        self.scan.tenant_fairness = TenantFairness::new(&engine.tenants());
     }
 
     /// Declares a new TCP stream with its initial sequence number.
@@ -635,28 +587,6 @@ impl ShardScan {
         };
         &mut self.tenant_counters[i].1
     }
-
-    /// Deducts `bytes` from `tenant`'s scan-byte bucket. `true` when
-    /// the scan may proceed: no bucket configured, or enough tokens
-    /// remained (they are consumed). `false` leaves the bucket
-    /// untouched — the scan is skipped whole, never truncated.
-    fn consume_tenant_budget(&mut self, tenant: TenantId, bytes: u64) -> bool {
-        match self
-            .tenant_buckets
-            .binary_search_by_key(&tenant, |&(t, _, _)| t)
-        {
-            Err(_) => true,
-            Ok(i) => {
-                let tokens = &mut self.tenant_buckets[i].2;
-                if *tokens >= bytes {
-                    *tokens -= bytes;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
 }
 
 impl ScanEngine {
@@ -687,48 +617,6 @@ impl ScanEngine {
 
         let mut builder = CombinedAcBuilder::new();
         let mut rules: HashMap<MiddleboxId, Arc<MbRules>> = HashMap::new();
-
-        // Compile-time tenant quotas (DESIGN.md §16): pattern counts and
-        // the automaton-state budget — approximated as total pattern
-        // bytes, since each byte adds at most one trie state — are
-        // checked *before* compilation, so an over-quota configuration
-        // fails to build (and an over-quota live update rolls back)
-        // without the tenant ever occupying automaton memory.
-        let mut tenant_usage: Vec<(TenantId, u32, u64)> = Vec::new();
-        for (mb, specs) in &config.pattern_sets {
-            let tenant = profiles
-                .get(mb)
-                .map(|p| p.tenant)
-                .unwrap_or(TenantId::DEFAULT);
-            let count = specs.len() as u32;
-            let bytes: u64 = specs
-                .iter()
-                .map(|r| match &r.spec.kind {
-                    RuleKind::Exact(p) => p.len() as u64,
-                    RuleKind::Regex(src) => src.len() as u64,
-                })
-                .sum();
-            match tenant_usage.binary_search_by_key(&tenant, |&(t, _, _)| t) {
-                Ok(i) => {
-                    tenant_usage[i].1 += count;
-                    tenant_usage[i].2 += bytes;
-                }
-                Err(i) => tenant_usage.insert(i, (tenant, count, bytes)),
-            }
-        }
-        for &(tenant, count, bytes) in &tenant_usage {
-            let quota = config.tenant_quota(tenant);
-            if let Some(max) = quota.max_patterns {
-                if count > max {
-                    return Err(InstanceError::TenantPatternQuotaExceeded { tenant, count, max });
-                }
-            }
-            if let Some(max) = quota.max_state_bytes {
-                if bytes > max {
-                    return Err(InstanceError::TenantStateQuotaExceeded { tenant, bytes, max });
-                }
-            }
-        }
 
         for (mb, specs) in &config.pattern_sets {
             if rules.contains_key(mb) {
@@ -792,9 +680,6 @@ impl ScanEngine {
             );
         }
 
-        let mut tenants = config.tenants.clone();
-        tenants.sort_by_key(|&(t, _)| t);
-        tenants.dedup_by_key(|&mut (t, _)| t);
         let mut tenant_generations = config.tenant_generations.clone();
         tenant_generations.sort_by_key(|&(t, _)| t);
         tenant_generations.dedup_by_key(|&mut (t, _)| t);
@@ -810,7 +695,6 @@ impl ScanEngine {
             generation,
             conflict_policy: config.conflict_policy,
             l7: config.l7,
-            tenants,
             tenant_generations,
         })
     }
@@ -859,34 +743,13 @@ impl ScanEngine {
         &self.tenant_generations
     }
 
-    /// `tenant`'s quota on this engine (unlimited at weight 1 when
-    /// never configured).
-    pub fn tenant_quota(&self, tenant: TenantId) -> TenantQuota {
-        match self.tenants.binary_search_by_key(&tenant, |&(t, _)| t) {
-            Ok(i) => self.tenants[i].1,
-            Err(_) => TenantQuota::default(),
-        }
-    }
-
-    /// Fair-share weights for every tenant this engine knows about —
-    /// the union of quota entries and chain owners — the seed for each
-    /// shard's [`TenantFairness`] tracker.
-    pub fn tenant_weights(&self) -> Vec<(TenantId, u32)> {
-        let mut weights: Vec<(TenantId, u32)> = self
-            .tenants
-            .iter()
-            .map(|&(t, q)| (t, q.weight.max(1)))
-            .collect();
-        for c in self.chains.values() {
-            if weights
-                .binary_search_by_key(&c.tenant, |&(t, _)| t)
-                .is_err()
-            {
-                let i = weights.partition_point(|&(t, _)| t < c.tenant);
-                weights.insert(i, (c.tenant, 1));
-            }
-        }
-        weights
+    /// Every tenant owning a chain on this engine, sorted — the seed for
+    /// each shard's [`TenantFairness`] tracker.
+    pub fn tenants(&self) -> Vec<TenantId> {
+        let mut tenants: Vec<TenantId> = self.chains.values().map(|c| c.tenant).collect();
+        tenants.sort_unstable();
+        tenants.dedup();
+        tenants
     }
 
     /// The combined automaton (size/stat introspection for experiments).
@@ -1015,35 +878,6 @@ impl ScanEngine {
             "every caller bounds its unit: positions below are 16-bit"
         );
         let resumed = start_state != self.ac.start() || offset > 0;
-
-        // Per-tenant scan-byte budget (DESIGN.md §16): when the owning
-        // tenant's window bucket cannot cover this unit, the fail-open
-        // scan is skipped whole — the packet still flows, the rejection
-        // is counted and traced, and the automaton state is untouched.
-        // Fail-closed chains are exempt: their verdicts are sacred, so
-        // their scans always run and are charged against the bucket.
-        if !chain.any_fail_closed && !scan.consume_tenant_budget(chain.tenant, payload.len() as u64)
-        {
-            scan.tenant_counter_mut(chain.tenant).quota_rejections += 1;
-            if let Some(w) = scan.trace.as_mut() {
-                w.record(crate::trace::TraceKind::TenantQuotaRejected {
-                    tenant: chain.tenant.0,
-                    bytes: payload.len() as u64,
-                });
-            }
-            return (
-                ScanOutput {
-                    resumed,
-                    l7,
-                    ..ScanOutput::unscanned(offset)
-                },
-                start_state,
-                (0, 0),
-            );
-        }
-        if chain.any_fail_closed {
-            scan.consume_tenant_budget(chain.tenant, payload.len() as u64);
-        }
 
         // The most conservative stopping condition: scan as deep as the
         // hungriest active middlebox needs (§5.2).
@@ -1461,7 +1295,6 @@ impl ScanEngine {
                     crate::l7::L7Action::Intercept => {}
                     crate::l7::L7Action::Block => scan.telemetry.l7_blocked_flows += 1,
                     crate::l7::L7Action::Bypass => scan.telemetry.l7_bypassed_flows += 1,
-                    crate::l7::L7Action::Detour => scan.telemetry.l7_detoured_flows += 1,
                 }
                 if action != crate::l7::L7Action::Intercept {
                     if let Some(w) = scan.trace.as_mut() {

@@ -22,7 +22,7 @@
 //! 3. **Police**: a g3-style per-protocol policy
 //!    ([`L7Policy`]) sets an inspection size limit and an action —
 //!    `Intercept` (decode and scan), `Block` (fail-closed mark, nothing
-//!    scanned), `Bypass`/`Detour` (waved through uninspected). Every
+//!    scanned), `Bypass` (waved through, neither decoded nor scanned). Every
 //!    decode error, truncation and action is surfaced via telemetry and
 //!    [`crate::trace::TraceKind`] events: the layer never silently
 //!    drops coverage.
@@ -106,12 +106,9 @@ pub enum L7Action {
     /// Fail-closed: every output for the flow carries the blocked mark;
     /// nothing is decoded or scanned.
     Block,
-    /// Wave the flow through uninspected (fail-open).
+    /// Wave the flow through uninspected (fail-open): nothing is
+    /// decoded or scanned.
     Bypass,
-    /// Hand the flow to an external inspection path. The detour target
-    /// is outside this engine (the SDN layer would re-steer); locally it
-    /// behaves like `Bypass` but is counted and traced separately.
-    Detour,
 }
 
 /// Per-protocol inspection policy: how much to decode and what to do.
@@ -412,7 +409,7 @@ enum Phase {
     /// Raw fallback: every byte goes to the legacy scan path.
     Raw,
     /// Policy said don't inspect. `blocked` distinguishes fail-closed
-    /// `Block` (outputs carry the blocked mark) from `Bypass`/`Detour`.
+    /// `Block` (outputs carry the blocked mark) from `Bypass`.
     Skip {
         /// Whether outputs carry the fail-closed blocked mark.
         blocked: bool,
@@ -522,7 +519,7 @@ impl L7Session {
                 self.phase = Phase::Skip { blocked: true };
                 ingest.blocked = true;
             }
-            L7Action::Bypass | L7Action::Detour => {
+            L7Action::Bypass => {
                 self.phase = Phase::Skip { blocked: false };
             }
             L7Action::Intercept => {
@@ -660,6 +657,9 @@ mod tests {
         let back: L7Policy = serde_json::from_str(&j).unwrap();
         assert_eq!(back, p);
         assert_eq!(back.policy_for(L7Protocol::Tls).action, L7Action::Block);
+        // A removed action older peers may still send is rejected, not
+        // defaulted.
+        assert!(serde_json::from_str::<L7Action>("\"detour\"").is_err());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! mark on its shard's slot; what differs is when the shard's detector is
 //! stepped — per packet with the backlog behind it in a batch, once per
 //! closed window with the window's arrivals for per-call traffic
-//! ([`DpiInstance::refill_tenant_window`]). Per-packet work takes **no
+//! ([`DpiInstance::close_window`]). Per-packet work takes **no
 //! locks**; the crossbeam channels at the batch boundary are the only
 //! synchronization, and their high-water mark is exported as queue-depth
 //! telemetry. Output is *byte-identical* at every worker count and
@@ -54,14 +54,13 @@ pub const SHARD_QUEUE_CAPACITY: usize = 256;
 #[derive(Debug)]
 struct ShardSlot {
     state: ShardState,
-    /// Overload detector (queue-depth + scan-latency EWMA watermarks with
-    /// hysteresis). `None` — the default — disables overload control
+    /// Overload detector (queue-depth watermarks with hysteresis).
+    /// `None` — the default — disables overload control
     /// entirely: no CE marks, no sheds, byte-identical output to an
     /// instance built before this subsystem existed.
     detector: Option<OverloadDetector>,
     /// What the armed detector's shed policy did since the window was
-    /// last closed (a batch boundary, or
-    /// [`DpiInstance::refill_tenant_window`]).
+    /// last closed (a batch boundary, or [`DpiInstance::close_window`]).
     window: Window,
     /// High-water mark of the ingress queue, across batches.
     queue_peak: usize,
@@ -134,7 +133,7 @@ impl ShardSlot {
         if let Some(t) = tenant {
             self.state.note_tenant_arrival(t);
         }
-        // Weighted fairness (DESIGN.md §16): a tenant below its fair
+        // Fairness (DESIGN.md §16): a tenant below its fair
         // arrival share is never shed — a neighbour's burst sheds the
         // neighbour's own fail-open traffic first.
         let shed = d.is_overloaded()
@@ -160,17 +159,15 @@ impl ShardSlot {
     }
 
     /// Feeds the detector one observation — the backlog behind a batch
-    /// packet and its scan time, or a closed window's arrivals — with the
-    /// shard's flow-state bytes, and traces a transition through the
-    /// shard's writer.
-    fn observe(&mut self, depth: usize, latency_us: u64) -> Option<OverloadTransition> {
-        let d = self.detector.as_mut()?;
-        let t = d.observe_with_memory(depth, latency_us, self.state.flow_bytes())?;
-        let (depth, ewma_us) = (depth as u64, d.ewma_us());
+    /// packet, or a closed window's arrivals — and traces a transition
+    /// through the shard's writer.
+    fn observe(&mut self, depth: usize) -> Option<OverloadTransition> {
+        let t = self.detector.as_mut()?.observe(depth)?;
+        let depth = depth as u64;
         if let Some(w) = self.state.trace_writer_mut() {
             w.record(match t {
-                OverloadTransition::Entered => TraceKind::OverloadEntered { depth, ewma_us },
-                OverloadTransition::Cleared => TraceKind::OverloadCleared { depth, ewma_us },
+                OverloadTransition::Entered => TraceKind::OverloadEntered { depth },
+                OverloadTransition::Cleared => TraceKind::OverloadCleared { depth },
             });
         }
         Some(t)
@@ -258,9 +255,9 @@ impl BatchWorker<'_> {
             // scans.
             return;
         }
-        // The clock is only consumed by the watchdog and the overload
-        // detector; with neither armed, skip both per-packet reads.
-        let started = (self.watchdog.is_some() || self.slot.detector.is_some()).then(Instant::now);
+        // The clock is only consumed by the watchdog; unarmed, skip both
+        // per-packet reads.
+        let started = self.watchdog.is_some().then(Instant::now);
         for f in self.faults {
             if f.shard == self.shard && f.at_packet == ordinal {
                 match f.fault {
@@ -280,12 +277,11 @@ impl BatchWorker<'_> {
             Err(_) => self.tally.errors += 1,
         }
         if self.slot.detector.is_some() {
-            let elapsed = started.expect("clock armed with detector").elapsed();
-            self.slot.observe(depth(), elapsed.as_micros() as u64);
+            self.slot.observe(depth());
         }
         self.tally.processed += 1;
-        if let Some(deadline) = self.watchdog {
-            if started.expect("clock armed with watchdog").elapsed() > deadline {
+        if let (Some(deadline), Some(started)) = (self.watchdog, started) {
+            if started.elapsed() > deadline {
                 self.tally.tripped = true;
             }
         }
@@ -408,15 +404,14 @@ impl DpiInstance {
         }
     }
 
-    /// Arms per-shard overload control: queue-depth, scan-latency and
-    /// flow-state-memory watermarks with hysteresis. While a shard is
+    /// Arms per-shard overload control: queue-depth watermarks with
+    /// hysteresis. While a shard is
     /// overloaded its forwarded packets are CE-marked and scans of
     /// fail-open chains are skipped — per call and in a batch alike.
     /// Chains with a fail-closed member are always scanned. In a batch
     /// the detector sees the queue behind each packet; per-call traffic
     /// is observed once per window, `queue_high` / `queue_low` then
-    /// reading as arrivals per window
-    /// ([`DpiInstance::refill_tenant_window`]).
+    /// reading as arrivals per window ([`DpiInstance::close_window`]).
     pub fn with_overload_policy(mut self, policy: OverloadPolicy) -> DpiInstance {
         self.set_overload_policy(Some(policy));
         self
@@ -577,7 +572,7 @@ impl DpiInstance {
         // Per-shard lazy-DFA caches index into the outgoing generation's
         // rule lists and must not survive it; generation-tagged flow
         // state re-anchors lazily and needs no sweep. Tenant fairness
-        // and quota buckets re-seed from the incoming engine's config.
+        // re-seeds from the incoming engine's chain owners.
         for slot in &mut self.slots {
             slot.state.on_generation_swap();
             slot.state.refresh_tenant_state(&engine);
@@ -732,19 +727,13 @@ impl DpiInstance {
             .slots
             .iter_mut()
             .enumerate()
-            .map(|(shard, slot)| {
-                // Batch boundary = tenant quota window: every shard's
-                // scan-byte buckets refill to capacity (deterministic,
-                // replayable windows; DESIGN.md §16).
-                slot.state.refill_tenant_window();
-                BatchWorker {
-                    engine,
-                    shard,
-                    slot,
-                    watchdog,
-                    faults,
-                    tally: Tally::default(),
-                }
+            .map(|(shard, slot)| BatchWorker {
+                engine,
+                shard,
+                slot,
+                watchdog,
+                faults,
+                tally: Tally::default(),
             })
             .collect();
         // Packets destined for each shard, whether or not its worker
@@ -1048,20 +1037,18 @@ impl DpiInstance {
     /// Closes the window per-call traffic runs in and opens the next —
     /// [`DpiInstance::inspect_batch`] does both at its own boundaries;
     /// per-call users define the cadence themselves (a fleet member's is
-    /// the heartbeat round). Every tenant's scan-byte bucket refills, and
-    /// with overload control armed each shard's detector is stepped once
-    /// with the arrivals of the window just closed (no scan latency; flow
-    /// bytes as in a batch), which decides whether the *next* window's
-    /// packets are CE-marked and shed. What the window did is traced
+    /// the heartbeat round). With overload control armed each shard's
+    /// detector is stepped once with the arrivals of the window just
+    /// closed, which decides whether the *next* window's packets are
+    /// CE-marked and shed. What the window did is traced
     /// through the shard writers, which are absorbed here; the
     /// transitions this close caused are returned with the arrivals that
     /// caused them.
-    pub fn refill_tenant_window(&mut self) -> Vec<(OverloadTransition, u64)> {
+    pub fn close_window(&mut self) -> Vec<(OverloadTransition, u64)> {
         let mut transitions = Vec::new();
         for slot in &mut self.slots {
-            slot.state.refill_tenant_window();
             let arrivals = slot.close_window();
-            if let Some(t) = slot.observe(arrivals as usize, 0) {
+            if let Some(t) = slot.observe(arrivals as usize) {
                 transitions.push((t, arrivals));
             }
         }

@@ -59,8 +59,6 @@ pub struct Telemetry {
     pub l7_blocked_flows: u64,
     /// Flows bypassed by an [`crate::l7::L7Action::Bypass`] policy.
     pub l7_bypassed_flows: u64,
-    /// Flows detoured by an [`crate::l7::L7Action::Detour`] policy.
-    pub l7_detoured_flows: u64,
     /// Flows evicted from the bounded flow arena by capacity or byte
     /// pressure (LRU-preferring; see DESIGN.md §15).
     pub flows_evicted: u64,
@@ -123,7 +121,6 @@ impl Telemetry {
         }
         self.l7_blocked_flows += other.l7_blocked_flows;
         self.l7_bypassed_flows += other.l7_bypassed_flows;
-        self.l7_detoured_flows += other.l7_detoured_flows;
         self.flows_evicted += other.flows_evicted;
         self.quarantined_flow_evictions += other.quarantined_flow_evictions;
         self.flows_aged += other.flows_aged;
@@ -170,9 +167,6 @@ impl Telemetry {
             l7_bypassed_flows: self
                 .l7_bypassed_flows
                 .saturating_sub(prev.l7_bypassed_flows),
-            l7_detoured_flows: self
-                .l7_detoured_flows
-                .saturating_sub(prev.l7_detoured_flows),
             flows_evicted: self.flows_evicted.saturating_sub(prev.flows_evicted),
             quarantined_flow_evictions: self
                 .quarantined_flow_evictions
@@ -248,9 +242,6 @@ pub struct TenantCounters {
     pub shed_packets: u64,
     /// Payload bytes of this tenant's shed packets.
     pub shed_bytes: u64,
-    /// Scans skipped because the tenant's scan-byte token bucket was
-    /// empty (fail-open chains only; packets still flowed).
-    pub quota_rejections: u64,
 }
 
 impl TenantCounters {
@@ -261,7 +252,6 @@ impl TenantCounters {
         self.matches += other.matches;
         self.shed_packets += other.shed_packets;
         self.shed_bytes += other.shed_bytes;
-        self.quota_rejections += other.quota_rejections;
     }
 }
 
@@ -347,7 +337,6 @@ mod tests {
             l7_matches: [5, 1, 0, 0],
             l7_blocked_flows: 2,
             l7_bypassed_flows: 1,
-            l7_detoured_flows: 1,
             flows_evicted: 11,
             quarantined_flow_evictions: 3,
             flows_aged: 17,
@@ -376,7 +365,6 @@ mod tests {
         assert_eq!(d.l7_matches, [0; 4]);
         assert_eq!(d.l7_blocked_flows, 0);
         assert_eq!(d.l7_bypassed_flows, 0);
-        assert_eq!(d.l7_detoured_flows, 0);
         assert_eq!(d.flows_evicted, 0);
         assert_eq!(d.quarantined_flow_evictions, 0);
         assert_eq!(d.flows_aged, 0);

@@ -202,22 +202,18 @@ pub enum TraceKind {
         /// Generation offered.
         offered_generation: u32,
     },
-    /// A shard crossed a high watermark and entered overload: forwarded
+    /// A shard crossed its high watermark and entered overload: forwarded
     /// packets will be CE-marked and fail-open scans may be shed until
     /// it clears.
     OverloadEntered {
         /// Queue depth behind a batch packet, or the arrivals of a closed
         /// per-call window, at entry.
         depth: u64,
-        /// Scan-latency EWMA in µs at entry (per-call scans feed it 0).
-        ewma_us: u64,
     },
-    /// A shard fell below every low watermark and cleared overload.
+    /// A shard fell to its low watermark and cleared overload.
     OverloadCleared {
         /// Queue depth or window arrivals at the clearing observation.
         depth: u64,
-        /// Scan-latency EWMA in µs at the clearing observation.
-        ewma_us: u64,
     },
     /// Scans shed while overloaded (aggregated per shard and closed
     /// window; the packets flowed unscanned and CE-marked, fail-open).
@@ -234,7 +230,7 @@ pub enum TraceKind {
         packets: u64,
     },
     /// Fail-open scans shed under overload attributed to one tenant by
-    /// the weighted-fair shed policy (aggregated per shard and closed
+    /// the fair shed policy (aggregated per shard and closed
     /// window, DESIGN.md §16). Only tenants at or over their fair share ever
     /// appear here.
     TenantShed {
@@ -243,15 +239,6 @@ pub enum TraceKind {
         /// Packets whose scan was skipped.
         packets: u64,
         /// Payload bytes those packets carried.
-        bytes: u64,
-    },
-    /// A fail-open scan was skipped because the tenant's scan-byte
-    /// window budget ran dry (DESIGN.md §16). The packet still flowed;
-    /// fail-closed chains are exempt and never land here.
-    TenantQuotaRejected {
-        /// The tenant whose budget ran out.
-        tenant: u16,
-        /// Payload bytes the skipped scan would have covered.
         bytes: u64,
     },
     /// A tenant's generation stamp changed across an engine adoption —

@@ -127,8 +127,8 @@ impl DpiServiceNode {
     /// Attaches a structured-event tracer: retried, lost, and duplicated
     /// result deliveries become trace events attributed to this
     /// instance's index, and so does everything the instance itself
-    /// records (overload actions, quarantines, L7 identifications, quota
-    /// rejections), folded in whenever its window closes.
+    /// records (overload actions, quarantines, L7 identifications),
+    /// folded in whenever its window closes.
     pub fn attach_tracer(&mut self, tracer: Arc<Tracer>) {
         self.dpi
             .lock()
@@ -727,7 +727,7 @@ mod tests {
         // The window closes on one arrival, the high watermark: from here
         // the scan is shed — only the CE-marked data packet comes out, no
         // result even though the payload matches.
-        let closed = handle.lock().refill_tenant_window();
+        let closed = handle.lock().close_window();
         assert_eq!(closed, [(OverloadTransition::Entered, 1)]);
         let out = node.on_packet(tagged(b"a needle99 b"), 0);
         assert_eq!(out.len(), 1, "shed: data only, no result");
@@ -751,7 +751,7 @@ mod tests {
             .with_chain(5, vec![MiddleboxId(1)]);
         let (mut node, handle) = armed_node(DpiInstance::new(cfg).unwrap());
         node.on_packet(tagged(b"fills the window"), 0);
-        handle.lock().refill_tenant_window();
+        handle.lock().close_window();
         assert_eq!(handle.lock().overload_state(), [(true, 1.0)]);
 
         let out = node.on_packet(tagged(b"a needle99 b"), 0);

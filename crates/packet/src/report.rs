@@ -197,8 +197,8 @@ pub struct ResultPacket {
     pub generation: u32,
     /// Flow the scanned packet belongs to.
     pub flow: FlowKey,
-    /// The flow-relative byte offset of the scanned packet's first payload
-    /// byte (`offset` of §5.2); zero for stateless scans.
+    /// `offset` of §5.2 for the first reporting unit, zero when stateless;
+    /// record positions are relative to the unit that produced them.
     pub flow_offset: u64,
     /// Per-middlebox match lists. Only middleboxes with at least one match
     /// appear (empty reports are never sent — §4.2: "a packet with no

@@ -36,9 +36,7 @@ use dpi_core::overload::{OverloadPolicy, OverloadTransition};
 use dpi_core::rules::RuleKind;
 use dpi_core::telemetry::{merge_tenant_counters, ShardTelemetry, TenantCounters};
 use dpi_core::trace::{to_jsonl, TraceEvent, TraceKind, TraceSource, Tracer};
-use dpi_core::{
-    ConflictPolicy, DpiInstance, GenerationId, TenantId, TenantQuota, UpdateArtifact, UpdateError,
-};
+use dpi_core::{ConflictPolicy, DpiInstance, GenerationId, TenantId, UpdateArtifact, UpdateError};
 use dpi_middlebox::boxes::MiddleboxTemplate;
 use dpi_middlebox::{DpiServiceNode, FleetDpiStats, MiddleboxNode, ServiceMiddlebox};
 use dpi_packet::report::ResultPacket;
@@ -121,7 +119,6 @@ pub struct SystemBuilder {
     balance: Option<BalancePolicy>,
     conflict_policy: ConflictPolicy,
     l7: Option<dpi_core::L7Policy>,
-    tenant_quotas: Vec<(TenantId, TenantQuota)>,
 }
 
 impl Default for SystemBuilder {
@@ -145,19 +142,7 @@ impl SystemBuilder {
             balance: None,
             conflict_policy: ConflictPolicy::FirstWins,
             l7: None,
-            tenant_quotas: Vec::new(),
         }
-    }
-
-    /// Declares a tenant's quota and fair-share weight (DESIGN.md §16).
-    /// Assign middleboxes to tenants with
-    /// [`MiddleboxTemplate::owned_by`]; tenants never declared here run
-    /// unlimited at weight 1. The quotas are registered with the
-    /// controller, so engines rebuilt by live rule updates keep them.
-    pub fn with_tenant_quota(mut self, tenant: TenantId, quota: TenantQuota) -> SystemBuilder {
-        self.tenant_quotas.retain(|(t, _)| *t != tenant);
-        self.tenant_quotas.push((tenant, quota));
-        self
     }
 
     /// Selects how every reassembler in the system resolves byte-level
@@ -253,9 +238,6 @@ impl SystemBuilder {
     pub fn build(self) -> Result<SystemHandle, SystemError> {
         let controller = DpiController::new();
         controller.set_health_policy(self.health_policy);
-        for (tenant, quota) in &self.tenant_quotas {
-            controller.set_tenant_quota(*tenant, *quota);
-        }
 
         // Register every middlebox and its rules with the controller.
         for t in &self.templates {
@@ -637,13 +619,12 @@ impl SystemHandle {
                 self.fail_over(*id);
             }
         }
-        // A heartbeat window is also the fleet's tenant quota window and
-        // its overload window: each instance's scan-byte buckets refill,
-        // its detectors see the window's arrivals, and what it traced
-        // since the last round joins the timeline (the batch pipeline
-        // does all three at its batch boundaries).
+        // A heartbeat window is also the fleet's overload window: each
+        // instance's detectors see the window's arrivals, and what it
+        // traced since the last round joins the timeline (the batch
+        // pipeline does both at its batch boundaries).
         for (i, d) in self.dpi_instances.iter().enumerate() {
-            for (transition, packets) in d.lock().refill_tenant_window() {
+            for (transition, packets) in d.lock().close_window() {
                 if let Some(c) = &self.chaos {
                     c.note(format!(
                         "overload: instance {i} {} at {packets} packets/window",
@@ -967,11 +948,6 @@ impl SystemHandle {
             "Flows bypassed by L7 policy per instance",
             MetricKind::Counter,
         );
-        m.family(
-            "dpi_l7_detoured_flows_total",
-            "Flows detoured by L7 policy per instance",
-            MetricKind::Counter,
-        );
         for (i, t) in self.fleet_telemetry().iter().enumerate() {
             let i = i.to_string();
             for p in dpi_core::L7Protocol::ALL {
@@ -989,7 +965,6 @@ impl SystemHandle {
             m.sample("dpi_l7_truncations_total", &l, t.l7_truncations);
             m.sample("dpi_l7_blocked_flows_total", &l, t.l7_blocked_flows);
             m.sample("dpi_l7_bypassed_flows_total", &l, t.l7_bypassed_flows);
-            m.sample("dpi_l7_detoured_flows_total", &l, t.l7_detoured_flows);
         }
 
         m.family(
@@ -1119,11 +1094,6 @@ impl SystemHandle {
             MetricKind::Counter,
         );
         m.family(
-            "dpi_tenant_quota_rejections_total",
-            "Scans skipped because the tenant's scan-byte window was exhausted",
-            MetricKind::Counter,
-        );
-        m.family(
             "dpi_tenant_rule_generation",
             "Rule generation each tenant's results are stamped with",
             MetricKind::Gauge,
@@ -1136,7 +1106,6 @@ impl SystemHandle {
             m.sample("dpi_tenant_matches_total", &l, c.matches);
             m.sample("dpi_tenant_shed_packets_total", &l, c.shed_packets);
             m.sample("dpi_tenant_shed_bytes_total", &l, c.shed_bytes);
-            m.sample("dpi_tenant_quota_rejections_total", &l, c.quota_rejections);
             m.sample(
                 "dpi_tenant_rule_generation",
                 &l,

@@ -342,7 +342,6 @@ fn system_builder_threads_the_policy_and_exports_l7_metrics() {
         "dpi_l7_truncations_total",
         "dpi_l7_blocked_flows_total",
         "dpi_l7_bypassed_flows_total",
-        "dpi_l7_detoured_flows_total",
     ] {
         assert!(text.contains(family), "missing metric family {family}");
     }
@@ -350,6 +349,27 @@ fn system_builder_threads_the_policy_and_exports_l7_metrics() {
         text.contains(r#"protocol="http1""#) && text.contains(r#"protocol="tls""#),
         "per-protocol labels must always be emitted"
     );
+}
+
+/// One packet whose scan yields two reporting units — a header match and
+/// a body match for the same middlebox — delivers both matches to it: the
+/// result packet carries one report per middlebox, not one per unit.
+#[test]
+fn header_and_body_matches_of_one_packet_both_reach_the_middlebox() {
+    let mut system = SystemBuilder::new()
+        .with_middlebox(dpi_service::middlebox::ids(
+            IDS,
+            &[b"hdr-sig-aaaa".to_vec(), b"body-sig-bbbb".to_vec()],
+        ))
+        .with_chain(&[IDS])
+        .with_l7_policy(L7Policy::default())
+        .build()
+        .unwrap();
+    let stream =
+        b"POST / HTTP/1.1\r\nX-A: hdr-sig-aaaa\r\nContent-Length: 20\r\n\r\nxxbody-sig-bbbbxxxxx";
+    system.send(fk(11), 1_000, stream);
+    assert_eq!(system.dpi_telemetry().matches, 2);
+    assert_eq!(system.stats_of(IDS).unwrap().matches, 2);
 }
 
 /// The README example, end to end: the in-network packet path routes

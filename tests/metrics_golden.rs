@@ -142,7 +142,6 @@ fn l7_families_have_per_protocol_series() {
         "dpi_l7_truncations_total",
         "dpi_l7_blocked_flows_total",
         "dpi_l7_bypassed_flows_total",
-        "dpi_l7_detoured_flows_total",
     ] {
         for instance in 0..2 {
             let series = format!("{family}{{instance=\"{instance}\"}}");
@@ -193,7 +192,6 @@ fn tenant_families_have_per_tenant_series() {
         "dpi_tenant_matches_total",
         "dpi_tenant_shed_packets_total",
         "dpi_tenant_shed_bytes_total",
-        "dpi_tenant_quota_rejections_total",
         "dpi_tenant_rule_generation",
     ] {
         for tenant in [1, 2] {
