@@ -57,70 +57,6 @@ impl PatternSet {
     pub fn transfer_bytes(&self) -> usize {
         self.patterns.iter().map(|p| p.len() + 4).sum::<usize>() + 8
     }
-
-    /// Diffs this set (the running generation) against `next` (the one
-    /// being rolled out): which patterns are added, removed, unchanged,
-    /// and what an *incremental* update would ship. The paper's Fig. 11
-    /// measures bytes per pattern-set update; a generation that changes
-    /// one rule should cost one rule's bytes, not the whole set's.
-    pub fn diff(&self, next: &PatternSet) -> PatternSetDelta {
-        let old: std::collections::HashSet<&[u8]> =
-            self.patterns.iter().map(Vec::as_slice).collect();
-        let new: std::collections::HashSet<&[u8]> =
-            next.patterns.iter().map(Vec::as_slice).collect();
-        let added: Vec<Vec<u8>> = next
-            .patterns
-            .iter()
-            .filter(|p| !old.contains(p.as_slice()))
-            .cloned()
-            .collect();
-        let removed: Vec<Vec<u8>> = self
-            .patterns
-            .iter()
-            .filter(|p| !new.contains(p.as_slice()))
-            .cloned()
-            .collect();
-        let unchanged = next
-            .patterns
-            .iter()
-            .filter(|p| old.contains(p.as_slice()))
-            .count();
-        PatternSetDelta {
-            middlebox: self.middlebox,
-            added,
-            removed,
-            unchanged,
-        }
-    }
-}
-
-/// The difference between two generations of one middlebox's pattern set
-/// ([`PatternSet::diff`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PatternSetDelta {
-    /// The owning middlebox type.
-    pub middlebox: MiddleboxId,
-    /// Patterns present only in the new generation.
-    pub added: Vec<Vec<u8>>,
-    /// Patterns present only in the old generation.
-    pub removed: Vec<Vec<u8>>,
-    /// Patterns in both generations (these must keep matching
-    /// byte-identically across the swap).
-    pub unchanged: usize,
-}
-
-impl PatternSetDelta {
-    /// Whether the update changes anything at all.
-    pub fn is_noop(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
-    }
-
-    /// Bytes an incremental update ships: added patterns in full, removed
-    /// ones as 4-byte id tombstones (same framing as
-    /// [`PatternSet::transfer_bytes`]).
-    pub fn transfer_bytes(&self) -> usize {
-        self.added.iter().map(|p| p.len() + 4).sum::<usize>() + 4 * self.removed.len() + 8
-    }
 }
 
 /// Accumulates pattern sets and builds combined automatons.
@@ -200,7 +136,7 @@ impl CombinedAcBuilder {
 
     /// Serialized size of everything added to this builder — the
     /// full-set transfer cost of the generation it compiles (Fig. 11's
-    /// cumulative axis; [`PatternSet::diff`] gives the per-update delta).
+    /// cumulative axis).
     pub fn pattern_transfer_bytes(&self) -> usize {
         self.transfer_bytes
     }
@@ -262,22 +198,6 @@ mod tests {
     fn transfer_bytes_tracks_raw_pattern_size() {
         let s = PatternSet::from_strs(MiddleboxId(0), &["12345678", "abcd"]);
         assert_eq!(s.transfer_bytes(), (8 + 4) + (4 + 4) + 8);
-    }
-
-    #[test]
-    fn diff_splits_added_removed_unchanged() {
-        let old = PatternSet::from_strs(MiddleboxId(2), &["keep", "drop-me", "stay"]);
-        let new = PatternSet::from_strs(MiddleboxId(2), &["keep", "stay", "fresh!"]);
-        let d = old.diff(&new);
-        assert_eq!(d.added, vec![b"fresh!".to_vec()]);
-        assert_eq!(d.removed, vec![b"drop-me".to_vec()]);
-        assert_eq!(d.unchanged, 2);
-        assert!(!d.is_noop());
-        // Incremental cost: one 6-byte pattern (+4 framing), one 4-byte
-        // tombstone, 8 bytes set framing — far below the full set.
-        assert_eq!(d.transfer_bytes(), (6 + 4) + 4 + 8);
-        assert!(d.transfer_bytes() < new.transfer_bytes());
-        assert!(old.diff(&old).is_noop());
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod kernel;
 pub mod naive;
 pub mod trie;
 
-pub use builder::{CombinedAcBuilder, PatternSet, PatternSetDelta};
+pub use builder::{CombinedAcBuilder, PatternSet};
 pub use combined::CombinedAc;
 pub use full::FullAc;
 pub use kernel::{DepthSamples, KernelKind, ScanKernel};

@@ -297,14 +297,6 @@ impl InstanceConfig {
         self.max_flow_bytes = (bytes > 0).then_some(bytes);
         self
     }
-
-    /// Overrides the generation stamped on one tenant's results
-    /// (tenant-scoped canary rollouts; DESIGN.md §16).
-    pub fn with_tenant_generation(mut self, tenant: TenantId, generation: u32) -> InstanceConfig {
-        self.tenant_generations.retain(|(t, _)| *t != tenant);
-        self.tenant_generations.push((tenant, generation));
-        self
-    }
 }
 
 #[cfg(test)]
@@ -383,20 +375,16 @@ mod tests {
         assert_eq!(back.tenant, TenantId(0));
         assert!(InstanceConfig::new().tenant_generations.is_empty());
 
-        let cfg = InstanceConfig::new()
-            .with_middlebox(
-                MiddleboxProfile::stateless(MiddleboxId(1)).owned_by(TenantId(2)),
-                vec![RuleSpec::exact(b"x".to_vec())],
-            )
-            .with_tenant_generation(TenantId(2), 7);
+        let mut cfg = InstanceConfig::new().with_middlebox(
+            MiddleboxProfile::stateless(MiddleboxId(1)).owned_by(TenantId(2)),
+            vec![RuleSpec::exact(b"x".to_vec())],
+        );
+        cfg.tenant_generations = vec![(TenantId(2), 7)];
         let j = serde_json::to_string(&cfg).unwrap();
         let back: InstanceConfig = serde_json::from_str(&j).unwrap();
         assert_eq!(back, cfg);
         assert_eq!(back.profiles[0].tenant, TenantId(2));
         assert_eq!(back.tenant_generations, vec![(TenantId(2), 7)]);
-        // Replacing an override does not accumulate duplicates.
-        let cfg = cfg.with_tenant_generation(TenantId(2), 8);
-        assert_eq!(cfg.tenant_generations, vec![(TenantId(2), 8)]);
     }
 
     #[test]
@@ -410,5 +398,8 @@ mod tests {
         let j = serde_json::to_string(&cfg).unwrap();
         let back: InstanceConfig = serde_json::from_str(&j).unwrap();
         assert_eq!(back.conflict_policy, ConflictPolicy::RejectFlow);
+        // A removed policy older peers may still send is rejected, not
+        // defaulted.
+        assert!(serde_json::from_str::<ConflictPolicy>("\"last_wins\"").is_err());
     }
 }

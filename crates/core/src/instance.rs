@@ -149,9 +149,6 @@ struct MbRules {
     /// Synthetic AC pattern id → (regex rule index, anchor index) pairs
     /// (one anchor string can serve several rules).
     anchor_owner: HashMap<u16, Vec<(usize, usize)>>,
-    /// Regex rules with no usable anchors: evaluated on every packet the
-    /// middlebox is active for (§5.3's parallel path).
-    parallel: Vec<usize>,
 }
 
 /// One chain member resolved at build time: everything the per-packet
@@ -1110,10 +1107,13 @@ impl ScanEngine {
             None => merge_outputs([self.scan_payload(shard, chain_id, flow, payload)?]),
         };
         // A quarantined or blocked flow is closed: the packet carries
-        // the fail-closed mark (an IPS drops it, an IDS alerts) but no
-        // reports are fabricated — nothing was scanned, and the
-        // quarantine or block was itself reported via trace/telemetry
-        // when it fired.
+        // the match mark but no reports are fabricated — nothing was
+        // scanned, and the quarantine or block was itself reported via
+        // trace/telemetry when it fired. No result packet follows, so a
+        // middlebox holds the packet in its pairing buffer until the
+        // buffer's bound releases it unpaired: its logic then sees a
+        // packet with no report, and neither blocks nor alerts on it
+        // (a documented loss case, DESIGN.md §13).
         let closed = merged.quarantined || merged.blocked;
         if closed || !merged.reports.is_empty() {
             packet.mark_matches();
@@ -1247,9 +1247,9 @@ impl ScanEngine {
         }
         // Shadow-scan the losing copy of each conflict, statelessly: a
         // pattern hidden entirely inside the discarded interpretation
-        // still produces a match, so a first-wins/last-wins resolution
-        // can never silently swallow it (the no-silent-miss guarantee,
-        // DESIGN.md §13).
+        // still produces a match, so a first-wins resolution can never
+        // silently swallow it (the no-silent-miss guarantee, DESIGN.md
+        // §13).
         for alt in alt_payloads {
             check_unit_len(&alt)?;
             let mut out = self.scan_stream_unit(scan, chain, None, &alt);
@@ -1465,29 +1465,25 @@ fn compile_rules(
                 })?;
                 let anchors = regex.anchors().to_vec();
                 let ri = out.regex_rules.len();
-                if anchors.is_empty() {
-                    out.parallel.push(ri);
-                } else {
-                    for (ai, anchor) in anchors.iter().enumerate() {
-                        let pid = match anchor_ids.get(anchor) {
-                            Some(&pid) => pid,
-                            None => {
-                                let pid = next_synthetic;
-                                if pid > dpi_packet::report::MAX_REPORTABLE_PATTERN_ID {
-                                    return Err(InstanceError::TooManyRules(mb));
-                                }
-                                next_synthetic = next_synthetic
-                                    .checked_add(1)
-                                    .ok_or(InstanceError::TooManyRules(mb))?;
-                                builder
-                                    .add_pattern(mb, PatternId(pid), anchor)
-                                    .map_err(InstanceError::BadPattern)?;
-                                anchor_ids.insert(anchor.clone(), pid);
-                                pid
+                for (ai, anchor) in anchors.iter().enumerate() {
+                    let pid = match anchor_ids.get(anchor) {
+                        Some(&pid) => pid,
+                        None => {
+                            let pid = next_synthetic;
+                            if pid > dpi_packet::report::MAX_REPORTABLE_PATTERN_ID {
+                                return Err(InstanceError::TooManyRules(mb));
                             }
-                        };
-                        out.anchor_owner.entry(pid).or_default().push((ri, ai));
-                    }
+                            next_synthetic = next_synthetic
+                                .checked_add(1)
+                                .ok_or(InstanceError::TooManyRules(mb))?;
+                            builder
+                                .add_pattern(mb, PatternId(pid), anchor)
+                                .map_err(InstanceError::BadPattern)?;
+                            anchor_ids.insert(anchor.clone(), pid);
+                            pid
+                        }
+                    };
+                    out.anchor_owner.entry(pid).or_default().push((ri, ai));
                 }
                 out.regex_rules.push(RegexRule {
                     rule_id: i,

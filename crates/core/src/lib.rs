@@ -70,7 +70,7 @@ pub use report::compress_matches;
 pub use rules::{RuleKind, RuleSpec};
 pub use telemetry::{ShardTelemetry, Telemetry, TenantCounters};
 pub use trace::{to_jsonl, TraceEvent, TraceKind, TraceSource, TraceWriter, Tracer};
-pub use update::{GenerationId, UpdateArtifact, UpdateError, UpdateStats};
+pub use update::{GenerationId, UpdateArtifact, UpdateError};
 
 // Re-export the identifier types shared across the system.
 pub use dpi_ac::{MiddleboxId, PatternId};

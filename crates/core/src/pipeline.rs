@@ -36,7 +36,7 @@ use crate::instance::{InstanceError, ScanEngine, ScanOutput, ShardState};
 use crate::overload::{OverloadDetector, OverloadPolicy, OverloadTransition};
 use crate::telemetry::{merge_tenant_counters, ShardTelemetry, Telemetry, TenantCounters};
 use crate::trace::{TraceKind, TraceSource, Tracer};
-use crate::update::{UpdateError, UpdateStats};
+use crate::update::UpdateError;
 use crossbeam::channel;
 use dpi_packet::report::ResultPacket;
 use dpi_packet::{FlowKey, Packet};
@@ -108,10 +108,14 @@ impl ShardSlot {
             engine.inspect_unnumbered(&mut self.state, pkt)
         };
         if let Some(d) = self.detector.as_mut().filter(|d| d.is_overloaded()) {
-            // After the scan, so CE takes precedence over the Ect0 match
-            // mark: the 2-bit field cannot hold both, congestion is the
-            // more urgent in-band signal, and the match itself still
-            // travels in the result packet.
+            // The 2-bit field cannot hold both marks, and the match mark
+            // wins: the middlebox pairs only `Ect0` packets with their
+            // result packet, so a CE mark there would forward the data
+            // unpaired and drop its verdict. CE goes on shed and clean
+            // packets only.
+            if pkt.has_match_mark() {
+                return out;
+            }
             pkt.mark_congestion();
             d.note_ce_mark();
             self.window.ce_marked += 1;
@@ -345,8 +349,6 @@ pub struct DpiInstance {
     faults: Vec<ShardFaultSpec>,
     /// Chaos engine to receive deterministic fault-log entries.
     chaos: Option<Arc<ChaosEngine>>,
-    /// Hot-swap telemetry (swaps applied, rejections, last pause).
-    update_stats: UpdateStats,
     /// Optional structured-event tracer. Batch/supervision events are
     /// recorded directly; per-packet samples and overload actions go
     /// through each shard's private writer and are absorbed when a
@@ -397,7 +399,6 @@ impl DpiInstance {
             watchdog: None,
             faults: Vec::new(),
             chaos: None,
-            update_stats: UpdateStats::default(),
             tracer: None,
             fleet_index: None,
             packet_counter: 0,
@@ -406,8 +407,9 @@ impl DpiInstance {
 
     /// Arms per-shard overload control: queue-depth watermarks with
     /// hysteresis. While a shard is
-    /// overloaded its forwarded packets are CE-marked and scans of
-    /// fail-open chains are skipped — per call and in a batch alike.
+    /// overloaded its forwarded packets are CE-marked, unless the scan
+    /// match-marked them, and scans of fail-open chains are skipped — per
+    /// call and in a batch alike.
     /// Chains with a fail-closed member are always scanned. In a batch
     /// the detector sees the queue behind each packet; per-call traffic
     /// is observed once per window, `queue_high` / `queue_low` then
@@ -512,12 +514,6 @@ impl DpiInstance {
         self.engine.generation()
     }
 
-    /// Hot-swap telemetry: swaps applied, artifacts rejected, the last
-    /// swap's pause.
-    pub fn update_stats(&self) -> UpdateStats {
-        self.update_stats
-    }
-
     /// Hot-swaps the instance onto a new rule generation. Callable only
     /// between calls (`&mut self`, and `inspect_batch` joins every
     /// worker before returning), so the swap can never interleave with an
@@ -533,7 +529,6 @@ impl DpiInstance {
         let current = self.engine.generation();
         let offered = engine.generation();
         if offered <= current {
-            self.update_stats.rejected += 1;
             self.trace(TraceKind::SwapRejected {
                 current_generation: current,
                 offered_generation: offered,
@@ -579,8 +574,6 @@ impl DpiInstance {
         }
         self.engine = engine;
         let pause = started.elapsed();
-        self.update_stats.swaps += 1;
-        self.update_stats.last_swap_pause = pause;
         self.trace(TraceKind::EngineSwapped {
             from_generation,
             to_generation: self.engine.generation(),
@@ -1282,7 +1275,6 @@ mod tests {
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].generation, 1);
         assert_eq!(results[0].reports[0].records.len(), 1);
-        assert_eq!(scanner.update_stats().swaps, 1);
     }
 
     #[test]
@@ -1297,7 +1289,6 @@ mod tests {
                     offered: 0
                 })
             ));
-            assert_eq!(dpi.update_stats().rejected, 1);
             assert_eq!(dpi.generation(), 0);
         }
     }
@@ -1448,12 +1439,13 @@ mod tests {
         let mut batch: Vec<Packet> = (0..8).map(|i| tagged_packet(100 + i, b"attack")).collect();
         let results = scanner.inspect_batch(&mut batch);
         // Every packet was scanned despite sustained overload: the chain
-        // demands verdicts, so the shed policy must not skip it. CE
-        // marking still happens — congestion signalling is orthogonal.
+        // demands verdicts, so the shed policy must not skip it. Every
+        // packet matched, so every one keeps its match mark for the
+        // middlebox to pair on; none is CE-marked.
         assert_eq!(results.len(), 8);
         assert_eq!(scanner.total_shed(), 0);
-        assert!(scanner.total_ce_marked() >= 7);
-        assert!(batch[1..].iter().all(Packet::has_ce_mark));
+        assert_eq!(scanner.total_ce_marked(), 0);
+        assert!(batch.iter().all(Packet::has_match_mark));
     }
 
     #[test]

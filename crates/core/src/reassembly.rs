@@ -23,16 +23,12 @@
 //! * [`ConflictPolicy::FirstWins`] — the historical Snort-style default:
 //!   the first copy of each byte is canonical. Delivery is byte-identical
 //!   to the pre-policy behaviour.
-//! * [`ConflictPolicy::LastWins`] — a later copy overwrites *pending*
-//!   (not yet delivered) bytes. Bytes already handed to the scanner are
-//!   committed and cannot be unscanned; a divergent retransmission of
-//!   delivered data is recorded as a conflict like any other.
 //! * [`ConflictPolicy::RejectFlow`] — fail-closed: the first conflict
 //!   quarantines the flow. No further bytes are delivered; the caller
 //!   reports the quarantine instead of scanning an arbitrary guess.
 //!
-//! Under the two permissive policies the *losing* copy of each conflict
-//! is stashed ([`StreamReassembler::take_conflict_payloads`]) so the
+//! Under `FirstWins` the *losing* (later) copy of each conflict is
+//! stashed ([`StreamReassembler::take_conflict_payloads`]) so the
 //! scanner can run it through a stateless shadow scan: a pattern hidden
 //! entirely inside the losing interpretation still produces a match, and
 //! every conflict is counted and traceable — a miss can never be silent.
@@ -46,8 +42,8 @@
 //!
 //! Conflict detection against *already delivered* bytes keeps a bounded
 //! tail of the delivered stream ([`CONFLICT_HISTORY`] bytes). Divergent
-//! retransmissions of older data cannot be byte-verified; the permissive
-//! policies treat them as ordinary duplicates (trimmed, uncounted), while
+//! retransmissions of older data cannot be byte-verified; `FirstWins`
+//! treats them as ordinary duplicates (trimmed, uncounted), while
 //! `RejectFlow` — whose whole point is refusing to guess — treats an
 //! unverifiable overlap as a conflict.
 //!
@@ -74,9 +70,6 @@ pub enum ConflictPolicy {
     /// The first copy of each byte is canonical (Snort's default).
     #[default]
     FirstWins,
-    /// A later copy overwrites bytes still pending delivery; delivered
-    /// bytes are committed.
-    LastWins,
     /// Fail closed: the first conflict quarantines the flow — nothing
     /// further is delivered and the caller reports the quarantine.
     RejectFlow,
@@ -87,7 +80,6 @@ impl ConflictPolicy {
     pub fn name(self) -> &'static str {
         match self {
             ConflictPolicy::FirstWins => "first_wins",
-            ConflictPolicy::LastWins => "last_wins",
             ConflictPolicy::RejectFlow => "reject_flow",
         }
     }
@@ -272,8 +264,8 @@ impl StreamReassembler {
         // Retransmission handling: the part we already delivered is
         // committed (it has been scanned), so it is trimmed — but first
         // byte-verified against the retained history. A divergent copy is
-        // a conflict; under the permissive policies its payload is
-        // stashed for a shadow scan, under RejectFlow it quarantines.
+        // a conflict; under FirstWins its payload is stashed for a
+        // shadow scan, under RejectFlow it quarantines.
         if seq_lt(seq, self.next_seq) {
             let skip = (self.next_seq.wrapping_sub(seq) as usize).min(payload.len());
             if self.delivered_overlap_conflicts(seq, &payload[..skip]) {
@@ -315,16 +307,6 @@ impl StreamReassembler {
         }
     }
 
-    /// Signals that the stream is being abandoned (RST / timeout): drops
-    /// pending data and returns how many bytes were discarded.
-    pub fn abort(&mut self) -> usize {
-        let n = self.buffered;
-        self.pending.clear();
-        self.buffered = 0;
-        self.conflict_stash.clear();
-        n
-    }
-
     /// Byte-compares `overlap` (starting at sequence `seq`, entirely
     /// behind `next_seq`) against the retained delivered history. Returns
     /// `(diverges, unverifiable)`: whether any comparable byte differs,
@@ -347,8 +329,8 @@ impl StreamReassembler {
 
     /// Whether the delivered-range part of a retransmission diverges from
     /// what was actually delivered. Positions older than the retained
-    /// history cannot be verified: permissive policies give them the
-    /// benefit of the doubt, `RejectFlow` refuses to guess.
+    /// history cannot be verified: `FirstWins` gives them the benefit of
+    /// the doubt, `RejectFlow` refuses to guess.
     fn delivered_overlap_conflicts(&self, seq: u32, overlap: &[u8]) -> bool {
         let (diverges, unverifiable) = self.history_check(seq, overlap);
         diverges || (unverifiable && self.policy == ConflictPolicy::RejectFlow)
@@ -359,10 +341,8 @@ impl StreamReassembler {
     /// pending copies arrived first, so divergence is a conflict resolved
     /// per policy: under `FirstWins` the stored bytes are overlaid onto
     /// the payload (first copy canonical) and the arriving copy is
-    /// stashed; under `LastWins` the arriving copy wins and each losing
-    /// stored segment is stashed, its overlapped part removed; under
-    /// `RejectFlow` the flow quarantines. Returns the canonical bytes to
-    /// deliver, or `None` when quarantined.
+    /// stashed; under `RejectFlow` the flow quarantines. Returns the
+    /// canonical bytes to deliver, or `None` when quarantined.
     fn resolve_inorder_overlaps(&mut self, mut payload: Vec<u8>) -> Option<Vec<u8>> {
         let new_end = payload.len() as u64;
         // Every pending key is strictly ahead of next_seq (distance in
@@ -386,40 +366,19 @@ impl StreamReassembler {
             // drain_pending, which re-verifies them against history.
             return Some(payload);
         }
-        match self.policy {
-            ConflictPolicy::RejectFlow => {
-                self.on_conflict(payload);
-                return None;
-            }
-            ConflictPolicy::FirstWins => {
-                // The buffered (earlier) copy of each byte is canonical:
-                // overlay it onto the arriving segment, which loses.
-                self.on_conflict(payload.clone());
-                for s in divergent {
-                    let data = &self.pending[&s];
-                    let ps = u64::from(s.wrapping_sub(self.next_seq));
-                    let hi = (ps + data.len() as u64).min(new_end);
-                    payload[ps as usize..hi as usize].copy_from_slice(&data[..(hi - ps) as usize]);
-                }
-            }
-            ConflictPolicy::LastWins => {
-                // The arriving copy wins; each divergent stored segment
-                // is a loser. Remove its overlapped part (keeping any
-                // tail beyond the payload) so no stale divergent bytes
-                // survive into drain_pending.
-                for s in divergent {
-                    let data = self.pending.remove(&s).expect("key just listed");
-                    self.buffered -= data.len();
-                    self.on_conflict(data.clone());
-                    let ps = u64::from(s.wrapping_sub(self.next_seq));
-                    let pe = ps + data.len() as u64;
-                    if pe > new_end {
-                        let from = (new_end - ps) as usize;
-                        let tail_seq = self.next_seq.wrapping_add(new_end as u32);
-                        self.store_piece(tail_seq, data[from..].to_vec());
-                    }
-                }
-            }
+        // The arriving copy loses: stashed under FirstWins, the
+        // quarantine under RejectFlow.
+        self.on_conflict(payload.clone());
+        if self.quarantined {
+            return None;
+        }
+        // The buffered (earlier) copy of each byte is canonical: overlay
+        // it onto the arriving segment.
+        for s in divergent {
+            let data = &self.pending[&s];
+            let ps = u64::from(s.wrapping_sub(self.next_seq));
+            let hi = (ps + data.len() as u64).min(new_end);
+            payload[ps as usize..hi as usize].copy_from_slice(&data[..(hi - ps) as usize]);
         }
         Some(payload)
     }
@@ -452,17 +411,18 @@ impl StreamReassembler {
     }
 
     /// Inserts an out-of-order segment, resolving overlaps with pending
-    /// data: equal overlap bytes are stored once; differing bytes are a
-    /// conflict resolved per policy. All coordinates are relative to
-    /// `next_seq` (every pending range is strictly ahead, distance in
-    /// `(0, 2³¹]`), so ranges compare correctly across the 2³² wrap.
+    /// data: the first copy of each byte wins, so only the parts of the
+    /// new segment no pending range covers are stored, and differing
+    /// overlap bytes make the arriving copy a conflict's loser. All
+    /// coordinates are relative to `next_seq` (every pending range is
+    /// strictly ahead, distance in `(0, 2³¹]`), so ranges compare
+    /// correctly across the 2³² wrap.
     fn insert_pending(&mut self, seq: u32, payload: Vec<u8>) {
         let new_start = u64::from(seq.wrapping_sub(self.next_seq));
         let new_end = new_start + payload.len() as u64;
 
         // Byte-compare every overlapping pending range.
         let mut conflict = false;
-        let mut losing_old: Vec<Vec<u8>> = Vec::new();
         let mut overlapping: Vec<u32> = Vec::new();
         for (&s, data) in &self.pending {
             let ps = u64::from(s.wrapping_sub(self.next_seq));
@@ -473,79 +433,44 @@ impl StreamReassembler {
             overlapping.push(s);
             let lo = ps.max(new_start);
             let hi = pe.min(new_end);
-            if data[(lo - ps) as usize..(hi - ps) as usize]
-                != payload[(lo - new_start) as usize..(hi - new_start) as usize]
-            {
-                conflict = true;
-                losing_old.push(data.clone());
-            }
+            conflict |= data[(lo - ps) as usize..(hi - ps) as usize]
+                != payload[(lo - new_start) as usize..(hi - new_start) as usize];
         }
         if conflict {
-            // The losing copy: under first-wins the arriving segment
-            // loses; under last-wins the stored segments it overwrites do.
-            match self.policy {
-                ConflictPolicy::LastWins => {
-                    for old in losing_old {
-                        self.on_conflict(old);
-                    }
-                }
-                _ => self.on_conflict(payload.clone()),
-            }
+            self.on_conflict(payload.clone());
             if self.quarantined {
                 return;
             }
         }
 
-        if self.policy == ConflictPolicy::LastWins && conflict {
-            // The new copy wins: carve its range out of every overlapped
-            // pending segment, then store the new segment whole.
-            for s in overlapping {
-                let data = self.pending.remove(&s).expect("key just listed");
-                self.buffered -= data.len();
-                let ps = u64::from(s.wrapping_sub(self.next_seq));
-                let pe = ps + data.len() as u64;
-                if ps < new_start {
-                    let keep = (new_start - ps) as usize;
-                    self.store_piece(s, data[..keep].to_vec());
-                }
-                if pe > new_end {
-                    let from = (new_end - ps) as usize;
-                    let tail_seq = self.next_seq.wrapping_add(new_end as u32);
-                    self.store_piece(tail_seq, data[from..].to_vec());
-                }
-            }
-            self.store_piece(seq, payload);
-        } else {
-            // First copy wins (also the no-conflict and equal-overlap
-            // path): store only the parts of the new segment no pending
-            // range already covers.
-            let mut holes: Vec<(u64, u64)> = vec![(new_start, new_end)];
-            for s in overlapping {
-                let data = &self.pending[&s];
-                let ps = u64::from(s.wrapping_sub(self.next_seq));
-                let pe = ps + data.len() as u64;
-                let mut next = Vec::new();
-                for (lo, hi) in holes {
-                    if pe <= lo || ps >= hi {
-                        next.push((lo, hi));
-                        continue;
-                    }
-                    if lo < ps {
-                        next.push((lo, ps));
-                    }
-                    if pe < hi {
-                        next.push((pe, hi));
-                    }
-                }
-                holes = next;
-            }
+        // Store only the parts of the new segment no pending range
+        // already covers.
+        let mut holes: Vec<(u64, u64)> = vec![(new_start, new_end)];
+        for s in overlapping {
+            let data = &self.pending[&s];
+            let ps = u64::from(s.wrapping_sub(self.next_seq));
+            let pe = ps + data.len() as u64;
+            let mut next = Vec::new();
             for (lo, hi) in holes {
-                let piece_seq = self.next_seq.wrapping_add(lo as u32);
-                self.store_piece(
-                    piece_seq,
-                    payload[(lo - new_start) as usize..(hi - new_start) as usize].to_vec(),
-                );
+                if pe <= lo || ps >= hi {
+                    next.push((lo, hi));
+                    continue;
+                }
+                if lo < ps {
+                    next.push((lo, ps));
+                }
+                if pe < hi {
+                    next.push((pe, hi));
+                }
             }
+            holes = next;
+        }
+        for (lo, hi) in holes {
+            let piece_seq = self.next_seq.wrapping_add(lo as u32);
+            self.store_piece(
+                piece_seq,
+                payload[(lo - new_start) as usize..(hi - new_start) as usize].to_vec(),
+            );
         }
     }
 
@@ -698,32 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn pending_overlap_conflict_last_wins_overwrites() {
-        let mut r = StreamReassembler::with_policy(0, 1 << 16, ConflictPolicy::LastWins);
-        assert!(r.push(10, b"AAAA").is_empty());
-        assert!(r.push(10, b"BBBB").is_empty());
-        assert_eq!(r.conflicts(), 1);
-        assert_eq!(r.buffered(), 4);
-        let runs = r.push(0, b"0123456789");
-        assert_eq!(runs.concat(), b"0123456789BBBB");
-        // The overwritten copy is the losing one.
-        assert_eq!(r.take_conflict_payloads(), vec![b"AAAA".to_vec()]);
-    }
-
-    #[test]
-    fn last_wins_overwrite_splits_straddled_pending_segment() {
-        let mut r = StreamReassembler::with_policy(0, 1 << 16, ConflictPolicy::LastWins);
-        assert!(r.push(10, b"AAAAAAAA").is_empty()); // covers 10..18
-                                                     // New copy covers 12..16 with different bytes: the old segment
-                                                     // keeps its head and tail, the middle is overwritten.
-        assert!(r.push(12, b"BBBB").is_empty());
-        assert_eq!(r.conflicts(), 1);
-        assert_eq!(r.buffered(), 8);
-        let runs = r.push(0, b"0123456789");
-        assert_eq!(runs.concat(), b"0123456789AABBBBAA");
-    }
-
-    #[test]
     fn inorder_overlap_of_divergent_pending_first_wins_keeps_pending_copy() {
         // The review probe: a divergent copy is buffered out of order,
         // then a later in-order segment paves over its range. The pending
@@ -743,18 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn inorder_overlap_of_divergent_pending_last_wins_overwrites() {
-        let mut r = StreamReassembler::with_policy(0, 1 << 16, ConflictPolicy::LastWins);
-        assert!(r.push(10, b"EVIL").is_empty());
-        let runs = r.push(0, b"0123456789goodtrailer");
-        assert_eq!(runs.concat(), b"0123456789goodtrailer");
-        assert_eq!(r.conflicts(), 1);
-        assert_eq!(r.buffered(), 0);
-        // The overwritten pending copy is the loser.
-        assert_eq!(r.take_conflict_payloads(), vec![b"EVIL".to_vec()]);
-    }
-
-    #[test]
     fn inorder_overlap_of_divergent_pending_reject_flow_quarantines() {
         let mut r = StreamReassembler::with_policy(0, 1 << 16, ConflictPolicy::RejectFlow);
         assert!(r.push(10, b"EVIL").is_empty());
@@ -769,11 +656,7 @@ mod tests {
 
     #[test]
     fn inorder_overlap_of_equal_pending_is_not_a_conflict() {
-        for policy in [
-            ConflictPolicy::FirstWins,
-            ConflictPolicy::LastWins,
-            ConflictPolicy::RejectFlow,
-        ] {
+        for policy in [ConflictPolicy::FirstWins, ConflictPolicy::RejectFlow] {
             let mut r = StreamReassembler::with_policy(0, 1 << 16, policy);
             assert!(r.push(10, b"good").is_empty());
             let runs = r.push(0, b"0123456789goodtrailer");
@@ -787,19 +670,11 @@ mod tests {
     #[test]
     fn inorder_overlap_keeps_pending_tail_beyond_payload() {
         // The pending segment extends past the in-order payload: the
-        // overlapped part conflicts, the tail must survive and deliver.
-        let mut r = StreamReassembler::with_policy(0, 1 << 16, ConflictPolicy::LastWins);
+        // overlapped part conflicts (stored bytes win it), the tail must
+        // survive and deliver.
+        let mut r = StreamReassembler::new(0, 1 << 16);
         assert!(r.push(4, b"XXtail").is_empty()); // covers 4..10
         let runs = r.push(0, b"0123ab"); // covers 0..6, 4..6 divergent
-        assert_eq!(runs.concat(), b"0123abtail");
-        assert_eq!(r.conflicts(), 1);
-        assert_eq!(r.buffered(), 0);
-        assert_eq!(r.take_conflict_payloads(), vec![b"XXtail".to_vec()]);
-
-        // FirstWins on the same shape: stored bytes win the overlap.
-        let mut r = StreamReassembler::new(0, 1 << 16);
-        assert!(r.push(4, b"XXtail").is_empty());
-        let runs = r.push(0, b"0123ab");
         assert_eq!(runs.concat(), b"0123XXtail");
         assert_eq!(r.conflicts(), 1);
         assert_eq!(r.buffered(), 0);
@@ -835,7 +710,7 @@ mod tests {
     #[test]
     fn reject_flow_unverifiable_overlap_fails_closed() {
         // The divergent copy targets bytes older than the retained
-        // history window: permissive policies shrug, RejectFlow must not.
+        // history window: FirstWins shrugs, RejectFlow must not.
         let big = vec![b'x'; CONFLICT_HISTORY + 64];
         let mut first = StreamReassembler::new(0, 1 << 20);
         first.push(0, &big);
@@ -1033,15 +908,6 @@ mod tests {
         );
         assert!(r.pending.contains_key(&3));
         assert!(r.pending.contains_key(&7));
-    }
-
-    #[test]
-    fn abort_clears_state() {
-        let mut r = StreamReassembler::new(0, 1 << 16);
-        r.push(50, b"future data");
-        assert_eq!(r.abort(), 11);
-        assert!(r.push(0, b"now").concat() == b"now");
-        assert_eq!(r.buffered(), 0);
     }
 
     #[test]

@@ -85,15 +85,6 @@ impl Telemetry {
         }
     }
 
-    /// Fraction of packets with at least one match.
-    pub fn match_packet_ratio(&self) -> f64 {
-        if self.packets == 0 {
-            0.0
-        } else {
-            self.packets_with_matches as f64 / self.packets as f64
-        }
-    }
-
     /// Merges another instance's counters (controller-side aggregation).
     pub fn merge(&mut self, other: &Telemetry) {
         self.packets += other.packets;
@@ -278,7 +269,6 @@ mod tests {
     fn ratios_handle_zero_denominators() {
         let t = Telemetry::default();
         assert_eq!(t.deep_ratio(), 0.0);
-        assert_eq!(t.match_packet_ratio(), 0.0);
     }
 
     #[test]

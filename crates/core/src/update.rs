@@ -20,10 +20,9 @@
 //!   The artifact is compiled off the packet path and the finished
 //!   engine handed over between calls (`&mut self` is the drain
 //!   barrier); an instance refuses any `offered <= current` generation,
-//!   and old generations are reclaimed by the last `Arc` drop.
-//! * [`UpdateStats`] — per-engine swap telemetry: swaps applied,
-//!   rejections, and the observed swap pause (the paper's Fig. 11
-//!   companion metric, recorded by `bench_update`).
+//!   and old generations are reclaimed by the last `Arc` drop. It
+//!   returns the swap pause (the paper's Fig. 11 companion metric,
+//!   recorded by `bench_update`) and traces every swap and refusal.
 //!
 //! Cross-packet flow state is tagged with the generation that wrote it
 //! (see [`crate::arena::FlowArena`]); a flow whose state predates the
@@ -35,7 +34,6 @@
 use crate::config::InstanceConfig;
 use crate::instance::{InstanceError, ScanEngine};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A rule generation: monotonically increasing per deployment, starting
 /// at 0 for the initially-compiled configuration.
@@ -177,18 +175,6 @@ impl UpdateArtifact {
             .map(Arc::new)
             .map_err(|e: InstanceError| UpdateError::Build(e.to_string()))
     }
-}
-
-/// Per-data-plane swap telemetry.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct UpdateStats {
-    /// Hot swaps applied since start.
-    pub swaps: u64,
-    /// Update artifacts rejected (checksum, malformed, stale).
-    pub rejected: u64,
-    /// Pause of the most recent swap — the drain-barrier cost, *not*
-    /// compilation (which happens off the hot path).
-    pub last_swap_pause: Duration,
 }
 
 #[cfg(test)]

@@ -44,5 +44,5 @@ pub use boxes::{
 };
 pub use engine::{MiddleboxStats, SelfScanMiddlebox, ServiceMiddlebox};
 pub use logic::{Condition, MbAction, MbRule, RuleLogic, Verdict};
-pub use nodes::{DpiServiceNode, FleetDpiStats, MiddleboxNode, SelfScanNode};
+pub use nodes::{DpiServiceNode, FleetDpiStats, MiddleboxNode};
 pub use reorder::ReorderBuffer;

@@ -396,46 +396,6 @@ impl Node for MiddleboxNode {
     }
 }
 
-/// A baseline middlebox that scans packets itself (no DPI service).
-pub struct SelfScanNode {
-    mb: Arc<Mutex<crate::engine::SelfScanMiddlebox>>,
-}
-
-impl SelfScanNode {
-    /// Wraps a self-scanning middlebox; returns the node and a handle.
-    pub fn new(
-        mb: crate::engine::SelfScanMiddlebox,
-    ) -> (SelfScanNode, Arc<Mutex<crate::engine::SelfScanMiddlebox>>) {
-        let mb = Arc::new(Mutex::new(mb));
-        (
-            SelfScanNode {
-                mb: Arc::clone(&mb),
-            },
-            mb,
-        )
-    }
-}
-
-impl Node for SelfScanNode {
-    fn on_packet_into(&mut self, packet: Packet, port: PortId, out: &mut Vec<(PortId, Packet)>) {
-        let forwards = match packet.payload() {
-            Some(payload) => self
-                .mb
-                .lock()
-                .process(packet.flow_key(), payload)
-                .forwards(),
-            None => true,
-        };
-        if forwards {
-            out.push((port, packet));
-        }
-    }
-
-    fn label(&self) -> String {
-        format!("selfscan:{}", self.mb.lock().name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,21 +554,6 @@ mod tests {
         assert_eq!(handle.lock().stats().matches, 1);
     }
 
-    #[test]
-    fn selfscan_node_blocks_inline() {
-        let mb = crate::engine::SelfScanMiddlebox::new(
-            MiddleboxProfile::stateless(MiddleboxId(7)),
-            "av",
-            dpi_core::config::NumberedRule::sequence(vec![RuleSpec::exact(b"virus99".to_vec())]),
-            RuleLogic::one_per_pattern(1, MbAction::Block),
-        )
-        .unwrap();
-        let (mut node, handle) = SelfScanNode::new(mb);
-        assert_eq!(node.on_packet(tagged_pkt(b"ok payload", 5), 0).len(), 1);
-        assert!(node.on_packet(tagged_pkt(b"virus99", 5), 0).is_empty());
-        assert_eq!(handle.lock().stats().bytes_self_scanned, 17);
-    }
-
     // ---- The chaos and retry attachments, and the armed instance ----
 
     fn dpi() -> DpiInstance {
@@ -755,12 +700,12 @@ mod tests {
         assert_eq!(handle.lock().overload_state(), [(true, 1.0)]);
 
         let out = node.on_packet(tagged(b"a needle99 b"), 0);
-        // Verdict traffic survives overload: data + result, CE mark on
-        // the data packet as the congestion signal.
+        // Verdict traffic survives overload: data + result, and the data
+        // packet keeps its match mark so a middlebox pairs the two.
         assert_eq!(out.len(), 2, "fail-closed chain still scanned");
-        assert!(out[0].1.has_ce_mark());
+        assert!(out[0].1.has_match_mark());
         assert_eq!(handle.lock().total_shed(), 0);
-        assert_eq!(handle.lock().total_ce_marked(), 1);
+        assert_eq!(handle.lock().total_ce_marked(), 0);
         // Result packets pass through untouched even while overloaded.
         let result_pkt = out[1].1.clone();
         let out = node.on_packet(result_pkt, 0);

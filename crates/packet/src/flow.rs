@@ -36,18 +36,6 @@ impl FlowKey {
         }
     }
 
-    /// A direction-insensitive key: both directions of a connection map to
-    /// the same value. Useful for middleboxes that track sessions rather
-    /// than unidirectional flows.
-    pub fn bidirectional(&self) -> FlowKey {
-        let rev = self.reversed();
-        if (self.src_ip, self.src_port) <= (self.dst_ip, self.dst_port) {
-            *self
-        } else {
-            rev
-        }
-    }
-
     /// A stable 64-bit hash of the key (FNV-1a), used by the simulator for
     /// deterministic load-balancing decisions independent of `HashMap`'s
     /// per-process seed.
@@ -103,11 +91,6 @@ mod tests {
     #[test]
     fn reversed_twice_is_identity() {
         assert_eq!(key().reversed().reversed(), key());
-    }
-
-    #[test]
-    fn bidirectional_is_direction_insensitive() {
-        assert_eq!(key().bidirectional(), key().reversed().bidirectional());
     }
 
     #[test]

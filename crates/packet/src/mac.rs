@@ -27,11 +27,6 @@ impl MacAddr {
         self.0[0] & 0x01 != 0
     }
 
-    /// Returns `true` for the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
     /// Reads an address from the first six bytes of `buf`.
     ///
     /// # Panics
@@ -78,13 +73,11 @@ mod tests {
         let b = MacAddr::local(2);
         assert_ne!(a, b);
         assert!(!a.is_multicast());
-        assert!(!a.is_broadcast());
     }
 
     #[test]
     fn broadcast_is_multicast() {
         assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(MacAddr::BROADCAST.is_broadcast());
     }
 
     #[test]

@@ -34,4 +34,4 @@ pub mod tsa;
 pub use flowtable::{Action, FlowMatch, FlowRule, FlowTable};
 pub use network::{Network, Node, NodeId, PortId};
 pub use switch::Switch;
-pub use tsa::{StarTopology, TrafficSteeringApp};
+pub use tsa::TrafficSteeringApp;

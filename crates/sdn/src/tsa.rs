@@ -4,9 +4,8 @@
 //! middlebox hosts, and a DPI service instance host. All hosts are
 //! connected through a single switch and the TSA, implemented as a POX
 //! module, steering traffic from one user host to the other according to
-//! the defined policy chains" (§6.1). [`StarTopology`] captures that
-//! layout and [`TrafficSteeringApp`] compiles policy chains into the
-//! switch's flow rules:
+//! the defined policy chains" (§6.1). [`TrafficSteeringApp`] compiles
+//! policy chains into that switch's flow rules:
 //!
 //! * ingress: untagged traffic from the source host is tagged with its
 //!   chain id and sent to the first element (the DPI instance, which the
@@ -23,27 +22,6 @@ use crate::switch::Switch;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Port layout of the paper's single-switch star.
-#[derive(Debug, Clone)]
-pub struct StarTopology {
-    /// Port towards the traffic source (user host 1).
-    pub ingress: Port,
-    /// Port towards the traffic sink (user host 2).
-    pub egress: Port,
-    /// Ports of service elements (DPI instances, middleboxes), by name.
-    pub elements: Vec<(String, Port)>,
-}
-
-impl StarTopology {
-    /// Looks up an element's port by name.
-    pub fn port_of(&self, name: &str) -> Option<Port> {
-        self.elements
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, p)| *p)
-    }
-}
-
 /// The TSA: owns a handle to the switch's table and installs steering
 /// rules.
 #[derive(Debug, Clone)]
@@ -51,8 +29,8 @@ pub struct TrafficSteeringApp {
     table: Arc<Mutex<FlowTable>>,
 }
 
-/// Rule priorities used by the TSA (leaving room above for overrides,
-/// e.g. MCA² heavy-flow diversions).
+/// Rule priorities used by the TSA (leaving room above for the per-flow
+/// steering overrides).
 const PRIO_CHAIN: u16 = 100;
 /// Per-flow steering rules sit between the chain defaults and the
 /// result-drop guard: specific enough to override the chain's default
@@ -193,47 +171,6 @@ impl TrafficSteeringApp {
         rewritten
     }
 
-    /// Number of per-flow steering rules currently directing traffic to
-    /// `dpi_port` (diagnostics for failover tests).
-    pub fn steered_to(&self, dpi_port: Port) -> usize {
-        self.table
-            .lock()
-            .rules()
-            .iter()
-            .filter(|r| r.priority == PRIO_STEER && r.actions.contains(&Action::Output(dpi_port)))
-            .count()
-    }
-
-    /// Removes a chain's rules (chain re-routing, instance migration —
-    /// §4.3's collaboration between DPI controller and TSA).
-    pub fn remove_chain(&self, chain_id: u16) -> usize {
-        self.table.lock().remove_where(|r| {
-            r.m.vlan_vid == Some(chain_id)
-                || r.actions
-                    .iter()
-                    .any(|a| matches!(a, Action::PushTag(id) if *id == chain_id))
-        })
-    }
-
-    /// Diverts a chain's tagged traffic arriving from `from` to a
-    /// different port (e.g. a dedicated MCA² instance) with an
-    /// override-priority rule. Returns a priority that can be removed
-    /// later via [`TrafficSteeringApp::remove_diversions`].
-    pub fn divert(&self, chain_id: u16, from: Port, to: Port) {
-        self.table.lock().install(FlowRule {
-            priority: PRIO_EGRESS_RESULT_DROP + 10,
-            m: FlowMatch::any().from_port(from).with_tag(chain_id),
-            actions: vec![Action::Output(to)],
-        });
-    }
-
-    /// Removes every diversion rule.
-    pub fn remove_diversions(&self) -> usize {
-        self.table
-            .lock()
-            .remove_where(|r| r.priority == PRIO_EGRESS_RESULT_DROP + 10)
-    }
-
     /// Number of installed rules (diagnostics).
     pub fn rule_count(&self) -> usize {
         self.table.lock().len()
@@ -289,6 +226,16 @@ mod tests {
         (net, sw_id, sink, tsa)
     }
 
+    /// Per-flow steering rules in the table that send to `port`.
+    fn steer_rules_to(tsa: &TrafficSteeringApp, port: Port) -> usize {
+        tsa.table
+            .lock()
+            .rules()
+            .iter()
+            .filter(|r| r.priority == PRIO_STEER && r.actions.contains(&Action::Output(port)))
+            .count()
+    }
+
     #[test]
     fn chain_traverses_elements_and_arrives_untagged() {
         let (mut net, sw, sink, tsa) = star();
@@ -299,25 +246,6 @@ mod tests {
         assert_eq!(received.len(), 1);
         assert!(received[0].vlan.is_empty(), "tag must be popped");
         assert_eq!(received[0].payload().unwrap(), b"through the chain");
-    }
-
-    #[test]
-    fn remove_chain_uninstalls_rules() {
-        let (_net, _sw, _dst, tsa) = star();
-        tsa.install_chain_fleet(7, 0, &[2], &[3], 1);
-        let n = tsa.rule_count();
-        assert!(n >= 3);
-        assert_eq!(tsa.remove_chain(7), n);
-        assert_eq!(tsa.rule_count(), 0);
-    }
-
-    #[test]
-    fn diversion_overrides_chain_rules() {
-        let (_net, _sw, _dst, tsa) = star();
-        tsa.install_chain_fleet(7, 0, &[2], &[3], 1);
-        tsa.divert(7, 2, 3);
-        assert!(tsa.rule_count() > 3);
-        assert_eq!(tsa.remove_diversions(), 1);
     }
 
     #[test]
@@ -333,7 +261,7 @@ mod tests {
         // Steer the flow to instance at port 3: still delivered.
         let f = pkt().flow_key().unwrap();
         tsa.steer_flow(7, 0, &f, 3);
-        assert_eq!(tsa.steered_to(3), 1);
+        assert_eq!(steer_rules_to(&tsa, 3), 1);
         net.inject(sw, 0, pkt());
         net.run();
         assert_eq!(sink.received().len(), 2);
@@ -347,13 +275,13 @@ mod tests {
         let f = pkt().flow_key().unwrap();
         tsa.steer_flow(7, 0, &f, 2);
         tsa.steer_flow(7, 0, &f, 2);
-        assert_eq!(tsa.steered_to(2), 1, "same flow must not stack rules");
+        assert_eq!(steer_rules_to(&tsa, 2), 1, "same flow must not stack rules");
         // Failover: everything aimed at port 2 (the steer rule and the
         // chain's default ingress rule) moves to port 3.
         let rewritten = tsa.resteer(2, 3);
         assert_eq!(rewritten, 2);
-        assert_eq!(tsa.steered_to(2), 0);
-        assert_eq!(tsa.steered_to(3), 1);
+        assert_eq!(steer_rules_to(&tsa, 2), 0);
+        assert_eq!(steer_rules_to(&tsa, 3), 1);
     }
 
     #[test]
@@ -374,16 +302,5 @@ mod tests {
         net.inject(sw, 2, rp);
         net.run();
         assert!(sink.received().is_empty(), "result packet must be dropped");
-    }
-
-    #[test]
-    fn topology_port_lookup() {
-        let topo = StarTopology {
-            ingress: 0,
-            egress: 1,
-            elements: vec![("dpi".into(), 2), ("ids".into(), 3)],
-        };
-        assert_eq!(topo.port_of("dpi"), Some(2));
-        assert_eq!(topo.port_of("nope"), None);
     }
 }

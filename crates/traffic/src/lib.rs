@@ -28,7 +28,6 @@ pub mod evasion;
 pub mod flows;
 pub mod l7;
 pub mod patterns;
-pub mod persist;
 pub mod tenants;
 pub mod trace;
 
@@ -39,6 +38,5 @@ pub use l7::{
     websocket_session, L7Flow,
 };
 pub use patterns::{clamav_like, snort_like, snort_like_regexes, split_set, PatternSetSpec};
-pub use persist::{load_records, save_records, PersistError};
-pub use tenants::{slice_by_chain, tenant_mix, TenantStream};
+pub use tenants::{tenant_mix, TenantStream};
 pub use trace::{heavy_payload, TraceConfig, TraceKind};

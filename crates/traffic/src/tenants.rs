@@ -125,14 +125,6 @@ pub fn tenant_mix(streams: &[TenantStream], seed: u64) -> Vec<Packet> {
     out
 }
 
-/// The packets of `chain_id` sliced out of a mix, order preserved.
-pub fn slice_by_chain(mix: &[Packet], chain_id: u16) -> Vec<Packet> {
-    mix.iter()
-        .filter(|p| p.chain_tag() == Some(chain_id))
-        .cloned()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,7 +147,11 @@ mod tests {
         let b = TenantStream::benign(2, 50, 4, 80);
         let mixed = tenant_mix(&[a.clone(), b], 7);
         let alone = tenant_mix(&[a], 7);
-        assert_eq!(slice_by_chain(&mixed, 1), alone);
+        let sliced: Vec<Packet> = mixed
+            .into_iter()
+            .filter(|p| p.chain_tag() == Some(1))
+            .collect();
+        assert_eq!(sliced, alone);
     }
 
     #[test]
@@ -172,7 +168,9 @@ mod tests {
             let t2 = w.iter().filter(|p| p.chain_tag() == Some(2)).count();
             assert!(t2 <= 2, "tenant 2 got {t2} of 10 slots");
         }
-        assert_eq!(slice_by_chain(&mix, 1).len(), 90);
-        assert_eq!(slice_by_chain(&mix, 2).len(), 10);
+        for (chain, n) in [(1, 90), (2, 10)] {
+            let offered = mix.iter().filter(|p| p.chain_tag() == Some(chain)).count();
+            assert_eq!(offered, n);
+        }
     }
 }

@@ -1,6 +1,6 @@
-//! End-to-end behaviour of the three reassembly conflict policies
-//! (DESIGN.md §13): shadow scans of losing copies under the permissive
-//! policies, fail-closed quarantine under `RejectFlow`, trace events,
+//! End-to-end behaviour of the two reassembly conflict policies
+//! (DESIGN.md §13): shadow scans of losing copies under `FirstWins`,
+//! fail-closed quarantine under `RejectFlow`, trace events,
 //! telemetry counters, and the `SystemBuilder` / metrics wiring.
 
 use dpi_service::core::instance::{ScanEngine, ShardState};
@@ -66,34 +66,6 @@ fn first_wins_shadow_scans_the_losing_copy() {
     let t = dpi.telemetry();
     assert!(t.reassembly_conflicts >= 1);
     assert_eq!(t.flows_quarantined, 0);
-    assert!(!dpi.flow_quarantined(&fk()));
-}
-
-#[test]
-fn last_wins_rescans_the_overwritten_pending_range() {
-    let mut dpi = instance(ConflictPolicy::LastWins);
-    dpi.open_tcp_flow(fk(), 1000);
-    // Two out-of-order copies of the same pending range; the second
-    // (winning, under LastWins) completes the pattern once the gap
-    // fills.
-    assert!(matched_pids(
-        &dpi.scan_tcp_segment(CHAIN, fk(), 1008, b"XXXXXXXX")
-            .unwrap()
-    )
-    .is_empty());
-    let outs = dpi
-        .scan_tcp_segment(CHAIN, fk(), 1008, b"ignature")
-        .unwrap();
-    // The losing first copy is shadow-scanned but contains no pattern.
-    assert!(matched_pids(&outs).is_empty());
-    let outs = dpi
-        .scan_tcp_segment(CHAIN, fk(), 1000, b"attack-s")
-        .unwrap();
-    assert!(
-        matched_pids(&outs).contains(&0),
-        "LastWins must deliver the overwriting copy as the canonical stream"
-    );
-    assert!(dpi.telemetry().reassembly_conflicts >= 1);
     assert!(!dpi.flow_quarantined(&fk()));
 }
 

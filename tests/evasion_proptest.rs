@@ -2,7 +2,7 @@
 //! evasion generator produces, a pattern visible under *any* consistent
 //! interpretation of the TCP stream is either reported (canonically or
 //! via a shadow scan of the losing conflict copy) or the flow is loudly
-//! quarantined — under all three conflict policies (DESIGN.md §13).
+//! quarantined — under both conflict policies (DESIGN.md §13).
 //! Patterns visible under *no* interpretation (out-of-window injections)
 //! are never reported: no false positives either.
 
@@ -154,9 +154,9 @@ fn check(f: &EvasiveFlow, policy: ConflictPolicy) -> Result<(), String> {
                 return fail("RejectFlow must quarantine on conflict");
             }
         }
-        ConflictPolicy::FirstWins | ConflictPolicy::LastWins => {
+        ConflictPolicy::FirstWins => {
             if out.quarantined {
-                return fail("permissive policy must not quarantine");
+                return fail("FirstWins must not quarantine");
             }
             if !out.matched.contains(&planted_pid(f)) {
                 return fail("SILENT MISS: pattern visible in an interpretation was not reported");
@@ -166,11 +166,7 @@ fn check(f: &EvasiveFlow, policy: ConflictPolicy) -> Result<(), String> {
     Ok(())
 }
 
-const POLICIES: [ConflictPolicy; 3] = [
-    ConflictPolicy::FirstWins,
-    ConflictPolicy::LastWins,
-    ConflictPolicy::RejectFlow,
-];
+const POLICIES: [ConflictPolicy; 2] = [ConflictPolicy::FirstWins, ConflictPolicy::RejectFlow];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -191,9 +187,8 @@ proptest! {
 }
 
 /// The standing sweep the CI `evasion` job runs: a fixed flow count per
-/// seed (seeds 1/7/42, or `DPI_CHAOS_SEED` when set), all three
-/// policies, divergences archived as JSONL when `DPI_CHAOS_LOG_DIR` is
-/// set.
+/// seed (seeds 1/7/42, or `DPI_CHAOS_SEED` when set), both policies,
+/// divergences archived as JSONL when `DPI_CHAOS_LOG_DIR` is set.
 #[test]
 fn seed_sweep_archives_divergences() {
     let seeds: Vec<u64> = match std::env::var("DPI_CHAOS_SEED") {

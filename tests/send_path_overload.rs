@@ -1,7 +1,8 @@
 //! The `send` path runs the batch pipeline's overload controller and
 //! traces through the same shard writers (DESIGN.md §11): per-call
 //! traffic passes the one shed decision — fail-closed chains, then the
-//! tenant's weighted fair share, then per-tenant attribution — and what
+//! tenant's weighted fair share, then per-tenant attribution — whose CE
+//! mark never hides a match from the middlebox, and what
 //! an in-network instance records (overload actions, L7 identifications,
 //! reassembly conflicts, quarantines) joins the deployment's timeline as
 //! `TraceSource::Instance(i)` at the next heartbeat round.
@@ -12,7 +13,7 @@
 use dpi_service::ac::MiddleboxId;
 use dpi_service::core::overload::OverloadPolicy;
 use dpi_service::core::{ConflictPolicy, L7Policy, L7Protocol, TenantId};
-use dpi_service::middlebox::ids;
+use dpi_service::middlebox::{ids, ips};
 use dpi_service::packet::ipv4::IpProtocol;
 use dpi_service::packet::packet::flow;
 use dpi_service::packet::FlowKey;
@@ -94,6 +95,35 @@ fn quiet_tenant_is_never_shed_on_the_send_path() {
         }
     }
     assert_eq!(traced, of(BURSTER).shed_packets);
+}
+
+#[test]
+fn an_overloaded_instance_still_delivers_the_ips_verdict() {
+    let mut blocker = ips(MiddleboxId(1), &[b"evil-sig".to_vec()]);
+    blocker.profile = blocker.profile.fail_closed();
+    let mut sys = SystemBuilder::new()
+        .with_middlebox(blocker)
+        .with_chain(&[MiddleboxId(1)])
+        // Overloaded once a window holds one arrival; never clears.
+        .with_overload_policy(OverloadPolicy::queue_only(1, 0))
+        .build()
+        .expect("system builds");
+    let f = flow_of(5);
+    sys.send(f, 0, b"a clean payload");
+    sys.heartbeat_round();
+    let shards = sys.dpi.lock().overload_state();
+    assert!(shards.iter().all(|&(overloaded, _)| overloaded));
+
+    // The fail-closed chain is scanned through overload; the verdict
+    // must reach the IPS, which drops the packet.
+    sys.send(f, 100, b"an evil-sig inside");
+    assert_eq!(sys.dpi_telemetry().matches, 1);
+    let stats = sys.stats_of(MiddleboxId(1)).expect("IPS registered");
+    assert_eq!(stats.matches, 1, "paired with its result packet");
+    assert_eq!(stats.blocked, 1);
+    let received = sys.sink.received();
+    assert_eq!(received.len(), 1, "only the clean packet reaches the sink");
+    assert_eq!(received[0].payload(), Some(&b"a clean payload"[..]));
 }
 
 #[test]
