@@ -4,7 +4,7 @@ use crate::health::{HealthEvent, HealthMonitor, HealthPolicy, InstanceHealth};
 use crate::proto::{profile_of_register, ControllerMessage, ControllerReply};
 use crate::registry::GlobalPatternSet;
 use dpi_ac::MiddleboxId;
-use dpi_core::{ChainSpec, GenerationId, InstanceConfig, MiddleboxProfile, Telemetry};
+use dpi_core::{ChainSpec, InstanceConfig, MiddleboxProfile, Telemetry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -70,12 +70,6 @@ struct InstanceRecord {
     last_report: Telemetry,
     total: Telemetry,
     dedicated: bool,
-    /// The rule generation the instance last acked (0 = initial build).
-    generation: GenerationId,
-    /// Set when a pattern mutation touched a middlebox on one of this
-    /// instance's chains after its last acked generation — the instance
-    /// is serving stale rules until an update rolls out.
-    pending_update: bool,
 }
 
 /// One deployed instance's controller-side status
@@ -88,11 +82,6 @@ pub struct InstanceStatus {
     pub chains: Vec<u16>,
     /// Whether it is MCA²-dedicated.
     pub dedicated: bool,
-    /// The rule generation it last acked.
-    pub generation: GenerationId,
-    /// Whether its configuration is stale (a pattern affecting its
-    /// chains changed since that generation).
-    pub pending_update: bool,
 }
 
 /// One pattern-set mutation's transfer-size record — the per-update
@@ -136,25 +125,13 @@ struct Inner {
 }
 
 impl Inner {
-    /// Records a pattern-set mutation: logs the transfer delta and flags
-    /// every instance whose chains include `mb` as pending an update.
-    fn note_pattern_change(&mut self, mb: MiddleboxId, bytes_before: usize) {
+    /// Records a pattern-set mutation's transfer delta.
+    fn note_pattern_change(&mut self, bytes_before: usize) {
         let total = self.patterns.transfer_bytes();
         self.transfer_log.push(TransferRecord {
             delta_bytes: total as i64 - bytes_before as i64,
             total_bytes: total,
         });
-        let affected: Vec<u16> = self
-            .chains
-            .iter()
-            .filter(|(_, members)| members.contains(&mb))
-            .map(|(cid, _)| *cid)
-            .collect();
-        for rec in self.instances.values_mut() {
-            if rec.chains.iter().any(|c| affected.contains(c)) {
-                rec.pending_update = true;
-            }
-        }
     }
 }
 
@@ -211,12 +188,6 @@ impl DpiController {
             ControllerMessage::Deregister { middlebox_id } => self
                 .deregister(MiddleboxId(*middlebox_id))
                 .map(|_| ControllerReply::Ok),
-            ControllerMessage::AckGeneration {
-                instance_id,
-                generation,
-            } => self
-                .mark_instance_current(InstanceId(*instance_id), *generation)
-                .map(|_| ControllerReply::Ok),
             ControllerMessage::Heartbeat {
                 instance_id,
                 seq,
@@ -267,7 +238,7 @@ impl DpiController {
             g.patterns.add(id, rid, &rule);
         }
         if inherited_any {
-            g.note_pattern_change(id, before);
+            g.note_pattern_change(before);
         }
         Ok(())
     }
@@ -285,7 +256,7 @@ impl DpiController {
         }
         let before = g.patterns.transfer_bytes();
         g.patterns.add(id, rule_id, rule);
-        g.note_pattern_change(id, before);
+        g.note_pattern_change(before);
         Ok(())
     }
 
@@ -297,7 +268,7 @@ impl DpiController {
         }
         let before = g.patterns.transfer_bytes();
         g.patterns.remove(id, rule_id);
-        g.note_pattern_change(id, before);
+        g.note_pattern_change(before);
         Ok(())
     }
 
@@ -309,8 +280,7 @@ impl DpiController {
         }
         let before = g.patterns.transfer_bytes();
         g.patterns.remove_middlebox(id);
-        // Flag affected instances before the chains themselves go away.
-        g.note_pattern_change(id, before);
+        g.note_pattern_change(before);
         g.chains.retain(|_, members| !members.contains(&id));
         g.chain_ids.retain(|members, _| !members.contains(&id));
         Ok(())
@@ -515,8 +485,8 @@ impl DpiController {
             .ok_or(ControllerError::UnknownInstance(id))
     }
 
-    /// Deployed instances with their chains, dedicated flag, acked rule
-    /// generation and pending-update status, in id order.
+    /// Deployed instances with their chains and dedicated flag, in id
+    /// order.
     pub fn instances(&self) -> Vec<InstanceStatus> {
         let g = self.inner.lock();
         let mut v: Vec<InstanceStatus> = g
@@ -526,44 +496,10 @@ impl DpiController {
                 id: *id,
                 chains: r.chains.clone(),
                 dedicated: r.dedicated,
-                generation: r.generation,
-                pending_update: r.pending_update,
             })
             .collect();
         v.sort_by_key(|s| s.id);
         v
-    }
-
-    /// The rule generation an instance last acked.
-    pub fn instance_generation(&self, id: InstanceId) -> Option<GenerationId> {
-        self.inner.lock().instances.get(&id).map(|r| r.generation)
-    }
-
-    /// Whether an instance is flagged as serving stale rules.
-    pub fn instance_pending_update(&self, id: InstanceId) -> Option<bool> {
-        self.inner
-            .lock()
-            .instances
-            .get(&id)
-            .map(|r| r.pending_update)
-    }
-
-    /// Records that an instance now serves `generation` (its
-    /// `AckGeneration`): stores the generation and clears the
-    /// pending-update flag.
-    pub fn mark_instance_current(
-        &self,
-        id: InstanceId,
-        generation: GenerationId,
-    ) -> Result<(), ControllerError> {
-        let mut g = self.inner.lock();
-        let rec = g
-            .instances
-            .get_mut(&id)
-            .ok_or(ControllerError::UnknownInstance(id))?;
-        rec.generation = generation;
-        rec.pending_update = false;
-        Ok(())
     }
 
     /// Total serialized pattern bytes (§4.1's transfer-size argument).
@@ -791,53 +727,6 @@ mod tests {
         c.remove_instance(a).unwrap();
         assert_eq!(c.instance_health(a), None);
         assert!(c.health_tick().is_empty());
-    }
-
-    #[test]
-    fn pattern_mutations_flag_affected_instances_pending() {
-        let c = DpiController::new();
-        register(&c, 1, "ids");
-        register(&c, 2, "av");
-        let chain_a = c.register_chain(&[MiddleboxId(1)]).unwrap();
-        let chain_b = c.register_chain(&[MiddleboxId(2)]).unwrap();
-        let on_a = c.deploy_instance(vec![chain_a]);
-        let on_b = c.deploy_instance(vec![chain_b]);
-        // Mutating middlebox 2's rules stales only the instance whose
-        // chain contains middlebox 2.
-        c.add_pattern(MiddleboxId(2), 0, &RuleSpec::exact(b"new-sig".to_vec()))
-            .unwrap();
-        assert_eq!(c.instance_pending_update(on_a), Some(false));
-        assert_eq!(c.instance_pending_update(on_b), Some(true));
-        let statuses = c.instances();
-        assert_eq!(statuses.len(), 2);
-        assert!(!statuses[0].pending_update);
-        assert!(statuses[1].pending_update);
-        assert_eq!(statuses[1].generation, 0);
-        // An acked generation clears the flag and records the generation.
-        c.mark_instance_current(on_b, 1).unwrap();
-        assert_eq!(c.instance_pending_update(on_b), Some(false));
-        assert_eq!(c.instance_generation(on_b), Some(1));
-        // Removal stales it again.
-        c.remove_pattern(MiddleboxId(2), 0).unwrap();
-        assert_eq!(c.instance_pending_update(on_b), Some(true));
-        assert_eq!(c.instance_pending_update(on_a), Some(false));
-        // The ack flows over the JSON channel too.
-        let reply = c.handle_json(
-            &ControllerMessage::AckGeneration {
-                instance_id: on_b.0,
-                generation: 2,
-            }
-            .to_json(),
-        );
-        assert!(ControllerReply::from_json(&reply).unwrap().is_ok());
-        assert_eq!(c.instance_generation(on_b), Some(2));
-        assert_eq!(c.instance_pending_update(on_b), Some(false));
-        // The controller parses no controller → instance message; one
-        // sent to it is rejected by the parser.
-        let reply = c.handle_json(
-            r#"{"type":"begin_update","instance_id":1,"generation":3,"payload":"{}","checksum":0}"#,
-        );
-        assert!(!ControllerReply::from_json(&reply).unwrap().is_ok());
     }
 
     #[test]

@@ -32,10 +32,11 @@
 //!   bounded whole-flow migrations from the hottest to the coldest
 //!   instance, with anti-flap hysteresis (§4.3's load-balancing
 //!   responsibility).
-//! * **Live rule updates** ([`update`]): a pattern mutation flags the
-//!   affected instances pending; the orchestrator freezes the pattern set
-//!   into the next rule generation and rolls it out canary-first. The rule
-//!   generation is the only version the control plane keeps.
+//! * **Live rule updates** ([`update`]): the orchestrator freezes the
+//!   pattern set into the next rule generation and rolls it out
+//!   canary-first. The rule generation is the only version the control
+//!   plane keeps, and the orchestrator's committed generation its only
+//!   record.
 
 pub mod balancer;
 pub mod controller;

@@ -57,15 +57,6 @@ pub enum ControllerMessage {
         /// The middlebox to remove.
         middlebox_id: u16,
     },
-    /// Instance → controller: `generation` is compiled, swapped in and
-    /// serving. Every result the instance emits from now on is stamped
-    /// with it.
-    AckGeneration {
-        /// The acking instance.
-        instance_id: u32,
-        /// The generation now serving.
-        generation: dpi_core::GenerationId,
-    },
     /// A deployed DPI instance's liveness beacon. Instances send one per
     /// heartbeat window; the controller's health monitor walks silent
     /// instances down `Healthy → Suspect → Dead` and re-steers a dead
@@ -214,19 +205,17 @@ mod tests {
     }
 
     #[test]
-    fn ack_generation_round_trips_as_json() {
-        let m = ControllerMessage::AckGeneration {
-            instance_id: 7,
-            generation: 4,
-        };
-        let j = m.to_json();
-        assert!(j.contains("\"type\":\"ack_generation\""));
-        assert_eq!(ControllerMessage::from_json(&j).unwrap(), m);
-    }
-
-    #[test]
     fn malformed_json_is_an_error() {
         assert!(ControllerMessage::from_json("{\"type\":\"noSuch\"}").is_err());
+        // Neither a controller → instance message nor a generation ack
+        // older peers may still send parses: the orchestrator's committed
+        // generation is the only record of what instances serve.
+        for removed in [
+            r#"{"type":"begin_update","instance_id":1,"generation":3,"payload":"{}","checksum":0}"#,
+            r#"{"type":"ack_generation","instance_id":7,"generation":4}"#,
+        ] {
+            assert!(ControllerMessage::from_json(removed).is_err(), "{removed}");
+        }
     }
 
     #[test]

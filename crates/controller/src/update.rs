@@ -20,11 +20,13 @@
 //!    generations after the orchestrator returns.
 //!
 //! The rule generation is the only version the control plane knows: every
-//! match result is stamped with the generation the data plane served it
-//! under, so it is attributable to exactly one committed rule set.
+//! match result is stamped with the generation of the engine that scanned
+//! it, so it is attributable to exactly one committed rule set, and
+//! [`UpdateOrchestrator::committed_generation`] is the only record of
+//! what the fleet serves.
 
 use crate::controller::InstanceId;
-use dpi_core::{GenerationId, InstanceConfig, TenantId, UpdateArtifact, UpdateError};
+use dpi_core::{GenerationId, InstanceConfig, UpdateArtifact, UpdateError};
 use std::collections::HashMap;
 
 /// One deployed instance the orchestrator can push a generation to.
@@ -54,14 +56,6 @@ pub struct PreparedUpdate {
     pub artifact: UpdateArtifact,
     /// Bytes this update ships per instance (paper Fig. 11's unit).
     pub transfer_bytes: u64,
-    /// The single tenant this update targets, for tenant-scoped canary
-    /// rollouts ([`UpdateOrchestrator::prepare_for_tenant`]). `None` —
-    /// the fleet-wide default — moves every tenant's stamp together.
-    pub tenant: Option<TenantId>,
-    /// The tenant-generation override map baked into the artifact's
-    /// configuration (empty for fleet-wide updates). Becomes the
-    /// orchestrator's committed stamp map when this update commits.
-    pub tenant_generations: Vec<(TenantId, GenerationId)>,
 }
 
 /// How a rollout ended.
@@ -106,12 +100,6 @@ pub struct UpdateOrchestrator {
     committed: GenerationId,
     /// Artifact history — rollback re-ships the committed generation.
     artifacts: HashMap<GenerationId, UpdateArtifact>,
-    /// The committed per-tenant generation stamps (DESIGN.md §16):
-    /// tenants absent here stamp results with `committed`. Replaced
-    /// wholesale when an update commits — with the empty map for a
-    /// fleet-wide update, with the prepared override map for a
-    /// tenant-scoped one. Rollbacks never touch it.
-    tenant_stamps: Vec<(TenantId, GenerationId)>,
     /// Optional structured-event tracer; the update lifecycle (prepare,
     /// canary pass, commit, rollback) is recorded against
     /// [`dpi_core::trace::TraceSource::Controller`].
@@ -129,7 +117,6 @@ impl UpdateOrchestrator {
             next_generation: 1,
             committed: 0,
             artifacts,
-            tenant_stamps: Vec::new(),
             tracer: None,
         }
     }
@@ -148,58 +135,9 @@ impl UpdateOrchestrator {
     /// Freezes `config` (the controller's current instance configuration)
     /// into the next generation's artifact.
     pub fn prepare(&mut self, config: &InstanceConfig) -> PreparedUpdate {
-        self.prepare_scoped(config, None)
-    }
-
-    /// Freezes `config` into the next generation's artifact, scoped to a
-    /// single tenant (DESIGN.md §16): the artifact's configuration pins
-    /// every *other* known tenant at its committed stamp and moves only
-    /// `tenant` to the new generation. After the update commits, results
-    /// for `tenant`'s chains carry the new generation while every other
-    /// tenant's results stay stamped with the generation it was already
-    /// serving — and a rollback of this update cannot disturb them either,
-    /// because the committed artifact being re-shipped embeds the prior
-    /// override map.
-    pub fn prepare_for_tenant(
-        &mut self,
-        config: &InstanceConfig,
-        tenant: TenantId,
-    ) -> PreparedUpdate {
-        self.prepare_scoped(config, Some(tenant))
-    }
-
-    fn prepare_scoped(
-        &mut self,
-        config: &InstanceConfig,
-        tenant: Option<TenantId>,
-    ) -> PreparedUpdate {
         let generation = self.next_generation;
         self.next_generation += 1;
-        let mut cfg = config.clone();
-        if let Some(target) = tenant {
-            // Pin every known tenant — profile owners and those with a
-            // committed stamp — at the generation it currently stamps
-            // results with; move only the target.
-            let known = config
-                .profiles
-                .iter()
-                .map(|p| p.tenant)
-                .chain(self.tenant_stamps.iter().map(|(t, _)| *t))
-                .chain([target]);
-            let mut overrides: Vec<(TenantId, GenerationId)> = Vec::new();
-            for t in known {
-                if let Err(at) = overrides.binary_search_by_key(&t, |(o, _)| *o) {
-                    let stamp = if t == target {
-                        generation
-                    } else {
-                        self.tenant_committed_stamp(t)
-                    };
-                    overrides.insert(at, (t, stamp));
-                }
-            }
-            cfg.tenant_generations = overrides;
-        }
-        let artifact = UpdateArtifact::build(generation, &cfg);
+        let artifact = UpdateArtifact::build(generation, config);
         let transfer_bytes = artifact.transfer_bytes() as u64;
         self.artifacts.insert(generation, artifact.clone());
         self.trace(dpi_core::trace::TraceKind::UpdatePrepared {
@@ -210,31 +148,13 @@ impl UpdateOrchestrator {
             generation,
             artifact,
             transfer_bytes,
-            tenant,
-            tenant_generations: cfg.tenant_generations,
         }
     }
 
-    /// The last fleet-wide committed generation.
+    /// The last committed generation — what every instance serves once
+    /// a rollout returns.
     pub fn committed_generation(&self) -> GenerationId {
         self.committed
-    }
-
-    /// The generation `tenant`'s results are stamped with under the
-    /// committed configuration: its committed override if one exists,
-    /// the fleet-wide committed generation otherwise.
-    pub fn tenant_committed_stamp(&self, tenant: TenantId) -> GenerationId {
-        self.tenant_stamps
-            .iter()
-            .find(|(t, _)| *t == tenant)
-            .map(|(_, g)| *g)
-            .unwrap_or(self.committed)
-    }
-
-    /// The committed per-tenant generation overrides (empty after a
-    /// fleet-wide commit).
-    pub fn tenant_stamps(&self) -> &[(TenantId, GenerationId)] {
-        &self.tenant_stamps
     }
 
     /// Rolls `prepared` across `targets` in stages: canary (first
@@ -282,14 +202,6 @@ impl UpdateOrchestrator {
         match failure {
             None => {
                 self.committed = prepared.generation;
-                // A tenant-scoped commit adopts the override map the
-                // artifact shipped; a fleet-wide commit moves every
-                // tenant to the new generation, so the overrides clear.
-                if prepared.tenant.is_some() {
-                    self.tenant_stamps = prepared.tenant_generations.clone();
-                } else {
-                    self.tenant_stamps.clear();
-                }
                 self.trace(dpi_core::trace::TraceKind::UpdateCommitted {
                     generation: prepared.generation,
                     instances: targets.len() as u64,
@@ -461,99 +373,6 @@ mod tests {
         // The rest of the fleet was never asked to update.
         assert_eq!(b.served, vec![0]);
         assert_eq!(a.generation, 0);
-    }
-
-    fn two_tenant_config(extra_for_a: &[&str]) -> InstanceConfig {
-        let mut a_rules = vec!["alpha"];
-        a_rules.extend_from_slice(extra_for_a);
-        InstanceConfig::new()
-            .with_middlebox(
-                dpi_core::MiddleboxProfile::stateless(dpi_ac::MiddleboxId(1)).owned_by(TenantId(1)),
-                a_rules
-                    .iter()
-                    .map(|p| dpi_core::RuleSpec::exact(p.as_bytes().to_vec()))
-                    .collect(),
-            )
-            .with_middlebox(
-                dpi_core::MiddleboxProfile::stateless(dpi_ac::MiddleboxId(2)).owned_by(TenantId(2)),
-                vec![dpi_core::RuleSpec::exact(b"bravo".to_vec())],
-            )
-    }
-
-    #[test]
-    fn tenant_scoped_commit_moves_only_that_tenants_stamp() {
-        let baseline = two_tenant_config(&[]);
-        let mut orch = UpdateOrchestrator::new(&baseline);
-        let mut t = MockTarget::new(0);
-
-        let prepared = orch.prepare_for_tenant(&two_tenant_config(&["alpha2"]), TenantId(1));
-        assert_eq!(prepared.tenant, Some(TenantId(1)));
-        // Tenant 1 moves to the new generation; tenant 2 stays pinned at
-        // the committed generation inside the artifact's configuration.
-        assert_eq!(
-            prepared.tenant_generations,
-            vec![(TenantId(1), prepared.generation), (TenantId(2), 0)]
-        );
-        let report = orch.rollout(&prepared, &mut [&mut t], &mut |_| true);
-        assert!(report.committed());
-        assert_eq!(
-            orch.tenant_committed_stamp(TenantId(1)),
-            prepared.generation
-        );
-        assert_eq!(orch.tenant_committed_stamp(TenantId(2)), 0);
-
-        // A later fleet-wide commit clears the overrides: every tenant
-        // stamps with the new fleet generation again.
-        let fleet = orch.prepare(&two_tenant_config(&["alpha2"]));
-        let report = orch.rollout(&fleet, &mut [&mut t], &mut |_| true);
-        assert!(report.committed());
-        assert!(orch.tenant_stamps().is_empty());
-        assert_eq!(orch.tenant_committed_stamp(TenantId(1)), fleet.generation);
-        assert_eq!(orch.tenant_committed_stamp(TenantId(2)), fleet.generation);
-    }
-
-    #[test]
-    fn tenant_scoped_rollback_leaves_all_stamps_untouched() {
-        let baseline = two_tenant_config(&[]);
-        let mut orch = UpdateOrchestrator::new(&baseline);
-        let mut t = MockTarget::new(0);
-
-        // Commit a tenant-1 update first so there is a nontrivial
-        // committed override map to preserve.
-        let first = orch.prepare_for_tenant(&two_tenant_config(&["x"]), TenantId(1));
-        assert!(orch
-            .rollout(&first, &mut [&mut t], &mut |_| true)
-            .committed());
-        let stamp_a = orch.tenant_committed_stamp(TenantId(1));
-
-        // A second tenant-1 update is vetoed at the canary.
-        let second = orch.prepare_for_tenant(&two_tenant_config(&["x", "y"]), TenantId(1));
-        let report = orch.rollout(&second, &mut [&mut t], &mut |_| false);
-        assert_eq!(report.outcome, RolloutOutcome::RolledBack);
-        // Stamps are exactly as before the attempt, and the re-shipped
-        // committed artifact embeds them too.
-        assert_eq!(orch.tenant_committed_stamp(TenantId(1)), stamp_a);
-        assert_eq!(orch.tenant_committed_stamp(TenantId(2)), 0);
-        assert_eq!(t.generation, first.generation);
-    }
-
-    #[test]
-    fn successive_tenant_commits_compose_overrides() {
-        let baseline = two_tenant_config(&[]);
-        let mut orch = UpdateOrchestrator::new(&baseline);
-        let mut t = MockTarget::new(0);
-
-        let a = orch.prepare_for_tenant(&two_tenant_config(&["x"]), TenantId(1));
-        assert!(orch.rollout(&a, &mut [&mut t], &mut |_| true).committed());
-        let b = orch.prepare_for_tenant(&two_tenant_config(&["x"]), TenantId(2));
-        // Tenant 1's earlier override is carried into tenant 2's map.
-        assert_eq!(
-            b.tenant_generations,
-            vec![(TenantId(1), a.generation), (TenantId(2), b.generation)]
-        );
-        assert!(orch.rollout(&b, &mut [&mut t], &mut |_| true).committed());
-        assert_eq!(orch.tenant_committed_stamp(TenantId(1)), a.generation);
-        assert_eq!(orch.tenant_committed_stamp(TenantId(2)), b.generation);
     }
 
     #[test]

@@ -223,14 +223,6 @@ pub struct InstanceConfig {
     /// the entry-count bound still applies.
     #[serde(default)]
     pub max_flow_bytes: Option<u64>,
-    /// Per-tenant rule-generation overrides for tenant-scoped canary
-    /// rollouts (DESIGN.md §16): results on a tenant's chains are
-    /// stamped with the tenant's entry here instead of the engine-wide
-    /// generation. Tenants absent from the list use the engine
-    /// generation, so the empty default reproduces the fleet-wide
-    /// stamping exactly.
-    #[serde(default)]
-    pub tenant_generations: Vec<(TenantId, u32)>,
 }
 
 impl InstanceConfig {
@@ -373,18 +365,15 @@ mod tests {
             "stopping_condition":null,"fail_closed":false,"l7_protocols":null}"#;
         let back: MiddleboxProfile = serde_json::from_str(old_json).unwrap();
         assert_eq!(back.tenant, TenantId(0));
-        assert!(InstanceConfig::new().tenant_generations.is_empty());
 
-        let mut cfg = InstanceConfig::new().with_middlebox(
+        let cfg = InstanceConfig::new().with_middlebox(
             MiddleboxProfile::stateless(MiddleboxId(1)).owned_by(TenantId(2)),
             vec![RuleSpec::exact(b"x".to_vec())],
         );
-        cfg.tenant_generations = vec![(TenantId(2), 7)];
         let j = serde_json::to_string(&cfg).unwrap();
         let back: InstanceConfig = serde_json::from_str(&j).unwrap();
         assert_eq!(back, cfg);
         assert_eq!(back.profiles[0].tenant, TenantId(2));
-        assert_eq!(back.tenant_generations, vec![(TenantId(2), 7)]);
     }
 
     #[test]

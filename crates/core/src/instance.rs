@@ -313,11 +313,6 @@ pub struct ScanEngine {
     /// L7 inspection policy (DESIGN.md §14). `None` — the default —
     /// scans reassembled byte runs raw, exactly as before the L7 layer.
     l7: Option<crate::l7::L7Policy>,
-    /// Tenant-scoped generation overrides, sorted by tenant: results on
-    /// a tenant's chains are stamped with its entry here instead of the
-    /// engine generation — the mechanism behind tenant-scoped canary
-    /// rollouts. Empty ⇒ fleet-wide stamping, exactly as before.
-    tenant_generations: Vec<(TenantId, u32)>,
 }
 
 // The engine is shared by reference across scan workers; this must hold
@@ -677,10 +672,6 @@ impl ScanEngine {
             );
         }
 
-        let mut tenant_generations = config.tenant_generations.clone();
-        tenant_generations.sort_by_key(|&(t, _)| t);
-        tenant_generations.dedup_by_key(|&mut (t, _)| t);
-
         Ok(ScanEngine {
             ac: builder.build_kernel(config.kernel),
             chains,
@@ -692,7 +683,6 @@ impl ScanEngine {
             generation,
             conflict_policy: config.conflict_policy,
             l7: config.l7,
-            tenant_generations,
         })
     }
 
@@ -710,34 +700,6 @@ impl ScanEngine {
     /// chains). Chains are tenant-homogeneous by construction.
     pub fn chain_tenant(&self, chain_id: u16) -> Option<TenantId> {
         self.chains.get(&chain_id).map(|c| c.tenant)
-    }
-
-    /// The generation results on `chain_id` are stamped with: the owning
-    /// tenant's override when a tenant-scoped rollout set one, the
-    /// engine generation otherwise (DESIGN.md §16). Unknown chains use
-    /// the engine generation (they error before a result exists).
-    pub fn generation_for_chain(&self, chain_id: u16) -> u32 {
-        let Some(chain) = self.chains.get(&chain_id) else {
-            return self.generation;
-        };
-        self.generation_for_tenant(chain.tenant)
-    }
-
-    /// The generation stamp `tenant`'s results carry on this engine.
-    pub fn generation_for_tenant(&self, tenant: TenantId) -> u32 {
-        match self
-            .tenant_generations
-            .binary_search_by_key(&tenant, |&(t, _)| t)
-        {
-            Ok(i) => self.tenant_generations[i].1,
-            Err(_) => self.generation,
-        }
-    }
-
-    /// The tenant-scoped generation overrides this engine carries
-    /// (sorted by tenant; empty for fleet-wide stamping).
-    pub fn tenant_generations(&self) -> &[(TenantId, u32)] {
-        &self.tenant_generations
     }
 
     /// Every tenant owning a chain on this engine, sorted — the seed for
@@ -1123,7 +1085,7 @@ impl ScanEngine {
         }
         Ok(Some(ResultPacket {
             packet_id: 0,
-            generation: self.generation_for_chain(chain_id),
+            generation: self.generation,
             flow: flow.expect("ipv4 payload implies flow key"),
             flow_offset: merged.flow_offset,
             reports: merged.reports,

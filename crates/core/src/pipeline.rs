@@ -546,23 +546,6 @@ impl DpiInstance {
 
     fn adopt_engine(&mut self, engine: Arc<ScanEngine>) -> Duration {
         let from_generation = self.engine.generation();
-        // Tenant-scoped canary edges: any tenant whose explicit
-        // generation override changes effective stamp across this
-        // adoption gets its own event (fleet-wide movement is covered
-        // by `EngineSwapped`).
-        let mut tenant_swaps: Vec<(u16, u32, u32)> = Vec::new();
-        for &(t, _) in self
-            .engine
-            .tenant_generations()
-            .iter()
-            .chain(engine.tenant_generations())
-        {
-            let from = self.engine.generation_for_tenant(t);
-            let to = engine.generation_for_tenant(t);
-            if from != to && !tenant_swaps.iter().any(|&(seen, _, _)| seen == t.0) {
-                tenant_swaps.push((t.0, from, to));
-            }
-        }
         let started = Instant::now();
         // Per-shard lazy-DFA caches index into the outgoing generation's
         // rule lists and must not survive it; generation-tagged flow
@@ -580,13 +563,6 @@ impl DpiInstance {
             pause_us: pause.as_micros() as u64,
             kernel: self.engine.kernel_name(),
         });
-        for (tenant, from, to) in tenant_swaps {
-            self.trace(TraceKind::TenantGenerationSwapped {
-                tenant,
-                from_generation: from,
-                to_generation: to,
-            });
-        }
         pause
     }
 

@@ -241,16 +241,6 @@ pub enum TraceKind {
         /// Payload bytes those packets carried.
         bytes: u64,
     },
-    /// A tenant's generation stamp changed across an engine adoption —
-    /// the observable edge of a tenant-scoped canary rollout.
-    TenantGenerationSwapped {
-        /// The tenant whose stamp moved.
-        tenant: u16,
-        /// Stamp before the adoption.
-        from_generation: u32,
-        /// Stamp after the adoption.
-        to_generation: u32,
-    },
 
     // ---- controller ------------------------------------------------
     /// An instance missed enough heartbeat windows to be suspected.

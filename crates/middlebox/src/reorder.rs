@@ -26,9 +26,9 @@ pub struct PairedPacket {
 #[derive(Debug, Default)]
 pub struct ReorderBuffer {
     /// Marked data packets waiting for their result packet.
-    waiting_data: HashMap<FlowKey, VecDeque<Packet>>,
+    waiting_data: Waiting<Packet>,
     /// Result packets that arrived before their data packet.
-    waiting_results: HashMap<FlowKey, VecDeque<ResultPacket>>,
+    waiting_results: Waiting<ResultPacket>,
     /// Total entries buffered, bounded by `capacity`.
     buffered: usize,
     capacity: usize,
@@ -36,7 +36,7 @@ pub struct ReorderBuffer {
 
 impl ReorderBuffer {
     /// A buffer holding at most `capacity` unpaired entries; beyond that,
-    /// the oldest flows are flushed unpaired (data released without
+    /// the oldest entries are flushed unpaired (data released without
     /// results — fail-open, like the paper's prototype middlebox which
     /// only counts).
     pub fn new(capacity: usize) -> ReorderBuffer {
@@ -60,92 +60,112 @@ impl ReorderBuffer {
     /// deliverable to `out`.
     pub fn push(&mut self, packet: Packet, out: &mut Vec<PairedPacket>) {
         use dpi_packet::packet::PacketBody;
-        let unpaired = |packet| PairedPacket {
-            packet,
-            results: None,
-        };
-        match packet.body {
+        let (packet, results) = match packet.body {
             PacketBody::Result(result) => {
                 let flow = result.flow;
-                if let Some(q) = self.waiting_data.get_mut(&flow) {
-                    if let Some(data) = q.pop_front() {
-                        self.buffered -= 1;
-                        if q.is_empty() {
-                            self.waiting_data.remove(&flow);
-                        }
-                        out.push(PairedPacket {
-                            packet: data,
-                            results: Some(result),
-                        });
-                        return;
+                match self.waiting_data.pop(&flow) {
+                    Some(data) => (data, Some(result)),
+                    None => {
+                        self.waiting_results.push(flow, result, self.buffered);
+                        return self.enforce_capacity(out);
                     }
                 }
-                self.waiting_results
-                    .entry(flow)
-                    .or_default()
-                    .push_back(result);
-                self.buffered += 1;
-                self.enforce_capacity(out);
             }
-            PacketBody::Ipv4 { .. } => {
-                if !packet.has_match_mark() {
-                    // Unmarked: no results will ever come (§4.2: "a packet
-                    // with no matches is always forwarded as is").
-                    out.push(unpaired(packet));
-                    return;
-                }
+            PacketBody::Ipv4 { .. } if packet.has_match_mark() => {
                 let flow = packet.flow_key().expect("ipv4 body has a flow");
-                if let Some(q) = self.waiting_results.get_mut(&flow) {
-                    if let Some(result) = q.pop_front() {
-                        self.buffered -= 1;
-                        if q.is_empty() {
-                            self.waiting_results.remove(&flow);
-                        }
-                        out.push(PairedPacket {
-                            packet,
-                            results: Some(result),
-                        });
-                        return;
+                match self.waiting_results.pop(&flow) {
+                    Some(result) => (packet, Some(result)),
+                    None => {
+                        self.waiting_data.push(flow, packet, self.buffered);
+                        return self.enforce_capacity(out);
                     }
                 }
-                self.waiting_data.entry(flow).or_default().push_back(packet);
-                self.buffered += 1;
-                self.enforce_capacity(out);
             }
-            PacketBody::Raw(_) => out.push(unpaired(packet)),
+            // Unmarked: no results will ever come (§4.2: "a packet with
+            // no matches is always forwarded as is").
+            _ => (packet, None),
+        };
+        self.buffered -= usize::from(results.is_some());
+        out.push(PairedPacket { packet, results });
+    }
+
+    /// Counts the entry just buffered. A full buffer instead drops its
+    /// oldest orphan result or, holding none, releases its oldest
+    /// waiting data unpaired into `out`.
+    fn enforce_capacity(&mut self, out: &mut Vec<PairedPacket>) {
+        if self.buffered < self.capacity {
+            self.buffered += 1;
+        } else if self.waiting_results.pop_oldest().is_none() {
+            let packet = self.waiting_data.pop_oldest().expect("holds only data");
+            out.push(PairedPacket {
+                packet,
+                results: None,
+            });
+        }
+    }
+}
+
+/// One side of the buffer: per-flow FIFO queues of `(arrival, entry)`, and
+/// a log of `(flow, arrival)` in arrival order for overflow to read.
+#[derive(Debug)]
+struct Waiting<T> {
+    queues: HashMap<FlowKey, VecDeque<(u64, T)>>,
+    log: VecDeque<(FlowKey, u64)>,
+    /// The arrival number of the last entry pushed.
+    clock: u64,
+}
+
+impl<T> Default for Waiting<T> {
+    fn default() -> Waiting<T> {
+        let (queues, log, clock) = Default::default();
+        Waiting { queues, log, clock }
+    }
+}
+
+impl<T> Waiting<T> {
+    /// Queues `item` beside the `buffered` entries already held. Once the
+    /// log outgrows twice the entries held, most of it is stale and is
+    /// compacted away: it stays O(`buffered`) at O(1) amortized per push.
+    fn push(&mut self, flow: FlowKey, item: T, buffered: usize) {
+        self.clock += 1;
+        let queue = self.queues.entry(flow).or_default();
+        queue.push_back((self.clock, item));
+        self.log.push_back((flow, self.clock));
+        if self.log.len() > 2 * (buffered + 1) {
+            let mut log = std::mem::take(&mut self.log);
+            log.retain(|&(flow, arrival)| self.live(&flow, arrival));
+            self.log = log;
         }
     }
 
-    /// Flushes oldest waiting data unpaired into `out` when over capacity.
-    /// Orphaned results are simply dropped.
-    fn enforce_capacity(&mut self, out: &mut Vec<PairedPacket>) {
-        while self.buffered > self.capacity {
-            // Prefer dropping orphan results; then release data unpaired.
-            if let Some(flow) = self.waiting_results.keys().next().copied() {
-                let q = self.waiting_results.get_mut(&flow).expect("key just read");
-                q.pop_front();
-                if q.is_empty() {
-                    self.waiting_results.remove(&flow);
-                }
-                self.buffered -= 1;
-                continue;
-            }
-            if let Some(flow) = self.waiting_data.keys().next().copied() {
-                let q = self.waiting_data.get_mut(&flow).expect("key just read");
-                if let Some(data) = q.pop_front() {
-                    out.push(PairedPacket {
-                        packet: data,
-                        results: None,
-                    });
-                }
-                if q.is_empty() {
-                    self.waiting_data.remove(&flow);
-                }
-                self.buffered -= 1;
-            } else {
-                break;
+    /// Takes `flow`'s oldest entry.
+    fn pop(&mut self, flow: &FlowKey) -> Option<T> {
+        let queue = self.queues.get_mut(flow)?;
+        let (arrival, item) = queue.pop_front()?;
+        if queue.is_empty() {
+            self.queues.remove(flow);
+        }
+        // A result right behind its data leaves no stale record.
+        if self.log.back() == Some(&(*flow, arrival)) {
+            self.log.pop_back();
+        }
+        Some(item)
+    }
+
+    /// Takes the oldest entry of any flow.
+    fn pop_oldest(&mut self) -> Option<T> {
+        while let Some((flow, arrival)) = self.log.pop_front() {
+            if self.live(&flow, arrival) {
+                return self.pop(&flow);
             }
         }
+        None
+    }
+
+    /// Whether a log record is queued: entries leave only a queue's front.
+    fn live(&self, flow: &FlowKey, arrival: u64) -> bool {
+        let front = self.queues.get(flow).and_then(VecDeque::front);
+        front.is_some_and(|&(first, _)| first <= arrival)
     }
 }
 
@@ -241,6 +261,55 @@ mod tests {
         assert_eq!(a[0].results.as_ref().unwrap().packet_id, 1);
         assert_eq!(b[0].results.as_ref().unwrap().packet_id, 2);
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn capacity_releases_the_oldest_waiting_packet() {
+        // Each fresh map is seeded anew, so any order that depends on
+        // hashing picks flow 1 in only about a third of the buffers.
+        for _ in 0..32 {
+            let mut buf = ReorderBuffer::new(2);
+            push(&mut buf, data(1, true));
+            push(&mut buf, data(2, true));
+            let out = push(&mut buf, data(3, true));
+            assert_eq!(out.len(), 1);
+            assert_eq!(out[0].packet.flow_key(), Some(fk(1)));
+
+            // Pairing behind a newer arrival leaves a stale log record:
+            // overflow skips it, and compaction keeps live ones.
+            let mut buf = ReorderBuffer::new(2);
+            push(&mut buf, data(7, true));
+            push(&mut buf, data(1, true));
+            push(&mut buf, result(7, 0));
+            push(&mut buf, data(7, true));
+            let out = push(&mut buf, data(3, true));
+            assert_eq!(out[0].packet.flow_key(), Some(fk(1)));
+            let mut buf = ReorderBuffer::new(3);
+            push(&mut buf, data(1, true));
+            for id in 0..8 {
+                push(&mut buf, data(8, true));
+                push(&mut buf, data(9, true));
+                push(&mut buf, result(8, id));
+                push(&mut buf, result(9, id));
+            }
+            for port in 2..4 {
+                push(&mut buf, data(port, true));
+            }
+            let out = push(&mut buf, data(4, true));
+            assert_eq!(out[0].packet.flow_key(), Some(fk(1)));
+
+            // Orphan results go oldest first too: flow 4's is dropped,
+            // and flows 5 and 6 still pair.
+            let mut buf = ReorderBuffer::new(2);
+            for port in 4..7 {
+                push(&mut buf, result(port, u32::from(port)));
+            }
+            for port in 5..7 {
+                let out = push(&mut buf, data(port, true));
+                assert_eq!(out.len(), 1, "flow {port}'s result was dropped");
+                assert_eq!(out[0].results.as_ref().unwrap().packet_id, u32::from(port));
+            }
+        }
     }
 
     #[test]

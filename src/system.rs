@@ -27,7 +27,7 @@
 use dpi_ac::MiddleboxId;
 use dpi_controller::{
     BalancePolicy, DpiController, HealthEvent, HealthPolicy, InstanceId, LoadBalancer,
-    PreparedUpdate, UpdateOrchestrator, UpdateTarget,
+    UpdateOrchestrator, UpdateTarget,
 };
 use dpi_core::chaos::{ChaosEngine, FaultPlan, RetryPolicy};
 use dpi_core::instance::ScanEngine;
@@ -1093,11 +1093,6 @@ impl SystemHandle {
             "Payload bytes of shed packets per tenant",
             MetricKind::Counter,
         );
-        m.family(
-            "dpi_tenant_rule_generation",
-            "Rule generation each tenant's results are stamped with",
-            MetricKind::Gauge,
-        );
         for (tenant, c) in self.tenant_telemetry() {
             let t = tenant.0.to_string();
             let l = [("tenant", t.as_str())];
@@ -1106,11 +1101,6 @@ impl SystemHandle {
             m.sample("dpi_tenant_matches_total", &l, c.matches);
             m.sample("dpi_tenant_shed_packets_total", &l, c.shed_packets);
             m.sample("dpi_tenant_shed_bytes_total", &l, c.shed_bytes);
-            m.sample(
-                "dpi_tenant_rule_generation",
-                &l,
-                u64::from(self.orchestrator.tenant_committed_stamp(tenant)),
-            );
         }
 
         m.family(
@@ -1207,45 +1197,12 @@ impl SystemHandle {
     /// back to the previous committed generation; the fleet never serves
     /// a generation mix and never goes down over a bad update.
     pub fn apply_update(&mut self) -> Result<UpdateOutcome, SystemError> {
-        let cfg = self.update_config()?;
-        let prepared = self.orchestrator.prepare(&cfg);
-        self.roll_out(prepared)
-    }
-
-    /// Like [`SystemHandle::apply_update`], but scoped to one tenant
-    /// (DESIGN.md §16): the new generation pins every other tenant at
-    /// its committed stamp, so after the commit only `tenant`'s results
-    /// carry the new generation — and a rollback (chaos corruption, a
-    /// failed canary) cannot disturb the other tenants' stamps either.
-    pub fn apply_update_for_tenant(
-        &mut self,
-        tenant: TenantId,
-    ) -> Result<UpdateOutcome, SystemError> {
-        let cfg = self.update_config()?;
-        let prepared = self.orchestrator.prepare_for_tenant(&cfg, tenant);
-        self.roll_out(prepared)
-    }
-
-    /// The generation `tenant`'s results are stamped with under the
-    /// committed configuration.
-    pub fn tenant_rule_generation(&self, tenant: TenantId) -> GenerationId {
-        self.orchestrator.tenant_committed_stamp(tenant)
-    }
-
-    /// The controller's current configuration with the builder's
-    /// deployment-wide choices stamped in — what every update ships.
-    fn update_config(&self) -> Result<dpi_core::InstanceConfig, SystemError> {
         let mut cfg = self
             .controller
             .instance_config(&self.chain_ids)?
             .with_conflict_policy(self.conflict_policy);
         cfg.l7 = self.l7;
-        Ok(cfg)
-    }
-
-    /// Stages a prepared update across the fleet and the batch pipeline:
-    /// canary → verify → rest of fleet, rollback on any failure.
-    fn roll_out(&mut self, mut prepared: PreparedUpdate) -> Result<UpdateOutcome, SystemError> {
+        let mut prepared = self.orchestrator.prepare(&cfg);
         let transfer_bytes = prepared.transfer_bytes;
 
         // The artifact is now "in transit" — chaos may garble it.
@@ -1294,11 +1251,6 @@ impl SystemHandle {
             let engine = Arc::clone(self.dpi.lock().engine());
             if let Ok(pause) = self.scanner.swap_engine(engine) {
                 swap_pause = swap_pause.max(pause);
-            }
-            for id in &self.instance_ids {
-                let _ = self
-                    .controller
-                    .mark_instance_current(*id, prepared.generation);
             }
             if let Some(c) = &self.chaos {
                 c.note(format!(

@@ -298,8 +298,8 @@ fn planned_fleet_serves_all_chains_and_follows_updates() {
         sys.send(f, 0, b"late-addition");
     }
     assert_eq!(sys.stats_of(MiddleboxId(1)).unwrap().matches, 2);
-    for status in sys.controller.instances() {
-        assert_eq!(status.generation, outcome.generation);
+    for d in &sys.dpi_instances {
+        assert_eq!(d.lock().generation(), outcome.generation);
     }
 }
 

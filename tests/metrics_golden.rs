@@ -192,7 +192,6 @@ fn tenant_families_have_per_tenant_series() {
         "dpi_tenant_matches_total",
         "dpi_tenant_shed_packets_total",
         "dpi_tenant_shed_bytes_total",
-        "dpi_tenant_rule_generation",
     ] {
         for tenant in [1, 2] {
             let series = format!("{family}{{tenant=\"{tenant}\"}}");

@@ -119,13 +119,12 @@ fn hot_swap_is_hitless_and_generation_attributable() {
         outcome.swap_pause
     );
     // The rule generation is the control plane's one version number:
-    // the outcome, the deployment, every instance's ack and the commit
-    // event all name the same one.
+    // the outcome, the deployment, every instance's engine and the
+    // commit event all name the same one.
     let generation = outcome.generation;
     assert_eq!(sys.rule_generation(), generation);
-    for status in sys.controller.instances() {
-        assert_eq!(status.generation, generation);
-        assert!(!status.pending_update);
+    for d in &sys.dpi_instances {
+        assert_eq!(d.lock().generation(), generation);
     }
     let committed = sys
         .trace_events()
@@ -167,12 +166,15 @@ fn removed_pattern_never_matches_after_the_swap() {
     assert_eq!(sys.stats_of(IDS_ID).unwrap().matches, 1);
 
     sys.controller.remove_pattern(IDS_ID, 1).unwrap();
-    // The mutation flags every instance pending until the rollout lands.
-    for status in sys.controller.instances() {
-        assert!(status.pending_update);
+    // The mutation alone changes nothing served until the rollout lands.
+    for d in &sys.dpi_instances {
+        assert_eq!(d.lock().generation(), 0);
     }
     let outcome = sys.apply_update().unwrap();
     assert!(outcome.committed);
+    for d in &sys.dpi_instances {
+        assert_eq!(d.lock().generation(), outcome.generation);
+    }
 
     // The removed pattern is gone everywhere, the stable one remains.
     sys.send(flow_n(2), 0, b"post-removal doomed-sig miss");
@@ -206,10 +208,13 @@ fn corrupt_update_is_rejected_and_rolled_back() {
     sys.send(flow_n(2), 0, b"not yet added-sig serving");
     assert_eq!(sys.stats_of(IDS_ID).unwrap().matches, 2);
     assert_eq!(sys.sink.count(), 3);
-    for status in sys.controller.instances() {
-        assert_eq!(status.generation, 0);
-        assert!(status.pending_update, "instances stay flagged stale");
+    for d in &sys.dpi_instances {
+        assert_eq!(d.lock().generation(), 0);
     }
+    // Results are stamped by the engine that scanned them: generation 0.
+    let results = sys.inspect_batch(&mut [tagged_packet(&sys, flow_n(4), 0, b"x stable-sig x")]);
+    assert_eq!(results.len(), 1);
+    assert_eq!(results[0].generation, 0);
 
     // The corruption and the rollback are both in the fault log.
     let log = sys.fault_log();
@@ -298,92 +303,6 @@ fn rule_update_under_load_survives_chaos() {
         "the stable pattern matches in every phase"
     );
     archive_fault_log(&sys, "rule-update-under-load");
-}
-
-/// Tenant-scoped canary rollout (DESIGN.md §16): tenant A's generation
-/// advances — and rolls back under a corrupt artifact — while tenant B's
-/// results stay stamped with B's committed generation throughout.
-#[test]
-fn tenant_scoped_update_leaves_other_tenants_stamps_alone() {
-    use dpi_service::core::TenantId;
-    const A_ID: MiddleboxId = MiddleboxId(1);
-    const B_ID: MiddleboxId = MiddleboxId(2);
-    let (a, b) = (TenantId(1), TenantId(2));
-    // The chaos plan garbles update ordinal 1 (the second prepare).
-    let mut sys = SystemBuilder::new()
-        .with_middlebox(ids(A_ID, &[b"alpha-sig".to_vec()]).owned_by(a))
-        .with_middlebox(ids(B_ID, &[b"bravo-sig".to_vec()]).owned_by(b))
-        .with_chain(&[A_ID])
-        .with_chain(&[B_ID])
-        .with_dpi_workers(2)
-        .with_chaos(FaultPlan::new(seed()).corrupt_rule_update(1))
-        .build()
-        .expect("system builds");
-
-    let tagged = |sys: &SystemHandle, chain: usize, n: u16, payload: &[u8]| {
-        let mut p = Packet::tcp(
-            MacAddr::local(1),
-            MacAddr::local(2),
-            flow_n(n),
-            0,
-            payload.to_vec(),
-        );
-        p.push_chain_tag(sys.chain_ids[chain]).unwrap();
-        p
-    };
-    let stamps = |sys: &mut SystemHandle, n: u16| -> (u32, u32) {
-        let mut batch = vec![
-            tagged(sys, 0, n, b"xx alpha-sig xx"),
-            tagged(sys, 1, n + 1, b"xx bravo-sig xx"),
-        ];
-        let r = sys.inspect_batch(&mut batch);
-        assert_eq!(r.len(), 2);
-        assert_eq!(r[0].reports.len(), 1, "tenant A's pattern matches");
-        assert_eq!(r[1].reports.len(), 1, "tenant B's pattern matches");
-        (r[0].generation, r[1].generation)
-    };
-
-    // Baseline: both tenants stamp generation 0.
-    assert_eq!(stamps(&mut sys, 100), (0, 0));
-
-    // Tenant A's rules change; only A's stamp may move.
-    sys.controller
-        .add_pattern(A_ID, 7, &RuleSpec::exact(b"alpha2-sig".to_vec()))
-        .unwrap();
-    let outcome = sys.apply_update_for_tenant(a).unwrap();
-    assert!(
-        outcome.committed,
-        "tenant update commits: {:?}",
-        outcome.failure
-    );
-    assert_eq!(sys.tenant_rule_generation(a), outcome.generation);
-    assert_eq!(sys.tenant_rule_generation(b), 0);
-    assert_eq!(stamps(&mut sys, 110), (outcome.generation, 0));
-    // The new pattern serves on A's chain.
-    let r = sys.inspect_batch(&mut [tagged(&sys, 0, 120, b"xx alpha2-sig xx")]);
-    assert_eq!(r[0].reports.len(), 1);
-
-    // A second tenant-A update is corrupted in transit: checksum
-    // validation rejects it at the canary, the rollback re-ships the
-    // committed artifact, and *both* tenants' stamps are exactly as
-    // before the attempt.
-    sys.controller
-        .add_pattern(A_ID, 8, &RuleSpec::exact(b"alpha3-sig".to_vec()))
-        .unwrap();
-    let failed = sys.apply_update_for_tenant(a).unwrap();
-    assert!(!failed.committed, "corrupt artifact must not commit");
-    assert!(failed.failure.unwrap().contains("checksum"));
-    assert_eq!(sys.tenant_rule_generation(a), outcome.generation);
-    assert_eq!(sys.tenant_rule_generation(b), 0);
-    assert_eq!(stamps(&mut sys, 130), (outcome.generation, 0));
-
-    // A later fleet-wide update moves every tenant's stamp together.
-    let fleet = sys.apply_update().unwrap();
-    assert!(fleet.committed);
-    assert_eq!(sys.tenant_rule_generation(a), fleet.generation);
-    assert_eq!(sys.tenant_rule_generation(b), fleet.generation);
-    assert_eq!(stamps(&mut sys, 140), (fleet.generation, fleet.generation));
-    archive_fault_log(&sys, "tenant-scoped-update");
 }
 
 #[test]

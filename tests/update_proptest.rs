@@ -1,7 +1,8 @@
 //! Property: a live rule update is *invisible* to patterns present in
 //! both generations. For random traces, a random swap point and worker
 //! counts {1, 2, 8}, interleaving `apply_update` with `inspect_batch`
-//! must produce results byte-identical (modulo the generation stamp) to:
+//! must stamp every result with the generation of the engine that
+//! scanned it, and otherwise produce results identical to:
 //!
 //! * a never-updated run over the old rule set, for every batch before
 //!   the swap, and
@@ -94,24 +95,23 @@ fn packet_of(sys: &SystemHandle, p: &TracePkt, seq: u32) -> Packet {
     pkt
 }
 
-/// Strips the generation stamp and the packet-id counter so runs on
-/// different generations compare on match content alone. Packet ids
-/// number *emitted results*, so a reference run whose extra pattern
-/// already matched in the pre-swap prefix is offset by construction;
-/// order, flow, offset and every match record must still be identical.
+/// Strips the packet-id counter. Packet ids number *emitted results*,
+/// so a reference run whose extra pattern already matched in the
+/// pre-swap prefix is offset by construction; order, flow, offset and
+/// every match record must still be identical.
 fn normalized(mut results: Vec<ResultPacket>) -> Vec<ResultPacket> {
     for r in &mut results {
-        r.generation = 0;
         r.packet_id = 0;
     }
     results
 }
 
+/// The pre- and post-swap results, and the generation committed.
 fn run_interleaved(
     workers: usize,
     pkts: &[TracePkt],
     swap_at: usize,
-) -> (Vec<ResultPacket>, Vec<ResultPacket>) {
+) -> (Vec<ResultPacket>, Vec<ResultPacket>, u32) {
     let mut sys = build(workers, false);
     let mut before = Vec::new();
     let mut after = Vec::new();
@@ -138,7 +138,7 @@ fn run_interleaved(
             .unwrap();
         assert!(sys.apply_update().unwrap().committed);
     }
-    (before, after)
+    (before, after, sys.rule_generation())
 }
 
 fn run_reference(workers: usize, pkts: &[TracePkt], with_added: bool) -> Vec<ResultPacket> {
@@ -161,16 +161,26 @@ proptest! {
     ) {
         let swap_at = pkts.len() * usize::from(swap_frac) / 100;
         for workers in [1usize, 2, 8] {
-            let (before, after) = run_interleaved(workers, &pkts, swap_at);
+            let (before, after, committed) = run_interleaved(workers, &pkts, swap_at);
+
+            // Every result carries the generation of the engine that
+            // scanned it.
+            prop_assert!(before.iter().all(|r| r.generation == 0), "workers={}", workers);
+            prop_assert!(
+                after.iter().all(|r| r.generation == committed),
+                "workers={} post-swap stamp",
+                workers
+            );
 
             // Pre-swap batches: byte-identical to a run that never
             // updates (same generation 0, so no normalization needed).
             let ref_old = run_reference(workers, &pkts[..swap_at], false);
             prop_assert_eq!(&before, &ref_old, "workers={} pre-swap", workers);
 
-            // Post-swap batches: identical (modulo generation stamp) to
-            // a run born with the added pattern. Packet ids restart per
-            // system, so re-number the reference trace to match.
+            // Post-swap batches: identical to a run born with the added
+            // pattern, stamped as the updated fleet stamps it. Packet ids
+            // restart per system, so re-number the reference trace to
+            // match.
             let ref_new: Vec<ResultPacket> = {
                 let mut sys = build(workers, true);
                 let mut out = Vec::new();
@@ -178,7 +188,10 @@ proptest! {
                     let mut batch = vec![packet_of(&sys, p, i as u32)];
                     let r = sys.inspect_batch(&mut batch);
                     if i >= swap_at {
-                        out.extend(r);
+                        out.extend(r.into_iter().map(|r| ResultPacket {
+                            generation: committed,
+                            ..r
+                        }));
                     }
                 }
                 out
