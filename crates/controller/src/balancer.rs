@@ -7,8 +7,9 @@
 //! persistently hotter than its peers, migrate a bounded number of
 //! *whole flows* from the hottest to the coldest instance each heartbeat
 //! round. Whole flows, because mid-flow scan state (DFA state, flow
-//! offset) lives on the instance that saw the flow's first packet —
-//! splitting a flow across instances would break cross-packet matching.
+//! offset) lives on one instance at a time: the caller moves it with
+//! the flow, and splitting a flow across instances would break
+//! cross-packet matching.
 //!
 //! Two anti-flap mechanisms keep the steering table quiet:
 //!
@@ -57,8 +58,8 @@ impl Default for BalancePolicy {
 }
 
 /// One round's migration decision: move up to `budget` flows from `hot`
-/// to `cold`. The caller (which owns the flow → instance steering table)
-/// picks the concrete flows via [`LoadBalancer::select_flows`].
+/// to `cold`. The caller offers the hot instance's own flows to
+/// [`LoadBalancer::select_flows`], which picks the concrete ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RebalancePlan {
     /// The instance to unload.

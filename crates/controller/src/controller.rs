@@ -114,7 +114,7 @@ struct Inner {
     chain_ids: HashMap<Vec<MiddleboxId>, u16>,
     next_chain_id: u16,
     instances: HashMap<InstanceId, InstanceRecord>,
-    next_instance_id: u32,
+    next_deploy_id: u32,
     /// Heartbeat-driven liveness of deployed instances.
     health: HealthMonitor,
     /// Per-mutation transfer-size log ([`TransferRecord`]).
@@ -368,8 +368,8 @@ impl DpiController {
     /// starts health-tracked as `Healthy`.
     pub fn deploy_instance(&self, chain_ids: Vec<u16>) -> InstanceId {
         let mut g = self.inner.lock();
-        let id = InstanceId(g.next_instance_id);
-        g.next_instance_id += 1;
+        let id = InstanceId(g.next_deploy_id);
+        g.next_deploy_id += 1;
         g.instances.insert(
             id,
             InstanceRecord {

@@ -287,13 +287,12 @@ pub struct MiddleboxNode {
     /// What the pairing buffer released for the packet in hand; drained
     /// before `on_packet_into` returns, kept for its allocation.
     paired: Vec<PairedPacket>,
-    /// Highest rule generation seen per flow. During a staged rollout two
-    /// DPI instances may briefly serve different generations; once a flow
-    /// has consumed results from generation `g`, results stamped `< g`
-    /// (a retried delivery from a not-yet-updated instance, or a
-    /// duplicate from before a rollback) are discarded rather than mixed
-    /// into the newer rule set's verdicts.
-    flow_generations: std::collections::HashMap<dpi_packet::FlowKey, u32>,
+    /// Highest rule generation consumed; results stamped below it are
+    /// dropped, not mixed into newer verdicts. As strong as per-flow: an
+    /// update rolls every instance between two sends and each send runs
+    /// to quiescence, so no two instances serve different generations
+    /// while traffic flows — below the highest is stale for every flow.
+    generation: u32,
     /// Result packets discarded for carrying an outdated generation.
     stale_generation_drops: u64,
 }
@@ -327,7 +326,7 @@ impl MiddleboxNode {
                 mb_id,
                 buffer: ReorderBuffer::new(capacity),
                 paired: Vec::new(),
-                flow_generations: std::collections::HashMap::new(),
+                generation: 0,
                 stale_generation_drops: 0,
             },
             mb,
@@ -335,27 +334,23 @@ impl MiddleboxNode {
     }
 
     /// Result packets discarded because they carried a rule generation
-    /// older than one this node already consumed for the same flow.
+    /// older than one this node already consumed.
     pub fn stale_generation_drops(&self) -> u64 {
         self.stale_generation_drops
     }
 
-    /// Applies the per-flow generation monotonicity check to a paired
-    /// result. Returns `None` (process as unmatched) for stale results.
+    /// Applies the generation monotonicity check to a paired result.
+    /// Returns `None` (process as unmatched) for stale results.
     fn admit_result(
         &mut self,
         results: Option<dpi_packet::report::ResultPacket>,
     ) -> Option<dpi_packet::report::ResultPacket> {
         let r = results?;
-        if self.flow_generations.len() > 65536 {
-            self.flow_generations.clear(); // bounded, coarse reset
-        }
-        let seen = self.flow_generations.entry(r.flow).or_insert(r.generation);
-        if r.generation < *seen {
+        if r.generation < self.generation {
             self.stale_generation_drops += 1;
             return None;
         }
-        *seen = r.generation;
+        self.generation = r.generation;
         Some(r)
     }
 }
@@ -502,44 +497,59 @@ mod tests {
         assert_eq!(handle.lock().stats().blocked, 1);
     }
 
-    #[test]
-    fn stale_generation_results_are_rejected_per_flow() {
+    /// A generation-`generation` result for `fk` reporting one match to
+    /// middlebox 1.
+    fn result_for(fk: dpi_packet::FlowKey, generation: u32, id: u32) -> Packet {
         use dpi_packet::report::{MatchRecord, MiddleboxReport, ResultPacket};
-        let mb = ServiceMiddlebox::new(
+        Packet::result(
+            MacAddr::local(9),
+            MacAddr::local(2),
+            ResultPacket {
+                packet_id: id,
+                generation,
+                flow: fk,
+                flow_offset: 0,
+                reports: vec![MiddleboxReport {
+                    middlebox_id: 1,
+                    records: vec![MatchRecord::Single {
+                        pattern_id: 0,
+                        position: 3,
+                    }],
+                }],
+            },
+        )
+    }
+
+    /// A match-marked data packet of `fk` on chain 5.
+    fn marked_data(fk: dpi_packet::FlowKey) -> Packet {
+        let mut p = Packet::tcp(
+            MacAddr::local(1),
+            MacAddr::local(2),
+            fk,
+            0,
+            b"payload".to_vec(),
+        );
+        p.push_chain_tag(5).unwrap();
+        p.mark_matches();
+        p
+    }
+
+    fn alerting_ids() -> ServiceMiddlebox {
+        ServiceMiddlebox::new(
             MiddleboxId(1),
             "ids",
             RuleLogic::one_per_pattern(1, MbAction::Alert),
-        );
-        let (mut node, handle) = MiddleboxNode::new(mb, true);
+        )
+    }
+
+    #[test]
+    fn stale_generation_results_are_rejected() {
+        let (mut node, handle) = MiddleboxNode::new(alerting_ids(), true);
         let fk = flow([1, 1, 1, 1], 9, [2, 2, 2, 2], 80, IpProtocol::Tcp);
-        let result_of = |generation: u32, id: u32| {
-            Packet::result(
-                MacAddr::local(9),
-                MacAddr::local(2),
-                ResultPacket {
-                    packet_id: id,
-                    generation,
-                    flow: fk,
-                    flow_offset: 0,
-                    reports: vec![MiddleboxReport {
-                        middlebox_id: 1,
-                        records: vec![MatchRecord::Single {
-                            pattern_id: 0,
-                            position: 3,
-                        }],
-                    }],
-                },
-            )
-        };
-        let marked = || {
-            let mut p = tagged_pkt(b"payload", 5);
-            p.mark_matches();
-            p
-        };
 
         // A generation-2 result is consumed normally…
-        let mut out = node.on_packet(marked(), 0);
-        out.extend(node.on_packet(result_of(2, 1), 0));
+        let mut out = node.on_packet(marked_data(fk), 0);
+        out.extend(node.on_packet(result_for(fk, 2, 1), 0));
         assert_eq!(out.len(), 2); // data + re-emitted result
         assert_eq!(handle.lock().stats().matches, 1);
 
@@ -547,11 +557,32 @@ mod tests {
         // delivery from a not-yet-updated instance) is discarded: the
         // data forwards unpaired, the stale result is not re-emitted and
         // fires no rules.
-        let mut out = node.on_packet(marked(), 0);
-        out.extend(node.on_packet(result_of(1, 2), 0));
+        let mut out = node.on_packet(marked_data(fk), 0);
+        out.extend(node.on_packet(result_for(fk, 1, 2), 0));
         assert_eq!(out.len(), 1);
         assert_eq!(node.stale_generation_drops(), 1);
         assert_eq!(handle.lock().stats().matches, 1);
+    }
+
+    #[test]
+    fn stale_filter_survives_65537_flows() {
+        let (mut node, handle) = MiddleboxNode::new(alerting_ids(), true);
+        let fk = |i: u32| {
+            let [_, a, b, c] = i.to_be_bytes();
+            flow([10, a, b, c], 9, [2, 2, 2, 2], 80, IpProtocol::Tcp)
+        };
+        const FLOWS: u32 = 65_537;
+        for i in 0..FLOWS {
+            node.on_packet(marked_data(fk(i)), 0);
+            assert_eq!(node.on_packet(result_for(fk(i), 2, i), 0).len(), 2);
+        }
+        // However many flows came before, flow 0's generation-1
+        // straggler is still stale: its data forwards alone.
+        let mut out = node.on_packet(marked_data(fk(0)), 0);
+        out.extend(node.on_packet(result_for(fk(0), 1, FLOWS), 0));
+        assert_eq!(out.len(), 1);
+        assert_eq!(node.stale_generation_drops(), 1);
+        assert_eq!(handle.lock().stats().matches, u64::from(FLOWS));
     }
 
     // ---- The chaos and retry attachments, and the armed instance ----

@@ -35,6 +35,10 @@ pub struct FlowMatch {
     /// Whether the body is a dedicated DPI result packet — lets the TSA
     /// fork results-only traffic to read-only middleboxes (§4.2 option 3).
     pub body_is_result: Option<bool>,
+    /// `(modulus, residue)`: the packet's flow hashes to `residue` of
+    /// `modulus` buckets — how a fleet chain's ingress rules split flows
+    /// between instances. A packet without a flow key never matches.
+    pub flow_bucket: Option<(u16, u16)>,
 }
 
 impl FlowMatch {
@@ -63,7 +67,7 @@ impl FlowMatch {
     }
 
     /// Restricts to one directional flow (source/destination IPs and L4
-    /// ports) — the match per-flow steering rules use.
+    /// ports) — the match of a per-flow steering exception.
     pub fn for_flow(mut self, flow: &dpi_packet::FlowKey) -> FlowMatch {
         self.ip_src = Some(flow.src_ip);
         self.ip_dst = Some(flow.dst_ip);
@@ -145,6 +149,15 @@ impl FlowMatch {
                 }
                 _ => return false,
             }
+        }
+        if let Some((modulus, residue)) = self.flow_bucket {
+            // The hash's high half, independent of the low-half `% shards`
+            // routing inside an instance; multiply-shift, because `% 4` of
+            // FNV-1a's low bits there left a bucket empty.
+            let Some(f) = packet.flow_key() else {
+                return false;
+            };
+            return ((f.stable_hash() >> 32) * u64::from(modulus)) >> 32 == u64::from(residue);
         }
         true
     }
@@ -341,6 +354,30 @@ mod tests {
             ..FlowMatch::default()
         };
         assert!(!wrong.matches(&p, 0));
+    }
+
+    #[test]
+    fn every_flow_matches_exactly_one_bucket_and_a_flowless_packet_none() {
+        let bucket = |modulus, residue| FlowMatch {
+            flow_bucket: Some((modulus, residue)),
+            ..FlowMatch::default()
+        };
+        let mut raw = pkt();
+        raw.body = PacketBody::Raw(b"no flow key".to_vec());
+        for modulus in 1..=4u16 {
+            let mut per_bucket = vec![0; usize::from(modulus)];
+            for src_port in 1000..1200 {
+                let f = flow([10, 0, 0, 1], src_port, [10, 0, 0, 2], 80, IpProtocol::Tcp);
+                let p = Packet::tcp(MacAddr::local(1), MacAddr::local(2), f, 0, Vec::new());
+                let hits: Vec<u16> = (0..modulus)
+                    .filter(|&r| bucket(modulus, r).matches(&p, 0))
+                    .collect();
+                assert_eq!(hits.len(), 1, "{f} in {modulus} buckets: {hits:?}");
+                per_bucket[usize::from(hits[0])] += 1;
+            }
+            assert!(per_bucket.iter().all(|&n| n > 0), "{per_bucket:?}");
+            assert!((0..modulus).all(|r| !bucket(modulus, r).matches(&raw, 0)));
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!
 //! * ingress: untagged traffic from the source host is tagged with its
 //!   chain id and sent to the first element (the DPI instance, which the
-//!   controller inserts "prior to any middlebox that requires DPI");
+//!   controller inserts "prior to any middlebox that requires DPI"); a
+//!   fleet of instances splits flows by hash, one bucket rule per
+//!   instance, so the table never grows with flows;
 //! * per element: tagged traffic returning from element *i* goes to
 //!   element *i+1* — data packets and dedicated result packets alike,
 //!   since both carry the tag;
@@ -19,6 +21,7 @@
 
 use crate::flowtable::{Action, FlowMatch, FlowRule, FlowTable, Port};
 use crate::switch::Switch;
+use dpi_packet::{FlowKey, MacAddr, Packet};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -30,11 +33,11 @@ pub struct TrafficSteeringApp {
 }
 
 /// Rule priorities used by the TSA (leaving room above for the per-flow
-/// steering overrides).
+/// exceptions).
 const PRIO_CHAIN: u16 = 100;
-/// Per-flow steering rules sit between the chain defaults and the
-/// result-drop guard: specific enough to override the chain's default
-/// DPI instance, never able to leak result packets to hosts.
+/// Per-flow exceptions sit between the chain rules and the result-drop
+/// guard: specific enough to override a flow's bucket, never able to
+/// leak result packets to hosts.
 const PRIO_STEER: u16 = 105;
 const PRIO_EGRESS_RESULT_DROP: u16 = 110;
 
@@ -47,13 +50,13 @@ impl TrafficSteeringApp {
     }
 
     /// Installs the rules of one policy chain served by a *fleet* of DPI
-    /// instances (a lone instance is a fleet of one): traffic entering at
-    /// `ingress` is tagged `chain_id` and sent to `dpi_ports[0]` by
-    /// default (per-flow [`TrafficSteeringApp::steer_flow`] rules
-    /// override the choice of instance), tagged traffic returning from
-    /// *any* instance port proceeds to the first middlebox in
-    /// `middleboxes` (or straight to `egress`), visits the rest in order
-    /// and leaves untagged at `egress`. The DPI service comes first — the
+    /// instances (a lone instance is a fleet of one, with one unbucketed
+    /// rule): traffic entering at `ingress` is tagged `chain_id` and sent
+    /// to `dpi_ports[i]` when its flow hashes to bucket `i` (or as a
+    /// [`TrafficSteeringApp::steer_flow`] exception says), tagged traffic
+    /// returning from *any* instance port proceeds to the first middlebox
+    /// in `middleboxes` (or straight to `egress`), visits the rest in
+    /// order and leaves untagged at `egress`. The DPI service comes first — the
     /// §4 invariant that it precedes every middlebox that consumes its
     /// results — and result packets are dropped where the chain's rules
     /// point at the egress.
@@ -70,12 +73,18 @@ impl TrafficSteeringApp {
             "a fleet chain needs at least one DPI instance"
         );
         let mut t = self.table.lock();
-        // Ingress default: tag and go to the first instance.
-        t.install(FlowRule {
-            priority: PRIO_CHAIN,
-            m: FlowMatch::any().from_port(ingress).untagged(),
-            actions: vec![Action::PushTag(chain_id), Action::Output(dpi_ports[0])],
-        });
+        // Ingress: tag and go to the flow's instance.
+        let n = dpi_ports.len() as u16;
+        for (i, &dp) in dpi_ports.iter().enumerate() {
+            t.install(FlowRule {
+                priority: PRIO_CHAIN,
+                m: FlowMatch {
+                    flow_bucket: (n > 1).then_some((n, i as u16)),
+                    ..FlowMatch::any().from_port(ingress).untagged()
+                },
+                actions: vec![Action::PushTag(chain_id), Action::Output(dp)],
+            });
+        }
         // Any instance → first middlebox (or egress for an empty chain).
         let after_dpi = middleboxes.first().copied();
         for &dp in dpi_ports {
@@ -123,17 +132,13 @@ impl TrafficSteeringApp {
         }
     }
 
-    /// Pins one flow of a chain to a specific DPI instance port: an
-    /// override rule matching the flow's 4-tuple at ingress. Replaces any
-    /// previous steering rule for the same flow, so re-steering a single
-    /// flow is this same call with a new port.
-    pub fn steer_flow(
-        &self,
-        chain_id: u16,
-        ingress: Port,
-        flow: &dpi_packet::FlowKey,
-        dpi_port: Port,
-    ) {
+    /// Pins one flow to a chain and a DPI instance port: an exception
+    /// matching the flow's 4-tuple at ingress, above its bucket rule — a
+    /// balancer migration, or a flow put on a chain other than the
+    /// ingress default. Replaces any previous exception for the same
+    /// flow, so re-steering a single flow is this same call with a new
+    /// port.
+    pub fn steer_flow(&self, chain_id: u16, ingress: Port, flow: &FlowKey, dpi_port: Port) {
         let m = FlowMatch::any()
             .from_port(ingress)
             .untagged()
@@ -147,8 +152,8 @@ impl TrafficSteeringApp {
         });
     }
 
-    /// Re-steers every ingress-side rule (per-flow steering rules and
-    /// chain defaults) that currently sends traffic to `from_dpi`, so it
+    /// Re-steers every ingress-side rule (bucket rules and per-flow
+    /// exceptions) that currently sends traffic to `from_dpi`, so it
     /// sends to `to_dpi` instead — the failover action the controller
     /// takes when an instance is declared dead (§4: "re-steers its flows
     /// to surviving instances"). Returns how many rules were rewritten.
@@ -171,6 +176,18 @@ impl TrafficSteeringApp {
         rewritten
     }
 
+    /// The chain tag and DPI instance port the switch gives `flow`'s
+    /// packets entering at `ingress`: a probe packet of the flow is
+    /// looked up like a sent one, so buckets, exceptions and failover
+    /// rewrites all answer. `None` if no rule there tags and forwards it.
+    pub fn steering_of(&self, ingress: Port, flow: &FlowKey) -> Option<(u16, Port)> {
+        let probe = Packet::tcp(MacAddr::local(1), MacAddr::local(2), *flow, 0, Vec::new());
+        match self.table.lock().lookup(&probe, ingress)?.actions[..] {
+            [Action::PushTag(chain), Action::Output(port)] => Some((chain, port)),
+            _ => None,
+        }
+    }
+
     /// Number of installed rules (diagnostics).
     pub fn rule_count(&self) -> usize {
         self.table.lock().len()
@@ -183,7 +200,6 @@ mod tests {
     use crate::network::{Network, Node, PortId, SinkHost};
     use dpi_packet::ipv4::IpProtocol;
     use dpi_packet::packet::flow;
-    use dpi_packet::{MacAddr, Packet};
 
     /// A service element that stamps nothing and bounces packets back on
     /// the port they came from (like a middlebox host with one NIC).
@@ -226,13 +242,28 @@ mod tests {
         (net, sw_id, sink, tsa)
     }
 
-    /// Per-flow steering rules in the table that send to `port`.
-    fn steer_rules_to(tsa: &TrafficSteeringApp, port: Port) -> usize {
+    /// Rules at `priority` in the table that send to `port`.
+    fn rules_to(tsa: &TrafficSteeringApp, priority: u16, port: Port) -> usize {
         tsa.table
             .lock()
             .rules()
             .iter()
-            .filter(|r| r.priority == PRIO_STEER && r.actions.contains(&Action::Output(port)))
+            .filter(|r| r.priority == priority && r.actions.contains(&Action::Output(port)))
+            .count()
+    }
+
+    /// Per-flow exceptions in the table that send to `port`.
+    fn steer_rules_to(tsa: &TrafficSteeringApp, port: Port) -> usize {
+        rules_to(tsa, PRIO_STEER, port)
+    }
+
+    /// Ingress bucket rules in the table that send to `port`.
+    fn bucket_rules_to(tsa: &TrafficSteeringApp, port: Port) -> usize {
+        tsa.table
+            .lock()
+            .rules()
+            .iter()
+            .filter(|r| r.m.flow_bucket.is_some() && r.actions.contains(&Action::Output(port)))
             .count()
     }
 
@@ -240,6 +271,9 @@ mod tests {
     fn chain_traverses_elements_and_arrives_untagged() {
         let (mut net, sw, sink, tsa) = star();
         tsa.install_chain_fleet(7, 0, &[2], &[3], 1);
+        // A lone instance takes every flow with one unbucketed rule.
+        assert_eq!(bucket_rules_to(&tsa, 2), 0);
+        assert_eq!(rules_to(&tsa, PRIO_CHAIN, 2), 1);
         net.inject(sw, 0, pkt());
         net.run();
         let received = sink.received();
@@ -254,14 +288,19 @@ mod tests {
         // middleboxes; both paths must deliver untagged to the sink.
         let (mut net, sw, sink, tsa) = star();
         tsa.install_chain_fleet(7, 0, &[2, 3], &[], 1);
-        // Default path goes via port 2.
+        // One bucket rule per instance; the flow takes its bucket's.
+        assert_eq!((bucket_rules_to(&tsa, 2), bucket_rules_to(&tsa, 3)), (1, 1));
+        let f = pkt().flow_key().unwrap();
+        let (tag, bucket_port) = tsa.steering_of(0, &f).unwrap();
+        assert_eq!(tag, 7);
         net.inject(sw, 0, pkt());
         net.run();
         assert_eq!(sink.received().len(), 1);
-        // Steer the flow to instance at port 3: still delivered.
-        let f = pkt().flow_key().unwrap();
-        tsa.steer_flow(7, 0, &f, 3);
-        assert_eq!(steer_rules_to(&tsa, 3), 1);
+        // Steer the flow to the other instance: still delivered.
+        let other = 5 - bucket_port;
+        tsa.steer_flow(7, 0, &f, other);
+        assert_eq!(steer_rules_to(&tsa, other), 1);
+        assert_eq!(tsa.steering_of(0, &f), Some((7, other)));
         net.inject(sw, 0, pkt());
         net.run();
         assert_eq!(sink.received().len(), 2);
@@ -276,12 +315,13 @@ mod tests {
         tsa.steer_flow(7, 0, &f, 2);
         tsa.steer_flow(7, 0, &f, 2);
         assert_eq!(steer_rules_to(&tsa, 2), 1, "same flow must not stack rules");
-        // Failover: everything aimed at port 2 (the steer rule and the
-        // chain's default ingress rule) moves to port 3.
+        // Failover: everything aimed at port 2 (the exception and port
+        // 2's bucket rule) moves to port 3.
         let rewritten = tsa.resteer(2, 3);
         assert_eq!(rewritten, 2);
         assert_eq!(steer_rules_to(&tsa, 2), 0);
         assert_eq!(steer_rules_to(&tsa, 3), 1);
+        assert_eq!((bucket_rules_to(&tsa, 2), bucket_rules_to(&tsa, 3)), (0, 2));
     }
 
     #[test]

@@ -10,12 +10,12 @@
 //! # Fault tolerance
 //!
 //! With [`SystemBuilder::with_dpi_instances`] > 1 the builder deploys a
-//! fleet: every instance shares the one compiled automaton, each flow is
-//! pinned to an instance by a per-flow steering rule on first sight, and
-//! the controller tracks liveness through the heartbeat protocol
-//! ([`SystemHandle::heartbeat_round`]). When an instance is declared
-//! `Dead`, its flows are re-steered to a survivor. Mid-flow automaton
-//! state on the dead instance is lost — the survivor restarts each
+//! fleet: every instance shares the one compiled automaton, the switch
+//! splits flows between instances by hash (one ingress rule per
+//! instance), and the controller tracks liveness through the heartbeat
+//! protocol ([`SystemHandle::heartbeat_round`]). When an instance is
+//! declared `Dead`, its bucket is re-steered to a survivor. Mid-flow
+//! automaton state on the dead instance is lost — the survivor restarts each
 //! re-steered flow's scan from a fresh DFA state, which can *miss* a
 //! pattern straddling the failover point but can never *fabricate* a
 //! match (the paper's accepted failover semantics; see DESIGN.md §8).
@@ -176,8 +176,8 @@ impl SystemBuilder {
     }
 
     /// Sets the number of in-network DPI service instances (default 1).
-    /// All instances share the one compiled automaton; flows are pinned
-    /// to instances by per-flow steering rules.
+    /// All instances share the one compiled automaton; the switch splits
+    /// flows between them by hash.
     pub fn with_dpi_instances(mut self, instances: usize) -> SystemBuilder {
         self.dpi_instances = instances.max(1);
         self
@@ -360,10 +360,8 @@ impl SystemBuilder {
             instance_ids,
             chaos,
             heartbeat_seq: vec![0; self.dpi_instances],
-            steered: HashMap::new(),
             evasion_patterns,
             flow_evasive: HashMap::new(),
-            next_instance: 0,
             scanner,
             middleboxes: mb_handles,
             chain_ids,
@@ -471,8 +469,6 @@ pub struct SystemHandle {
     /// The chaos engine, when a fault plan was attached.
     pub chaos: Option<Arc<ChaosEngine>>,
     heartbeat_seq: Vec<u64>,
-    /// Flow → instance port pinning installed so far.
-    steered: HashMap<FlowKey, Port>,
     /// Exact literals registered with the middleboxes — the pool the
     /// chaos adversary plants evasion attempts around.
     evasion_patterns: Vec<Vec<u8>>,
@@ -481,7 +477,6 @@ pub struct SystemHandle {
     /// caller's traffic), `false` means the draw came up benign and is
     /// never repeated.
     flow_evasive: HashMap<FlowKey, bool>,
-    next_instance: usize,
     /// The batched scan pipeline: an instance outside the network that
     /// shares the in-network instances' compiled automaton and fans
     /// packets out across [`SystemBuilder::with_dpi_workers`] flow-affine
@@ -512,13 +507,12 @@ impl SystemHandle {
     /// Sends one TCP payload from the source host into the network and
     /// runs it to quiescence. Returns the number of deliveries.
     ///
-    /// In a fleet deployment the first packet of each flow installs a
-    /// per-flow steering rule pinning the flow to a live instance
-    /// (round-robin), so cross-packet scan state stays on one instance.
-    /// A `burst_traffic` chaos fault amplifies sends: while a seeded
-    /// burst window is active, each call injects the packet multiple
-    /// times — the reproducible traffic spike the overload control
-    /// absorbs.
+    /// In a fleet deployment the switch steers every packet of a flow to
+    /// the instance its flow hashes to, so cross-packet scan state stays
+    /// on one instance. A `burst_traffic` chaos fault amplifies sends:
+    /// while a seeded burst window is active, each call injects the
+    /// packet multiple times — the reproducible traffic spike the
+    /// overload control absorbs.
     ///
     /// An `evasive_flows` chaos fault replaces flows wholesale: on first
     /// sight of a flow the engine draws
@@ -529,11 +523,6 @@ impl SystemHandle {
     /// payload, and every later send on that flow is swallowed (returns
     /// 0): the adversary owns the flow for its lifetime.
     pub fn send(&mut self, flow: FlowKey, seq: u32, payload: &[u8]) -> usize {
-        if self.dpi_ports.len() > 1 && !self.steered.contains_key(&flow) {
-            let port = self.pick_instance_port();
-            self.tsa.steer_flow(self.chain_ids[0], 0, &flow, port);
-            self.steered.insert(flow, port);
-        }
         if let Some(c) = &self.chaos {
             if !self.evasion_patterns.is_empty() {
                 match self.flow_evasive.get(&flow) {
@@ -570,24 +559,6 @@ impl SystemHandle {
         }
         self.net.inject(self.switch_id, 0, pkt);
         self.net.run()
-    }
-
-    /// Round-robin over instances the controller still considers usable
-    /// (not `Dead`). Falls back to the first instance if the controller
-    /// has written off the whole fleet.
-    fn pick_instance_port(&mut self) -> Port {
-        let usable: Vec<usize> = (0..self.dpi_ports.len())
-            .filter(|&i| {
-                self.controller.instance_health(self.instance_ids[i])
-                    != Some(dpi_controller::InstanceHealth::Dead)
-            })
-            .collect();
-        if usable.is_empty() {
-            return self.dpi_ports[0];
-        }
-        let pick = usable[self.next_instance % usable.len()];
-        self.next_instance += 1;
-        self.dpi_ports[pick]
     }
 
     /// Runs one heartbeat window: every chaos-alive instance beats, the
@@ -642,7 +613,7 @@ impl SystemHandle {
 
     /// One balancer round: feed cumulative per-instance loads, and when a
     /// plan comes back migrate up to its budget of the hot instance's
-    /// flows to the cold instance.
+    /// flows, scan state and all, to the cold instance.
     fn rebalance_round(&mut self) {
         let Some(balancer) = &mut self.balancer else {
             return;
@@ -665,24 +636,25 @@ impl SystemHandle {
         let Some(plan) = balancer.observe_round(&loads) else {
             return;
         };
-        let hot_idx = self
-            .instance_ids
-            .iter()
-            .position(|&id| id == plan.hot)
-            .expect("plan instances come from instance_ids");
-        let cold_idx = self
-            .instance_ids
-            .iter()
-            .position(|&id| id == plan.cold)
-            .expect("plan instances come from instance_ids");
-        let (hot_port, cold_port) = (self.dpi_ports[hot_idx], self.dpi_ports[cold_idx]);
-        // Candidates: flows currently pinned to the hot instance, keyed
-        // by their stable hash so selection is deterministic.
-        let by_key: HashMap<u64, FlowKey> = self
-            .steered
-            .iter()
-            .filter(|(_, &port)| port == hot_port)
-            .map(|(flow, _)| (flow.stable_hash(), *flow))
+        let index_of = |id| self.instance_ids.iter().position(|&i| i == id);
+        let (Some(hot_idx), Some(cold_idx)) = (index_of(plan.hot), index_of(plan.cold)) else {
+            unreachable!("plan instances come from instance_ids");
+        };
+        let (hot, cold) = (&self.dpi_instances[hot_idx], &self.dpi_instances[cold_idx]);
+        // Candidates: the hot instance's own flows — its arena's heavy-flow
+        // list (§4.3.1), less flows the switch already sends elsewhere (a
+        // stateless flow has no scan state to export, so its entry stays
+        // behind) — keyed by their stable hash so selection is
+        // deterministic, with the chain each is on.
+        let hot_port = self.dpi_ports[hot_idx];
+        let by_key: HashMap<u64, (FlowKey, u16)> = hot
+            .lock()
+            .flow_deep_ratios()
+            .into_iter()
+            .filter_map(|(flow, _)| match self.tsa.steering_of(0, &flow)? {
+                (chain, port) if port == hot_port => Some((flow.stable_hash(), (flow, chain))),
+                _ => None,
+            })
             .collect();
         let keys: Vec<u64> = by_key.keys().copied().collect();
         let picked = balancer.select_flows(&plan, &keys);
@@ -690,9 +662,14 @@ impl SystemHandle {
             return;
         }
         for key in &picked {
-            let flow = by_key[key];
-            self.tsa.steer_flow(self.chain_ids[0], 0, &flow, cold_port);
-            self.steered.insert(flow, cold_port);
+            let (flow, chain) = by_key[key];
+            // The scan state moves with the flow, so the cold instance
+            // resumes the automaton where the hot one left it.
+            if let Some(state) = hot.lock().export_flow(&flow) {
+                cold.lock().import_flow(flow, state);
+            }
+            self.tsa
+                .steer_flow(chain, 0, &flow, self.dpi_ports[cold_idx]);
         }
         self.tracer.record(
             TraceSource::Controller,
@@ -717,9 +694,10 @@ impl SystemHandle {
         self.balancer.as_ref().map(|b| b.migrations()).unwrap_or(0)
     }
 
-    /// The instance a flow is currently steered to, if it was pinned.
+    /// The instance the switch currently steers a flow to: its bucket's,
+    /// or a migration's.
     pub fn steered_instance_of(&self, flow: &FlowKey) -> Option<usize> {
-        let port = *self.steered.get(flow)?;
+        let (_, port) = self.tsa.steering_of(0, flow)?;
         self.dpi_ports.iter().position(|&p| p == port)
     }
 
@@ -728,7 +706,6 @@ impl SystemHandle {
         let Some(dead_idx) = self.instance_ids.iter().position(|&i| i == dead) else {
             return;
         };
-        let dead_port = self.dpi_ports[dead_idx];
         let survivor = (0..self.dpi_ports.len()).find(|&i| {
             i != dead_idx
                 && self.controller.instance_health(self.instance_ids[i])
@@ -742,13 +719,8 @@ impl SystemHandle {
             }
             return;
         };
-        let survivor_port = self.dpi_ports[survivor_idx];
+        let (dead_port, survivor_port) = (self.dpi_ports[dead_idx], self.dpi_ports[survivor_idx]);
         let rewritten = self.tsa.resteer(dead_port, survivor_port);
-        for port in self.steered.values_mut() {
-            if *port == dead_port {
-                *port = survivor_port;
-            }
-        }
         self.tracer.record(
             TraceSource::Controller,
             TraceKind::Resteered {

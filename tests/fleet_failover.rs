@@ -38,21 +38,30 @@ fn archive_fault_log(sys: &SystemHandle, name: &str) {
     }
 }
 
-fn flow_a() -> FlowKey {
-    flow([10, 0, 0, 1], 1000, [10, 0, 0, 2], 80, IpProtocol::Tcp)
+fn flow_of(port: u16) -> FlowKey {
+    flow([10, 0, 0, 1], port, [10, 0, 0, 2], 80, IpProtocol::Tcp)
 }
 
-fn flow_b() -> FlowKey {
-    flow([10, 0, 0, 3], 2000, [10, 0, 0, 2], 80, IpProtocol::Tcp)
+/// The first flow (by source port) the switch steers to `instance`.
+fn flow_on(sys: &SystemHandle, instance: usize) -> FlowKey {
+    (1000..)
+        .map(flow_of)
+        .find(|f| sys.steered_instance_of(f) == Some(instance))
+        .expect("some flow hashes to every instance")
+}
+
+/// A fleet of `instances` serving one IDS chain.
+fn fleet(instances: usize) -> SystemBuilder {
+    SystemBuilder::new()
+        .with_middlebox(ids(IDS_ID, &[b"evil-sig".to_vec()]))
+        .with_chain(&[IDS_ID])
+        .with_dpi_instances(instances)
 }
 
 /// Two instances, one IDS chain, instance 0 killed by the fault plan
 /// after absorbing its third data packet.
 fn build(seed: u64) -> SystemHandle {
-    SystemBuilder::new()
-        .with_middlebox(ids(IDS_ID, &[b"evil-sig".to_vec()]))
-        .with_chain(&[IDS_ID])
-        .with_dpi_instances(2)
+    fleet(2)
         .with_health_policy(HealthPolicy {
             suspect_after: 1,
             dead_after: 2,
@@ -70,15 +79,15 @@ fn run_scenario(seed: u64) -> SystemHandle {
     // beat, so nothing happens.
     assert!(sys.heartbeat_round().is_empty());
 
-    // Flow A pins to instance 0, flow B to instance 1 (round-robin on
-    // first sight).
-    sys.send(flow_a(), 0, b"clean traffic a0"); // inst0 packet 0
-    sys.send(flow_b(), 0, b"clean traffic b0"); // inst1 packet 0
-    sys.send(flow_a(), 100, b"carrying evil-sig one"); // inst0 packet 1: match
+    // Flow A hashes to instance 0, flow B to instance 1.
+    let (flow_a, flow_b) = (flow_on(&sys, 0), flow_on(&sys, 1));
+    sys.send(flow_a, 0, b"clean traffic a0"); // inst0 packet 0
+    sys.send(flow_b, 0, b"clean traffic b0"); // inst1 packet 0
+    sys.send(flow_a, 100, b"carrying evil-sig one"); // inst0 packet 1: match
     assert_eq!(sys.sink.count(), 3, "pre-failure traffic all delivered");
 
     // Instance 0's third data packet hits the kill ordinal: blackholed.
-    sys.send(flow_a(), 200, b"lost in the crash");
+    sys.send(flow_a, 200, b"lost in the crash");
     assert_eq!(sys.sink.count(), 3, "packet died with the instance");
 
     // Heartbeat window 1: instance 0 silent → Suspect (no re-steer yet).
@@ -95,9 +104,9 @@ fn run_scenario(seed: u64) -> SystemHandle {
 
     // Post-failover traffic on the re-steered flow: scanned by the
     // survivor, matches detected, delivered.
-    sys.send(flow_a(), 300, b"second evil-sig after failover");
-    sys.send(flow_a(), 400, b"clean tail a");
-    sys.send(flow_b(), 100, b"clean tail b");
+    sys.send(flow_a, 300, b"second evil-sig after failover");
+    sys.send(flow_a, 400, b"clean tail a");
+    sys.send(flow_b, 100, b"clean tail b");
     sys
 }
 
@@ -171,10 +180,7 @@ fn failover_run_is_reproducible_from_the_seed() {
 
 #[test]
 fn whole_fleet_dead_leaves_rules_unrewritten() {
-    let mut sys = SystemBuilder::new()
-        .with_middlebox(ids(IDS_ID, &[b"evil-sig".to_vec()]))
-        .with_chain(&[IDS_ID])
-        .with_dpi_instances(2)
+    let mut sys = fleet(2)
         .with_health_policy(HealthPolicy {
             suspect_after: 1,
             dead_after: 1,
@@ -195,7 +201,95 @@ fn whole_fleet_dead_leaves_rules_unrewritten() {
     assert!(sys.controller.healthy_instances().is_empty());
     assert!(sys.fault_log().iter().any(|l| l.contains("no survivor")));
     // Traffic blackholes at the dead fleet but the network stays sane.
-    sys.send(flow_a(), 0, b"into the void");
+    sys.send(flow_of(1000), 0, b"into the void");
     assert_eq!(sys.sink.count(), 0);
     assert_eq!(sys.net.dropped(), 0);
+}
+
+#[test]
+fn flow_steering_rules_do_not_grow_with_flows() {
+    let mut sys = fleet(4).build().unwrap();
+    let rules = sys.tsa.rule_count();
+    const FLOWS: u16 = 2_000;
+    for port in 0..FLOWS {
+        sys.send(flow_of(10_000 + port), 0, b"one packet per flow");
+    }
+    assert_eq!(sys.sink.count(), usize::from(FLOWS));
+    assert_eq!(sys.tsa.rule_count(), rules, "no rule per flow");
+    // The hash spreads the flows: every instance scanned at least an
+    // eighth of them (a fair share is a quarter).
+    for (i, t) in sys.fleet_telemetry().iter().enumerate() {
+        assert!(
+            t.packets >= u64::from(FLOWS / 8),
+            "instance {i} scanned {} of {FLOWS} flows",
+            t.packets
+        );
+    }
+}
+
+#[test]
+fn a_flow_steered_onto_another_chain_stays_there_in_a_fleet() {
+    const OTHER: MiddleboxId = MiddleboxId(2);
+    let mut sys = fleet(2)
+        .with_middlebox(ids(OTHER, &[b"other-sig".to_vec()]))
+        .with_chain(&[OTHER])
+        .build()
+        .unwrap();
+    // Ingress traffic enters the first chain by default; this flow is
+    // put on the second.
+    let f = flow_of(1000);
+    sys.tsa
+        .steer_flow(sys.chain_ids[1], 0, &f, sys.dpi_ports[0]);
+    sys.send(f, 0, b"carrying other-sig");
+    sys.send(f, 100, b"and other-sig again");
+    let other = sys.stats_of(OTHER).unwrap();
+    assert_eq!(
+        (other.packets, other.matches),
+        (2, 2),
+        "the second chain's IDS saw the flow"
+    );
+    assert_eq!(sys.stats_of(IDS_ID).unwrap().packets, 0);
+    assert_eq!(sys.steered_instance_of(&f), Some(0));
+}
+
+#[test]
+fn failover_moves_only_the_dead_instances_flows() {
+    let mut sys = fleet(4)
+        .with_health_policy(HealthPolicy {
+            suspect_after: 1,
+            dead_after: 1,
+        })
+        .with_chaos(FaultPlan::new(seed()).kill_instance_at_packet(2, 0))
+        .build()
+        .unwrap();
+    let flows: Vec<FlowKey> = (0..200).map(|p| flow_of(20_000 + p)).collect();
+    // One packet per flow: the dead-on-arrival instance swallows its
+    // share.
+    for f in &flows {
+        sys.send(*f, 0, b"before the failover");
+    }
+    let before: Vec<usize> = flows
+        .iter()
+        .map(|f| sys.steered_instance_of(f).unwrap())
+        .collect();
+    let on_dead = before.iter().filter(|&&i| i == 2).count();
+    assert!(on_dead > 0, "some flows are on instance 2");
+    assert_eq!(sys.sink.count(), flows.len() - on_dead);
+
+    assert!(sys.heartbeat_round().is_empty(), "grace window");
+    assert_eq!(
+        sys.heartbeat_round(),
+        vec![HealthEvent::BecameDead(sys.instance_ids[2])]
+    );
+    for (f, &was) in flows.iter().zip(&before) {
+        let now = sys.steered_instance_of(f).unwrap();
+        let want = if was == 2 { 0 } else { was };
+        assert_eq!(now, want, "{f}: was on instance {was}");
+    }
+    // Every flow is served, none by the dead instance.
+    for f in &flows {
+        sys.send(*f, 100, b"after the failover");
+    }
+    assert_eq!(sys.sink.count(), 2 * flows.len() - on_dead);
+    assert_eq!(sys.fleet_telemetry()[2].packets, 0);
 }

@@ -50,32 +50,26 @@ fn build_fleet(seed: u64) -> SystemHandle {
 /// rounds. Returns (system, heavy flows, per-round pinning history).
 fn run_skew(seed: u64, rounds: usize) -> (SystemHandle, Vec<FlowKey>, Vec<Vec<usize>>) {
     let mut sys = build_fleet(seed);
-    // Seed-dependent port layout so pinning and flow hashes differ per
-    // seed. First-send order alternates round-robin picks, so sending
-    // eight flows pins four to each instance.
-    let ports: Vec<u16> = (0..8)
-        .map(|i| 1000 + ((seed as u16).wrapping_mul(31) + i * 7) % 500)
-        .collect();
-    let flows: Vec<FlowKey> = ports.iter().map(|&p| flow_of(p)).collect();
+    // Seed-dependent ports so flow hashes differ per seed, drawn until
+    // the switch puts four flows on each instance.
+    let mut on: [Vec<FlowKey>; 2] = Default::default();
+    let mut port = 1000 + (seed as u16).wrapping_mul(31) % 500;
+    while on.iter().any(|flows| flows.len() < 4) {
+        let f = flow_of(port);
+        port += 7;
+        let flows = &mut on[sys.steered_instance_of(&f).expect("hashed")];
+        if flows.len() < 4 {
+            flows.push(f);
+        }
+    }
+    // Heavy flows: exactly the ones on one instance — a pure hot/cold
+    // split.
+    let [heavy, light] = on;
+    let flows: Vec<FlowKey> = heavy.iter().chain(&light).copied().collect();
     for f in &flows {
         // High seq so round traffic (seq < 1000) never collides.
-        sys.send(*f, 1_000_000, b"pin this flow");
+        sys.send(*f, 1_000_000, b"open this flow");
     }
-    // Heavy flows: exactly the ones the round-robin pinned to one
-    // instance — a pure hot/cold split.
-    let hot_instance = sys.steered_instance_of(&flows[0]).unwrap();
-    let heavy: Vec<FlowKey> = flows
-        .iter()
-        .copied()
-        .filter(|f| sys.steered_instance_of(f) == Some(hot_instance))
-        .collect();
-    let light: Vec<FlowKey> = flows
-        .iter()
-        .copied()
-        .filter(|f| sys.steered_instance_of(f) != Some(hot_instance))
-        .collect();
-    assert_eq!(heavy.len(), 4, "round-robin splits 8 flows 4/4");
-    assert_eq!(light.len(), 4);
 
     let mut history: Vec<Vec<usize>> = Vec::new();
     for round in 0..rounds {
@@ -93,7 +87,7 @@ fn run_skew(seed: u64, rounds: usize) -> (SystemHandle, Vec<FlowKey>, Vec<Vec<us
         history.push(
             flows
                 .iter()
-                .map(|f| sys.steered_instance_of(f).expect("pinned"))
+                .map(|f| sys.steered_instance_of(f).expect("steered"))
                 .collect(),
         );
     }

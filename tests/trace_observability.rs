@@ -47,6 +47,14 @@ fn flow_b() -> FlowKey {
     flow([10, 0, 0, 3], 2000, [10, 0, 0, 2], 80, IpProtocol::Tcp)
 }
 
+/// The first flow (by source port) the switch steers to `instance`.
+fn flow_on(sys: &SystemHandle, instance: usize) -> FlowKey {
+    (1000..)
+        .map(|port| flow([10, 0, 0, 1], port, [10, 0, 0, 2], 80, IpProtocol::Tcp))
+        .find(|f| sys.steered_instance_of(f) == Some(instance))
+        .expect("some flow hashes to every instance")
+}
+
 fn tagged_packet(sys: &SystemHandle, f: FlowKey, seq: u32, payload: &[u8]) -> Packet {
     let mut p = Packet::tcp(
         MacAddr::local(1),
@@ -85,16 +93,17 @@ fn chaos_run_trace_reconstructs_the_fault_timeline() {
 
     // Registration grace window, then traffic up to the kill ordinal.
     assert!(sys.heartbeat_round().is_empty());
-    sys.send(flow_a(), 0, b"clean traffic a0"); // inst0 packet 0
-    sys.send(flow_b(), 0, b"clean traffic b0"); // inst1 packet 0
-    sys.send(flow_a(), 100, b"carrying evil-sig one"); // inst0 packet 1
-    sys.send(flow_a(), 200, b"lost in the crash"); // inst0 packet 2: kill
+    let (flow_a, flow_b) = (flow_on(&sys, 0), flow_on(&sys, 1));
+    sys.send(flow_a, 0, b"clean traffic a0"); // inst0 packet 0
+    sys.send(flow_b, 0, b"clean traffic b0"); // inst1 packet 0
+    sys.send(flow_a, 100, b"carrying evil-sig one"); // inst0 packet 1
+    sys.send(flow_a, 200, b"lost in the crash"); // inst0 packet 2: kill
     sys.heartbeat_round(); // window 1: suspect
     sys.heartbeat_round(); // window 2: dead + re-steer
 
     // Drive the batch pipeline past the injected stall ordinal.
     let mut batch: Vec<Packet> = (0..4)
-        .map(|i| tagged_packet(&sys, flow_b(), 300 + i * 8, b"pipeline evil-sig"))
+        .map(|i| tagged_packet(&sys, flow_b, 300 + i * 8, b"pipeline evil-sig"))
         .collect();
     let results = sys.inspect_batch(&mut batch);
     assert_eq!(results.len(), 4);
