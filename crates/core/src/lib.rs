@@ -52,7 +52,7 @@ pub mod trace;
 pub mod update;
 
 pub use arena::{ArenaEvents, FlowArena, FlowState, OpenFlow};
-pub use chaos::{ChaosEngine, FaultPlan, RetryOutcome, RetryPolicy, ShardFault, ShardFaultSpec};
+pub use chaos::{ChaosEngine, FaultPlan, ShardFault, ShardFaultSpec};
 pub use config::{ChainSpec, InstanceConfig, MiddleboxProfile, TenantId};
 pub use decompress::{
     deflate_fixed, deflate_stored, gunzip, gunzip_capped, gzip, inflate, inflate_capped, GzipError,

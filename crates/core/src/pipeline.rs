@@ -30,7 +30,7 @@
 //! and result packet ids come from one counter in arrival order.
 
 use crate::arena::FlowState;
-use crate::chaos::{ChaosEngine, ShardFault, ShardFaultSpec};
+use crate::chaos::{ShardFault, ShardFaultSpec};
 use crate::config::{InstanceConfig, TenantId};
 use crate::instance::{InstanceError, ScanEngine, ScanOutput, ShardState};
 use crate::overload::{OverloadDetector, OverloadPolicy, OverloadTransition};
@@ -347,8 +347,6 @@ pub struct DpiInstance {
     /// Scheduled shard faults (chaos); ordinals are shard-local and
     /// lifetime-absolute, so each fires at most once.
     faults: Vec<ShardFaultSpec>,
-    /// Chaos engine to receive deterministic fault-log entries.
-    chaos: Option<Arc<ChaosEngine>>,
     /// Optional structured-event tracer. Batch/supervision events are
     /// recorded directly; per-packet samples and overload actions go
     /// through each shard's private writer and are absorbed when a
@@ -398,7 +396,6 @@ impl DpiInstance {
             retired_tenants: Vec::new(),
             watchdog: None,
             faults: Vec::new(),
-            chaos: None,
             tracer: None,
             fleet_index: None,
             packet_counter: 0,
@@ -482,20 +479,13 @@ impl DpiInstance {
         self
     }
 
-    /// Schedules chaos faults against worker shards. Ordinals count each
-    /// shard's batch-received packets over the instance's lifetime.
+    /// Schedules chaos faults against worker shards (a plan's
+    /// [`crate::chaos::FaultPlan::shard_faults`]). Ordinals count each
+    /// shard's batch-received packets over the instance's lifetime; the
+    /// supervisor's reactions (stalls observed, trips, restarts) are
+    /// traced in shard order.
     pub fn inject_shard_faults(&mut self, faults: &[ShardFaultSpec]) {
         self.faults.extend_from_slice(faults);
-    }
-
-    /// Attaches a running chaos engine: its planned shard faults are
-    /// scheduled, and supervisor actions (stalls observed, trips,
-    /// restarts) are appended to its fault log in deterministic shard
-    /// order.
-    pub fn attach_chaos(&mut self, chaos: Arc<ChaosEngine>) {
-        let faults = chaos.shard_faults();
-        self.inject_shard_faults(&faults);
-        self.chaos = Some(chaos);
     }
 
     /// Number of worker shards.
@@ -768,7 +758,7 @@ impl DpiInstance {
         }
         let mut tallies: Vec<Tally> = workers.into_iter().map(|w| w.tally).collect();
 
-        // Supervision pass, in shard order so fault-log entries are
+        // Supervision pass, in shard order so its trace events are
         // deterministic across runs of the same seed.
         for (s, t) in tallies.iter().enumerate() {
             let slot = &mut self.slots[s];
@@ -787,7 +777,6 @@ impl DpiInstance {
                 slot.watchdog_trips += 1;
             }
             for &(ordinal, ms) in &t.stalls {
-                self.note(format!("shard {s} stalled {ms}ms at packet {ordinal}"));
                 self.trace_shard(
                     s,
                     TraceKind::ShardStalled {
@@ -797,13 +786,9 @@ impl DpiInstance {
                 );
             }
             if t.panicked {
-                self.note(format!("shard {s} worker panicked; {lost} scans lost"));
                 self.trace_shard(s, TraceKind::WorkerPanicked { lost_scans: lost });
                 self.restart_shard(s);
             } else if t.tripped {
-                self.note(format!(
-                    "shard {s} blew its watchdog deadline; {lost} scans lost"
-                ));
                 self.trace_shard(s, TraceKind::WatchdogTripped { lost_scans: lost });
                 self.restart_shard(s);
             }
@@ -856,19 +841,12 @@ impl DpiInstance {
             tracer.absorb(&mut w);
         }
         self.slots[s].restarts += 1;
-        self.note(format!("shard {s} restarted; flow table rebuilt"));
         self.trace_shard(
             s,
             TraceKind::ShardRestarted {
                 restarts: self.slots[s].restarts,
             },
         );
-    }
-
-    fn note(&self, event: String) {
-        if let Some(chaos) = &self.chaos {
-            chaos.note(event);
-        }
     }
 
     /// Records a supervision event attributed to shard `s` (directly into
@@ -1206,19 +1184,36 @@ mod tests {
     }
 
     #[test]
-    fn chaos_fault_log_records_supervision_deterministically() {
+    fn chaos_plan_supervision_is_traced_deterministically() {
+        use crate::trace::{TraceKind, Tracer};
+
         let run = || {
-            let chaos = crate::chaos::FaultPlan::new(11).panic_shard(0, 1).start();
+            let plan = crate::chaos::FaultPlan::new(11).panic_shard(0, 1);
             let mut scanner = sharded(config(), 1);
-            scanner.attach_chaos(chaos.clone());
+            let tracer = Arc::new(Tracer::new());
+            scanner.attach_tracer(Arc::clone(&tracer), None);
+            scanner.inject_shard_faults(&plan.shard_faults);
             let mut batch: Vec<Packet> = (0..5).map(|i| tagged_packet(100 + i, b"clean")).collect();
             scanner.inspect_batch(&mut batch);
-            chaos.fault_log()
+            assert_eq!(tracer.dropped(), 0);
+            // One shard: one deterministic order, once the wall-clock
+            // batch duration is zeroed.
+            tracer
+                .drain()
+                .into_iter()
+                .map(|e| match e.kind {
+                    TraceKind::BatchEnd { results, .. } => TraceKind::BatchEnd {
+                        results,
+                        duration_us: 0,
+                    },
+                    k => k,
+                })
+                .collect::<Vec<_>>()
         };
-        let log = run();
-        assert!(log.iter().any(|e| e.contains("panicked")));
-        assert!(log.iter().any(|e| e.contains("restarted")));
-        assert_eq!(log, run());
+        let kinds = run();
+        assert!(kinds.contains(&TraceKind::WorkerPanicked { lost_scans: 4 }));
+        assert!(kinds.contains(&TraceKind::ShardRestarted { restarts: 1 }));
+        assert_eq!(kinds, run());
     }
 
     #[test]

@@ -312,8 +312,6 @@ pub enum TraceKind {
     ResultRetried {
         /// Total delivery attempts (≥ 2).
         attempts: u32,
-        /// Sum of scheduled backoffs.
-        backoff_us: u64,
     },
     /// A result packet was lost after exhausting every attempt
     /// (fail-closed: the verdict is gone, never guessed).

@@ -12,16 +12,18 @@
 
 use crate::engine::ServiceMiddlebox;
 use crate::reorder::{PairedPacket, ReorderBuffer};
-use dpi_core::chaos::{ChaosEngine, RetryPolicy};
+use dpi_core::chaos::ChaosEngine;
 use dpi_core::trace::{TraceKind, TraceSource, Tracer};
 use dpi_core::DpiInstance;
 use dpi_packet::packet::PacketBody;
 use dpi_packet::{MacAddr, Packet};
 use dpi_sdn::{Node, PortId};
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
+
+/// Delivery attempts per result packet; a result whose every attempt is
+/// dropped counts as lost.
+const DELIVERY_ATTEMPTS: u32 = 4;
 
 /// Counters for a DPI node's fault-injected delivery path (shared
 /// handle, like [`crate::MiddleboxStats`]). All zero unless a
@@ -58,14 +60,14 @@ pub struct FleetDpiStats {
 ///   real deployment.
 /// * **Retried result delivery** (same attachment): dedicated result
 ///   packets (§4.2 option 3) are the only packets whose loss silently
-///   changes middlebox behaviour, so their delivery is retried under a
-///   bounded exponential-backoff-with-jitter [`RetryPolicy`]. Data
-///   packets are never retried — losing one is visible to the endpoints
-///   and the network is **fail-open** for data. A result packet that
-///   exhausts its retries is *dropped*, never fabricated: middleboxes
-///   downstream see a missing result (and fail open via the reorder
-///   buffer's timeout), but never a wrong one — **fail-closed** for
-///   verdicts.
+///   changes middlebox behaviour, so each gets up to four delivery
+///   attempts, each drawing the plan's drop fault. Data packets are
+///   never retried — losing one is visible to the endpoints and the
+///   network is **fail-open** for data. A result packet whose every
+///   attempt is dropped is *lost*, never fabricated: middleboxes
+///   downstream see a missing result (and fail open once the unpaired
+///   data overflows the reorder buffer's capacity bound), but never a
+///   wrong one — **fail-closed** for verdicts.
 pub struct DpiServiceNode {
     dpi: Arc<Mutex<DpiInstance>>,
     mac: MacAddr,
@@ -75,10 +77,6 @@ pub struct DpiServiceNode {
     /// `kill_instance_at_packet` and trace attribution refer to.
     instance_index: usize,
     chaos: Option<Arc<ChaosEngine>>,
-    retry: RetryPolicy,
-    /// Per-node deterministic RNG for retry backoff jitter, derived from
-    /// the fault plan's seed and the instance index.
-    rng: StdRng,
     stats: Arc<Mutex<FleetDpiStats>>,
     /// Optional structured-event tracer; delivery anomalies (retried,
     /// lost, duplicated results) are recorded against
@@ -102,8 +100,6 @@ impl DpiServiceNode {
                 errors: 0,
                 instance_index,
                 chaos: None,
-                retry: RetryPolicy::default(),
-                rng: StdRng::seed_from_u64(0),
                 stats: Arc::default(),
                 tracer: None,
             },
@@ -112,15 +108,9 @@ impl DpiServiceNode {
     }
 
     /// Attaches a running chaos engine: the node dies when its fault plan
-    /// says so, and result packets are delivered under `retry` against
-    /// the plan's drop and duplication faults.
-    pub fn attach_chaos(&mut self, chaos: Arc<ChaosEngine>, retry: RetryPolicy) {
-        let seed = chaos
-            .plan()
-            .seed
-            .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(self.instance_index as u64 + 1));
-        self.rng = StdRng::seed_from_u64(seed);
-        self.retry = retry;
+    /// says so, and result packets are delivered against the plan's drop
+    /// and duplication faults.
+    pub fn attach_chaos(&mut self, chaos: Arc<ChaosEngine>) {
         self.chaos = Some(chaos);
     }
 
@@ -188,53 +178,37 @@ impl DpiServiceNode {
     /// Gives the result packets in `out[first..]` the retried (and
     /// possibly faulty) delivery path; data packets pass through
     /// untouched (fail-open).
-    fn deliver_results(
-        &mut self,
-        chaos: &ChaosEngine,
-        first: usize,
-        out: &mut Vec<(PortId, Packet)>,
-    ) {
+    fn deliver_results(&self, chaos: &ChaosEngine, first: usize, out: &mut Vec<(PortId, Packet)>) {
         for (p, pkt) in out.split_off(first) {
             if !matches!(pkt.body, PacketBody::Result(_)) {
                 out.push((p, pkt));
                 continue;
             }
-            let ctx = format!("instance {}", self.instance_index);
-            let outcome = self
-                .retry
-                .run(&mut self.rng, |_attempt| !chaos.drop_result(&ctx));
             let mut stats = self.stats.lock();
-            stats.retries += u64::from(outcome.attempts - 1);
-            if outcome.delivered {
-                if outcome.attempts > 1 {
-                    chaos.note(format!(
-                        "{ctx}: result delivered on attempt {} (backoffs {:?}µs)",
-                        outcome.attempts, outcome.backoffs_us
-                    ));
-                    self.trace(TraceKind::ResultRetried {
-                        attempts: outcome.attempts,
-                        backoff_us: outcome.backoffs_us.iter().sum(),
+            match (1..=DELIVERY_ATTEMPTS).find(|_| !chaos.drop_result()) {
+                Some(attempts) => {
+                    stats.retries += u64::from(attempts - 1);
+                    if attempts > 1 {
+                        self.trace(TraceKind::ResultRetried { attempts });
+                    }
+                    stats.results_emitted += 1;
+                    if chaos.duplicate_result() {
+                        stats.results_duplicated += 1;
+                        self.trace(TraceKind::ResultDuplicated);
+                        out.push((p, pkt.clone()));
+                    }
+                    out.push((p, pkt));
+                }
+                None => {
+                    // Fail-closed for verdicts: the result is gone, not
+                    // guessed — downstream sees a missing report, never a
+                    // fabricated one.
+                    stats.retries += u64::from(DELIVERY_ATTEMPTS - 1);
+                    stats.results_lost += 1;
+                    self.trace(TraceKind::ResultLost {
+                        attempts: DELIVERY_ATTEMPTS,
                     });
                 }
-                stats.results_emitted += 1;
-                if chaos.duplicate_result(&ctx) {
-                    stats.results_duplicated += 1;
-                    self.trace(TraceKind::ResultDuplicated);
-                    out.push((p, pkt.clone()));
-                }
-                out.push((p, pkt));
-            } else {
-                // Fail-closed for verdicts: the result is gone, not
-                // guessed — downstream sees a missing report, never a
-                // fabricated one.
-                stats.results_lost += 1;
-                chaos.note(format!(
-                    "{ctx}: result lost after {} attempts",
-                    outcome.attempts
-                ));
-                self.trace(TraceKind::ResultLost {
-                    attempts: outcome.attempts,
-                });
             }
         }
     }
@@ -619,11 +593,25 @@ mod tests {
         assert_eq!(*stats.lock(), FleetDpiStats::default());
     }
 
+    /// A node over `dpi()` attached to `plan`, tracing into the returned
+    /// tracer.
+    fn chaos_node(plan: FaultPlan) -> (DpiServiceNode, Arc<Tracer>) {
+        let tracer = Arc::new(Tracer::new());
+        let chaos = plan.start();
+        chaos.attach_tracer(Arc::clone(&tracer));
+        let (mut node, _h) = DpiServiceNode::new(dpi(), MacAddr::local(9), 0);
+        node.attach_chaos(chaos);
+        node.attach_tracer(Arc::clone(&tracer));
+        (node, tracer)
+    }
+
+    fn traced(tracer: &Tracer, kind: TraceKind) -> bool {
+        tracer.snapshot().iter().any(|e| e.kind == kind)
+    }
+
     #[test]
     fn killed_instance_blackholes_traffic() {
-        let chaos = FaultPlan::new(1).kill_instance_at_packet(0, 2).start();
-        let (mut node, _h) = DpiServiceNode::new(dpi(), MacAddr::local(9), 0);
-        node.attach_chaos(chaos.clone(), RetryPolicy::default());
+        let (mut node, tracer) = chaos_node(FaultPlan::new(1).kill_instance_at_packet(0, 2));
         let stats = node.stats();
         assert_eq!(node.on_packet(tagged(b"one"), 0).len(), 1);
         assert_eq!(node.on_packet(tagged(b"two"), 0).len(), 1);
@@ -633,43 +621,33 @@ mod tests {
         assert!(!node.alive());
         assert!(node.on_packet(tagged(b"four"), 0).is_empty());
         assert_eq!(stats.lock().swallowed, 2);
-        assert!(chaos
-            .fault_log()
-            .iter()
-            .any(|l| l.contains("instance 0 died at packet 2")));
+        assert!(traced(
+            &tracer,
+            TraceKind::FaultInstanceKilled {
+                instance: 0,
+                at_packet: 2
+            }
+        ));
     }
 
     #[test]
     fn result_loss_is_retried_and_bounded() {
         // Drop every attempt: the result must be lost after exactly
-        // max_attempts tries, and the data packet still goes through.
-        let chaos = FaultPlan::new(3).drop_result_packets(1.0).start();
-        let (mut node, _h) = DpiServiceNode::new(dpi(), MacAddr::local(9), 0);
-        node.attach_chaos(
-            chaos.clone(),
-            RetryPolicy {
-                max_attempts: 3,
-                ..RetryPolicy::default()
-            },
-        );
+        // DELIVERY_ATTEMPTS tries, and the data packet still goes through.
+        let (mut node, tracer) = chaos_node(FaultPlan::new(3).drop_result_packets(1.0));
         let stats = node.stats();
         let out = node.on_packet(tagged(b"x needle99 y"), 0);
         assert_eq!(out.len(), 1, "fail-open: data passes, result lost");
         assert!(matches!(out[0].1.body, PacketBody::Ipv4 { .. }));
         let s = *stats.lock();
         assert_eq!(s.results_lost, 1);
-        assert_eq!(s.retries, 2);
-        assert!(chaos
-            .fault_log()
-            .iter()
-            .any(|l| l.contains("result lost after 3 attempts")));
+        assert_eq!(s.retries, 3);
+        assert!(traced(&tracer, TraceKind::ResultLost { attempts: 4 }));
     }
 
     #[test]
     fn duplicated_results_are_emitted_twice() {
-        let chaos = FaultPlan::new(4).duplicate_result_packets(1.0).start();
-        let (mut node, _h) = DpiServiceNode::new(dpi(), MacAddr::local(9), 0);
-        node.attach_chaos(chaos, RetryPolicy::default());
+        let (mut node, _) = chaos_node(FaultPlan::new(4).duplicate_result_packets(1.0));
         let stats = node.stats();
         let out = node.on_packet(tagged(b"x needle99 y"), 0);
         let results = out
@@ -747,18 +725,10 @@ mod tests {
     #[test]
     fn retry_recovers_from_transient_loss() {
         // p = 0.5: across many packets some deliveries need retries but
-        // (with 6 attempts) essentially all succeed; retries must be
-        // recorded and deterministic per seed.
+        // (with 4 attempts) most succeed; retries must be recorded and
+        // deterministic per seed.
         let run = |seed| {
-            let chaos = FaultPlan::new(seed).drop_result_packets(0.5).start();
-            let (mut node, _h) = DpiServiceNode::new(dpi(), MacAddr::local(9), 0);
-            node.attach_chaos(
-                chaos,
-                RetryPolicy {
-                    max_attempts: 6,
-                    ..RetryPolicy::default()
-                },
-            );
+            let (mut node, _) = chaos_node(FaultPlan::new(seed).drop_result_packets(0.5));
             let stats = node.stats();
             for _ in 0..32 {
                 node.on_packet(tagged(b"x needle99 y"), 0);
@@ -768,7 +738,12 @@ mod tests {
         };
         let s = run(11);
         assert!(s.retries > 0, "p=0.5 must force some retries");
-        assert!(s.results_emitted >= 30, "retries recover most losses");
+        assert_eq!(s.results_emitted + s.results_lost, 32);
+        // One attempt would lose 16 of 32; four lose 2 in expectation.
+        assert!(
+            s.results_emitted >= 28,
+            "retries recover most losses: {s:?}"
+        );
         assert_eq!(s, run(11), "same seed, same outcome");
     }
 }

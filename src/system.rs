@@ -22,17 +22,19 @@
 //!
 //! [`SystemBuilder::with_chaos`] attaches a deterministic
 //! [`FaultPlan`]: instance kills, shard stalls/panics and result-packet
-//! loss all replay identically from one seed.
+//! loss all replay identically from one seed, and each lands in the
+//! trace ring ([`SystemHandle::trace_events`]) beside the system's
+//! reaction to it.
 
 use dpi_ac::MiddleboxId;
 use dpi_controller::{
     BalancePolicy, DpiController, HealthEvent, HealthPolicy, InstanceId, LoadBalancer,
     UpdateOrchestrator, UpdateTarget,
 };
-use dpi_core::chaos::{ChaosEngine, FaultPlan, RetryPolicy};
+use dpi_core::chaos::{ChaosEngine, FaultPlan};
 use dpi_core::instance::ScanEngine;
 use dpi_core::metrics::{MetricKind, MetricsText};
-use dpi_core::overload::{OverloadPolicy, OverloadTransition};
+use dpi_core::overload::OverloadPolicy;
 use dpi_core::rules::RuleKind;
 use dpi_core::telemetry::{merge_tenant_counters, ShardTelemetry, TenantCounters};
 use dpi_core::trace::{to_jsonl, TraceEvent, TraceKind, TraceSource, Tracer};
@@ -277,7 +279,7 @@ impl SystemBuilder {
         let chaos = self.chaos.map(FaultPlan::start);
         if let Some(c) = &chaos {
             c.attach_tracer(Arc::clone(&tracer));
-            scanner.attach_chaos(Arc::clone(c));
+            scanner.inject_shard_faults(&c.plan().shard_faults);
         }
 
         // The pattern pool the chaos adversary plants evasion attempts
@@ -316,7 +318,7 @@ impl SystemBuilder {
             let (mut node, handle) =
                 DpiServiceNode::new(instance, MacAddr::local(100 + i as u32), i);
             if let Some(c) = &chaos {
-                node.attach_chaos(Arc::clone(c), RetryPolicy::default());
+                node.attach_chaos(Arc::clone(c));
             }
             node.attach_tracer(Arc::clone(&tracer));
             fleet_stats.push(node.stats());
@@ -594,18 +596,8 @@ impl SystemHandle {
         // instance's detectors see the window's arrivals, and what it
         // traced since the last round joins the timeline (the batch
         // pipeline does both at its batch boundaries).
-        for (i, d) in self.dpi_instances.iter().enumerate() {
-            for (transition, packets) in d.lock().close_window() {
-                if let Some(c) = &self.chaos {
-                    c.note(format!(
-                        "overload: instance {i} {} at {packets} packets/window",
-                        match transition {
-                            OverloadTransition::Entered => "entered overload",
-                            OverloadTransition::Cleared => "cleared overload",
-                        }
-                    ));
-                }
-            }
+        for d in &self.dpi_instances {
+            d.lock().close_window();
         }
         self.rebalance_round();
         events
@@ -679,14 +671,6 @@ impl SystemHandle {
                 flows: picked.len() as u64,
             },
         );
-        if let Some(c) = &self.chaos {
-            c.note(format!(
-                "controller: rebalanced {} flow(s) from instance {hot_idx} (Δ{}) to instance {cold_idx} (Δ{})",
-                picked.len(),
-                plan.hot_delta,
-                plan.cold_delta,
-            ));
-        }
     }
 
     /// Total flows the balancer has migrated (0 when rebalancing is off).
@@ -706,17 +690,11 @@ impl SystemHandle {
         let Some(dead_idx) = self.instance_ids.iter().position(|&i| i == dead) else {
             return;
         };
-        let survivor = (0..self.dpi_ports.len()).find(|&i| {
+        let Some(survivor_idx) = (0..self.dpi_ports.len()).find(|&i| {
             i != dead_idx
                 && self.controller.instance_health(self.instance_ids[i])
                     != Some(dpi_controller::InstanceHealth::Dead)
-        });
-        let Some(survivor_idx) = survivor else {
-            if let Some(c) = &self.chaos {
-                c.note(format!(
-                    "controller: instance {dead_idx} dead, no survivor to re-steer to"
-                ));
-            }
+        }) else {
             return;
         };
         let (dead_port, survivor_port) = (self.dpi_ports[dead_idx], self.dpi_ports[survivor_idx]);
@@ -729,11 +707,6 @@ impl SystemHandle {
                 rules: rewritten as u64,
             },
         );
-        if let Some(c) = &self.chaos {
-            c.note(format!(
-                "controller: instance {dead_idx} dead; re-steered {rewritten} rule(s) to instance {survivor_idx}"
-            ));
-        }
     }
 
     /// Stats of one middlebox.
@@ -775,14 +748,6 @@ impl SystemHandle {
         agg
     }
 
-    /// The chaos fault log (empty without an attached plan).
-    pub fn fault_log(&self) -> Vec<String> {
-        self.chaos
-            .as_ref()
-            .map(|c| c.fault_log())
-            .unwrap_or_default()
-    }
-
     /// The deployment-wide tracer. Hand clones of this to external
     /// components, or use [`SystemHandle::trace_events`] /
     /// [`SystemHandle::trace_jsonl`] to read what the system recorded.
@@ -798,7 +763,7 @@ impl SystemHandle {
     }
 
     /// The buffered trace as JSON Lines — one event object per line,
-    /// ready to archive next to a chaos fault log for post-mortems.
+    /// ready to archive for post-mortems.
     pub fn trace_jsonl(&self) -> String {
         to_jsonl(&self.tracer.snapshot())
     }
@@ -1224,19 +1189,6 @@ impl SystemHandle {
             if let Ok(pause) = self.scanner.swap_engine(engine) {
                 swap_pause = swap_pause.max(pause);
             }
-            if let Some(c) = &self.chaos {
-                c.note(format!(
-                    "controller: rule update committed as generation {}",
-                    prepared.generation
-                ));
-            }
-        } else if let Some(c) = &self.chaos {
-            c.note(format!(
-                "controller: rule update {} rejected, rolled back to generation {} ({})",
-                prepared.generation,
-                self.orchestrator.committed_generation(),
-                failure.as_deref().unwrap_or("unknown failure"),
-            ));
         }
 
         Ok(UpdateOutcome {

@@ -127,8 +127,8 @@ proptest! {
         let st = sys.stats_of(IDS_ID).unwrap();
         prop_assert!(
             st.matches <= sig_sent,
-            "false match: {} reported, only {} signatures sent (log: {:?})",
-            st.matches, sig_sent, sys.fault_log()
+            "false match: {} reported, only {} signatures sent (trace: {})",
+            st.matches, sig_sent, sys.trace_jsonl()
         );
         for p in sys.sink.received() {
             prop_assert!(matches!(p.body, PacketBody::Ipv4 { .. }), "result leaked to host");
@@ -178,7 +178,7 @@ proptest! {
             plan = plan.panic_shard(s, at);
         }
         let mut scanner = DpiInstance::with_workers(engine, workers);
-        scanner.attach_chaos(plan.start());
+        scanner.inject_shard_faults(&plan.shard_faults);
         let delivered = scanner.inspect_batch(&mut batch);
 
         // Ordered-subsequence check: nothing fabricated, nothing reordered.

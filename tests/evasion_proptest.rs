@@ -8,6 +8,7 @@
 
 use dpi_service::core::chaos::FaultPlan;
 use dpi_service::core::report::expand_records;
+use dpi_service::core::trace::{TraceKind, TraceSource};
 use dpi_service::core::{
     ConflictPolicy, DpiInstance, InstanceConfig, MiddleboxId, MiddleboxProfile, RuleSpec,
 };
@@ -234,7 +235,7 @@ fn seed_sweep_archives_divergences() {
 /// The chaos hook is wired into the system traffic driver: with
 /// `evasive_flows(1.0)` the first send on a fresh flow is taken over by
 /// the adversary (the generated evasion attempt's segments are injected
-/// instead of the caller's payload, and the takeover is logged), and
+/// instead of the caller's payload, and the takeover is traced), and
 /// every later send on that flow is swallowed. With no evasive fault
 /// configured, traffic flows untouched.
 #[test]
@@ -251,10 +252,10 @@ fn chaos_evasive_flows_take_over_system_traffic() {
         "the adversary's generated segments must reach the network"
     );
     assert!(
-        sys.fault_log()
+        sys.trace_events()
             .iter()
-            .any(|e| e.contains("evasive flow injected")),
-        "the takeover must be logged for replay"
+            .any(|e| matches!(e.kind, TraceKind::FaultEvasiveFlow { .. })),
+        "the takeover must be traced for replay"
     );
     assert_eq!(
         sys.send(fk(), 16, b"later caller bytes"),
@@ -270,7 +271,10 @@ fn chaos_evasive_flows_take_over_system_traffic() {
         .build()
         .unwrap();
     assert!(sys.send(fk(), 0, b"ordinary traffic") > 0);
-    assert!(sys.fault_log().is_empty());
+    assert!(!sys
+        .trace_events()
+        .iter()
+        .any(|e| e.source == TraceSource::Chaos));
 }
 
 /// The chaos hook is deterministic: the same plan seed yields the same

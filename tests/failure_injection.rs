@@ -6,6 +6,7 @@
 use dpi_service::ac::MiddleboxId;
 use dpi_service::core::chaos::FaultPlan;
 use dpi_service::core::instance::ScanEngine;
+use dpi_service::core::trace::{TraceKind, Tracer};
 use dpi_service::core::{DpiInstance, InstanceConfig, MiddleboxProfile, RuleSpec};
 use dpi_service::middlebox::{
     DpiServiceNode, MbAction, MiddleboxNode, RuleLogic, ServiceMiddlebox,
@@ -192,10 +193,12 @@ fn stalled_shard_is_condemned_and_delivered_verdicts_match_sequential() {
     assert!(!reference.is_empty());
 
     for workers in WORKER_COUNTS {
-        let chaos = FaultPlan::new(21).stall_shard(0, 1, 60).start();
+        let plan = FaultPlan::new(21).stall_shard(0, 1, 60);
         let mut scanner = DpiInstance::with_workers(engine.clone(), workers)
             .with_watchdog(Duration::from_millis(10));
-        scanner.attach_chaos(chaos.clone());
+        let tracer = Arc::new(Tracer::new());
+        scanner.attach_tracer(Arc::clone(&tracer), None);
+        scanner.inject_shard_faults(&plan.shard_faults);
 
         let mut copy = packets.clone();
         let delivered = scanner.inspect_batch(&mut copy);
@@ -210,10 +213,10 @@ fn stalled_shard_is_condemned_and_delivered_verdicts_match_sequential() {
         // Fail-closed for verdicts: whatever was delivered is
         // byte-identical to the sequential path; nothing was fabricated.
         assert_verdict_subsequence(&delivered, &reference);
-        assert!(chaos
-            .fault_log()
+        assert!(tracer
+            .snapshot()
             .iter()
-            .any(|l| l.contains("watchdog deadline")));
+            .any(|e| matches!(e.kind, TraceKind::WatchdogTripped { .. })));
 
         // The rebuilt shard scans the next batch in full.
         let mut copy = batch(48);
@@ -230,9 +233,9 @@ fn panicked_shard_loses_only_its_own_packets_at_every_worker_count() {
     let reference = sequential_results(&engine, &packets);
 
     for workers in WORKER_COUNTS {
-        let chaos = FaultPlan::new(22).panic_shard(0, 2).start();
+        let plan = FaultPlan::new(22).panic_shard(0, 2);
         let mut scanner = DpiInstance::with_workers(engine.clone(), workers);
-        scanner.attach_chaos(chaos);
+        scanner.inject_shard_faults(&plan.shard_faults);
 
         let mut copy = packets.clone();
         let delivered = scanner.inspect_batch(&mut copy);
@@ -279,13 +282,13 @@ fn lost_and_duplicated_results_from_the_pipeline_never_double_fire() {
             if p.has_match_mark() {
                 next_id += 1;
                 let r = by_id.remove(&next_id).expect("marked packet has a result");
-                if chaos.drop_result("pipeline delivery") {
+                if chaos.drop_result() {
                     continue; // lost on the wire
                 }
                 delivered_results += 1;
                 let rp = Packet::result(MacAddr::local(9), MacAddr::local(2), r.clone());
                 released += mb_node.on_packet(rp.clone(), 0).len();
-                if chaos.duplicate_result("pipeline delivery") {
+                if chaos.duplicate_result() {
                     released += mb_node.on_packet(rp, 0).len();
                 }
             }

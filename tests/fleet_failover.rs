@@ -9,11 +9,13 @@
 use dpi_service::ac::MiddleboxId;
 use dpi_service::controller::{HealthEvent, HealthPolicy, InstanceHealth};
 use dpi_service::core::chaos::FaultPlan;
+use dpi_service::core::trace::TraceKind;
 use dpi_service::middlebox::ids;
 use dpi_service::packet::ipv4::IpProtocol;
 use dpi_service::packet::packet::{flow, PacketBody};
 use dpi_service::packet::FlowKey;
 use dpi_service::{SystemBuilder, SystemHandle};
+use std::collections::BTreeMap;
 
 const IDS_ID: MiddleboxId = MiddleboxId(1);
 const SEED: u64 = 42;
@@ -28,14 +30,53 @@ fn seed() -> u64 {
         .unwrap_or(SEED)
 }
 
-/// When `DPI_CHAOS_LOG_DIR` is set (the CI chaos job), archive the run's
-/// fault log there so failures are diagnosable from artifacts alone.
-fn archive_fault_log(sys: &SystemHandle, name: &str) {
+/// When `DPI_CHAOS_LOG_DIR` is set (the CI chaos job), archive the
+/// run's JSONL trace there so failures are diagnosable from artifacts
+/// alone.
+fn archive_trace(sys: &SystemHandle, name: &str) {
     if let Ok(dir) = std::env::var("DPI_CHAOS_LOG_DIR") {
         let _ = std::fs::create_dir_all(&dir);
-        let path = format!("{dir}/{name}-seed-{}.log", seed());
-        let _ = std::fs::write(path, sys.fault_log().join("\n"));
+        let path = format!("{dir}/{name}-seed-{}.jsonl", seed());
+        let _ = std::fs::write(path, sys.trace_jsonl());
     }
+}
+
+/// What a seed replays of the trace: per source, the seq-ordered kinds
+/// with wall-clock fields zeroed (seq order across sources is not
+/// deterministic). A ring that dropped events compares nothing.
+fn replayed(sys: &SystemHandle) -> BTreeMap<String, Vec<TraceKind>> {
+    assert_eq!(sys.tracer().dropped(), 0, "the trace ring overflowed");
+    let mut by_source: BTreeMap<String, Vec<TraceKind>> = BTreeMap::new();
+    for e in sys.trace_events() {
+        let kind = match e.kind {
+            TraceKind::BatchEnd { results, .. } => TraceKind::BatchEnd {
+                results,
+                duration_us: 0,
+            },
+            TraceKind::EngineSwapped {
+                from_generation,
+                to_generation,
+                kernel,
+                ..
+            } => TraceKind::EngineSwapped {
+                from_generation,
+                to_generation,
+                pause_us: 0,
+                kernel,
+            },
+            k => k,
+        };
+        by_source
+            .entry(format!("{:?}", e.source))
+            .or_default()
+            .push(kind);
+    }
+    by_source
+}
+
+/// How many trace events satisfy `pred`.
+fn traced(sys: &SystemHandle, pred: impl Fn(&TraceKind) -> bool) -> usize {
+    sys.trace_events().iter().filter(|e| pred(&e.kind)).count()
 }
 
 fn flow_of(port: u16) -> FlowKey {
@@ -113,7 +154,7 @@ fn run_scenario(seed: u64) -> SystemHandle {
 #[test]
 fn dead_instance_is_detected_and_its_flows_fail_over() {
     let sys = run_scenario(seed());
-    archive_fault_log(&sys, "failover");
+    archive_trace(&sys, "failover");
 
     // Controller view: instance 0 dead within the 2-window policy,
     // instance 1 the only healthy survivor.
@@ -160,19 +201,33 @@ fn dead_instance_is_detected_and_its_flows_fail_over() {
     // The network itself lost nothing (the loss was the instance).
     assert_eq!(sys.net.dropped(), 0);
 
-    // The fault log shows the kill and the re-steer.
-    let log = sys.fault_log();
-    assert!(log
-        .iter()
-        .any(|l| l.contains("instance 0 died at packet 2")));
-    assert!(log.iter().any(|l| l.contains("re-steered")));
+    // The trace shows the kill and the re-steer.
+    assert_eq!(
+        traced(&sys, |k| *k
+            == TraceKind::FaultInstanceKilled {
+                instance: 0,
+                at_packet: 2
+            }),
+        1
+    );
+    assert_eq!(
+        traced(&sys, |k| matches!(
+            k,
+            TraceKind::Resteered {
+                dead_instance: 0,
+                survivor: 1,
+                ..
+            }
+        )),
+        1
+    );
 }
 
 #[test]
 fn failover_run_is_reproducible_from_the_seed() {
     let a = run_scenario(seed());
     let b = run_scenario(seed());
-    assert_eq!(a.fault_log(), b.fault_log());
+    assert_eq!(replayed(&a), replayed(&b));
     assert_eq!(a.sink.count(), b.sink.count());
     assert_eq!(a.stats_of(IDS_ID), b.stats_of(IDS_ID));
     assert_eq!(*a.fleet_stats[0].lock(), *b.fleet_stats[0].lock());
@@ -192,16 +247,28 @@ fn whole_fleet_dead_leaves_rules_unrewritten() {
         )
         .build()
         .unwrap();
+    let sample = flow_of(1000);
+    let steering = |sys: &SystemHandle| (sys.tsa.rule_count(), sys.tsa.steering_of(0, &sample));
+    let before = steering(&sys);
     // Both instances dead on arrival: after the registration grace
     // window, one silent window declares both dead with no survivor —
-    // failover degrades gracefully instead of panicking.
+    // failover degrades gracefully instead of panicking, and leaves the
+    // switch's rules as they were.
     assert!(sys.heartbeat_round().is_empty(), "grace window");
     let ev = sys.heartbeat_round();
     assert_eq!(ev.len(), 2);
     assert!(sys.controller.healthy_instances().is_empty());
-    assert!(sys.fault_log().iter().any(|l| l.contains("no survivor")));
+    assert_eq!(steering(&sys), before);
+    assert_eq!(
+        traced(&sys, |k| matches!(k, TraceKind::HealthDead { .. })),
+        2
+    );
+    assert_eq!(
+        traced(&sys, |k| matches!(k, TraceKind::Resteered { .. })),
+        0
+    );
     // Traffic blackholes at the dead fleet but the network stays sane.
-    sys.send(flow_of(1000), 0, b"into the void");
+    sys.send(sample, 0, b"into the void");
     assert_eq!(sys.sink.count(), 0);
     assert_eq!(sys.net.dropped(), 0);
 }

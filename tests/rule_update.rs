@@ -12,7 +12,7 @@
 //! The chaos scenario (satellite: `corrupt-rule-update`) garbles an
 //! update artifact in transit: checksum validation must reject it before
 //! compilation, the fleet must keep serving the previous generation, and
-//! the rollback must land in the fault log.
+//! the rollback must land in the trace.
 
 use dpi_service::ac::MiddleboxId;
 use dpi_service::core::chaos::FaultPlan;
@@ -40,13 +40,14 @@ fn seed() -> u64 {
         .unwrap_or(SEED)
 }
 
-/// When `DPI_CHAOS_LOG_DIR` is set (the CI chaos job), archive the run's
-/// fault log there so failures are diagnosable from artifacts alone.
-fn archive_fault_log(sys: &SystemHandle, name: &str) {
+/// When `DPI_CHAOS_LOG_DIR` is set (the CI chaos job), archive the
+/// run's JSONL trace there so failures are diagnosable from artifacts
+/// alone.
+fn archive_trace(sys: &SystemHandle, name: &str) {
     if let Ok(dir) = std::env::var("DPI_CHAOS_LOG_DIR") {
         let _ = std::fs::create_dir_all(&dir);
-        let path = format!("{dir}/{name}-seed-{}.log", seed());
-        let _ = std::fs::write(path, sys.fault_log().join("\n"));
+        let path = format!("{dir}/{name}-seed-{}.jsonl", seed());
+        let _ = std::fs::write(path, sys.trace_jsonl());
     }
 }
 
@@ -216,16 +217,18 @@ fn corrupt_update_is_rejected_and_rolled_back() {
     assert_eq!(results.len(), 1);
     assert_eq!(results[0].generation, 0);
 
-    // The corruption and the rollback are both in the fault log.
-    let log = sys.fault_log();
+    // The corruption and the rollback are both traced.
+    let kinds: Vec<TraceKind> = sys.trace_events().iter().map(|e| e.kind).collect();
     assert!(
-        log.iter().any(|e| e.contains("rule update 0 corrupted")),
-        "log: {log:?}"
+        kinds.contains(&TraceKind::FaultUpdateCorrupted { ordinal: 0 }),
+        "trace: {kinds:?}"
     );
     assert!(
-        log.iter()
-            .any(|e| e.contains("rolled back to generation 0")),
-        "log: {log:?}"
+        kinds.contains(&TraceKind::UpdateRolledBack {
+            generation: 1,
+            to_generation: 0
+        }),
+        "trace: {kinds:?}"
     );
 
     // The retry (update ordinal 1, not corrupted) goes through.
@@ -234,7 +237,7 @@ fn corrupt_update_is_rejected_and_rolled_back() {
     assert_eq!(outcome.generation, 2, "generation numbers are not reused");
     sys.send(flow_n(3), 0, b"finally added-sig matches");
     assert_eq!(sys.stats_of(IDS_ID).unwrap().matches, 3);
-    archive_fault_log(&sys, "corrupt-rule-update");
+    archive_trace(&sys, "corrupt-rule-update");
 }
 
 /// One compiled table per generation: the fleet and the batch pipeline
@@ -302,7 +305,7 @@ fn rule_update_under_load_survives_chaos() {
         sent as u64,
         "the stable pattern matches in every phase"
     );
-    archive_fault_log(&sys, "rule-update-under-load");
+    archive_trace(&sys, "rule-update-under-load");
 }
 
 #[test]

@@ -48,11 +48,11 @@ fn seed() -> u64 {
         .unwrap_or(SEED)
 }
 
-fn archive_fault_log(sys: &SystemHandle, name: &str) {
+fn archive_trace(sys: &SystemHandle, name: &str) {
     if let Ok(dir) = std::env::var("DPI_CHAOS_LOG_DIR") {
         let _ = std::fs::create_dir_all(&dir);
-        let path = format!("{dir}/{name}-seed-{}.log", seed());
-        let _ = std::fs::write(path, sys.fault_log().join("\n"));
+        let path = format!("{dir}/{name}-seed-{}.jsonl", seed());
+        let _ = std::fs::write(path, sys.trace_jsonl());
     }
 }
 
@@ -185,7 +185,7 @@ fn run(workers: usize, burst: bool) -> RunOutcome {
         shed_timeline,
         burst_windows,
     };
-    archive_fault_log(
+    archive_trace(
         &sys,
         if burst {
             "tenant-burst"
@@ -268,7 +268,7 @@ fn attacker_burst_never_touches_victim() {
 
 /// The burst run repeated with the same seed is bit-for-bit repeatable:
 /// same shed timeline, same victim outcome. This is what lets CI sweep
-/// seeds and archive fault logs that actually reproduce. Pinned to the
+/// seeds and archive traces that actually reproduce. Pinned to the
 /// single-worker inline path: threaded workers observe live channel
 /// depth, so *when* within a batch the detector first trips is
 /// scheduler-dependent there (the fairness invariants above hold
