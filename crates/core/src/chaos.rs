@@ -24,9 +24,7 @@
 //!   number of attempts;
 //! * **corrupt-rule-update** — the Nth pattern update delivered to a
 //!   running instance arrives garbled and must not take the instance
-//!   down;
-//! * **burst traffic / evasive flows** — the traffic source amplifies
-//!   periodic windows, or hands a new flow to the evasion generator.
+//!   down.
 //!
 //! The stance throughout is the one `tests/failure_injection.rs`
 //! established: **fail-open for data** (packets keep flowing without
@@ -89,18 +87,6 @@ pub struct FaultPlan {
     pub duplicate_result_p: f64,
     /// 0-based ordinals of rule updates that arrive corrupted.
     pub corrupt_updates: Vec<u64>,
-    /// Traffic amplification during burst windows: each source send is
-    /// repeated this many times while a burst is active (1 = no burst).
-    pub burst_factor: u32,
-    /// Source-packet period of the burst cycle (0 = bursts disabled).
-    pub burst_period: u64,
-    /// How many source packets at the start of each period burst.
-    pub burst_len: u64,
-    /// Probability in `[0, 1]` that a newly opened flow is replaced by an
-    /// adversarial evasion-attempt flow from the `dpi_traffic` generator
-    /// (overlap conflicts, ambiguous retransmits, wrap-adjacent sequence
-    /// games — DESIGN.md §13).
-    pub evasive_flow_p: f64,
 }
 
 impl FaultPlan {
@@ -161,30 +147,6 @@ impl FaultPlan {
         self
     }
 
-    /// Amplifies source traffic in periodic bursts: for every `period`
-    /// source packets, the first `len` are each sent `factor` times.
-    /// Drives the overload control path with a seeded, reproducible
-    /// 10×-style traffic spike.
-    pub fn burst_traffic(mut self, factor: u32, period: u64, len: u64) -> FaultPlan {
-        assert!(factor >= 1, "burst factor must be ≥ 1");
-        assert!(len <= period, "burst length cannot exceed the burst period");
-        self.burst_factor = factor;
-        self.burst_period = period;
-        self.burst_len = len;
-        self
-    }
-
-    /// Makes each newly opened flow an adversarial evasion attempt with
-    /// probability `p`: the traffic source asks
-    /// [`ChaosEngine::next_flow_evasive`] per flow and, on a hit, feeds
-    /// the flow's segments from the `dpi_traffic` evasion generator using
-    /// the returned per-flow seed.
-    pub fn evasive_flows(mut self, p: f64) -> FaultPlan {
-        assert!((0.0..=1.0).contains(&p), "evasive probability out of [0,1]");
-        self.evasive_flow_p = p;
-        self
-    }
-
     /// Starts the scenario: a shareable engine that makes every runtime
     /// fault decision deterministically from the plan's seed.
     pub fn start(self) -> Arc<ChaosEngine> {
@@ -194,7 +156,6 @@ impl FaultPlan {
                 rng,
                 instance_packets: Vec::new(),
                 update_ordinal: 0,
-                source_ordinal: 0,
                 tracer: None,
             }),
             plan: self,
@@ -209,8 +170,6 @@ struct ChaosInner {
     instance_packets: Vec<u64>,
     /// Rule updates delivered so far.
     update_ordinal: u64,
-    /// Source packets sent so far (drives the burst cycle).
-    source_ordinal: u64,
     /// The deployment's tracer: injected faults become
     /// [`TraceSource::Chaos`] events in the same ring as the effects
     /// other components record.
@@ -310,46 +269,6 @@ impl ChaosEngine {
         corrupted
     }
 
-    /// Records one source packet being sent and returns how many copies
-    /// the source should emit (1 outside burst windows). The first packet
-    /// of each burst window traces the burst start.
-    pub fn send_multiplier(&self) -> u32 {
-        if self.plan.burst_period == 0 || self.plan.burst_len == 0 || self.plan.burst_factor <= 1 {
-            return 1;
-        }
-        let mut g = self.lock();
-        let ordinal = g.source_ordinal;
-        g.source_ordinal += 1;
-        let phase = ordinal % self.plan.burst_period;
-        if phase >= self.plan.burst_len {
-            return 1;
-        }
-        if phase == 0 {
-            g.trace(TraceKind::FaultBurstStarted {
-                factor: self.plan.burst_factor,
-                at_packet: ordinal,
-            });
-        }
-        self.plan.burst_factor
-    }
-
-    /// Draws whether the next newly opened flow is an adversarial evasion
-    /// attempt; on a hit, returns the seed for the `dpi_traffic` evasion
-    /// generator (so the exact segment stream is replayable from the
-    /// trace alone).
-    pub fn next_flow_evasive(&self) -> Option<u64> {
-        if self.plan.evasive_flow_p <= 0.0 {
-            return None;
-        }
-        let mut g = self.lock();
-        if !g.rng.gen_bool(self.plan.evasive_flow_p) {
-            return None;
-        }
-        let seed: u64 = g.rng.gen();
-        g.trace(TraceKind::FaultEvasiveFlow { seed });
-        Some(seed)
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, ChaosInner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -375,31 +294,20 @@ mod tests {
 
     #[test]
     fn same_seed_same_decisions() {
-        // Drops, duplicates and evasive flows draw from one RNG stream,
-        // so the traced evasive-flow seeds replay only if every draw
-        // before them did.
+        // Drops and duplicates draw from one RNG stream, so a seed
+        // replays the whole interleaved sequence.
         let run = |seed| {
-            let (chaos, tracer) = traced(
-                FaultPlan::new(seed)
-                    .drop_result_packets(0.5)
-                    .duplicate_result_packets(0.3)
-                    .evasive_flows(0.5),
-            );
-            let draws: Vec<(bool, bool, Option<u64>)> = (0..64)
-                .map(|_| {
-                    (
-                        chaos.drop_result(),
-                        chaos.duplicate_result(),
-                        chaos.next_flow_evasive(),
-                    )
-                })
-                .collect();
-            (draws, kinds(&tracer))
+            let chaos = FaultPlan::new(seed)
+                .drop_result_packets(0.5)
+                .duplicate_result_packets(0.3)
+                .start();
+            (0..64)
+                .map(|_| (chaos.drop_result(), chaos.duplicate_result()))
+                .collect::<Vec<(bool, bool)>>()
         };
         let a = run(7);
-        assert!(!a.1.is_empty());
         assert_eq!(a, run(7));
-        assert_ne!(a.0, run(8).0);
+        assert_ne!(a, run(8));
     }
 
     #[test]
@@ -457,62 +365,10 @@ mod tests {
     }
 
     #[test]
-    fn burst_traffic_amplifies_a_periodic_window() {
-        let (chaos, tracer) = traced(FaultPlan::new(4).burst_traffic(10, 8, 3));
-        let mults: Vec<u32> = (0..16).map(|_| chaos.send_multiplier()).collect();
-        assert_eq!(
-            mults,
-            vec![10, 10, 10, 1, 1, 1, 1, 1, 10, 10, 10, 1, 1, 1, 1, 1]
-        );
-        // Each window entry is traced exactly once.
-        assert_eq!(
-            kinds(&tracer),
-            [
-                TraceKind::FaultBurstStarted {
-                    factor: 10,
-                    at_packet: 0
-                },
-                TraceKind::FaultBurstStarted {
-                    factor: 10,
-                    at_packet: 8
-                }
-            ]
-        );
-    }
-
-    #[test]
-    fn no_burst_plan_always_multiplies_by_one() {
-        let (chaos, tracer) = traced(FaultPlan::new(4));
-        assert!((0..32).all(|_| chaos.send_multiplier() == 1));
-        assert!(tracer.is_empty());
-    }
-
-    #[test]
     fn zero_probability_draws_nothing_and_logs_nothing() {
         let (chaos, tracer) = traced(FaultPlan::new(9));
         assert!(!chaos.drop_result());
         assert!(!chaos.duplicate_result());
-        assert!(chaos.next_flow_evasive().is_none());
         assert!(tracer.is_empty());
-    }
-
-    #[test]
-    fn evasive_flows_draw_deterministic_seeds() {
-        let run = |seed| {
-            let (chaos, tracer) = traced(FaultPlan::new(seed).evasive_flows(0.5));
-            let draws: Vec<Option<u64>> = (0..64).map(|_| chaos.next_flow_evasive()).collect();
-            (draws, kinds(&tracer))
-        };
-        assert_eq!(run(11), run(11));
-        assert_ne!(run(11).0, run(12).0);
-        // Probability 1 hits every draw; every hit is traced with the
-        // seed it hands the generator.
-        let (chaos, tracer) = traced(FaultPlan::new(11).evasive_flows(1.0));
-        let draws: Vec<TraceKind> = (0..8)
-            .map(|_| TraceKind::FaultEvasiveFlow {
-                seed: chaos.next_flow_evasive().expect("p = 1 always hits"),
-            })
-            .collect();
-        assert_eq!(kinds(&tracer), draws);
     }
 }

@@ -335,21 +335,6 @@ pub enum TraceKind {
         /// 0-based ordinal of the corrupted update.
         ordinal: u64,
     },
-    /// The fault plan opened a traffic burst window: the source sends
-    /// every payload `factor`× until the window closes.
-    FaultBurstStarted {
-        /// Send multiplier inside the window.
-        factor: u32,
-        /// 0-based source-packet ordinal at which the burst began.
-        at_packet: u64,
-    },
-    /// The fault plan injected an adversarial (evasion-attempt) flow
-    /// built by the `dpi_traffic` evasion generator.
-    FaultEvasiveFlow {
-        /// Seed handed to the evasion generator for this flow — replays
-        /// the exact segment stream.
-        seed: u64,
-    },
 }
 
 /// One recorded event: globally ordered (`seq`), timestamped against the

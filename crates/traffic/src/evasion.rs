@@ -11,8 +11,8 @@
 //! guess would be fleet-wide — so the reassembler's conflict handling
 //! (`dpi_core::reassembly::ConflictPolicy`) must be provably
 //! evasion-proof, and this generator produces the adversarial traces the
-//! property tests and the standing chaos sweep
-//! (`dpi_core::chaos::FaultPlan::evasive_flows`) drive it with.
+//! property tests and the standing seed sweep drive it with, both
+//! against one instance and through the whole system's packet path.
 //!
 //! Every flow is generated from a single seed and carries its own ground
 //! truth: the two *interpretation streams* (what a receiver that prefers
@@ -21,7 +21,6 @@
 //! stream contains a byte-level conflict at all. Tests assert the
 //! no-silent-miss guarantee directly against that ground truth.
 
-use dpi_packet::{FlowKey, MacAddr, Packet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -122,16 +121,6 @@ impl EvasiveFlow {
     /// false positive.
     pub fn pattern_in_some_interpretation(&self) -> bool {
         contains(&self.keep_first, &self.planted) || contains(&self.keep_last, &self.planted)
-    }
-
-    /// Builds the flow's packets (in send order) on `flow`.
-    pub fn packets(&self, flow: FlowKey) -> Vec<Packet> {
-        let src = MacAddr::local(1);
-        let dst = MacAddr::local(2);
-        self.segments
-            .iter()
-            .map(|s| Packet::tcp(src, dst, flow, s.seq, s.payload.clone()))
-            .collect()
     }
 }
 
@@ -415,17 +404,6 @@ mod tests {
             let f = filler(&mut rng, 16, b"attack-signature");
             assert!(!contains(&f, b"attack-signature"));
             assert_ne!(f, b"attack-signature");
-        }
-    }
-
-    #[test]
-    fn packets_carry_segments_in_send_order() {
-        let f = evasive_flow(42, &pats());
-        let key = crate::flows::flow_pool(1, 1).get(0);
-        let packets = f.packets(key);
-        assert_eq!(packets.len(), f.segments.len());
-        for (p, s) in packets.iter().zip(&f.segments) {
-            assert_eq!(p.payload().unwrap(), s.payload.as_slice());
         }
     }
 }

@@ -35,7 +35,6 @@ use dpi_core::chaos::{ChaosEngine, FaultPlan};
 use dpi_core::instance::ScanEngine;
 use dpi_core::metrics::{MetricKind, MetricsText};
 use dpi_core::overload::OverloadPolicy;
-use dpi_core::rules::RuleKind;
 use dpi_core::telemetry::{merge_tenant_counters, ShardTelemetry, TenantCounters};
 use dpi_core::trace::{to_jsonl, TraceEvent, TraceKind, TraceSource, Tracer};
 use dpi_core::{ConflictPolicy, DpiInstance, GenerationId, TenantId, UpdateArtifact, UpdateError};
@@ -45,7 +44,6 @@ use dpi_packet::report::ResultPacket;
 use dpi_packet::{FlowKey, MacAddr, Packet};
 use dpi_sdn::flowtable::Port;
 use dpi_sdn::{Network, NodeId, Switch, TrafficSteeringApp};
-use dpi_traffic::evasive_flow;
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -152,6 +150,11 @@ impl SystemBuilder {
     /// [`ConflictPolicy::FirstWins`], the historical Snort-style rule).
     /// The policy is stamped into the instance configuration, so engines
     /// rebuilt by live rule updates keep it.
+    ///
+    /// The packet path ([`SystemHandle::send`]) reassembles TCP only
+    /// under an L7 policy ([`SystemBuilder::with_l7_policy`]); without
+    /// one it scans each packet's payload as it arrives, and no conflict
+    /// ever reaches this policy.
     pub fn with_conflict_policy(mut self, policy: ConflictPolicy) -> SystemBuilder {
         self.conflict_policy = policy;
         self
@@ -282,20 +285,6 @@ impl SystemBuilder {
             scanner.inject_shard_faults(&c.plan().shard_faults);
         }
 
-        // The pattern pool the chaos adversary plants evasion attempts
-        // around (`FaultPlan::evasive_flows`): every exact literal
-        // registered with any middlebox. Regex rules are skipped — the
-        // generator needs concrete bytes to hide in a conflict copy.
-        let evasion_patterns: Vec<Vec<u8>> = self
-            .templates
-            .iter()
-            .flat_map(|t| t.rules.iter())
-            .filter_map(|r| match &r.spec.kind {
-                RuleKind::Exact(p) => Some(p.clone()),
-                _ => None,
-            })
-            .collect();
-
         // Build the star network.
         let mut net = Network::new(1_000_000);
         let switch = Switch::new("s1");
@@ -362,8 +351,6 @@ impl SystemBuilder {
             instance_ids,
             chaos,
             heartbeat_seq: vec![0; self.dpi_instances],
-            evasion_patterns,
-            flow_evasive: HashMap::new(),
             scanner,
             middleboxes: mb_handles,
             chain_ids,
@@ -469,16 +456,8 @@ pub struct SystemHandle {
     /// Controller id of each instance, fleet order.
     pub instance_ids: Vec<InstanceId>,
     /// The chaos engine, when a fault plan was attached.
-    pub chaos: Option<Arc<ChaosEngine>>,
+    chaos: Option<Arc<ChaosEngine>>,
     heartbeat_seq: Vec<u64>,
-    /// Exact literals registered with the middleboxes — the pool the
-    /// chaos adversary plants evasion attempts around.
-    evasion_patterns: Vec<Vec<u8>>,
-    /// Per-flow chaos verdict: `true` means the evasion adversary took
-    /// the flow over on first sight (its generated segments replaced the
-    /// caller's traffic), `false` means the draw came up benign and is
-    /// never repeated.
-    flow_evasive: HashMap<FlowKey, bool>,
     /// The batched scan pipeline: an instance outside the network that
     /// shares the in-network instances' compiled automaton and fans
     /// packets out across [`SystemBuilder::with_dpi_workers`] flow-affine
@@ -509,46 +488,17 @@ impl SystemHandle {
     /// Sends one TCP payload from the source host into the network and
     /// runs it to quiescence. Returns the number of deliveries.
     ///
+    /// Every call builds exactly one packet: bursts and adversarial
+    /// segment streams are the caller's to script, one `send` per
+    /// packet. The packet carries no SYN, so under an L7 policy — where
+    /// the packet path reassembles TCP — a flow whose first segment is
+    /// not its stream start declares its initial sequence number first
+    /// ([`DpiInstance::open_tcp_flow`] on the instance).
+    ///
     /// In a fleet deployment the switch steers every packet of a flow to
     /// the instance its flow hashes to, so cross-packet scan state stays
-    /// on one instance. A `burst_traffic` chaos fault amplifies sends:
-    /// while a seeded burst window is active, each call injects the
-    /// packet multiple times — the reproducible traffic spike the
-    /// overload control absorbs.
-    ///
-    /// An `evasive_flows` chaos fault replaces flows wholesale: on first
-    /// sight of a flow the engine draws
-    /// [`ChaosEngine::next_flow_evasive`] and, on a hit, the flow is
-    /// taken over by the reassembly adversary — the generated evasion
-    /// attempt's segments (seeded by the draw, planting one of the
-    /// registered exact literals) are injected instead of the caller's
-    /// payload, and every later send on that flow is swallowed (returns
-    /// 0): the adversary owns the flow for its lifetime.
+    /// on one instance.
     pub fn send(&mut self, flow: FlowKey, seq: u32, payload: &[u8]) -> usize {
-        if let Some(c) = &self.chaos {
-            if !self.evasion_patterns.is_empty() {
-                match self.flow_evasive.get(&flow) {
-                    Some(true) => return 0,
-                    Some(false) => {}
-                    None => {
-                        if let Some(seed) = c.next_flow_evasive() {
-                            self.flow_evasive.insert(flow, true);
-                            let f = evasive_flow(seed, &self.evasion_patterns);
-                            for pkt in f.packets(flow) {
-                                self.net.inject(self.switch_id, 0, pkt);
-                            }
-                            return self.net.run();
-                        }
-                        self.flow_evasive.insert(flow, false);
-                    }
-                }
-            }
-        }
-        let copies = self
-            .chaos
-            .as_ref()
-            .map(|c| c.send_multiplier())
-            .unwrap_or(1);
         let pkt = Packet::tcp(
             MacAddr::local(1),
             MacAddr::local(2),
@@ -556,9 +506,6 @@ impl SystemHandle {
             seq,
             payload.to_vec(),
         );
-        for _ in 1..copies {
-            self.net.inject(self.switch_id, 0, pkt.clone());
-        }
         self.net.inject(self.switch_id, 0, pkt);
         self.net.run()
     }

@@ -2,6 +2,7 @@
 //! switch + TSA, DPI service instance node, middlebox nodes, sink.
 
 use dpi_service::ac::MiddleboxId;
+use dpi_service::core::chaos::FaultPlan;
 use dpi_service::middlebox::{antivirus, ids, ips, traffic_shaper};
 use dpi_service::packet::ipv4::IpProtocol;
 use dpi_service::packet::packet::{flow, PacketBody};
@@ -15,13 +16,15 @@ fn test_flow(port: u16) -> FlowKey {
     flow([10, 0, 0, 1], port, [10, 0, 0, 2], 80, IpProtocol::Tcp)
 }
 
-fn build() -> dpi_service::SystemHandle {
+fn builder() -> SystemBuilder {
     SystemBuilder::new()
         .with_middlebox(ids(IDS_ID, &[b"sig-alpha".to_vec(), b"sig-beta".to_vec()]))
         .with_middlebox(antivirus(AV_ID, &[b"virus-omega".to_vec()]))
         .with_chain(&[IDS_ID, AV_ID])
-        .build()
-        .expect("system builds")
+}
+
+fn build() -> dpi_service::SystemHandle {
+    builder().build().expect("system builds")
 }
 
 #[test]
@@ -134,4 +137,28 @@ fn per_flow_state_survives_the_network_path() {
     // The stateless AV correctly saw nothing.
     assert_eq!(sys.stats_of(AV_ID).unwrap().matches, 0);
     assert_eq!(sys.net.dropped(), 0, "healthy run loses nothing");
+}
+
+/// One `send` offers exactly one packet: for the IDS+AV chain that is 8
+/// deliveries unmatched (the packet's hops through the switch, the DPI
+/// node and both middleboxes to the sink) and 13 matched (the result
+/// packet's hops ride along). A fault plan whose faults never fire
+/// changes nothing.
+#[test]
+fn one_send_offers_exactly_one_packet() {
+    let counts = |sys: &mut dpi_service::SystemHandle| {
+        let unmatched = sys.send(test_flow(5000), 0, b"nothing interesting at all");
+        let matched = sys.send(test_flow(5000), 100, b"carrying sig-alpha here");
+        (unmatched, matched, sys.tsa.rule_count())
+    };
+    assert_eq!(counts(&mut build()), (8, 13, 5));
+    let mut armed = builder()
+        .with_chaos(
+            FaultPlan::new(7)
+                .kill_instance_at_packet(0, u64::MAX)
+                .corrupt_rule_update(0),
+        )
+        .build()
+        .expect("system builds");
+    assert_eq!(counts(&mut armed), (8, 13, 5));
 }

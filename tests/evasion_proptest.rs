@@ -2,15 +2,14 @@
 //! evasion generator produces, a pattern visible under *any* consistent
 //! interpretation of the TCP stream is either reported (canonically or
 //! via a shadow scan of the losing conflict copy) or the flow is loudly
-//! quarantined — under both conflict policies (DESIGN.md §13).
+//! quarantined — under both conflict policies (DESIGN.md §13), both at
+//! one instance and through the whole system's packet path.
 //! Patterns visible under *no* interpretation (out-of-window injections)
 //! are never reported: no false positives either.
 
-use dpi_service::core::chaos::FaultPlan;
 use dpi_service::core::report::expand_records;
-use dpi_service::core::trace::{TraceKind, TraceSource};
 use dpi_service::core::{
-    ConflictPolicy, DpiInstance, InstanceConfig, MiddleboxId, MiddleboxProfile, RuleSpec,
+    ConflictPolicy, DpiInstance, InstanceConfig, L7Policy, MiddleboxId, MiddleboxProfile, RuleSpec,
 };
 use dpi_service::middlebox::ids;
 use dpi_service::packet::ipv4::IpProtocol;
@@ -46,20 +45,23 @@ fn fk() -> FlowKey {
     flow([9, 9, 9, 9], 999, [8, 8, 8, 8], 80, IpProtocol::Tcp)
 }
 
-/// What one adversarial flow produced under one policy.
+/// What one adversarial flow produced under one policy, reduced to what
+/// the no-silent-miss rules read.
 #[derive(Debug)]
 struct Outcome {
-    /// Pattern ids reported, canonical and shadow scans alike.
-    matched: BTreeSet<u16>,
-    /// Flow-absolute `(pid, end)` pairs from canonical outputs only
-    /// (shadow scans are stateless; their positions are copy-relative).
-    canonical: BTreeSet<(u16, u64)>,
+    /// The planted pattern was reported, canonically or by a shadow scan.
+    planted_reported: bool,
+    /// The canonical verdicts equal the whole-stream oracle's.
+    oracle_exact: bool,
     quarantined: bool,
     conflicts: u64,
 }
 
+/// Drives one flow under one policy through an instance or a system.
+type Runner = fn(&EvasiveFlow, ConflictPolicy) -> Outcome;
+
 /// Drives one generated flow through a fresh instance under `policy`.
-fn run(f: &EvasiveFlow, policy: ConflictPolicy) -> Outcome {
+fn run_instance(f: &EvasiveFlow, policy: ConflictPolicy) -> Outcome {
     let mut dpi = instance(policy);
     dpi.open_tcp_flow(fk(), f.initial_seq);
     let mut matched = BTreeSet::new();
@@ -83,8 +85,36 @@ fn run(f: &EvasiveFlow, policy: ConflictPolicy) -> Outcome {
         }
     }
     Outcome {
-        matched,
-        canonical,
+        planted_reported: matched.contains(&planted_pid(f)),
+        oracle_exact: canonical == oracle(&f.keep_first),
+        quarantined: dpi.flow_quarantined(&fk()),
+        conflicts: dpi.telemetry().reassembly_conflicts,
+    }
+}
+
+/// Drives one generated flow through a one-IDS system under `policy`,
+/// one `send` per segment. The L7 layer is on, because only under an L7
+/// policy does the packet path reassemble TCP; the flow's ISN is
+/// declared at the instance, because `send` carries no SYN. The IDS
+/// counts matches, not which pattern matched: any match stands for the
+/// planted one, and the count must equal the oracle's.
+fn run_system(f: &EvasiveFlow, policy: ConflictPolicy) -> Outcome {
+    let mut sys = SystemBuilder::new()
+        .with_middlebox(ids(IDS, &patterns()))
+        .with_chain(&[IDS])
+        .with_l7_policy(L7Policy::default())
+        .with_conflict_policy(policy)
+        .build()
+        .unwrap();
+    sys.dpi.lock().open_tcp_flow(fk(), f.initial_seq);
+    for seg in &f.segments {
+        sys.send(fk(), seg.seq, &seg.payload);
+    }
+    let matches = sys.stats_of(IDS).expect("IDS registered").matches;
+    let dpi = sys.dpi.lock();
+    Outcome {
+        planted_reported: matches > 0,
+        oracle_exact: matches == oracle(&f.keep_first).len() as u64,
         quarantined: dpi.flow_quarantined(&fk()),
         conflicts: dpi.telemetry().reassembly_conflicts,
     }
@@ -109,20 +139,17 @@ fn planted_pid(f: &EvasiveFlow) -> u16 {
         .expect("planted pattern comes from the registered set") as u16
 }
 
-/// The no-silent-miss check for one flow under one policy. Returns an
-/// error description instead of panicking so the seed-sweep can collect
-/// divergences.
-fn check(f: &EvasiveFlow, policy: ConflictPolicy) -> Result<(), String> {
+/// The no-silent-miss check for one flow under one policy, driven by
+/// `run`. Returns an error description instead of panicking so the seed
+/// sweeps can collect divergences.
+fn check(f: &EvasiveFlow, policy: ConflictPolicy, run: Runner) -> Result<(), String> {
     let out = run(f, policy);
     let fail = |what: &str| {
         Err(format!(
-            "policy={} tactic={} seed={}: {what} (matched={:?} quarantined={} conflicts={})",
+            "policy={} tactic={} seed={}: {what} ({out:?})",
             policy.name(),
             f.tactic.name(),
             f.seed,
-            out.matched,
-            out.quarantined,
-            out.conflicts,
         ))
     };
     if !f.conflicting {
@@ -134,12 +161,10 @@ fn check(f: &EvasiveFlow, policy: ConflictPolicy) -> Result<(), String> {
         if out.quarantined {
             return fail("spurious quarantine on a conflict-free flow");
         }
-        let expected = oracle(&f.keep_first);
-        if f.tactic == EvasionTactic::OutOfWindowInjection && out.matched.contains(&planted_pid(f))
-        {
+        if f.tactic == EvasionTactic::OutOfWindowInjection && out.planted_reported {
             return fail("false positive: out-of-window bytes reported");
         }
-        if out.canonical != expected {
+        if !out.oracle_exact {
             return fail("verdicts diverged from the whole-stream oracle");
         }
         return Ok(());
@@ -159,7 +184,7 @@ fn check(f: &EvasiveFlow, policy: ConflictPolicy) -> Result<(), String> {
             if out.quarantined {
                 return fail("FirstWins must not quarantine");
             }
-            if !out.matched.contains(&planted_pid(f)) {
+            if !out.planted_reported {
                 return fail("SILENT MISS: pattern visible in an interpretation was not reported");
             }
         }
@@ -180,18 +205,17 @@ proptest! {
                 || f.pattern_in_some_interpretation()
         );
         for policy in POLICIES {
-            if let Err(e) = check(&f, policy) {
+            if let Err(e) = check(&f, policy, run_instance) {
                 prop_assert!(false, "{}", e);
             }
         }
     }
 }
 
-/// The standing sweep the CI `evasion` job runs: a fixed flow count per
-/// seed (seeds 1/7/42, or `DPI_CHAOS_SEED` when set), both policies,
-/// divergences archived as JSONL when `DPI_CHAOS_LOG_DIR` is set.
-#[test]
-fn seed_sweep_archives_divergences() {
+/// A fixed flow count per seed (seeds 1/7/42, or `DPI_CHAOS_SEED` when
+/// set), both policies, every flow driven by `run`; divergences archived
+/// as `<name>.jsonl` when `DPI_CHAOS_LOG_DIR` is set.
+fn sweep(run: Runner, name: &str) {
     let seeds: Vec<u64> = match std::env::var("DPI_CHAOS_SEED") {
         Ok(s) => vec![s.parse().expect("DPI_CHAOS_SEED must be a u64")],
         Err(_) => vec![1, 7, 42],
@@ -201,7 +225,7 @@ fn seed_sweep_archives_divergences() {
     for &seed in &seeds {
         for f in evasive_flows(64, seed, &patterns()) {
             for policy in POLICIES {
-                if let Err(e) = check(&f, policy) {
+                if let Err(e) = check(&f, policy, run) {
                     divergences.push(format!(
                         "{{\"seed\":{},\"flow_seed\":{},\"tactic\":\"{}\",\"policy\":\"{}\",\"error\":{:?}}}",
                         seed,
@@ -217,8 +241,7 @@ fn seed_sweep_archives_divergences() {
     if let Some(dir) = log_dir {
         if !divergences.is_empty() {
             std::fs::create_dir_all(&dir).unwrap();
-            let mut file =
-                std::fs::File::create(format!("{dir}/evasion-divergences.jsonl")).unwrap();
+            let mut file = std::fs::File::create(format!("{dir}/{name}.jsonl")).unwrap();
             for d in &divergences {
                 writeln!(file, "{d}").unwrap();
             }
@@ -232,64 +255,16 @@ fn seed_sweep_archives_divergences() {
     );
 }
 
-/// The chaos hook is wired into the system traffic driver: with
-/// `evasive_flows(1.0)` the first send on a fresh flow is taken over by
-/// the adversary (the generated evasion attempt's segments are injected
-/// instead of the caller's payload, and the takeover is traced), and
-/// every later send on that flow is swallowed. With no evasive fault
-/// configured, traffic flows untouched.
+/// The standing sweep the CI `evasion` job runs against one instance's
+/// reassembler.
 #[test]
-fn chaos_evasive_flows_take_over_system_traffic() {
-    let mut sys = SystemBuilder::new()
-        .with_middlebox(ids(IDS, &patterns()))
-        .with_chain(&[IDS])
-        .with_chaos(FaultPlan::new(7).evasive_flows(1.0))
-        .build()
-        .unwrap();
-    let delivered = sys.send(fk(), 0, b"caller payload, replaced by the adversary");
-    assert!(
-        delivered > 0,
-        "the adversary's generated segments must reach the network"
-    );
-    assert!(
-        sys.trace_events()
-            .iter()
-            .any(|e| matches!(e.kind, TraceKind::FaultEvasiveFlow { .. })),
-        "the takeover must be traced for replay"
-    );
-    assert_eq!(
-        sys.send(fk(), 16, b"later caller bytes"),
-        0,
-        "the adversary owns the flow: later sends are swallowed"
-    );
-
-    // Without the fault, the driver is a bystander.
-    let mut sys = SystemBuilder::new()
-        .with_middlebox(ids(IDS, &patterns()))
-        .with_chain(&[IDS])
-        .with_chaos(FaultPlan::new(7))
-        .build()
-        .unwrap();
-    assert!(sys.send(fk(), 0, b"ordinary traffic") > 0);
-    assert!(!sys
-        .trace_events()
-        .iter()
-        .any(|e| e.source == TraceSource::Chaos));
+fn seed_sweep_archives_divergences() {
+    sweep(run_instance, "evasion-divergences");
 }
 
-/// The chaos hook is deterministic: the same plan seed yields the same
-/// evasive-flow seeds, and each seed regenerates the identical flow.
+/// The same sweep through the system's packet path: switch, DPI service
+/// node, result delivery, and the verdict read at the middlebox.
 #[test]
-fn chaos_wiring_is_deterministic() {
-    let draw = || {
-        let chaos = FaultPlan::new(99).evasive_flows(1.0).start();
-        (0..8)
-            .map(|_| chaos.next_flow_evasive().expect("p=1.0 always injects"))
-            .collect::<Vec<u64>>()
-    };
-    let a = draw();
-    assert_eq!(a, draw());
-    for s in a {
-        assert_eq!(evasive_flow(s, &patterns()), evasive_flow(s, &patterns()));
-    }
+fn system_seed_sweep_checks_verdicts_at_the_middlebox() {
+    sweep(run_system, "system-evasion-divergences");
 }
