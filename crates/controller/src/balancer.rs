@@ -200,17 +200,6 @@ impl LoadBalancer {
     pub fn in_cooldown(&self, flow_key: u64) -> bool {
         self.flow_cooldown.contains_key(&flow_key)
     }
-
-    /// Forgets an instance (unregistered or dead): its stale cumulative
-    /// counter must not poison the next delta if it re-registers.
-    pub fn forget_instance(&mut self, id: InstanceId) {
-        self.last_loads.remove(&id);
-        if let Some((h, c)) = self.last_pair {
-            if h == id || c == id {
-                self.last_pair = None;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -313,16 +302,5 @@ mod tests {
         assert!(b.in_cooldown(10));
         b.observe_round(&[(InstanceId(0), 1000), (InstanceId(1), 0)]);
         assert!(!b.in_cooldown(10));
-    }
-
-    #[test]
-    fn forget_instance_clears_stale_state() {
-        let mut b = balancer();
-        b.observe_round(&[(InstanceId(0), 5000), (InstanceId(1), 0)]);
-        b.forget_instance(InstanceId(0));
-        // Re-registered at 0: without forgetting, the saturating delta
-        // would hide real load; with it, the fresh counter stands alone.
-        let plan = b.observe_round(&[(InstanceId(0), 900), (InstanceId(1), 0)]);
-        assert!(plan.is_some());
     }
 }

@@ -56,19 +56,11 @@ impl std::fmt::Display for ControllerError {
 
 impl std::error::Error for ControllerError {}
 
-/// A registered middlebox record.
-#[derive(Debug, Clone)]
-struct MiddleboxRecord {
-    name: String,
-    profile: MiddleboxProfile,
-}
-
 /// Telemetry bookkeeping per deployed instance.
 #[derive(Debug, Default, Clone)]
 struct InstanceRecord {
     chains: Vec<u16>,
     last_report: Telemetry,
-    total: Telemetry,
     dedicated: bool,
 }
 
@@ -106,7 +98,8 @@ pub struct DpiController {
 
 #[derive(Debug, Default)]
 struct Inner {
-    middleboxes: HashMap<MiddleboxId, MiddleboxRecord>,
+    /// Every registered middlebox's profile.
+    middleboxes: HashMap<MiddleboxId, MiddleboxProfile>,
     patterns: GlobalPatternSet,
     /// chain id → member middleboxes, in traversal order.
     chains: HashMap<u16, Vec<MiddleboxId>>,
@@ -205,10 +198,12 @@ impl DpiController {
     }
 
     /// Registers a middlebox, optionally inheriting another's pattern set.
+    /// The name is the middlebox's own label: results address it by id,
+    /// so the controller keeps no copy.
     pub fn register(
         &self,
         id: MiddleboxId,
-        name: &str,
+        _name: &str,
         inherit_from: Option<MiddleboxId>,
         profile: MiddleboxProfile,
     ) -> Result<(), ControllerError> {
@@ -225,13 +220,7 @@ impl DpiController {
             }
             None => Vec::new(),
         };
-        g.middleboxes.insert(
-            id,
-            MiddleboxRecord {
-                name: name.to_string(),
-                profile,
-            },
-        );
+        g.middleboxes.insert(id, profile);
         let before = g.patterns.transfer_bytes();
         let inherited_any = !inherited.is_empty();
         for (rid, rule) in inherited {
@@ -315,15 +304,6 @@ impl DpiController {
         self.inner.lock().chains.get(&chain_id).cloned()
     }
 
-    /// The registered name of a middlebox.
-    pub fn middlebox_name(&self, id: MiddleboxId) -> Option<String> {
-        self.inner
-            .lock()
-            .middleboxes
-            .get(&id)
-            .map(|r| r.name.clone())
-    }
-
     /// Builds the [`InstanceConfig`] for an instance that will serve
     /// `chain_ids` — "a common deployment choice is to group together
     /// similar policy chains and to deploy instances that support only one
@@ -348,11 +328,11 @@ impl DpiController {
             }
         }
         for m in needed {
-            let rec = g
+            let profile = g
                 .middleboxes
                 .get(&m)
                 .ok_or(ControllerError::UnknownMiddlebox(m.0))?;
-            cfg.profiles.push(rec.profile);
+            cfg.profiles.push(*profile);
             let rules: Vec<dpi_core::config::NumberedRule> = g
                 .patterns
                 .rules_of(m)
@@ -379,16 +359,6 @@ impl DpiController {
         );
         g.health.register(id);
         id
-    }
-
-    /// Removes a deployed instance (and stops health-tracking it).
-    pub fn remove_instance(&self, id: InstanceId) -> Result<(), ControllerError> {
-        let mut g = self.inner.lock();
-        g.health.unregister(id);
-        g.instances
-            .remove(&id)
-            .map(|_| ())
-            .ok_or(ControllerError::UnknownInstance(id))
     }
 
     /// Replaces the health thresholds (existing instance states and miss
@@ -472,7 +442,6 @@ impl DpiController {
             .ok_or(ControllerError::UnknownInstance(id))?;
         let delta = t.delta_since(&rec.last_report);
         rec.last_report = t;
-        rec.total.merge(&delta);
         Ok(delta)
     }
 
@@ -718,15 +687,6 @@ mod tests {
         assert!(ControllerReply::from_json(&reply).unwrap().is_ok());
         c.heartbeat(a, 3, 100).unwrap();
         assert_eq!(c.health_tick(), vec![HealthEvent::Recovered(b)]);
-    }
-
-    #[test]
-    fn removed_instances_stop_being_health_tracked() {
-        let c = DpiController::new();
-        let a = c.deploy_instance(vec![]);
-        c.remove_instance(a).unwrap();
-        assert_eq!(c.instance_health(a), None);
-        assert!(c.health_tick().is_empty());
     }
 
     #[test]

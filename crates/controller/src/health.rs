@@ -120,11 +120,6 @@ impl HealthMonitor {
         );
     }
 
-    /// Stops tracking an instance.
-    pub fn unregister(&mut self, id: InstanceId) {
-        self.records.remove(&id);
-    }
-
     /// Records a heartbeat. Returns `false` for unknown instances and for
     /// stale beats (sequence number not beyond the last seen — a delayed
     /// duplicate must not resurrect a dead instance).
@@ -293,14 +288,5 @@ mod tests {
         assert!(m.heartbeat(InstanceId(0), 6, 0));
         // Unknown instances are rejected too.
         assert!(!m.heartbeat(InstanceId(9), 1, 0));
-    }
-
-    #[test]
-    fn unregister_stops_tracking() {
-        let mut m = monitor();
-        m.unregister(InstanceId(0));
-        m.heartbeat(InstanceId(1), 1, 0);
-        assert!(m.tick().is_empty());
-        assert_eq!(m.state(InstanceId(0)), None);
     }
 }

@@ -601,11 +601,14 @@ impl OpenFlow<'_> {
         e.l7 = None;
     }
 
-    /// The flow's `(state, offset)` if it was written under
-    /// `generation`; scan state of any other generation is dropped, so
-    /// the flow re-anchors at the new automaton's root.
-    pub fn scan_state(&mut self, generation: u32) -> Option<(StateId, u64)> {
-        self.entry().scan_at(generation)
+    /// The flow's `(state, offset)`. A state written under another
+    /// generation means nothing in this automaton, so the flow
+    /// re-anchors at `root` (miss-only, DESIGN.md §9) but keeps its
+    /// offset: stopping conditions still count from the flow's first
+    /// byte.
+    pub fn scan_state(&mut self, generation: u32, root: StateId) -> Option<(StateId, u64)> {
+        let (state, offset, g) = self.entry().scan?;
+        Some((if g == generation { state } else { root }, offset))
     }
 
     /// Stores the flow's scan state tagged with its automaton's

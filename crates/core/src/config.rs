@@ -204,9 +204,11 @@ pub struct InstanceConfig {
     /// overlapping TCP segment copies. [`ConflictPolicy::FirstWins`] (the
     /// default) preserves the historical Snort-style behaviour.
     pub conflict_policy: ConflictPolicy,
-    /// L7 inspection policy (DESIGN.md §14). `None` — the default — runs
-    /// the engine exactly as before the L7 layer existed: every
-    /// reassembled byte run is scanned raw, no protocol identification.
+    /// L7 inspection policy (DESIGN.md §14). `None` — the default —
+    /// identifies no protocol, and the packet path
+    /// ([`crate::DpiInstance::inspect`]) then does no reassembly at all:
+    /// it scans each payload raw, in arrival order. Only
+    /// `scan_tcp_segment` still reassembles, and scans the runs raw.
     pub l7: Option<crate::l7::L7Policy>,
     /// Idle-flow aging horizon, counted in *scanned packets/segments on
     /// the flow's shard* (each `scan_payload` / `scan_tcp_segment` call

@@ -311,7 +311,11 @@ pub struct ScanEngine {
     /// (DESIGN.md §13).
     conflict_policy: crate::reassembly::ConflictPolicy,
     /// L7 inspection policy (DESIGN.md §14). `None` — the default —
-    /// scans reassembled byte runs raw, exactly as before the L7 layer.
+    /// identifies no protocol, and the packet path
+    /// ([`ScanEngine::inspect_unnumbered`]) then does no reassembly at
+    /// all: it scans each payload raw, in arrival order. Only
+    /// [`ScanEngine::scan_tcp_segment`] still reassembles, and scans the
+    /// runs raw.
     l7: Option<crate::l7::L7Policy>,
 }
 
@@ -786,9 +790,9 @@ impl ScanEngine {
         // written by *this* engine's generation: after a hot swap, a state
         // id from the old automaton is meaningless in the new one, so the
         // flow deterministically re-anchors at the root (miss-only,
-        // DESIGN.md §9).
+        // DESIGN.md §9), keeping its offset for the stopping conditions.
         let resume = match flow.as_mut() {
-            Some(f) if chain.any_stateful => f.scan_state(self.generation),
+            Some(f) if chain.any_stateful => f.scan_state(self.generation, self.ac.start()),
             _ => None,
         };
         let (start_state, offset) = resume.unwrap_or((self.ac.start(), 0));
@@ -1330,10 +1334,11 @@ impl ScanEngine {
         outputs: &mut Vec<ScanOutput>,
     ) {
         let (mut state, mut offset) = match u.slot {
-            Some(s) if chain.any_stateful && !u.reset => session.streams[s]
-                .filter(|&(_, _, g)| g == self.generation)
-                .map(|(st, off, _)| (st, off))
-                .unwrap_or((self.ac.start(), 0)),
+            Some(s) if chain.any_stateful && !u.reset => match session.streams[s] {
+                Some((st, off, g)) if g == self.generation => (st, off),
+                Some((_, off, _)) => (self.ac.start(), off),
+                None => (self.ac.start(), 0),
+            },
             _ => (self.ac.start(), 0),
         };
         for piece in unit_pieces(&u.bytes) {

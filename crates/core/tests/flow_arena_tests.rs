@@ -249,12 +249,13 @@ fn generation_swap_between_packets_reanchors_state_but_keeps_the_verdict() {
     swap(&mut dpi);
 
     // Generation-0 state is not fed to generation 1's automaton: the
-    // flow re-anchors at the root (miss-only) and is stored afresh.
+    // flow re-anchors at the root (miss-only) and is stored afresh, its
+    // offset kept so stopping conditions still count flow bytes.
     let out = dpi.scan_payload(CHAIN, Some(fk(1)), b"ACK..").unwrap();
-    assert!(!out.resumed && !out.has_matches());
-    assert_eq!(out.flow_offset, 0);
+    assert!(!out.has_matches());
+    assert_eq!(out.flow_offset, 5);
     let fs = dpi.export_flow(&fk(1)).unwrap();
-    assert_eq!((fs.offset, fs.generation), (5, 1));
+    assert_eq!((fs.offset, fs.generation), (10, 1));
     // The verdict rides through the swap on both entry points.
     assert!(
         dpi.scan_payload(CHAIN, Some(fk(2)), b"ATTACK")

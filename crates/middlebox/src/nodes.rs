@@ -16,7 +16,7 @@ use dpi_core::chaos::ChaosEngine;
 use dpi_core::trace::{TraceKind, TraceSource, Tracer};
 use dpi_core::DpiInstance;
 use dpi_packet::packet::PacketBody;
-use dpi_packet::{MacAddr, Packet};
+use dpi_packet::{FlowKey, MacAddr, Packet};
 use dpi_sdn::{Node, PortId};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -269,6 +269,8 @@ pub struct MiddleboxNode {
     generation: u32,
     /// Result packets discarded for carrying an outdated generation.
     stale_generation_drops: u64,
+    /// The last result packet received: its sender, flow and id.
+    last_result: Option<(MacAddr, FlowKey, u32)>,
 }
 
 impl MiddleboxNode {
@@ -302,6 +304,7 @@ impl MiddleboxNode {
                 paired: Vec::new(),
                 generation: 0,
                 stale_generation_drops: 0,
+                last_result: None,
             },
             mb,
         )
@@ -332,6 +335,17 @@ impl MiddleboxNode {
 impl Node for MiddleboxNode {
     fn on_packet_into(&mut self, packet: Packet, port: PortId, out: &mut Vec<(PortId, Packet)>) {
         let mb_id = self.mb_id;
+        // A duplicated result packet arrives right behind the one it
+        // copies, after that one paired. Buffered, it would pair with the
+        // flow's next marked packet and shift every later verdict of the
+        // flow by one; the same sender, flow and id mark it, and it goes.
+        if let PacketBody::Result(r) = &packet.body {
+            let key = Some((packet.eth.src, r.flow, r.packet_id));
+            if self.last_result == key {
+                return;
+            }
+            self.last_result = key;
+        }
         // Pair each marked data packet with the result packet behind it;
         // every result consumed passes the generation check.
         let chain_tag = packet.chain_tag();

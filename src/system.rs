@@ -162,8 +162,9 @@ impl SystemBuilder {
 
     /// Enables L7 protocol inspection (identify → decode → scan,
     /// DESIGN.md §14) on every engine's TCP path with the given
-    /// per-protocol policy. Off by default: without it the engines scan
-    /// reassembled bytes raw, exactly as before the L7 layer existed.
+    /// per-protocol policy. Off by default: without it the packet path
+    /// ([`SystemHandle::send`], [`SystemHandle::inspect_batch`]) does no
+    /// reassembly at all and scans each payload raw, in arrival order.
     /// Like the conflict policy, it is stamped into the instance
     /// configuration, so engines rebuilt by live rule updates keep it.
     pub fn with_l7_policy(mut self, policy: dpi_core::L7Policy) -> SystemBuilder {

@@ -77,8 +77,9 @@ fn duplicated_result_packets_do_not_double_fire() {
     mb_node.on_packet(result.clone(), 0);
     mb_node.on_packet(result, 0);
     let stats = handle.lock().stats();
-    // One data packet processed once; the duplicate result waits for a
-    // data packet that never comes (and would age out at capacity).
+    // One data packet processed once; the duplicate result, right behind
+    // the one it copies, is dropped rather than paired with the flow's
+    // next marked packet.
     assert_eq!(stats.packets, 1);
     assert_eq!(stats.rules_fired, 1);
 }

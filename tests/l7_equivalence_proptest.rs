@@ -1,161 +1,34 @@
-//! Decode-equivalence properties for the L7 layer (DESIGN.md §14),
-//! mirroring `tests/segment_cuts.rs`:
-//!
-//! 1. A pattern planted in a chunked+gzipped HTTP body is found
-//!    *identically* whether the stream arrives in one segment or split
-//!    at every possible TCP cut point, across worker counts {1, 2, 8}
-//!    (per-flow shard affinity emulated exactly as the pipeline routes:
-//!    `stable_hash % workers`).
-//! 2. Flows the identifier cannot name fall back to raw scanning with
-//!    verdicts byte-identical to an engine with no L7 layer at all.
+//! The L7 layer against the reference model (`spec/model.rs`): a decoded
+//! flow's matches are those of its decoded stream, and a flow no decoder
+//! claims is scanned like the raw reassembled stream.
 
-use dpi_service::core::instance::{ScanEngine, ShardState};
-use dpi_service::core::report::expand_records;
-use dpi_service::core::{
-    InstanceConfig, L7Policy, MiddleboxId, MiddleboxProfile, RuleSpec, ScanOutput,
-};
-use dpi_service::packet::ipv4::IpProtocol;
-use dpi_service::packet::packet::flow;
-use dpi_service::packet::FlowKey;
-use dpi_service::traffic;
-use proptest::prelude::*;
-use std::collections::BTreeSet;
-use std::sync::Arc;
+#[path = "spec/matrix.rs"]
+mod matrix;
+#[path = "spec/model.rs"]
+mod model;
 
-const IDS: MiddleboxId = MiddleboxId(1);
-const CHAIN: u16 = 1;
-const PATTERN: &[u8] = b"hidden-attack-signature";
+use matrix::{Fault, Path, Truth};
 
-/// One flow's in-order `(seq, payload)` segment list.
-type SegFlow = (FlowKey, Vec<(u32, Vec<u8>)>);
-
-fn config(l7: bool) -> InstanceConfig {
-    let cfg = InstanceConfig::new()
-        .with_middlebox(
-            MiddleboxProfile::stateful(IDS),
-            vec![RuleSpec::exact(PATTERN.to_vec())],
-        )
-        .with_chain(CHAIN, vec![IDS]);
-    if l7 {
-        cfg.with_l7_policy(L7Policy::default())
-    } else {
-        cfg
-    }
+/// Loss-free cases with the L7 layer on, keeping those whose flows match
+/// `truth`: the batch path equals the model exactly.
+fn sweep_l7(truth: impl Fn(Truth) -> bool) {
+    matrix::sweep(&[Path::Batch], |case| {
+        let c = &mut case.config;
+        (c.fault, c.update_at, c.max_flows) = (Fault::None, None, None);
+        c.l7 = true;
+        case.flows.iter().any(|f| truth(f.truth))
+    });
 }
 
-fn fk(n: u16) -> FlowKey {
-    flow([10, 0, 0, 1], n, [10, 0, 0, 2], 443, IpProtocol::Tcp)
+/// A gzip or plain chunked HTTP body, cut in order, shuffled or at
+/// every byte, at workers {1, 2, 8}.
+#[test]
+fn every_cut_of_a_gzip_chunked_flow_matches_the_oracle() {
+    sweep_l7(|t| matches!(t, Truth::Gzip | Truth::Chunked));
 }
 
-/// Stream-absolute verdicts: `(src_port, pattern, field, end offset)`.
-/// The field discriminant keeps header-space and body-space offsets
-/// from colliding (each decoded stream counts its own offsets).
-fn verdicts(src_port: u16, outs: &[ScanOutput], into: &mut BTreeSet<(u16, u16, u8, u64)>) {
-    for o in outs {
-        let field = o.l7.map_or(0u8, |c| match c.field {
-            dpi_service::core::L7Field::Raw => 1,
-            dpi_service::core::L7Field::Header => 2,
-            dpi_service::core::L7Field::Body => 3,
-            dpi_service::core::L7Field::Sni => 4,
-        });
-        for r in &o.reports {
-            for (pid, pos) in expand_records(&r.records) {
-                into.insert((src_port, pid, field, o.flow_offset + u64::from(pos)));
-            }
-        }
-    }
-}
-
-/// Runs `flows` (per-flow in-order segment lists) through `workers`
-/// emulated pipeline shards with the pipeline's flow-affine routing.
-fn run_workers(
-    cfg: InstanceConfig,
-    workers: usize,
-    flows: &[SegFlow],
-) -> BTreeSet<(u16, u16, u8, u64)> {
-    let engine = Arc::new(ScanEngine::new(cfg).unwrap());
-    let mut shards: Vec<ShardState> = (0..workers).map(|_| ShardState::new(&engine)).collect();
-    let mut set = BTreeSet::new();
-    for (f, segs) in flows {
-        let shard = &mut shards[(f.stable_hash() % workers as u64) as usize];
-        for (seq, payload) in segs {
-            let outs = engine
-                .scan_tcp_segment(shard, CHAIN, *f, *seq, payload)
-                .unwrap();
-            verdicts(f.src_port, &outs, &mut set);
-        }
-    }
-    set
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Every cut of a chunked+gzipped HTTP flow yields the same
-    /// verdicts as the unsegmented delivery, at 1, 2 and 8 workers.
-    #[test]
-    fn every_cut_of_a_gzip_chunked_flow_matches_the_oracle(seed in 0u64..10_000) {
-        let gen = traffic::http1_chunked_gzip_request(seed, PATTERN);
-        let data = &gen.stream;
-
-        // Oracle: each flow's stream delivered as one segment.
-        let oracle_flows: Vec<SegFlow> = (1..data.len())
-            .map(|cut| (fk(cut as u16), vec![(0u32, data.clone())]))
-            .collect();
-        let expected = run_workers(config(true), 1, &oracle_flows);
-        // Non-vacuousness: the decoded body match must be in the oracle.
-        prop_assert!(
-            expected.iter().any(|&(_, pid, field, _)| pid == 0 && field == 3),
-            "oracle must see the planted body pattern"
-        );
-
-        for workers in [1usize, 2, 8] {
-            let cut_flows: Vec<SegFlow> = (1..data.len())
-                .map(|cut| {
-                    (
-                        fk(cut as u16),
-                        vec![
-                            (0u32, data[..cut].to_vec()),
-                            (cut as u32, data[cut..].to_vec()),
-                        ],
-                    )
-                })
-                .collect();
-            let got = run_workers(config(true), workers, &cut_flows);
-            prop_assert_eq!(
-                &got, &expected,
-                "verdicts diverged from the one-segment oracle at {} workers (seed {})",
-                workers, seed
-            );
-        }
-    }
-
-    /// Unidentifiable flows scan byte-identical to an engine without
-    /// the L7 layer, segment cuts and all.
-    #[test]
-    fn unknown_flows_fall_back_byte_identical_to_the_raw_engine(
-        junk in proptest::collection::vec(any::<u8>(), 0..200),
-        at in 0usize..200,
-        seg_seed in 0u64..1000,
-    ) {
-        // First byte 0xff: no protocol starts like this, so the
-        // identifier resolves Unknown immediately and the whole stream
-        // rides the raw fallback.
-        let mut stream = vec![0xffu8];
-        let at = at.min(junk.len());
-        stream.extend_from_slice(&junk[..at]);
-        stream.extend_from_slice(PATTERN);
-        stream.extend_from_slice(&junk[at..]);
-
-        let segs: Vec<(u32, Vec<u8>)> = traffic::segment_stream(seg_seed, &stream, 48);
-        let flows = vec![(fk(7), segs)];
-        let with_l7 = run_workers(config(true), 1, &flows);
-        let without = run_workers(config(false), 1, &flows);
-        prop_assert_eq!(&with_l7, &without,
-            "Unknown fallback must be byte-identical to the raw engine");
-        prop_assert!(
-            without.iter().any(|&(_, pid, _, _)| pid == 0),
-            "the planted pattern must match on both engines"
-        );
-    }
+/// A plain flow is unidentifiable: held to the raw stream's matches.
+#[test]
+fn unknown_flows_fall_back_byte_identical_to_the_raw_engine() {
+    sweep_l7(|t| t == Truth::Plain);
 }

@@ -1,109 +1,25 @@
-//! End-to-end property: packetizing a byte stream into TCP segments,
-//! delivering them through the reassembling DPI instance — in order or
-//! locally shuffled — always yields the same matches as scanning the
-//! whole stream at once.
+//! Packetized TCP segments, in order or reordered, reassemble under an
+//! L7 policy to the whole stream the reference model (`spec/model.rs`)
+//! scans.
 
-use dpi_service::core::report::expand_records;
-use dpi_service::core::{DpiInstance, InstanceConfig, MiddleboxId, MiddleboxProfile, RuleSpec};
-use dpi_service::packet::ipv4::IpProtocol;
-use dpi_service::packet::packet::{flow, PacketBody};
-use dpi_service::packet::{FlowKey, L4Header};
-use dpi_service::traffic::packetize;
-use proptest::prelude::*;
+#[path = "spec/matrix.rs"]
+mod matrix;
+#[path = "spec/model.rs"]
+mod model;
 
-const IDS: MiddleboxId = MiddleboxId(1);
+use matrix::{Cut, Fault, Path, Truth};
 
-fn patterns() -> impl Strategy<Value = Vec<Vec<u8>>> {
-    prop::collection::vec(
-        prop::collection::vec(prop::sample::select(vec![b'a', b'b', b'c']), 2..7),
-        1..4,
-    )
-}
-
-fn stream() -> impl Strategy<Value = Vec<u8>> {
-    prop::collection::vec(prop::sample::select(vec![b'a', b'b', b'c', b'z']), 1..400)
-}
-
-fn instance(pats: &[Vec<u8>]) -> DpiInstance {
-    DpiInstance::new(
-        InstanceConfig::new()
-            .with_middlebox(MiddleboxProfile::stateful(IDS), RuleSpec::exact_set(pats))
-            .with_chain(1, vec![IDS]),
-    )
-    .unwrap()
-}
-
-fn fk() -> FlowKey {
-    flow([9, 9, 9, 9], 999, [8, 8, 8, 8], 80, IpProtocol::Tcp)
-}
-
-/// Flow-absolute `(pattern, end)` matches from feeding `segments`
-/// (seq, payload) through `scan_tcp_segment`.
-fn run_segments(pats: &[Vec<u8>], segments: &[(u32, Vec<u8>)]) -> Vec<(u16, u64)> {
-    let mut dpi = instance(pats);
-    // The connection's ISN is known up front (from the SYN).
-    dpi.open_tcp_flow(fk(), 7777);
-    let mut hits = Vec::new();
-    for (seq, payload) in segments {
-        for out in dpi.scan_tcp_segment(1, fk(), *seq, payload).unwrap() {
-            for r in &out.reports {
-                for (pid, pos) in expand_records(&r.records) {
-                    hits.push((pid, out.flow_offset + u64::from(pos)));
-                }
-            }
-        }
-    }
-    hits.sort_unstable();
-    hits
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn packetized_segments_match_whole_stream(
-        pats in patterns(),
-        data in stream(),
-        mss in 1usize..64,
-        swap_stride in 2usize..5,
-    ) {
-        let mut pats = pats;
-        pats.sort();
-        pats.dedup();
-
-        // Oracle: one whole-stream scan.
-        let mut whole_dpi = instance(&pats);
-        let out = whole_dpi.scan_payload(1, Some(fk()), &data).unwrap();
-        let mut whole: Vec<(u16, u64)> = out
-            .reports
+/// Loss-free cases with the L7 layer on, carrying a plain flow cut in
+/// order or shuffled: the batch path equals the model exactly.
+#[test]
+fn packetized_segments_match_whole_stream() {
+    matrix::sweep(&[Path::Batch], |case| {
+        let c = &mut case.config;
+        (c.fault, c.update_at, c.max_flows) = (Fault::None, None, None);
+        c.l7 = true;
+        let packetized = |f: &matrix::Flow| matches!(f.cut, Cut::InOrder | Cut::Shuffled);
+        case.flows
             .iter()
-            .flat_map(|r| expand_records(&r.records))
-            .map(|(pid, pos)| (pid, u64::from(pos)))
-            .collect();
-        whole.sort_unstable();
-
-        // Packetize via the traffic crate, extract (seq, payload).
-        let packets = packetize(fk(), &data, mss, 7777);
-        let mut segments: Vec<(u32, Vec<u8>)> = packets
-            .iter()
-            .map(|p| match &p.body {
-                PacketBody::Ipv4 {
-                    l4: L4Header::Tcp(t),
-                    payload,
-                    ..
-                } => (t.seq, payload.clone()),
-                other => panic!("packetize produced {other:?}"),
-            })
-            .collect();
-
-        // In order.
-        prop_assert_eq!(&run_segments(&pats, &segments), &whole);
-
-        // Locally shuffled: swap within a stride (bounded reordering, the
-        // realistic network case the reassembler must absorb).
-        for chunk in segments.chunks_mut(swap_stride) {
-            chunk.reverse();
-        }
-        prop_assert_eq!(&run_segments(&pats, &segments), &whole);
-    }
+            .any(|f| f.truth == Truth::Plain && packetized(f))
+    });
 }

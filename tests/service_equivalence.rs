@@ -1,158 +1,54 @@
-//! The core correctness claim of the paper: replacing per-middlebox DPI
-//! with the shared service changes *where* scanning happens, never *what*
-//! the middleboxes conclude.
-//!
-//! Runs a generated Snort-like workload through (a) standalone
-//! self-scanning middleboxes and (b) the combined DPI service with plugin
-//! middleboxes, and requires bit-identical rule firings.
+//! The DPI service against self-scanning middleboxes: each middlebox's
+//! own `RuleLogic` over the matches the reference model (`spec/model.rs`)
+//! says it is told must give the verdict the service's middlebox reached.
 
-use dpi_service::ac::MiddleboxId;
-use dpi_service::core::config::NumberedRule;
-use dpi_service::core::{DpiInstance, InstanceConfig, MiddleboxProfile, RuleSpec};
-use dpi_service::middlebox::{MbAction, RuleLogic, SelfScanMiddlebox, ServiceMiddlebox};
-use dpi_service::traffic::{patterns, trace::TraceConfig};
+#[path = "spec/matrix.rs"]
+mod matrix;
+#[path = "spec/model.rs"]
+mod model;
 
-const A: MiddleboxId = MiddleboxId(1);
-const B: MiddleboxId = MiddleboxId(2);
+use matrix::{Case, Fault, Path, Truth};
 
-fn run_equivalence(pats_a: &[Vec<u8>], pats_b: &[Vec<u8>], trace: &[Vec<u8>]) {
-    // Baseline.
-    let mut self_a = SelfScanMiddlebox::new(
-        MiddleboxProfile::stateless(A),
-        "a",
-        NumberedRule::sequence(RuleSpec::exact_set(pats_a)),
-        RuleLogic::one_per_pattern(pats_a.len() as u16, MbAction::Alert),
-    )
-    .unwrap();
-    let mut self_b = SelfScanMiddlebox::new(
-        MiddleboxProfile::stateless(B),
-        "b",
-        NumberedRule::sequence(RuleSpec::exact_set(pats_b)),
-        RuleLogic::one_per_pattern(pats_b.len() as u16, MbAction::Alert),
-    )
-    .unwrap();
-
-    // Service.
-    let cfg = InstanceConfig::new()
-        .with_middlebox(MiddleboxProfile::stateless(A), RuleSpec::exact_set(pats_a))
-        .with_middlebox(MiddleboxProfile::stateless(B), RuleSpec::exact_set(pats_b))
-        .with_chain(1, vec![A, B]);
-    let mut dpi = DpiInstance::new(cfg).unwrap();
-    let mut svc_a = ServiceMiddlebox::new(
-        A,
-        "a",
-        RuleLogic::one_per_pattern(pats_a.len() as u16, MbAction::Alert),
-    );
-    let mut svc_b = ServiceMiddlebox::new(
-        B,
-        "b",
-        RuleLogic::one_per_pattern(pats_b.len() as u16, MbAction::Alert),
-    );
-
-    for (i, payload) in trace.iter().enumerate() {
-        let va = self_a.process(None, payload);
-        let vb = self_b.process(None, payload);
-        let out = dpi.scan_payload(1, None, payload).unwrap();
-        let wa = svc_a.process(out.reports.iter().find(|r| r.middlebox_id == A.0));
-        let wb = svc_b.process(out.reports.iter().find(|r| r.middlebox_id == B.0));
-        assert_eq!(va.fired, wa.fired, "packet {i}: middlebox A differs");
-        assert_eq!(vb.fired, wb.fired, "packet {i}: middlebox B differs");
-    }
+/// Loss-free cases that `keep` accepts, judged on `paths`.
+fn sweep_loss_free(paths: &[Path], keep: impl Fn(&Case) -> bool) {
+    matrix::sweep(paths, |case| {
+        let c = &mut case.config;
+        (c.fault, c.update_at, c.max_flows) = (Fault::None, None, None);
+        keep(case)
+    });
 }
 
+/// A chain whose rules are split over two middleboxes' disjoint sets.
 #[test]
 fn disjoint_snort_split_is_equivalent() {
-    let snort = patterns::snort_like(600, 21);
-    let (a, b) = patterns::split_set(&snort, 300, 4);
-    let trace = TraceConfig {
-        packets: 500,
-        match_density: 0.2,
-        seed: 77,
-        ..TraceConfig::default()
-    }
-    .generate(&snort);
-    run_equivalence(&a, &b, &trace);
+    sweep_loss_free(&[Path::Send], |case| {
+        case.flows.iter().any(|f| f.chain == 1)
+    });
 }
 
+/// A chain whose stateful IDS and stateless shaper share a pattern.
 #[test]
 fn overlapping_pattern_sets_are_equivalent() {
-    // Both middleboxes share a third of their patterns — the global
-    // pattern set dedup case.
-    let snort = patterns::snort_like(300, 31);
-    let a: Vec<_> = snort[..200].to_vec();
-    let b: Vec<_> = snort[100..].to_vec();
-    let trace = TraceConfig {
-        packets: 300,
-        match_density: 0.3,
-        seed: 78,
-        ..TraceConfig::default()
-    }
-    .generate(&snort);
-    run_equivalence(&a, &b, &trace);
+    sweep_loss_free(&[Path::Send], |case| {
+        case.flows.iter().any(|f| f.chain == 0)
+    });
 }
 
+/// Binary wire bytes (gzip bodies, TLS records) scanned raw.
 #[test]
 fn clamav_style_binary_sets_are_equivalent() {
-    let clam = patterns::clamav_like(400, 41);
-    let (a, b) = patterns::split_set(&clam, 200, 6);
-    let trace = TraceConfig {
-        kind: dpi_service::traffic::TraceKind::Campus,
-        packets: 300,
-        match_density: 0.25,
-        seed: 79,
-        ..TraceConfig::default()
-    }
-    .generate(&clam);
-    run_equivalence(&a, &b, &trace);
+    sweep_loss_free(&[Path::Send], |case| {
+        let binary = |t| matches!(t, Truth::Gzip | Truth::Tls);
+        !case.config.l7 && case.flows.iter().any(|f| binary(f.truth))
+    });
 }
 
+/// Plain flows with planted regex matches on a chain holding the
+/// anchored and the anchor-less regex rule, on both paths.
 #[test]
 fn regex_rules_are_equivalent_across_modes() {
-    let regexes = patterns::snort_like_regexes(40, 51);
-    let rules: Vec<RuleSpec> = regexes.iter().map(RuleSpec::regex).collect();
-    let logic = RuleLogic::one_per_pattern(rules.len() as u16, MbAction::Alert);
-
-    let mut selfscan = SelfScanMiddlebox::new(
-        MiddleboxProfile::stateless(A),
-        "re-self",
-        NumberedRule::sequence(rules.clone()),
-        logic.clone(),
-    )
-    .unwrap();
-
-    let cfg = InstanceConfig::new()
-        .with_middlebox(MiddleboxProfile::stateless(A), rules)
-        .with_chain(1, vec![A]);
-    let mut dpi = DpiInstance::new(cfg).unwrap();
-    let mut svc = ServiceMiddlebox::new(A, "re-svc", logic);
-
-    // Build payloads that exercise the anchor paths: embed fragments of
-    // the regexes' literal parts.
-    let mut payloads: Vec<Vec<u8>> = TraceConfig {
-        packets: 200,
-        seed: 80,
-        ..TraceConfig::default()
-    }
-    .generate(&[]);
-    for (i, r) in regexes.iter().enumerate() {
-        // Derive a matching input from the rule shape programmatically:
-        // replace \s* with space, \d+ with digits, [a-z]{1,8} with "abc",
-        // .* with "xyz".
-        let m = r
-            .replace(r"\s*", " ")
-            .replace(r"\d+", "123")
-            .replace("[a-z]{1,8}", "abc")
-            .replace(".*", "xyz");
-        let idx = i % payloads.len();
-        payloads[idx].extend_from_slice(m.as_bytes());
-    }
-
-    for (i, p) in payloads.iter().enumerate() {
-        let v1 = selfscan.process(None, p);
-        let out = dpi.scan_payload(1, None, p).unwrap();
-        let v2 = svc.process(out.reports.iter().find(|r| r.middlebox_id == A.0));
-        assert_eq!(v1.fired, v2.fired, "payload {i}");
-    }
-    // The derived payloads really did fire rules.
-    assert!(svc.stats().rules_fired > 0, "test must exercise matches");
+    sweep_loss_free(&[Path::Batch, Path::Send], |case| {
+        let regex_chain = |f: &matrix::Flow| f.truth == Truth::Plain && f.chain != 2;
+        case.flows.iter().any(regex_chain)
+    });
 }

@@ -1,21 +1,20 @@
-//! Multi-tenant isolation properties (DESIGN.md §16), proven for random
-//! traces at worker counts {1, 2, 8}:
+//! Multi-tenant isolation (DESIGN.md §16):
 //!
-//! 1. **No cross-tenant match report, ever.** Payloads deliberately
-//!    carry *both* tenants' signatures; a result for a packet on tenant
-//!    A's chain must only name tenant A's middlebox, no matter what the
-//!    bytes contain. Chains are tenant-homogeneous by construction, so
-//!    this is structural — the property test is the regression tripwire.
-//! 2. **Weighted fairness under asymmetric load.** Tenant A offers 16×
-//!    tenant B's load into an overloaded instance with fail-open
-//!    shedding armed. A's burst sheds A's own traffic; B — below its
-//!    fair share on every shard it touches — is never shed and every one
-//!    of its packets is scanned.
-//! 3. **Dedicated-instance equivalence.** Each tenant's verdict stream
-//!    out of the shared instance is identical (modulo the instance-local
-//!    packet ids that number the merged delivery stream) to the stream
-//!    the tenant would get running alone on a dedicated instance fed
-//!    only its own packets.
+//! 1. **No cross-tenant match report, ever**, and **each tenant's
+//!    verdicts equal those of a dedicated instance**: two tenants drawn
+//!    by the spec matrix (`spec/matrix.rs`), judged against a reference
+//!    model that knows nothing of the other tenant.
+//! 2. **Weighted fairness under asymmetric load**, proven for random
+//!    load at worker counts {1, 2, 8}: tenant A offers 16× tenant B's
+//!    load into an overloaded instance with fail-open shedding armed.
+//!    A's burst sheds A's own traffic; B — below its fair share on every
+//!    shard it touches — is never shed and every one of its packets is
+//!    scanned.
+
+#[path = "spec/matrix.rs"]
+mod matrix;
+#[path = "spec/model.rs"]
+mod model;
 
 use dpi_service::ac::MiddleboxId;
 use dpi_service::core::overload::OverloadPolicy;
@@ -23,9 +22,9 @@ use dpi_service::core::TenantId;
 use dpi_service::middlebox::antivirus;
 use dpi_service::packet::ipv4::IpProtocol;
 use dpi_service::packet::packet::flow;
-use dpi_service::packet::report::ResultPacket;
 use dpi_service::packet::{FlowKey, MacAddr, Packet};
 use dpi_service::{SystemBuilder, SystemHandle};
+use matrix::{Fault, Path};
 use proptest::prelude::*;
 
 const MB_A: MiddleboxId = MiddleboxId(1);
@@ -46,179 +45,44 @@ fn is_tenant_b(f: &FlowKey) -> bool {
     f.src_port >= 2000
 }
 
-/// One packet of the random trace.
-#[derive(Debug, Clone)]
-struct TracePkt {
-    tenant_b: bool,
-    flow_idx: u16,
-    /// Bitmask: 1 = plant SIG_A, 2 = plant SIG_B (regardless of tenant).
-    sigs: u8,
-    filler: u8,
-}
-
-fn payload(p: &TracePkt) -> Vec<u8> {
-    let filler = vec![b'x' + p.filler % 3; 2 + (p.filler as usize % 7)];
-    let mut v = filler.clone();
-    if p.sigs & 1 != 0 {
-        v.extend_from_slice(SIG_A);
-        v.extend_from_slice(&filler);
-    }
-    if p.sigs & 2 != 0 {
-        v.extend_from_slice(SIG_B);
-        v.extend_from_slice(&filler);
-    }
-    v
-}
-
-fn trace() -> impl Strategy<Value = Vec<TracePkt>> {
-    proptest::collection::vec(
-        (any::<bool>(), 0u16..4, 0u8..4, any::<u8>()).prop_map(
-            |(tenant_b, flow_idx, sigs, filler)| TracePkt {
-                tenant_b,
-                flow_idx,
-                sigs,
-                filler,
-            },
-        ),
-        1..32,
-    )
-}
-
 /// A shared two-tenant instance: tenant 1 owns the antivirus on chain 0,
 /// tenant 2 the one on chain 1.
-fn build_shared(workers: usize, overload: Option<OverloadPolicy>) -> SystemHandle {
-    let mut b = SystemBuilder::new()
+fn build_shared(workers: usize, overload: OverloadPolicy) -> SystemHandle {
+    SystemBuilder::new()
         .with_middlebox(antivirus(MB_A, &[SIG_A.to_vec()]).owned_by(TenantId(1)))
         .with_middlebox(antivirus(MB_B, &[SIG_B.to_vec()]).owned_by(TenantId(2)))
         .with_chain(&[MB_A])
         .with_chain(&[MB_B])
-        .with_dpi_workers(workers);
-    if let Some(p) = overload {
-        b = b.with_overload_policy(p);
-    }
-    b.build().expect("shared system builds")
-}
-
-/// A dedicated single-tenant instance serving only one tenant's chain.
-fn build_dedicated(workers: usize, tenant_b: bool) -> SystemHandle {
-    let (mb, sig, tenant) = if tenant_b {
-        (MB_B, SIG_B, TenantId(2))
-    } else {
-        (MB_A, SIG_A, TenantId(1))
-    };
-    SystemBuilder::new()
-        .with_middlebox(antivirus(mb, &[sig.to_vec()]).owned_by(tenant))
-        .with_chain(&[mb])
         .with_dpi_workers(workers)
+        .with_overload_policy(overload)
         .build()
-        .expect("dedicated system builds")
+        .expect("shared system builds")
 }
 
-fn packet_of(sys: &SystemHandle, p: &TracePkt, chain_slot: usize, seq: u32) -> Packet {
-    let mut pkt = Packet::tcp(
-        MacAddr::local(1),
-        MacAddr::local(2),
-        flow_of(p.tenant_b, p.flow_idx),
-        seq,
-        payload(p),
-    );
-    pkt.push_chain_tag(sys.chain_ids[chain_slot]).unwrap();
-    pkt
+/// Two-tenant cases as drawn, faults included, on both paths: a report
+/// to a middlebox off the flow's chain is a fabrication, and each
+/// tenant's telemetry counts exactly the matches told to its middleboxes.
+#[test]
+fn no_cross_tenant_match_report() {
+    matrix::sweep(&[Path::Batch, Path::Send], |case| case.config.tenants == 2);
 }
 
-/// A verdict stream with the instance-local packet ids masked: the ids
-/// number the instance's merged delivery stream, so they are the one
-/// field that legitimately differs between a shared and a dedicated
-/// deployment.
-fn masked(results: &[ResultPacket]) -> Vec<ResultPacket> {
-    results
-        .iter()
-        .cloned()
-        .map(|mut r| {
-            r.packet_id = 0;
-            r
-        })
-        .collect()
+/// Loss-free two-tenant cases on both paths: each tenant's verdicts
+/// equal the model's, which is a dedicated instance's contract.
+#[test]
+fn verdict_streams_match_dedicated_instances() {
+    matrix::sweep(&[Path::Batch, Path::Send], |case| {
+        let c = &mut case.config;
+        (c.fault, c.update_at, c.max_flows) = (Fault::None, None, None);
+        c.tenants == 2
+    });
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Property 1: payloads carrying BOTH tenants' signatures produce
-    /// results that only ever name the owning tenant's middlebox.
-    #[test]
-    fn no_cross_tenant_match_report(pkts in trace()) {
-        for workers in WORKERS {
-            let mut sys = build_shared(workers, None);
-            let mut batch: Vec<Packet> = pkts
-                .iter()
-                .enumerate()
-                .map(|(k, p)| packet_of(&sys, p, usize::from(p.tenant_b), k as u32))
-                .collect();
-            let results = sys.inspect_batch(&mut batch);
-            for r in &results {
-                let owner = if is_tenant_b(&r.flow) { MB_B } else { MB_A };
-                for rep in &r.reports {
-                    prop_assert_eq!(
-                        rep.middlebox_id, owner.0,
-                        "workers={}: result for tenant flow {:?} names middlebox {}",
-                        workers, r.flow, rep.middlebox_id
-                    );
-                }
-            }
-            // The per-tenant counters attribute every match to its owner:
-            // their sum equals the total, and a tenant with no planted
-            // signature of its own reports none.
-            let total: u64 = results.iter().flat_map(|r| &r.reports).map(|m| m.records.len() as u64).sum();
-            let per_tenant: u64 = sys
-                .tenant_telemetry()
-                .iter()
-                .map(|(_, c)| c.matches)
-                .sum();
-            prop_assert_eq!(per_tenant, total);
-        }
-    }
-
-    /// Property 3: each tenant's verdict stream out of the shared
-    /// instance is identical to running alone on a dedicated instance.
-    #[test]
-    fn verdict_streams_match_dedicated_instances(pkts in trace()) {
-        for workers in WORKERS {
-            let mut shared = build_shared(workers, None);
-            let mut batch: Vec<Packet> = pkts
-                .iter()
-                .enumerate()
-                .map(|(k, p)| packet_of(&shared, p, usize::from(p.tenant_b), k as u32))
-                .collect();
-            let shared_results = shared.inspect_batch(&mut batch);
-
-            for tenant_b in [false, true] {
-                let mut dedicated = build_dedicated(workers, tenant_b);
-                let mut alone: Vec<Packet> = pkts
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.tenant_b == tenant_b)
-                    .map(|(k, p)| packet_of(&dedicated, p, 0, k as u32))
-                    .collect();
-                let alone_results = dedicated.inspect_batch(&mut alone);
-                let sliced: Vec<ResultPacket> = shared_results
-                    .iter()
-                    .filter(|r| is_tenant_b(&r.flow) == tenant_b)
-                    .cloned()
-                    .collect();
-                prop_assert_eq!(
-                    masked(&sliced),
-                    masked(&alone_results),
-                    "workers={} tenant_b={}: shared verdicts diverge from dedicated",
-                    workers,
-                    tenant_b
-                );
-            }
-        }
-    }
-
-    /// Property 2: tenant A at 16× offered load into an overloaded
-    /// instance sheds only its own fail-open traffic. Tenant B's flows
+    /// Tenant A at 16× offered load into an overloaded instance sheds
+    /// only its own fail-open traffic. Tenant B's flows
     /// are chosen to share a shard with (much heavier) tenant A flows,
     /// so B stays below its fair share everywhere it appears — and not
     /// one of B's packets may be shed or go unscanned.
@@ -226,7 +90,7 @@ proptest! {
     fn overloaded_tenant_sheds_only_itself(b_flows in 1u16..4, rounds in 2u32..5) {
         let policy = OverloadPolicy::queue_only(1, 0);
         for workers in WORKERS {
-            let mut sys = build_shared(workers, Some(policy));
+            let mut sys = build_shared(workers, policy);
             // For every B flow pick an A flow on the same shard, so each
             // shard that carries B traffic also carries 16× A traffic.
             let pairs: Vec<(FlowKey, FlowKey)> = (0..b_flows)
