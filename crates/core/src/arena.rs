@@ -5,7 +5,8 @@
 //! per-flow state — "the current DFA state and an offset within the
 //! packet" — which is what makes consolidation and migration cheap, and
 //! §5.2 keeps it in "a data structure of active flows". [`FlowArena`] is
-//! that structure: one `FlowKey` lookup into a slab of records holding
+//! that structure: one `FlowKey` lookup — one keyed hash, one probe of
+//! an open-addressing index — into a slab of records holding
 //! everything the instance knows about a flow (scan state, verdict,
 //! reassembler, stress samples, L7 session), with
 //!
@@ -38,16 +39,18 @@ use crate::l7::L7Session;
 use crate::reassembly::StreamReassembler;
 use dpi_ac::StateId;
 use dpi_packet::FlowKey;
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 
-/// Slab index niche for "no entry" in the intrusive list links.
+/// Slab index niche for "no entry" in the intrusive list links, and the
+/// slot of an empty index bucket.
 const NIL: u32 = u32::MAX;
 
 /// Estimated fixed cost of one tracked flow: the slab slot itself plus
-/// the index map's key + index + bucket share. An estimate for the
-/// watermark math, not an allocator census.
+/// its share of the index — at most half the buckets are full, so two
+/// `(slot, hash)` buckets per flow. An estimate for the watermark math,
+/// not an allocator census.
 fn entry_base_bytes() -> u64 {
-    (std::mem::size_of::<Slot>() + std::mem::size_of::<FlowKey>() + 24) as u64
+    (std::mem::size_of::<Slot>() + 2 * std::mem::size_of::<(u32, u32)>()) as u64
 }
 
 /// Counters the arena accumulates while servicing the hot path, drained
@@ -94,6 +97,9 @@ pub struct FlowState {
 #[derive(Debug)]
 struct FlowEntry {
     key: FlowKey,
+    /// The key's keyed hash, kept so that eviction, aging, teardown and
+    /// release unlink the entry from the index without hashing again.
+    hash: u32,
     /// Scan state `(dfa_state, stream_offset, generation)` — the §4.3
     /// record. `None` for flows tracked only for reassembly/stress/L7.
     scan: Option<(StateId, u64, u32)>,
@@ -180,10 +186,103 @@ const EMPTY: List = List {
     tail: NIL,
 };
 
+/// The key → slab-slot index: open addressing with linear probing over
+/// `(slot, hash)` buckets, a power-of-two table at most half full. Each
+/// bucket keeps its flow's hash, so a probe compares hashes before it
+/// reads a slab entry, growth re-places entries without hashing a key,
+/// and removal needs only the hash and the slot. Removal shifts the rest
+/// of the run back instead of leaving a tombstone, so no amount of churn
+/// lengthens a probe.
+#[derive(Debug, Default)]
+struct Index {
+    /// `(slot, hash)`; an empty bucket's slot is `NIL`.
+    buckets: Vec<(u32, u32)>,
+    len: usize,
+}
+
+impl Index {
+    /// The table's size on first insert.
+    const MIN_BUCKETS: usize = 16;
+
+    /// The slot stored under `hash` for which `is_key` holds, probing
+    /// from `hash`'s home bucket to the first empty one (load ≤ 1/2
+    /// guarantees there is one).
+    fn find(&self, hash: u32, mut is_key: impl FnMut(u32) -> bool) -> Option<u32> {
+        let mask = self.buckets.len().checked_sub(1)?;
+        let mut i = hash as usize & mask;
+        loop {
+            let (slot, h) = self.buckets[i];
+            if slot == NIL {
+                return None;
+            }
+            if h == hash && is_key(slot) {
+                return Some(slot);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Adds `slot` under `hash`; the caller knows its key is absent. The
+    /// table doubles first if this entry would fill it past half.
+    fn insert(&mut self, hash: u32, slot: u32) {
+        if (self.len + 1) * 2 > self.buckets.len() {
+            let size = (self.buckets.len() * 2).max(Self::MIN_BUCKETS);
+            let old = std::mem::replace(&mut self.buckets, vec![(NIL, 0); size]);
+            for (s, h) in old.into_iter().filter(|&(s, _)| s != NIL) {
+                self.place(h, s);
+            }
+        }
+        self.place(hash, slot);
+        self.len += 1;
+    }
+
+    /// Puts `(slot, hash)` in the first empty bucket from its home.
+    fn place(&mut self, hash: u32, slot: u32) {
+        let mask = self.buckets.len() - 1;
+        let mut i = hash as usize & mask;
+        while self.buckets[i].0 != NIL {
+            i = (i + 1) & mask;
+        }
+        self.buckets[i] = (slot, hash);
+    }
+
+    /// Removes `slot`, stored under `hash`. Each later member of its run
+    /// whose probe path crosses the gap moves back into it, so every
+    /// remaining entry stays reachable from its home bucket.
+    fn remove(&mut self, hash: u32, slot: u32) {
+        let mask = self.buckets.len() - 1;
+        let mut gap = hash as usize & mask;
+        while self.buckets[gap].0 != slot {
+            assert_ne!(self.buckets[gap].0, NIL, "slot {slot} is indexed");
+            gap = (gap + 1) & mask;
+        }
+        let mut i = gap;
+        loop {
+            i = (i + 1) & mask;
+            let (s, h) = self.buckets[i];
+            if s == NIL {
+                break;
+            }
+            // The member may fill the gap only if the gap is on its probe
+            // path: no farther back from `i` than its home bucket.
+            if i.wrapping_sub(h as usize) & mask >= i.wrapping_sub(gap) & mask {
+                self.buckets[gap] = (s, h);
+                gap = i;
+            }
+        }
+        self.buckets[gap] = (NIL, 0);
+        self.len -= 1;
+    }
+}
+
 /// The arena. See the module docs.
 #[derive(Debug)]
 pub struct FlowArena {
-    index: HashMap<FlowKey, u32>,
+    /// Keys the index hash per arena: flow keys are chosen by whoever
+    /// sends the packets, so a fixed-key hash would let them pile every
+    /// flow into one probe run.
+    hasher: RandomState,
+    index: Index,
     slots: Vec<Slot>,
     free_head: u32,
     /// Live (non-quarantined) flows in LRU order: the tail is both the
@@ -220,7 +319,8 @@ impl FlowArena {
         max_bytes: Option<u64>,
     ) -> FlowArena {
         FlowArena {
-            index: HashMap::new(),
+            hasher: RandomState::new(),
+            index: Index::default(),
             slots: Vec::new(),
             free_head: NIL,
             lru: EMPTY,
@@ -236,12 +336,12 @@ impl FlowArena {
 
     /// Tracked flows.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.index.len
     }
 
     /// Whether no flows are tracked.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.index.len == 0
     }
 
     /// Estimated bytes of all per-flow state currently held — what the
@@ -274,7 +374,7 @@ impl FlowArena {
     /// ride out on a generation swap. Never creates an entry.
     pub fn get_scan_if_generation(&mut self, key: &FlowKey, generation: u32) -> Option<FlowState> {
         self.tick();
-        let idx = *self.index.get(key)?;
+        let idx = self.lookup(key)?;
         self.touch(idx);
         let e = self.entry_mut(idx);
         let found = e.scan_at(generation).map(|(state, offset)| FlowState {
@@ -306,7 +406,7 @@ impl FlowArena {
     /// component (scan state, reassembler, stress, L7 session, verdict)
     /// goes with it; returns the scan-state record if one existed.
     pub fn remove(&mut self, key: &FlowKey) -> Option<FlowState> {
-        let idx = *self.index.get(key)?;
+        let idx = self.lookup(key)?;
         let out = self.entry(idx).record();
         self.remove_idx(idx);
         out
@@ -336,30 +436,28 @@ impl FlowArena {
     }
 
     /// Per-flow deep-state ratios; flows with fewer than two samples
-    /// are omitted (no signal), sorted hottest first.
+    /// are omitted (no signal), sorted hottest first, equal ratios by
+    /// key — the same operations give the same vector on every run.
     pub fn stress_ratios(&self) -> Vec<(FlowKey, f64)> {
         let mut v: Vec<(FlowKey, f64)> = self
-            .index
-            .values()
-            .map(|&idx| self.entry(idx))
+            .slots
+            .iter()
+            .filter_map(|s| s.entry.as_ref())
             .filter(|e| e.stress.1 >= 2)
             .map(|e| (e.key, e.stress.0 as f64 / e.stress.1 as f64))
             .collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("ratios are finite"));
+        v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
 
     /// Clears the stress window (after the controller consumed it).
     /// Entries that held nothing but stress samples are released.
     pub fn reset_stress(&mut self) {
-        let stressed: Vec<u32> = self
-            .index
-            .values()
-            .copied()
-            .filter(|&idx| self.entry(idx).stress != (0, 0))
-            .collect();
-        for idx in stressed {
-            let e = self.entry_mut(idx);
+        for idx in 0..self.slots.len() as u32 {
+            let entry = self.slots[idx as usize].entry.as_mut();
+            let Some(e) = entry.filter(|e| e.stress != (0, 0)) else {
+                continue;
+            };
             e.stress = (0, 0);
             if e.is_hollow() {
                 self.remove_idx(idx);
@@ -389,7 +487,28 @@ impl FlowArena {
     }
 
     fn peek(&self, key: &FlowKey) -> Option<&FlowEntry> {
-        self.index.get(key).map(|&idx| self.entry(idx))
+        self.lookup(key).map(|idx| self.entry(idx))
+    }
+
+    /// `key`'s index hash: SipHash-1-3 under this arena's random keys,
+    /// over the 5-tuple packed into one `u128` (one 16-byte write).
+    fn hash(&self, key: &FlowKey) -> u32 {
+        let packed = u128::from(u32::from(key.src_ip)) << 96
+            | u128::from(u32::from(key.dst_ip)) << 64
+            | u128::from(key.src_port) << 48
+            | u128::from(key.dst_port) << 32
+            | u128::from(key.protocol.to_u8());
+        self.hasher.hash_one(packed) as u32
+    }
+
+    /// The slot holding `key`, whose hash is `hash`.
+    fn find(&self, hash: u32, key: &FlowKey) -> Option<u32> {
+        self.index.find(hash, |idx| self.entry(idx).key == *key)
+    }
+
+    /// The slot holding `key`, hashing it once.
+    fn lookup(&self, key: &FlowKey) -> Option<u32> {
+        self.find(self.hash(key), key)
     }
 
     /// Advances the logical clock by one tick and ages out every flow
@@ -410,18 +529,21 @@ impl FlowArena {
     }
 
     /// Finds or creates the entry for `key`, touching it either way and
-    /// enforcing the entry bound on creation.
+    /// enforcing the entry bound on creation. One hash serves the probe
+    /// and the insert; an evicted victim unlinks by its stored hash.
     fn ensure(&mut self, key: FlowKey) -> u32 {
         self.tick();
-        if let Some(&idx) = self.index.get(&key) {
+        let hash = self.hash(&key);
+        if let Some(idx) = self.find(hash, &key) {
             self.touch(idx);
             return idx;
         }
-        if self.index.len() >= self.capacity {
+        if self.index.len >= self.capacity {
             self.evict_one();
         }
         let entry = FlowEntry {
             key,
+            hash,
             scan: None,
             quarantined: false,
             reassembler: None,
@@ -446,7 +568,7 @@ impl FlowArena {
             });
             (self.slots.len() - 1) as u32
         };
-        self.index.insert(key, idx);
+        self.index.insert(hash, idx);
         self.push_front(idx);
         idx
     }
@@ -535,7 +657,7 @@ impl FlowArena {
         slot.next_free = self.free_head;
         self.free_head = idx;
         self.total_bytes -= entry.bytes;
-        self.index.remove(&entry.key);
+        self.index.remove(entry.hash, idx);
     }
 
     /// Closes an opened entry: re-estimates its byte footprint (its
@@ -915,6 +1037,187 @@ mod tests {
         *a.open(key(2)).l7() = Some(Box::new(s));
         assert!(a.open(key(2)).l7().take().is_some());
         assert!(a.open(key(2)).l7().take().is_none());
+    }
+
+    #[test]
+    fn equal_stress_ratios_come_out_in_key_order_on_every_arena() {
+        // Regression: ties came out in the index's iteration order,
+        // which a per-process random seed decides.
+        let feed = |a: &mut FlowArena| {
+            for i in 0..40u32 {
+                let n = (i * 17) % 40;
+                let deep = if n % 5 == 0 { 3 } else { 1 };
+                a.open(key(n)).add_stress(deep, 4);
+            }
+        };
+        let (mut a, mut b) = (FlowArena::new(64), FlowArena::new(64));
+        feed(&mut a);
+        feed(&mut b);
+        let hot = (0..40).step_by(5).map(|n| (key(n), 0.75));
+        let cold = (0..40).filter(|n| n % 5 != 0).map(|n| (key(n), 0.25));
+        let expected: Vec<(FlowKey, f64)> = hot.chain(cold).collect();
+        assert_eq!(a.stress_ratios(), expected);
+        assert_eq!(b.stress_ratios(), expected);
+    }
+
+    // ---- the index, with hand-chosen hashes -------------------------
+
+    /// The slots of buckets `range`, `None` for an empty bucket.
+    fn layout(index: &Index, range: std::ops::Range<usize>) -> Vec<Option<u32>> {
+        index.buckets[range]
+            .iter()
+            .map(|&(s, _)| (s != NIL).then_some(s))
+            .collect()
+    }
+
+    /// Whether `slot` is found under `hash`.
+    fn has(index: &Index, hash: u32, slot: u32) -> bool {
+        index.find(hash, |s| s == slot) == Some(slot)
+    }
+
+    /// The longest stretch of full buckets, counted around the end.
+    fn longest_run(index: &Index) -> usize {
+        let n = index.buckets.len();
+        let start = index.buckets.iter().position(|b| b.0 == NIL).unwrap_or(0);
+        let (mut run, mut longest) = (0, 0);
+        for k in 1..=n {
+            run = if index.buckets[(start + k) % n].0 == NIL {
+                0
+            } else {
+                run + 1
+            };
+            longest = longest.max(run);
+        }
+        longest
+    }
+
+    #[test]
+    fn index_run_of_equal_hashes_probes_in_insertion_order() {
+        let mut ix = Index::default();
+        for slot in 0..7 {
+            ix.insert(3, slot);
+        }
+        assert_eq!(ix.buckets.len(), Index::MIN_BUCKETS);
+        let run: Vec<Option<u32>> = (0..7).map(Some).collect();
+        assert_eq!(layout(&ix, 3..10), run);
+        assert!((0..7).all(|slot| has(&ix, 3, slot)));
+        assert!(!has(&ix, 3, 99));
+        assert_eq!(longest_run(&ix), 7);
+    }
+
+    #[test]
+    fn index_run_wraps_past_the_last_bucket_and_shifts_back_across_it() {
+        let mut ix = Index::default();
+        for (slot, hash) in [(0, 14), (1, 14), (2, 15), (3, 15)] {
+            ix.insert(hash, slot);
+        }
+        assert_eq!(layout(&ix, 14..16), [Some(0), Some(1)]);
+        assert_eq!(layout(&ix, 0..3), [Some(2), Some(3), None]);
+        assert!(has(&ix, 15, 3));
+        ix.remove(14, 0);
+        assert_eq!(layout(&ix, 14..16), [Some(1), Some(2)]);
+        assert_eq!(layout(&ix, 0..2), [Some(3), None]);
+        assert!([(1, 14), (2, 15), (3, 15)]
+            .iter()
+            .all(|&(s, h)| has(&ix, h, s)));
+        assert!(!has(&ix, 14, 0));
+    }
+
+    #[test]
+    fn index_backward_shift_deletion_at_head_middle_and_tail_of_a_run() {
+        // One run over buckets 5..=9, homes 5, 5, 7, 6, 9; bucket 10 empty.
+        let members = [(0, 5), (1, 5), (2, 7), (3, 6), (4, 9)];
+        let cases = [
+            // Head: slot 1 (home 5) and slot 3 (home 6) shift back; slot
+            // 2 and slot 4 sit at home and stay.
+            (0, [Some(1), Some(3), Some(2), None, Some(4)]),
+            // Middle: slot 3 crosses the gap at 7; slot 4 stays home.
+            (2, [Some(0), Some(1), Some(3), None, Some(4)]),
+            // Tail: nothing follows it.
+            (4, [Some(0), Some(1), Some(2), Some(3), None]),
+        ];
+        for (removed, expected) in cases {
+            let mut ix = Index::default();
+            for (slot, hash) in members {
+                ix.insert(hash, slot);
+            }
+            let run: Vec<Option<u32>> = (0..5).map(Some).chain([None]).collect();
+            assert_eq!(layout(&ix, 5..11), run);
+            ix.remove(members[removed as usize].1, removed);
+            assert_eq!(layout(&ix, 5..10), expected, "removing slot {removed}");
+            assert_eq!(ix.len, 4);
+            for (slot, hash) in members {
+                assert_eq!(has(&ix, hash, slot), slot != removed, "slot {slot}");
+            }
+        }
+    }
+
+    #[test]
+    fn index_growth_keeps_every_entry_findable_by_its_stored_hash() {
+        let mut ix = Index::default();
+        // Clustered, repeated and high-bit hashes alike.
+        let hash = |slot: u32| match slot % 3 {
+            0 => slot % 37,
+            1 => u32::MAX - slot,
+            _ => slot.wrapping_mul(0x9E37_79B9),
+        };
+        for slot in 0..1000 {
+            ix.insert(hash(slot), slot);
+            assert!(ix.len * 2 <= ix.buckets.len());
+        }
+        assert_eq!(ix.buckets.len(), 2048);
+        assert!((0..1000).all(|slot| has(&ix, hash(slot), slot)));
+        for slot in (0..1000).step_by(2) {
+            ix.remove(hash(slot), slot);
+        }
+        assert_eq!(ix.len, 500);
+        assert!((0..1000).all(|slot| has(&ix, hash(slot), slot) == (slot % 2 == 1)));
+    }
+
+    #[test]
+    fn index_absent_key_probe_stops_at_the_first_empty_bucket() {
+        let mut ix = Index::default();
+        ix.insert(3, 0);
+        ix.insert(3, 1);
+        // Forged past the gap at bucket 5: a probe that ran on would
+        // find it.
+        ix.buckets[6] = (7, 3);
+        let mut compared = Vec::new();
+        let found = ix.find(3, |s| {
+            compared.push(s);
+            s == 7
+        });
+        assert_eq!(found, None);
+        assert_eq!(compared, [0, 1]);
+        // A mismatched stored hash, or an empty home bucket, reads no
+        // slab entry.
+        assert_eq!(ix.find(4, |_| panic!("no stored hash is 4")), None);
+        assert_eq!(ix.find(9, |_| panic!("bucket 9 is empty")), None);
+    }
+
+    #[test]
+    fn colliding_flow_keys_do_not_pile_into_one_probe_run() {
+        // 131,072 keys differing only in `src_ip`'s high byte and
+        // `dst_port` through a 65,536-flow arena. At load 1/2 the
+        // longest run of a keyed hash is about 60; a hash that keeps
+        // these keys' structure, such as the identity, packs them into
+        // one run tens of thousands long.
+        let capacity = 1 << 16;
+        let mut a = FlowArena::new(capacity);
+        for n in 0..2 * capacity as u32 {
+            let k = FlowKey {
+                src_ip: Ipv4Addr::from((n & 0xFF) << 24 | 0x0001),
+                dst_ip: Ipv4Addr::new(10, 0, 0, 2),
+                protocol: IpProtocol::Tcp,
+                src_port: 4000,
+                dst_port: (n >> 8) as u16,
+            };
+            a.put_scan_gen(k, 1, 0, 0);
+        }
+        assert_eq!(a.len(), capacity);
+        assert_eq!(a.index.buckets.len(), 2 * capacity);
+        let longest = longest_run(&a.index);
+        assert!(longest <= 256, "longest probe run {longest}");
     }
 
     #[test]

@@ -962,14 +962,15 @@ impl DpiInstance {
     /// Per-flow deep-state ratios observed since the last
     /// [`DpiInstance::reset_flow_stress`] — the input to heavy-flow
     /// selection (§4.3.1). Flows with fewer than two samples are omitted
-    /// (no signal); the rest are sorted hottest first.
+    /// (no signal); the rest are sorted hottest first, equal ratios by
+    /// key.
     pub fn flow_deep_ratios(&self) -> Vec<(FlowKey, f64)> {
         let mut all: Vec<(FlowKey, f64)> = self
             .slots
             .iter()
             .flat_map(|s| s.state.flow_deep_ratios())
             .collect();
-        all.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("ratios are finite"));
+        all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         all
     }
 

@@ -390,7 +390,7 @@ enum Op {
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    let k = 0u16..8;
+    let k = 0u16..64;
     prop_oneof![
         (k.clone(), 0u32..64, 0u64..4096, 1u32..4).prop_map(|(k, state, offset, generation)| {
             Op::Put {
@@ -498,8 +498,8 @@ proptest! {
     /// they converge on the same population.
     #[test]
     fn arena_scan_state_matches_naive_model(
-        ops in prop::collection::vec(op_strategy(), 1..64),
-        capacity in 1usize..=10,
+        ops in prop::collection::vec(op_strategy(), 1..256),
+        capacity in 1usize..=40,
         timeout in prop::option::of(2u64..24),
     ) {
         let mut arena = FlowArena::with_limits(capacity, timeout, None);
@@ -569,7 +569,7 @@ proptest! {
         }
         // Converged end state: same population, same record per key.
         prop_assert_eq!(arena.len(), model.flows.len());
-        for k in 0..8 {
+        for k in 0..64 {
             let expected = model.peek(k).and_then(Rec::observed);
             prop_assert_eq!(obs(arena.export_scan(&fk(k))), expected);
         }
