@@ -76,8 +76,6 @@ impl PatternSet {
 #[derive(Debug, Default, Clone)]
 pub struct CombinedAcBuilder {
     trie: Trie,
-    pattern_count: usize,
-    set_count: usize,
     transfer_bytes: usize,
 }
 
@@ -86,8 +84,6 @@ impl CombinedAcBuilder {
     pub fn new() -> CombinedAcBuilder {
         CombinedAcBuilder {
             trie: Trie::new(),
-            pattern_count: 0,
-            set_count: 0,
             transfer_bytes: 0,
         }
     }
@@ -101,10 +97,8 @@ impl CombinedAcBuilder {
         for (i, p) in set.patterns.iter().enumerate() {
             self.trie
                 .add_pattern(set.middlebox, PatternId(i as u16), p)?;
-            self.pattern_count += 1;
             self.transfer_bytes += p.len() + 4;
         }
-        self.set_count += 1;
         self.transfer_bytes += 8;
         Ok(())
     }
@@ -118,20 +112,8 @@ impl CombinedAcBuilder {
         pattern: &[u8],
     ) -> Result<(), TrieError> {
         self.trie.add_pattern(middlebox, id, pattern)?;
-        self.pattern_count += 1;
         self.transfer_bytes += pattern.len() + 4;
         Ok(())
-    }
-
-    /// Total patterns added (counting duplicates registered by different
-    /// middleboxes separately, like the paper's `f = Σ|Pᵢ|` discussion).
-    pub fn pattern_count(&self) -> usize {
-        self.pattern_count
-    }
-
-    /// Number of sets added.
-    pub fn set_count(&self) -> usize {
-        self.set_count
     }
 
     /// Serialized size of everything added to this builder — the
@@ -190,8 +172,6 @@ mod tests {
         let ac2 = b.build_full();
         assert_eq!(ac1.accepting_count(), 1);
         assert_eq!(ac2.accepting_count(), 3);
-        assert_eq!(b.pattern_count(), 3);
-        assert_eq!(b.set_count(), 2);
     }
 
     #[test]
@@ -223,7 +203,6 @@ mod tests {
             }
         );
         // The good pattern before the failure is still in the builder.
-        assert_eq!(b.pattern_count(), 1);
         assert_eq!(b.build_full().find_all(b"ok").len(), 1);
     }
 }

@@ -195,11 +195,6 @@ impl LoadBalancer {
         self.migrations += picked.len() as u64;
         picked
     }
-
-    /// Whether a flow is currently frozen by a recent migration.
-    pub fn in_cooldown(&self, flow_key: u64) -> bool {
-        self.flow_cooldown.contains_key(&flow_key)
-    }
 }
 
 #[cfg(test)]
@@ -293,14 +288,14 @@ mod tests {
         // Budget 2, sorted order: lowest keys move.
         assert_eq!(picked, vec![10, 20]);
         assert_eq!(b.migrations(), 2);
-        assert!(b.in_cooldown(10) && b.in_cooldown(20));
+        assert!(b.flow_cooldown.contains_key(&10) && b.flow_cooldown.contains_key(&20));
         // While frozen, the same flows are skipped.
         let picked = b.select_flows(&plan, &[10, 20, 30]);
         assert_eq!(picked, vec![30]);
         // Cooldown (2 rounds) expires after two more observed rounds.
         b.observe_round(&[(InstanceId(0), 1000), (InstanceId(1), 0)]);
-        assert!(b.in_cooldown(10));
+        assert!(b.flow_cooldown.contains_key(&10));
         b.observe_round(&[(InstanceId(0), 1000), (InstanceId(1), 0)]);
-        assert!(!b.in_cooldown(10));
+        assert!(!b.flow_cooldown.contains_key(&10));
     }
 }

@@ -181,12 +181,8 @@ impl DpiController {
             ControllerMessage::Deregister { middlebox_id } => self
                 .deregister(MiddleboxId(*middlebox_id))
                 .map(|_| ControllerReply::Ok),
-            ControllerMessage::Heartbeat {
-                instance_id,
-                seq,
-                load,
-            } => self
-                .heartbeat(InstanceId(*instance_id), *seq, *load)
+            ControllerMessage::Heartbeat { instance_id, seq } => self
+                .heartbeat(InstanceId(*instance_id), *seq)
                 .map(|_| ControllerReply::Ok),
         };
         match result {
@@ -261,8 +257,9 @@ impl DpiController {
         Ok(())
     }
 
-    /// Deregisters a middlebox entirely.
-    pub fn deregister(&self, id: MiddleboxId) -> Result<(), ControllerError> {
+    /// Deregisters a middlebox entirely (reached through
+    /// [`DpiController::handle`]'s `Deregister` message).
+    fn deregister(&self, id: MiddleboxId) -> Result<(), ControllerError> {
         let mut g = self.inner.lock();
         if g.middleboxes.remove(&id).is_none() {
             return Err(ControllerError::UnknownMiddlebox(id.0));
@@ -375,12 +372,12 @@ impl DpiController {
     /// Records a liveness beacon from a deployed instance. Stale beats
     /// (non-zero `seq` not beyond the last seen) are accepted but ignored
     /// by the monitor.
-    pub fn heartbeat(&self, id: InstanceId, seq: u64, load: u64) -> Result<(), ControllerError> {
+    pub fn heartbeat(&self, id: InstanceId, seq: u64) -> Result<(), ControllerError> {
         let mut g = self.inner.lock();
         if !g.instances.contains_key(&id) {
             return Err(ControllerError::UnknownInstance(id));
         }
-        g.health.heartbeat(id, seq, load);
+        g.health.heartbeat(id, seq);
         Ok(())
     }
 
@@ -421,11 +418,6 @@ impl DpiController {
     /// candidates.
     pub fn healthy_instances(&self) -> Vec<InstanceId> {
         self.inner.lock().health.healthy()
-    }
-
-    /// Last self-reported load of an instance.
-    pub fn instance_load(&self, id: InstanceId) -> Option<u64> {
-        self.inner.lock().health.load(id)
     }
 
     /// Records a telemetry report from an instance and returns the delta
@@ -666,26 +658,24 @@ mod tests {
         // Deployment grants one grace window; close it.
         assert!(c.health_tick().is_empty());
         // b goes silent: suspect after 1 missed window, dead after 2.
-        c.heartbeat(a, 1, 100).unwrap();
+        c.heartbeat(a, 1).unwrap();
         assert_eq!(c.health_tick(), vec![HealthEvent::BecameSuspect(b)]);
-        c.heartbeat(a, 2, 100).unwrap();
+        c.heartbeat(a, 2).unwrap();
         assert_eq!(c.health_tick(), vec![HealthEvent::BecameDead(b)]);
         assert_eq!(c.instance_health(b), Some(InstanceHealth::Dead));
         assert_eq!(c.healthy_instances(), vec![a]);
-        assert_eq!(c.instance_load(a), Some(100));
         // Heartbeats to unknown instances are errors.
-        assert!(c.heartbeat(InstanceId(99), 1, 0).is_err());
+        assert!(c.heartbeat(InstanceId(99), 1).is_err());
         // The JSON channel carries heartbeats too.
         let reply = c.handle_json(
             &ControllerMessage::Heartbeat {
                 instance_id: b.0,
                 seq: 3,
-                load: 7,
             }
             .to_json(),
         );
         assert!(ControllerReply::from_json(&reply).unwrap().is_ok());
-        c.heartbeat(a, 3, 100).unwrap();
+        c.heartbeat(a, 3).unwrap();
         assert_eq!(c.health_tick(), vec![HealthEvent::Recovered(b)]);
     }
 

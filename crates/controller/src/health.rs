@@ -72,10 +72,6 @@ struct HealthRecord {
     beat_this_window: bool,
     /// Highest heartbeat sequence number seen (stale beats are ignored).
     last_seq: u64,
-    /// Load the instance self-reported on its last beat (packets scanned
-    /// since the previous beat) — the signal a load-aware steering
-    /// policy consumes.
-    last_load: u64,
 }
 
 /// Tracks heartbeat windows for a fleet of instances.
@@ -115,7 +111,6 @@ impl HealthMonitor {
                 missed: 0,
                 beat_this_window: true,
                 last_seq: 0,
-                last_load: 0,
             },
         );
     }
@@ -123,14 +118,13 @@ impl HealthMonitor {
     /// Records a heartbeat. Returns `false` for unknown instances and for
     /// stale beats (sequence number not beyond the last seen — a delayed
     /// duplicate must not resurrect a dead instance).
-    pub fn heartbeat(&mut self, id: InstanceId, seq: u64, load: u64) -> bool {
+    pub fn heartbeat(&mut self, id: InstanceId, seq: u64) -> bool {
         match self.records.get_mut(&id) {
             Some(rec) => {
                 if seq != 0 && seq <= rec.last_seq {
                     return false;
                 }
                 rec.last_seq = rec.last_seq.max(seq);
-                rec.last_load = load;
                 rec.beat_this_window = true;
                 true
             }
@@ -170,11 +164,6 @@ impl HealthMonitor {
     /// Current health of an instance.
     pub fn state(&self, id: InstanceId) -> Option<InstanceHealth> {
         self.records.get(&id).map(|r| r.state)
-    }
-
-    /// Last self-reported load of an instance.
-    pub fn load(&self, id: InstanceId) -> Option<u64> {
-        self.records.get(&id).map(|r| r.last_load)
     }
 
     /// All tracked instances currently `Healthy`, in id order.
@@ -221,7 +210,7 @@ mod tests {
         // Instance 1 beats every window; instance 0 goes silent.
         let beat1 = |m: &mut HealthMonitor, seq: &mut u64| {
             *seq += 1;
-            assert!(m.heartbeat(InstanceId(1), *seq, 10));
+            assert!(m.heartbeat(InstanceId(1), *seq));
         };
         beat1(&mut m, &mut seq);
         assert!(m.tick().is_empty()); // miss 1: still healthy
@@ -242,51 +231,50 @@ mod tests {
     #[test]
     fn beat_resets_the_miss_count() {
         let mut m = monitor();
-        m.heartbeat(InstanceId(1), 1, 0);
+        m.heartbeat(InstanceId(1), 1);
         m.tick(); // instance 0 misses 1
-        m.heartbeat(InstanceId(0), 1, 5);
-        m.heartbeat(InstanceId(1), 2, 0);
+        m.heartbeat(InstanceId(0), 1);
+        m.heartbeat(InstanceId(1), 2);
         assert!(m.tick().is_empty()); // miss count back to 0
-        m.heartbeat(InstanceId(1), 3, 0);
+        m.heartbeat(InstanceId(1), 3);
         assert!(m.tick().is_empty()); // miss 1 again, below threshold
         assert_eq!(m.state(InstanceId(0)), Some(InstanceHealth::Healthy));
-        assert_eq!(m.load(InstanceId(0)), Some(5));
     }
 
     #[test]
     fn recovery_from_suspect_and_dead() {
         let mut m = monitor();
         for _ in 0..2 {
-            m.heartbeat(InstanceId(1), 0, 0);
+            m.heartbeat(InstanceId(1), 0);
             m.tick();
         }
         assert_eq!(m.state(InstanceId(0)), Some(InstanceHealth::Suspect));
         assert_eq!(m.usable(), vec![InstanceId(0), InstanceId(1)]);
-        m.heartbeat(InstanceId(0), 9, 0);
-        m.heartbeat(InstanceId(1), 0, 0);
+        m.heartbeat(InstanceId(0), 9);
+        m.heartbeat(InstanceId(1), 0);
         assert_eq!(m.tick(), vec![HealthEvent::Recovered(InstanceId(0))]);
         // Now let it die and come back.
         for _ in 0..3 {
-            m.heartbeat(InstanceId(1), 0, 0);
+            m.heartbeat(InstanceId(1), 0);
             m.tick();
         }
         assert_eq!(m.state(InstanceId(0)), Some(InstanceHealth::Dead));
         assert_eq!(m.usable(), vec![InstanceId(1)]);
-        m.heartbeat(InstanceId(0), 10, 0);
-        m.heartbeat(InstanceId(1), 0, 0);
+        m.heartbeat(InstanceId(0), 10);
+        m.heartbeat(InstanceId(1), 0);
         assert_eq!(m.tick(), vec![HealthEvent::Recovered(InstanceId(0))]);
     }
 
     #[test]
     fn stale_heartbeats_are_rejected() {
         let mut m = monitor();
-        assert!(m.heartbeat(InstanceId(0), 5, 0));
+        assert!(m.heartbeat(InstanceId(0), 5));
         m.tick();
         // A delayed duplicate of seq 5 does not count for the new window.
-        assert!(!m.heartbeat(InstanceId(0), 5, 0));
-        assert!(!m.heartbeat(InstanceId(0), 4, 0));
-        assert!(m.heartbeat(InstanceId(0), 6, 0));
+        assert!(!m.heartbeat(InstanceId(0), 5));
+        assert!(!m.heartbeat(InstanceId(0), 4));
+        assert!(m.heartbeat(InstanceId(0), 6));
         // Unknown instances are rejected too.
-        assert!(!m.heartbeat(InstanceId(9), 1, 0));
+        assert!(!m.heartbeat(InstanceId(9), 1));
     }
 }

@@ -68,9 +68,6 @@ pub enum ControllerMessage {
         /// (seq ≤ last seen) is ignored so it cannot resurrect a dead
         /// instance. Zero means "unsequenced" and is always accepted.
         seq: u64,
-        /// Packets scanned since the previous beat — the load signal a
-        /// steering policy may balance on.
-        load: u64,
     },
 }
 
@@ -197,7 +194,6 @@ mod tests {
         let m = ControllerMessage::Heartbeat {
             instance_id: 4,
             seq: 17,
-            load: 1234,
         };
         let j = m.to_json();
         assert!(j.contains("\"type\":\"heartbeat\""));

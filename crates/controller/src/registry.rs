@@ -123,14 +123,6 @@ impl GlobalPatternSet {
         self.entries.is_empty()
     }
 
-    /// The referrers of a pattern, if stored.
-    pub fn referrers(&self, rule: &RuleKind) -> Option<&[(MiddleboxId, u16)]> {
-        self.by_content
-            .get(rule)
-            .and_then(|id| self.entries.get(id))
-            .map(|e| e.refs.as_slice())
-    }
-
     /// Rebuilds each middlebox's ordered rule list — what instance
     /// configuration needs. Rules are returned as `(rule_id, spec)` sorted
     /// by rule id.
@@ -172,6 +164,11 @@ mod tests {
     const A: MiddleboxId = MiddleboxId(1);
     const B: MiddleboxId = MiddleboxId(2);
 
+    /// How many `(middlebox, rule)` pairs refer to a stored pattern.
+    fn referrers(g: &GlobalPatternSet, rule: &RuleKind) -> usize {
+        g.entries[&g.by_content[rule]].refs.len()
+    }
+
     #[test]
     fn shared_pattern_is_stored_once() {
         let mut g = GlobalPatternSet::new();
@@ -180,7 +177,7 @@ mod tests {
         let id2 = g.add(B, 7, &r);
         assert_eq!(id1, id2);
         assert_eq!(g.len(), 1);
-        assert_eq!(g.referrers(&r.kind).unwrap().len(), 2);
+        assert_eq!(referrers(&g, &r.kind), 2);
     }
 
     #[test]
@@ -204,7 +201,7 @@ mod tests {
         let r = RuleSpec::exact(b"sig".to_vec());
         g.add(A, 0, &r);
         g.add(A, 0, &r);
-        assert_eq!(g.referrers(&r.kind).unwrap().len(), 1);
+        assert_eq!(referrers(&g, &r.kind), 1);
     }
 
     #[test]

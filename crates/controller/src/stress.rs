@@ -118,11 +118,6 @@ impl StressMonitor {
         }
         actions
     }
-
-    /// Whether an instance is currently mitigated (has dedicated capacity).
-    pub fn is_mitigated(&self, id: InstanceId) -> bool {
-        self.state.get(&id).map(|s| s.mitigated).unwrap_or(false)
-    }
 }
 
 /// Selects the flows to migrate off a stressed instance: the paper diverts
@@ -170,7 +165,7 @@ mod tests {
                 Mca2Action::MigrateHeavyFlows { from: I1 },
             ]
         );
-        assert!(m.is_mitigated(I1));
+        assert!(m.state[&I1].mitigated);
         // Continued stress does not re-fire.
         assert!(m.evaluate(&[(I1, telemetry(95, 100))]).is_empty());
     }
@@ -180,14 +175,14 @@ mod tests {
         let mut m = StressMonitor::new(StressPolicy::default());
         m.evaluate(&[(I1, telemetry(80, 100))]);
         m.evaluate(&[(I1, telemetry(80, 100))]);
-        assert!(m.is_mitigated(I1));
+        assert!(m.state[&I1].mitigated);
         // Mid-band ratio: hysteresis holds.
         assert!(m.evaluate(&[(I1, telemetry(30, 100))]).is_empty());
-        assert!(m.is_mitigated(I1));
+        assert!(m.state[&I1].mitigated);
         // Clear ratio: release.
         let actions = m.evaluate(&[(I1, telemetry(5, 100))]);
         assert_eq!(actions, vec![Mca2Action::ReleaseDedicated { stressed: I1 }]);
-        assert!(!m.is_mitigated(I1));
+        assert!(!m.state[&I1].mitigated);
     }
 
     #[test]
@@ -197,7 +192,7 @@ mod tests {
         // Back to normal: counter resets.
         assert!(m.evaluate(&[(I1, telemetry(0, 100))]).is_empty());
         assert!(m.evaluate(&[(I1, telemetry(100, 100))]).is_empty());
-        assert!(!m.is_mitigated(I1));
+        assert!(!m.state[&I1].mitigated);
     }
 
     #[test]

@@ -17,11 +17,14 @@
 //! * **two lists over the same `prev`/`next` links** — live flows in
 //!   LRU order, which is also `last_used` order, so the idle flows are
 //!   a suffix of it and a tick ages them off the tail in O(1) when
-//!   nothing is due; quarantine verdicts on a list of their own, so
-//!   neither aging nor eviction ever walks past (or takes) one;
+//!   nothing is due; quarantine verdicts (a `RejectFlow` conflict or an
+//!   L7 `Block`) on a list of their own, so neither aging nor eviction
+//!   ever walks past (or takes) one;
 //! * **one bounded entry count** — creating an entry at capacity evicts
-//!   the LRU tail; only when nothing but verdicts is resident does the
-//!   oldest verdict go, counted ([`ArenaEvents::quarantined_evicted`]);
+//!   the LRU tail; verdicts hold at most half the slots, so a verdict
+//!   past that share, or a new entry when nothing but verdicts is
+//!   resident, drops the oldest verdict, counted
+//!   ([`ArenaEvents::quarantined_evicted`]);
 //! * **per-flow byte accounting** — each entry caches its heap
 //!   footprint (reassembly buffers, L7 decode buffers) and the arena
 //!   keeps the running total, which the overload detector reads as a
@@ -87,9 +90,10 @@ pub struct FlowState {
     /// hot swap the mid-flow state of older generations must not be fed
     /// to the new automaton (DESIGN.md §9).
     pub generation: u32,
-    /// Set when a reassembly conflict quarantined the flow under
-    /// `ConflictPolicy::RejectFlow` (DESIGN.md §13): its packets are no
-    /// longer scanned and carry a fail-closed verdict mark instead.
+    /// The flow's sticky fail-closed verdict, set by either cause — a
+    /// reassembly conflict under `ConflictPolicy::RejectFlow` (DESIGN.md
+    /// §13) or an L7 `Block` policy (§14): its packets are no longer
+    /// scanned and carry a fail-closed verdict mark instead.
     pub quarantined: bool,
 }
 
@@ -103,9 +107,10 @@ struct FlowEntry {
     /// Scan state `(dfa_state, stream_offset, generation)` — the §4.3
     /// record. `None` for flows tracked only for reassembly/stress/L7.
     scan: Option<(StateId, u64, u32)>,
-    /// Sticky fail-closed verdict (DESIGN.md §13), and which list the
-    /// entry is linked on. Survives scan-state overwrites and generation
-    /// re-anchoring; cleared only by teardown or forced eviction.
+    /// Sticky fail-closed verdict — a `RejectFlow` conflict or an L7
+    /// `Block` (DESIGN.md §15) — and which list the entry is linked on.
+    /// Survives scan-state overwrites and generation re-anchoring;
+    /// cleared only by teardown or forced eviction.
     quarantined: bool,
     /// TCP reassembly state, boxed: most flows in a million-flow table
     /// are idle and must not pay the reassembler's inline size.
@@ -290,6 +295,8 @@ pub struct FlowArena {
     lru: List,
     /// Quarantine verdicts, most recently touched first.
     verdicts: List,
+    /// Entries on `verdicts`, bounded by [`FlowArena::max_verdicts`].
+    verdict_count: usize,
     capacity: usize,
     /// Logical clock: one tick per keyed touching call (deterministic,
     /// no wall time).
@@ -325,6 +332,7 @@ impl FlowArena {
             free_head: NIL,
             lru: EMPTY,
             verdicts: EMPTY,
+            verdict_count: 0,
             capacity: capacity.max(1),
             clock: 0,
             idle_timeout: idle_timeout.filter(|&t| t > 0),
@@ -396,8 +404,8 @@ impl FlowArena {
         self.entry_mut(idx).scan = Some((state, offset, generation));
     }
 
-    /// Whether a flow is quarantined. Non-mutating (no touch, no clock
-    /// tick).
+    /// Whether a flow is quarantined (a `RejectFlow` conflict or an L7
+    /// `Block`). Non-mutating (no touch, no clock tick).
     pub fn is_quarantined(&self, key: &FlowKey) -> bool {
         self.peek(key).is_some_and(|e| e.quarantined)
     }
@@ -623,8 +631,15 @@ impl FlowArena {
         }
     }
 
+    /// The verdict list's share of the slots: half, so live flows keep
+    /// room however many flows a policy or an attacker gets closed.
+    fn max_verdicts(&self) -> usize {
+        (self.capacity / 2).max(1)
+    }
+
     /// Sets the sticky verdict, moving the entry from the LRU list to
     /// the verdict list — out of reach of aging and ordinary eviction.
+    /// A verdict past the list's share drops the oldest one, counted.
     fn set_verdict(&mut self, idx: u32) {
         if self.entry(idx).quarantined {
             return;
@@ -632,13 +647,20 @@ impl FlowArena {
         self.unlink(idx);
         self.entry_mut(idx).quarantined = true;
         self.push_front(idx);
+        self.verdict_count += 1;
+        if self.verdict_count > self.max_verdicts() {
+            // The new verdict is the head, so the tail is another entry.
+            self.events.quarantined_evicted += 1;
+            self.events.flows_evicted += 1;
+            self.remove_idx(self.verdicts.tail);
+        }
     }
 
     /// Evicts one entry to make room (the arena is at capacity, so one
     /// exists): the least-recently-used live flow, else — the arena is
-    /// nothing but verdicts and the bound must hold — the oldest
-    /// verdict, counted, because a forgotten fail-closed verdict must
-    /// never be silent.
+    /// nothing but verdicts, which the verdict share allows only at
+    /// capacity 1 — the oldest verdict, counted, because a forgotten
+    /// fail-closed verdict must never be silent.
     fn evict_one(&mut self) {
         let victim = if self.lru.tail != NIL {
             self.lru.tail
@@ -654,6 +676,7 @@ impl FlowArena {
         self.unlink(idx);
         let slot = &mut self.slots[idx as usize];
         let entry = slot.entry.take().expect("remove live");
+        self.verdict_count -= usize::from(entry.quarantined);
         slot.next_free = self.free_head;
         self.free_head = idx;
         self.total_bytes -= entry.bytes;
@@ -711,11 +734,12 @@ impl OpenFlow<'_> {
         self.arena.entry(self.idx).quarantined
     }
 
-    /// Marks the flow quarantined (reassembly conflict under
-    /// `ConflictPolicy::RejectFlow`) and tears down its reassembly and
-    /// L7 state: a quarantined flow is never scanned again, so keeping
-    /// buffers for it would only store attacker-controlled bytes — and
-    /// verdict entries staying tiny is what lets them outlive churn.
+    /// Marks the flow quarantined (a reassembly conflict under
+    /// `ConflictPolicy::RejectFlow`, or an L7 `Block`) and tears down its
+    /// reassembly and L7 state: a quarantined flow is never scanned
+    /// again, so keeping buffers for it would only store
+    /// attacker-controlled bytes — and verdict entries staying tiny is
+    /// what lets them outlive churn.
     pub fn quarantine(&mut self) {
         self.arena.set_verdict(self.idx);
         let e = self.entry();
@@ -835,13 +859,25 @@ mod tests {
     #[test]
     fn quarantine_dominated_arena_stays_bounded_and_counts() {
         let mut a = FlowArena::new(4);
+        a.put_scan_gen(key(100), 1, 0, 0);
         for i in 0..10 {
             a.open(key(i)).quarantine();
+            // A live flow touched between verdicts keeps its slot:
+            // verdicts never hold more than half the arena.
+            assert!(a.get_scan_if_generation(&key(100), 0).is_some());
         }
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.take_events().quarantined_evicted, 6);
+        assert_eq!(a.len(), 3);
+        let ev = a.take_events();
+        assert_eq!((ev.quarantined_evicted, ev.flows_evicted), (8, 8));
         // The newest verdicts are the ones kept.
-        assert!(a.is_quarantined(&key(9)));
+        assert!(a.is_quarantined(&key(9)) && a.is_quarantined(&key(8)));
+        assert!(!a.is_quarantined(&key(7)));
+        // At capacity 1 the one slot may hold a verdict.
+        let mut one = FlowArena::new(1);
+        one.open(key(1)).quarantine();
+        one.open(key(2)).quarantine();
+        assert!(one.is_quarantined(&key(2)) && !one.is_quarantined(&key(1)));
+        assert_eq!(one.take_events().quarantined_evicted, 1);
     }
 
     #[test]

@@ -193,9 +193,10 @@ pub struct ScanOutput {
     /// Payload bytes actually scanned (≤ payload length when every active
     /// middlebox's stopping condition was reached earlier).
     pub scanned: usize,
-    /// The flow is quarantined by a reassembly conflict under
-    /// `ConflictPolicy::RejectFlow`: nothing was scanned and the packet
-    /// must carry the fail-closed verdict mark (DESIGN.md §13).
+    /// The flow is closed — quarantined by a reassembly conflict under
+    /// `ConflictPolicy::RejectFlow` (DESIGN.md §13) or by an
+    /// [`crate::l7::L7Action::Block`] policy (§14): nothing was scanned
+    /// and the packet must carry the fail-closed verdict mark.
     pub quarantined: bool,
     /// This output came from the stateless *shadow scan* of the losing
     /// copy of a reassembly conflict (DESIGN.md §13). Shadow match
@@ -208,10 +209,6 @@ pub struct ScanOutput {
     /// L7 layer's `Unknown` fallback, which is byte-identical to the
     /// pre-L7 engine.
     pub l7: Option<crate::l7::L7Context>,
-    /// The flow is blocked by an [`crate::l7::L7Action::Block`] policy:
-    /// nothing was decoded or scanned and the packet must carry the
-    /// fail-closed verdict mark (like `quarantined`).
-    pub blocked: bool,
 }
 
 impl ScanOutput {
@@ -232,7 +229,15 @@ impl ScanOutput {
             quarantined: false,
             shadow: false,
             l7: None,
-            blocked: false,
+        }
+    }
+
+    /// The output for a unit of a quarantined flow: nothing scanned,
+    /// the fail-closed mark set.
+    fn closed(flow_offset: u64) -> ScanOutput {
+        ScanOutput {
+            quarantined: true,
+            ..ScanOutput::unscanned(flow_offset)
         }
     }
 }
@@ -246,10 +251,8 @@ struct MergedOutputs {
     reports: Vec<MiddleboxReport>,
     /// `flow_offset` of the first reporting output.
     flow_offset: u64,
-    /// Any output carried the reassembly-quarantine mark.
+    /// Any output carried the closed-flow mark.
     quarantined: bool,
-    /// Any output carried the L7 `Block` fail-closed mark.
-    blocked: bool,
 }
 
 /// Merges per middlebox id, since a middlebox reads only the first
@@ -262,11 +265,9 @@ fn merge_outputs(outs: impl IntoIterator<Item = ScanOutput>) -> MergedOutputs {
         reports: Vec::new(),
         flow_offset: 0,
         quarantined: false,
-        blocked: false,
     };
     for o in outs {
         m.quarantined |= o.quarantined;
-        m.blocked |= o.blocked;
         if m.reports.is_empty() {
             // The first reporting output's list is taken over whole: the
             // raw path's single output costs no copy.
@@ -498,8 +499,8 @@ impl ShardState {
         self.drain_flow_events();
     }
 
-    /// Whether a flow is quarantined (reassembly conflict under
-    /// `ConflictPolicy::RejectFlow`).
+    /// Whether a flow is quarantined (a reassembly conflict under
+    /// `ConflictPolicy::RejectFlow`, or an L7 `Block`).
     pub fn flow_quarantined(&self, flow: &FlowKey) -> bool {
         self.arena.is_quarantined(flow)
     }
@@ -757,15 +758,12 @@ impl ScanEngine {
         check_unit_len(payload)?;
 
         let mut entry = flow.map(|key| shard.arena.open(key));
-        // Quarantined flows (RejectFlow conflict policy) are never
-        // scanned: their byte stream is known-ambiguous, so any scan
-        // would be a guess. The caller turns `quarantined` into the
-        // fail-closed verdict mark.
+        // Quarantined flows (a `RejectFlow` conflict or an L7 `Block`)
+        // are never scanned: their bytes are known-ambiguous or refused
+        // by policy. The caller turns `quarantined` into the fail-closed
+        // verdict mark.
         let out = if entry.as_ref().is_some_and(|e| e.quarantined()) {
-            ScanOutput {
-                quarantined: true,
-                ..ScanOutput::unscanned(0)
-            }
+            ScanOutput::closed(0)
         } else {
             self.scan_stream_unit(&mut shard.scan, chain, entry.as_mut(), payload)
         };
@@ -1072,19 +1070,18 @@ impl ScanEngine {
             }
             None => merge_outputs([self.scan_payload(shard, chain_id, flow, payload)?]),
         };
-        // A quarantined or blocked flow is closed: the packet carries
-        // the match mark but no reports are fabricated — nothing was
-        // scanned, and the quarantine or block was itself reported via
-        // trace/telemetry when it fired. No result packet follows, so a
-        // middlebox holds the packet in its pairing buffer until the
-        // buffer's bound releases it unpaired: its logic then sees a
-        // packet with no report, and neither blocks nor alerts on it
-        // (a documented loss case, DESIGN.md §13).
-        let closed = merged.quarantined || merged.blocked;
-        if closed || !merged.reports.is_empty() {
+        // A quarantined flow (reassembly conflict or L7 `Block`) is
+        // closed: the packet carries the match mark but no reports are
+        // fabricated — nothing was scanned, and the verdict was itself
+        // reported via trace/telemetry when it fired. No result packet
+        // follows, so a middlebox holds the packet in its pairing buffer
+        // until the buffer's bound releases it unpaired: its logic then
+        // sees a packet with no report, and neither blocks nor alerts on
+        // it (a documented loss case, DESIGN.md §17).
+        if merged.quarantined || !merged.reports.is_empty() {
             packet.mark_matches();
         }
-        if closed || merged.reports.is_empty() {
+        if merged.quarantined || merged.reports.is_empty() {
             return Ok(None);
         }
         Ok(Some(ResultPacket {
@@ -1135,16 +1132,15 @@ impl ScanEngine {
         seq: u32,
         payload: &[u8],
     ) -> Result<Vec<ScanOutput>, InstanceError> {
-        // A flow already quarantined never reaches a reassembler: it
-        // will never be scanned again, so buffering its bytes would be
-        // pure attacker-controlled memory — and a reassembler freshly
-        // re-created after eviction must not resurrect the flow.
+        // A flow already quarantined (by a conflict or an L7 `Block`)
+        // never reaches a reassembler: it will never be scanned again,
+        // so buffering its bytes — in order, out of order or
+        // retransmitted — would be pure attacker-controlled memory, and
+        // a reassembler freshly re-created after eviction must not
+        // resurrect the flow.
         if entry.quarantined() {
             let delivered = entry.reassembler().as_ref().map_or(0, |r| r.delivered());
-            return Ok(vec![ScanOutput {
-                quarantined: true,
-                ..ScanOutput::unscanned(delivered)
-            }]);
+            return Ok(vec![ScanOutput::closed(delivered)]);
         }
 
         let policy = scan.conflict_policy;
@@ -1193,10 +1189,7 @@ impl ScanEngine {
             if let Some(w) = scan.trace.as_mut() {
                 w.record(crate::trace::TraceKind::FlowQuarantined { bytes: delivered });
             }
-            return Ok(vec![ScanOutput {
-                quarantined: true,
-                ..ScanOutput::unscanned(delivered)
-            }]);
+            return Ok(vec![ScanOutput::closed(delivered)]);
         }
 
         let mut outputs = Vec::new();
@@ -1222,14 +1215,22 @@ impl ScanEngine {
             out.shadow = true;
             outputs.push(out);
         }
+        // An L7 `Block` quarantined the flow above, after what its run
+        // had already decoded was scanned: this packet and every later
+        // one carry the fail-closed mark.
+        if entry.quarantined() {
+            outputs.push(ScanOutput::closed(delivered));
+        }
         Ok(outputs)
     }
 
     /// Feeds the in-order byte runs of one flow through its L7 decode
     /// session (DESIGN.md §14) and scans what comes out into `outputs`:
     /// decoded units with protocol context, raw-fallback buffers through
-    /// the raw stream path, and a fail-closed marker output when policy
-    /// said `Block`.
+    /// the raw stream path. When policy says `Block`, the run's ingest
+    /// is still counted and scanned, then the flow is quarantined the
+    /// way a `RejectFlow` conflict does it — the session and the
+    /// reassembler go with it — and later runs are dropped.
     fn scan_l7_runs(
         &self,
         scan: &mut ShardScan,
@@ -1298,18 +1299,9 @@ impl ScanEngine {
             for piece in ingest.raw.iter().flat_map(|raw| unit_pieces(raw)) {
                 outputs.push(self.scan_stream_unit(scan, chain, Some(entry), piece));
             }
-            if ingest.blocked {
-                // Fail-closed marker: no bytes were scanned, the caller
-                // turns `blocked` into a verdict mark (like quarantine).
-                outputs.push(ScanOutput {
-                    l7: Some(crate::l7::L7Context {
-                        protocol: session.protocol(),
-                        direction: session.direction(),
-                        field: crate::l7::L7Field::Raw,
-                    }),
-                    blocked: true,
-                    ..ScanOutput::unscanned(0)
-                });
+            if ingest.action == Some(crate::l7::L7Action::Block) {
+                entry.quarantine();
+                return;
             }
         }
 

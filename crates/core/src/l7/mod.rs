@@ -21,8 +21,9 @@
 //!    boundaries still match.
 //! 3. **Police**: a g3-style per-protocol policy
 //!    ([`L7Policy`]) sets an inspection size limit and an action —
-//!    `Intercept` (decode and scan), `Block` (fail-closed mark, nothing
-//!    scanned), `Bypass` (waved through, neither decoded nor scanned). Every
+//!    `Intercept` (decode and scan), `Block` (quarantines the flow, the
+//!    fail-closed verdict a reassembly conflict also sets), `Bypass`
+//!    (waved through, neither decoded nor scanned). Every
 //!    decode error, truncation and action is surfaced via telemetry and
 //!    [`crate::trace::TraceKind`] events: the layer never silently
 //!    drops coverage.
@@ -103,8 +104,11 @@ impl L7Protocol {
 pub enum L7Action {
     /// Decode the protocol and scan the decoded payloads (default).
     Intercept,
-    /// Fail-closed: every output for the flow carries the blocked mark;
-    /// nothing is decoded or scanned.
+    /// Fail-closed: once what the identifying run decoded is scanned,
+    /// the flow is quarantined like a reassembly conflict under
+    /// `RejectFlow` — one sticky verdict on the flow arena — so every
+    /// later packet carries the fail-closed mark and nothing of the
+    /// flow is decoded, scanned or buffered again.
     Block,
     /// Wave the flow through uninspected (fail-open): nothing is
     /// decoded or scanned.
@@ -170,7 +174,7 @@ impl Default for L7Policy {
 
 impl L7Policy {
     /// The policy entry for one protocol.
-    pub fn policy_for(&self, proto: L7Protocol) -> ProtocolPolicy {
+    fn policy_for(&self, proto: L7Protocol) -> ProtocolPolicy {
         match proto {
             L7Protocol::Http1 => self.http,
             L7Protocol::Tls => self.tls,
@@ -205,10 +209,6 @@ pub enum L7Direction {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum L7Field {
-    /// Undecoded wire bytes (blocked-flow marks; raw fallback outputs
-    /// themselves carry no context at all, for byte-identity with the
-    /// pre-L7 engine).
-    Raw,
     /// An HTTP/1 header block (request/status line included).
     Header,
     /// Decoded message-body bytes (dechunked, decompressed, unmasked).
@@ -321,8 +321,6 @@ pub struct Ingest {
     pub errors: u64,
     /// Truncation events this call (decoded bytes retained per event).
     pub truncations: Vec<u64>,
-    /// The session is blocked: the caller emits a fail-closed output.
-    pub blocked: bool,
 }
 
 /// Identification outcome over a growing prefix.
@@ -408,12 +406,10 @@ enum Phase {
     Ws(websocket::WsDecoder),
     /// Raw fallback: every byte goes to the legacy scan path.
     Raw,
-    /// Policy said don't inspect. `blocked` distinguishes fail-closed
-    /// `Block` (outputs carry the blocked mark) from `Bypass`.
-    Skip {
-        /// Whether outputs carry the fail-closed blocked mark.
-        blocked: bool,
-    },
+    /// Policy said don't inspect: `Bypass` (fail-open), or `Block`,
+    /// whose caller quarantines the flow and drops the session with it,
+    /// so a blocked session is never fed again.
+    Skip,
 }
 
 /// Per-flow L7 decode state, owned by the shard that owns the flow's
@@ -463,7 +459,7 @@ impl L7Session {
             Phase::Http(d) => d.heap_bytes(),
             Phase::Tls(d) => d.heap_bytes(),
             Phase::Ws(d) => d.heap_bytes(),
-            Phase::Raw | Phase::Skip { .. } => 0,
+            Phase::Raw | Phase::Skip => 0,
         }
     }
 
@@ -471,12 +467,6 @@ impl L7Session {
     /// the active decoder and the policy.
     pub fn accept(&mut self, run: &[u8], policy: &L7Policy) -> Ingest {
         let mut ingest = Ingest::default();
-        if run.is_empty() {
-            if let Phase::Skip { blocked: true } = self.phase {
-                ingest.blocked = true;
-            }
-            return ingest;
-        }
         match &mut self.phase {
             Phase::Identify(buf) => {
                 buf.extend_from_slice(run);
@@ -494,7 +484,7 @@ impl L7Session {
                 self.drive_decoder(run, policy, &mut ingest);
             }
             Phase::Raw => ingest.raw.push(run.to_vec()),
-            Phase::Skip { blocked } => ingest.blocked = *blocked,
+            Phase::Skip => {}
         }
         ingest
     }
@@ -515,13 +505,7 @@ impl L7Session {
         ingest.identified.push(proto);
         ingest.action = Some(pol.action);
         match pol.action {
-            L7Action::Block => {
-                self.phase = Phase::Skip { blocked: true };
-                ingest.blocked = true;
-            }
-            L7Action::Bypass => {
-                self.phase = Phase::Skip { blocked: false };
-            }
+            L7Action::Block | L7Action::Bypass => self.phase = Phase::Skip,
             L7Action::Intercept => {
                 self.phase = match proto {
                     L7Protocol::Http1 => Phase::Http(http1::Http1Decoder::new(dir)),
@@ -690,7 +674,7 @@ mod tests {
     }
 
     #[test]
-    fn block_policy_marks_without_scanning() {
+    fn block_policy_decodes_nothing() {
         let policy = L7Policy::default().with(
             L7Protocol::Http1,
             ProtocolPolicy::intercept(1 << 16).with_action(L7Action::Block),
@@ -699,9 +683,7 @@ mod tests {
         let a = s.accept(b"GET / HTTP/1.1\r\n\r\n", &policy);
         assert_eq!(a.identified, vec![L7Protocol::Http1]);
         assert_eq!(a.action, Some(L7Action::Block));
-        assert!(a.blocked && a.units.is_empty() && a.raw.is_empty());
-        let b = s.accept(b"more", &policy);
-        assert!(b.blocked && b.identified.is_empty());
+        assert!(a.units.is_empty() && a.raw.is_empty());
     }
 
     #[test]
@@ -713,6 +695,6 @@ mod tests {
         let mut s = L7Session::default();
         let a = s.accept(b"GET / HTTP/1.1\r\n\r\n", &policy);
         assert_eq!(a.action, Some(L7Action::Bypass));
-        assert!(!a.blocked && a.units.is_empty() && a.raw.is_empty());
+        assert!(a.units.is_empty() && a.raw.is_empty());
     }
 }

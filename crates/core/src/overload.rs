@@ -237,11 +237,6 @@ impl TenantFairness {
         // u128 so lifetime counters cannot overflow.
         u128::from(packets) * self.entries.len() as u128 >= u128::from(self.total_packets)
     }
-
-    /// Total arrivals observed.
-    pub fn total_packets(&self) -> u64 {
-        self.total_packets
-    }
 }
 
 #[cfg(test)]
@@ -303,7 +298,7 @@ mod tests {
             f.note_arrival(TenantId::DEFAULT);
         }
         assert!(f.at_or_over_fair_share(TenantId::DEFAULT));
-        assert_eq!(f.total_packets(), 100);
+        assert_eq!(f.total_packets, 100);
     }
 
     #[test]

@@ -635,8 +635,9 @@ impl DpiInstance {
         engine.scan_tcp_segment(state, chain_id, flow, seq, payload)
     }
 
-    /// Whether a flow is quarantined (reassembly conflict under
-    /// [`crate::reassembly::ConflictPolicy::RejectFlow`]).
+    /// Whether a flow is quarantined — closed by a reassembly conflict
+    /// under [`crate::reassembly::ConflictPolicy::RejectFlow`] or by an
+    /// [`crate::l7::L7Action::Block`] policy.
     pub fn flow_quarantined(&self, flow: &FlowKey) -> bool {
         self.slots[self.shard_of(flow)].state.flow_quarantined(flow)
     }

@@ -37,7 +37,8 @@ pub struct Telemetry {
     /// Byte-level reassembly conflicts detected (overlapping TCP segment
     /// copies with different bytes — DESIGN.md §13).
     pub reassembly_conflicts: u64,
-    /// Flows quarantined by the `RejectFlow` conflict policy.
+    /// Flows quarantined by the `RejectFlow` conflict policy (an L7
+    /// `Block` sets the same verdict but counts in `l7_blocked_flows`).
     pub flows_quarantined: u64,
     /// Flows identified per L7 protocol, indexed by
     /// [`crate::l7::L7Protocol::index`] (an HTTP→WebSocket upgrade
@@ -55,7 +56,7 @@ pub struct Telemetry {
     /// `l7_flows_identified`). Raw-fallback matches are *not* counted
     /// here — they live in `matches` only, like before the L7 layer.
     pub l7_matches: [u64; 4],
-    /// Flows blocked by an [`crate::l7::L7Action::Block`] policy.
+    /// Flows quarantined by an [`crate::l7::L7Action::Block`] policy.
     pub l7_blocked_flows: u64,
     /// Flows bypassed by an [`crate::l7::L7Action::Bypass`] policy.
     pub l7_bypassed_flows: u64,

@@ -451,15 +451,10 @@ impl Tracer {
         }
     }
 
-    /// Microseconds elapsed since the tracer's epoch.
-    pub fn elapsed_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-
     fn stamp(&self, source: TraceSource, kind: TraceKind) -> TraceEvent {
         TraceEvent {
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            t_us: self.elapsed_us(),
+            t_us: self.epoch.elapsed().as_micros() as u64,
             source,
             kind,
         }
@@ -480,11 +475,7 @@ impl Tracer {
     }
 
     /// A writer with an explicit local ring capacity.
-    pub fn writer_with_capacity(
-        self: &Arc<Self>,
-        source: TraceSource,
-        capacity: usize,
-    ) -> TraceWriter {
+    fn writer_with_capacity(self: &Arc<Self>, source: TraceSource, capacity: usize) -> TraceWriter {
         TraceWriter {
             tracer: Arc::clone(self),
             source,

@@ -7,8 +7,9 @@
 //! traces at worker counts {1, 2, 8}.
 
 use dpi_core::{
-    ArenaEvents, ConflictPolicy, DpiInstance, FlowArena, FlowState, InstanceConfig, L7Policy,
-    MiddleboxId, MiddleboxProfile, RuleSpec, ScanEngine, TraceKind, Tracer,
+    ArenaEvents, ConflictPolicy, DpiInstance, FlowArena, FlowState, InstanceConfig, L7Action,
+    L7Policy, L7Protocol, MiddleboxId, MiddleboxProfile, ProtocolPolicy, RuleSpec, ScanEngine,
+    TraceKind, Tracer,
 };
 use dpi_packet::ipv4::IpProtocol;
 use dpi_packet::{FlowKey, Packet};
@@ -327,36 +328,89 @@ fn stateless_chain_with_a_flow_key_stores_stress_but_no_scan_state() {
 
 #[test]
 fn migrated_verdict_lands_out_of_reach_of_churn_and_aging() {
-    let config = stateful_config()
-        .with_conflict_policy(ConflictPolicy::RejectFlow)
-        .with_flow_idle_timeout(8);
-    let mut src = DpiInstance::new(config.clone()).unwrap();
-    src.scan_payload(CHAIN, Some(fk(1)), b"..ATT").unwrap();
-    src.scan_tcp_segment(CHAIN, fk(1), 0, b"0123456789abcdef")
-        .unwrap();
-    src.scan_tcp_segment(CHAIN, fk(1), 0, b"0123456789ATTACK")
-        .unwrap();
-    let exported = src.export_flow(&fk(1)).unwrap();
-    assert!(exported.quarantined);
-    assert_eq!(src.tracked_flows(), 0);
+    // Both causes of the one verdict: a divergent retransmission under
+    // `RejectFlow`, and an HTTP request under an L7 `Block` policy.
+    let conflict: &[(u32, &[u8])] = &[(0, b"0123456789abcdef"), (0, b"0123456789ATTACK")];
+    let http: &[(u32, &[u8])] = &[(0, b"GET / HTTP/1.1\r\n")];
+    let block = L7Policy::default().with(
+        L7Protocol::Http1,
+        ProtocolPolicy::intercept(1 << 16).with_action(L7Action::Block),
+    );
+    for (config, segments) in [
+        (
+            stateful_config().with_conflict_policy(ConflictPolicy::RejectFlow),
+            conflict,
+        ),
+        (stateful_config().with_l7_policy(block), http),
+    ] {
+        let config = config.with_flow_idle_timeout(8);
+        let mut src = DpiInstance::new(config.clone()).unwrap();
+        src.scan_payload(CHAIN, Some(fk(1)), b"..ATT").unwrap();
+        for &(seq, payload) in segments {
+            src.scan_tcp_segment(CHAIN, fk(1), seq, payload).unwrap();
+        }
+        let exported = src.export_flow(&fk(1)).unwrap();
+        assert!(exported.quarantined, "{segments:?}");
+        assert_eq!(src.tracked_flows(), 0);
 
-    // The target already tracks the flow as an ordinary live entry.
-    let mut dst = DpiInstance::new(config).unwrap();
-    dst.scan_payload(CHAIN, Some(fk(1)), b"seen here too")
-        .unwrap();
-    dst.import_flow(fk(1), exported);
-    for i in 0..32 {
-        dst.scan_payload(CHAIN, Some(fk(100 + i)), b"churn")
+        // The target already tracks the flow as an ordinary live entry.
+        let mut dst = DpiInstance::new(config).unwrap();
+        dst.scan_payload(CHAIN, Some(fk(1)), b"seen here too")
             .unwrap();
+        dst.import_flow(fk(1), exported);
+        for i in 0..32 {
+            dst.scan_payload(CHAIN, Some(fk(100 + i)), b"churn")
+                .unwrap();
+        }
+        assert!(dst.flow_quarantined(&fk(1)), "idleness flushed the verdict");
+        assert_eq!(dst.export_flow(&fk(1)), Some(exported));
     }
-    assert!(dst.flow_quarantined(&fk(1)), "idleness flushed the verdict");
-    assert_eq!(dst.export_flow(&fk(1)), Some(exported));
+}
+
+#[test]
+fn blocked_flows_leave_live_flows_room() {
+    // Each blocked flow leaves a verdict behind. Verdicts hold at most
+    // half the arena, so 2N of them past an N-flow arena displace only
+    // older verdicts — never the warm intercepted flow whose pattern
+    // is split across its last two segments.
+    const N: usize = 8;
+    let block = L7Policy::default().with(
+        L7Protocol::Http1,
+        ProtocolPolicy::intercept(1 << 16).with_action(L7Action::Block),
+    );
+    let mut config = stateful_config().with_l7_policy(block);
+    config.max_flows = Some(N);
+    let engine = Arc::new(ScanEngine::new(config).unwrap());
+    let mut shard = dpi_core::instance::ShardState::new(&engine);
+    let live = fk(1);
+    let mut matched = false;
+    for i in 0..2 * N {
+        let seg: &[u8] = match 2 * N - i {
+            2 => b"\x00\x01AT",
+            1 => b"TACK",
+            _ => b"\x00\x01\x02\x03",
+        };
+        let outs = engine
+            .scan_tcp_segment(&mut shard, CHAIN, live, 4 * i as u32, seg)
+            .unwrap();
+        matched |= outs.iter().any(|o| o.has_matches());
+        let blocked = fk(100 + i as u16);
+        let outs = engine
+            .scan_tcp_segment(&mut shard, CHAIN, blocked, 0, b"GET / HTTP/1.1\r\n")
+            .unwrap();
+        assert!(outs.iter().any(|o| o.quarantined));
+    }
+    assert!(matched, "the live flow lost its scan state to verdicts");
+    assert!(!shard.flow_quarantined(&live));
+    let t = shard.telemetry();
+    assert_eq!(t.l7_blocked_flows, 2 * N as u64);
+    assert_eq!(t.quarantined_flow_evictions, (2 * N - N / 2) as u64);
 }
 
 // ---- arena ≡ naive model ----------------------------------------------
 
-/// One arena operation over a key space of 8. Capacity is drawn from
-/// 1..=10, so most cases run below the key space and evict, and half run
+/// One arena operation over a key space of 64. Capacity is drawn from
+/// 1..=40, so most cases run below the key space and evict, and half run
 /// with an idle timeout, so eviction order, verdict preference and aging
 /// are all inside the differential check.
 #[derive(Debug, Clone)]
@@ -487,6 +541,18 @@ impl Model {
         self.flows.insert(0, rec);
         self.flows.first_mut()
     }
+
+    /// Verdicts hold at most half the slots (at least one): past that,
+    /// the oldest verdict goes, counted.
+    fn bound_verdicts(&mut self) {
+        let verdicts = self.flows.iter().filter(|r| r.quarantined).count();
+        if verdicts > (self.capacity / 2).max(1) {
+            let oldest = self.flows.iter().rposition(|r| r.quarantined).unwrap();
+            self.flows.remove(oldest);
+            self.events.quarantined_evicted += 1;
+            self.events.flows_evicted += 1;
+        }
+    }
 }
 
 proptest! {
@@ -539,6 +605,7 @@ proptest! {
                 Op::Quarantine { k } => {
                     arena.open(fk(k)).quarantine();
                     model.touch(k, true).unwrap().quarantined = true;
+                    model.bound_verdicts();
                 }
                 Op::IsQuarantined { k } => {
                     let expected = model.peek(k).is_some_and(|r| r.quarantined);
@@ -561,6 +628,7 @@ proptest! {
                         let r = model.touch(dst, true).unwrap();
                         r.scan = Some((s, o, g));
                         r.quarantined |= q;
+                        model.bound_verdicts();
                     }
                 }
             }

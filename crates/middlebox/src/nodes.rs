@@ -267,8 +267,6 @@ pub struct MiddleboxNode {
     /// to quiescence, so no two instances serve different generations
     /// while traffic flows — below the highest is stale for every flow.
     generation: u32,
-    /// Result packets discarded for carrying an outdated generation.
-    stale_generation_drops: u64,
     /// The last result packet received: its sender, flow and id.
     last_result: Option<(MacAddr, FlowKey, u32)>,
 }
@@ -303,17 +301,10 @@ impl MiddleboxNode {
                 buffer: ReorderBuffer::new(capacity),
                 paired: Vec::new(),
                 generation: 0,
-                stale_generation_drops: 0,
                 last_result: None,
             },
             mb,
         )
-    }
-
-    /// Result packets discarded because they carried a rule generation
-    /// older than one this node already consumed.
-    pub fn stale_generation_drops(&self) -> u64 {
-        self.stale_generation_drops
     }
 
     /// Applies the generation monotonicity check to a paired result.
@@ -324,7 +315,6 @@ impl MiddleboxNode {
     ) -> Option<dpi_packet::report::ResultPacket> {
         let r = results?;
         if r.generation < self.generation {
-            self.stale_generation_drops += 1;
             return None;
         }
         self.generation = r.generation;
@@ -548,7 +538,6 @@ mod tests {
         let mut out = node.on_packet(marked_data(fk), 0);
         out.extend(node.on_packet(result_for(fk, 1, 2), 0));
         assert_eq!(out.len(), 1);
-        assert_eq!(node.stale_generation_drops(), 1);
         assert_eq!(handle.lock().stats().matches, 1);
     }
 
@@ -569,7 +558,6 @@ mod tests {
         let mut out = node.on_packet(marked_data(fk(0)), 0);
         out.extend(node.on_packet(result_for(fk(0), 1, FLOWS), 0));
         assert_eq!(out.len(), 1);
-        assert_eq!(node.stale_generation_drops(), 1);
         assert_eq!(handle.lock().stats().matches, u64::from(FLOWS));
     }
 

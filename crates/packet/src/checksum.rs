@@ -3,26 +3,21 @@
 /// Incremental Internet-checksum accumulator.
 ///
 /// Feed it byte slices (and pseudo-header words) in any order that preserves
-/// 16-bit alignment per slice, then call [`Checksum::finish`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Checksum {
+/// 16-bit alignment per slice, then call `finish`.
+#[derive(Default)]
+struct Checksum {
     sum: u32,
 }
 
 impl Checksum {
-    /// Creates an accumulator with a zero running sum.
-    pub fn new() -> Checksum {
-        Checksum::default()
-    }
-
     /// Adds one 16-bit word.
-    pub fn add_u16(&mut self, w: u16) {
+    fn add_u16(&mut self, w: u16) {
         self.sum += u32::from(w);
     }
 
     /// Adds a byte slice, padding an odd trailing byte with zero as RFC 1071
     /// prescribes.
-    pub fn add_bytes(&mut self, data: &[u8]) {
+    fn add_bytes(&mut self, data: &[u8]) {
         let mut chunks = data.chunks_exact(2);
         for c in &mut chunks {
             self.add_u16(u16::from_be_bytes([c[0], c[1]]));
@@ -33,7 +28,7 @@ impl Checksum {
     }
 
     /// Folds the carries and returns the one's-complement checksum.
-    pub fn finish(self) -> u16 {
+    fn finish(self) -> u16 {
         let mut s = self.sum;
         while s > 0xffff {
             s = (s & 0xffff) + (s >> 16);
@@ -45,14 +40,14 @@ impl Checksum {
 /// Computes the checksum of a stand-alone buffer (e.g. an IPv4 header with
 /// its checksum field zeroed).
 pub fn checksum(data: &[u8]) -> u16 {
-    let mut c = Checksum::new();
+    let mut c = Checksum::default();
     c.add_bytes(data);
     c.finish()
 }
 
 /// Computes a TCP/UDP checksum including the IPv4 pseudo-header.
 pub fn l4_checksum(src: [u8; 4], dst: [u8; 4], protocol: u8, segment: &[u8]) -> u16 {
-    let mut c = Checksum::new();
+    let mut c = Checksum::default();
     c.add_bytes(&src);
     c.add_bytes(&dst);
     c.add_u16(u16::from(protocol));

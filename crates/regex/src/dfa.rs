@@ -156,11 +156,6 @@ impl<N: Borrow<Nfa>> LazyDfa<N> {
         }
         None
     }
-
-    /// Number of cached DFA states (diagnostics).
-    pub fn cached_states(&self) -> usize {
-        self.sets.len()
-    }
 }
 
 /// Epsilon closure helper shared with the DFA: collects Byte/Match states.
@@ -261,10 +256,10 @@ mod tests {
         let nfa = Nfa::compile(&parse("needle").unwrap());
         let mut dfa = LazyDfa::new(&nfa);
         assert!(dfa.is_match(b"find the needle here"));
-        let after_first = dfa.cached_states();
+        let after_first = dfa.sets.len();
         assert!(dfa.is_match(b"another needle haystack"));
         // Mostly the same byte classes: the cache barely grows.
-        assert!(dfa.cached_states() <= after_first + 2);
+        assert!(dfa.sets.len() <= after_first + 2);
     }
 
     #[test]

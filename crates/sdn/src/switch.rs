@@ -4,7 +4,6 @@ use crate::flowtable::{FlowRule, FlowTable};
 use crate::network::{Node, PortId};
 use dpi_packet::Packet;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// An OpenFlow-style switch. Its table handle can be shared with a
@@ -14,8 +13,6 @@ use std::sync::Arc;
 pub struct Switch {
     name: String,
     table: Arc<Mutex<FlowTable>>,
-    /// Table-miss packets dropped (no matching rule), for diagnostics.
-    misses: Arc<AtomicU64>,
 }
 
 impl Switch {
@@ -24,7 +21,6 @@ impl Switch {
         Switch {
             name: name.to_string(),
             table: Arc::new(Mutex::new(FlowTable::new())),
-            misses: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -37,22 +33,14 @@ impl Switch {
     pub fn install(&self, rule: FlowRule) {
         self.table.lock().install(rule);
     }
-
-    /// Packets dropped on table miss so far.
-    pub fn miss_count(&self) -> u64 {
-        // A statistic: it publishes no other data.
-        self.misses.load(Ordering::Relaxed)
-    }
 }
 
 impl Node for Switch {
     fn on_packet_into(&mut self, packet: Packet, port: PortId, out: &mut Vec<(PortId, Packet)>) {
         let table = self.table.lock();
-        match table.lookup(&packet, port) {
-            Some(rule) => FlowTable::apply(rule, packet, out),
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            }
+        // A table miss drops the packet.
+        if let Some(rule) = table.lookup(&packet, port) {
+            FlowTable::apply(rule, packet, out);
         }
     }
 
@@ -90,14 +78,12 @@ mod tests {
         let out = sw.on_packet(pkt(), 1);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, 2);
-        assert_eq!(sw.miss_count(), 0);
     }
 
     #[test]
-    fn table_miss_drops_and_counts() {
+    fn table_miss_drops() {
         let mut sw = Switch::new("s1");
         assert!(sw.on_packet(pkt(), 1).is_empty());
-        assert_eq!(sw.miss_count(), 1);
     }
 
     #[test]

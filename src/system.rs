@@ -167,6 +167,10 @@ impl SystemBuilder {
     /// reassembly at all and scans each payload raw, in arrival order.
     /// Like the conflict policy, it is stamped into the instance
     /// configuration, so engines rebuilt by live rule updates keep it.
+    /// A protocol set to [`dpi_core::L7Action::Block`] closes its flows
+    /// with the one fail-closed verdict a `RejectFlow` conflict also
+    /// sets: the flow is quarantined, and every later packet of it is
+    /// marked and never scanned.
     pub fn with_l7_policy(mut self, policy: dpi_core::L7Policy) -> SystemBuilder {
         self.l7 = Some(policy);
         self
@@ -528,10 +532,9 @@ impl SystemHandle {
                 .unwrap_or(true);
             if alive {
                 self.heartbeat_seq[i] += 1;
-                let load = self.dpi_instances[i].lock().telemetry().packets;
-                let _ =
-                    self.controller
-                        .heartbeat(self.instance_ids[i], self.heartbeat_seq[i], load);
+                let _ = self
+                    .controller
+                    .heartbeat(self.instance_ids[i], self.heartbeat_seq[i]);
             }
         }
         let events = self.controller.health_tick();

@@ -240,7 +240,7 @@ fn decompression_bomb_is_truncated_at_the_protocol_limit() {
 fn block_and_bypass_actions_are_enforced_and_observable() {
     let gen = traffic::http1_chunked_gzip_request(21, PATTERN);
 
-    // Block: fail-closed outputs, no reports, counter + trace.
+    // Block: the flow is quarantined — no reports, counter + trace.
     let policy = L7Policy::default().with(
         L7Protocol::Http1,
         ProtocolPolicy::intercept(1 << 16).with_action(L7Action::Block),
@@ -253,7 +253,10 @@ fn block_and_bypass_actions_are_enforced_and_observable() {
         .scan_tcp_segment(&mut shard, CHAIN, fk(7), 1000, &gen.stream)
         .unwrap();
     assert!(outs.iter().all(|o| o.reports.is_empty()));
-    assert!(outs.iter().any(|o| o.blocked), "Block must mark outputs");
+    assert!(
+        outs.iter().any(|o| o.quarantined),
+        "Block must mark outputs"
+    );
     assert_eq!(shard.telemetry().l7_blocked_flows, 1);
     let mut w = shard.take_trace_writer().unwrap();
     tracer.absorb(&mut w);
@@ -265,6 +268,33 @@ fn block_and_bypass_actions_are_enforced_and_observable() {
         }
     )));
 
+    // Block on an HTTP→WebSocket upgrade: the handshake decoded before
+    // the handoff is still scanned and counted, then the flow closes —
+    // the masked message is never decoded, later segments are refused.
+    let ws = traffic::websocket_session(3, PATTERN);
+    let policy = L7Policy::default().with(
+        L7Protocol::WebSocket,
+        ProtocolPolicy::intercept(1 << 16).with_action(L7Action::Block),
+    );
+    let mut dpi = DpiInstance::new(config(b"example.test").with_l7_policy(policy)).unwrap();
+    let outs = dpi
+        .scan_tcp_segment(CHAIN, fk(9), 1000, &ws.stream)
+        .unwrap();
+    assert!(
+        matches_with_ctx(&outs)
+            .iter()
+            .any(|(_, ctx)| ctx.is_some_and(|c| c.protocol == L7Protocol::Http1)),
+        "the upgrade's handshake must still be scanned"
+    );
+    assert!(outs.last().is_some_and(|o| o.quarantined));
+    assert!(dpi.flow_quarantined(&fk(9)));
+    let t = dpi.telemetry();
+    assert_eq!(t.l7_blocked_flows, 1);
+    assert!(t.l7_decoded_bytes > 0 && t.l7_decoded_bytes < ws.stream.len() as u64);
+    let end = 1000 + ws.stream.len() as u32;
+    let outs = dpi.scan_tcp_segment(CHAIN, fk(9), end, b"more").unwrap();
+    assert!(outs.iter().all(|o| o.reports.is_empty() && o.quarantined));
+
     // Bypass: nothing scanned, nothing blocked, counter says why.
     let policy = L7Policy::default().with(
         L7Protocol::Http1,
@@ -272,7 +302,7 @@ fn block_and_bypass_actions_are_enforced_and_observable() {
     );
     let mut dpi = DpiInstance::new(config(PATTERN).with_l7_policy(policy)).unwrap();
     let outs = feed(&mut dpi, fk(8), 21, &gen.stream);
-    assert!(outs.iter().all(|o| o.reports.is_empty() && !o.blocked));
+    assert!(outs.iter().all(|o| o.reports.is_empty() && !o.quarantined));
     let t = dpi.telemetry();
     assert_eq!(t.l7_bypassed_flows, 1);
     assert_eq!(t.l7_decoded_bytes, 0, "bypassed flows are not decoded");
