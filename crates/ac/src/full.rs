@@ -15,6 +15,7 @@
 //! depends on the width.
 
 use crate::kernel::{DepthGrid, DepthSamples, ScanKernel};
+use crate::prefilter::PrefixFilter;
 use crate::trie::Trie;
 use crate::{Automaton, MatchEntry, StateId};
 
@@ -60,6 +61,37 @@ pub struct FullAc {
     /// The deepest state, i.e. the longest pattern: the bytes a scan lane
     /// started at the root needs before its state is exact.
     max_depth: u16,
+    /// The filter over the 3-byte pattern prefixes that the lane loop
+    /// skips the root's neighbourhood with, where the table admits one
+    /// ([`root_skip_filter`]).
+    skip: Option<PrefixFilter>,
+}
+
+/// The shortest unit the lane loop looks for a skip in: one window. No
+/// longer floor pays — 64-B units gain or break even (EXPERIMENTS.md,
+/// "Root skip").
+const SKIP_FLOOR: usize = 3;
+
+/// The prefix filter for a trie whose states of depth ≤ 2 all reject —
+/// every pattern is at least 3 bytes, so a scan that stays at depth ≤ 2
+/// reports nothing — built over its depth-3 labels; `None` when a
+/// shorter pattern exists, or where [`PrefixFilter::new`] refuses (too
+/// many prefixes, no AVX2).
+fn root_skip_filter(trie: &Trie) -> Option<PrefixFilter> {
+    if trie
+        .nodes()
+        .iter()
+        .any(|node| node.depth <= 2 && !node.outputs.is_empty())
+    {
+        return None;
+    }
+    // Children are ordered by byte, so the labels come out sorted.
+    let children = |u: u32| trie.node(u).children.iter().map(|(&b, &v)| (b, v));
+    PrefixFilter::new(
+        children(0)
+            .flat_map(|(a, u)| children(u).map(move |(b, v)| (a, b, v)))
+            .flat_map(|(a, b, v)| children(v).map(move |(c, _)| [a, b, c])),
+    )
 }
 
 /// Builds the transition table in the renumbered id space, in one pass,
@@ -209,6 +241,7 @@ impl FullAc {
             entries,
             depth,
             max_depth,
+            skip: root_skip_filter(trie),
         }
     }
 
@@ -316,18 +349,72 @@ impl FullAc {
         s
     }
 
+    /// Where the lane loop may start instead of byte 0, and the exact
+    /// state before that byte; `(0, state)` when nothing can be skipped.
+    ///
+    /// Bytes 0 and 1 go on the table: a resumed flow may still be deep,
+    /// or complete a pattern there. Only if neither accepts and the state
+    /// after byte 1 is at depth ≤ 2 does the filter look for the first
+    /// window that is a 3-byte prefix, each candidate confirmed by three
+    /// steps from the root. Up to the window's third byte the automaton
+    /// stays at depth ≤ 2 — depth grows one byte at a time, and reaching
+    /// 3 spells a prefix — so nothing there accepts, and the state after
+    /// byte `i` is the one the last two bytes reach from the root. The
+    /// rest is handed over from the last grid position at or before that
+    /// byte, so the lane loop's chunks still start on the grid.
+    fn skip_root<C: Copy + Into<StateId>>(
+        &self,
+        filter: &PrefixFilter,
+        t: &[C],
+        state: StateId,
+        data: &[u8],
+        grid: &mut DepthGrid<'_>,
+    ) -> (usize, StateId) {
+        let step = |s: StateId, b: u8| -> StateId { t[(s as usize) * 256 + usize::from(b)].into() };
+        let depth = |s: StateId| self.depth[s as usize];
+        let s0 = step(state, data[0]);
+        let s1 = step(s0, data[1]);
+        if s0 < self.f || depth(s1) > 2 {
+            return (0, state);
+        }
+        let from_root = |w: &[u8]| w.iter().fold(self.root, |s, &b| step(s, b));
+        let hit = filter.first(data, |i| depth(from_root(&data[i..i + 3])) == 3);
+        let to = match (hit, grid.step_within(data.len())) {
+            (None, _) => data.len(),
+            (Some(h), Some(every)) => (h + 2) / every * every,
+            (Some(h), None) => h + 2,
+        };
+        if to < 2 {
+            return (0, state);
+        }
+        grid.visit(0, [s0], 1);
+        grid.visit(1, [s1], 1);
+        grid.skip_shallow(to, |i| from_root(&data[i - 1..=i]));
+        (to, from_root(&data[to - 2..to]))
+    }
+
     /// [`ScanKernel::scan_sampled`] on the lane-interleaved loop, generic
     /// over the callback so a caller holding a closure is not forced
-    /// through `dyn`. The lane count follows from the payload length and
-    /// from what a lane must clear before the cut pays: its warm-up
-    /// (`max_depth` bytes) and one grid step.
+    /// through `dyn`. Where the table has a prefix filter, the lanes
+    /// start past what [`FullAc::skip_root`] skips. The lane count
+    /// follows from the length left and from what a lane must clear
+    /// before the cut pays: its warm-up (`max_depth` bytes) and one grid
+    /// step.
     pub(crate) fn scan_lanes(
         &self,
         state: StateId,
         data: &[u8],
-        grid: DepthGrid<'_>,
-        on_accept: impl FnMut(usize, StateId),
+        mut grid: DepthGrid<'_>,
+        mut on_accept: impl FnMut(usize, StateId),
     ) -> StateId {
+        let (from, state) = match &self.skip {
+            Some(filter) if data.len() >= SKIP_FLOOR => {
+                with_cells!(&self.cells, t => self.skip_root(filter, t, state, data, &mut grid))
+            }
+            _ => (0, state),
+        };
+        let data = &data[from..];
+        let on_accept = |i, s| on_accept(from + i, s);
         let clear = usize::from(self.max_depth).max(grid.step_within(data.len()).unwrap_or(1));
         macro_rules! lanes {
             ($k:literal) => {

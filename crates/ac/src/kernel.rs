@@ -26,7 +26,8 @@ pub enum KernelKind {
     Naive,
     /// The lane-interleaved table scan: the payload is cut into one to
     /// four chunks — as many as its length and the longest pattern allow
-    /// — that step through the table together. Its
+    /// — that step through the table together, after a prefix filter has
+    /// skipped what provably stays within two bytes of the root. Its
     /// [`ScanKernel::kernel_name`] is the cell width the state count
     /// selected: `"compact"` (`u16`, below 2¹⁶ states) or `"full"`
     /// (`u32`).
@@ -56,14 +57,27 @@ impl std::fmt::Display for KernelKind {
 /// Depth-sample accumulator a kernel fills during one scan: 1 in
 /// `sample_every` byte positions contributes to `total`, and to `deep`
 /// when the automaton state after that byte sits at or past the caller's
-/// deep-depth threshold. Exact for every kernel: each one visits every
-/// byte in its exact state.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+/// deep-depth threshold. Exact for every kernel: each one knows every
+/// byte's exact state, whether it stepped the byte or skipped it.
+///
+/// `skipped` says how a kernel got there, not what it saw: the bytes the
+/// default loop passed by its prefix filter rather than on the table
+/// (0 for the reference loop). Equality therefore compares `total` and
+/// `deep` only.
+#[derive(Debug, Default, Clone, Copy, Eq)]
 pub struct DepthSamples {
     /// Sampled positions.
     pub total: u64,
     /// Sampled positions at or past the deep threshold.
     pub deep: u64,
+    /// Bytes skipped at depth ≤ 2 (DESIGN.md §12).
+    pub skipped: u64,
+}
+
+impl PartialEq for DepthSamples {
+    fn eq(&self, other: &DepthSamples) -> bool {
+        (self.total, self.deep) == (other.total, other.deep)
+    }
 }
 
 /// A resumable scanning hot path over one compiled automaton.
@@ -143,8 +157,33 @@ impl<'a> DepthGrid<'a> {
                     }
                 }
             }
-            self.next = self.next.saturating_add(self.every);
+            self.advance();
         }
+    }
+
+    /// Moves past the position just sampled; with no step, past the end.
+    fn advance(&mut self) {
+        self.next = match self.every {
+            0 => usize::MAX,
+            every => self.next.saturating_add(every),
+        };
+    }
+
+    /// Records every grid position below `to` not yet recorded, all of
+    /// which the caller knows to sit at depth ≤ 2 — `state_at(i)` names
+    /// the state there, and is asked only when a threshold of 2 or less
+    /// makes the depth matter — then counts the `to` bytes as skipped and
+    /// moves the grid's origin to `to`, where a scan of the rest starts.
+    pub(crate) fn skip_shallow(&mut self, to: usize, state_at: impl Fn(usize) -> StateId) {
+        while self.next < to {
+            self.samples.total += 1;
+            if self.deep_depth <= 2 && self.depth[state_at(self.next) as usize] >= self.deep_depth {
+                self.samples.deep += 1;
+            }
+            self.advance();
+        }
+        self.next -= to;
+        self.samples.skipped += to as u64;
     }
 }
 

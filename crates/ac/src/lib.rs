@@ -33,7 +33,9 @@
 //! (1 KiB per state). [`CombinedAc`] pairs that table with one of two
 //! scan loops ([`KernelKind`]): the lane-interleaved loop the data plane
 //! runs — one payload cut into up to four independent chains whose table
-//! loads overlap — or the naive reference loop it is verified against. Both produce
+//! loads overlap, started past the bytes a 3-byte prefix filter proves
+//! stay within two bytes of the root — or the naive reference loop it is
+//! verified against. Both produce
 //! identical match streams; the property tests in this crate verify that
 //! against each other and against a naive reference matcher
 //! ([`naive::NaiveMatcher`]).
@@ -43,6 +45,7 @@ pub mod combined;
 pub mod full;
 pub mod kernel;
 pub mod naive;
+mod prefilter;
 pub mod trie;
 
 pub use builder::{CombinedAcBuilder, PatternSet};

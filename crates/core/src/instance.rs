@@ -892,6 +892,7 @@ impl ScanEngine {
         };
         let deep = depth_samples.deep;
         let samples = depth_samples.total;
+        scan.telemetry.scan_bytes_skipped += depth_samples.skipped;
         // One anchor string can be seen many times; each counts once.
         anchors_seen.sort_unstable();
         anchors_seen.dedup();

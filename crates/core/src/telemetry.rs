@@ -34,6 +34,10 @@ pub struct Telemetry {
     pub deep_samples: u64,
     /// Total depth samples taken.
     pub depth_samples: u64,
+    /// Scanned bytes the kernel passed by its prefix filter instead of
+    /// stepping the table: the automaton provably sat at depth ≤ 2 there
+    /// (DESIGN.md §12). Part of `bytes`.
+    pub scan_bytes_skipped: u64,
     /// Byte-level reassembly conflicts detected (overlapping TCP segment
     /// copies with different bytes — DESIGN.md §13).
     pub reassembly_conflicts: u64,
@@ -96,6 +100,7 @@ impl Telemetry {
         self.parallel_regex_evaluations += other.parallel_regex_evaluations;
         self.deep_samples += other.deep_samples;
         self.depth_samples += other.depth_samples;
+        self.scan_bytes_skipped += other.scan_bytes_skipped;
         self.reassembly_conflicts += other.reassembly_conflicts;
         self.flows_quarantined += other.flows_quarantined;
         for (a, b) in self
@@ -140,6 +145,9 @@ impl Telemetry {
                 .saturating_sub(prev.parallel_regex_evaluations),
             deep_samples: self.deep_samples.saturating_sub(prev.deep_samples),
             depth_samples: self.depth_samples.saturating_sub(prev.depth_samples),
+            scan_bytes_skipped: self
+                .scan_bytes_skipped
+                .saturating_sub(prev.scan_bytes_skipped),
             reassembly_conflicts: self
                 .reassembly_conflicts
                 .saturating_sub(prev.reassembly_conflicts),
@@ -319,6 +327,7 @@ mod tests {
             parallel_regex_evaluations: 3,
             deep_samples: 9,
             depth_samples: 900,
+            scan_bytes_skipped: 1 << 19,
             reassembly_conflicts: 6,
             flows_quarantined: 1,
             l7_flows_identified: [7, 2, 1, 3],
@@ -347,6 +356,7 @@ mod tests {
         assert_eq!(d.parallel_regex_evaluations, 0);
         assert_eq!(d.deep_samples, 0);
         assert_eq!(d.depth_samples, 0);
+        assert_eq!(d.scan_bytes_skipped, 0);
         assert_eq!(d.reassembly_conflicts, 0);
         assert_eq!(d.flows_quarantined, 0);
         assert_eq!(d.l7_flows_identified, [0; 4]);

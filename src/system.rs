@@ -766,6 +766,11 @@ impl SystemHandle {
             "Flows aged out of the flow arena's LRU tail after the idle timeout",
             MetricKind::Counter,
         );
+        m.family(
+            "dpi_scan_bytes_skipped_total",
+            "Scanned bytes the kernel's prefix filter passed at depth <= 2 without stepping the table",
+            MetricKind::Counter,
+        );
         for (i, t) in self.fleet_telemetry().iter().enumerate() {
             let i = i.to_string();
             let l = [("instance", i.as_str())];
@@ -781,6 +786,7 @@ impl SystemHandle {
                 t.quarantined_flow_evictions,
             );
             m.sample("dpi_flows_aged_total", &l, t.flows_aged);
+            m.sample("dpi_scan_bytes_skipped_total", &l, t.scan_bytes_skipped);
         }
 
         m.family(

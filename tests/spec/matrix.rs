@@ -518,6 +518,8 @@ struct Observed {
     /// Divergences the run itself saw (stamps, tenant attribution).
     errors: Vec<String>,
     trace: String,
+    /// Scanned bytes the kernel skipped at depth ≤ 2, as exported.
+    skipped: u64,
 }
 
 impl Observed {
@@ -605,6 +607,7 @@ fn run_batch(case: &Case) -> Observed {
         }
     }
     obs.trace = to_jsonl(&tracer.snapshot());
+    obs.skipped = inst.telemetry().scan_bytes_skipped;
     obs
 }
 
@@ -700,6 +703,12 @@ fn run_send(case: &Case) -> Observed {
         e.quarantined = inst.lock().flow_quarantined(&f.key);
     }
     obs.trace = sys.trace_jsonl();
+    obs.skipped = sys
+        .metrics_text()
+        .lines()
+        .filter(|l| l.starts_with("dpi_scan_bytes_skipped_total{"))
+        .map(|l| l.rsplit_once(' ').unwrap().1.parse::<u64>().unwrap())
+        .sum();
     obs
 }
 
@@ -722,6 +731,8 @@ pub struct Tally {
     bounded: u64,
     /// Cases that draw no loss, each held exactly to the model.
     loss_free: usize,
+    /// Runs whose kernel skipped bytes by its prefix filter.
+    pub skipping: usize,
 }
 
 /// Names the documented class explaining `s` occurrences against `c`,
@@ -896,6 +907,7 @@ pub fn sweep(paths: &[Path], shape: impl Fn(&mut Case) -> bool) -> Vec<(u64, Tal
                     Path::Batch => run_batch(&case),
                     Path::Send => run_send(&case),
                 };
+                tally.skipping += usize::from(obs.skipped > 0);
                 let errors = judge(&case, path, &obs, &mut tally);
                 if errors.is_empty() {
                     continue;
@@ -918,8 +930,8 @@ pub fn sweep(paths: &[Path], shape: impl Fn(&mut Case) -> bool) -> Vec<(u64, Tal
         eprintln!("seed {seed}: {kept} of {CASES} cases, dimension draws {dims:?}");
         eprintln!(
             "seed {seed}: {} loss-free cases; occurrences missed {:?}, added {:?}; \
-             {} bounded claims",
-            tally.loss_free, tally.losses, tally.extras, tally.bounded
+             {} bounded claims; {} runs skipped bytes",
+            tally.loss_free, tally.losses, tally.extras, tally.bounded, tally.skipping
         );
         tallies.push((seed, tally));
     }
