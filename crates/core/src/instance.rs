@@ -1075,10 +1075,10 @@ impl ScanEngine {
         // closed: the packet carries the match mark but no reports are
         // fabricated — nothing was scanned, and the verdict was itself
         // reported via trace/telemetry when it fired. No result packet
-        // follows, so a middlebox holds the packet in its pairing buffer
-        // until the buffer's bound releases it unpaired: its logic then
-        // sees a packet with no report, and neither blocks nor alerts on
-        // it (a documented loss case, DESIGN.md §17).
+        // follows, so a middlebox holds the packet until its next arrival
+        // releases it unpaired: its logic then sees a packet with no
+        // report, and neither blocks nor alerts on it (a documented loss
+        // case, DESIGN.md §17).
         if merged.quarantined || !merged.reports.is_empty() {
             packet.mark_matches();
         }

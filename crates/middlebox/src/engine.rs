@@ -22,6 +22,9 @@ pub struct MiddleboxStats {
     pub rules_fired: u64,
     /// Packets blocked.
     pub blocked: u64,
+    /// Match-marked packets processed without their result packet: the
+    /// result was lost on the way, or the flow is closed.
+    pub unpaired: u64,
     /// Payload bytes this middlebox scanned *itself* (zero in service
     /// mode — that is the whole point).
     pub bytes_self_scanned: u64,
@@ -60,6 +63,11 @@ impl ServiceMiddlebox {
     /// Counters so far.
     pub fn stats(&self) -> MiddleboxStats {
         self.stats
+    }
+
+    /// Counts a marked packet about to be processed without its result.
+    pub(crate) fn count_unpaired(&mut self) {
+        self.stats.unpaired += 1;
     }
 
     /// Processes one packet's report (possibly absent: no matches for us).

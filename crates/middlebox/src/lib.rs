@@ -19,10 +19,6 @@
 //!   "plugin": it consumes match results computed by the DPI service
 //!   instead of scanning ("the plugin itself requires less than 100 lines
 //!   of code").
-//! * [`reorder`] — the §6.1 pairing buffer: "a sample virtual middlebox
-//!   application that receives traffic from the DPI service instance and
-//!   if necessary, buffers packets until their corresponding results or
-//!   data packet arrives".
 //! * [`boxes`] — concrete middlebox types from Table 1: IDS, IPS,
 //!   anti-virus, L7 firewall, traffic shaper, L7 load balancer, DLP and
 //!   network analytics.
@@ -30,13 +26,14 @@
 //!   middleboxes plug into the simulated network; the DPI node takes
 //!   chaos-driven instance death, retried result-packet delivery
 //!   (fail-open for data, fail-closed for verdicts) and instance-level
-//!   overload control as optional attachments.
+//!   overload control as optional attachments, and the middlebox node
+//!   pairs each marked data packet with the result packet right behind
+//!   it (§6.1).
 
 pub mod boxes;
 pub mod engine;
 pub mod logic;
 pub mod nodes;
-pub mod reorder;
 
 pub use boxes::{
     antivirus, dlp, ids, ips, l7_firewall, l7_load_balancer, network_analytics, sni_filter,
@@ -45,4 +42,3 @@ pub use boxes::{
 pub use engine::{MiddleboxStats, SelfScanMiddlebox, ServiceMiddlebox};
 pub use logic::{Condition, MbAction, MbRule, RuleLogic, Verdict};
 pub use nodes::{DpiServiceNode, FleetDpiStats, MiddleboxNode};
-pub use reorder::ReorderBuffer;

@@ -1,7 +1,6 @@
 //! Rules, conditions, actions and verdicts.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// What a middlebox does when a rule fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -29,12 +28,13 @@ pub enum Condition {
 }
 
 impl Condition {
-    /// Evaluates against the set of reported pattern ids.
-    pub fn eval(&self, matched: &HashSet<u16>) -> bool {
+    /// Evaluates against the reported pattern ids, sorted ascending.
+    pub fn eval(&self, matched: &[u16]) -> bool {
+        let has = |p: &u16| matched.binary_search(p).is_ok();
         match self {
-            Condition::Pattern(p) => matched.contains(p),
-            Condition::AllOf(ps) => !ps.is_empty() && ps.iter().all(|p| matched.contains(p)),
-            Condition::AnyOf(ps) => ps.iter().any(|p| matched.contains(p)),
+            Condition::Pattern(p) => has(p),
+            Condition::AllOf(ps) => !ps.is_empty() && ps.iter().all(has),
+            Condition::AnyOf(ps) => ps.iter().any(has),
         }
     }
 }
@@ -126,7 +126,12 @@ impl RuleLogic {
     /// Evaluates the rules that could possibly fire given the reported
     /// pattern ids.
     pub fn evaluate(&self, matched_patterns: &[u16]) -> Verdict {
-        let set: HashSet<u16> = matched_patterns.iter().copied().collect();
+        if matched_patterns.is_empty() {
+            return Verdict::forward();
+        }
+        let mut set = matched_patterns.to_vec();
+        set.sort_unstable();
+        set.dedup();
         // Candidate rules: any rule mentioning a matched pattern.
         let mut candidates: Vec<u32> = set
             .iter()
@@ -177,7 +182,7 @@ mod tests {
 
     #[test]
     fn conditions_evaluate() {
-        let m: HashSet<u16> = [1, 2, 3].into_iter().collect();
+        let m = [1, 2, 3];
         assert!(Condition::Pattern(2).eval(&m));
         assert!(!Condition::Pattern(9).eval(&m));
         assert!(Condition::AllOf(vec![1, 3]).eval(&m));

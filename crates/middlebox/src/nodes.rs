@@ -11,12 +11,12 @@
 //! [`dpi_sdn::Switch::table`].
 
 use crate::engine::ServiceMiddlebox;
-use crate::reorder::{PairedPacket, ReorderBuffer};
 use dpi_core::chaos::ChaosEngine;
 use dpi_core::trace::{TraceKind, TraceSource, Tracer};
 use dpi_core::DpiInstance;
 use dpi_packet::packet::PacketBody;
-use dpi_packet::{FlowKey, MacAddr, Packet};
+use dpi_packet::report::ResultPacket;
+use dpi_packet::{MacAddr, Packet};
 use dpi_sdn::{Node, PortId};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -65,9 +65,9 @@ pub struct FleetDpiStats {
 ///   never retried — losing one is visible to the endpoints and the
 ///   network is **fail-open** for data. A result packet whose every
 ///   attempt is dropped is *lost*, never fabricated: middleboxes
-///   downstream see a missing result (and fail open once the unpaired
-///   data overflows the reorder buffer's capacity bound), but never a
-///   wrong one — **fail-closed** for verdicts.
+///   downstream see a missing result (each releases the marked data
+///   packet unpaired at its next arrival), but never a wrong one —
+///   **fail-closed** for verdicts.
 pub struct DpiServiceNode {
     dpi: Arc<Mutex<DpiInstance>>,
     mac: MacAddr,
@@ -152,7 +152,7 @@ impl DpiServiceNode {
     }
 
     /// The dedicated result packet that follows `data` (§4.2 option 3).
-    fn result_packet(&self, data: &Packet, result: dpi_packet::report::ResultPacket) -> Packet {
+    fn result_packet(&self, data: &Packet, result: ResultPacket) -> Packet {
         let mut rp = Packet::result(self.mac, data.eth.dst, result);
         if let Some(tag) = data.chain_tag() {
             // The result packet follows the same chain rules.
@@ -250,25 +250,24 @@ impl Node for DpiServiceNode {
     }
 }
 
-/// A service-consuming middlebox as a network node (§6.1's plugin plus
-/// pairing buffer).
+/// A service-consuming middlebox as a network node (§6.1's plugin).
+///
+/// Every node emits a marked data packet and its result packet in one
+/// delivery and the links are FIFO, so the result arrives right behind
+/// its data: §6.1's two-sided pairing buffer comes to one held packet.
 pub struct MiddleboxNode {
     mb: Arc<Mutex<ServiceMiddlebox>>,
     /// The middlebox's registered id, read once: reports are selected by
     /// it on every packet.
     mb_id: u16,
-    buffer: ReorderBuffer,
-    /// What the pairing buffer released for the packet in hand; drained
-    /// before `on_packet_into` returns, kept for its allocation.
-    paired: Vec<PairedPacket>,
+    /// The marked data packet waiting for the result packet behind it.
+    held: Option<Packet>,
     /// Highest rule generation consumed; results stamped below it are
     /// dropped, not mixed into newer verdicts. As strong as per-flow: an
     /// update rolls every instance between two sends and each send runs
     /// to quiescence, so no two instances serve different generations
     /// while traffic flows — below the highest is stale for every flow.
     generation: u32,
-    /// The last result packet received: its sender, flow and id.
-    last_result: Option<(MacAddr, FlowKey, u32)>,
 }
 
 impl MiddleboxNode {
@@ -281,27 +280,14 @@ impl MiddleboxNode {
         mb: ServiceMiddlebox,
         _last_on_chain: bool,
     ) -> (MiddleboxNode, Arc<Mutex<ServiceMiddlebox>>) {
-        MiddleboxNode::with_buffer_capacity(mb, 4096)
-    }
-
-    /// Like [`MiddleboxNode::new`] with an explicit pairing-buffer bound.
-    /// When result packets are lost in the network, marked data packets
-    /// eventually overflow the buffer and are released *unpaired* — the
-    /// middlebox fails open rather than stalling the flow.
-    pub fn with_buffer_capacity(
-        mb: ServiceMiddlebox,
-        capacity: usize,
-    ) -> (MiddleboxNode, Arc<Mutex<ServiceMiddlebox>>) {
         let mb_id = mb.id().0;
         let mb = Arc::new(Mutex::new(mb));
         (
             MiddleboxNode {
                 mb: Arc::clone(&mb),
                 mb_id,
-                buffer: ReorderBuffer::new(capacity),
-                paired: Vec::new(),
+                held: None,
                 generation: 0,
-                last_result: None,
             },
             mb,
         )
@@ -309,59 +295,74 @@ impl MiddleboxNode {
 
     /// Applies the generation monotonicity check to a paired result.
     /// Returns `None` (process as unmatched) for stale results.
-    fn admit_result(
-        &mut self,
-        results: Option<dpi_packet::report::ResultPacket>,
-    ) -> Option<dpi_packet::report::ResultPacket> {
-        let r = results?;
-        if r.generation < self.generation {
-            return None;
+    fn admit_result(&mut self, result: ResultPacket) -> Option<ResultPacket> {
+        let fresh = result.generation >= self.generation;
+        self.generation = self.generation.max(result.generation);
+        fresh.then_some(result)
+    }
+
+    /// Releases a held packet without a result: its result was lost, or
+    /// its flow is closed. The middlebox sees no report for it — fail-open
+    /// for data, and no rule fires on a guess.
+    fn release(&mut self, held: Option<Packet>, port: PortId, out: &mut Vec<(PortId, Packet)>) {
+        if let Some(packet) = held {
+            self.mb.lock().count_unpaired();
+            self.forward(packet, None, port, out);
         }
-        self.generation = r.generation;
-        Some(r)
+    }
+
+    /// Runs the middlebox's logic on `packet` and, unless it blocks,
+    /// forwards the packet with its result re-emitted right behind it so
+    /// downstream members can read their own sections.
+    fn forward(
+        &mut self,
+        packet: Packet,
+        result: Option<ResultPacket>,
+        port: PortId,
+        out: &mut Vec<(PortId, Packet)>,
+    ) {
+        let report = result.as_ref().and_then(|r| r.report_for(self.mb_id));
+        if !self.mb.lock().process(report).forwards() {
+            return; // blocked: neither data nor result goes on
+        }
+        let rp = result.map(|result| {
+            let mut rp = Packet::result(packet.eth.src, packet.eth.dst, result);
+            if let Some(tag) = packet.chain_tag() {
+                let _ = rp.push_chain_tag(tag);
+            }
+            rp
+        });
+        out.push((port, packet));
+        out.extend(rp.map(|rp| (port, rp)));
     }
 }
 
 impl Node for MiddleboxNode {
+    /// The node has one NIC, so whatever it releases leaves on the port
+    /// the packet in hand came in on.
     fn on_packet_into(&mut self, packet: Packet, port: PortId, out: &mut Vec<(PortId, Packet)>) {
-        let mb_id = self.mb_id;
-        // A duplicated result packet arrives right behind the one it
-        // copies, after that one paired. Buffered, it would pair with the
-        // flow's next marked packet and shift every later verdict of the
-        // flow by one; the same sender, flow and id mark it, and it goes.
-        if let PacketBody::Result(r) = &packet.body {
-            let key = Some((packet.eth.src, r.flow, r.packet_id));
-            if self.last_result == key {
-                return;
-            }
-            self.last_result = key;
-        }
-        // Pair each marked data packet with the result packet behind it;
-        // every result consumed passes the generation check.
-        let chain_tag = packet.chain_tag();
-        let mut paired = std::mem::take(&mut self.paired);
-        self.buffer.push(packet, &mut paired);
-        for PairedPacket { packet, results } in paired.drain(..) {
-            let results = self.admit_result(results);
-            let my_report = results.as_ref().and_then(|r| r.report_for(mb_id));
-            if !self.mb.lock().process(my_report).forwards() {
-                continue; // blocked: neither data nor results go on
-            }
-            // Re-emit the result packet behind the data so downstream
-            // middleboxes can read their own sections.
-            let rp = results.map(|results| {
-                let mut rp = Packet::result(packet.eth.src, packet.eth.dst, results);
-                if let Some(tag) = packet.chain_tag().or(chain_tag) {
-                    let _ = rp.push_chain_tag(tag);
+        let held = self.held.take();
+        match packet.body {
+            PacketBody::Result(result) => match held {
+                Some(data) if data.flow_key() == Some(result.flow) => {
+                    let result = self.admit_result(result);
+                    self.forward(data, result, port, out);
                 }
-                rp
-            });
-            out.push((port, packet));
-            if let Some(rp) = rp {
-                out.push((port, rp));
+                // An orphan — a duplicate, or the result of a packet
+                // blocked upstream: it pairs with nothing and goes.
+                held => self.release(held, port, out),
+            },
+            _ => {
+                self.release(held, port, out);
+                if packet.has_match_mark() {
+                    self.held = Some(packet);
+                } else {
+                    // Unmarked: no result will follow (§4.2: "a packet
+                    // with no matches is always forwarded as is").
+                    self.forward(packet, None, port, out);
+                }
             }
         }
-        self.paired = paired;
     }
 
     fn label(&self) -> String {
@@ -498,8 +499,8 @@ mod tests {
         )
     }
 
-    /// A match-marked data packet of `fk` on chain 5.
-    fn marked_data(fk: dpi_packet::FlowKey) -> Packet {
+    /// A data packet of `fk` on chain 5.
+    fn data(fk: dpi_packet::FlowKey) -> Packet {
         let mut p = Packet::tcp(
             MacAddr::local(1),
             MacAddr::local(2),
@@ -508,6 +509,12 @@ mod tests {
             b"payload".to_vec(),
         );
         p.push_chain_tag(5).unwrap();
+        p
+    }
+
+    /// A match-marked data packet of `fk` on chain 5.
+    fn marked_data(fk: dpi_packet::FlowKey) -> Packet {
+        let mut p = data(fk);
         p.mark_matches();
         p
     }
@@ -518,6 +525,59 @@ mod tests {
             "ids",
             RuleLogic::one_per_pattern(1, MbAction::Alert),
         )
+    }
+
+    #[test]
+    fn one_slot_pairs_each_result_with_the_packet_right_before_it() {
+        let a = flow([1, 1, 1, 1], 9, [2, 2, 2, 2], 80, IpProtocol::Tcp);
+        let b = flow([1, 1, 1, 1], 10, [2, 2, 2, 2], 80, IpProtocol::Tcp);
+        let (d, r) = ("data", "result");
+        // Arrivals → what leaves (kind, flow) → (unpaired, matches).
+        let table = [
+            ("unmarked data passes", vec![data(a)], vec![(d, a)], (0, 0)),
+            (
+                "data then its result pair",
+                vec![marked_data(a), result_for(a, 0, 1)],
+                vec![(d, a), (r, a)],
+                (0, 1),
+            ),
+            (
+                "a lone result is dropped",
+                vec![result_for(a, 0, 1)],
+                vec![],
+                (0, 0),
+            ),
+            (
+                "another flow's result releases the held packet",
+                vec![marked_data(a), result_for(b, 0, 1)],
+                vec![(d, a)],
+                (1, 0),
+            ),
+            (
+                "a second marked packet releases the first",
+                vec![marked_data(a), marked_data(b)],
+                vec![(d, a)],
+                (1, 0),
+            ),
+        ];
+        for (name, arrivals, leaves, (unpaired, matches)) in table {
+            let (mut node, handle) = MiddleboxNode::new(alerting_ids(), true);
+            let out: Vec<_> = arrivals
+                .into_iter()
+                .flat_map(|p| node.on_packet(p, 0))
+                .map(|(_, p)| match &p.body {
+                    PacketBody::Result(res) => (r, res.flow),
+                    _ => (d, p.flow_key().unwrap()),
+                })
+                .collect();
+            assert_eq!(out, leaves, "{name}");
+            let stats = handle.lock().stats();
+            assert_eq!(
+                (stats.unpaired, stats.matches),
+                (unpaired, matches),
+                "{name}"
+            );
+        }
     }
 
     #[test]

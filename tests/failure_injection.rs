@@ -9,7 +9,7 @@ use dpi_service::core::instance::ScanEngine;
 use dpi_service::core::trace::{TraceKind, Tracer};
 use dpi_service::core::{DpiInstance, InstanceConfig, MiddleboxProfile, RuleSpec};
 use dpi_service::middlebox::{
-    DpiServiceNode, MbAction, MiddleboxNode, RuleLogic, ServiceMiddlebox,
+    Condition, DpiServiceNode, MbAction, MbRule, MiddleboxNode, RuleLogic, ServiceMiddlebox,
 };
 use dpi_service::packet::ipv4::IpProtocol;
 use dpi_service::packet::packet::flow;
@@ -44,7 +44,7 @@ fn tagged(payload: &[u8], port: u16) -> Packet {
 fn lost_result_packets_fail_open_at_buffer_capacity() {
     let (mut dpi_node, _h) = DpiServiceNode::new(dpi(), MacAddr::local(9), 0);
     let mb = ServiceMiddlebox::new(MB, "ids", RuleLogic::one_per_pattern(1, MbAction::Alert));
-    let (mut mb_node, handle) = MiddleboxNode::with_buffer_capacity(mb, 2);
+    let (mut mb_node, handle) = MiddleboxNode::new(mb, true);
 
     // Three marked packets whose result packets we "lose" on the way.
     let mut released = Vec::new();
@@ -54,13 +54,63 @@ fn lost_result_packets_fail_open_at_buffer_capacity() {
         // Deliver only the data packet; drop the result.
         released.extend(mb_node.on_packet(emitted[0].1.clone(), 0));
     }
-    // Capacity 2: the third data packet forces the oldest out, unpaired.
-    assert_eq!(released.len(), 1, "fail-open release at capacity");
-    // The unpaired packet was processed with no matches (fail-closed on
-    // match-dependent decisions): it was forwarded, no rule fired on it.
+    // The node holds one packet: each arrival releases the one before it,
+    // unpaired, so by the third two have gone on and the third is held.
+    assert_eq!(released.len(), 2, "fail-open release at the next arrival");
+    // The unpaired packets were processed with no matches (fail-closed on
+    // match-dependent decisions): forwarded, no rule fired on them.
     let stats = handle.lock().stats();
-    assert_eq!(stats.packets, 1);
+    assert_eq!(stats.packets, 2);
     assert_eq!(stats.matches, 0);
+    assert_eq!(stats.unpaired, 2);
+}
+
+#[test]
+fn a_lost_result_does_not_shift_the_flows_later_verdicts() {
+    const IPS: MiddleboxId = MiddleboxId(2);
+    let dpi = DpiInstance::new(
+        InstanceConfig::new()
+            .with_middlebox(
+                MiddleboxProfile::stateless(IPS),
+                vec![
+                    RuleSpec::exact(b"alert-me-sig".to_vec()),
+                    RuleSpec::exact(b"block-me-sig".to_vec()),
+                ],
+            )
+            .with_chain(5, vec![IPS]),
+    )
+    .unwrap();
+    let (mut dpi_node, _h) = DpiServiceNode::new(dpi, MacAddr::local(9), 0);
+    let logic = RuleLogic::new(vec![
+        MbRule {
+            id: 0,
+            condition: Condition::Pattern(0),
+            action: MbAction::Alert,
+        },
+        MbRule {
+            id: 1,
+            condition: Condition::Pattern(1),
+            action: MbAction::Block,
+        },
+    ]);
+    let (mut mb_node, handle) = MiddleboxNode::new(ServiceMiddlebox::new(IPS, "ips", logic), true);
+
+    // One flow: packet 1 loses its result, packet 2 arrives with its own.
+    let benign = dpi_node.on_packet(tagged(b"benign alert-me-sig", 5000), 0);
+    let evil = dpi_node.on_packet(tagged(b"evil block-me-sig", 5000), 0);
+    assert_eq!((benign.len(), evil.len()), (2, 2), "data + result emitted");
+    let mut forwarded = mb_node.on_packet(benign[0].1.clone(), 0);
+    for (_, p) in evil {
+        forwarded.extend(mb_node.on_packet(p, 0));
+    }
+
+    // Packet 2's result decides packet 2, not packet 1: the benign packet
+    // goes on unpaired, and the evil one is blocked.
+    assert_eq!(forwarded.len(), 1);
+    assert_eq!(forwarded[0].1.payload(), Some(&b"benign alert-me-sig"[..]));
+    let stats = handle.lock().stats();
+    assert_eq!(stats.blocked, 1);
+    assert_eq!(stats.packets, 2);
 }
 
 #[test]

@@ -520,6 +520,8 @@ struct Observed {
     trace: String,
     /// Scanned bytes the kernel skipped at depth ≤ 2, as exported.
     skipped: u64,
+    /// Marked packets the middleboxes processed without their result.
+    unpaired: u64,
 }
 
 impl Observed {
@@ -709,6 +711,8 @@ fn run_send(case: &Case) -> Observed {
         .filter(|l| l.starts_with("dpi_scan_bytes_skipped_total{"))
         .map(|l| l.rsplit_once(' ').unwrap().1.parse::<u64>().unwrap())
         .sum();
+    let stats = MBS.iter().map(|&m| sys.stats_of(MiddleboxId(m)).unwrap());
+    obs.unpaired = stats.map(|s| s.unpaired).sum();
     obs
 }
 
@@ -733,6 +737,8 @@ pub struct Tally {
     loss_free: usize,
     /// Runs whose kernel skipped bytes by its prefix filter.
     pub skipping: usize,
+    /// Marked packets the middleboxes processed without their result.
+    pub unpaired: u64,
 }
 
 /// Names the documented class explaining `s` occurrences against `c`,
@@ -865,6 +871,14 @@ fn judge(case: &Case, path: Path, obs: &Observed, tally: &mut Tally) -> Vec<Stri
             errors.push(e);
         }
     }
+    // A result follows its data packet through every hop, so a marked
+    // packet goes unpaired only when its result was lost or its flow is
+    // closed.
+    let excused = obs.evidence.iter().any(|e| e.result_lost || e.quarantined);
+    if obs.unpaired > 0 && !excused {
+        errors.push(format!("{} marked packet(s) unpaired", obs.unpaired));
+    }
+    tally.unpaired += obs.unpaired;
     for (key, n) in &obs.counts {
         if !claimed.contains(key) {
             errors.push(format!(
@@ -933,6 +947,7 @@ pub fn sweep(paths: &[Path], shape: impl Fn(&mut Case) -> bool) -> Vec<(u64, Tal
              {} bounded claims; {} runs skipped bytes",
             tally.loss_free, tally.losses, tally.extras, tally.bounded, tally.skipping
         );
+        eprintln!("seed {seed}: {} packets unpaired", tally.unpaired);
         tallies.push((seed, tally));
     }
     let n = divergences.len();
