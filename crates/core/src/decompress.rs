@@ -9,11 +9,22 @@
 //!
 //! [`inflate`] is a complete RFC 1951 decoder (stored, fixed-Huffman and
 //! dynamic-Huffman blocks) with an explicit output bound — a DPI service
-//! must not be zip-bombable. [`deflate_stored`] and [`deflate_fixed`]
-//! produce valid DEFLATE streams (the latter with fixed-Huffman literals
-//! plus distance-1 run-length back-references), used by the workload
-//! generators and tests; compression *ratio* is not the point, validity
-//! and coverage of the decoder paths are.
+//! must not be zip-bombable. It decodes in table steps: a 64-bit bit
+//! reader refills up to 8 bytes at once, and each Huffman code of up to
+//! 10 bits (every fixed-block code) is one load from a table indexed by
+//! the next stream bits, as many as the code's longest (at most 10). The
+//! canonical bit-at-a-time walk is the one slow path: it decodes longer
+//! codes, and a code cut by the end of the input or unused by the table,
+//! with the exact `Truncated` or `BadSymbol` error. The fixed-block
+//! tables are built once; a dynamic block's live on the stack; [`gunzip`]
+//! sizes its output from the member's ISIZE trailer, so a well-formed
+//! member inflates in one allocation. [`deflate_stored`] and
+//! [`deflate_fixed`] produce valid DEFLATE streams (the latter with
+//! fixed-Huffman literals plus distance-1 run-length back-references),
+//! used by the workload generators and tests; compression *ratio* is not
+//! the point, validity and coverage of the decoder paths are.
+
+use std::sync::OnceLock;
 
 /// Decompression errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,12 +62,18 @@ impl std::fmt::Display for InflateError {
 
 impl std::error::Error for InflateError {}
 
-/// LSB-first bit reader over the compressed stream.
+/// LSB-first bit reader over the compressed stream: a 64-bit window
+/// that refills up to 8 bytes at once.
 struct BitReader<'a> {
     data: &'a [u8],
+    /// Next byte of `data` to load into `acc`.
     pos: usize,
+    /// Stream bits, next bit lowest. Above the `bit` counted ones it may
+    /// hold part of `data[pos]` from a wide load; a later load ORs the
+    /// same bits in again.
+    acc: u64,
+    /// Bits of `acc` that are loaded and unconsumed (0..=63).
     bit: u32,
-    acc: u32,
 }
 
 impl<'a> BitReader<'a> {
@@ -69,20 +86,49 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    fn bits(&mut self, n: u32) -> Result<u32, InflateError> {
-        while self.bit < n {
-            let byte = *self.data.get(self.pos).ok_or(InflateError::Truncated)?;
-            self.acc |= u32::from(byte) << self.bit;
-            self.bit += 8;
-            self.pos += 1;
+    /// Tops `acc` up to at least 56 bits, or to the end of the input.
+    fn refill(&mut self) {
+        if let Some(word) = self.data.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
+            self.acc |= word << self.bit;
+            let whole = (63 - self.bit) / 8;
+            self.pos += whole as usize;
+            self.bit += whole * 8;
+        } else {
+            while self.bit <= 56 {
+                let Some(&byte) = self.data.get(self.pos) else {
+                    break;
+                };
+                self.acc |= u64::from(byte) << self.bit;
+                self.bit += 8;
+                self.pos += 1;
+            }
         }
-        let v = self.acc & ((1u32 << n) - 1);
+    }
+
+    /// Drops `n` (≤ `bit`) bits.
+    fn consume(&mut self, n: u32) {
         self.acc >>= n;
         self.bit -= n;
+    }
+
+    /// Reads an `n`-bit (≤ 16) field.
+    fn bits(&mut self, n: u32) -> Result<u32, InflateError> {
+        if self.bit < n {
+            self.refill();
+            if self.bit < n {
+                return Err(InflateError::Truncated);
+            }
+        }
+        let v = (self.acc & ((1u64 << n) - 1)) as u32;
+        self.consume(n);
         Ok(v)
     }
 
+    /// Drops the rest of the current byte and hands the whole bytes
+    /// still in `acc` back to `data`.
     fn align_byte(&mut self) {
+        self.pos -= (self.bit / 8) as usize;
         self.acc = 0;
         self.bit = 0;
     }
@@ -97,12 +143,28 @@ impl<'a> BitReader<'a> {
     }
 }
 
-/// A canonical Huffman decoding table (counts + symbols per length).
+/// Most stream bits one [`Huffman::table`] lookup covers.
+const TABLE_BITS: u32 = 10;
+/// Largest alphabet: the fixed literal/length code's 288 symbols.
+const MAX_SYMBOLS: usize = 288;
+
+/// A canonical Huffman decoding table: a direct-lookup table for codes
+/// of up to [`TABLE_BITS`] bits, and counts + symbols per length for
+/// the bit-at-a-time walk that decodes the rest.
 struct Huffman {
     /// count[len] = number of codes of that length (len 1..=15).
     count: [u16; 16],
-    /// Symbols sorted by (length, symbol).
-    symbols: Vec<u16>,
+    /// Symbols sorted by (length, symbol); the first `count[1..]` sum
+    /// entries are used.
+    symbols: [u16; MAX_SYMBOLS],
+    /// Indexed by the next `table_bits` stream bits: `len << 9 | symbol`
+    /// for a code of `len` ≤ `table_bits` bits, 0 where no such code
+    /// starts (a longer code, or none). Entries past `1 << table_bits`
+    /// are unused.
+    table: [u16; 1 << TABLE_BITS],
+    /// The longest code's length, capped at `TABLE_BITS`: a short
+    /// alphabet (a dynamic block's code-length code) fills a short table.
+    table_bits: u32,
 }
 
 impl Huffman {
@@ -124,23 +186,66 @@ impl Huffman {
                 return Err(InflateError::BadHuffmanTable);
             }
         }
-        // Offsets per length, then place symbols.
+        // Offsets and first canonical codes per length, then place
+        // symbols and fill the lookup table.
         let mut offs = [0u16; 16];
+        let mut next_code = [0u16; 16];
         for l in 1..15 {
             offs[l + 1] = offs[l] + count[l];
+            next_code[l + 1] = (next_code[l] + count[l]) << 1;
         }
-        let mut symbols = vec![0u16; lengths.iter().filter(|&&l| l > 0).count()];
+        let longest = (1..16).rev().find(|&l| count[l] != 0).unwrap_or(0) as u32;
+        let table_bits = longest.min(TABLE_BITS);
+        let mut symbols = [0u16; MAX_SYMBOLS];
+        let mut table = [0u16; 1 << TABLE_BITS];
         for (sym, &l) in lengths.iter().enumerate() {
-            if l != 0 {
-                symbols[usize::from(offs[usize::from(l)])] = sym as u16;
-                offs[usize::from(l)] += 1;
+            if l == 0 {
+                continue;
+            }
+            let l = usize::from(l);
+            symbols[usize::from(offs[l])] = sym as u16;
+            offs[l] += 1;
+            let code = next_code[l];
+            next_code[l] += 1;
+            if l as u32 <= table_bits {
+                // Codes go on the wire MSB first; the table is indexed
+                // by stream bits, LSB first.
+                let first = usize::from(code.reverse_bits() >> (16 - l));
+                for slot in table[..1 << table_bits]
+                    .iter_mut()
+                    .skip(first)
+                    .step_by(1 << l)
+                {
+                    *slot = ((l as u16) << 9) | sym as u16;
+                }
             }
         }
-        Ok(Huffman { count, symbols })
+        Ok(Huffman {
+            count,
+            symbols,
+            table,
+            table_bits,
+        })
     }
 
-    /// Decodes one symbol (bit-by-bit canonical decoding).
+    /// Decodes one symbol: one table lookup for a code of up to
+    /// `table_bits` bits with every bit present, the walk otherwise.
     fn decode(&self, r: &mut BitReader<'_>) -> Result<u16, InflateError> {
+        if r.bit < TABLE_BITS {
+            r.refill();
+        }
+        let entry = self.table[(r.acc & ((1 << self.table_bits) - 1)) as usize];
+        let len = u32::from(entry >> 9);
+        if len != 0 && len <= r.bit {
+            r.consume(len);
+            return Ok(entry & 0x1ff);
+        }
+        self.decode_walk(r)
+    }
+
+    /// Canonical bit-at-a-time decoding: codes longer than `TABLE_BITS`
+    /// bits, and the exact error for a cut stream or an unused code.
+    fn decode_walk(&self, r: &mut BitReader<'_>) -> Result<u16, InflateError> {
         let mut code = 0i32;
         let mut first = 0i32;
         let mut index = 0i32;
@@ -179,20 +284,24 @@ const CLC_ORDER: [usize; 19] = [
     16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15,
 ];
 
-fn fixed_litlen_lengths() -> Vec<u8> {
-    let mut l = vec![8u8; 288];
-    for x in l.iter_mut().take(256).skip(144) {
-        *x = 9;
-    }
-    for x in l.iter_mut().take(280).skip(256) {
-        *x = 7;
-    }
-    l
+/// The fixed-block literal/length and distance tables (RFC 1951
+/// §3.2.6), built on first use.
+fn fixed_tables() -> &'static (Huffman, Huffman) {
+    static FIXED: OnceLock<(Huffman, Huffman)> = OnceLock::new();
+    FIXED.get_or_init(|| {
+        let mut litlen = [8u8; 288];
+        litlen[144..256].fill(9);
+        litlen[256..280].fill(7);
+        (
+            Huffman::from_lengths(&litlen).expect("fixed code is complete"),
+            Huffman::from_lengths(&[5u8; 30]).expect("fixed code is complete"),
+        )
+    })
 }
 
 /// Inflates a raw DEFLATE stream, producing at most `max_out` bytes.
 pub fn inflate(data: &[u8], max_out: usize) -> Result<Vec<u8>, InflateError> {
-    inflate_impl(data, max_out, false).map(|(out, _)| out)
+    inflate_impl(data, max_out, false, Vec::new()).map(|(out, _)| out)
 }
 
 /// Like [`inflate`], but a stream expanding past `max_out` is *truncated
@@ -201,16 +310,17 @@ pub fn inflate(data: &[u8], max_out: usize) -> Result<Vec<u8>, InflateError> {
 /// L7 layer) rather than drop the payload. Returns the decoded prefix
 /// and whether truncation happened.
 pub fn inflate_capped(data: &[u8], max_out: usize) -> Result<(Vec<u8>, bool), InflateError> {
-    inflate_impl(data, max_out, true)
+    inflate_impl(data, max_out, true, Vec::new())
 }
 
+/// Decodes into `out` (empty; its capacity is the caller's size hint).
 fn inflate_impl(
     data: &[u8],
     max_out: usize,
     truncate: bool,
+    mut out: Vec<u8>,
 ) -> Result<(Vec<u8>, bool), InflateError> {
     let mut r = BitReader::new(data);
-    let mut out: Vec<u8> = Vec::new();
     loop {
         let bfinal = r.bits(1)?;
         let btype = r.bits(2)?;
@@ -235,15 +345,14 @@ fn inflate_impl(
                 }
                 out.extend_from_slice(body);
             }
-            1 | 2 => {
-                let (litlen, dist) = if btype == 1 {
-                    (
-                        Huffman::from_lengths(&fixed_litlen_lengths())?,
-                        Huffman::from_lengths(&[5u8; 30])?,
-                    )
-                } else {
-                    read_dynamic_tables(&mut r)?
-                };
+            1 => {
+                let (litlen, dist) = fixed_tables();
+                if inflate_block(&mut r, litlen, dist, &mut out, max_out, truncate)? {
+                    return Ok((out, true));
+                }
+            }
+            2 => {
+                let (litlen, dist) = read_dynamic_tables(&mut r)?;
                 if inflate_block(&mut r, &litlen, &dist, &mut out, max_out, truncate)? {
                     return Ok((out, true));
                 }
@@ -269,32 +378,30 @@ fn read_dynamic_tables(r: &mut BitReader<'_>) -> Result<(Huffman, Huffman), Infl
     }
     let clc = Huffman::from_lengths(&clc_lengths)?;
 
-    let mut lengths = Vec::with_capacity(hlit + hdist);
-    while lengths.len() < hlit + hdist {
+    let total = hlit + hdist;
+    let mut lengths = [0u8; 286 + 30];
+    let mut n = 0;
+    while n < total {
         let sym = clc.decode(r)?;
-        match sym {
-            0..=15 => lengths.push(sym as u8),
+        let (len, repeat) = match sym {
+            0..=15 => (sym as u8, 1),
             16 => {
-                let prev = *lengths.last().ok_or(InflateError::BadHuffmanTable)?;
-                let n = 3 + r.bits(2)? as usize;
-                lengths.extend(std::iter::repeat_n(prev, n));
+                let prev = *lengths[..n].last().ok_or(InflateError::BadHuffmanTable)?;
+                (prev, 3 + r.bits(2)? as usize)
             }
-            17 => {
-                let n = 3 + r.bits(3)? as usize;
-                lengths.extend(std::iter::repeat_n(0u8, n));
-            }
-            18 => {
-                let n = 11 + r.bits(7)? as usize;
-                lengths.extend(std::iter::repeat_n(0u8, n));
-            }
+            17 => (0, 3 + r.bits(3)? as usize),
+            18 => (0, 11 + r.bits(7)? as usize),
             _ => return Err(InflateError::BadSymbol),
+        };
+        // A repeat running past the declared count is a bad table.
+        if n + repeat > total {
+            return Err(InflateError::BadHuffmanTable);
         }
-    }
-    if lengths.len() != hlit + hdist {
-        return Err(InflateError::BadHuffmanTable);
+        lengths[n..n + repeat].fill(len);
+        n += repeat;
     }
     let litlen = Huffman::from_lengths(&lengths[..hlit])?;
-    let dist = Huffman::from_lengths(&lengths[hlit..])?;
+    let dist = Huffman::from_lengths(&lengths[hlit..total])?;
     Ok((litlen, dist))
 }
 
@@ -344,10 +451,15 @@ fn inflate_block(
                     len = max_out - out.len();
                     hit_cap = true;
                 }
+                // One copy when the source lies wholly behind the output's
+                // end; an overlapping one repeats the last `d` bytes, so
+                // it doubles the copied span each step.
                 let start = out.len() - d;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                let mut left = len;
+                while left > 0 {
+                    let n = left.min(out.len() - start);
+                    out.extend_from_within(start..start + n);
+                    left -= n;
                 }
                 if hit_cap {
                     return Ok(true);
@@ -485,30 +597,56 @@ pub fn deflate_fixed(data: &[u8]) -> Vec<u8> {
 // carries: a header, a raw DEFLATE stream, CRC32 and length trailers.
 // ---------------------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3) with a compile-time table.
-fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut t = [0u32; 256];
+/// Slicing-by-8 CRC tables: `CRC_TABLES[0]` is the byte-at-a-time
+/// table, `CRC_TABLES[k][b]` the CRC of byte `b` followed by `k` zeros.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xedb8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xedb8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            t[i] = c;
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
             i += 1;
         }
-        t
-    };
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3), eight bytes per step.
+fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xffff_ffffu32;
-    for &b in data {
-        c = TABLE[usize::from((c as u8) ^ b)] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(w[4])]
+            ^ t[2][usize::from(w[5])]
+            ^ t[1][usize::from(w[6])]
+            ^ t[0][usize::from(w[7])];
+    }
+    for &b in words.remainder() {
+        c = t[0][usize::from((c as u8) ^ b)] ^ (c >> 8);
     }
     !c
 }
@@ -600,15 +738,23 @@ fn gunzip_impl(data: &[u8], max_out: usize, truncate: bool) -> Result<(Vec<u8>, 
         return Err(GzipError::BadFraming);
     }
     let body = &data[off..data.len() - 8];
-    let (out, truncated) = inflate_impl(body, max_out, truncate).map_err(GzipError::Deflate)?;
+    let trailer = &data[data.len() - 8..];
+    let want_crc = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
+    let want_len = u32::from_le_bytes([trailer[4], trailer[5], trailer[6], trailer[7]]);
+    // ISIZE sizes the output in one allocation. It is only a hint: it is
+    // capped by the bound and by DEFLATE's largest expansion (1,032:1),
+    // so a lying trailer cannot buy a larger buffer than the body could
+    // fill.
+    let hint = (want_len as usize)
+        .min(max_out)
+        .min(body.len().saturating_mul(1032));
+    let (out, truncated) = inflate_impl(body, max_out, truncate, Vec::with_capacity(hint))
+        .map_err(GzipError::Deflate)?;
     if truncated {
         // A decoded prefix cannot satisfy the trailers; the flag itself
         // is the caller's integrity signal.
         return Ok((out, true));
     }
-    let trailer = &data[data.len() - 8..];
-    let want_crc = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    let want_len = u32::from_le_bytes([trailer[4], trailer[5], trailer[6], trailer[7]]);
     if out.len() as u32 != want_len {
         return Err(GzipError::BadLength);
     }

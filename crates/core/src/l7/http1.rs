@@ -9,12 +9,18 @@
 //!
 //! Plain (identity) bodies stream out as resumable [`SLOT_HTTP_BODY`]
 //! units so a pattern spanning a chunk or segment boundary still
-//! matches; each message resets the slot. Gzip bodies necessarily
-//! decode at message end (the deflate stream isn't seekable with the
-//! vendored one-shot inflater), so they arrive as a single reset unit.
+//! matches; each message resets the slot. Gzip bodies decode at message
+//! end — the inflater is one-shot: it takes the whole member, decodes
+//! each Huffman code of up to 10 bits with one table lookup and longer
+//! or cut codes bit by bit — so they arrive as a single reset unit.
+//!
+//! A terminator search (`\r\n\r\n` after headers and trailers, `\r\n`
+//! after a chunk size) resumes where the last one stopped, so a header
+//! block arriving in small runs costs time linear in its length.
 
 use super::{unit, DecodeOut, L7Direction, L7Field, SLOT_HTTP_BODY};
 use crate::decompress::gunzip_capped;
+use std::ops::Range;
 
 /// Longest chunk-size line (hex size + extensions) before the decoder
 /// declares the framing bogus and fails open.
@@ -45,6 +51,9 @@ pub struct Http1Decoder {
     state: HState,
     /// Unconsumed wire bytes carried across `push` calls.
     pending: Vec<u8>,
+    /// Bytes at the front of `pending` already searched for the current
+    /// state's terminator without finding it.
+    searched: usize,
     /// Current message body is gzip-encoded.
     gzip: bool,
     /// Compressed body accumulated for end-of-message decompression.
@@ -66,6 +75,7 @@ impl Http1Decoder {
             dir,
             state: HState::Headers,
             pending: Vec::new(),
+            searched: 0,
             gzip: false,
             gz_buf: Vec::new(),
             gz_overflow: false,
@@ -88,7 +98,7 @@ impl Http1Decoder {
             match self.state {
                 HState::Headers => {
                     let hay = &self.pending[i..];
-                    let Some(p) = find(hay, b"\r\n\r\n") else {
+                    let Some(p) = find_from(hay, b"\r\n\r\n", &mut self.searched) else {
                         if hay.len() > limit {
                             self.fail_open(i, out);
                             return;
@@ -108,7 +118,7 @@ impl Http1Decoder {
                 HState::BodyLen(rem) => {
                     let avail = self.pending.len() - i;
                     let take = (rem.min(avail as u64)) as usize;
-                    self.emit_body(self.pending[i..i + take].to_vec(), limit, out);
+                    self.emit_body(i..i + take, limit, out);
                     i += take;
                     if rem == take as u64 {
                         self.finish_message(limit, out);
@@ -119,7 +129,7 @@ impl Http1Decoder {
                 }
                 HState::ChunkSize => {
                     let hay = &self.pending[i..];
-                    let Some(p) = find(hay, b"\r\n") else {
+                    let Some(p) = find_from(hay, b"\r\n", &mut self.searched) else {
                         if hay.len() > MAX_CHUNK_LINE {
                             out.errors += 1;
                             self.fail_open(i, out);
@@ -142,7 +152,7 @@ impl Http1Decoder {
                 HState::ChunkData(rem) => {
                     let avail = self.pending.len() - i;
                     let take = (rem.min(avail as u64)) as usize;
-                    self.emit_body(self.pending[i..i + take].to_vec(), limit, out);
+                    self.emit_body(i..i + take, limit, out);
                     i += take;
                     if rem == take as u64 {
                         self.state = HState::ChunkCrlf;
@@ -171,7 +181,7 @@ impl Http1Decoder {
                     let end = if hay.starts_with(b"\r\n") {
                         Some(2)
                     } else {
-                        find(hay, b"\r\n\r\n").map(|p| p + 4)
+                        find_from(hay, b"\r\n\r\n", &mut self.searched).map(|p| p + 4)
                     };
                     let Some(end) = end else {
                         if hay.len() > limit {
@@ -189,9 +199,8 @@ impl Http1Decoder {
                     self.finish_message(limit, out);
                 }
                 HState::BodyEof => {
-                    let rest = self.pending[i..].to_vec();
+                    self.emit_body(i..self.pending.len(), limit, out);
                     i = self.pending.len();
-                    self.emit_body(rest, limit, out);
                     break;
                 }
             }
@@ -248,9 +257,11 @@ impl Http1Decoder {
         false
     }
 
-    /// Emits decoded body bytes under the per-message size limit, or
-    /// accumulates compressed input for end-of-message decompression.
-    fn emit_body(&mut self, mut bytes: Vec<u8>, limit: usize, out: &mut DecodeOut) {
+    /// Emits the decoded body bytes `pending[body]` under the per-message
+    /// size limit, or accumulates them as compressed input for
+    /// end-of-message decompression.
+    fn emit_body(&mut self, body: Range<usize>, limit: usize, out: &mut DecodeOut) {
+        let bytes = &self.pending[body];
         if bytes.is_empty() {
             return;
         }
@@ -258,9 +269,9 @@ impl Http1Decoder {
             let room = limit.saturating_sub(self.gz_buf.len());
             if bytes.len() > room {
                 self.gz_overflow = true;
-                bytes.truncate(room);
             }
-            self.gz_buf.extend_from_slice(&bytes);
+            self.gz_buf
+                .extend_from_slice(&bytes[..bytes.len().min(room)]);
             return;
         }
         if self.body_truncated {
@@ -270,10 +281,9 @@ impl Http1Decoder {
         let total = bytes.len();
         let take = room.min(total);
         if take > 0 {
-            bytes.truncate(take);
             out.units.push(unit(
                 L7Field::Body,
-                bytes,
+                bytes[..take].to_vec(),
                 Some(SLOT_HTTP_BODY),
                 self.first_body_unit,
             ));
@@ -323,6 +333,7 @@ impl Http1Decoder {
             out.raw.push(std::mem::take(&mut self.gz_buf));
         }
         self.pending.clear();
+        self.searched = 0;
         out.failed_open = true;
     }
 }
@@ -330,6 +341,26 @@ impl Http1Decoder {
 /// First index of `needle` in `hay`.
 fn find(hay: &[u8], needle: &[u8]) -> Option<usize> {
     hay.windows(needle.len()).position(|w| w == needle)
+}
+
+/// [`find`] over the unconsumed input `hay`, resuming at `*searched`,
+/// the length of its front already searched without a match; a miss
+/// moves `*searched` to where the next search must start, a hit resets
+/// it for the next terminator.
+fn find_from(hay: &[u8], needle: &[u8], searched: &mut usize) -> Option<usize> {
+    let from = *searched;
+    match find(&hay[from..], needle) {
+        Some(p) => {
+            *searched = 0;
+            Some(from + p)
+        }
+        None => {
+            // A terminator may start in the last `needle.len() - 1`
+            // bytes and end in the next run.
+            *searched = hay.len().saturating_sub(needle.len() - 1);
+            None
+        }
+    }
 }
 
 /// The value of the first header named `name` (lowercase) in a header
@@ -371,12 +402,10 @@ fn header_value<'a>(block: &'a [u8], name: &[u8]) -> Option<&'a [u8]> {
 /// (case-insensitive).
 fn contains_token(value: &[u8], token: &[u8]) -> bool {
     value.split(|&b| b == b',').any(|part| {
-        let part: Vec<u8> = part
-            .iter()
+        part.iter()
             .filter(|b| !b.is_ascii_whitespace())
             .map(|b| b.to_ascii_lowercase())
-            .collect();
-        part == token
+            .eq(token.iter().copied())
     })
 }
 
@@ -504,6 +533,25 @@ mod tests {
     }
 
     #[test]
+    fn gzip_input_past_the_limit_is_buffered_up_to_it() {
+        let gz = gzip(b"0123456789abcdefghijklmnopqrstuvwxyz");
+        let mut msg = format!(
+            "HTTP/1.1 200 OK\r\nContent-Encoding: gzip\r\nContent-Length: {}\r\n\r\n",
+            gz.len()
+        )
+        .into_bytes();
+        msg.extend_from_slice(&gz);
+        let mut d = Http1Decoder::new(L7Direction::ServerToClient);
+        // Fed in two runs, the second crossing the 16-byte limit.
+        let mut out = push_all(&mut d, &msg[..msg.len() - gz.len() + 10], 16);
+        d.push(&msg[msg.len() - gz.len() + 10..], 16, &mut out);
+        // The cut member does not inflate: its first 16 bytes go raw.
+        assert_eq!(out.errors, 1);
+        assert_eq!(out.raw, vec![gz[..16].to_vec()]);
+        assert_eq!(d.state, HState::Headers);
+    }
+
+    #[test]
     fn plain_body_truncates_at_limit_and_keeps_framing() {
         let mut d = Http1Decoder::new(L7Direction::ClientToServer);
         let msg = b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\n0123456789GET";
@@ -550,6 +598,48 @@ mod tests {
         assert_eq!(body_bytes(&out), b"stream");
         let out2 = push_all(&mut d, b" more", LIMIT);
         assert_eq!(body_bytes(&out2), b" more");
+    }
+
+    /// Header units, the joined body and the error tally of `msg` fed
+    /// in runs of the given lengths (the rest in one last run).
+    fn decode_in_runs(msg: &[u8], runs: &[usize]) -> (Vec<Vec<u8>>, Vec<u8>, u64) {
+        let mut d = Http1Decoder::new(L7Direction::ServerToClient);
+        let mut out = DecodeOut::default();
+        let mut rest = msg;
+        for &n in runs {
+            let (run, tail) = rest.split_at(n.min(rest.len()));
+            d.push(run, LIMIT, &mut out);
+            rest = tail;
+        }
+        d.push(rest, LIMIT, &mut out);
+        assert!(!out.failed_open);
+        let headers = out
+            .units
+            .iter()
+            .filter(|u| u.ctx.field == L7Field::Header)
+            .map(|u| u.bytes.clone())
+            .collect();
+        (headers, body_bytes(&out), out.errors)
+    }
+
+    #[test]
+    fn terminator_search_resumes_across_runs() {
+        // A long header block, a chunk-size line with an extension, a
+        // trailer section, then a second message.
+        let mut msg = b"HTTP/1.1 200 OK\r\nX-Long: ".to_vec();
+        msg.extend(std::iter::repeat_n(b'v', 300));
+        msg.extend_from_slice(
+            b"\r\nTransfer-Encoding: chunked\r\n\r\n5;ext=abcdef\r\nhello\r\n0\r\n\
+              X-Trailer: t\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+        );
+        let whole = decode_in_runs(&msg, &[]);
+        assert_eq!(whole.0.len(), 3, "two header blocks and a trailer section");
+        assert_eq!(whole.1, b"hellook");
+        assert_eq!(whole.2, 0);
+        assert_eq!(decode_in_runs(&msg, &vec![1; msg.len()]), whole);
+        for cut in 0..=msg.len() {
+            assert_eq!(decode_in_runs(&msg, &[cut]), whole, "cut at {cut}");
+        }
     }
 
     #[test]

@@ -119,24 +119,27 @@ impl WsDecoder {
                     let avail = (self.pending.len() - i) as u64;
                     let take = (*remaining).min(avail) as usize;
                     if *data && take > 0 {
-                        let mut bytes = self.pending[i..i + take].to_vec();
-                        if let Some(m) = mask {
-                            for (j, b) in bytes.iter_mut().enumerate() {
-                                *b ^= m[(*mask_pos + j) % 4];
-                            }
-                        }
-                        *mask_pos += take;
-                        // Borrow of self.state ends here; emit below.
-                        let first = self.first_unit;
+                        // Only what fits the size limit is copied and
+                        // unmasked; the rest just advances the mask.
                         let room = (limit as u64).saturating_sub(self.emitted) as usize;
-                        let keep = room.min(bytes.len());
+                        let keep = room.min(take);
                         if keep > 0 {
-                            bytes.truncate(keep);
-                            out.units
-                                .push(unit(L7Field::Body, bytes, Some(SLOT_WS_BODY), first));
+                            let mut bytes = self.pending[i..i + keep].to_vec();
+                            if let Some(m) = mask {
+                                for (j, b) in bytes.iter_mut().enumerate() {
+                                    *b ^= m[(*mask_pos + j) % 4];
+                                }
+                            }
+                            out.units.push(unit(
+                                L7Field::Body,
+                                bytes,
+                                Some(SLOT_WS_BODY),
+                                self.first_unit,
+                            ));
                             self.first_unit = false;
                             self.emitted += keep as u64;
                         }
+                        *mask_pos += take;
                         if keep < take && !self.truncated {
                             self.truncated = true;
                             out.truncations.push(self.emitted);
@@ -258,6 +261,48 @@ mod tests {
         assert!(out.failed_open);
         assert_eq!(out.errors, 1);
         assert_eq!(out.raw.len(), 1);
+    }
+
+    #[test]
+    fn frames_past_the_limit_are_skipped_with_the_same_units() {
+        // Masked frames running past a 6-byte limit, a frame cut inside
+        // its payload, and a ping after the limit: every delivery yields
+        // the same units and one truncation.
+        let mut wire = frame(1, b"abcd", Some([1, 2, 3, 4]));
+        wire.extend(frame(0, b"efghij", Some([5, 6, 7, 8])));
+        wire.extend(frame(0, b"klmnopq", Some([9, 10, 11, 12])));
+        wire.extend(frame(9, b"ping", Some([13, 14, 15, 16])));
+        wire.extend(frame(2, b"rstu", None));
+        let units = |runs: &[usize]| {
+            let mut d = WsDecoder::new();
+            let mut out = DecodeOut::default();
+            let mut rest = &wire[..];
+            for &n in runs {
+                let (run, tail) = rest.split_at(n.min(rest.len()));
+                d.push(run, 6, &mut out);
+                rest = tail;
+            }
+            d.push(rest, 6, &mut out);
+            assert_eq!(out.errors, 0);
+            let units: Vec<(Vec<u8>, bool)> =
+                out.units.into_iter().map(|u| (u.bytes, u.reset)).collect();
+            (units, out.truncations)
+        };
+        let whole = units(&[]);
+        assert_eq!(
+            whole,
+            (
+                vec![(b"abcd".to_vec(), true), (b"ef".to_vec(), false)],
+                vec![6]
+            )
+        );
+        for cut in 0..=wire.len() {
+            let (cut_units, truncations) = units(&[cut]);
+            let joined: Vec<u8> = cut_units.iter().flat_map(|(b, _)| b.clone()).collect();
+            assert_eq!(joined, b"abcdef", "cut at {cut}");
+            assert_eq!(truncations, vec![6], "cut at {cut}");
+        }
+        assert_eq!(units(&vec![1; wire.len()]).1, vec![6]);
     }
 
     #[test]
