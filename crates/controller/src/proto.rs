@@ -27,8 +27,10 @@ pub enum ControllerMessage {
         inherit_from: Option<u16>,
         /// Whether DPI state must span packet boundaries of a flow.
         stateful: bool,
-        /// Read-only middleboxes receive only match results (an IDS, as
-        /// opposed to an IPS).
+        /// Whether the middlebox only reads results (an IDS, as opposed
+        /// to an IPS): §4.1's registration option, recorded in the
+        /// profile but not yet acted on — a read-only middlebox still
+        /// receives its data packets (ROADMAP item 7).
         read_only: bool,
         /// Optional L7 scan depth bound.
         stopping_condition: Option<u64>,

@@ -10,16 +10,12 @@
 //! everything the instance knows about a flow (scan state, verdict,
 //! reassembler, stress samples, L7 session), with
 //!
-//! * **one clock** — a logical tick per keyed touching call, which on
-//!   the packet path is one per scanned packet or segment
-//!   ([`FlowArena::open`]); no wall-clock reads, so the same trace
-//!   evicts and ages the same flows at the same points on every run;
 //! * **two lists over the same `prev`/`next` links** — live flows in
-//!   LRU order, which is also `last_used` order, so the idle flows are
-//!   a suffix of it and a tick ages them off the tail in O(1) when
-//!   nothing is due; quarantine verdicts (a `RejectFlow` conflict or an
-//!   L7 `Block`) on a list of their own, so neither aging nor eviction
-//!   ever walks past (or takes) one;
+//!   LRU order, whose tail is the eviction candidate; quarantine
+//!   verdicts (a `RejectFlow` conflict or an L7 `Block`) on a list of
+//!   their own, so eviction never walks past one; nothing reads a
+//!   clock, so the same trace evicts the same flows at the same points
+//!   on every run;
 //! * **one bounded entry count** — creating an entry at capacity evicts
 //!   the LRU tail; verdicts hold at most half the slots, so a verdict
 //!   past that share, or a new entry when nothing but verdicts is
@@ -27,15 +23,16 @@
 //!   ([`ArenaEvents::quarantined_evicted`]);
 //! * **per-flow byte accounting** — each entry caches its heap
 //!   footprint (reassembly buffers, L7 decode buffers) and the arena
-//!   keeps the running total, which the overload detector reads as a
-//!   memory-pressure watermark and an optional byte budget enforces by
-//!   evicting cold live flows — never the one being serviced, never a
-//!   verdict.
+//!   keeps the running total, which the shard reports as its
+//!   `flow_bytes()` (exported as `dpi_instance_flow_state_bytes`) and an
+//!   optional byte budget enforces by evicting cold live flows — never
+//!   the one being serviced, never a verdict.
 //!
-//! Losing an entry is always safe for correctness of the data path: the
-//! next packet scans from the automaton root as if the flow were new.
-//! The one exception is a quarantine verdict, which is why verdicts do
-//! not age and leave only by teardown or forced eviction — they hold no
+//! So an entry leaves only by the entry bound, the byte budget or
+//! teardown. Losing an entry is always safe for correctness of the data
+//! path: the next packet scans from the automaton root as if the flow
+//! were new. The one exception is a quarantine verdict, which is why
+//! verdicts leave only by teardown or forced eviction — they hold no
 //! buffers, so keeping them costs one slab slot, not memory.
 
 use crate::l7::L7Session;
@@ -50,7 +47,7 @@ const NIL: u32 = u32::MAX;
 
 /// Estimated fixed cost of one tracked flow: the slab slot itself plus
 /// its share of the index — at most half the buckets are full, so two
-/// `(slot, hash)` buckets per flow. An estimate for the watermark math,
+/// `(slot, hash)` buckets per flow. An estimate for the byte budget,
 /// not an allocator census.
 fn entry_base_bytes() -> u64 {
     (std::mem::size_of::<Slot>() + 2 * std::mem::size_of::<(u32, u32)>()) as u64
@@ -66,8 +63,6 @@ pub struct ArenaEvents {
     /// Evictions that were forced to drop a *quarantined* entry — a
     /// forgotten fail-closed verdict, worth alarming on.
     pub quarantined_evicted: u64,
-    /// Entries expired by idle-timeout aging.
-    pub flows_aged: u64,
 }
 
 impl ArenaEvents {
@@ -101,7 +96,7 @@ pub struct FlowState {
 #[derive(Debug)]
 struct FlowEntry {
     key: FlowKey,
-    /// The key's keyed hash, kept so that eviction, aging, teardown and
+    /// The key's keyed hash, kept so that eviction, teardown and
     /// release unlink the entry from the index without hashing again.
     hash: u32,
     /// Scan state `(dfa_state, stream_offset, generation)` — the §4.3
@@ -120,8 +115,6 @@ struct FlowEntry {
     stress: (u64, u64),
     /// L7 decode session (DESIGN.md §14), boxed like the reassembler.
     l7: Option<Box<L7Session>>,
-    /// Logical tick of the last touch (list order + aging).
-    last_used: u64,
     /// Cached byte estimate for this entry (base + component heaps).
     bytes: u64,
     /// Intrusive list links: `prev` is toward most-recent, `next` toward
@@ -290,41 +283,31 @@ pub struct FlowArena {
     index: Index,
     slots: Vec<Slot>,
     free_head: u32,
-    /// Live (non-quarantined) flows in LRU order: the tail is both the
-    /// eviction candidate and the next flow to age.
+    /// Live (non-quarantined) flows in LRU order: the tail is the
+    /// eviction candidate.
     lru: List,
     /// Quarantine verdicts, most recently touched first.
     verdicts: List,
     /// Entries on `verdicts`, bounded by [`FlowArena::max_verdicts`].
     verdict_count: usize,
     capacity: usize,
-    /// Logical clock: one tick per keyed touching call (deterministic,
-    /// no wall time).
-    clock: u64,
-    /// Idle ticks before an entry is aged out; `None` disables aging.
-    idle_timeout: Option<u64>,
-    /// Total-byte budget; `None` disables budget eviction (the
-    /// watermark integration still reads `total_bytes`).
+    /// Total-byte budget; `None` disables budget eviction (the total is
+    /// still kept, for `flow_bytes()`).
     max_bytes: Option<u64>,
     total_bytes: u64,
     events: ArenaEvents,
 }
 
 impl FlowArena {
-    /// An arena bounded to `capacity` entries (minimum 1), with aging
-    /// and the byte budget disabled.
+    /// An arena bounded to `capacity` entries (minimum 1), with the byte
+    /// budget disabled.
     pub fn new(capacity: usize) -> FlowArena {
-        FlowArena::with_limits(capacity, None, None)
+        FlowArena::with_limits(capacity, None)
     }
 
-    /// An arena with optional idle aging (in logical ticks — one per
-    /// keyed touching call, so one per scanned packet or segment) and an
-    /// optional total-byte budget.
-    pub fn with_limits(
-        capacity: usize,
-        idle_timeout: Option<u64>,
-        max_bytes: Option<u64>,
-    ) -> FlowArena {
+    /// An arena bounded to `capacity` entries and, optionally, to a
+    /// total-byte budget.
+    pub fn with_limits(capacity: usize, max_bytes: Option<u64>) -> FlowArena {
         FlowArena {
             hasher: RandomState::new(),
             index: Index::default(),
@@ -334,8 +317,6 @@ impl FlowArena {
             verdicts: EMPTY,
             verdict_count: 0,
             capacity: capacity.max(1),
-            clock: 0,
-            idle_timeout: idle_timeout.filter(|&t| t > 0),
             max_bytes: max_bytes.filter(|&b| b > 0),
             total_bytes: 0,
             events: ArenaEvents::default(),
@@ -364,11 +345,11 @@ impl FlowArena {
     }
 
     /// Finds or creates `key`'s entry and touches it — the packet path's
-    /// one keyed call. One clock tick; creation at capacity evicts one
-    /// entry. The returned handle borrows the arena, so the slot cannot
-    /// move or be evicted while a scan holds it; dropping it re-syncs
-    /// the byte accounting, enforces the byte budget and releases the
-    /// entry if nothing was stored in it.
+    /// one keyed call. Creation at capacity evicts one entry. The
+    /// returned handle borrows the arena, so the slot cannot move or be
+    /// evicted while a scan holds it; dropping it re-syncs the byte
+    /// accounting, enforces the byte budget and releases the entry if
+    /// nothing was stored in it.
     pub fn open(&mut self, key: FlowKey) -> OpenFlow<'_> {
         let idx = self.ensure(key);
         OpenFlow { arena: self, idx }
@@ -381,7 +362,6 @@ impl FlowArena {
     /// live reassembly/L7 state, and a quarantine verdict must never
     /// ride out on a generation swap. Never creates an entry.
     pub fn get_scan_if_generation(&mut self, key: &FlowKey, generation: u32) -> Option<FlowState> {
-        self.tick();
         let idx = self.lookup(key)?;
         self.touch(idx);
         let e = self.entry_mut(idx);
@@ -405,7 +385,7 @@ impl FlowArena {
     }
 
     /// Whether a flow is quarantined (a `RejectFlow` conflict or an L7
-    /// `Block`). Non-mutating (no touch, no clock tick).
+    /// `Block`). Non-mutating (no touch).
     pub fn is_quarantined(&self, key: &FlowKey) -> bool {
         self.peek(key).is_some_and(|e| e.quarantined)
     }
@@ -519,28 +499,10 @@ impl FlowArena {
         self.find(self.hash(key), key)
     }
 
-    /// Advances the logical clock by one tick and ages out every flow
-    /// whose idle horizon it reached. The LRU list is in `last_used`
-    /// order, so those are exactly a suffix of it: O(1) when nothing is
-    /// due, allocation-free always. Verdicts are not on this list and
-    /// do not age: letting idleness flush one would re-open the
-    /// fail-open hole eviction preference closed.
-    fn tick(&mut self) {
-        self.clock += 1;
-        let Some(timeout) = self.idle_timeout else {
-            return;
-        };
-        while self.lru.tail != NIL && self.entry(self.lru.tail).last_used + timeout <= self.clock {
-            self.events.flows_aged += 1;
-            self.remove_idx(self.lru.tail);
-        }
-    }
-
     /// Finds or creates the entry for `key`, touching it either way and
     /// enforcing the entry bound on creation. One hash serves the probe
     /// and the insert; an evicted victim unlinks by its stored hash.
     fn ensure(&mut self, key: FlowKey) -> u32 {
-        self.tick();
         let hash = self.hash(&key);
         if let Some(idx) = self.find(hash, &key) {
             self.touch(idx);
@@ -557,7 +519,6 @@ impl FlowArena {
             reassembler: None,
             stress: (0, 0),
             l7: None,
-            last_used: self.clock,
             bytes: entry_base_bytes(),
             prev: NIL,
             next: NIL,
@@ -582,10 +543,7 @@ impl FlowArena {
     }
 
     fn touch(&mut self, idx: u32) {
-        let clock = self.clock;
-        let e = self.entry_mut(idx);
-        e.last_used = clock;
-        if e.prev == NIL {
+        if self.entry(idx).prev == NIL {
             return; // already its list's head
         }
         self.unlink(idx);
@@ -638,7 +596,7 @@ impl FlowArena {
     }
 
     /// Sets the sticky verdict, moving the entry from the LRU list to
-    /// the verdict list — out of reach of aging and ordinary eviction.
+    /// the verdict list — out of reach of ordinary eviction.
     /// A verdict past the list's share drops the oldest one, counted.
     fn set_verdict(&mut self, idx: u32) {
         if self.entry(idx).quarantined {
@@ -910,7 +868,7 @@ mod tests {
         // Regression: with only verdicts colder than the flow being
         // serviced, the budget used to evict that very flow.
         let budget = 4 * 1024;
-        let mut a = FlowArena::with_limits(1024, None, Some(budget));
+        let mut a = FlowArena::with_limits(1024, Some(budget));
         for i in 0..3 {
             a.open(key(i)).quarantine();
         }
@@ -933,7 +891,7 @@ mod tests {
 
     #[test]
     fn importing_a_verdict_moves_a_live_entry_out_of_reach() {
-        let mut a = FlowArena::with_limits(4, Some(8), None);
+        let mut a = FlowArena::new(4);
         a.put_scan_gen(key(1), 7, 64, 2);
         let verdict = FlowState {
             state: 9,
@@ -942,8 +900,7 @@ mod tests {
             quarantined: true,
         };
         a.import_scan(key(1), verdict);
-        // Neither churn past capacity nor idleness past the timeout
-        // takes it now.
+        // Churn past capacity does not take it now.
         for i in 0..40 {
             a.put_scan_gen(key(100 + i), i, 0, 0);
         }
@@ -985,50 +942,28 @@ mod tests {
     }
 
     #[test]
-    fn idle_flows_age_out_and_touched_flows_survive() {
-        let mut a = FlowArena::with_limits(1024, Some(100), None);
-        a.put_scan_gen(key(1), 1, 0, 0);
-        a.put_scan_gen(key(2), 2, 0, 0);
-        // Keep flow 2 warm past flow 1's idle horizon; every op ticks.
-        for _ in 0..200 {
-            assert!(a.get_scan_if_generation(&key(2), 0).is_some());
-        }
-        assert!(
-            a.get_scan_if_generation(&key(1), 0).is_none(),
-            "idle flow survived aging"
-        );
-        assert_eq!(a.len(), 1);
-        assert_eq!(a.take_events().flows_aged, 1);
-    }
-
-    #[test]
-    fn aging_tears_down_reassembly_buffers() {
-        let mut a = FlowArena::with_limits(1024, Some(50), None);
+    fn eviction_tears_down_reassembly_buffers() {
+        let mut a = FlowArena::new(64);
         // Out-of-order segment: held in the buffer, counted in bytes.
         reassembler_of(&mut a.open(key(1)), 1 << 16).push(1000, &[0xAA; 512]);
         assert!(a.total_bytes() > entry_base_bytes());
-        // Unrelated churn advances the clock past the idle horizon.
+        // Unrelated churn past capacity evicts the cold flow.
         for i in 0..100 {
             a.put_scan_gen(key(100 + i), i, 0, 0);
         }
         assert!(!a.has_reassembler(&key(1)));
-        assert!(a.take_events().flows_aged >= 1);
+        assert_eq!(a.take_events().flows_evicted, 37);
         // Only base-cost entries remain: the buffer's bytes left the
-        // accounting with the aged flow.
+        // accounting with the evicted flow.
         assert_eq!(a.total_bytes(), a.len() as u64 * entry_base_bytes());
     }
 
     #[test]
-    fn quarantined_flows_do_not_age() {
-        let mut a = FlowArena::with_limits(1024, Some(10), None);
-        a.open(key(1)).quarantine();
-        for i in 0..100 {
-            a.put_scan_gen(key(2 + i), i, 0, 0);
-        }
-        assert!(a.is_quarantined(&key(1)), "aging flushed a verdict");
-        // The churn flows themselves aged (timeout 10 « 100 puts), but
-        // no aged flow may be a quarantined one — the verdict stayed.
-        assert!(a.take_events().quarantined_evicted == 0);
+    fn a_tracked_flow_costs_at_most_120_bytes() {
+        // The slab slot (the §4.3 record, the verdict bit, the boxed
+        // buffers, stress samples, byte cache, list links) plus two index
+        // buckets. A field added to every flow shows here first.
+        assert!(entry_base_bytes() <= 120, "{} B", entry_base_bytes());
     }
 
     #[test]
@@ -1038,7 +973,7 @@ mod tests {
         // `budget + one entry's footprint` — the flow being serviced is
         // never yanked out from under its own scan.
         let budget = 20 * 1024;
-        let mut a = FlowArena::with_limits(1024, None, Some(budget));
+        let mut a = FlowArena::with_limits(1024, Some(budget));
         let mut max_entry = 0u64;
         for i in 0..8 {
             // Out-of-order segment: held buffered, counted in bytes.

@@ -16,8 +16,8 @@
 //! * **kill-instance-at-packet-K** — a DPI instance stops responding
 //!   (packets blackholed, heartbeats cease) from its K-th packet on;
 //! * **stall-shard / panic-shard** — one worker shard of a
-//!   [`crate::pipeline::DpiInstance`] sleeps past its watchdog
-//!   deadline, or panics mid-batch;
+//!   [`crate::pipeline::DpiInstance`] sleeps (its ingress queue fills
+//!   behind it), or panics mid-batch;
 //! * **drop / duplicate result packets** — each dedicated result packet
 //!   delivery attempt is independently lost (or the delivered packet
 //!   duplicated) with probability p; the delivery layer makes a fixed
@@ -41,7 +41,7 @@ use std::sync::Mutex;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardFault {
     /// The shard sleeps this many milliseconds when it reaches the
-    /// trigger packet — long enough to blow a watchdog deadline.
+    /// trigger packet, so the feeder fills its ingress queue behind it.
     Stall(u64),
     /// The shard panics when it reaches the trigger packet.
     Panic,

@@ -83,8 +83,10 @@ pub struct MiddleboxProfile {
     pub stateful: bool,
     /// `true` if the middlebox "performs no actions at the packet itself
     /// and therefore requires receiving only pattern matching results" —
-    /// an IDS, as opposed to an IPS. Read-only middleboxes can be served
-    /// results-only packets, skipping data-packet routing entirely.
+    /// an IDS, as opposed to an IPS. Recorded and carried in the
+    /// registration, but not yet acted on: a read-only middlebox still
+    /// receives its data packets (results-only delivery is ROADMAP
+    /// item 7).
     pub read_only: bool,
     /// "How deep into L7 payload the DPI instance should look": matches
     /// ending after this many bytes (of the packet for stateless
@@ -135,7 +137,7 @@ impl MiddleboxProfile {
         }
     }
 
-    /// Marks the profile read-only (results-only delivery).
+    /// Marks the profile read-only (recorded; see the field).
     pub fn read_only(mut self) -> MiddleboxProfile {
         self.read_only = true;
         self
@@ -210,15 +212,6 @@ pub struct InstanceConfig {
     /// it scans each payload raw, in arrival order. Only
     /// `scan_tcp_segment` still reassembles, and scans the runs raw.
     pub l7: Option<crate::l7::L7Policy>,
-    /// Idle-flow aging horizon, counted in *scanned packets/segments on
-    /// the flow's shard* (each `scan_payload` / `scan_tcp_segment` call
-    /// with a flow key is one tick of that shard's flow arena): a flow
-    /// that none of the shard's last N scans touched is torn down —
-    /// reassembly buffers and L7 session included (DESIGN.md §15).
-    /// Quarantine verdicts do not age. `None` — the default — disables
-    /// aging; flows then leave only by teardown or capacity eviction.
-    #[serde(default)]
-    pub flow_idle_timeout: Option<u64>,
     /// Total per-shard flow-state byte budget. When the arena's byte
     /// accounting exceeds it, cold flows are evicted (fail-open) until
     /// the total fits again. `None` — the default — disables the budget;
@@ -274,14 +267,6 @@ impl InstanceConfig {
     /// the given per-protocol policy (DESIGN.md §14).
     pub fn with_l7_policy(mut self, policy: crate::l7::L7Policy) -> InstanceConfig {
         self.l7 = Some(policy);
-        self
-    }
-
-    /// Ages out a flow once `ticks` scanned packets/segments on its
-    /// shard have gone by without touching it (DESIGN.md §15). Zero
-    /// disables aging, like the default.
-    pub fn with_flow_idle_timeout(mut self, ticks: u64) -> InstanceConfig {
-        self.flow_idle_timeout = (ticks > 0).then_some(ticks);
         self
     }
 

@@ -296,10 +296,6 @@ pub struct ScanEngine {
     ac: CombinedAc,
     chains: HashMap<u16, ChainInfo>,
     max_flows: usize,
-    /// Scanned packets/segments on a shard before its flow arena ages an
-    /// untouched flow out (`None` disables aging; see
-    /// [`crate::arena::FlowArena`]).
-    flow_idle_timeout: Option<u64>,
     /// Per-shard flow-state byte budget (`None` disables budget
     /// eviction).
     max_flow_bytes: Option<u64>,
@@ -334,7 +330,7 @@ const _: () = {
 pub struct ShardState {
     /// Every per-flow mutable thing — scan state, TCP reassembly, stress
     /// samples, L7 sessions — in one [`FlowArena`] with a single entry
-    /// bound, per-flow byte accounting and idle aging (DESIGN.md §15).
+    /// bound and per-flow byte accounting (DESIGN.md §15).
     arena: FlowArena,
     /// Everything else: split off so a scan can hold its flow's open
     /// arena entry and still write these.
@@ -366,15 +362,11 @@ struct ShardScan {
 }
 
 impl ShardState {
-    /// A fresh shard sized for `engine`'s flow-arena capacity, idle
-    /// timeout and byte budget.
+    /// A fresh shard sized for `engine`'s flow-arena capacity and byte
+    /// budget.
     pub fn new(engine: &ScanEngine) -> ShardState {
         ShardState {
-            arena: FlowArena::with_limits(
-                engine.max_flows,
-                engine.flow_idle_timeout,
-                engine.max_flow_bytes,
-            ),
+            arena: FlowArena::with_limits(engine.max_flows, engine.max_flow_bytes),
             scan: ShardScan {
                 telemetry: Telemetry::default(),
                 dfa_cache: HashMap::new(),
@@ -541,7 +533,7 @@ impl ShardState {
     }
 
     /// Folds the arena's pending lifecycle events (capacity/byte
-    /// evictions, forced quarantine drops, idle aging) into telemetry
+    /// evictions, forced quarantine drops) into telemetry
     /// and the trace, so nothing the arena does is silent. Called at the
     /// end of every mutating scan path.
     fn drain_flow_events(&mut self) {
@@ -552,18 +544,10 @@ impl ShardState {
         let scan = &mut self.scan;
         scan.telemetry.flows_evicted += ev.flows_evicted;
         scan.telemetry.quarantined_flow_evictions += ev.quarantined_evicted;
-        scan.telemetry.flows_aged += ev.flows_aged;
-        if let Some(w) = scan.trace.as_mut() {
-            if ev.quarantined_evicted > 0 {
-                w.record(crate::trace::TraceKind::QuarantinedFlowEvicted {
-                    flows: ev.quarantined_evicted,
-                });
-            }
-            if ev.flows_aged > 0 {
-                w.record(crate::trace::TraceKind::FlowsAged {
-                    flows: ev.flows_aged,
-                });
-            }
+        if let Some(w) = scan.trace.as_mut().filter(|_| ev.quarantined_evicted > 0) {
+            w.record(crate::trace::TraceKind::QuarantinedFlowEvicted {
+                flows: ev.quarantined_evicted,
+            });
         }
     }
 }
@@ -683,7 +667,6 @@ impl ScanEngine {
             max_flows: config
                 .max_flows
                 .unwrap_or(InstanceConfig::DEFAULT_MAX_FLOWS),
-            flow_idle_timeout: config.flow_idle_timeout,
             max_flow_bytes: config.max_flow_bytes,
             generation,
             conflict_policy: config.conflict_policy,
@@ -1075,8 +1058,9 @@ impl ScanEngine {
         // closed: the packet carries the match mark but no reports are
         // fabricated — nothing was scanned, and the verdict was itself
         // reported via trace/telemetry when it fired. No result packet
-        // follows, so a middlebox holds the packet until its next arrival
-        // releases it unpaired: its logic then sees a packet with no
+        // follows, so a middlebox holds the packet until its next arrival,
+        // or the network going idle, releases it unpaired: its logic then
+        // sees a packet with no
         // report, and neither blocks nor alerts on it (a documented loss
         // case, DESIGN.md §17).
         if merged.quarantined || !merged.reports.is_empty() {

@@ -4,8 +4,8 @@
 //! §4.1 makes the DPI controller responsible for balancing load across
 //! instances, and §6.1 reserves the IP ECN field for in-band DPI-side
 //! signals. This module closes the data-plane half of that loop: instead
-//! of letting an overloaded shard grow its queue until the watchdog
-//! condemns it, each shard watches its own pressure — ingress-queue depth
+//! of letting an overloaded shard only push back on its feeder, each
+//! shard watches its own pressure — ingress-queue depth
 //! (arrivals per window for per-call traffic, which has no queue) —
 //! through an [`OverloadDetector`] with high/low watermarks and
 //! hysteresis: the one state machine behind every entry point of an

@@ -15,7 +15,7 @@
 //! ([`DpiInstance::inspect`], [`DpiInstance::scan_payload`], flow
 //! export/import, …) run on the caller's thread, unsupervised.
 //! [`DpiInstance::inspect_batch`] runs every shard's share of a batch
-//! under supervision (panic capture, watchdog, restart) — on the calling
+//! under supervision (panic capture, restart) — on the calling
 //! thread with one shard, on a scoped worker thread per shard otherwise.
 //! Overload control is one controller behind both (DESIGN.md §11): every
 //! packet, per call or in a batch, passes the same shed decision and CE
@@ -70,10 +70,8 @@ struct ShardSlot {
     /// Packets whose inspection errored (untagged, no payload, unknown
     /// chain); errored packets produce no result.
     errors: u64,
-    /// Supervisor restarts (panic or watchdog).
+    /// Supervisor restarts (one per worker panic).
     restarts: u64,
-    /// Watchdog deadline violations.
-    watchdog_trips: u64,
     /// Packets routed but never scanned (worker died first).
     lost_scans: u64,
     /// Lifetime packet ordinal (drives shard-fault triggers).
@@ -221,10 +219,6 @@ struct Tally {
     errors: u64,
     /// Ingress-queue high-water mark this batch.
     peak: usize,
-    /// Whether the watchdog deadline was blown; set after the slow
-    /// packet completes, at which point the worker drains its queue
-    /// without scanning and waits to be condemned.
-    tripped: bool,
     /// The worker panicked (set by the driver that caught it).
     panicked: bool,
     /// Injected stalls that fired: `(shard-local ordinal, millis)`.
@@ -240,28 +234,18 @@ struct BatchWorker<'a> {
     engine: &'a ScanEngine,
     shard: usize,
     slot: &'a mut ShardSlot,
-    watchdog: Option<Duration>,
     faults: &'a [ShardFaultSpec],
     tally: Tally,
 }
 
 impl BatchWorker<'_> {
     /// The batch per-packet body: fault trigger, the slot's
-    /// shed / scan / CE mark, detector observation, watchdog. `depth`
+    /// shed / scan / CE mark, detector observation. `depth`
     /// reads the backlog behind `pkt` on the shard's ingress queue.
     #[inline]
     fn process(&mut self, idx: usize, pkt: &mut Packet, depth: impl Fn() -> usize) {
         let ordinal = self.slot.seen + self.tally.received;
         self.tally.received += 1;
-        if self.tally.tripped {
-            // Condemned by the watchdog: drain without scanning so a
-            // feeder never blocks on a wedged queue. These are lost
-            // scans.
-            return;
-        }
-        // The clock is only consumed by the watchdog; unarmed, skip both
-        // per-packet reads.
-        let started = self.watchdog.is_some().then(Instant::now);
         for f in self.faults {
             if f.shard == self.shard && f.at_packet == ordinal {
                 match f.fault {
@@ -284,11 +268,6 @@ impl BatchWorker<'_> {
             self.slot.observe(depth());
         }
         self.tally.processed += 1;
-        if let (Some(deadline), Some(started)) = (self.watchdog, started) {
-            if started.elapsed() > deadline {
-                self.tally.tripped = true;
-            }
-        }
     }
 }
 
@@ -341,9 +320,6 @@ pub struct DpiInstance {
     /// Per-tenant counters inherited from retired shard incarnations
     /// (same never-backwards contract as `retired`).
     retired_tenants: Vec<(TenantId, TenantCounters)>,
-    /// Per-packet scan deadline; exceeding it condemns the worker at the
-    /// batch boundary (the shard restarts with a fresh flow table).
-    watchdog: Option<Duration>,
     /// Scheduled shard faults (chaos); ordinals are shard-local and
     /// lifetime-absolute, so each fires at most once.
     faults: Vec<ShardFaultSpec>,
@@ -384,7 +360,6 @@ impl DpiInstance {
                 last_batch_peak: 0,
                 errors: 0,
                 restarts: 0,
-                watchdog_trips: 0,
                 lost_scans: 0,
                 seen: 0,
             })
@@ -394,7 +369,6 @@ impl DpiInstance {
             slots,
             retired: Telemetry::default(),
             retired_tenants: Vec::new(),
-            watchdog: None,
             faults: Vec::new(),
             tracer: None,
             fleet_index: None,
@@ -437,7 +411,7 @@ impl DpiInstance {
     }
 
     /// Attaches a structured-event tracer: batch boundaries, supervision
-    /// actions (stalls, trips, panics, restarts) and engine swaps are
+    /// actions (stalls, panics, restarts) and engine swaps are
     /// recorded, and each shard gets a private lock-free writer for
     /// sampled per-packet events and overload actions, absorbed whenever
     /// a window closes. `fleet_index` names the fleet member this
@@ -469,20 +443,10 @@ impl DpiInstance {
         }
     }
 
-    /// Arms the batch watchdog: any single scan taking longer than
-    /// `deadline` marks the worker as stalled, and the supervisor
-    /// condemns it at the batch boundary — remaining packets on its
-    /// queue are counted as lost scans and the shard restarts with a
-    /// fresh flow table.
-    pub fn with_watchdog(mut self, deadline: Duration) -> DpiInstance {
-        self.watchdog = Some(deadline);
-        self
-    }
-
     /// Schedules chaos faults against worker shards (a plan's
     /// [`crate::chaos::FaultPlan::shard_faults`]). Ordinals count each
     /// shard's batch-received packets over the instance's lifetime; the
-    /// supervisor's reactions (stalls observed, trips, restarts) are
+    /// supervisor's reactions (stalls observed, panics, restarts) are
     /// traced in shard order.
     pub fn inject_shard_faults(&mut self, faults: &[ShardFaultSpec]) {
         self.faults.extend_from_slice(faults);
@@ -682,7 +646,7 @@ impl DpiInstance {
         });
         let n = self.slots.len();
         let engine = &*self.engine;
-        let (watchdog, faults) = (self.watchdog, self.faults.as_slice());
+        let faults = self.faults.as_slice();
         let mut workers: Vec<BatchWorker> = self
             .slots
             .iter_mut()
@@ -691,7 +655,6 @@ impl DpiInstance {
                 engine,
                 shard,
                 slot,
-                watchdog,
                 faults,
                 tally: Tally::default(),
             })
@@ -768,14 +731,10 @@ impl DpiInstance {
             slot.errors += t.errors;
             slot.seen += t.received;
             // Everything assigned past the last handled packet went
-            // unscanned: a condemned worker's drained queue, or what a
-            // dead worker never took.
+            // unscanned: what a dead worker never took.
             let lost = assigned[s] - t.processed;
-            if t.panicked || t.tripped {
+            if t.panicked {
                 slot.lost_scans += lost;
-            }
-            if t.tripped {
-                slot.watchdog_trips += 1;
             }
             for &(ordinal, ms) in &t.stalls {
                 self.trace_shard(
@@ -788,9 +747,6 @@ impl DpiInstance {
             }
             if t.panicked {
                 self.trace_shard(s, TraceKind::WorkerPanicked { lost_scans: lost });
-                self.restart_shard(s);
-            } else if t.tripped {
-                self.trace_shard(s, TraceKind::WatchdogTripped { lost_scans: lost });
                 self.restart_shard(s);
             }
         }
@@ -892,8 +848,8 @@ impl DpiInstance {
     }
 
     /// Per-shard counters: packets, bytes, matches, ingress-queue peak
-    /// depth, inspection errors, and the supervisor's restart / watchdog
-    /// / lost-scan counts. The scan counters cover the shard's current
+    /// depth, inspection errors, and the supervisor's restart and
+    /// lost-scan counts. The scan counters cover the shard's current
     /// incarnation; the supervisor counters survive restarts.
     pub fn shard_telemetry(&self) -> Vec<ShardTelemetry> {
         self.slots
@@ -910,7 +866,6 @@ impl DpiInstance {
                     peak_queue_depth: slot.queue_peak as u64,
                     errors: slot.errors,
                     restarts: slot.restarts,
-                    watchdog_trips: slot.watchdog_trips,
                     lost_scans: slot.lost_scans,
                     shed_packets: det.map(|d| d.shed_packets).unwrap_or(0),
                     shed_bytes: det.map(|d| d.shed_bytes).unwrap_or(0),
@@ -1126,7 +1081,7 @@ mod tests {
             .collect()
     }
 
-    // The three supervision tests below run at workers 1 and 2 — the
+    // The panic and overload tests below run at workers 1 and 2 — the
     // calling-thread driver and the scoped-thread driver over the one
     // worker body — and expect the same counts from both.
 
@@ -1158,30 +1113,6 @@ mod tests {
             // Merged telemetry kept the pre-restart packets via the retired
             // accumulator: 2 scanned before the panic + 4 after.
             assert_eq!(scanner.telemetry().packets, 6, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn watchdog_condemns_a_stalled_shard() {
-        for workers in [1, 2] {
-            let mut scanner =
-                sharded(config(), workers).with_watchdog(std::time::Duration::from_millis(10));
-            let f = flow([10, 0, 0, 9], 777, [10, 0, 0, 2], 80, IpProtocol::Tcp);
-            let shard = scanner.shard_of(&f);
-            scanner.inject_shard_faults(&[ShardFaultSpec {
-                shard,
-                at_packet: 1,
-                fault: ShardFault::Stall(50),
-            }]);
-            let mut batch = one_flow_batch(f, 0, 4, 6, b"attack");
-            let results = scanner.inspect_batch(&mut batch);
-            // Packets 0 and 1 were scanned (the stalled one completes, then
-            // the watchdog fires); 2..6 were drained unscanned.
-            assert_eq!(results.len(), 2, "workers={workers}");
-            let t = &scanner.shard_telemetry()[shard];
-            assert_eq!(t.watchdog_trips, 1, "workers={workers}");
-            assert_eq!(t.restarts, 1, "workers={workers}");
-            assert_eq!(t.lost_scans, 4, "workers={workers}");
         }
     }
 

@@ -71,8 +71,6 @@ pub struct Telemetry {
     /// quarantine verdict — each one is a verdict the engine could no
     /// longer honour, so it is counted, never silent.
     pub quarantined_flow_evictions: u64,
-    /// Flows aged out by the flow arena's idle timeout.
-    pub flows_aged: u64,
 }
 
 impl Telemetry {
@@ -120,7 +118,6 @@ impl Telemetry {
         self.l7_bypassed_flows += other.l7_bypassed_flows;
         self.flows_evicted += other.flows_evicted;
         self.quarantined_flow_evictions += other.quarantined_flow_evictions;
-        self.flows_aged += other.flows_aged;
     }
 
     /// Difference since a previous snapshot (for rate computation).
@@ -171,7 +168,6 @@ impl Telemetry {
             quarantined_flow_evictions: self
                 .quarantined_flow_evictions
                 .saturating_sub(prev.quarantined_flow_evictions),
-            flows_aged: self.flows_aged.saturating_sub(prev.flows_aged),
         }
     }
 }
@@ -199,16 +195,14 @@ pub struct ShardTelemetry {
     /// chain).
     pub errors: u64,
     /// Times this shard's worker was restarted by the supervisor (after
-    /// a panic or a watchdog trip). Each restart rebuilds the shard's
+    /// a panic). Each restart rebuilds the shard's
     /// flow table from scratch; the supervisor owns this counter, so it
     /// survives the rebuild.
     pub restarts: u64,
-    /// Watchdog deadline violations observed on this shard.
-    pub watchdog_trips: u64,
     /// Packets routed to this shard that were never scanned because the
-    /// worker panicked, or was condemned by the watchdog, before
-    /// reaching them. Lost scans are fail-open: the packets themselves
-    /// still flow, they just produce no match results.
+    /// worker panicked before reaching them. Lost scans are fail-open:
+    /// the packets themselves still flow, they just produce no match
+    /// results.
     pub lost_scans: u64,
     /// Packets whose scan was deliberately skipped by the overload shed
     /// policy (fail-open chains only; the packets flowed CE-marked).
@@ -339,7 +333,6 @@ mod tests {
             l7_bypassed_flows: 1,
             flows_evicted: 11,
             quarantined_flow_evictions: 3,
-            flows_aged: 17,
         };
         // Restarted: everything reset, a little new traffic since.
         let now = Telemetry {
@@ -368,7 +361,6 @@ mod tests {
         assert_eq!(d.l7_bypassed_flows, 0);
         assert_eq!(d.flows_evicted, 0);
         assert_eq!(d.quarantined_flow_evictions, 0);
-        assert_eq!(d.flows_aged, 0);
         // Forward progress still measures normally.
         let later = Telemetry {
             packets: 105,

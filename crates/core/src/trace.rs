@@ -126,12 +126,6 @@ pub enum TraceKind {
         /// Quarantined flows dropped.
         flows: u64,
     },
-    /// The flow arena's idle timeout aged out flows and released their
-    /// state (batch-aggregated per shard).
-    FlowsAged {
-        /// Flows released.
-        flows: u64,
-    },
     /// The L7 layer identified a flow's application protocol from its
     /// first reassembled bytes (DESIGN.md §14). An HTTP→WebSocket
     /// upgrade emits a second event for the same flow.
@@ -168,11 +162,6 @@ pub enum TraceKind {
         ordinal: u64,
         /// Stall length.
         millis: u64,
-    },
-    /// A shard blew its per-packet watchdog deadline.
-    WatchdogTripped {
-        /// Packets drained unscanned after the trip.
-        lost_scans: u64,
     },
     /// A shard worker panicked mid-batch.
     WorkerPanicked {

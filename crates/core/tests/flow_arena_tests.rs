@@ -1,15 +1,13 @@
 //! The flow arena from the outside (DESIGN.md §15): teardown must leak
-//! nothing, migration must move the *whole* flow, a scan opens its flow
-//! once (one clock tick per scanned packet or segment), and the arena
-//! must behave like a naive model of its own contract — checked by a
-//! property test over random operation sequences with eviction and
-//! aging, and by a sharded-pipeline property test over random segment
-//! traces at worker counts {1, 2, 8}.
+//! nothing, migration must move the *whole* flow, and the arena must
+//! behave like a naive model of its own contract — checked by a
+//! property test over random operation sequences with eviction, and by
+//! a sharded-pipeline property test over random segment traces at
+//! worker counts {1, 2, 8}.
 
 use dpi_core::{
     ArenaEvents, ConflictPolicy, DpiInstance, FlowArena, FlowState, InstanceConfig, L7Action,
     L7Policy, L7Protocol, MiddleboxId, MiddleboxProfile, ProtocolPolicy, RuleSpec, ScanEngine,
-    TraceKind, Tracer,
 };
 use dpi_packet::ipv4::IpProtocol;
 use dpi_packet::{FlowKey, Packet};
@@ -121,7 +119,7 @@ fn migration_export_removes_the_whole_entry() {
     );
 }
 
-// ---- one open per scan: the clock, the budget, the seams ---------------
+// ---- through the instance: the budget, the seams ----------------------
 
 /// A stateful IDS on `CHAIN`, no L7.
 fn stateful_config() -> InstanceConfig {
@@ -137,7 +135,7 @@ fn instance_at(config: InstanceConfig, workers: usize) -> DpiInstance {
     DpiInstance::with_workers(Arc::new(ScanEngine::new(config).unwrap()), workers)
 }
 
-/// Two flows pinned to one shard: a tick is per shard.
+/// Two flows pinned to one shard: the budget is per shard.
 fn two_flows_on_one_shard(dpi: &DpiInstance) -> (FlowKey, FlowKey) {
     let a = fk(1);
     let b = (2..)
@@ -145,64 +143,6 @@ fn two_flows_on_one_shard(dpi: &DpiInstance) -> (FlowKey, FlowKey) {
         .find(|b| dpi.shard_of(b) == dpi.shard_of(&a))
         .unwrap();
     (a, b)
-}
-
-fn flows_aged_events(tracer: &Tracer) -> Vec<u64> {
-    tracer
-        .snapshot()
-        .iter()
-        .filter_map(|e| match e.kind {
-            TraceKind::FlowsAged { flows } => Some(flows),
-            _ => None,
-        })
-        .collect()
-}
-
-#[test]
-fn idle_timeout_counts_scanned_packets_one_tick_per_scan() {
-    for workers in [1, 2] {
-        let mut dpi = instance_at(stateful_config().with_flow_idle_timeout(10), workers);
-        let tracer = Arc::new(Tracer::new());
-        dpi.attach_tracer(tracer.clone(), None);
-        let (a, b) = two_flows_on_one_shard(&dpi);
-
-        dpi.scan_payload(CHAIN, Some(a), b"first and last").unwrap();
-        for _ in 0..9 {
-            dpi.scan_payload(CHAIN, Some(b), b"keeps coming").unwrap();
-        }
-        assert_eq!(dpi.tracked_flows(), 2, "aged early at {workers} workers");
-        assert_eq!(dpi.telemetry().flows_aged, 0);
-        dpi.scan_payload(CHAIN, Some(b), b"the tenth").unwrap();
-        assert_eq!(dpi.tracked_flows(), 1, "not aged at {workers} workers");
-        assert_eq!(dpi.telemetry().flows_aged, 1);
-        dpi.inspect_batch(&mut []); // batch boundary: shard traces fold in
-        assert_eq!(flows_aged_events(&tracer), [1]);
-    }
-}
-
-#[test]
-fn idle_timeout_ticks_once_per_segment_not_per_run() {
-    for workers in [1, 2] {
-        let mut dpi = instance_at(stateful_config().with_flow_idle_timeout(10), workers);
-        let (a, b) = two_flows_on_one_shard(&dpi);
-
-        dpi.scan_tcp_segment(CHAIN, a, 0, b"first and last")
-            .unwrap();
-        // Declaring the stream opens its entry: a tick like any segment.
-        dpi.open_tcp_flow(b, 0);
-        // Out of order, then the gap filler: one segment, two runs.
-        let held = dpi.scan_tcp_segment(CHAIN, b, 8, b"89abcdef").unwrap();
-        assert!(held.is_empty());
-        let filled = dpi.scan_tcp_segment(CHAIN, b, 0, b"01234567").unwrap();
-        assert_eq!(filled.len(), 2);
-        for i in 0..6u32 {
-            dpi.scan_tcp_segment(CHAIN, b, 16 + i, b"x").unwrap();
-        }
-        assert_eq!(dpi.tracked_flows(), 2, "aged early at {workers} workers");
-        dpi.scan_tcp_segment(CHAIN, b, 22, b"x").unwrap();
-        assert_eq!(dpi.tracked_flows(), 1, "not aged at {workers} workers");
-        assert_eq!(dpi.telemetry().flows_aged, 1);
-    }
 }
 
 #[test]
@@ -327,7 +267,7 @@ fn stateless_chain_with_a_flow_key_stores_stress_but_no_scan_state() {
 }
 
 #[test]
-fn migrated_verdict_lands_out_of_reach_of_churn_and_aging() {
+fn migrated_verdict_lands_out_of_reach_of_churn() {
     // Both causes of the one verdict: a divergent retransmission under
     // `RejectFlow`, and an HTTP request under an L7 `Block` policy.
     let conflict: &[(u32, &[u8])] = &[(0, b"0123456789abcdef"), (0, b"0123456789ATTACK")];
@@ -336,14 +276,15 @@ fn migrated_verdict_lands_out_of_reach_of_churn_and_aging() {
         L7Protocol::Http1,
         ProtocolPolicy::intercept(1 << 16).with_action(L7Action::Block),
     );
-    for (config, segments) in [
+    for (mut config, segments) in [
         (
             stateful_config().with_conflict_policy(ConflictPolicy::RejectFlow),
             conflict,
         ),
         (stateful_config().with_l7_policy(block), http),
     ] {
-        let config = config.with_flow_idle_timeout(8);
+        // Eight slots, so the churn below runs the arena past its bound.
+        config.max_flows = Some(8);
         let mut src = DpiInstance::new(config.clone()).unwrap();
         src.scan_payload(CHAIN, Some(fk(1)), b"..ATT").unwrap();
         for &(seq, payload) in segments {
@@ -362,7 +303,8 @@ fn migrated_verdict_lands_out_of_reach_of_churn_and_aging() {
             dst.scan_payload(CHAIN, Some(fk(100 + i)), b"churn")
                 .unwrap();
         }
-        assert!(dst.flow_quarantined(&fk(1)), "idleness flushed the verdict");
+        assert!(dst.telemetry().flows_evicted > 0, "the churn never evicted");
+        assert!(dst.flow_quarantined(&fk(1)), "churn flushed the verdict");
         assert_eq!(dst.export_flow(&fk(1)), Some(exported));
     }
 }
@@ -410,9 +352,8 @@ fn blocked_flows_leave_live_flows_room() {
 // ---- arena ≡ naive model ----------------------------------------------
 
 /// One arena operation over a key space of 64. Capacity is drawn from
-/// 1..=40, so most cases run below the key space and evict, and half run
-/// with an idle timeout, so eviction order, verdict preference and aging
-/// are all inside the differential check.
+/// 1..=40, so most cases run below the key space and evict: eviction
+/// order and verdict preference are inside the differential check.
 #[derive(Debug, Clone)]
 enum Op {
     Put {
@@ -475,7 +416,6 @@ struct Rec {
     key: u16,
     scan: Option<(u32, u64, u32)>,
     quarantined: bool,
-    last_used: u64,
 }
 
 impl Rec {
@@ -491,8 +431,6 @@ impl Rec {
 struct Model {
     flows: Vec<Rec>,
     capacity: usize,
-    timeout: Option<u64>,
-    clock: u64,
     events: ArenaEvents,
 }
 
@@ -501,23 +439,11 @@ impl Model {
         self.flows.iter().find(|r| r.key == k)
     }
 
-    /// One tick: every forgettable flow idle for `timeout` ticks goes.
-    fn tick(&mut self) {
-        self.clock += 1;
-        if let Some(t) = self.timeout {
-            let (before, clock) = (self.flows.len(), self.clock);
-            self.flows
-                .retain(|r| r.quarantined || r.last_used + t > clock);
-            self.events.flows_aged += (before - self.flows.len()) as u64;
-        }
-    }
-
-    /// Ticks, then moves `k`'s record to the front — created first if
+    /// Moves `k`'s record to the front — created first if
     /// `create`, evicting the oldest forgettable flow at capacity, or the
     /// oldest verdict (counted) when there is nothing else.
     fn touch(&mut self, k: u16, create: bool) -> Option<&mut Rec> {
-        self.tick();
-        let mut rec = match self.flows.iter().position(|r| r.key == k) {
+        let rec = match self.flows.iter().position(|r| r.key == k) {
             Some(i) => self.flows.remove(i),
             None if !create => return None,
             None => {
@@ -533,11 +459,9 @@ impl Model {
                     key: k,
                     scan: None,
                     quarantined: false,
-                    last_used: 0,
                 }
             }
         };
-        rec.last_used = self.clock;
         self.flows.insert(0, rec);
         self.flows.first_mut()
     }
@@ -566,14 +490,11 @@ proptest! {
     fn arena_scan_state_matches_naive_model(
         ops in prop::collection::vec(op_strategy(), 1..256),
         capacity in 1usize..=40,
-        timeout in prop::option::of(2u64..24),
     ) {
-        let mut arena = FlowArena::with_limits(capacity, timeout, None);
+        let mut arena = FlowArena::new(capacity);
         let mut model = Model {
             flows: Vec::new(),
             capacity,
-            timeout,
-            clock: 0,
             events: ArenaEvents::default(),
         };
         for op in ops {

@@ -66,7 +66,8 @@ pub struct FleetDpiStats {
 ///   network is **fail-open** for data. A result packet whose every
 ///   attempt is dropped is *lost*, never fabricated: middleboxes
 ///   downstream see a missing result (each releases the marked data
-///   packet unpaired at its next arrival), but never a wrong one —
+///   packet unpaired at its next arrival or when the network goes
+///   idle), but never a wrong one —
 ///   **fail-closed** for verdicts.
 pub struct DpiServiceNode {
     dpi: Arc<Mutex<DpiInstance>>,
@@ -262,6 +263,8 @@ pub struct MiddleboxNode {
     mb_id: u16,
     /// The marked data packet waiting for the result packet behind it.
     held: Option<Packet>,
+    /// The port the held packet came in on, where a flush releases it.
+    held_port: PortId,
     /// Highest rule generation consumed; results stamped below it are
     /// dropped, not mixed into newer verdicts. As strong as per-flow: an
     /// update rolls every instance between two sends and each send runs
@@ -287,6 +290,7 @@ impl MiddleboxNode {
                 mb: Arc::clone(&mb),
                 mb_id,
                 held: None,
+                held_port: 0,
                 generation: 0,
             },
             mb,
@@ -356,6 +360,7 @@ impl Node for MiddleboxNode {
                 self.release(held, port, out);
                 if packet.has_match_mark() {
                     self.held = Some(packet);
+                    self.held_port = port;
                 } else {
                     // Unmarked: no result will follow (§4.2: "a packet
                     // with no matches is always forwarded as is").
@@ -363,6 +368,13 @@ impl Node for MiddleboxNode {
                 }
             }
         }
+    }
+
+    /// The network is idle, so no result is on its way behind the held
+    /// packet: it goes on unpaired.
+    fn flush(&mut self, out: &mut Vec<(PortId, Packet)>) {
+        let held = self.held.take();
+        self.release(held, self.held_port, out);
     }
 
     fn label(&self) -> String {

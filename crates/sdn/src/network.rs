@@ -36,6 +36,11 @@ pub trait Node {
         out.extend(self.on_packet(packet, port));
     }
 
+    /// Called by [`Network::run`] once nothing is in flight: appends
+    /// whatever the node holds for a packet that can no longer come.
+    /// The default holds nothing.
+    fn flush(&mut self, _out: &mut Vec<(PortId, Packet)>) {}
+
     /// Human-readable label for diagnostics.
     fn label(&self) -> String {
         "node".to_string()
@@ -148,8 +153,11 @@ impl Network {
         self.queue.push_back((node, port, packet));
     }
 
-    /// Runs until no packets are in flight. Returns the number of
-    /// deliveries performed.
+    /// Runs until no packets are in flight and no node holds one.
+    /// Returns the number of deliveries performed. Each time the queue
+    /// drains, every node is flushed ([`Node::flush`]) and what it
+    /// releases is routed on; the run ends after a flush pass that puts
+    /// nothing in flight.
     ///
     /// If the `max_hops` loop guard fires, every still-queued packet is
     /// *counted* as dropped (see [`Network::dropped`]) and the first one
@@ -157,37 +165,53 @@ impl Network {
     /// warning per run goes to stderr.
     pub fn run(&mut self) -> usize {
         let mut deliveries = 0;
-        while let Some((node, port, packet)) = self.queue.pop_front() {
-            if deliveries >= self.max_hops {
-                // Loop guard: drop the remainder loudly — the packet in
-                // hand plus everything still queued.
-                let discarded = 1 + self.queue.len() as u64;
-                self.dropped += discarded;
-                eprintln!(
-                    "network: max_hops={} exhausted at {} ({}); discarding {} in-flight packet(s)",
-                    self.max_hops,
-                    self.nodes[node.0 as usize].label(),
-                    node.0,
-                    discarded,
-                );
-                self.dropped_at_edge.push((node, port, packet));
-                self.queue.clear();
-                break;
+        loop {
+            while let Some((node, port, packet)) = self.queue.pop_front() {
+                if deliveries >= self.max_hops {
+                    // Loop guard: drop the remainder loudly — the packet in
+                    // hand plus everything still queued.
+                    let discarded = 1 + self.queue.len() as u64;
+                    self.dropped += discarded;
+                    eprintln!(
+                        "network: max_hops={} exhausted at {} ({}); discarding {} in-flight packet(s)",
+                        self.max_hops,
+                        self.nodes[node.0 as usize].label(),
+                        node.0,
+                        discarded,
+                    );
+                    self.dropped_at_edge.push((node, port, packet));
+                    self.queue.clear();
+                    return deliveries;
+                }
+                deliveries += 1;
+                self.nodes[node.0 as usize].on_packet_into(packet, port, &mut self.emissions);
+                self.route(node);
             }
-            deliveries += 1;
-            self.nodes[node.0 as usize].on_packet_into(packet, port, &mut self.emissions);
-            let ports = self
-                .links
-                .get(node.0 as usize)
-                .map_or(&[][..], Vec::as_slice);
-            for (out_port, pkt) in self.emissions.drain(..) {
-                match ports.get(usize::from(out_port)) {
-                    Some(&Some((dst, dst_port))) => self.queue.push_back((dst, dst_port, pkt)),
-                    _ => self.dropped_at_edge.push((node, out_port, pkt)),
+            for node in 0..self.nodes.len() {
+                self.nodes[node].flush(&mut self.emissions);
+                if !self.emissions.is_empty() {
+                    self.route(NodeId(node as u32));
                 }
             }
+            if self.queue.is_empty() {
+                return deliveries;
+            }
         }
-        deliveries
+    }
+
+    /// Queues what `node` just emitted at the far ends of its links.
+    #[inline]
+    fn route(&mut self, node: NodeId) {
+        let ports = self
+            .links
+            .get(node.0 as usize)
+            .map_or(&[][..], Vec::as_slice);
+        for (out_port, pkt) in self.emissions.drain(..) {
+            match ports.get(usize::from(out_port)) {
+                Some(&Some((dst, dst_port))) => self.queue.push_back((dst, dst_port, pkt)),
+                _ => self.dropped_at_edge.push((node, out_port, pkt)),
+            }
+        }
     }
 
     /// Packets silently discarded by the `max_hops` loop guard, across

@@ -681,7 +681,7 @@ impl SystemHandle {
 
     /// Per-shard telemetry of the batch pipeline, including error
     /// counters, peak queue depth and supervision counters (restarts,
-    /// watchdog trips, lost scans).
+    /// lost scans).
     pub fn shard_telemetry(&self) -> Vec<ShardTelemetry> {
         self.scanner.shard_telemetry()
     }
@@ -762,11 +762,6 @@ impl SystemHandle {
             MetricKind::Counter,
         );
         m.family(
-            "dpi_flows_aged_total",
-            "Flows aged out of the flow arena's LRU tail after the idle timeout",
-            MetricKind::Counter,
-        );
-        m.family(
             "dpi_scan_bytes_skipped_total",
             "Scanned bytes the kernel's prefix filter passed at depth <= 2 without stepping the table",
             MetricKind::Counter,
@@ -785,7 +780,6 @@ impl SystemHandle {
                 &l,
                 t.quarantined_flow_evictions,
             );
-            m.sample("dpi_flows_aged_total", &l, t.flows_aged);
             m.sample("dpi_scan_bytes_skipped_total", &l, t.scan_bytes_skipped);
         }
 
