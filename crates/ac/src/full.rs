@@ -94,23 +94,48 @@ fn root_skip_filter(trie: &Trie) -> Option<PrefixFilter> {
     )
 }
 
+/// The renumbering that puts accepting states first: trie node → state
+/// id, and the number of accepting states `f`.
+fn renumber(trie: &Trie) -> (Vec<u32>, u32) {
+    let mut remap = vec![0u32; trie.len()];
+    let mut next_accepting = 0u32;
+    let mut next_plain = trie
+        .nodes()
+        .iter()
+        .filter(|nd| !nd.outputs.is_empty())
+        .count() as u32;
+    let f = next_plain;
+    for (old, node) in trie.nodes().iter().enumerate() {
+        if node.outputs.is_empty() {
+            remap[old] = next_plain;
+            next_plain += 1;
+        } else {
+            remap[old] = next_accepting;
+            next_accepting += 1;
+        }
+    }
+    (remap, f)
+}
+
 /// Builds the transition table in the renumbered id space, in one pass,
-/// at cell type `C`. Rows are filled in BFS order, so a node's failure
-/// row is already final when it is copied and the node's own goto
-/// transitions then overwrite their columns.
+/// at cell type `C`, writing each cell once. The table is allocated
+/// zeroed, so its pages stay untouched until their row is written. Rows
+/// are filled in BFS order: the root's row self-loops, every other row
+/// starts as a copy of its failure row, which is already final, and the
+/// node's own goto transitions then overwrite their columns.
 fn flatten<C>(trie: &Trie, bfs_order: &[u32], remap: &[u32]) -> Vec<C>
 where
-    C: Copy + TryFrom<u32>,
+    C: Copy + Default + TryFrom<u32>,
     C::Error: std::fmt::Debug,
 {
     let cell = |state: u32| C::try_from(state).expect("the chosen cell width holds every id");
-    // Missing root transitions self-loop; every other row is a copy of
-    // its failure row before anything reads it.
-    let mut table = vec![cell(remap[0]); trie.len() * 256];
+    let mut table = vec![C::default(); trie.len() * 256];
     for &u in bfs_order {
         let node = trie.node(u);
         let row = remap[u as usize] as usize * 256;
-        if node.depth != 0 {
+        if node.depth == 0 {
+            table[row..row + 256].fill(cell(remap[0]));
+        } else {
             // `fail(u) != u` for non-root nodes, so the rows are disjoint.
             let fail = remap[node.fail as usize] as usize * 256;
             table.copy_within(fail..fail + 256, row);
@@ -183,23 +208,7 @@ impl FullAc {
         let n = trie.len();
 
         // 1. Renumber: accepting nodes first.
-        let mut remap = vec![0u32; n];
-        let mut next_accepting = 0u32;
-        let mut next_plain = trie
-            .nodes()
-            .iter()
-            .filter(|nd| !nd.outputs.is_empty())
-            .count() as u32;
-        let f = next_plain;
-        for (old, node) in trie.nodes().iter().enumerate() {
-            if node.outputs.is_empty() {
-                remap[old] = next_plain;
-                next_plain += 1;
-            } else {
-                remap[old] = next_accepting;
-                next_accepting += 1;
-            }
-        }
+        let (remap, f) = renumber(trie);
 
         // 2. The transition table.
         let cells = if wide || n > usize::from(u16::MAX) {
@@ -761,5 +770,98 @@ mod tests {
         assert!(m
             .iter()
             .any(|(_, e)| e.middlebox == MiddleboxId(1) && e.pattern == PatternId(0)));
+    }
+}
+
+/// The fill-then-copy flatten — every cell first set to the root id, then
+/// every row overwritten — as the reference the production [`flatten`]
+/// must equal cell for cell.
+#[cfg(test)]
+mod flatten_oracle {
+    use super::{flatten, renumber};
+    use crate::trie::Trie;
+    use crate::{MiddleboxId, PatternId};
+    use proptest::prelude::*;
+
+    fn flatten_oracle<C>(trie: &Trie, bfs_order: &[u32], remap: &[u32]) -> Vec<C>
+    where
+        C: Copy + TryFrom<u32>,
+        C::Error: std::fmt::Debug,
+    {
+        let cell = |state: u32| C::try_from(state).expect("the chosen cell width holds every id");
+        let mut table = vec![cell(remap[0]); trie.len() * 256];
+        for &u in bfs_order {
+            let node = trie.node(u);
+            let row = remap[u as usize] as usize * 256;
+            if node.depth != 0 {
+                let fail = remap[node.fail as usize] as usize * 256;
+                table.copy_within(fail..fail + 256, row);
+            }
+            for (&b, &c) in &node.children {
+                table[row + usize::from(b)] = cell(remap[c as usize]);
+            }
+        }
+        table
+    }
+
+    /// Builds the trie of `sets` (one per middlebox, pattern id = index)
+    /// and checks both cell widths against the oracle.
+    fn check(sets: &[Vec<Vec<u8>>]) -> Result<(), String> {
+        let mut trie = Trie::new();
+        for (m, set) in sets.iter().enumerate() {
+            for (i, p) in set.iter().enumerate() {
+                trie.add_pattern(MiddleboxId(m as u16), PatternId(i as u16), p)
+                    .map_err(|e| format!("{e:?}"))?;
+            }
+        }
+        let order = trie.build_failure_links();
+        let (remap, _) = renumber(&trie);
+        if trie.len() <= usize::from(u16::MAX) {
+            let narrow: Vec<u16> = flatten(&trie, &order, &remap);
+            if narrow != flatten_oracle::<u16>(&trie, &order, &remap) {
+                return Err("u16 table differs from the oracle".into());
+            }
+        }
+        let wide: Vec<u32> = flatten(&trie, &order, &remap);
+        if wide != flatten_oracle::<u32>(&trie, &order, &remap) {
+            return Err("u32 table differs from the oracle".into());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Small alphabets make deep failure chains and shared prefixes;
+        /// the full byte range makes wide rows.
+        #[test]
+        fn flatten_equals_the_fill_then_copy_oracle(
+            sets in prop::collection::vec(
+                prop::collection::vec(
+                    prop_oneof![
+                        prop::collection::vec(prop::sample::select(b"abc".to_vec()), 1..12),
+                        prop::collection::vec(any::<u8>(), 1..6),
+                    ],
+                    0..24,
+                ),
+                1..4,
+            )
+        ) {
+            prop_assert_eq!(check(&sets), Ok(()));
+        }
+    }
+
+    /// The benchmark's rule set: `snort_like(4356, 42)` split into the
+    /// paper's Snort1/Snort2 sets.
+    #[test]
+    fn flatten_equals_the_oracle_on_the_benchmark_rule_set() {
+        let all = dpi_traffic::snort_like(4356, 42);
+        let (snort1, snort2) = dpi_traffic::split_set(&all, 2500, 42);
+        assert_eq!(check(&[snort1, snort2]), Ok(()));
+    }
+
+    #[test]
+    fn an_empty_trie_is_one_self_looping_root_row() {
+        assert_eq!(check(&[]), Ok(()));
     }
 }

@@ -731,4 +731,88 @@ mod tests {
         assert!(c.chain_members(chain).is_none());
         assert_eq!(c.pattern_transfer_bytes(), 0);
     }
+
+    /// One control-plane mutation of the oracle test below.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Register(u16, Option<u16>),
+        Add(u16, u16, RuleSpec),
+        Remove(u16, u16),
+        Deregister(u16),
+    }
+
+    fn op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        let mb = 1u16..=4;
+        let rule = prop::sample::select(vec![
+            RuleSpec::exact(b"a".to_vec()),
+            RuleSpec::exact(b"shared".to_vec()),
+            RuleSpec::exact(b"longer-signature".to_vec()),
+            RuleSpec::regex("a"),
+            RuleSpec::regex("evil\\d+"),
+        ]);
+        prop_oneof![
+            (mb.clone(), prop::option::of(1u16..=4)).prop_map(|(m, src)| Op::Register(m, src)),
+            (mb.clone(), 0u16..6, rule).prop_map(|(m, r, spec)| Op::Add(m, r, spec)),
+            (mb.clone(), 0u16..6).prop_map(|(m, r)| Op::Remove(m, r)),
+            mb.prop_map(Op::Deregister),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The running byte total, the per-middlebox index and the Fig. 11
+        /// log against a scan over every stored entry, after every step:
+        /// each record is the scanned total after the mutation and its
+        /// difference to the scanned total before.
+        #[test]
+        fn pattern_store_matches_a_scan_over_its_entries(
+            ops in proptest::prelude::prop::collection::vec(op(), 1..60)
+        ) {
+            let c = DpiController::new();
+            let mut expected: Vec<TransferRecord> = Vec::new();
+            for op in ops {
+                let before = c.inner.lock().patterns.transfer_bytes_by_scan();
+                let logs = match &op {
+                    Op::Register(m, src) => {
+                        let inherits = src.is_some_and(|s| {
+                            !c.inner.lock().patterns.rules_of_by_scan(MiddleboxId(s)).is_empty()
+                        });
+                        let ok = c
+                            .register(
+                                MiddleboxId(*m),
+                                "mb",
+                                src.map(MiddleboxId),
+                                MiddleboxProfile::stateless(MiddleboxId(*m)),
+                            )
+                            .is_ok();
+                        ok && inherits
+                    }
+                    Op::Add(m, r, spec) => c.add_pattern(MiddleboxId(*m), *r, spec).is_ok(),
+                    Op::Remove(m, r) => c.remove_pattern(MiddleboxId(*m), *r).is_ok(),
+                    Op::Deregister(m) => c.deregister(MiddleboxId(*m)).is_ok(),
+                };
+                let g = c.inner.lock();
+                let total = g.patterns.transfer_bytes_by_scan();
+                proptest::prop_assert_eq!(g.patterns.transfer_bytes(), total, "after {:?}", op);
+                for m in 1..=4 {
+                    proptest::prop_assert_eq!(
+                        g.patterns.rules_of(MiddleboxId(m)),
+                        g.patterns.rules_of_by_scan(MiddleboxId(m)),
+                        "rules of {} after {:?}",
+                        m,
+                        op
+                    );
+                }
+                if logs {
+                    expected.push(TransferRecord {
+                        delta_bytes: total as i64 - before as i64,
+                        total_bytes: total,
+                    });
+                }
+                proptest::prop_assert_eq!(&g.transfer_log, &expected, "after {:?}", op);
+            }
+        }
+    }
 }

@@ -11,7 +11,7 @@
 
 use dpi_ac::MiddleboxId;
 use dpi_core::rules::{RuleKind, RuleSpec};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Controller-internal pattern identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -25,11 +25,27 @@ struct GlobalEntry {
     refs: Vec<(MiddleboxId, u16)>,
 }
 
+/// The bytes one stored pattern adds to the serialized set: its content
+/// and a 4-byte length word.
+fn wire_bytes(rule: &RuleKind) -> usize {
+    match rule {
+        RuleKind::Exact(p) => p.len() + 4,
+        RuleKind::Regex(s) => s.len() + 4,
+    }
+}
+
 /// The deduplicated global pattern store.
 #[derive(Debug, Default)]
 pub struct GlobalPatternSet {
     by_content: HashMap<RuleKind, InternalPatternId>,
     entries: HashMap<InternalPatternId, GlobalEntry>,
+    /// Each middlebox's references as `(rule id, internal id)`, in rule-id
+    /// order: a removal, a deregistration or a rule listing walks one
+    /// middlebox's references, not the whole store.
+    by_middlebox: HashMap<MiddleboxId, BTreeSet<(u16, InternalPatternId)>>,
+    /// [`GlobalPatternSet::transfer_bytes`], kept up to date as patterns
+    /// are stored and dropped.
+    bytes: usize,
     next_id: u32,
 }
 
@@ -61,55 +77,63 @@ impl GlobalPatternSet {
                         refs: Vec::new(),
                     },
                 );
+                self.bytes += wire_bytes(&rule.kind);
                 id
             }
         };
-        let entry = self.entries.get_mut(&id).expect("entry just ensured");
-        if !entry.refs.contains(&(middlebox, rule_id)) {
+        if self
+            .by_middlebox
+            .entry(middlebox)
+            .or_default()
+            .insert((rule_id, id))
+        {
+            let entry = self.entries.get_mut(&id).expect("entry just ensured");
             entry.refs.push((middlebox, rule_id));
         }
         id
+    }
+
+    /// Drops `middlebox`'s references from pattern `id`, and the pattern
+    /// itself when no reference is left.
+    fn unref(&mut self, id: InternalPatternId, keep: impl Fn(&(MiddleboxId, u16)) -> bool) {
+        let Some(entry) = self.entries.get_mut(&id) else {
+            return;
+        };
+        entry.refs.retain(keep);
+        if entry.refs.is_empty() {
+            let e = self.entries.remove(&id).expect("entry just read");
+            self.by_content.remove(&e.rule);
+            self.bytes -= wire_bytes(&e.rule);
+        }
     }
 
     /// Removes the reference from `(middlebox, rule_id)`; drops the
     /// pattern entirely when its last reference goes. Returns `true` if a
     /// reference was removed.
     pub fn remove(&mut self, middlebox: MiddleboxId, rule_id: u16) -> bool {
-        let mut removed = false;
-        let mut emptied = Vec::new();
-        for (id, entry) in self.entries.iter_mut() {
-            let before = entry.refs.len();
-            entry
-                .refs
-                .retain(|&(m, r)| !(m == middlebox && r == rule_id));
-            if entry.refs.len() != before {
-                removed = true;
-                if entry.refs.is_empty() {
-                    emptied.push(*id);
-                }
-            }
+        let Some(refs) = self.by_middlebox.get_mut(&middlebox) else {
+            return false;
+        };
+        let ids: Vec<InternalPatternId> = refs
+            .range((rule_id, InternalPatternId(0))..=(rule_id, InternalPatternId(u32::MAX)))
+            .map(|&(_, id)| id)
+            .collect();
+        for id in &ids {
+            refs.remove(&(rule_id, *id));
         }
-        for id in emptied {
-            if let Some(e) = self.entries.remove(&id) {
-                self.by_content.remove(&e.rule);
-            }
+        if refs.is_empty() {
+            self.by_middlebox.remove(&middlebox);
         }
-        removed
+        for &id in &ids {
+            self.unref(id, |&r| r != (middlebox, rule_id));
+        }
+        !ids.is_empty()
     }
 
     /// Removes every reference of `middlebox` (deregistration).
     pub fn remove_middlebox(&mut self, middlebox: MiddleboxId) {
-        let mut emptied = Vec::new();
-        for (id, entry) in self.entries.iter_mut() {
-            entry.refs.retain(|&(m, _)| m != middlebox);
-            if entry.refs.is_empty() {
-                emptied.push(*id);
-            }
-        }
-        for id in emptied {
-            if let Some(e) = self.entries.remove(&id) {
-                self.by_content.remove(&e.rule);
-            }
+        for (_, id) in self.by_middlebox.remove(&middlebox).unwrap_or_default() {
+            self.unref(id, |&(m, _)| m != middlebox);
         }
     }
 
@@ -125,41 +149,56 @@ impl GlobalPatternSet {
 
     /// Rebuilds each middlebox's ordered rule list — what instance
     /// configuration needs. Rules are returned as `(rule_id, spec)` sorted
-    /// by rule id.
+    /// by rule id; a rule id the middlebox gave two patterns lists both,
+    /// in internal-id order.
     pub fn rules_of(&self, middlebox: MiddleboxId) -> Vec<(u16, RuleSpec)> {
-        let mut out = Vec::new();
-        for entry in self.entries.values() {
-            for &(m, rid) in &entry.refs {
-                if m == middlebox {
-                    out.push((
-                        rid,
-                        RuleSpec {
-                            kind: entry.rule.clone(),
-                        },
-                    ));
-                }
-            }
-        }
-        out.sort_by_key(|(rid, _)| *rid);
-        out
+        self.by_middlebox
+            .get(&middlebox)
+            .into_iter()
+            .flatten()
+            .map(|&(rid, id)| {
+                let kind = self.entries[&id].rule.clone();
+                (rid, RuleSpec { kind })
+            })
+            .collect()
     }
 
     /// The serialized size of the whole global set — §4.1's argument that
     /// shipping pattern sets (unlike DFAs) is cheap.
     pub fn transfer_bytes(&self) -> usize {
-        self.entries
-            .values()
-            .map(|e| match &e.rule {
-                RuleKind::Exact(p) => p.len() + 4,
-                RuleKind::Regex(s) => s.len() + 4,
-            })
-            .sum()
+        self.bytes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The store read by a scan over every entry: the reference the
+    /// running total and the per-middlebox index must equal (the oracle
+    /// test in `controller.rs`).
+    impl GlobalPatternSet {
+        pub(crate) fn transfer_bytes_by_scan(&self) -> usize {
+            self.entries.values().map(|e| wire_bytes(&e.rule)).sum()
+        }
+
+        /// Ties between references under one rule id (a middlebox that
+        /// reused the id for another pattern) are ordered by internal id.
+        pub(crate) fn rules_of_by_scan(&self, middlebox: MiddleboxId) -> Vec<(u16, RuleSpec)> {
+            let mut out = Vec::new();
+            for (id, entry) in &self.entries {
+                for &(m, rid) in &entry.refs {
+                    if m == middlebox {
+                        out.push((rid, *id, entry.rule.clone()));
+                    }
+                }
+            }
+            out.sort_by_key(|&(rid, id, _)| (rid, id));
+            out.into_iter()
+                .map(|(rid, _, kind)| (rid, RuleSpec { kind }))
+                .collect()
+        }
+    }
 
     const A: MiddleboxId = MiddleboxId(1);
     const B: MiddleboxId = MiddleboxId(2);

@@ -27,7 +27,6 @@
 
 use crate::controller::InstanceId;
 use dpi_core::{GenerationId, InstanceConfig, UpdateArtifact, UpdateError};
-use std::collections::HashMap;
 
 /// One deployed instance the orchestrator can push a generation to.
 ///
@@ -43,7 +42,7 @@ pub trait UpdateTarget {
     fn begin_update(&mut self, artifact: &UpdateArtifact) -> Result<GenerationId, UpdateError>;
 
     /// Returns to a previously-committed generation (its artifact is
-    /// re-shipped by the orchestrator, which keeps the history).
+    /// re-shipped by the orchestrator, which keeps the committed one).
     fn rollback(&mut self, artifact: &UpdateArtifact) -> Result<GenerationId, UpdateError>;
 }
 
@@ -91,15 +90,25 @@ impl RolloutReport {
     }
 }
 
+/// The generation the whole fleet last committed to — what a rollback
+/// re-ships.
+#[derive(Debug)]
+enum Committed {
+    /// Generation 0, kept as the configuration and serialized only when a
+    /// rollback needs it — most deployments never roll back their first
+    /// update.
+    Baseline(InstanceConfig),
+    /// The artifact of the last rollout the fleet accepted.
+    Artifact(UpdateArtifact),
+}
+
 /// Controller-side orchestrator for generation-versioned rule updates.
 #[derive(Debug)]
 pub struct UpdateOrchestrator {
     /// The next generation number to hand out.
     next_generation: GenerationId,
-    /// The last generation the whole fleet committed to.
-    committed: GenerationId,
-    /// Artifact history — rollback re-ships the committed generation.
-    artifacts: HashMap<GenerationId, UpdateArtifact>,
+    /// The only configuration or artifact the orchestrator holds.
+    committed: Committed,
     /// Optional structured-event tracer; the update lifecycle (prepare,
     /// canary pass, commit, rollback) is recorded against
     /// [`dpi_core::trace::TraceSource::Controller`].
@@ -111,12 +120,9 @@ impl UpdateOrchestrator {
     /// configuration the fleet was initially built from. Rollbacks of the
     /// very first update return to it.
     pub fn new(baseline: &InstanceConfig) -> UpdateOrchestrator {
-        let mut artifacts = HashMap::new();
-        artifacts.insert(0, UpdateArtifact::build(0, baseline));
         UpdateOrchestrator {
             next_generation: 1,
-            committed: 0,
-            artifacts,
+            committed: Committed::Baseline(baseline.clone()),
             tracer: None,
         }
     }
@@ -139,7 +145,6 @@ impl UpdateOrchestrator {
         self.next_generation += 1;
         let artifact = UpdateArtifact::build(generation, config);
         let transfer_bytes = artifact.transfer_bytes() as u64;
-        self.artifacts.insert(generation, artifact.clone());
         self.trace(dpi_core::trace::TraceKind::UpdatePrepared {
             generation,
             transfer_bytes,
@@ -154,7 +159,10 @@ impl UpdateOrchestrator {
     /// The last committed generation — what every instance serves once
     /// a rollout returns.
     pub fn committed_generation(&self) -> GenerationId {
-        self.committed
+        match &self.committed {
+            Committed::Baseline(_) => 0,
+            Committed::Artifact(artifact) => artifact.generation,
+        }
     }
 
     /// Rolls `prepared` across `targets` in stages: canary (first
@@ -201,7 +209,7 @@ impl UpdateOrchestrator {
 
         match failure {
             None => {
-                self.committed = prepared.generation;
+                self.committed = Committed::Artifact(prepared.artifact.clone());
                 self.trace(dpi_core::trace::TraceKind::UpdateCommitted {
                     generation: prepared.generation,
                     instances: targets.len() as u64,
@@ -215,22 +223,25 @@ impl UpdateOrchestrator {
                 }
             }
             Some(failure) => {
-                let previous = self
-                    .artifacts
-                    .get(&self.committed)
-                    .expect("committed generation always has an artifact")
-                    .clone();
+                let built;
+                let previous = match &self.committed {
+                    Committed::Baseline(config) => {
+                        built = UpdateArtifact::build(0, config);
+                        &built
+                    }
+                    Committed::Artifact(artifact) => artifact,
+                };
                 let mut updated_ids = Vec::new();
                 let mut rolled_back = Vec::new();
                 for &i in &updated {
                     updated_ids.push(targets[i].instance_id());
-                    if targets[i].rollback(&previous).is_ok() {
+                    if targets[i].rollback(previous).is_ok() {
                         rolled_back.push(targets[i].instance_id());
                     }
                 }
                 self.trace(dpi_core::trace::TraceKind::UpdateRolledBack {
                     generation: prepared.generation,
-                    to_generation: self.committed,
+                    to_generation: self.committed_generation(),
                 });
                 RolloutReport {
                     generation: prepared.generation,
@@ -255,6 +266,8 @@ mod tests {
         fail_on: Option<GenerationId>,
         /// Every generation this target ever served, in order.
         served: Vec<GenerationId>,
+        /// Every artifact a rollback shipped to this target, in order.
+        restored: Vec<UpdateArtifact>,
     }
 
     impl MockTarget {
@@ -264,6 +277,7 @@ mod tests {
                 generation: 0,
                 fail_on: None,
                 served: vec![0],
+                restored: Vec::new(),
             }
         }
     }
@@ -285,6 +299,7 @@ mod tests {
 
         fn rollback(&mut self, artifact: &UpdateArtifact) -> Result<GenerationId, UpdateError> {
             artifact.validate()?;
+            self.restored.push(artifact.clone());
             self.generation = artifact.generation;
             self.served.push(artifact.generation);
             Ok(artifact.generation)
@@ -386,5 +401,70 @@ mod tests {
         }
         assert_eq!(t.served, vec![0, 1, 2]);
         assert_eq!(orch.committed_generation(), 2);
+    }
+
+    #[test]
+    fn the_orchestrator_holds_only_the_committed_artifact() {
+        let mut orch = UpdateOrchestrator::new(&config_with(&["p0"]));
+        let mut t = MockTarget::new(0);
+        let mut pats = vec!["p0".to_string()];
+        let mut last = None;
+        for i in 1..=20 {
+            // A vetoed generation in between is not kept either.
+            let vetoed = orch.prepare(&config_with(&["veto"]));
+            assert!(!orch
+                .rollout(&vetoed, &mut [&mut t], &mut |_| false)
+                .committed());
+            pats.push(format!("p{i}"));
+            let p = orch.prepare(&config_with(
+                &pats.iter().map(String::as_str).collect::<Vec<_>>(),
+            ));
+            assert!(orch.rollout(&p, &mut [&mut t], &mut |_| true).committed());
+            last = Some(p);
+        }
+        let last = last.unwrap();
+        assert_eq!(orch.committed_generation(), 40);
+        // One artifact, the last committed one.
+        match &orch.committed {
+            Committed::Artifact(a) => {
+                assert_eq!(a.generation, last.generation);
+                assert_eq!(a.payload, last.artifact.payload);
+                assert_eq!(a.checksum, last.artifact.checksum);
+            }
+            Committed::Baseline(_) => panic!("generation 40 is committed, not the baseline"),
+        }
+        // Each vetoed generation went back to the commit before it.
+        let back: Vec<GenerationId> = t.restored.iter().map(|a| a.generation).collect();
+        assert_eq!(back, (0..20).map(|i| 2 * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_failed_first_rollout_reships_the_baseline_byte_for_byte() {
+        let baseline = config_with(&["old", "older"]);
+        let mut orch = UpdateOrchestrator::new(&baseline);
+        let (mut a, mut b) = (MockTarget::new(0), MockTarget::new(1));
+        let first = orch.prepare(&config_with(&["old", "new"]));
+        b.fail_on = Some(first.generation);
+        let report = orch.rollout(&first, &mut [&mut a, &mut b], &mut |_| true);
+        assert_eq!(report.outcome, RolloutOutcome::RolledBack);
+        let want = UpdateArtifact::build(0, &baseline);
+        assert_eq!(a.restored.len(), 1);
+        assert_eq!(a.restored[0].generation, want.generation);
+        assert_eq!(a.restored[0].payload, want.payload);
+        assert_eq!(a.restored[0].checksum, want.checksum);
+        assert!(matches!(orch.committed, Committed::Baseline(_)));
+
+        // Once a generation commits, a rollback re-ships that one.
+        let second = orch.prepare(&config_with(&["old", "new", "newer"]));
+        assert!(orch
+            .rollout(&second, &mut [&mut a, &mut b], &mut |_| true)
+            .committed());
+        let third = orch.prepare(&config_with(&["bad"]));
+        assert!(!orch
+            .rollout(&third, &mut [&mut a, &mut b], &mut |_| false)
+            .committed());
+        assert_eq!(a.restored.len(), 2);
+        assert_eq!(a.restored[1].payload, second.artifact.payload);
+        assert_eq!(a.restored[1].checksum, second.artifact.checksum);
     }
 }

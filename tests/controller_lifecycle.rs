@@ -6,7 +6,7 @@
 use dpi_service::ac::MiddleboxId;
 use dpi_service::controller::deploy::{plan_grouped, scale_decision, ScaleDecision};
 use dpi_service::controller::{ControllerMessage, ControllerReply, DpiController};
-use dpi_service::core::{DpiInstance, RuleSpec};
+use dpi_service::core::{DpiInstance, MiddleboxProfile, RuleSpec};
 use dpi_service::middlebox::ids;
 use dpi_service::packet::ipv4::IpProtocol;
 use dpi_service::packet::packet::flow;
@@ -14,6 +14,7 @@ use dpi_service::packet::{MacAddr, Packet};
 use dpi_service::traffic::trace::TraceConfig;
 use dpi_service::SystemBuilder;
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 fn register_json(c: &DpiController, id: u16, name: &str, stateful: bool) {
     let reply = c.handle_json(
@@ -142,6 +143,38 @@ fn pattern_transfer_size_is_compact() {
     assert!(
         transfer * 20 < dfa_bytes,
         "transfer {transfer} B should be far below the DFA's {dfa_bytes} B"
+    );
+}
+
+/// Registers `rules` through a fresh controller, split over middleboxes
+/// of at most 4,356 rules each (the benchmark's set), and returns the
+/// time it took.
+fn registration_time(rules: &[RuleSpec]) -> Duration {
+    let c = DpiController::new();
+    let start = Instant::now();
+    for (i, chunk) in rules.chunks(4356).enumerate() {
+        let id = MiddleboxId(i as u16 + 1);
+        c.register(id, "ids", None, MiddleboxProfile::stateless(id))
+            .unwrap();
+        for (r, rule) in chunk.iter().enumerate() {
+            c.add_pattern(id, r as u16, rule).unwrap();
+        }
+    }
+    start.elapsed()
+}
+
+#[test]
+fn registration_time_grows_linearly_with_the_rule_count() {
+    // Linear registration takes about 8x as long for 8x the rules; one
+    // that re-reads the whole store per rule takes about 64x.
+    let rules = |n| RuleSpec::exact_set(&dpi_service::traffic::snort_like(n, 42));
+    let (small, large) = (rules(2_000), rules(16_000));
+    let best = |r: &[RuleSpec]| (0..3).map(|_| registration_time(r)).min().unwrap();
+    let (t_small, t_large) = (best(&small), best(&large));
+    let ratio = t_large.as_secs_f64() / t_small.as_secs_f64();
+    assert!(
+        ratio < 24.0,
+        "16,000 rules took {t_large:?}, {ratio:.1}x the {t_small:?} of 2,000"
     );
 }
 
