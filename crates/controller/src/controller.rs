@@ -252,8 +252,11 @@ impl DpiController {
             return Err(ControllerError::UnknownMiddlebox(id.0));
         }
         let before = g.patterns.transfer_bytes();
-        g.patterns.remove(id, rule_id);
-        g.note_pattern_change(before);
+        // Removing a rule id the middlebox never registered changes
+        // nothing, so it logs no transfer record.
+        if g.patterns.remove(id, rule_id) {
+            g.note_pattern_change(before);
+        }
         Ok(())
     }
 
@@ -720,6 +723,23 @@ mod tests {
     }
 
     #[test]
+    fn removing_an_unregistered_rule_logs_no_transfer_record() {
+        let c = DpiController::new();
+        register(&c, 1, "ids");
+        c.add_pattern(MiddleboxId(1), 0, &RuleSpec::exact(b"12345678".to_vec()))
+            .unwrap();
+        // Rule 7 was never registered, and rule 0 is gone after the
+        // first removal: neither later call changes the store.
+        c.remove_pattern(MiddleboxId(1), 7).unwrap();
+        c.remove_pattern(MiddleboxId(1), 0).unwrap();
+        c.remove_pattern(MiddleboxId(1), 0).unwrap();
+        let log = c.pattern_transfer_deltas();
+        assert_eq!(log.len(), 2, "{log:?}");
+        assert_eq!(log[1].delta_bytes, -log[0].delta_bytes);
+        assert_eq!(log[1].total_bytes, 0);
+    }
+
+    #[test]
     fn deregistration_cleans_chains_and_patterns() {
         let c = DpiController::new();
         register(&c, 1, "a");
@@ -790,7 +810,16 @@ mod tests {
                         ok && inherits
                     }
                     Op::Add(m, r, spec) => c.add_pattern(MiddleboxId(*m), *r, spec).is_ok(),
-                    Op::Remove(m, r) => c.remove_pattern(MiddleboxId(*m), *r).is_ok(),
+                    Op::Remove(m, r) => {
+                        let held = c
+                            .inner
+                            .lock()
+                            .patterns
+                            .rules_of_by_scan(MiddleboxId(*m))
+                            .iter()
+                            .any(|(rid, _)| rid == r);
+                        c.remove_pattern(MiddleboxId(*m), *r).is_ok() && held
+                    }
                     Op::Deregister(m) => c.deregister(MiddleboxId(*m)).is_ok(),
                 };
                 let g = c.inner.lock();

@@ -49,14 +49,16 @@
 //!
 //! The reassembler is otherwise deliberately conservative:
 //!
-//! * out-of-order segments are buffered (bounded) until the gap fills,
-//!   trimmed against already-pending ranges so overlap bytes are stored
-//!   and accounted once;
-//! * sequence numbers wrap mod 2³², handled with serial-number
-//!   comparisons; a distance of exactly 2³¹ — ambiguous under RFC 1982,
-//!   both comparisons false — is treated as *future* data everywhere
-//!   (buffered, never trimmed or drained as stale), so `push` and
-//!   `drain_pending` agree.
+//! * out-of-order segments are buffered (bounded in bytes and in pieces)
+//!   until the gap fills, trimmed against already-pending ranges so
+//!   overlap bytes are stored and accounted once;
+//! * sequence numbers wrap mod 2³²; `push` converts each segment's
+//!   sequence number once, by its serial distance from `next_seq`, into
+//!   a stream offset (bytes since the stream start), and pending data is
+//!   keyed by that offset, so map order is stream order and every
+//!   overlap, eviction and drain is a range query. A distance of exactly
+//!   2³¹ — ambiguous under RFC 1982 — is treated as *future* data
+//!   (buffered, never trimmed as delivered).
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -94,30 +96,31 @@ pub const CONFLICT_HISTORY: usize = 8192;
 /// many per flow between drains; further conflicts are still counted.
 const MAX_CONFLICT_STASH: usize = 32;
 
-/// Comparison of 32-bit sequence numbers with wraparound (RFC 1982
-/// serial-number arithmetic). At a distance of exactly 2³¹ the relation
-/// is undefined (both `seq_lt(a, b)` and `seq_lt(b, a)` are false); this
-/// module's convention is that such a segment is *ahead* (future data).
-fn seq_lt(a: u32, b: u32) -> bool {
-    a != b && b.wrapping_sub(a) < (1 << 31)
-}
+/// Out-of-order pieces one reassembler holds at most, whatever their
+/// size: 1 MiB of capacity in 256-byte pieces, well above a full 1 MiB
+/// window at any real MSS. Past it the oldest piece is evicted, as under
+/// the byte bound, so a flood of tiny gapped segments costs a bounded
+/// number of map nodes rather than one per byte of capacity.
+const MAX_PENDING_PIECES: usize = 4096;
 
 /// One direction of one TCP connection.
 #[derive(Debug)]
 pub struct StreamReassembler {
     /// The next in-order sequence number the consumer expects.
     next_seq: u32,
-    /// Out-of-order segments keyed by (wrapped) start sequence.
-    /// Invariant: every key is serially *strictly ahead* of `next_seq`
-    /// (the ambiguous 2³¹ distance counts as ahead), and stored ranges
-    /// never overlap — overlaps are resolved at insert time.
-    pending: BTreeMap<u32, Vec<u8>>,
+    /// Out-of-order pieces keyed by stream offset (bytes since the
+    /// stream start; `delivered` is the offset of `next_seq`), so map
+    /// order is stream order. Invariant: every key is strictly greater
+    /// than `delivered`, and stored ranges never overlap — overlaps are
+    /// resolved at insert time.
+    pending: BTreeMap<u64, Vec<u8>>,
     /// Bytes currently buffered out of order.
     buffered: usize,
-    /// Buffering bound; beyond it, the *oldest* pending data (serially
-    /// closest to `next_seq`) is evicted to make room — the scanner then
-    /// sees a gap there, exactly as a middlebox behind a lossy tap
-    /// would, while the freshest data stays buffered for gap recovery.
+    /// Buffering bound; beyond it (or beyond [`MAX_PENDING_PIECES`]),
+    /// the *oldest* pending data (closest to `next_seq`) is evicted to
+    /// make room — the scanner then sees a gap there, exactly as a
+    /// middlebox behind a lossy tap would, while the freshest data stays
+    /// buffered for gap recovery.
     capacity: usize,
     /// Conflict resolution policy.
     policy: ConflictPolicy,
@@ -127,7 +130,7 @@ pub struct StreamReassembler {
     conflict_stash: Vec<Vec<u8>>,
     /// Set once a conflict fires under [`ConflictPolicy::RejectFlow`].
     quarantined: bool,
-    /// Total bytes delivered in order.
+    /// Total bytes delivered in order: the stream offset of `next_seq`.
     delivered: u64,
     /// Incoming segments discarded outright (larger than the whole
     /// buffer).
@@ -255,73 +258,67 @@ impl StreamReassembler {
     /// Feeds one segment; returns every in-order byte run that became
     /// deliverable (usually zero or one run, more when a gap fills).
     pub fn push(&mut self, seq: u32, payload: &[u8]) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
         if payload.is_empty() || self.quarantined {
-            return Vec::new();
+            return out;
         }
-        let mut seq = seq;
-        let mut payload = payload.to_vec();
-
-        // Retransmission handling: the part we already delivered is
-        // committed (it has been scanned), so it is trimmed — but first
-        // byte-verified against the retained history. A divergent copy is
-        // a conflict; under FirstWins its payload is stashed for a
-        // shadow scan, under RejectFlow it quarantines.
-        if seq_lt(seq, self.next_seq) {
-            let skip = (self.next_seq.wrapping_sub(seq) as usize).min(payload.len());
-            if self.delivered_overlap_conflicts(seq, &payload[..skip]) {
-                self.on_conflict(payload.clone());
+        let mut payload = payload;
+        // The one serial-number conversion: everything below works in
+        // stream offsets. A distance past 2³¹ is behind `next_seq`;
+        // exactly 2³¹ counts as ahead (future data).
+        let mut ahead = seq.wrapping_sub(self.next_seq);
+        if ahead > 1 << 31 {
+            // Retransmission: the part we already delivered is committed
+            // (it has been scanned), so it is trimmed — but first
+            // byte-verified against the retained history. A divergent
+            // copy is a conflict; under FirstWins its payload is stashed
+            // for a shadow scan, under RejectFlow it quarantines.
+            let back = self.next_seq.wrapping_sub(seq) as usize;
+            let skip = back.min(payload.len());
+            if self.delivered_overlap_conflicts(back, &payload[..skip]) {
+                self.on_conflict(payload.to_vec());
                 if self.quarantined {
-                    return Vec::new();
+                    return out;
                 }
             }
-            if skip >= payload.len() {
-                return Vec::new(); // fully duplicate
+            payload = &payload[skip..];
+            if payload.is_empty() {
+                return out; // fully duplicate
             }
-            payload.drain(..skip);
-            seq = self.next_seq;
+            ahead = 0;
         }
-
-        if seq == self.next_seq {
-            // In order — but the payload may cover ranges already
-            // buffered out of order. Those pending copies arrived
-            // *first*, so a byte divergence is a conflict exactly like a
-            // divergent retransmission (the evasion shape: hide a
-            // pattern in a buffered copy, then pave over it with an
-            // innocuous in-order segment). Verify before delivering.
-            let Some(payload) = self.resolve_inorder_overlaps(payload) else {
-                return Vec::new(); // quarantined
-            };
-            let mut out = Vec::new();
-            self.next_seq = seq.wrapping_add(payload.len() as u32);
-            self.delivered += payload.len() as u64;
-            self.remember(&payload);
-            out.push(payload);
-            out.extend(self.drain_pending());
-            out
-        } else {
-            // Out of order (strictly ahead, by the 2³¹ convention):
-            // resolve overlaps against already-pending ranges at insert
-            // time, so every byte is stored and accounted exactly once.
-            self.insert_pending(seq, payload);
-            Vec::new()
+        if ahead > 0 {
+            // Out of order: resolve overlaps against already-pending
+            // ranges at insert time, so every byte is stored and
+            // accounted exactly once.
+            self.insert_pending(self.delivered + u64::from(ahead), payload);
+            return out;
         }
+        // In order — but the payload may cover ranges already buffered
+        // out of order. Those pending copies arrived *first*, so a byte
+        // divergence is a conflict exactly like a divergent
+        // retransmission (the evasion shape: hide a pattern in a
+        // buffered copy, then pave over it with an innocuous in-order
+        // segment). Verify before delivering.
+        if let Some(run) = self.resolve_inorder_overlaps(payload.to_vec()) {
+            self.deliver(run, &mut out);
+            self.drain_pending(&mut out);
+        }
+        out
     }
 
-    /// Byte-compares `overlap` (starting at sequence `seq`, entirely
-    /// behind `next_seq`) against the retained delivered history. Returns
-    /// `(diverges, unverifiable)`: whether any comparable byte differs,
-    /// and whether any byte was older than the history horizon.
-    fn history_check(&self, seq: u32, overlap: &[u8]) -> (bool, bool) {
+    /// Byte-compares `overlap`, whose first byte lies `back` bytes behind
+    /// `next_seq` and whose every byte is behind it, against the retained
+    /// delivered history. Returns `(diverges, unverifiable)`: whether any
+    /// comparable byte differs, and whether any byte was older than the
+    /// history horizon.
+    fn history_check(&self, back: usize, overlap: &[u8]) -> (bool, bool) {
         let mut unverifiable = false;
         for (i, &b) in overlap.iter().enumerate() {
-            // Distance of this byte behind next_seq (≥ 1 within overlap).
-            let back = self.next_seq.wrapping_sub(seq.wrapping_add(i as u32)) as usize;
-            if back == 0 || back > self.history.len() {
-                unverifiable = true;
-                continue;
-            }
-            if self.history[self.history.len() - back] != b {
-                return (true, unverifiable);
+            match self.history.len().checked_sub(back - i) {
+                None => unverifiable = true,
+                Some(at) if self.history[at] != b => return (true, unverifiable),
+                Some(_) => {}
             }
         }
         (false, unverifiable)
@@ -331,8 +328,8 @@ impl StreamReassembler {
     /// what was actually delivered. Positions older than the retained
     /// history cannot be verified: `FirstWins` gives them the benefit of
     /// the doubt, `RejectFlow` refuses to guess.
-    fn delivered_overlap_conflicts(&self, seq: u32, overlap: &[u8]) -> bool {
-        let (diverges, unverifiable) = self.history_check(seq, overlap);
+    fn delivered_overlap_conflicts(&self, back: usize, overlap: &[u8]) -> bool {
+        let (diverges, unverifiable) = self.history_check(back, overlap);
         diverges || (unverifiable && self.policy == ConflictPolicy::RejectFlow)
     }
 
@@ -344,24 +341,13 @@ impl StreamReassembler {
     /// stashed; under `RejectFlow` the flow quarantines. Returns the
     /// canonical bytes to deliver, or `None` when quarantined.
     fn resolve_inorder_overlaps(&mut self, mut payload: Vec<u8>) -> Option<Vec<u8>> {
-        let new_end = payload.len() as u64;
-        // Every pending key is strictly ahead of next_seq (distance in
-        // (0, 2³¹]); it overlaps the payload iff that distance is inside
-        // the payload.
-        let divergent: Vec<u32> = self
-            .pending
-            .iter()
-            .filter(|(&s, data)| {
-                let ps = u64::from(s.wrapping_sub(self.next_seq));
-                if ps >= new_end {
-                    return false;
-                }
-                let hi = (ps + data.len() as u64).min(new_end);
-                data[..(hi - ps) as usize] != payload[ps as usize..hi as usize]
-            })
-            .map(|(&s, _)| s)
-            .collect();
-        if divergent.is_empty() {
+        let (start, end) = (self.delivered, self.delivered + payload.len() as u64);
+        let diverges = self.pending.range(start..end).any(|(&s, data)| {
+            let at = (s - start) as usize;
+            let n = data.len().min(payload.len() - at);
+            data[..n] != payload[at..at + n]
+        });
+        if !diverges {
             // Equal overlaps (or none): the stale parts are consumed by
             // drain_pending, which re-verifies them against history.
             return Some(payload);
@@ -374,11 +360,10 @@ impl StreamReassembler {
         }
         // The buffered (earlier) copy of each byte is canonical: overlay
         // it onto the arriving segment.
-        for s in divergent {
-            let data = &self.pending[&s];
-            let ps = u64::from(s.wrapping_sub(self.next_seq));
-            let hi = (ps + data.len() as u64).min(new_end);
-            payload[ps as usize..hi as usize].copy_from_slice(&data[..(hi - ps) as usize]);
+        for (&s, data) in self.pending.range(start..end) {
+            let at = (s - start) as usize;
+            let n = data.len().min(payload.len() - at);
+            payload[at..at + n].copy_from_slice(&data[..n]);
         }
         Some(payload)
     }
@@ -397,6 +382,15 @@ impl StreamReassembler {
         }
     }
 
+    /// Delivers one in-order run: advances `next_seq` and the stream
+    /// offset, and appends the bytes to the verification history.
+    fn deliver(&mut self, run: Vec<u8>, out: &mut Vec<Vec<u8>>) {
+        self.next_seq = self.next_seq.wrapping_add(run.len() as u32);
+        self.delivered += run.len() as u64;
+        self.remember(&run);
+        out.push(run);
+    }
+
     /// Appends delivered bytes to the bounded verification history.
     fn remember(&mut self, bytes: &[u8]) {
         if bytes.len() >= CONFLICT_HISTORY {
@@ -410,142 +404,95 @@ impl StreamReassembler {
         self.history.extend(bytes);
     }
 
-    /// Inserts an out-of-order segment, resolving overlaps with pending
-    /// data: the first copy of each byte wins, so only the parts of the
-    /// new segment no pending range covers are stored, and differing
-    /// overlap bytes make the arriving copy a conflict's loser. All
-    /// coordinates are relative to `next_seq` (every pending range is
-    /// strictly ahead, distance in `(0, 2³¹]`), so ranges compare
-    /// correctly across the 2³² wrap.
-    fn insert_pending(&mut self, seq: u32, payload: Vec<u8>) {
-        let new_start = u64::from(seq.wrapping_sub(self.next_seq));
-        let new_end = new_start + payload.len() as u64;
-
-        // Byte-compare every overlapping pending range.
+    /// Inserts an out-of-order segment starting at stream offset `start`,
+    /// resolving overlaps with pending data: the first copy of each byte
+    /// wins, so only the parts of the new segment no pending range covers
+    /// are stored, and differing overlap bytes make the arriving copy a
+    /// conflict's loser.
+    fn insert_pending(&mut self, start: u64, payload: &[u8]) {
+        let end = start + payload.len() as u64;
+        // Stored ranges are disjoint and sorted, so their ends ascend:
+        // walking back from the last range that starts before `end`,
+        // the overlaps are exactly those that end past `start`.
         let mut conflict = false;
-        let mut overlapping: Vec<u32> = Vec::new();
-        for (&s, data) in &self.pending {
-            let ps = u64::from(s.wrapping_sub(self.next_seq));
-            let pe = ps + data.len() as u64;
-            if ps >= new_end || new_start >= pe {
-                continue;
+        let mut covered: Vec<(u64, u64)> = Vec::new();
+        for (&s, data) in self.pending.range(..end).rev() {
+            let e = s + data.len() as u64;
+            if e <= start {
+                break;
             }
-            overlapping.push(s);
-            let lo = ps.max(new_start);
-            let hi = pe.min(new_end);
-            conflict |= data[(lo - ps) as usize..(hi - ps) as usize]
-                != payload[(lo - new_start) as usize..(hi - new_start) as usize];
+            let (lo, hi) = (s.max(start), e.min(end));
+            conflict |= data[(lo - s) as usize..(hi - s) as usize]
+                != payload[(lo - start) as usize..(hi - start) as usize];
+            covered.push((lo, hi));
         }
         if conflict {
-            self.on_conflict(payload.clone());
+            self.on_conflict(payload.to_vec());
             if self.quarantined {
                 return;
             }
         }
-
-        // Store only the parts of the new segment no pending range
-        // already covers.
-        let mut holes: Vec<(u64, u64)> = vec![(new_start, new_end)];
-        for s in overlapping {
-            let data = &self.pending[&s];
-            let ps = u64::from(s.wrapping_sub(self.next_seq));
-            let pe = ps + data.len() as u64;
-            let mut next = Vec::new();
-            for (lo, hi) in holes {
-                if pe <= lo || ps >= hi {
-                    next.push((lo, hi));
-                    continue;
-                }
-                if lo < ps {
-                    next.push((lo, ps));
-                }
-                if pe < hi {
-                    next.push((pe, hi));
-                }
+        // Store only the holes between the covered ranges, in stream
+        // order.
+        let mut at = start;
+        for (lo, hi) in covered.into_iter().rev().chain([(end, end)]) {
+            if at < lo {
+                self.store_piece(at, &payload[(at - start) as usize..(lo - start) as usize]);
             }
-            holes = next;
-        }
-        for (lo, hi) in holes {
-            let piece_seq = self.next_seq.wrapping_add(lo as u32);
-            self.store_piece(
-                piece_seq,
-                payload[(lo - new_start) as usize..(hi - new_start) as usize].to_vec(),
-            );
+            at = hi;
         }
     }
 
-    /// Stores one non-overlapping pending piece, evicting under the
-    /// capacity bound.
-    fn store_piece(&mut self, seq: u32, piece: Vec<u8>) {
-        if piece.is_empty() {
-            return;
-        }
+    /// Stores one non-overlapping pending piece at stream offset `at`,
+    /// evicting the oldest pieces under the byte and piece bounds.
+    fn store_piece(&mut self, at: u64, piece: &[u8]) {
         if piece.len() > self.capacity {
             // Can never fit, even with an empty buffer.
             self.dropped_segments += 1;
             return;
         }
-        while self.buffered + piece.len() > self.capacity {
-            // Evict the oldest pending data: serially closest to
-            // `next_seq`, i.e. the earliest bytes in stream order.
-            let oldest = self
+        while self.buffered + piece.len() > self.capacity
+            || self.pending.len() >= MAX_PENDING_PIECES
+        {
+            let (_, data) = self
                 .pending
-                .keys()
-                .copied()
-                .min_by_key(|&s| s.wrapping_sub(self.next_seq))
-                .expect("buffered > 0 implies pending segments exist");
-            let data = self.pending.remove(&oldest).expect("key just found");
+                .pop_first()
+                .expect("a bound is exceeded only while pieces are pending");
             self.buffered -= data.len();
             self.evicted_bytes += data.len() as u64;
             self.evicted_segments += 1;
         }
         self.buffered += piece.len();
-        self.pending.insert(seq, piece);
+        self.pending.insert(at, piece.to_vec());
     }
 
-    fn drain_pending(&mut self) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        loop {
-            // Find the pending segment serially closest at-or-behind
-            // next_seq. BTreeMap ordering is by wrapped u32, which is
-            // wrong across the 2³² boundary, so compare in RFC 1982
-            // serial order: smallest wrapping distance behind next_seq.
-            // The ambiguous exactly-2³¹ distance counts as *ahead* (the
-            // same convention `push` uses), so such a segment stays
-            // buffered instead of being misread as stale.
-            let candidate = self
-                .pending
-                .keys()
-                .copied()
-                .filter(|&s| s == self.next_seq || seq_lt(s, self.next_seq))
-                .min_by_key(|&s| self.next_seq.wrapping_sub(s));
-            let Some(start) = candidate else { break };
-            let data = self.pending.remove(&start).expect("key just found");
+    /// Delivers every pending piece that delivery has reached, in stream
+    /// order, until the next gap.
+    fn drain_pending(&mut self, out: &mut Vec<Vec<u8>>) {
+        while let Some(entry) = self.pending.first_entry() {
+            let start = *entry.key();
+            if start > self.delivered {
+                break;
+            }
+            let mut data = entry.remove();
             self.buffered -= data.len();
-            let skip = (self.next_seq.wrapping_sub(start) as usize).min(data.len());
+            let back = (self.delivered - start) as usize;
+            let skip = back.min(data.len());
             // A stale prefix must byte-match what was actually delivered
             // (the in-order path verifies overlaps before delivery, so a
             // divergence here means some path skipped that check). Route
             // it through the conflict machinery, never discard silently.
-            if skip > 0 {
-                let (diverges, _) = self.history_check(start, &data[..skip]);
-                if diverges {
-                    self.on_conflict(data.clone());
-                    if self.quarantined {
-                        return out;
-                    }
+            if skip > 0 && self.history_check(back, &data[..skip]).0 {
+                self.on_conflict(data.clone());
+                if self.quarantined {
+                    return;
                 }
             }
-            if skip >= data.len() {
-                continue; // fully stale, verified above
+            data.drain(..skip);
+            if !data.is_empty() {
+                self.deliver(data, out);
             }
-            let fresh = data[skip..].to_vec();
-            self.next_seq = self.next_seq.wrapping_add(fresh.len() as u32);
-            self.delivered += fresh.len() as u64;
-            self.remember(&fresh);
-            out.push(fresh);
         }
-        out
     }
 }
 
@@ -902,12 +849,31 @@ mod tests {
         assert_eq!(r.buffered(), 8);
         assert!(r.push(7, b"new2").is_empty()); // forces eviction of one segment
         assert_eq!(r.evicted_segments(), 1);
+        // Stream offsets from `start`: u32::MAX - 5 is 5, 3 is 14, 7 is 18.
         assert!(
-            !r.pending.contains_key(&(u32::MAX - 5)),
+            !r.pending.contains_key(&5),
             "serially-oldest segment must be evicted, not the post-wrap one"
         );
-        assert!(r.pending.contains_key(&3));
-        assert!(r.pending.contains_key(&7));
+        assert!(r.pending.contains_key(&14));
+        assert!(r.pending.contains_key(&18));
+    }
+
+    #[test]
+    fn piece_bound_evicts_oldest_gapped_pieces() {
+        // 10,000 gapped 1-byte pieces fit the byte capacity many times
+        // over; the piece bound still holds, and every piece past it is
+        // counted as evicted, oldest first.
+        let mut r = StreamReassembler::new(0, 1 << 20);
+        for i in 0..10_000u32 {
+            assert!(r.push(2 * i + 1, b"x").is_empty());
+        }
+        assert_eq!(r.pending.len(), MAX_PENDING_PIECES);
+        assert_eq!(r.buffered(), MAX_PENDING_PIECES);
+        let evicted = 10_000 - MAX_PENDING_PIECES as u64;
+        assert_eq!(r.evicted_segments(), evicted);
+        assert_eq!(r.evicted_bytes(), evicted);
+        assert_eq!(r.dropped_segments(), 0);
+        assert_eq!(r.pending.keys().next(), Some(&(2 * evicted + 1)));
     }
 
     #[test]

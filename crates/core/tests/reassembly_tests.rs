@@ -2,7 +2,7 @@
 //! streams once and scans in order, regardless of segment arrival order.
 
 use dpi_core::report::expand_records;
-use dpi_core::StreamReassembler;
+use dpi_core::{ConflictPolicy, StreamReassembler};
 use dpi_core::{DpiInstance, InstanceConfig, MiddleboxId, MiddleboxProfile, RuleSpec};
 use dpi_packet::ipv4::IpProtocol;
 use dpi_packet::packet::flow;
@@ -180,8 +180,100 @@ fn reassemble_shuffled(initial_seq: u32, stream: &[u8], seed: u64) -> Vec<u8> {
     delivered
 }
 
+/// Copies of `stream` as `(offset, bytes)` in arrival order: a disjoint
+/// cover of the whole stream plus random overlapping copies, some of them
+/// exact duplicates of earlier ones and some with flipped bytes, shuffled.
+fn divergent_copies(stream: &[u8], seed: u64) -> Vec<(usize, Vec<u8>)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut copies = Vec::new();
+    let mut off = 0usize;
+    while off < stream.len() {
+        let len = rng.gen_range(1usize..=32).min(stream.len() - off);
+        copies.push((off, stream[off..off + len].to_vec()));
+        off += len;
+    }
+    for _ in 0..rng.gen_range(0usize..=24) {
+        if rng.gen_bool(0.3) {
+            let dup = copies[rng.gen_range(0..copies.len())].clone();
+            copies.push(dup);
+            continue;
+        }
+        let off = rng.gen_range(0..stream.len());
+        let len = rng.gen_range(1usize..=48).min(stream.len() - off);
+        let mut bytes = stream[off..off + len].to_vec();
+        if rng.gen_bool(0.3) {
+            let at = rng.gen_range(0..len);
+            bytes[at] ^= rng.gen_range(1u8..=255);
+        }
+        copies.push((off, bytes));
+    }
+    for i in (1..copies.len()).rev() {
+        let j = rng.gen_range(0usize..=i);
+        copies.swap(i, j);
+    }
+    copies
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Overlapping, duplicated and byte-divergent copies in random order
+    /// across the 2³² wrap, against a model that keeps the first copy of
+    /// each byte. Under `FirstWins` the delivered stream is always the
+    /// model's contiguous prefix, and the conflict count grows on exactly
+    /// the pushes that carry a byte differing from its first copy. Under
+    /// `RejectFlow` the first such push quarantines the flow, and nothing
+    /// is delivered from then on. The stream stays inside
+    /// `CONFLICT_HISTORY`, so every retransmitted byte is verifiable.
+    #[test]
+    fn divergent_overlaps_follow_a_first_copy_model(
+        back_off in 0u32..512,
+        stream_len in 1usize..600,
+        seed in any::<u64>(),
+    ) {
+        let initial_seq = u32::MAX.wrapping_sub(back_off);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xd1ff);
+        let mut stream = vec![0u8; stream_len];
+        rng.fill(&mut stream[..]);
+        let copies = divergent_copies(&stream, seed);
+
+        let mut first_wins = StreamReassembler::new(initial_seq, 1 << 20);
+        let mut reject =
+            StreamReassembler::with_policy(initial_seq, 1 << 20, ConflictPolicy::RejectFlow);
+        let mut model: Vec<Option<u8>> = vec![None; stream_len];
+        let mut delivered = Vec::new();
+        let mut rejected = Vec::new();
+        let mut diverged = false;
+        for (off, bytes) in &copies {
+            let seq = initial_seq.wrapping_add(*off as u32);
+            let differs = bytes
+                .iter()
+                .zip(&model[*off..])
+                .any(|(b, first)| first.is_some_and(|f| f != *b));
+            for (b, first) in bytes.iter().zip(&mut model[*off..]) {
+                first.get_or_insert(*b);
+            }
+            let prefix: Vec<u8> = model.iter().map_while(|b| *b).collect();
+
+            let conflicts = first_wins.conflicts();
+            delivered.extend(first_wins.push(seq, bytes).concat());
+            prop_assert_eq!(&delivered, &prefix);
+            prop_assert_eq!(first_wins.conflicts() > conflicts, differs);
+
+            let runs = reject.push(seq, bytes).concat();
+            diverged |= differs;
+            prop_assert_eq!(reject.quarantined(), diverged);
+            if diverged {
+                prop_assert!(runs.is_empty(), "a quarantined flow delivered {} B", runs.len());
+            } else {
+                rejected.extend(runs);
+                prop_assert_eq!(&rejected, &prefix);
+            }
+        }
+        prop_assert_eq!(first_wins.conflicts() > 0, diverged);
+        prop_assert_eq!(first_wins.delivered(), stream_len as u64);
+        prop_assert_eq!(reject.delivered(), rejected.len() as u64);
+    }
 
     /// Regression for the serial-order drain bug: segments shuffled
     /// across the 2³² sequence wrap must still reassemble into exactly

@@ -8,7 +8,7 @@ use dpi_service::core::instance::{ScanEngine, ShardState};
 use dpi_service::core::report::expand_records;
 use dpi_service::core::{
     ConflictPolicy, DpiInstance, InstanceConfig, L7Action, L7Policy, L7Protocol, MiddleboxId,
-    MiddleboxProfile, ProtocolPolicy, RuleSpec, Telemetry,
+    MiddleboxProfile, ProtocolPolicy, RuleSpec, StreamReassembler, Telemetry,
 };
 use dpi_service::middlebox::ids;
 use dpi_service::packet::ipv4::IpProtocol;
@@ -16,6 +16,7 @@ use dpi_service::packet::packet::flow;
 use dpi_service::packet::{FlowKey, MacAddr, Packet};
 use dpi_service::{SystemBuilder, TraceKind, TraceSource, Tracer};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const IDS: MiddleboxId = MiddleboxId(1);
 const CHAIN: u16 = 1;
@@ -247,4 +248,33 @@ fn system_builder_threads_the_policy_and_exports_the_metrics() {
     let text = system.metrics_text();
     assert!(text.contains("dpi_reassembly_conflicts_total"));
     assert!(text.contains("dpi_flows_quarantined_total"));
+}
+
+/// Pushes `n` gapped 1-byte segments into one reassembler (every other
+/// byte, each out of order), then one in-order segment covering them all,
+/// and returns the time it took.
+fn gapped_pieces_time(n: u32) -> Duration {
+    let start = Instant::now();
+    let mut r = StreamReassembler::new(0, 1 << 20);
+    for i in 0..n {
+        assert!(r.push(2 * i + 1, b"x").is_empty());
+    }
+    let runs = r.push(0, &vec![b'x'; 2 * n as usize]);
+    assert_eq!(runs.concat().len(), 2 * n as usize);
+    assert_eq!(r.conflicts(), 0);
+    start.elapsed()
+}
+
+#[test]
+fn gapped_segments_cost_the_same_per_piece_at_any_count() {
+    // A reassembler whose per-segment cost is O(log n) in the pieces it
+    // holds takes about 8x as long for 8x the pieces; one that walks
+    // every pending piece per segment takes about 64x.
+    let best = |n| (0..3).map(|_| gapped_pieces_time(n)).min().unwrap();
+    let (t_small, t_large) = (best(2_000), best(16_000));
+    let ratio = t_large.as_secs_f64() / t_small.as_secs_f64();
+    assert!(
+        ratio < 24.0,
+        "16,000 pieces took {t_large:?}, {ratio:.1}x the {t_small:?} of 2,000"
+    );
 }
