@@ -123,24 +123,21 @@ impl CombinedAcBuilder {
         self.transfer_bytes
     }
 
-    /// Flattens a clone of the trie (so the builder can keep accepting
-    /// incremental updates and rebuild — the controller's pattern
+    /// Lays the trie out, reading it only, so the builder can keep
+    /// accepting incremental updates and rebuild (the controller's pattern
     /// add/remove path rebuilds affected instances).
     fn table(&self, wide: bool) -> FullAc {
-        let mut trie = self.trie.clone();
-        let order = trie.build_failure_links();
-        FullAc::from_trie(&trie, &order, wide)
+        FullAc::from_trie(&self.trie, wide)
     }
 
-    /// Builds the full-table DFA with the paper's 4-byte cells whatever
-    /// the state count — the reference the property tests compare
-    /// against and the representation Table 2's Space column reports.
+    /// Builds the automaton with the paper's 4-byte cells whatever the
+    /// state count — the reference the property tests compare against.
     pub fn build_full(&self) -> FullAc {
         self.table(true)
     }
 
-    /// Builds the full-table DFA the data plane runs by default: `u16`
-    /// cells below 2¹⁶ states (half the table bytes, for cache
+    /// Builds the automaton the data plane runs by default: `u16` cells
+    /// below 2¹⁶ states (half the row and record bytes, for cache
     /// residency), `u32` cells otherwise, under the lane-interleaved scan
     /// loop.
     pub fn build_auto(&self) -> CombinedAc {

@@ -1,9 +1,9 @@
-//! The combined automaton as the data plane holds it: the one full
-//! table plus the loop that walks it.
+//! The combined automaton as the data plane holds it: the one table
+//! (hot rows and cold records) plus the loop that walks it.
 //!
 //! [`CombinedAc`] is what [`crate::CombinedAcBuilder::build_auto`] and
 //! [`crate::CombinedAcBuilder::build_kernel`] return. The table — §5.1's
-//! metadata and the transition cells at their natural width — is the
+//! metadata and the rows and records at their natural width — is the
 //! same for both [`KernelKind`]s; the kind only chooses how a payload is
 //! walked over it: the lane-interleaved loop, or the plain reference
 //! loop the verdict checks compare it against. Callers scan through the

@@ -1,36 +1,115 @@
-//! The full-table DFA — the paper's primary representation (§3, §5.1).
+//! The automaton's one table: a 256-cell row only where the scan falls
+//! back, and one small record for every other state (DESIGN.md §12).
 //!
-//! Every state has a 256-entry transition row, so scanning is one indexed
-//! load per input byte. Accepting states are renumbered to `{0..f-1}` so
-//! the accepting test is `state < f` ("it is also possible to check whether
-//! the state ID is less than a predefined constant whose value is the
-//! number of accepting states", §5.1) and the match table is a
-//! direct-access array indexed by the accepting state id.
+//! A full-table DFA (§3) gives every state a 256-entry row. But almost
+//! every state of a merged rule set is a link deep in one pattern's
+//! chain, and its row is its failure state's row except for one cell. So
+//! only the *hot* states keep a row: the root, every state of depth ≤ 2,
+//! every failure target, every state with more than one goto edge and
+//! every state of depth 3 that more than one pattern passes through.
+//! Every other, *cold*, state keeps a record of its one goto byte, its
+//! child and its failure state, which is hot. A leaf stores its failure
+//! row's byte-0 cell as its edge, which is exact. A cold step is one
+//! record load, one compare and at most one row load, and it never walks
+//! a failure chain, so no input costs more than two table loads a byte.
 //!
-//! The row cells are `u16` when every state id fits (below 2¹⁶ states)
-//! and `u32` otherwise. The table is the dominant allocation (512 B or
-//! 1 KiB per state) and the scan is bound by its dependent load, so the
-//! narrow cells are worth their cache residency whenever they are
-//! possible (§6's space discussion); nothing else about the automaton
-//! depends on the width.
+//! Accepting states are numbered `{0..f-1}`, so the accepting test is
+//! `state < f` ("it is also possible to check whether the state ID is
+//! less than a predefined constant whose value is the number of accepting
+//! states", §5.1) and the match table is a direct-access array indexed by
+//! the accepting state id. Inside the table the states sit in a rotation
+//! of that numbering, their *code*: the hot states that accept nothing
+//! first, from the root at 0, then the hot accepting, the cold accepting
+//! and the other cold states. A hot state's row is its code, and a single
+//! compare per byte tells the scan loop that no lane left the hot states
+//! that accept nothing.
+//!
+//! The cells are `u16` when every state fits (below 2¹⁶ states) and `u32`
+//! otherwise; nothing else about the automaton depends on the width.
 
 use crate::kernel::{DepthGrid, DepthSamples, ScanKernel};
 use crate::prefilter::PrefixFilter;
 use crate::trie::Trie;
 use crate::{Automaton, MatchEntry, StateId};
 
-/// The transition table, `state * 256 + byte -> next state` in the
-/// renumbered id space, at its cell width.
-#[derive(Debug, Clone)]
-enum Cells {
-    /// Every state id fits 16 bits: half the table bytes.
-    Narrow(Vec<u16>),
-    /// The paper's 4-byte cells — needed from 2¹⁶ states up.
-    Wide(Vec<u32>),
+/// A state's position in the table's order (see the module docs).
+type Code = u32;
+
+/// A transition cell: a code at the table's width.
+trait Cell: Copy + Default + Into<Code> + TryFrom<Code> {}
+
+impl Cell for u16 {}
+impl Cell for u32 {}
+
+/// A state's record: for a cold state its one goto edge and the row it
+/// falls back to; a hot state's record falls back to its own row.
+#[derive(Debug, Default, Clone, Copy)]
+struct Record<C> {
+    /// The child's code; for a leaf, its failure row's byte-0 cell.
+    child: C,
+    /// The row the step falls back to: a cold state's failure state, a
+    /// hot state itself.
+    row: C,
+    /// The edge's byte: 0 for a leaf, and for a hot state 256, which no
+    /// byte equals. It costs no space: the record pads to its cells.
+    byte: u16,
 }
 
-/// Evaluates `$body` with `$t` bound to the table slice, once per cell
-/// width, so the code under it is monomorphized for `u16` and `u32`.
+/// The rows and records at one cell width.
+#[derive(Debug, Clone)]
+struct Table<C> {
+    /// `code * 256 + byte -> next code`, for the codes below `hot`.
+    rows: Vec<C>,
+    /// Every state's record, by code.
+    records: Vec<Record<C>>,
+    /// Number of hot states.
+    hot: Code,
+}
+
+impl<C: Cell> Table<C> {
+    /// The row step of hot state `c`.
+    #[inline(always)]
+    fn row(&self, c: Code, b: u8) -> Code {
+        self.rows[(c as usize) << 8 | usize::from(b)].into()
+    }
+
+    /// The step of any state without a branch on it: its record's edge if
+    /// the byte is the edge's, else the record's row. Two dependent
+    /// loads, so lanes stepped together keep their overlap whichever
+    /// states they are in.
+    #[inline(always)]
+    fn step_flat(&self, c: Code, b: u8) -> Code {
+        let r = self.records[c as usize];
+        let via_row = self.row(r.row.into(), b);
+        if r.byte == u16::from(b) {
+            r.child.into()
+        } else {
+            via_row
+        }
+    }
+
+    /// The step of any state: a hot one's row, a cold one's record.
+    #[inline(always)]
+    fn step(&self, c: Code, b: u8) -> Code {
+        if c < self.hot {
+            self.row(c, b)
+        } else {
+            self.step_flat(c, b)
+        }
+    }
+}
+
+/// The table at its cell width.
+#[derive(Debug, Clone)]
+enum Cells {
+    /// Every code fits 16 bits: half the table bytes.
+    Narrow(Table<u16>),
+    /// The paper's 4-byte cells — needed from 2¹⁶ states up.
+    Wide(Table<u32>),
+}
+
+/// Evaluates `$body` with `$t` bound to the table, once per cell width,
+/// so the code under it is monomorphized for `u16` and `u32`.
 macro_rules! with_cells {
     ($cells:expr, $t:ident => $body:expr) => {
         match $cells {
@@ -40,14 +119,15 @@ macro_rules! with_cells {
     };
 }
 
-/// The flattened full-table automaton.
+/// The laid-out automaton.
 #[derive(Debug, Clone)]
 pub struct FullAc {
     cells: Cells,
-    /// Number of accepting states; accepting ids are `0..f`.
+    /// Number of hot states that accept nothing: codes `0..plain`.
+    plain: Code,
+    /// Number of accepting states; accepting ids are `0..f`, their codes
+    /// `plain..plain + f`.
     f: u32,
-    /// Root state id (after renumbering).
-    root: u32,
     /// Per-accepting-state middlebox bitmap, indexed by state id.
     bitmaps: Vec<u64>,
     /// Direct-access match table: `offsets[i]..offsets[i+1]` indexes
@@ -55,7 +135,7 @@ pub struct FullAc {
     offsets: Vec<u32>,
     /// All match entries, grouped by accepting state, each group sorted.
     entries: Vec<MatchEntry>,
-    /// Depth (label length) per state — exported for the MCA²-style stress
+    /// Depth (label length) per code — exported for the MCA²-style stress
     /// telemetry: complexity attacks drive scans unusually deep (§4.3.1).
     depth: Vec<u16>,
     /// The deepest state, i.e. the longest pattern: the bytes a scan lane
@@ -94,57 +174,51 @@ fn root_skip_filter(trie: &Trie) -> Option<PrefixFilter> {
     )
 }
 
-/// The renumbering that puts accepting states first: trie node → state
-/// id, and the number of accepting states `f`.
-fn renumber(trie: &Trie) -> (Vec<u32>, u32) {
-    let mut remap = vec![0u32; trie.len()];
-    let mut next_accepting = 0u32;
-    let mut next_plain = trie
-        .nodes()
-        .iter()
-        .filter(|nd| !nd.outputs.is_empty())
-        .count() as u32;
-    let f = next_plain;
-    for (old, node) in trie.nodes().iter().enumerate() {
-        if node.outputs.is_empty() {
-            remap[old] = next_plain;
-            next_plain += 1;
-        } else {
-            remap[old] = next_accepting;
-            next_accepting += 1;
-        }
-    }
-    (remap, f)
-}
-
-/// Builds the transition table in the renumbered id space, in one pass,
-/// at cell type `C`, writing each cell once. The table is allocated
-/// zeroed, so its pages stay untouched until their row is written. Rows
-/// are filled in BFS order: the root's row self-loops, every other row
-/// starts as a copy of its failure row, which is already final, and the
-/// node's own goto transitions then overwrite their columns.
-fn flatten<C>(trie: &Trie, bfs_order: &[u32], remap: &[u32]) -> Vec<C>
-where
-    C: Copy + Default + TryFrom<u32>,
-    C::Error: std::fmt::Debug,
-{
-    let cell = |state: u32| C::try_from(state).expect("the chosen cell width holds every id");
-    let mut table = vec![C::default(); trie.len() * 256];
-    for &u in bfs_order {
+/// Lays out the rows and records at cell type `C`, in BFS order, so a
+/// failure state's row is final before it is read. The rows are
+/// allocated zeroed — every cell the root, code 0 — so the root's row
+/// needs only its goto edges; every other hot row starts as a copy of its
+/// failure row, and its goto edges then overwrite their columns.
+fn layout<C: Cell>(trie: &Trie, order: &[u32], fail: &[u32], code: &[Code], hot: Code) -> Table<C> {
+    let cell = |c: Code| {
+        C::try_from(c)
+            .ok()
+            .expect("the chosen cell width holds every code")
+    };
+    let at = |u: u32| code[u as usize] as usize;
+    let mut rows = vec![C::default(); hot as usize * 256];
+    let mut records = vec![Record::default(); trie.len()];
+    for &u in order {
         let node = trie.node(u);
-        let row = remap[u as usize] as usize * 256;
-        if node.depth == 0 {
-            table[row..row + 256].fill(cell(remap[0]));
+        let fail_row = at(fail[u as usize]) * 256;
+        let c = at(u);
+        records[c] = if c < hot as usize {
+            let row = c * 256;
+            if u != 0 {
+                // `fail(u) != u` for non-root nodes, so the rows are disjoint.
+                rows.copy_within(fail_row..fail_row + 256, row);
+            }
+            for (&b, &v) in &node.children {
+                rows[row + usize::from(b)] = cell(code[v as usize]);
+            }
+            Record {
+                child: C::default(),
+                row: cell(c as Code),
+                byte: 256,
+            }
         } else {
-            // `fail(u) != u` for non-root nodes, so the rows are disjoint.
-            let fail = remap[node.fail as usize] as usize * 256;
-            table.copy_within(fail..fail + 256, row);
-        }
-        for (&b, &c) in &node.children {
-            table[row + usize::from(b)] = cell(remap[c as usize]);
-        }
+            let (byte, child) = match node.children.iter().next() {
+                Some((&b, &v)) => (b, cell(code[v as usize])),
+                None => (0, rows[fail_row]),
+            };
+            Record {
+                child,
+                row: cell(fail_row as Code / 256),
+                byte: u16::from(byte),
+            }
+        };
     }
-    table
+    Table { rows, records, hot }
 }
 
 /// Most lanes one payload is cut into: the stepping loop keeps every
@@ -166,7 +240,8 @@ pub(crate) fn lane_count(len: usize, clear: usize) -> usize {
 
 /// Tells the optimizer `hit` is seldom true, so the branch it guards is
 /// laid out of line and the registers of the loop around it are kept for
-/// the loop: most payload bytes reach no accepting state (§6.5).
+/// the loop: most payload bytes reach no accepting state (§6.5) and stay
+/// among the hot states.
 #[inline(always)]
 fn rarely(hit: bool) -> bool {
     #[cold]
@@ -177,86 +252,139 @@ fn rarely(hit: bool) -> bool {
     hit
 }
 
-/// The deliberately plain reference loop of the `naive` driver: per-byte
-/// step, sample, accept check, nothing else. The baseline every
-/// optimization is measured and verified against.
-fn step_naive<C: Copy + Into<StateId>>(
-    t: &[C],
-    f: StateId,
-    state: StateId,
-    data: &[u8],
-    mut grid: DepthGrid<'_>,
-    mut on_accept: impl FnMut(usize, StateId),
-) -> StateId {
-    let mut s = state;
-    for (i, &b) in data.iter().enumerate() {
-        s = t[(s as usize) * 256 + usize::from(b)].into();
-        grid.visit(i, [s], 1);
-        if s < f {
-            on_accept(i, s);
-        }
-    }
-    s
-}
-
 impl FullAc {
-    /// Flattens a trie (whose failure links must already be built — the
-    /// [`crate::CombinedAcBuilder`] handles the full pipeline) directly
-    /// at its cell width: `u16` below 2¹⁶ states unless `wide` asks for
-    /// the paper's `u32` cells regardless, `u32` from there up.
-    pub(crate) fn from_trie(trie: &Trie, bfs_order: &[u32], wide: bool) -> FullAc {
+    /// Lays a trie out (the [`crate::CombinedAcBuilder`] handles the full
+    /// pipeline), reading it only: `u16` cells below 2¹⁶ states unless
+    /// `wide` asks for the paper's `u32` cells regardless, `u32` from
+    /// there up.
+    pub(crate) fn from_trie(trie: &Trie, wide: bool) -> FullAc {
         let n = trie.len();
+        let nodes = trie.nodes();
+        let (order, fail) = trie.failure_links();
 
-        // 1. Renumber: accepting nodes first.
-        let (remap, f) = renumber(trie);
+        // 1. Which states accept — their own patterns or their failure
+        //    state's — and which are hot. A depth-3 state that more than
+        //    one pattern passes through is hot too: it is a keyword prefix
+        //    benign text spells, where the root skip hands over to the
+        //    lanes, and as a row it costs the lanes no excursion.
+        let mut accepting = vec![false; n];
+        let mut hot = vec![false; n];
+        let mut shared = vec![false; n];
+        for &u in order.iter().rev() {
+            let node = &nodes[u as usize];
+            shared[u as usize] = node.children.len() > 1
+                || (!node.outputs.is_empty() && !node.children.is_empty())
+                || node.children.values().any(|&v| shared[v as usize]);
+        }
+        for &u in &order {
+            let (u, node) = (u as usize, &nodes[u as usize]);
+            accepting[u] = !node.outputs.is_empty() || accepting[fail[u] as usize];
+            hot[u] |= node.depth <= 2 || node.children.len() > 1 || (node.depth == 3 && shared[u]);
+            if u != 0 {
+                hot[fail[u] as usize] = true;
+            }
+        }
 
-        // 2. The transition table.
+        // 2. Codes, each class in insertion order: the root is 0, and one
+        //    pattern's chain is one run of records, which is what a scan
+        //    walking it touches.
+        let class = |u: usize| match (hot[u], accepting[u]) {
+            (true, false) => 0,
+            (true, true) => 1,
+            (false, true) => 2,
+            (false, false) => 3,
+        };
+        let mut next = [0 as Code; 4];
+        for u in 0..n {
+            next[class(u)] += 1;
+        }
+        let (plain, f) = (next[0], next[1] + next[2]);
+        let hot_count = plain + next[1];
+        next = [0, plain, hot_count, plain + f];
+        let code: Vec<Code> = (0..n)
+            .map(|u| {
+                next[class(u)] += 1;
+                next[class(u)] - 1
+            })
+            .collect();
+
+        // 3. The table, at its cell width.
         let cells = if wide || n > usize::from(u16::MAX) {
-            Cells::Wide(flatten(trie, bfs_order, &remap))
+            Cells::Wide(layout(trie, &order, &fail, &code, hot_count))
         } else {
-            Cells::Narrow(flatten(trie, bfs_order, &remap))
+            Cells::Narrow(layout(trie, &order, &fail, &code, hot_count))
         };
 
-        // 3. Match table, bitmaps and depths in the new numbering.
-        let mut per_state: Vec<&[MatchEntry]> = vec![&[]; f as usize];
+        // 4. Depths, and the match table in accepting-id order. A state
+        //    reports its own patterns and every one its failure state
+        //    reports (§5.1's suffix propagation); in BFS order the failure
+        //    state's list is complete when it is read.
         let mut depth = vec![0u16; n];
-        let mut max_depth = 0u16;
-        for (old, node) in trie.nodes().iter().enumerate() {
-            let new = remap[old];
-            depth[new as usize] = node.depth;
-            max_depth = max_depth.max(node.depth);
-            if !node.outputs.is_empty() {
-                per_state[new as usize] = &node.outputs;
+        let mut merged = Vec::new();
+        let mut spans = vec![0..0; f as usize];
+        for &u in &order {
+            let u = u as usize;
+            depth[code[u] as usize] = nodes[u].depth;
+            if accepting[u] {
+                let start = merged.len();
+                merged.extend_from_slice(&nodes[u].outputs);
+                let fu = fail[u] as usize;
+                if accepting[fu] {
+                    merged.extend_from_within(spans[(code[fu] - plain) as usize].clone());
+                }
+                merged[start..].sort_unstable();
+                spans[(code[u] - plain) as usize] = start..merged.len();
             }
         }
         let mut offsets = Vec::with_capacity(f as usize + 1);
-        let mut entries = Vec::new();
-        offsets.push(0u32);
+        let mut entries = Vec::with_capacity(merged.len());
         let mut bitmaps = Vec::with_capacity(f as usize);
-        for outs in per_state {
+        offsets.push(0u32);
+        for span in spans {
+            let outs = &merged[span];
             entries.extend_from_slice(outs);
             offsets.push(entries.len() as u32);
-            bitmaps.push(crate::bitmap_of(
-                &outs.iter().map(|e| e.middlebox).collect::<Vec<_>>(),
-            ));
+            bitmaps.push(
+                outs.iter()
+                    .fold(0, |bits, e| bits | crate::bitmap_bit(e.middlebox)),
+            );
         }
 
         FullAc {
             cells,
+            plain,
             f,
-            root: remap[0],
             bitmaps,
             offsets,
             entries,
+            max_depth: depth.iter().copied().max().unwrap_or(0),
             depth,
-            max_depth,
             skip: root_skip_filter(trie),
+        }
+    }
+
+    /// A state's code.
+    fn code(&self, state: StateId) -> Code {
+        let cold_end = self.state_count() as Code - self.plain;
+        if state >= cold_end {
+            state - cold_end
+        } else {
+            state + self.plain
+        }
+    }
+
+    /// The state of a code.
+    fn id(&self, c: Code) -> StateId {
+        if c < self.plain {
+            c + (self.state_count() as Code - self.plain)
+        } else {
+            c - self.plain
         }
     }
 
     /// Depth (label length) of a state — used by stress telemetry.
     pub fn state_depth(&self, state: StateId) -> u16 {
-        self.depth[state as usize]
+        self.depth[self.code(state) as usize]
     }
 
     /// Maximum depth over all states (longest pattern).
@@ -264,7 +392,7 @@ impl FullAc {
         self.max_depth
     }
 
-    /// The sampling grid of one scan over this table's state depths.
+    /// The sampling grid of one scan over this table's depths by code.
     pub(crate) fn grid<'a>(
         &'a self,
         sample_every: usize,
@@ -274,31 +402,62 @@ impl FullAc {
         DepthGrid::new(&self.depth, sample_every, deep_depth, samples)
     }
 
-    /// The crate's one production table-stepping loop, shared by every
-    /// cell width and lane count. The per-byte work is a single dependent
-    /// load plus the `s < f` accepting compare (§5.1), and the load bounds
-    /// the loop — so the payload is cut into `K` equal chunks and `K`
-    /// independent chains step through the same table in one loop body,
-    /// their loads in flight together. An Aho-Corasick state is the
-    /// longest suffix of the input that is a pattern prefix, so a lane
-    /// started at the root `max_depth` bytes before its chunk is in the
-    /// exact state when it reaches it; lane 0 starts from the caller's
-    /// `state`. Chunks start on the sampling grid, so one grid test
-    /// serves every lane. Each byte steps, then samples, then reports;
-    /// accepts of later lanes wait in a buffer (unallocated until one
-    /// occurs) so `on_accept` still sees ascending positions. At `K = 1`
-    /// this is the plain resumable scan.
-    #[inline(always)]
-    fn step_lanes<const K: usize, C: Copy + Into<StateId>>(
+    /// The deliberately plain reference loop of the `naive` driver: per-byte
+    /// step, sample, accept check, nothing else. The baseline every
+    /// optimization is measured and verified against.
+    fn step_naive<C: Cell>(
         &self,
-        t: &[C],
-        state: StateId,
+        t: &Table<C>,
+        state: Code,
         data: &[u8],
         mut grid: DepthGrid<'_>,
         mut on_accept: impl FnMut(usize, StateId),
-    ) -> StateId {
-        let f = self.f;
-        let step = |s: StateId, b: u8| -> StateId { t[(s as usize) * 256 + usize::from(b)].into() };
+    ) -> Code {
+        let (plain, f) = (self.plain, self.f);
+        let (mut s, mut cold) = (state, 0);
+        for (i, &b) in data.iter().enumerate() {
+            cold += usize::from(s >= t.hot);
+            s = t.step(s, b);
+            grid.visit(i, [s], 1);
+            if s.wrapping_sub(plain) < f {
+                on_accept(i, s - plain);
+            }
+        }
+        grid.cold_steps(cold);
+        s
+    }
+
+    /// The crate's one production table-stepping loop, shared by every
+    /// cell width and lane count. The payload is cut into `K` equal
+    /// chunks and `K` independent chains step through the same table in
+    /// one loop body, their loads in flight together. While every lane is
+    /// in a hot state that accepts nothing, a byte costs each lane one row
+    /// load, and the row's bounds check is the only test: an index past
+    /// those rows means the lane accepted (§5.1's `state < f`, in code
+    /// order) or is cold. That is rare on benign bytes (≈ 6 cold steps a
+    /// KB on the benchmark's HTTP), so the loop then reports and takes the
+    /// general step until every lane is back: the first byte branches per
+    /// lane, so the hot lanes keep their one load; later ones, where a
+    /// lane walks a pattern's chain, take the flat step, so lanes that
+    /// fall in and out of cold states cost no mispredictions. An
+    /// Aho-Corasick state is the longest suffix of the input that is a
+    /// pattern prefix, so a lane started at the root `max_depth` bytes
+    /// before its chunk is in the exact state when it reaches it; lane 0
+    /// starts from the caller's state. Chunks start on the sampling grid,
+    /// so one grid test serves every lane. Accepts are reported after the
+    /// byte that reached them, and those of later lanes wait in a buffer
+    /// (unallocated until one occurs), so `on_accept` still sees ascending
+    /// positions. At `K = 1` this is the plain resumable scan.
+    #[inline(always)]
+    fn step_lanes<const K: usize, C: Cell>(
+        &self,
+        t: &Table<C>,
+        state: Code,
+        data: &[u8],
+        mut grid: DepthGrid<'_>,
+        mut on_accept: impl FnMut(usize, StateId),
+    ) -> Code {
+        let (plain, hot, f) = (self.plain, t.hot, self.f);
         // With position 0 the only sample, any cut will do and only lane
         // 0 sees the grid; a lone lane needs no cut at all.
         let (chunk, on_grid) = match grid.step_within(data.len()) {
@@ -315,51 +474,94 @@ impl FullAc {
                 warm_up <= chunk,
                 "a lane warms up inside the chunk before it"
             );
-            s[1..].fill(self.root);
+            s[1..].fill(0);
             for j in chunk - warm_up..chunk {
                 let before = lanes.map(|lane| lane[j]);
                 for k in 1..K {
-                    s[k] = step(s[k], before[k - 1]);
+                    s[k] = t.step(s[k], before[k - 1]);
                 }
             }
         }
 
         let mut late: [Vec<(usize, StateId)>; K] = std::array::from_fn(|_| Vec::new());
-        for j in 0..chunk {
-            let bytes = lanes.map(|lane| lane[j]);
-            for k in 0..K {
-                s[k] = step(s[k], bytes[k]);
-            }
-            grid.visit(j, s, on_grid);
-            if rarely(s.iter().any(|&s| s < f)) {
-                if s[0] < f {
-                    on_accept(j, s[0]);
-                }
-                for k in 1..K {
-                    if s[k] < f {
-                        late[k].push((k * chunk + j, s[k]));
+        let mut report = |j: usize, s: [Code; K]| {
+            for (k, s) in s.into_iter().enumerate() {
+                let id = s.wrapping_sub(plain);
+                if id < f {
+                    match k {
+                        0 => on_accept(j, id),
+                        _ => late[k].push((k * chunk + j, id)),
                     }
                 }
             }
+        };
+        // The rows of the hot states that accept nothing.
+        let fast = &t.rows[..plain as usize * 256];
+        let (mut j, mut cold) = (0, 0);
+        loop {
+            while j < chunk {
+                let bytes = lanes.map(|lane| lane[j]);
+                let at: [usize; K] =
+                    std::array::from_fn(|k| (s[k] as usize) << 8 | usize::from(bytes[k]));
+                if rarely(at.iter().any(|&i| i >= fast.len())) {
+                    break;
+                }
+                for k in 0..K {
+                    s[k] = fast[at[k]].into();
+                }
+                grid.visit(j, s, on_grid);
+                j += 1;
+            }
+            if j == chunk {
+                break;
+            }
+            let mut first = true;
+            loop {
+                if j > 0 {
+                    report(j - 1, s);
+                }
+                let bytes = lanes.map(|lane| lane[j]);
+                cold += s.iter().filter(|&&s| s >= hot).count();
+                if first {
+                    for k in 0..K {
+                        s[k] = t.step(s[k], bytes[k]);
+                    }
+                } else {
+                    for k in 0..K {
+                        s[k] = t.step_flat(s[k], bytes[k]);
+                    }
+                }
+                first = false;
+                grid.visit(j, s, on_grid);
+                j += 1;
+                if j == chunk || s.iter().all(|&s| s < plain) {
+                    break;
+                }
+            }
         }
-        for &(at, s) in late[1..].iter().flatten() {
-            on_accept(at, s);
+        if chunk > 0 {
+            report(chunk - 1, s);
+        }
+        for &(at, id) in late[1..].iter().flatten() {
+            on_accept(at, id);
         }
 
         // The last lane runs on alone over what the cut left.
         let mut s = s[K - 1];
         for (i, &b) in data[K * chunk..].iter().enumerate() {
-            s = step(s, b);
+            cold += usize::from(s >= hot);
+            s = t.step(s, b);
             grid.visit(chunk + i, [s], 1);
-            if rarely(s < f) {
-                on_accept(K * chunk + i, s);
+            if rarely(s.wrapping_sub(plain) < f) {
+                on_accept(K * chunk + i, s - plain);
             }
         }
+        grid.cold_steps(cold);
         s
     }
 
     /// Where the lane loop may start instead of byte 0, and the exact
-    /// state before that byte; `(0, state)` when nothing can be skipped.
+    /// code before that byte; `(0, state)` when nothing can be skipped.
     ///
     /// Bytes 0 and 1 go on the table: a resumed flow may still be deep,
     /// or complete a pattern there. Only if neither accepts and the state
@@ -367,26 +569,26 @@ impl FullAc {
     /// window that is a 3-byte prefix, each candidate confirmed by three
     /// steps from the root. Up to the window's third byte the automaton
     /// stays at depth ≤ 2 — depth grows one byte at a time, and reaching
-    /// 3 spells a prefix — so nothing there accepts, and the state after
-    /// byte `i` is the one the last two bytes reach from the root. The
-    /// rest is handed over from the last grid position at or before that
-    /// byte, so the lane loop's chunks still start on the grid.
-    fn skip_root<C: Copy + Into<StateId>>(
+    /// 3 spells a prefix — so nothing there accepts, every state is hot,
+    /// and the state after byte `i` is the one the last two bytes reach
+    /// from the root. The rest is handed over from the last grid position
+    /// at or before that byte, so the lane loop's chunks still start on
+    /// the grid.
+    fn skip_root<C: Cell>(
         &self,
         filter: &PrefixFilter,
-        t: &[C],
-        state: StateId,
+        t: &Table<C>,
+        state: Code,
         data: &[u8],
         grid: &mut DepthGrid<'_>,
-    ) -> (usize, StateId) {
-        let step = |s: StateId, b: u8| -> StateId { t[(s as usize) * 256 + usize::from(b)].into() };
-        let depth = |s: StateId| self.depth[s as usize];
-        let s0 = step(state, data[0]);
-        let s1 = step(s0, data[1]);
-        if s0 < self.f || depth(s1) > 2 {
+    ) -> (usize, Code) {
+        let depth = |c: Code| self.depth[c as usize];
+        let s0 = t.step(state, data[0]);
+        let s1 = t.step(s0, data[1]);
+        if s0.wrapping_sub(self.plain) < self.f || depth(s1) > 2 {
             return (0, state);
         }
-        let from_root = |w: &[u8]| w.iter().fold(self.root, |s, &b| step(s, b));
+        let from_root = |w: &[u8]| w.iter().fold(0, |s, &b| t.step(s, b));
         let hit = filter.first(data, |i| depth(from_root(&data[i..i + 3])) == 3);
         let to = match (hit, grid.step_within(data.len())) {
             (None, _) => data.len(),
@@ -396,6 +598,7 @@ impl FullAc {
         if to < 2 {
             return (0, state);
         }
+        grid.cold_steps(usize::from(state >= t.hot) + usize::from(s0 >= t.hot));
         grid.visit(0, [s0], 1);
         grid.visit(1, [s1], 1);
         grid.skip_shallow(to, |i| from_root(&data[i - 1..=i]));
@@ -416,6 +619,7 @@ impl FullAc {
         mut grid: DepthGrid<'_>,
         mut on_accept: impl FnMut(usize, StateId),
     ) -> StateId {
+        let state = self.code(state);
         let (from, state) = match &self.skip {
             Some(filter) if data.len() >= SKIP_FLOOR => {
                 with_cells!(&self.cells, t => self.skip_root(filter, t, state, data, &mut grid))
@@ -430,12 +634,13 @@ impl FullAc {
                 with_cells!(&self.cells, t => self.step_lanes::<$k, _>(t, state, data, grid, on_accept))
             };
         }
-        match lane_count(data.len(), clear) {
+        let end = match lane_count(data.len(), clear) {
             1 => lanes!(1),
             2 => lanes!(2),
             3 => lanes!(3),
             _ => lanes!(4),
-        }
+        };
+        self.id(end)
     }
 
     /// [`ScanKernel::scan_sampled`] on the plain reference loop.
@@ -446,22 +651,21 @@ impl FullAc {
         grid: DepthGrid<'_>,
         on_accept: impl FnMut(usize, StateId),
     ) -> StateId {
-        with_cells!(&self.cells, t => step_naive(t, self.f, state, data, grid, on_accept))
+        let state = self.code(state);
+        let end = with_cells!(&self.cells, t => self.step_naive(t, state, data, grid, on_accept));
+        self.id(end)
     }
 }
 
 impl Automaton for FullAc {
     fn start(&self) -> StateId {
-        self.root
+        self.id(0)
     }
 
     #[inline(always)]
     fn step(&self, state: StateId, byte: u8) -> StateId {
-        let i = (state as usize) * 256 + usize::from(byte);
-        match &self.cells {
-            Cells::Narrow(t) => t[i].into(),
-            Cells::Wide(t) => t[i],
-        }
+        let c = self.code(state);
+        self.id(with_cells!(&self.cells, t => t.step(c, byte)))
     }
 
     #[inline(always)]
@@ -496,7 +700,7 @@ impl Automaton for FullAc {
     }
 
     fn memory_bytes(&self) -> usize {
-        with_cells!(&self.cells, t => std::mem::size_of_val(&t[..]))
+        with_cells!(&self.cells, t => std::mem::size_of_val(&t.rows[..]) + std::mem::size_of_val(&t.records[..]))
             + self.bitmaps.len() * std::mem::size_of::<u64>()
             + self.offsets.len() * std::mem::size_of::<u32>()
             + self.entries.len() * std::mem::size_of::<MatchEntry>()
@@ -629,6 +833,28 @@ mod tests {
             s = ac.step(s, b);
         }
         assert_eq!(ac.bitmap(s), 0b11);
+    }
+
+    #[test]
+    fn suffix_outputs_are_propagated() {
+        // "DEF" is a suffix of "ABCDEF": the ABCDEF accepting state must
+        // also carry DEF's entry (the paper's own example).
+        let mut b = CombinedAcBuilder::new();
+        b.add_set(PatternSet::from_strs(MiddleboxId(0), &["DEF"]))
+            .unwrap();
+        b.add_set(PatternSet::from_strs(
+            MiddleboxId(1),
+            &["xx", "xx", "ABCDEF"],
+        ))
+        .unwrap();
+        let ac = b.build_full();
+        let s = b"ABCDEF".iter().fold(ac.start(), |s, &c| ac.step(s, c));
+        let entry = |mb, pid, len| MatchEntry {
+            middlebox: MiddleboxId(mb),
+            pattern: PatternId(pid),
+            len,
+        };
+        assert_eq!(ac.entries(s), &[entry(0, 0, 3), entry(1, 2, 6)]);
     }
 
     #[test]
@@ -773,39 +999,19 @@ mod tests {
     }
 }
 
-/// The fill-then-copy flatten — every cell first set to the root id, then
-/// every row overwritten — as the reference the production [`flatten`]
-/// must equal cell for cell.
+/// The layout against the textbook automaton: on every state and every
+/// byte, the step equals the goto-or-fail walk over the trie, and the
+/// depth and match list are the trie node's. Every cold state has at
+/// most one goto edge and a hot failure state — the invariant behind "at
+/// most two table loads per byte".
 #[cfg(test)]
-mod flatten_oracle {
-    use super::{flatten, renumber};
-    use crate::trie::Trie;
+mod layout {
+    use super::*;
     use crate::{MiddleboxId, PatternId};
     use proptest::prelude::*;
 
-    fn flatten_oracle<C>(trie: &Trie, bfs_order: &[u32], remap: &[u32]) -> Vec<C>
-    where
-        C: Copy + TryFrom<u32>,
-        C::Error: std::fmt::Debug,
-    {
-        let cell = |state: u32| C::try_from(state).expect("the chosen cell width holds every id");
-        let mut table = vec![cell(remap[0]); trie.len() * 256];
-        for &u in bfs_order {
-            let node = trie.node(u);
-            let row = remap[u as usize] as usize * 256;
-            if node.depth != 0 {
-                let fail = remap[node.fail as usize] as usize * 256;
-                table.copy_within(fail..fail + 256, row);
-            }
-            for (&b, &c) in &node.children {
-                table[row + usize::from(b)] = cell(remap[c as usize]);
-            }
-        }
-        table
-    }
-
     /// Builds the trie of `sets` (one per middlebox, pattern id = index)
-    /// and checks both cell widths against the oracle.
+    /// and checks its layout at both cell widths.
     fn check(sets: &[Vec<Vec<u8>>]) -> Result<(), String> {
         let mut trie = Trie::new();
         for (m, set) in sets.iter().enumerate() {
@@ -814,17 +1020,56 @@ mod flatten_oracle {
                     .map_err(|e| format!("{e:?}"))?;
             }
         }
-        let order = trie.build_failure_links();
-        let (remap, _) = renumber(&trie);
-        if trie.len() <= usize::from(u16::MAX) {
-            let narrow: Vec<u16> = flatten(&trie, &order, &remap);
-            if narrow != flatten_oracle::<u16>(&trie, &order, &remap) {
-                return Err("u16 table differs from the oracle".into());
+        let (order, fail) = trie.failure_links();
+        let n = trie.len();
+        // The textbook transition function, row by row in BFS order, and
+        // each node's outputs with its failure node's merged in.
+        let mut delta = vec![0u32; n * 256];
+        let mut outputs: Vec<Vec<MatchEntry>> = vec![Vec::new(); n];
+        for &u in &order {
+            let (u, node) = (u as usize, trie.node(u));
+            if u != 0 {
+                let f = fail[u] as usize;
+                delta.copy_within(f * 256..f * 256 + 256, u * 256);
+                outputs[u] = outputs[f].clone();
             }
+            for (&b, &v) in &node.children {
+                delta[u * 256 + usize::from(b)] = v;
+            }
+            outputs[u].extend_from_slice(&node.outputs);
+            outputs[u].sort_unstable();
         }
-        let wide: Vec<u32> = flatten(&trie, &order, &remap);
-        if wide != flatten_oracle::<u32>(&trie, &order, &remap) {
-            return Err("u32 table differs from the oracle".into());
+        for wide in [false, true] {
+            let ac = FullAc::from_trie(&trie, wide);
+            let hot = with_cells!(&ac.cells, t => t.hot);
+            // Each node's state, found along its goto edges.
+            let mut state = vec![ac.start(); n];
+            for &u in &order {
+                for (&b, &v) in &trie.node(u).children {
+                    state[v as usize] = ac.step(state[u as usize], b);
+                }
+            }
+            for u in 0..n {
+                let (node, s) = (trie.node(u as u32), state[u]);
+                for b in 0..=255u8 {
+                    if ac.step(s, b) != state[delta[u * 256 + usize::from(b)] as usize] {
+                        return Err(format!("node {u}, byte {b}: wrong step (wide {wide})"));
+                    }
+                }
+                if ac.state_depth(s) != node.depth || ac.entries(s) != &outputs[u][..] {
+                    return Err(format!("node {u}: wrong depth or match list"));
+                }
+                let c = ac.code(s);
+                if c >= hot && (node.children.len() > 1 || ac.code(state[fail[u] as usize]) >= hot)
+                {
+                    return Err(format!("cold node {u} branches or fails to a cold state"));
+                }
+            }
+            let mut ids: Vec<StateId> = state.clone();
+            ids.sort_unstable();
+            if ids != (0..n as StateId).collect::<Vec<_>>() {
+                return Err("the states are not a numbering of the nodes".into());
+            }
         }
         Ok(())
     }
@@ -835,7 +1080,7 @@ mod flatten_oracle {
         /// Small alphabets make deep failure chains and shared prefixes;
         /// the full byte range makes wide rows.
         #[test]
-        fn flatten_equals_the_fill_then_copy_oracle(
+        fn the_layout_steps_like_the_textbook_automaton(
             sets in prop::collection::vec(
                 prop::collection::vec(
                     prop_oneof![
@@ -854,7 +1099,7 @@ mod flatten_oracle {
     /// The benchmark's rule set: `snort_like(4356, 42)` split into the
     /// paper's Snort1/Snort2 sets.
     #[test]
-    fn flatten_equals_the_oracle_on_the_benchmark_rule_set() {
+    fn the_layout_steps_like_the_textbook_automaton_on_the_benchmark_rule_set() {
         let all = dpi_traffic::snort_like(4356, 42);
         let (snort1, snort2) = dpi_traffic::split_set(&all, 2500, 42);
         assert_eq!(check(&[snort1, snort2]), Ok(()));

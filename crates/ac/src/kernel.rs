@@ -1,6 +1,6 @@
 //! The byte-scanning hot path.
 //!
-//! Both loops over the one full table expose the same [`ScanKernel`]
+//! Both loops over the one table expose the same [`ScanKernel`]
 //! interface: a resumable scan that reports accepting states and collects
 //! the depth samples the MCA²-style stress telemetry needs
 //! (DESIGN.md §12). A deployment runs the lane-interleaved loop, which
@@ -27,7 +27,9 @@ pub enum KernelKind {
     /// The lane-interleaved table scan: the payload is cut into one to
     /// four chunks — as many as its length and the longest pattern allow
     /// — that step through the table together, after a prefix filter has
-    /// skipped what provably stays within two bytes of the root. Its
+    /// skipped what provably stays within two bytes of the root. A lane
+    /// among the hot states takes one row load a byte; one in a cold
+    /// state, its record and at most one row. Its
     /// [`ScanKernel::kernel_name`] is the cell width the state count
     /// selected: `"compact"` (`u16`, below 2¹⁶ states) or `"full"`
     /// (`u32`).
@@ -62,8 +64,8 @@ impl std::fmt::Display for KernelKind {
 ///
 /// `skipped` says how a kernel got there, not what it saw: the bytes the
 /// default loop passed by its prefix filter rather than on the table
-/// (0 for the reference loop). Equality therefore compares `total` and
-/// `deep` only.
+/// (0 for the reference loop). Equality therefore compares `total`,
+/// `deep` and `cold` only.
 #[derive(Debug, Default, Clone, Copy, Eq)]
 pub struct DepthSamples {
     /// Sampled positions.
@@ -72,11 +74,15 @@ pub struct DepthSamples {
     pub deep: u64,
     /// Bytes skipped at depth ≤ 2 (DESIGN.md §12).
     pub skipped: u64,
+    /// Bytes stepped from a cold state (DESIGN.md §12): one record load
+    /// and at most one row load each. A lane's warm-up is not counted, so
+    /// every kernel counts the same bytes.
+    pub cold: u64,
 }
 
 impl PartialEq for DepthSamples {
     fn eq(&self, other: &DepthSamples) -> bool {
-        (self.total, self.deep) == (other.total, other.deep)
+        (self.total, self.deep, self.cold) == (other.total, other.deep, other.cold)
     }
 }
 
@@ -159,6 +165,12 @@ impl<'a> DepthGrid<'a> {
             }
             self.advance();
         }
+    }
+
+    /// Counts `n` bytes stepped from a cold state.
+    #[inline(always)]
+    pub(crate) fn cold_steps(&mut self, n: usize) {
+        self.samples.cold += n as u64;
     }
 
     /// Moves past the position just sampled; with no step, past the end.

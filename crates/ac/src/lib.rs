@@ -9,9 +9,14 @@
 //!
 //! 1. A goto trie is built over the union `⋃ Pᵢ` of all pattern sets;
 //!    patterns appearing in more than one set share one accepting state.
-//! 2. Failure links are added breadth-first and the automaton is flattened
-//!    into a full-table DFA (one 256-entry row per state) — the "de-facto
-//!    standard for contemporary NIDS" representation (§3).
+//! 2. Failure links are added breadth-first and the automaton is laid out
+//!    as a DFA — the "de-facto standard for contemporary NIDS"
+//!    representation (§3) — with a 256-entry row only where the scan
+//!    falls back: the root, every state of depth ≤ 2, every failure
+//!    target, every branching state and every shared depth-3 state.
+//!    Every other state keeps one record (its goto edge and its failure
+//!    row), so a step costs at most two table loads and never walks a
+//!    failure chain.
 //! 3. State identifiers are remapped so the `f` accepting states are
 //!    exactly `{0, …, f−1}` — "the state identifier in the DFA is
 //!    meaningless; we use this degree of freedom" — which makes the
@@ -27,17 +32,16 @@
 //!    of another pattern j (e.g., ABCDEF), we should add all the pairs
 //!    corresponding to pattern i also to the j-th entry").
 //!
-//! There is one automaton representation, [`FullAc`]: the full-table
-//! DFA, O(1) per byte, built once with `u16` transition cells when the
-//! state ids fit (512 B per state) and the paper's `u32` cells otherwise
-//! (1 KiB per state). [`CombinedAc`] pairs that table with one of two
-//! scan loops ([`KernelKind`]): the lane-interleaved loop the data plane
-//! runs — one payload cut into up to four independent chains whose table
-//! loads overlap, started past the bytes a 3-byte prefix filter proves
-//! stay within two bytes of the root — or the naive reference loop it is
-//! verified against. Both produce
-//! identical match streams; the property tests in this crate verify that
-//! against each other and against a naive reference matcher
+//! There is one automaton representation, [`FullAc`]: hot rows and
+//! cold records, built once from the trie with `u16` cells when the
+//! state ids fit and the paper's `u32` cells otherwise. [`CombinedAc`]
+//! pairs that table with one of two scan loops ([`KernelKind`]): the
+//! lane-interleaved loop the data plane runs — one payload cut into up
+//! to four independent chains whose table loads overlap, started past
+//! the bytes a 3-byte prefix filter proves stay within two bytes of the
+//! root — or the naive reference loop it is verified against. Both
+//! produce identical match streams; the property tests in this crate
+//! verify that against each other and against a naive reference matcher
 //! ([`naive::NaiveMatcher`]).
 
 pub mod builder;

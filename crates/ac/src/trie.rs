@@ -9,7 +9,7 @@ use crate::{MatchEntry, MiddleboxId, PatternId};
 use std::collections::BTreeMap;
 
 /// One trie node. Children are kept sorted so the construction (and the
-/// sparse automaton derived from it) is deterministic.
+/// automaton laid out from it) is deterministic.
 #[derive(Debug, Default, Clone)]
 pub struct TrieNode {
     /// Forward (goto) transitions.
@@ -19,11 +19,9 @@ pub struct TrieNode {
     pub outputs: Vec<MatchEntry>,
     /// Depth = length of the node's label L(s).
     pub depth: u16,
-    /// Failure link, filled by [`Trie::build_failure_links`].
-    pub fail: u32,
 }
 
-/// The mutable construction trie shared by both automaton representations.
+/// The mutable construction trie the automaton is laid out from.
 #[derive(Debug, Clone)]
 pub struct Trie {
     nodes: Vec<TrieNode>,
@@ -83,7 +81,7 @@ impl Trie {
         }
     }
 
-    /// Number of nodes (= DFA states after flattening).
+    /// Number of nodes (= automaton states after the layout).
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
@@ -98,7 +96,7 @@ impl Trie {
         &self.nodes[id as usize]
     }
 
-    /// All nodes, for the flattening passes.
+    /// All nodes, for the layout passes.
     pub fn nodes(&self) -> &[TrieNode] {
         &self.nodes
     }
@@ -154,69 +152,41 @@ impl Trie {
         Ok(())
     }
 
-    /// Phase two of the construction: breadth-first failure links. After
-    /// this, `fail(s)` points to the state whose label is the longest
-    /// proper suffix of `L(s)` present in the trie, and each node's output
-    /// list has been extended with its failure ancestors' outputs (the
-    /// suffix-propagation step of §5.1).
-    ///
-    /// Returns the BFS order (root first), which the flattening passes
-    /// reuse.
-    pub fn build_failure_links(&mut self) -> Vec<u32> {
+    /// Phase two of the construction: breadth-first failure links,
+    /// computed beside the trie rather than in it, so the builder keeps
+    /// its trie for later additions without a copy. Returns the BFS
+    /// order (root first) and `fail`, where `fail[s]` is the node whose
+    /// label is the longest proper suffix of `L(s)` present in the trie
+    /// (the root for the root). Output lists are left as registered; the
+    /// automaton merges each node's with its failure node's (§5.1's
+    /// suffix propagation) as it lays the states out.
+    pub fn failure_links(&self) -> (Vec<u32>, Vec<u32>) {
         let mut order = Vec::with_capacity(self.nodes.len());
-        let mut queue = std::collections::VecDeque::new();
-
-        // Depth-1 nodes fail to the root.
-        let first: Vec<u32> = self.nodes[0].children.values().copied().collect();
-        for c in first {
-            self.nodes[c as usize].fail = 0;
-            queue.push_back(c);
-        }
+        let mut fail = vec![0u32; self.nodes.len()];
         order.push(0);
-
-        // One buffer for every node's children: the walk below mutates
-        // `self.nodes`, so it cannot hold the map's iterator, and a fresh
-        // `Vec` per node was a third of this function's time.
-        let mut children: Vec<(u8, u32)> = Vec::new();
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            children.clear();
-            children.extend(
-                self.nodes[u as usize]
-                    .children
-                    .iter()
-                    .map(|(&b, &c)| (b, c)),
-            );
-            for &(b, v) in &children {
+        // Depth-1 nodes fail to the root; `order` doubles as the queue.
+        order.extend(self.nodes[0].children.values());
+        let mut next = 1;
+        while let Some(&u) = order.get(next) {
+            next += 1;
+            for (&b, &v) in &self.nodes[u as usize].children {
                 // Walk failure links of u until a node with a b-child (or
                 // the root) is found.
-                let mut f = self.nodes[u as usize].fail;
-                let fail_v = loop {
+                let mut f = fail[u as usize];
+                fail[v as usize] = loop {
                     if let Some(&w) = self.nodes[f as usize].children.get(&b) {
-                        if w != v {
-                            break w;
-                        }
+                        break w;
                     }
                     if f == 0 {
                         break 0;
                     }
-                    f = self.nodes[f as usize].fail;
+                    f = fail[f as usize];
                 };
-                self.nodes[v as usize].fail = fail_v;
-                // Suffix propagation: merge fail target's outputs.
-                if !self.nodes[fail_v as usize].outputs.is_empty() {
-                    let inherited = self.nodes[fail_v as usize].outputs.clone();
-                    let outputs = &mut self.nodes[v as usize].outputs;
-                    for e in inherited {
-                        if let Err(pos) = outputs.binary_search(&e) {
-                            outputs.insert(pos, e);
-                        }
-                    }
-                }
-                queue.push_back(v);
+                order.push(v);
             }
         }
-        order
+        debug_assert_eq!(order.len(), self.nodes.len());
+        (order, fail)
     }
 }
 
@@ -281,37 +251,20 @@ mod tests {
     }
 
     #[test]
-    fn suffix_outputs_are_propagated() {
-        // "DEF" is a suffix of "ABCDEF": the ABCDEF accepting node must
-        // also carry DEF's entry (the paper's own example).
-        let mut t = Trie::new();
-        t.add_pattern(MiddleboxId(0), PatternId(0), b"DEF").unwrap();
-        t.add_pattern(MiddleboxId(1), PatternId(7), b"ABCDEF")
-            .unwrap();
-        t.build_failure_links();
-        // Walk to the ABCDEF node.
-        let mut cur = 0u32;
-        for b in b"ABCDEF" {
-            cur = *t.node(cur).children.get(b).unwrap();
-        }
-        assert_eq!(t.node(cur).outputs, vec![entry(0, 0, 3), entry(1, 7, 6)]);
-    }
-
-    #[test]
     fn failure_links_point_to_longest_proper_suffix() {
         let mut t = Trie::new();
         t.add_pattern(MiddleboxId(0), PatternId(0), b"AB").unwrap();
         t.add_pattern(MiddleboxId(0), PatternId(1), b"BAB").unwrap();
-        t.build_failure_links();
+        let (_, fail) = t.failure_links();
         // Node for "BAB" must fail to node for "AB".
         let b = *t.node(0).children.get(&b'B').unwrap();
         let ba = *t.node(b).children.get(&b'A').unwrap();
         let bab = *t.node(ba).children.get(&b'B').unwrap();
         let a = *t.node(0).children.get(&b'A').unwrap();
         let ab = *t.node(a).children.get(&b'B').unwrap();
-        assert_eq!(t.node(bab).fail, ab);
-        // And inherit AB's output.
-        assert_eq!(t.node(bab).outputs.len(), 2);
+        assert_eq!(fail[bab as usize], ab);
+        // Its own output list is left as registered.
+        assert_eq!(t.node(bab).outputs.len(), 1);
     }
 
     #[test]
@@ -319,7 +272,7 @@ mod tests {
         let mut t = Trie::new();
         t.add_pattern(MiddleboxId(0), PatternId(0), b"ABC").unwrap();
         t.add_pattern(MiddleboxId(0), PatternId(1), b"BC").unwrap();
-        let order = t.build_failure_links();
+        let (order, _) = t.failure_links();
         assert_eq!(order.len(), t.len());
         // Depths must be non-decreasing along the BFS order.
         let depths: Vec<u16> = order.iter().map(|&n| t.node(n).depth).collect();

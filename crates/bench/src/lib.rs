@@ -165,11 +165,11 @@ pub fn fmt_mbps(v: f64) -> String {
     format!("{v:.0} Mbps")
 }
 
-/// A ClamAV-scale pattern set shrunk to a bench-friendly footprint: the
-/// full 31,827-pattern set at 8–64 bytes builds a ~1 GiB full-table DFA;
-/// at `DEFAULT_CLAMAV_BENCH` patterns the structure (binary, unshared
-/// prefixes) is identical and the automaton fits CI memory. Set
-/// `DPI_BENCH_FULL=1` to run the paper-scale set.
+/// A ClamAV-scale pattern set shrunk to a bench-friendly run time: the
+/// full 31,827-pattern set at 8–64 bytes has 1.1 M states; at
+/// `DEFAULT_CLAMAV_BENCH` patterns the structure (binary, unshared
+/// prefixes) is identical. Set `DPI_BENCH_FULL=1` to run the paper-scale
+/// set.
 pub fn clamav_bench_set(seed: u64) -> Vec<Vec<u8>> {
     let count = if std::env::var_os("DPI_BENCH_FULL").is_some() {
         dpi_traffic::patterns::CLAMAV_FULL_COUNT

@@ -230,4 +230,11 @@ mod tests {
         assert_eq!(p.id, MiddleboxId(2));
         assert!(profile_of_register(&ControllerMessage::Deregister { middlebox_id: 2 }).is_none());
     }
+
+    #[test]
+    fn deeply_nested_json_is_an_error_not_a_stack_overflow() {
+        assert!(ControllerMessage::from_json(&"[".repeat(100_000)).is_err());
+        let nested = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        assert!(ControllerMessage::from_json(&nested).is_err());
+    }
 }

@@ -377,6 +377,11 @@ impl Node for MiddleboxNode {
         self.release(held, self.held_port, out);
     }
 
+    /// A matched packet waits here for its result.
+    fn can_hold(&self) -> bool {
+        true
+    }
+
     fn label(&self) -> String {
         format!("middlebox:{}", self.mb.lock().name())
     }

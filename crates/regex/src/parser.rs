@@ -29,6 +29,8 @@ pub enum ParseErrorKind {
     UnknownFlag(char),
     /// Repetition counts above this engine's limit (guards NFA size).
     RepetitionTooLarge(u32),
+    /// Groups nested deeper than [`MAX_NESTING`] (guards the stack).
+    NestingTooDeep,
 }
 
 impl std::fmt::Display for ParseErrorKind {
@@ -47,6 +49,9 @@ impl std::fmt::Display for ParseErrorKind {
             ParseErrorKind::RepetitionTooLarge(n) => {
                 write!(f, "repetition count {n} exceeds the supported maximum")
             }
+            ParseErrorKind::NestingTooDeep => {
+                write!(f, "groups nested deeper than {MAX_NESTING}")
+            }
         }
     }
 }
@@ -56,11 +61,18 @@ impl std::fmt::Display for ParseErrorKind {
 /// up memory — exactly the complexity-attack surface §4.3.1 cares about.
 pub const MAX_COUNTED_REPETITION: u32 = 1000;
 
+/// Upper bound on group nesting: the parser recurses once per group, and
+/// so do the compilers over its AST, so an unbounded depth would let a
+/// short hostile pattern overflow the stack.
+pub const MAX_NESTING: usize = 128;
+
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
     case_insensitive: bool,
     dot_all: bool,
+    /// Groups open around the current position.
+    depth: usize,
 }
 
 /// Parses a pattern into an AST.
@@ -70,6 +82,7 @@ pub fn parse(pattern: &str) -> Result<Ast, RegexError> {
         pos: 0,
         case_insensitive: false,
         dot_all: false,
+        depth: 0,
     };
     p.parse_leading_flags()?;
     let ast = p.parse_alt()?;
@@ -287,7 +300,12 @@ impl<'a> Parser<'a> {
                     let c = self.peek().map(|b| b as char).unwrap_or('?');
                     return Err(self.err(ParseErrorKind::UnknownFlag(c)));
                 }
+                if self.depth == MAX_NESTING {
+                    return Err(self.err(ParseErrorKind::NestingTooDeep));
+                }
+                self.depth += 1;
                 let inner = self.parse_alt()?;
+                self.depth -= 1;
                 if !self.eat(b')') {
                     return Err(self.err(ParseErrorKind::UnbalancedParen));
                 }
@@ -521,6 +539,12 @@ mod tests {
         assert_eq!(fail(r"\q"), ParseErrorKind::UnknownEscape('q'));
         assert_eq!(fail("(?x)a"), ParseErrorKind::UnknownFlag('x'));
         assert_eq!(fail("a{2000}"), ParseErrorKind::RepetitionTooLarge(2000));
+        let nested = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse(&nested(MAX_NESTING)).is_ok());
+        assert_eq!(
+            fail(&nested(MAX_NESTING + 1)),
+            ParseErrorKind::NestingTooDeep
+        );
     }
 
     #[test]

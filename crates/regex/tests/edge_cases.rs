@@ -112,3 +112,11 @@ fn anchor_extraction_on_compound_rules() {
         .collect();
     assert!(anchors.contains(&" /admin/".to_string()), "{anchors:?}");
 }
+
+#[test]
+fn deeply_nested_groups_are_an_error_not_a_stack_overflow() {
+    let pattern = format!("{}a{}", "(".repeat(100_000), ")".repeat(100_000));
+    let err = Regex::new(&pattern).unwrap_err();
+    assert_eq!(err.kind, dpi_regex::ParseErrorKind::NestingTooDeep);
+    assert!(Regex::new(&"(".repeat(100_000)).is_err());
+}

@@ -36,10 +36,17 @@ pub trait Node {
         out.extend(self.on_packet(packet, port));
     }
 
-    /// Called by [`Network::run`] once nothing is in flight: appends
-    /// whatever the node holds for a packet that can no longer come.
-    /// The default holds nothing.
+    /// Called by [`Network::run`] once nothing is in flight, on a node
+    /// whose [`Node::can_hold`] says so: appends whatever the node holds
+    /// for a packet that can no longer come. The default holds nothing.
     fn flush(&mut self, _out: &mut Vec<(PortId, Packet)>) {}
+
+    /// Whether the node may hold a packet for [`Node::flush`] to release.
+    /// Asked once, when the node is added; the default holds nothing, so
+    /// the network never flushes it.
+    fn can_hold(&self) -> bool {
+        false
+    }
 
     /// Human-readable label for diagnostics.
     fn label(&self) -> String {
@@ -91,6 +98,9 @@ impl Node for SinkHost {
 /// Mininet veth pairs.
 pub struct Network {
     nodes: Vec<Box<dyn Node>>,
+    /// The nodes that can hold a packet ([`Node::can_hold`]): the only
+    /// ones [`Network::run`] flushes.
+    holders: Vec<NodeId>,
     /// `links[node][port]` is the far end of that port's link. Dense:
     /// ports are small per-node integers, and `run` reads this once per
     /// emission.
@@ -114,6 +124,7 @@ impl Network {
     pub fn new(max_hops: usize) -> Network {
         Network {
             nodes: Vec::new(),
+            holders: Vec::new(),
             links: Vec::new(),
             queue: VecDeque::new(),
             emissions: Vec::new(),
@@ -125,8 +136,12 @@ impl Network {
 
     /// Adds a node, returning its id.
     pub fn add_node(&mut self, node: Box<dyn Node>) -> NodeId {
+        let id = NodeId(self.nodes.len() as u32);
+        if node.can_hold() {
+            self.holders.push(id);
+        }
         self.nodes.push(node);
-        NodeId(self.nodes.len() as u32 - 1)
+        id
     }
 
     /// Connects two node ports bidirectionally.
@@ -155,9 +170,9 @@ impl Network {
 
     /// Runs until no packets are in flight and no node holds one.
     /// Returns the number of deliveries performed. Each time the queue
-    /// drains, every node is flushed ([`Node::flush`]) and what it
-    /// releases is routed on; the run ends after a flush pass that puts
-    /// nothing in flight.
+    /// drains, every node that can hold a packet is flushed
+    /// ([`Node::flush`]) and what it releases is routed on; the run ends
+    /// after a flush pass that puts nothing in flight.
     ///
     /// If the `max_hops` loop guard fires, every still-queued packet is
     /// *counted* as dropped (see [`Network::dropped`]) and the first one
@@ -187,10 +202,11 @@ impl Network {
                 self.nodes[node.0 as usize].on_packet_into(packet, port, &mut self.emissions);
                 self.route(node);
             }
-            for node in 0..self.nodes.len() {
-                self.nodes[node].flush(&mut self.emissions);
+            for i in 0..self.holders.len() {
+                let node = self.holders[i];
+                self.nodes[node.0 as usize].flush(&mut self.emissions);
                 if !self.emissions.is_empty() {
-                    self.route(NodeId(node as u32));
+                    self.route(node);
                 }
             }
             if self.queue.is_empty() {
@@ -355,5 +371,52 @@ mod tests {
         net.inject(a, 0, pkt());
         net.run();
         assert_eq!(net.dropped(), 0);
+    }
+
+    /// Counts its flushes; holds a packet only when built to.
+    struct Counting {
+        holds: bool,
+        flushes: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+    impl Node for Counting {
+        fn on_packet(&mut self, packet: Packet, port: PortId) -> Vec<(PortId, Packet)> {
+            vec![(1 - port, packet)]
+        }
+        fn flush(&mut self, _out: &mut Vec<(PortId, Packet)>) {
+            self.flushes
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        fn can_hold(&self) -> bool {
+            self.holds
+        }
+    }
+
+    #[test]
+    fn only_nodes_that_can_hold_are_flushed() {
+        for holds in [false, true] {
+            let flushes = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let mut net = Network::new(100);
+            let mut ids = Vec::new();
+            for _ in 0..4 {
+                ids.push(net.add_node(Box::new(Counting {
+                    holds,
+                    flushes: flushes.clone(),
+                })));
+            }
+            let sink = SinkHost::new();
+            let sink_id = net.add_node(Box::new(sink.clone()));
+            for w in ids.windows(2) {
+                net.link(w[0], 1, w[1], 0);
+            }
+            net.link(ids[3], 1, sink_id, 0);
+            for _ in 0..3 {
+                net.inject(ids[0], 0, pkt());
+                assert_eq!(net.run(), 5);
+            }
+            assert_eq!(sink.count(), 3);
+            // One flush pass per run; none at all when nothing can hold.
+            let want = if holds { 3 * 4 } else { 0 };
+            assert_eq!(flushes.load(std::sync::atomic::Ordering::Relaxed), want);
+        }
     }
 }

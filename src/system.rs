@@ -26,7 +26,7 @@
 //! trace ring ([`SystemHandle::trace_events`]) beside the system's
 //! reaction to it.
 
-use dpi_ac::MiddleboxId;
+use dpi_ac::{Automaton, MiddleboxId};
 use dpi_controller::{
     BalancePolicy, DpiController, HealthEvent, HealthPolicy, InstanceId, LoadBalancer,
     UpdateOrchestrator, UpdateTarget,
@@ -1040,6 +1040,22 @@ impl SystemHandle {
             &[("kernel", self.dpi.lock().engine().kernel_name())],
             1,
         );
+        m.family(
+            "dpi_automaton_table_bytes",
+            "Resident bytes of the combined automaton: hot rows, state records and match table",
+            MetricKind::Gauge,
+        );
+        m.family(
+            "dpi_automaton_states",
+            "States of the combined automaton",
+            MetricKind::Gauge,
+        );
+        {
+            let dpi = self.dpi.lock();
+            let ac = dpi.engine().automaton();
+            m.sample("dpi_automaton_table_bytes", &[], ac.memory_bytes() as u64);
+            m.sample("dpi_automaton_states", &[], ac.state_count() as u64);
+        }
 
         m.family(
             "dpi_trace_events_buffered",

@@ -235,3 +235,31 @@ fn overload_families_have_per_instance_series() {
         }
     }
 }
+
+#[test]
+fn automaton_gauges_report_the_engine_in_use() {
+    // The resident table bytes and state count are the engine's own
+    // figures, so the memory the compact automaton saves is visible in
+    // production, not only in the benchmark.
+    let sig = b"golden-sig".to_vec();
+    let sys = SystemBuilder::new()
+        .with_middlebox(antivirus(MiddleboxId(1), &[sig]))
+        .with_chain(&[MiddleboxId(1)])
+        .build()
+        .expect("system builds");
+    let text = sys.metrics_text();
+    let value = |family: &str| -> u64 {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(family) && l[family.len()..].starts_with(' '))
+            .unwrap_or_else(|| panic!("no {family} sample"));
+        line[family.len() + 1..].parse().expect("an integer gauge")
+    };
+    let dpi = sys.dpi.lock();
+    let ac = dpi.engine().automaton();
+    use dpi_service::ac::Automaton;
+    assert_eq!(value("dpi_automaton_states"), ac.state_count() as u64);
+    assert_eq!(value("dpi_automaton_table_bytes"), ac.memory_bytes() as u64);
+    // "golden-sig": the root and ten states of one chain.
+    assert_eq!(ac.state_count(), 11);
+}
