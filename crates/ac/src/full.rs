@@ -627,6 +627,11 @@ impl FullAc {
             _ => (0, state),
         };
         let data = &data[from..];
+        if data.is_empty() {
+            // The skip took the payload, as on most benign units: no lane
+            // has a byte to step, so none is set up.
+            return self.id(state);
+        }
         let on_accept = |i, s| on_accept(from + i, s);
         let clear = usize::from(self.max_depth).max(grid.step_within(data.len()).unwrap_or(1));
         macro_rules! lanes {

@@ -128,9 +128,10 @@ fn inheritance_then_divergence() {
 fn pattern_transfer_size_is_compact() {
     // §4.1: "as opposed to DPI DFAs, which are large, the pattern sets
     // themselves are compact". Verify the global set's serialized size is
-    // orders of magnitude below the paper's full-table DFA (256 four-byte
-    // cells per state), and an order below even the compact automaton
-    // the instance holds instead (hot rows plus one record per state).
+    // more than an order of magnitude below the automaton built from it.
+    // The automaton keeps 256-cell rows only for its hot states (DESIGN
+    // §12): on this set it measures 16.4× the transfer, so 15× leaves a
+    // margin for layout changes without letting the transfer grow.
     let c = DpiController::new();
     register_json(&c, 1, "snort", false);
     let pats = dpi_service::traffic::patterns::snort_like(2000, 3);
@@ -141,15 +142,9 @@ fn pattern_transfer_size_is_compact() {
     let transfer = c.pattern_transfer_bytes();
     let chain = c.register_chain(&[MiddleboxId(1)]).unwrap();
     let dpi = DpiInstance::new(c.instance_config(&[chain]).unwrap()).unwrap();
-    let automaton = dpi.engine().automaton();
-    let full_table = dpi_service::ac::Automaton::state_count(automaton) * 256 * 4;
+    let dfa_bytes = dpi_service::ac::Automaton::memory_bytes(dpi.engine().automaton());
     assert!(
-        transfer * 20 < full_table,
-        "transfer {transfer} B should be far below the full-table DFA's {full_table} B"
-    );
-    let dfa_bytes = dpi_service::ac::Automaton::memory_bytes(automaton);
-    assert!(
-        transfer * 10 < dfa_bytes,
+        transfer * 15 < dfa_bytes,
         "transfer {transfer} B should be far below the automaton's {dfa_bytes} B"
     );
 }
