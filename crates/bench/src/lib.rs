@@ -1,21 +1,11 @@
 //! # dpi-bench
 //!
-//! The experiment harness: shared measurement helpers plus one binary per
-//! table/figure of the paper's evaluation (§6). See `DESIGN.md` for the
-//! experiment index and `EXPERIMENTS.md` for paper-vs-measured results.
+//! Measurements the end-to-end benchmark (`e2ebench/`) has no row for,
+//! and the helpers they share. The paper's evaluation (§6) is checked by
+//! the root `paper_claims` test; see `EXPERIMENTS.md` for its rows.
 //!
 //! Binaries (run with `cargo run --release -p dpi-bench --bin <name>`):
 //!
-//! * `fig8_virtualization` — Figure 8: AC throughput vs pattern count,
-//!   stand-alone vs concurrent instances.
-//! * `table2_combined` — Table 2: Snort1/Snort2/combined space and
-//!   throughput.
-//! * `fig9_pipeline` — Figure 9(a)/(b): pipelined middleboxes vs combined
-//!   virtual DPI.
-//! * `fig10_region` — Figure 10(a)/(b): achievable-throughput regions.
-//! * `fig11_report_cdf` — Figure 11: match-report size distribution.
-//! * `exp_dpi_share` — §1's "DPI slows packet processing by ≥ 2.9×".
-//! * `exp_patternset_size` — §4.1's pattern-set transfer-size argument.
 //! * `exp_mca2` — §4.3.1: goodput under complexity attack, with and
 //!   without MCA² mitigation.
 //! * `bench_update` — live rule-update cost: off-hot-path compile time,
@@ -24,13 +14,11 @@
 //!   load.
 //! * `bench_trace` — traced against untraced scan path.
 //!
-//! The three `bench_*` bins report what the end-to-end benchmark
-//! (`e2ebench/`) has no row for, each as a `BENCH_<name>.json` written
+//! The three `bench_*` bins write their numbers to `BENCH_<name>.json`
 //! through [`write_bench_json`].
 
-use dpi_ac::{Automaton, CombinedAcBuilder, MiddleboxId, PatternSet};
+use dpi_ac::{CombinedAcBuilder, MiddleboxId, PatternSet};
 use dpi_packet::{MacAddr, Packet};
-use std::time::Instant;
 
 /// Builds a single-set full-table automaton over `patterns`.
 pub fn build_ac(patterns: &[Vec<u8>]) -> dpi_ac::FullAc {
@@ -38,74 +26,6 @@ pub fn build_ac(patterns: &[Vec<u8>]) -> dpi_ac::FullAc {
     b.add_set(PatternSet::new(MiddleboxId(0), patterns.to_vec()))
         .expect("generated patterns are valid");
     b.build_full()
-}
-
-/// Builds a two-set combined automaton (the §5.1 merge).
-pub fn build_combined_ac(a: &[Vec<u8>], b: &[Vec<u8>]) -> dpi_ac::FullAc {
-    let mut builder = CombinedAcBuilder::new();
-    builder
-        .add_set(PatternSet::new(MiddleboxId(0), a.to_vec()))
-        .expect("generated patterns are valid");
-    builder
-        .add_set(PatternSet::new(MiddleboxId(1), b.to_vec()))
-        .expect("generated patterns are valid");
-    builder.build_full()
-}
-
-/// Scans the whole trace once with `ac`, returning (seconds, bytes).
-pub fn scan_trace<A: Automaton>(ac: &A, trace: &[Vec<u8>]) -> (f64, usize) {
-    let bytes: usize = trace.iter().map(|p| p.len()).sum();
-    let mut sink = 0u64;
-    let t0 = Instant::now();
-    for p in trace {
-        ac.scan(ac.start(), p, |_, st| {
-            sink = sink.wrapping_add(u64::from(st));
-        });
-    }
-    let dt = t0.elapsed().as_secs_f64();
-    // Keep the accumulator alive so the scan cannot be optimized away.
-    std::hint::black_box(sink);
-    (dt, bytes)
-}
-
-/// Single-threaded scan throughput in Mbit/s, best of `runs` passes —
-/// the least-interference estimator: on a shared host anything slower
-/// than the fastest pass measures a neighbor's noise, not the scan.
-pub fn throughput_mbps<A: Automaton>(ac: &A, trace: &[Vec<u8>], runs: usize) -> f64 {
-    (0..runs.max(1))
-        .map(|_| {
-            let (dt, bytes) = scan_trace(ac, trace);
-            (bytes as f64 * 8.0) / dt / 1e6
-        })
-        .fold(0.0, f64::max)
-}
-
-/// Per-thread average and aggregate throughput when `threads` copies of
-/// the scan run concurrently — the "4 VMs" series of Figure 8. Our
-/// substitution models VM co-location as cache/memory-bandwidth sharing
-/// between threads; on hosts with fewer cores than `threads` the per-VM
-/// number degrades to `aggregate / threads` by pure time-slicing, so the
-/// *aggregate* is the co-location-overhead signal to read there.
-pub fn concurrent_throughput_mbps(
-    ac: &(impl Automaton + Sync),
-    trace: &[Vec<u8>],
-    threads: usize,
-) -> (f64, f64) {
-    // Wall-clock the whole group: per-thread medians would hide the
-    // time-slicing on small hosts.
-    let bytes: usize = trace.iter().map(|p| p.len()).sum();
-    let t0 = std::time::Instant::now();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| s.spawn(|| scan_trace(ac, trace)))
-            .collect();
-        for h in handles {
-            h.join().expect("no panic");
-        }
-    });
-    let dt = t0.elapsed().as_secs_f64();
-    let aggregate = (threads * bytes) as f64 * 8.0 / dt / 1e6;
-    (aggregate / threads as f64, aggregate)
 }
 
 /// Number of cores the host actually offers.
@@ -154,38 +74,6 @@ pub fn print_row(cols: &[String]) {
     let line: Vec<String> = cols.iter().map(|c| format!("{c:>16}")).collect();
     println!("{}", line.join("  "));
 }
-
-/// Formats bytes as MB with two decimals.
-pub fn fmt_mb(bytes: usize) -> String {
-    format!("{:.2} MB", bytes as f64 / 1e6)
-}
-
-/// Formats a throughput in Mbit/s.
-pub fn fmt_mbps(v: f64) -> String {
-    format!("{v:.0} Mbps")
-}
-
-/// A ClamAV-scale pattern set shrunk to a bench-friendly run time: the
-/// full 31,827-pattern set at 8–64 bytes has 1.1 M states; at
-/// `DEFAULT_CLAMAV_BENCH` patterns the structure (binary, unshared
-/// prefixes) is identical. Set `DPI_BENCH_FULL=1` to run the paper-scale
-/// set.
-pub fn clamav_bench_set(seed: u64) -> Vec<Vec<u8>> {
-    let count = if std::env::var_os("DPI_BENCH_FULL").is_some() {
-        dpi_traffic::patterns::CLAMAV_FULL_COUNT
-    } else {
-        DEFAULT_CLAMAV_BENCH
-    };
-    dpi_traffic::patterns::clamav_like(count, seed)
-}
-
-/// Bench-default ClamAV-like pattern count.
-pub const DEFAULT_CLAMAV_BENCH: usize = 6000;
-
-/// The paper's Snort1/Snort2 split sizes (§6.4 / Table 2).
-pub const SNORT1_COUNT: usize = 2500;
-/// See [`SNORT1_COUNT`].
-pub const SNORT2_COUNT: usize = 1856;
 
 /// Chain id used by the pipeline benches.
 pub const PIPELINE_CHAIN: u16 = 1;
@@ -245,27 +133,6 @@ mod tests {
     use dpi_traffic::trace::TraceConfig;
 
     #[test]
-    fn throughput_is_positive_and_finite() {
-        let pats = snort_like(100, 1);
-        let ac = build_ac(&pats);
-        let trace = TraceConfig {
-            packets: 50,
-            ..TraceConfig::default()
-        }
-        .generate(&pats);
-        let t = throughput_mbps(&ac, &trace, 1);
-        assert!(t.is_finite() && t > 0.0);
-    }
-
-    #[test]
-    fn combined_builder_merges() {
-        let a = snort_like(50, 1);
-        let b = snort_like(50, 2);
-        let ac = build_combined_ac(&a, &b);
-        assert!(ac.accepting_count() >= 90); // some dedup possible
-    }
-
-    #[test]
     fn benign_trace_is_mostly_clean() {
         // Regression: generated patterns must not be bare protocol
         // keywords, or benign traffic lights up everywhere (the paper's
@@ -285,19 +152,5 @@ mod tests {
             "{dirty}/{} benign packets matched",
             trace.len()
         );
-    }
-
-    #[test]
-    fn concurrent_throughput_runs() {
-        let pats = snort_like(50, 3);
-        let ac = build_ac(&pats);
-        let trace = TraceConfig {
-            packets: 20,
-            ..TraceConfig::default()
-        }
-        .generate(&[]);
-        let (avg, aggr) = concurrent_throughput_mbps(&ac, &trace, 2);
-        assert!(avg.is_finite() && avg > 0.0);
-        assert!(aggr >= avg);
     }
 }
