@@ -91,11 +91,6 @@ pub fn bitmap_bit(id: MiddleboxId) -> u64 {
     1u64 << (id.0.min(63))
 }
 
-/// Builds an active-set bitmap from a list of middlebox ids.
-pub fn bitmap_of(ids: &[MiddleboxId]) -> u64 {
-    ids.iter().copied().map(bitmap_bit).fold(0, |a, b| a | b)
-}
-
 /// A DFA state handle. `FullAc` guarantees accepting states are
 /// `0..accepting_count()`.
 pub type StateId = u32;
@@ -166,11 +161,5 @@ mod tests {
         assert_eq!(bitmap_bit(MiddleboxId(63)), 1 << 63);
         assert_eq!(bitmap_bit(MiddleboxId(64)), 1 << 63);
         assert_eq!(bitmap_bit(MiddleboxId(1000)), 1 << 63);
-    }
-
-    #[test]
-    fn bitmap_of_unions_bits() {
-        let b = bitmap_of(&[MiddleboxId(0), MiddleboxId(2), MiddleboxId(2)]);
-        assert_eq!(b, 0b101);
     }
 }

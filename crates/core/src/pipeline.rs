@@ -64,9 +64,6 @@ struct ShardSlot {
     window: Window,
     /// High-water mark of the ingress queue, across batches.
     queue_peak: usize,
-    /// Ingress-queue peak of the *most recent* batch. Benches read this
-    /// to build a queue-depth distribution.
-    last_batch_peak: usize,
     /// Packets whose inspection errored (untagged, no payload, unknown
     /// chain); errored packets produce no result.
     errors: u64,
@@ -357,7 +354,6 @@ impl DpiInstance {
                 detector: None,
                 window: Window::default(),
                 queue_peak: 0,
-                last_batch_peak: 0,
                 errors: 0,
                 restarts: 0,
                 lost_scans: 0,
@@ -726,7 +722,6 @@ impl DpiInstance {
         // deterministic across runs of the same seed.
         for (s, t) in tallies.iter().enumerate() {
             let slot = &mut self.slots[s];
-            slot.last_batch_peak = t.peak;
             slot.queue_peak = slot.queue_peak.max(t.peak);
             slot.errors += t.errors;
             slot.seen += t.received;
@@ -875,13 +870,6 @@ impl DpiInstance {
                 }
             })
             .collect()
-    }
-
-    /// Each shard's ingress-queue peak during the most recent batch (the
-    /// lifetime peak is in [`DpiInstance::shard_telemetry`]). Benches
-    /// sample this per batch to build queue-depth distributions.
-    pub fn last_batch_peaks(&self) -> Vec<usize> {
-        self.slots.iter().map(|s| s.last_batch_peak).collect()
     }
 
     /// Total scans shed by the overload policy across shards.
@@ -1374,25 +1362,6 @@ mod tests {
         assert_eq!(armed.total_ce_marked(), 0);
         assert!(armed.overload_state().iter().all(|(over, _)| !over));
         assert!(b.iter().all(|p| !p.has_ce_mark()));
-    }
-
-    #[test]
-    fn last_batch_peaks_track_the_most_recent_batch() {
-        let mut scanner = sharded(config(), 1);
-        let mut big: Vec<Packet> = (0..12).map(|i| tagged_packet(100 + i, b"x")).collect();
-        scanner.inspect_batch(&mut big);
-        let peak_big = scanner.last_batch_peaks()[0];
-        assert!(peak_big >= 1);
-        let mut small = vec![tagged_packet(999, b"x")];
-        scanner.inspect_batch(&mut small);
-        let peak_small = scanner.last_batch_peaks()[0];
-        // Lifetime peak keeps the high-water mark; the per-batch view
-        // resets to the latest batch.
-        assert!(peak_small <= peak_big);
-        assert_eq!(
-            scanner.shard_telemetry()[0].peak_queue_depth,
-            peak_big as u64
-        );
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!    `fetch_add`, an `Instant` read and a slot write. Per-packet scan
 //!    events are *sampled* (1 in [`PACKET_SAMPLE_EVERY`]), so the scan
 //!    loop's per-byte work is untouched and the per-packet overhead is a
-//!    branch. `bench_trace` proves the traced/untraced throughput delta
-//!    stays within budget.
+//!    branch. `paper_claims`' DESIGN §10 row holds the traced throughput
+//!    within 5 % of the untraced.
 //! 2. **Workers never share a lock.** Each shard owns a private
 //!    [`TraceWriter`] (inside its `ShardState`); the only shared state a
 //!    record touches is the atomic sequence counter. Writers are drained

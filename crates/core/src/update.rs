@@ -21,8 +21,8 @@
 //!   engine handed over between calls (`&mut self` is the drain
 //!   barrier); an instance refuses any `offered <= current` generation,
 //!   and old generations are reclaimed by the last `Arc` drop. It
-//!   returns the swap pause (the paper's Fig. 11 companion metric,
-//!   recorded by `bench_update`) and traces every swap and refusal.
+//!   returns the swap pause (`paper_claims`' DESIGN §9 row holds it 20
+//!   times below the compile) and traces every swap and refusal.
 //!
 //! Cross-packet flow state is tagged with the generation that wrote it
 //! (see [`crate::arena::FlowArena`]); a flow whose state predates the

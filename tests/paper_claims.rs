@@ -1,8 +1,11 @@
-//! The paper's evaluation (§6), each claim a shape inequality on the code
-//! the data plane runs: `CombinedAcBuilder::build_auto` and its lane loop,
-//! `DpiInstance::scan_payload` with the report encoder, and
-//! `ServiceMiddlebox` against the `SelfScanMiddlebox` baseline. Every row
-//! prints beside the paper's number:
+//! The paper's evaluation (§6), and the cost arguments DESIGN.md makes
+//! for its own choices, each claim a shape inequality on the code the
+//! data plane runs: `CombinedAcBuilder::build_auto` and its lane loop,
+//! `DpiInstance::scan_payload` and `inspect_batch` with the report
+//! encoder, and `ServiceMiddlebox` against the `SelfScanMiddlebox`
+//! baseline. A row is named after the paper's section, table or figure,
+//! or after the DESIGN.md section ("DESIGN §10") whose number it checks,
+//! and prints beside that number:
 //!
 //! ```text
 //! cargo test --release --test paper_claims -- --nocapture
@@ -12,26 +15,42 @@
 //! hold for optimized code only, so a debug build skips them; they run in
 //! one test body so no two of them time each other, and each measures its
 //! sides interleaved, keeping the best of three passes. A bound is the
-//! paper's wherever the shape holds it, otherwise the value measured here
-//! with the margin its comment states (EXPERIMENTS.md lists which).
+//! paper's or DESIGN's wherever the shape holds it, otherwise the value
+//! measured here with the margin its comment states (EXPERIMENTS.md lists
+//! which). A row whose shape no bound holds on a shared two-core host
+//! prints without an assertion, and EXPERIMENTS.md records it as not
+//! reproduced.
 //!
 //! Checked by other tests and not again here: §4.1's pattern transfer far
 //! below the automaton (`controller_lifecycle`'s
-//! `pattern_transfer_size_is_compact`) and §6.2's full Snort + ClamAV merge
-//! (`dpi-ac`'s `paper_scale`).
+//! `pattern_transfer_size_is_compact`), §6.2's full Snort + ClamAV merge
+//! (`dpi-ac`'s `paper_scale`), MCA²'s monitor firing on real telemetry
+//! (`mca2_flow_migration`'s `stress_detection_end_to_end_with_real_telemetry`)
+//! and DESIGN §11's shedding (`pipeline`'s
+//! `overload_sheds_fail_open_scans_and_ce_marks`, `overload_proptest`).
 
-use dpi_service::ac::{Automaton, CombinedAc, CombinedAcBuilder, MiddleboxId, PatternSet};
+use dpi_service::ac::{bitmap_bit, Automaton, CombinedAc, CombinedAcBuilder, MiddleboxId};
+use dpi_service::ac::{DepthSamples, KernelKind, PatternSet, ScanKernel};
+use dpi_service::controller::{DpiController, Mca2Action, StressMonitor, StressPolicy};
+use dpi_service::controller::{PreparedUpdate, UpdateOrchestrator};
 use dpi_service::core::config::NumberedRule;
 use dpi_service::core::{deflate_fixed, inflate, DpiInstance, InstanceConfig};
-use dpi_service::core::{MiddleboxProfile, RuleSpec};
+use dpi_service::core::{MiddleboxProfile, RuleSpec, ScanEngine};
 use dpi_service::middlebox::{MbAction, RuleLogic, SelfScanMiddlebox, ServiceMiddlebox};
+use dpi_service::packet::ipv4::IpProtocol;
+use dpi_service::packet::packet::flow;
 use dpi_service::packet::report::MiddleboxReport;
-use dpi_service::traffic::patterns::{clamav_like, snort_like, split_set, SNORT_FULL_COUNT};
+use dpi_service::packet::{FlowKey, MacAddr, Packet};
+use dpi_service::regex::Regex;
+use dpi_service::traffic::patterns::{clamav_like, snort_like, snort_like_regexes};
+use dpi_service::traffic::patterns::{split_set, SNORT_FULL_COUNT};
 use dpi_service::traffic::trace::{TraceConfig, TraceKind};
+use dpi_service::traffic::{flow_pool, heavy_payload};
+use dpi_service::Tracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// The paper's Snort1 share of the 4,356-pattern Snort set (Table 2).
@@ -45,30 +64,72 @@ fn one_at_a_time() -> MutexGuard<'static, ()> {
     ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Prints one row beside the paper's number, and fails unless it `holds`.
-fn claim(name: &str, paper: &str, here: String, holds: bool) {
-    println!("{name:<44} paper {paper:<16} here {here}");
-    assert!(holds, "{name}: {here} (paper: {paper})");
+/// Prints one row beside the number its source expects.
+fn print_row(name: &str, expected: &str, here: &str) {
+    println!("{name:<44} expected {expected:<24} here {here}");
 }
 
-/// The data plane's automaton over `sets`, one middlebox each.
-fn automaton(sets: &[&[Vec<u8>]]) -> CombinedAc {
+/// Prints one row, and fails unless it `holds`.
+fn claim(name: &str, expected: &str, here: String, holds: bool) {
+    print_row(name, expected, &here);
+    assert!(holds, "{name}: {here} (expected: {expected})");
+}
+
+/// A builder over `sets`, middlebox `i + 1` registering `sets[i]`.
+fn builder(sets: &[&[Vec<u8>]]) -> CombinedAcBuilder {
     let mut builder = CombinedAcBuilder::new();
     for (i, set) in sets.iter().enumerate() {
         let set = PatternSet::new(MiddleboxId(i as u16 + 1), set.to_vec());
         builder.add_set(set).expect("generated patterns are valid");
     }
-    builder.build_auto()
+    builder
 }
 
-/// One instance serving middleboxes 1..=n, one per set, on chain 1.
-fn instance(sets: &[&[Vec<u8>]]) -> DpiInstance {
+/// The data plane's automaton over `sets`, one middlebox each.
+fn automaton(sets: &[&[Vec<u8>]]) -> CombinedAc {
+    builder(sets).build_auto()
+}
+
+/// Middleboxes 1..=n, one per set, stateless, on chain 1.
+fn config(sets: &[&[Vec<u8>]]) -> InstanceConfig {
     let mut config = InstanceConfig::new();
     let ids: Vec<MiddleboxId> = (1..=sets.len() as u16).map(MiddleboxId).collect();
     for (&id, set) in ids.iter().zip(sets) {
         config = config.with_middlebox(MiddleboxProfile::stateless(id), RuleSpec::exact_set(set));
     }
-    DpiInstance::new(config.with_chain(1, ids)).expect("valid config")
+    config.with_chain(1, ids)
+}
+
+/// One instance serving [`config`]`(sets)`.
+fn instance(sets: &[&[Vec<u8>]]) -> DpiInstance {
+    DpiInstance::new(config(sets)).expect("valid config")
+}
+
+/// A `workers`-shard instance serving [`config`]`(sets)`.
+fn sharded(sets: &[&[Vec<u8>]], workers: usize) -> DpiInstance {
+    let engine = ScanEngine::new(config(sets)).expect("valid config");
+    DpiInstance::with_workers(Arc::new(engine), workers)
+}
+
+/// `payloads` as chain-1 TCP packets over 64 flows in turn, each flow's
+/// sequence numbers in order.
+fn tagged_packets(payloads: &[Vec<u8>]) -> Vec<Packet> {
+    let pool = flow_pool(64, 99);
+    let mut seqs = [0u32; 64];
+    let mut packets = Vec::with_capacity(payloads.len());
+    for (payload, i) in payloads.iter().zip((0..64).cycle()) {
+        let (src, dst) = (MacAddr::local(1), MacAddr::local(2));
+        let mut p = Packet::tcp(src, dst, pool.flows()[i], seqs[i], payload.clone());
+        p.push_chain_tag(1).expect("room for a tag");
+        seqs[i] = seqs[i].wrapping_add(payload.len() as u32);
+        packets.push(p);
+    }
+    packets
+}
+
+/// One scan of `payload` on `flow`, chain 1.
+fn scan_on(dpi: &mut DpiInstance, flow: FlowKey, payload: &[u8]) {
+    dpi.scan_payload(1, Some(flow), payload).expect("chain 1");
 }
 
 /// The reports of one stateless scan of `payload` on chain 1.
@@ -208,6 +269,13 @@ fn timing_claims_hold_on_the_data_plane() {
     sec1_inline_dpi_against_results_only(&snort);
     sec1_decompress_once();
     fig1_speedup_grows_with_chain_length();
+    fig6_mca2_restores_benign_goodput(&snort);
+    sec51_bitmap_against_table();
+    sec53_anchor_prefilter();
+    design7_worker_sweep(&snort);
+    design9_swap_pause_against_compile(&snort);
+    design10_tracing_overhead(&snort);
+    design12_lanes_against_naive(&snort);
 }
 
 /// Fig. 8: one automaton's throughput as its pattern count grows. Here it
@@ -223,6 +291,23 @@ fn fig8_pattern_count(snort: &[Vec<u8>]) {
     let here: Vec<String> = bps.iter().map(|b| format!("{:.2}", b / 1e9)).collect();
     let name = format!("Fig. 8: Gbit/s at {counts:?} patterns");
     claim(&name, "falls", here.join(", "), bps[5] < bps[2]);
+    // Where the default loop's bytes go, per set: passed by the root
+    // skip's prefix filter, or stepped from a cold state (DESIGN §12).
+    let shares: Vec<String> = acs
+        .iter()
+        .map(|ac| {
+            let mut samples = DepthSamples::default();
+            for payload in &trace {
+                ac.scan_sampled(ac.start(), payload, 16, 4, &mut samples, &mut |_, _| {});
+            }
+            let share = |n: u64| 100.0 * n as f64 * 8.0 / bits;
+            format!("{:.1}/{:.1}", share(samples.skipped), share(samples.cold))
+        })
+        .collect();
+    println!(
+        "Fig. 8: skipped/cold-stepped % of bytes  {}",
+        shares.join(", ")
+    );
 }
 
 /// Table 2, Fig. 9 and Fig. 10 from one sweep: seconds per pass of
@@ -368,4 +453,244 @@ fn fig1_speedup_grows_with_chain_length() {
     let grows = speedups.windows(2).all(|w| w[1] > w[0]);
     let (name, paper) = ("Fig. 1: speedup at N = 1..5", "grows with N");
     claim(name, paper, here.join(", "), grows);
+}
+
+/// §4.3.1 / Fig. 6: heavy traffic sharing an instance with a benign flow
+/// drags the scan into deep states and costs the benign flow most of its
+/// goodput; MCA² restores it once the stress monitor, reading the
+/// instance's telemetry, has the heavy flow moved with its state to a
+/// dedicated instance. Goodput is the benign bytes over the time the
+/// regular instance spends, so the heavy flow counts against it only
+/// while it stays. Measured here: attacked 13 % of clean, recovered
+/// 97-100 %; the bounds are ½ and 0.9.
+fn fig6_mca2_restores_benign_goodput(snort: &[Vec<u8>]) {
+    const MB: MiddleboxId = MiddleboxId(1);
+    let stateful = || {
+        let rules = RuleSpec::exact_set(snort);
+        let config = InstanceConfig::new().with_middlebox(MiddleboxProfile::stateful(MB), rules);
+        DpiInstance::new(config.with_chain(1, vec![MB])).expect("valid config")
+    };
+    let benign = http_trace(1500, [0.02, 0.0], 13, snort);
+    let heavy: Vec<Vec<u8>> = (0..200).map(|i| heavy_payload(snort, 1400, i)).collect();
+    let benign_flow = flow([1, 1, 1, 1], 1, [2, 2, 2, 2], 80, IpProtocol::Tcp);
+    let heavy_flow = flow([6, 6, 6, 6], 6, [2, 2, 2, 2], 80, IpProtocol::Tcp);
+
+    // The attack runs on the regular instance until the monitor moves it.
+    let controller = DpiController::new();
+    let id = controller.deploy_instance(vec![1]);
+    let mut monitor = StressMonitor::new(StressPolicy::default());
+    let mut regular = stateful();
+    let mut migrated = false;
+    for round in 0..6 {
+        for i in 0..40 {
+            let p = heavy_payload(snort, 1400, 100_000 + round * 100 + i);
+            scan_on(&mut regular, heavy_flow, &p);
+        }
+        let telemetry = regular.telemetry();
+        let delta = controller
+            .report_telemetry(id, telemetry)
+            .expect("deployed");
+        let migrate = |a: &Mca2Action| matches!(a, Mca2Action::MigrateHeavyFlows { .. });
+        if monitor.evaluate(&[(id, delta)]).iter().any(migrate) {
+            let state = regular.export_flow(&heavy_flow).expect("its state");
+            stateful().import_flow(heavy_flow, state);
+            migrated = true;
+            break;
+        }
+    }
+
+    // Side 0: no attack; 1: the attack on a shared instance; 2: the
+    // regular instance after MCA², carrying the heavy flow if it stayed.
+    let left_on_regular = if migrated { &heavy[..0] } else { &heavy[..] };
+    let mut dpis = [stateful(), stateful(), regular];
+    let t = best_of_three(3, |side| {
+        let mut heavy = [&heavy[..0], &heavy, left_on_regular][side].iter().cycle();
+        for p in &benign {
+            scan_on(&mut dpis[side], benign_flow, p);
+            if let Some(h) = heavy.next() {
+                scan_on(&mut dpis[side], heavy_flow, h);
+            }
+        }
+    });
+    let clean = benign.iter().map(Vec::len).sum::<usize>() as f64 * 8.0 / t[0] / 1e6;
+    let (attacked, recovered) = (t[0] / t[1], t[0] / t[2]);
+    let here = format!(
+        "attacked {:.0} %, recovered {:.0} % of {clean:.0} Mbit/s",
+        100.0 * attacked,
+        100.0 * recovered
+    );
+    let name = "§4.3.1 / Fig. 6: benign goodput";
+    let holds = attacked <= 0.5 && recovered >= 0.9;
+    claim(name, "<= 50 %, >= 90 %", here, holds);
+}
+
+/// §5.1: each accepting state's bitmap of middleboxes, ANDed with the
+/// packet's active set, decides whether the match table is read at all.
+/// Ten middleboxes of 300 patterns share the automaton and one is active:
+/// the bitmap side reads the table where the active middlebox may match,
+/// the other side on every accept. Asserted: the same reports. The time
+/// is printed only (EXPERIMENTS.md: not reproduced).
+fn sec51_bitmap_against_table() {
+    const ACTIVE: MiddleboxId = MiddleboxId(1);
+    let sets: Vec<Vec<Vec<u8>>> = (0..10).map(|i| snort_like(300, 100 + i)).collect();
+    let refs: Vec<&[Vec<u8>]> = sets.iter().map(Vec::as_slice).collect();
+    let ac = automaton(&refs);
+    let trace = http_trace(1000, [0.3, 2.0], 6, &sets.concat());
+    let active = bitmap_bit(ACTIVE);
+    let relevant = |st| ac.entries(st).iter().filter(|e| e.middlebox == ACTIVE);
+    let mut found = [0; 2];
+    let t = best_of_three(2, |side| {
+        let found = &mut found[side];
+        for p in &trace {
+            match side {
+                0 => ac.scan(ac.start(), p, |_, st| {
+                    if ac.bitmap(st) & active != 0 {
+                        *found += relevant(st).count();
+                    }
+                }),
+                _ => ac.scan(ac.start(), p, |_, st| *found += relevant(st).count()),
+            };
+        }
+    });
+    assert_eq!(found[0], found[1], "same reports");
+    let mib = trace.iter().map(Vec::len).sum::<usize>() as f64 / f64::from(1 << 20);
+    let here = format!("{:.0} vs {:.0} MiB/s", mib / t[0], mib / t[1]);
+    print_row("§5.1: bitmap first vs table always", "bitmap faster", &here);
+}
+
+/// §5.3: a regex rule runs only on packets where the one scan found all
+/// its anchors, and a rule without anchors runs on every packet on the
+/// lazy DFA (`use_lazy_dfa`), not the NFA. Fifty Snort-like regexes, the
+/// pre-filtered instance against running every regex on every packet,
+/// on the lazy DFA and on the NFA. Measured here: the pre-filter 86-96x
+/// the lazy DFA, the lazy DFA 7.5x the NFA; the bounds are 40x and 5x.
+fn sec53_anchor_prefilter() {
+    const MB: MiddleboxId = MiddleboxId(1);
+    let regexes = snort_like_regexes(50, 51);
+    let rules: Vec<RuleSpec> = regexes.iter().map(RuleSpec::regex).collect();
+    let config = InstanceConfig::new().with_middlebox(MiddleboxProfile::stateless(MB), rules);
+    let mut dpi = DpiInstance::new(config.with_chain(1, vec![MB])).expect("valid config");
+    let nfas: Vec<Regex> = regexes.iter().map(|r| Regex::new(r).unwrap()).collect();
+    let mut dfas: Vec<_> = nfas.iter().map(Regex::to_lazy_dfa).collect();
+    let mut trace = TraceConfig::default();
+    (trace.packets, trace.max_payload, trace.seed) = (40, 600, 7);
+    let trace = trace.generate(&[]);
+    let mut matched = [0; 3];
+    let t = best_of_three(3, |side| {
+        for p in &trace {
+            matched[side] += match side {
+                0 => reports(&mut dpi, p).len(),
+                1 => dfas.iter_mut().map(|dfa| dfa.is_match(p) as usize).sum(),
+                _ => nfas.iter().filter(|nfa| nfa.is_match(p)).count(),
+            };
+        }
+    });
+    assert_eq!(matched[1], matched[2], "same verdicts");
+    let (prefilter, dfa) = (t[1] / t[0], t[2] / t[1]);
+    let here = format!("{prefilter:.0}x, {dfa:.1}x");
+    let name = "§5.3: pre-filter vs lazy DFA vs NFA";
+    claim(name, ">= 40x, >= 5x", here, prefilter >= 40.0 && dfa >= 5.0);
+}
+
+/// DESIGN §7: `inspect_batch` throughput at 1, 2, 4 and 8 shards. The
+/// workers are spawned per batch (ROADMAP item 8), so on this two-core
+/// host no count out-scans one: the row prints the sweep and asserts
+/// nothing (EXPERIMENTS.md: not reproduced).
+fn design7_worker_sweep(snort: &[Vec<u8>]) {
+    let pats = &snort[..2000];
+    let payloads = http_trace(256, [0.02, 3.0], 7, pats);
+    let counts = [1, 2, 4, 8];
+    let mut dpis: Vec<DpiInstance> = counts.iter().map(|&n| sharded(&[pats], n)).collect();
+    // Inspection leaves the chain tag on, so each side rescans its batch.
+    let mut batches = counts.map(|_| tagged_packets(&payloads));
+    let t = best_of_three(counts.len(), |i| {
+        black_box(dpis[i].inspect_batch(&mut batches[i]));
+    });
+    let mib = payloads.iter().map(Vec::len).sum::<usize>() as f64 / f64::from(1 << 20);
+    let here: Vec<String> = t.iter().map(|t| format!("{:.0}", mib / t)).collect();
+    let name = format!("DESIGN §7: MiB/s at {counts:?} workers");
+    print_row(&name, "grows", &here.join(", "));
+}
+
+/// DESIGN §9: a rule update compiles off the packet path; the swap, the
+/// data plane's only pause, is a shard sweep and a pointer exchange. An
+/// update of 256 patterns onto a two-shard instance serving 500:
+/// measured here, compile 2.0-2.1 ms and pause under 1 µs; the bound is
+/// a pause 20 times shorter than the compile.
+fn design9_swap_pause_against_compile(snort: &[Vec<u8>]) {
+    let (base, next) = (config(&[&snort[..500]]), config(&[&snort[..756]]));
+    let mut orchestrator = UpdateOrchestrator::new(&base);
+    let mut dpi = sharded(&[&snort[..500]], 2);
+    dpi.inspect_batch(&mut tagged_packets(&http_trace(256, [0.02, 0.0], 7, snort)));
+    let update = orchestrator.prepare(&next);
+    let compile = |update: &PreparedUpdate| update.artifact.compile().expect("valid artifact");
+    // One engine per swap, each a generation past the last.
+    let engines: Vec<_> = (0..6)
+        .map(|_| compile(&orchestrator.prepare(&next)))
+        .collect();
+    let mut engines = engines.into_iter();
+    let t = best_of_three(2, |side| {
+        if side == 0 {
+            black_box(compile(&update));
+        } else {
+            let engine = engines.next().expect("one per pass");
+            dpi.swap_engine(engine).expect("a newer generation");
+        }
+    });
+    let here = format!(
+        "compile {:.2} ms, pause {:.1} µs, {} B shipped",
+        t[0] * 1e3,
+        t[1] * 1e6,
+        update.transfer_bytes
+    );
+    let name = "DESIGN §9: swap pause vs compile";
+    claim(name, "20x shorter", here, t[1] * 20.0 < t[0]);
+}
+
+/// DESIGN §10: with a tracer attached the scan path pays a branch per
+/// packet and a ring write per 64; the budget is 5 %. One shard, so the
+/// batch runs on the calling thread and no spawn's jitter hides the cost.
+fn design10_tracing_overhead(snort: &[Vec<u8>]) {
+    let pats = &snort[..500];
+    let payloads = http_trace(2048, [0.02, 3.0], 7, pats);
+    let mut dpis = [instance(&[pats]), instance(&[pats])];
+    dpis[1].attach_tracer(Arc::new(Tracer::new()), None);
+    let mut batches = [(); 2].map(|_| tagged_packets(&payloads));
+    let mut results = [0; 2];
+    let t = best_of_three(2, |side| {
+        results[side] += dpis[side].inspect_batch(&mut batches[side]).len();
+    });
+    assert_eq!(results[0], results[1], "same results");
+    let traced = t[0] / t[1];
+    let here = format!("{traced:.3}x untraced throughput");
+    let name = "DESIGN §10: tracing attached";
+    claim(name, ">= 0.95x", here, traced >= 0.95);
+}
+
+/// DESIGN §12: the lane loop cuts a payload into up to four chains whose
+/// table loads overlap, and runs one lane below 128 B. The full Snort-like
+/// table at fixed payload sizes, the lane loop's speedup over the naive
+/// reference loop: measured here 0.97-1.02x at 64 B (0.89x once in 60
+/// runs) and 3.3-3.8x at 1,400 B. The bounds: at 64 B the lane loop
+/// costs at most 15 % more than the reference, at 1,400 B it is 2.5
+/// times as fast.
+fn design12_lanes_against_naive(snort: &[Vec<u8>]) {
+    let builder = builder(&[snort]);
+    let acs = [KernelKind::Auto, KernelKind::Naive].map(|kind| builder.build_kernel(kind));
+    let sizes = [64, 300, 1400];
+    let speedups: Vec<f64> = sizes
+        .iter()
+        .map(|&size| {
+            let mut config = TraceConfig::default();
+            (config.packets, config.seed) = (280_000 / size, 8);
+            (config.min_payload, config.max_payload) = (size, size);
+            [config.match_density, config.prefix_density] = [0.02, 3.0];
+            let t = scan_times(&acs, &config.generate(snort));
+            t[1] / t[0]
+        })
+        .collect();
+    let here: Vec<String> = speedups.iter().map(|s| format!("{s:.2}")).collect();
+    let name = format!("DESIGN §12: lanes/naive at {sizes:?} B");
+    let holds = speedups[0] >= 0.85 && speedups[2] >= 2.5;
+    claim(&name, ">= 0.85x, -, >= 2.5x", here.join(", "), holds);
 }
